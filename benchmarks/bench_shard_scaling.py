@@ -96,6 +96,14 @@ def _fresh_db(workload, seed=99):
     return db
 
 
+def _routed_counts(router, stream):
+    """Updates of ``stream`` each shard owns (both relations partition)."""
+    counts = [0] * router.shards
+    for update in stream:
+        counts[router.shard_of(update)] += 1
+    return counts
+
+
 def _replay(engine, stream):
     start = time.perf_counter()
     for offset in range(0, len(stream), BATCH):
@@ -199,7 +207,7 @@ def _scaling_table():
                 assert engine.output_relation().to_dict() == outputs[workload]
                 if shards == max(SHARD_COUNTS):
                     merged_stats = engine.merged_stats()
-                counts = [len(part) for part in engine.router.split(stream)]
+                counts = _routed_counts(engine.router, stream)
             counts += [""] * (max(SHARD_COUNTS) - len(counts))
             balance.add(workload, str(shards), *[str(c) for c in counts])
         table.add(*row)
@@ -243,5 +251,5 @@ def _scaling_table():
     with ShardedEngine(
         QUERY, _fresh_db("zipf"), shards=4, executor="serial"
     ) as probe:
-        counts = [len(part) for part in probe.router.split(zipf_stream)]
+        counts = _routed_counts(probe.router, zipf_stream)
     assert max(counts) > len(zipf_stream) / 4

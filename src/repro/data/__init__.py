@@ -14,7 +14,6 @@ from .update import (
     delta_relation,
     insert,
     permuted,
-    split_batch,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "measure_ops",
     "permuted",
     "relation_from_rows",
-    "split_batch",
 ]

@@ -161,40 +161,3 @@ def batches_of(updates: Sequence[Update], batch_size: int) -> Iterator[list[Upda
         raise ValueError("batch_size must be positive")
     for start in range(0, len(updates), batch_size):
         yield list(updates[start : start + batch_size])
-
-
-def split_batch(
-    batch: Iterable[Update],
-    shard_of,
-    shards: int,
-) -> list[list[Update]]:
-    """Partition a batch into per-shard sub-batches, preserving order.
-
-    ``shard_of(update)`` names the owning shard, or returns ``None`` for
-    updates that must be *broadcast* — appended to every sub-batch (the
-    relation does not contain the shard variable, so every shard joins
-    against its full contents).
-
-    The split preserves the partition: each sub-batch keeps the relative
-    order of its updates, and concatenating the owned occurrences (one
-    per owned update, all copies of a broadcast one) recovers the batch's
-    cumulative effect.  Because update batches over a ring commute,
-    replaying the sub-batches independently — in any interleaving — is
-    equivalent to replaying the original batch.
-    """
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    split: list[list[Update]] = [[] for _ in range(shards)]
-    for update in batch:
-        owner = shard_of(update)
-        if owner is None:
-            for sub in split:
-                sub.append(update)
-        else:
-            if not 0 <= owner < shards:
-                raise ValueError(
-                    f"shard_of returned {owner!r} for {update!r}; "
-                    f"expected None or 0..{shards - 1}"
-                )
-            split[owner].append(update)
-    return split

@@ -8,7 +8,7 @@ view-tree engine per shard on an executor and merges outputs and
 statistics (:class:`ShardedEngine`), and the persistent shard-worker
 runtime for ``executor="process"`` (:mod:`repro.shard.worker`): worker
 processes that keep shard state resident and exchange only sub-batch
-deltas and stats increments with the coordinator.
+columns, acks and (when pulled) stats increments with the coordinator.
 """
 
 from .engine import ShardedEngine

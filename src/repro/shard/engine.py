@@ -19,47 +19,68 @@ ring sum for scalars) reconstructs the unsharded result exactly; the
 differential shard-invariance tests assert bit-identical contents
 against the unsharded engine for ``shards`` in {1, 2, 4}.
 
+One write path, columnar end to end, whatever the executor:
+``apply_batch`` ring-coalesces the batch **once** into per-relation
+``(keys, payloads)`` columns (ring updates commute, so a batch may be
+summed per key first and partitioned second), the router splits each
+relation's columns by owner (broadcast relations share the same lists),
+and every shard engine applies its slice through
+:meth:`~repro.viewtree.engine.ViewTreeEngine.apply_coalesced_batch` —
+no re-coalescing, no ``Update`` objects rebuilt along the way.
+
 Executors:
 
 * ``"thread"`` (default) — one persistent thread pool; shard engines are
   disjoint object graphs, so shard maintenance runs lock-free.  Pure
-  Python still serializes on the GIL, but shards also cut per-shard view
-  sizes (smaller probes, smaller groups), which is where the measured
-  speedup on CPython comes from (see ``benchmarks/bench_shard_scaling.py``).
+  Python still serializes on the GIL; what shards buy is smaller
+  per-shard views (smaller probes, smaller groups).
 * ``"process"`` — persistent shard workers (:mod:`repro.shard.worker`):
   each worker process is spawned once, builds its shard engine locally
   from a small pickled spec, and keeps all view state resident.  Per
-  commit the coordinator ships only the coalesced, router-split
-  sub-batch (columnar encoding, numpy payload buffers as raw bytes)
-  and receives a stats *delta* — IPC cost scales with the batch, never
-  with accumulated view state.  Reads (``lookup`` routed to the owner
-  shard, ``enumerate``/``scalar`` streamed in chunks,
-  ``publish_epoch`` as a barrier) ride the same pipe protocol, so the
-  coordinator holds no engine replicas at all.  The previous
-  ship-the-whole-engine-per-batch path survives behind
+  commit the coordinator ships only each shard's columns (numpy
+  payload buffers as raw bytes) and gets a bare ack back — IPC cost
+  scales with the batch, never with accumulated view state — and it
+  writes its own base relations *after* the sub-batches are on the
+  pipes and before it reads the acks, overlapping the workers.  Reads
+  (``lookup`` routed to the owner shard, ``enumerate``/``scalar``
+  streamed in chunks, ``publish_epoch`` as a barrier) ride the same
+  pipe protocol, so the coordinator holds no engine replicas at all.
+  The previous ship-the-whole-engine-per-batch path survives behind
   ``ipc="pickle-engine"`` as the differential oracle.
 * ``"serial"`` — no pool; useful for debugging and differential tests.
+
+What sharding costs: on a 2-core box two worker processes still deliver
+less than the unsharded update rate, at several times the CPU per
+update, and a point lookup costs a pipe round-trip (EXPERIMENTS.md has
+the ``benchmarks/e2e`` ledger rows) — do not shard for throughput there.
 
 Observability: every shard engine carries its own
 :class:`~repro.obs.MaintenanceStats` recorder (recorders merge
 associatively — that is what makes per-shard recording sound), and the
 coordinator's own recorder — attached via ``attach_stats`` like any
-other engine — captures logical update latency and merged enumeration
-delay.  :meth:`merged_stats` folds everything into one recorder with
-per-shard labels.
+other engine — captures logical update latency, the one coalescing
+pass, and merged enumeration delay.  Stats are lazy in delta mode:
+commit acks carry none, workers accumulate into their recorder and ship
+the delta only when :meth:`merged_stats` (or ``close``) pulls — so
+``shard_stats`` is current only after a pull.  :meth:`merged_stats`
+folds everything into one recorder with per-shard labels.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Iterator
 
+# ``coalesce`` is this module's name for the one coalescing pass of the
+# write path (benchmarks/e2e wraps it by that dotted name).
+from ..data.columnar import coalesce_columnar as coalesce
 from ..data.database import Database
 from ..data.relation import Relation
 from ..data.schema import Schema
-from ..data.update import Update, coalesce
+from ..data.update import Update
 from ..obs import MaintenanceStats, Observable, observed, observed_enumeration
 from ..query.ast import Query
 from ..query.variable_order import VariableOrder, order_for
@@ -89,9 +110,11 @@ _EXECUTORS = ("serial", "thread", "process")
 _IPC_MODES = ("delta", "pickle-engine")
 
 
-def _apply_shard_batch(engine: ViewTreeEngine, batch, rebuild_factor):
-    """Process-pool worker: apply a sub-batch and return the engine."""
-    engine.apply_batch(batch, update_base=False, rebuild_factor=rebuild_factor)
+def _apply_shard_batch(engine: ViewTreeEngine, columns, rebuild_factor):
+    """Process-pool worker: apply a shard's columns and return the engine."""
+    engine.apply_coalesced_batch(
+        columns, update_base=False, rebuild_factor=rebuild_factor
+    )
     return engine
 
 
@@ -144,7 +167,7 @@ class ShardedEngine(Observable):
         self._pool = None
         #: Delta-IPC mode: persistent worker processes own the shard
         #: engines; the coordinator keeps no engine replicas and ships
-        #: only sub-batches out / stats deltas back.  A single shard has
+        #: only sub-batch columns out / acks back.  A single shard has
         #: nothing to parallelize — it stays in-process like "serial".
         self._delta_ipc = (
             executor == "process" and ipc == "delta" and self.shards > 1
@@ -155,8 +178,8 @@ class ShardedEngine(Observable):
         self._compile_enum = compile_enum
         self._codegen_requested = codegen
 
-        #: One recorder per shard, attached from birth (delta mode:
-        #: merged from shipped worker deltas); merged on demand.
+        #: One recorder per shard, attached from birth (delta mode: the
+        #: worker deltas merged_stats/close pulled); merged on demand.
         self.shard_stats = [
             MaintenanceStats(engine=f"ViewTreeEngine/shard{index}")
             for index in range(self.shards)
@@ -222,6 +245,15 @@ class ShardedEngine(Observable):
                 self._pool = ProcessPoolExecutor(max_workers=workers)
         return self._pool
 
+    def _each_engine(self, call, *columns) -> list:
+        """``call(engine, *args)`` per local shard engine, ``args`` taken
+        from the parallel ``columns``; on the thread pool when there is one."""
+        pool = self._ensure_pool() if self.executor == "thread" else None
+        if pool is None:
+            return [call(*args) for args in zip(self.engines, *columns)]
+        futures = [pool.submit(call, *args) for args in zip(self.engines, *columns)]
+        return [future.result() for future in futures]
+
     def _ensure_workers(self) -> ShardWorkerPool:
         """The persistent worker pool, spawned (or rebuilt) on demand.
 
@@ -275,61 +307,39 @@ class ShardedEngine(Observable):
             self._change_tracker.mark_stale()
         return pool
 
-    def _absorb(self, pairs, wall_s: float, commit: bool = False) -> None:
-        """Fold worker replies into the coordinator's accounting.
-
-        ``pairs`` is ``[(shard_index, reply)]``.  Shipped stats deltas
-        merge into the per-shard recorders (what :meth:`merged_stats`
-        labels), and the round's bytes/latency feed the coordinator's
-        ``ipc`` block.
-        """
-        sent = received = 0
-        busy = 0.0
-        merge_started = None
-        for index, reply in pairs:
-            sent += reply.bytes_sent
-            received += reply.bytes_received
-            busy += reply.busy
-            if reply.stats is not None:
-                if merge_started is None:
-                    merge_started = time.perf_counter()
-                self.shard_stats[index].merge(reply.stats)
+    def _absorb(self, replies, wall_s: float, commit: bool = False) -> None:
+        """Feed one exchange's bytes and latency into the ``ipc`` block."""
         stats = self._maintenance_stats
         if stats is not None:
-            if merge_started is not None:
-                stats.record_ipc_stats_merge(
-                    time.perf_counter() - merge_started
-                )
             stats.record_ipc_round(
-                round_trips=len(pairs),
-                bytes_sent=sent,
-                bytes_received=received,
-                busy_s=busy,
+                round_trips=len(replies),
+                bytes_sent=sum(reply.bytes_sent for reply in replies),
+                bytes_received=sum(reply.bytes_received for reply in replies),
+                busy_s=sum(reply.busy for reply in replies),
                 wall_s=wall_s,
                 workers=self.shards,
                 commit=commit,
             )
 
-    def _worker_failed(self, error: ShardWorkerError) -> None:
+    def _worker_failed(self) -> None:
         """Count a transport-level worker failure (crash / dead pipe)."""
         pool = self._worker_pool
-        if pool is not None and pool.broken:
-            stats = self._maintenance_stats
-            if stats is not None:
-                stats.record_ipc_worker_failure()
+        stats = self._maintenance_stats
+        if pool is not None and pool.broken and stats is not None:
+            stats.record_ipc_worker_failure()
 
-    def _pool_round(self, commands: list[tuple], commit: bool = False):
+    def _pool_round(
+        self, commands: list[tuple], commit: bool = False, overlap=None
+    ):
         """One command per worker, with failure counting and absorption."""
         pool = self._ensure_workers()
         started = time.perf_counter()
         try:
-            replies = pool.round(commands)
-        except ShardWorkerError as error:
-            self._worker_failed(error)
+            replies = pool.round(commands, overlap)
+        except ShardWorkerError:
+            self._worker_failed()
             raise
-        self._absorb(
-            list(enumerate(replies)), time.perf_counter() - started, commit
-        )
+        self._absorb(replies, time.perf_counter() - started, commit)
         return replies
 
     def _pool_broadcast(self, command: tuple, commit: bool = False):
@@ -341,10 +351,10 @@ class ShardedEngine(Observable):
         started = time.perf_counter()
         try:
             reply = pool.call(shard, command)
-        except ShardWorkerError as error:
-            self._worker_failed(error)
+        except ShardWorkerError:
+            self._worker_failed()
             raise
-        self._absorb([(shard, reply)], time.perf_counter() - started, commit)
+        self._absorb([reply], time.perf_counter() - started, commit)
         return reply
 
     def close(self) -> None:
@@ -412,19 +422,8 @@ class ShardedEngine(Observable):
             return
         if owner is not None:
             self.engines[owner].apply(update, update_base=False)
-            return
-        # Broadcast path: every shard replays the update.
-        pool = self._ensure_pool() if self.executor == "thread" else None
-        if pool is None:
-            for engine in self.engines:
-                engine.apply(update, update_base=False)
-        else:
-            futures = [
-                pool.submit(engine.apply, update, update_base=False)
-                for engine in self.engines
-            ]
-            for future in futures:
-                future.result()
+        else:  # broadcast: every shard replays the update
+            self._each_engine(lambda engine: engine.apply(update, False))
 
     @observed
     def apply_batch(
@@ -433,57 +432,59 @@ class ShardedEngine(Observable):
         update_base: bool = True,
         rebuild_factor: float | None = None,
     ) -> None:
-        """Split a batch by owning shard and run the shards concurrently.
+        """Coalesce once, split the columns by owner, run the shards.
 
-        The batch is ring-coalesced *before* routing: same-key deltas
-        collapse to one update (cancellations vanish entirely), so the
-        router, the base writes, and every shard's own batch kernel see
-        the already-shrunk batch — broadcast updates in particular are
-        shipped to each shard only once per surviving key.
+        Ring updates commute, so the batch is summed per key *before*
+        it is partitioned: same-key deltas collapse to one tuple
+        (cancellations vanish entirely) and everything downstream — the
+        router, the wire, the base writes, every shard's batch kernel —
+        sees the already-shrunk ``{relation: (keys, payloads)}`` columns
+        and never re-coalesces or rebuilds ``Update`` objects.  Each
+        shard engine takes its slice through
+        :meth:`~repro.viewtree.engine.ViewTreeEngine.apply_coalesced_batch`
+        whatever the executor.
         """
-        batch = coalesce(batch, self.ring)
+        batch = list(batch)
+        columns = coalesce(batch, self.ring)
+        stats = self._maintenance_stats
+        if stats is not None:
+            stats.record_batch_coalesce(
+                len(batch), sum(len(keys) for keys, _ in columns.values())
+            )
+        sub_batches = self.router.split(columns)
         if self._delta_ipc:
-            # Spawn (or rebuild) the workers before the base writes:
-            # workers build their leaves from the parent database as of
-            # spawn time, so this batch must not be in it yet.
-            self._ensure_workers()
-        if update_base:
-            for update in batch:
-                if update.relation in self.database:
-                    self.database[update.relation].add(update.key, update.payload)
-        sub_batches = self.router.split(batch)
-        if self._delta_ipc:
-            # Ship each worker its sub-batch in the columnar wire
-            # encoding; the reply carries a stats delta, never the
-            # engine — bytes per commit scale with the batch only.
+            # _pool_round spawns (or rebuilds) the workers first — they
+            # build their leaves from the base database as of spawn
+            # time, so this batch must not be in it yet — and the pool
+            # runs the base writes once the sub-batches are on the
+            # pipes, overlapping the workers.  They land even when the
+            # round fails: the rebuilt pool starts from the base.
             self._pool_round(
                 [
-                    ("apply_batch", encode_batch(sub, self.ring), rebuild_factor)
+                    ("apply_batch", encode_batch(sub.columns, self.ring), rebuild_factor)
                     for sub in sub_batches
                 ],
                 commit=True,
+                overlap=(
+                    functools.partial(self._write_base, columns)
+                    if update_base
+                    else None
+                ),
             )
             return
-        if self.executor == "serial" or self.shards == 1:
-            for engine, sub in zip(self.engines, sub_batches):
-                engine.apply_batch(sub, update_base=False, rebuild_factor=rebuild_factor)
-            return
-        pool = self._ensure_pool()
-        if self.executor == "thread":
-            futures = [
-                pool.submit(
-                    engine.apply_batch,
-                    sub,
-                    update_base=False,
-                    rebuild_factor=rebuild_factor,
-                )
-                for engine, sub in zip(self.engines, sub_batches)
-            ]
-            for future in futures:
-                future.result()
+        if update_base:
+            self._write_base(columns)
+        if self.executor != "process" or self.shards == 1:
+            self._each_engine(
+                lambda engine, sub: engine.apply_coalesced_batch(
+                    sub.columns, False, rebuild_factor
+                ),
+                sub_batches,
+            )
         else:
+            pool = self._ensure_pool()
             futures = [
-                pool.submit(_apply_shard_batch, engine, sub, rebuild_factor)
+                pool.submit(_apply_shard_batch, engine, sub.columns, rebuild_factor)
                 for engine, sub in zip(self.engines, sub_batches)
             ]
             for index, future in enumerate(futures):
@@ -493,9 +494,15 @@ class ShardedEngine(Observable):
                 # database at the shared one — the worker pickled its own.
                 engine.database = self.database
                 self.engines[index] = engine
-                stats = engine.stats
-                if stats is not None:
-                    self.shard_stats[index] = stats
+                if engine.stats is not None:
+                    self.shard_stats[index] = engine.stats
+
+    def _write_base(self, columns: dict[str, tuple[list, list]]) -> None:
+        """One ``add_delta`` per relation of a coalesced batch."""
+        database = self.database
+        for name, (keys, payloads) in columns.items():
+            if name in database:
+                database[name].add_delta(zip(keys, payloads))
 
     def rebuild(self) -> None:
         """Rebuild every shard's views from its leaves."""
@@ -509,18 +516,27 @@ class ShardedEngine(Observable):
     # Merged output access
     # ------------------------------------------------------------------
 
+    # Reads take a *pin*: ``None`` reads the live state, anything else the
+    # published epoch :meth:`_pin` returned — its number in delta mode
+    # (workers retain numbered snapshots), its ``(engine, snapshot)``
+    # pairs otherwise.
+
+    def _scalar(self, pin=None) -> Any:
+        if self._delta_ipc:
+            replies = self._pool_broadcast(("scalar", pin))
+            payloads = [reply.payload for reply in replies]
+        elif pin is None:
+            payloads = [engine.scalar() for engine in self.engines]
+        else:
+            payloads = [engine.scalar_snapshot(snap) for engine, snap in pin]
+        total = self.ring.zero
+        for payload in payloads:
+            total = self.ring.add(total, payload)
+        return total
+
     def scalar(self) -> Any:
         """Boolean-query payload: the ring sum of per-shard scalars."""
-        if self._delta_ipc:
-            replies = self._pool_broadcast(("scalar", None))
-            total = self.ring.zero
-            for reply in replies:
-                total = self.ring.add(total, reply.payload)
-            return total
-        total = self.ring.zero
-        for engine in self.engines:
-            total = self.ring.add(total, engine.scalar())
-        return total
+        return self._scalar()
 
     def enumerate(
         self, prebound: dict[str, Any] | None = None
@@ -531,49 +547,46 @@ class ShardedEngine(Observable):
         )
 
     def _enumerate_merged(
-        self, prebound: dict[str, Any] | None = None
+        self, prebound: dict[str, Any] | None = None, pin=None
     ) -> Iterator[tuple[tuple, Any]]:
         if not self.query.head:
-            payload = self.scalar()
+            payload = self._scalar(pin)
             if not self.ring.is_zero(payload):
                 yield (), payload
             return
-        yield from self._merged_output(prebound).data.items()
+        yield from self._merged_output(prebound, pin).data.items()
 
-    def _merged_output(
-        self, prebound: dict[str, Any] | None = None, observed: bool = True
-    ) -> Relation:
-        """Union the shard outputs into one relation.
+    def _shard_outputs(self, prebound, pin, observed: bool) -> list:
+        """Each shard's output entries, live or at ``pin``.
 
         ``observed=False`` drains each shard's *unobserved* internal
-        iterator — materialization (``output_relation``) is not an
-        enumeration request and must not record phantom delay samples
-        into the shard recorders.
+        iterator — materialization (``output_relation``) and snapshot
+        reads are not enumeration requests and must not record phantom
+        delay samples into the shard recorders.
         """
-        out = Relation(
-            f"{self.query.name}_merged", Schema(self.query.head), self.ring
-        )
         if self._delta_ipc:
             # Workers drain concurrently (commands land before any
             # reply is awaited) and stream their outputs in chunks.
-            replies = self._pool_broadcast(
-                ("enumerate", prebound, None, observed)
-            )
-            shard_outputs = [reply.items or [] for reply in replies]
-        else:
-            if observed:
-                drain = lambda e: list(e.enumerate(prebound))
-            else:
-                drain = lambda e: list(e._enumerate(prebound))
-            pool = self._ensure_pool() if self.executor == "thread" else None
-            if pool is None:
-                shard_outputs = [drain(e) for e in self.engines]
-            else:
-                futures = [
-                    pool.submit(drain, engine) for engine in self.engines
-                ]
-                shard_outputs = [future.result() for future in futures]
-        for entries in shard_outputs:
+            replies = self._pool_broadcast(("enumerate", prebound, pin, observed))
+            return [reply.items or [] for reply in replies]
+        if pin is not None:
+            return [
+                engine._enumerate(prebound, None, epoch=snap)
+                for engine, snap in pin
+            ]
+        if observed:
+            return self._each_engine(lambda e: list(e.enumerate(prebound)))
+        return self._each_engine(lambda e: list(e._enumerate(prebound)))
+
+    def _merged_output(
+        self, prebound: dict[str, Any] | None = None, pin=None,
+        observed: bool = True,
+    ) -> Relation:
+        """Union the shard outputs into one fresh relation."""
+        out = Relation(
+            f"{self.query.name}_merged", Schema(self.query.head), self.ring
+        )
+        for entries in self._shard_outputs(prebound, pin, observed):
             for key, payload in entries:
                 out.add(key, payload)
         return out
@@ -600,74 +613,42 @@ class ShardedEngine(Observable):
             # pin an epoch a worker has not published yet; workers
             # retain the last few numbered snapshots, so a reader
             # pinning N-1 during the publish of N still gets answers.
-            number = self.epoch + 1
-            replies = self._pool_broadcast(("publish_epoch", number))
-            self.epoch = number
-            self._published_epoch = number
-            tracker = self._change_tracker
-            delta = tracker.on_publish(number) if tracker is not None else None
-            if record:
-                stats = self._maintenance_stats
-                if stats is not None:
-                    stats.record_epoch_publish(
-                        sum(reply.payload[0] for reply in replies),
-                        sum(reply.payload[1] for reply in replies),
-                        len(delta) if delta is not None else 0,
-                    )
-                    if delta is not None:
-                        stats.record_change_delta(
-                            len(delta), tracker.last_bytes
-                        )
-            return number
-        pairs = tuple(
-            (engine, engine.publish_epoch(record=False))
-            for engine in self.engines
-        )
+            replies = self._pool_broadcast(("publish_epoch", self.epoch + 1))
+            copied = [reply.payload for reply in replies]
+            published = self._published_epoch = self.epoch + 1
+        else:
+            published = self._epoch_snapshot = tuple(
+                (engine, engine.publish_epoch(record=False))
+                for engine in self.engines
+            )
+            copied = [(snap.cow_buckets, snap.cow_tables) for _, snap in published]
         self.epoch += 1
-        self._epoch_snapshot = pairs
         tracker = self._change_tracker
         delta = tracker.on_publish(self.epoch) if tracker is not None else None
-        if record:
-            stats = self._maintenance_stats
-            if stats is not None:
-                stats.record_epoch_publish(
-                    sum(snap.cow_buckets for _, snap in pairs),
-                    sum(snap.cow_tables for _, snap in pairs),
-                    len(delta) if delta is not None else 0,
-                )
-                if delta is not None:
-                    stats.record_change_delta(len(delta), tracker.last_bytes)
-        return pairs
+        stats = self._maintenance_stats
+        if record and stats is not None:
+            stats.record_epoch_publish(
+                sum(buckets for buckets, _ in copied),
+                sum(tables for _, tables in copied),
+                len(delta) if delta is not None else 0,
+            )
+            if delta is not None:
+                stats.record_change_delta(len(delta), tracker.last_bytes)
+        return published
 
-    def _snapshot_pairs(self) -> tuple:
-        pairs = self._epoch_snapshot
-        if pairs is None:
-            pairs = self.publish_epoch()
-        return pairs
-
-    def _snapshot_epoch(self) -> int:
-        """The epoch number delta-mode snapshot reads pin."""
-        if self._published_epoch is None:
-            self.publish_epoch()
-        return self._published_epoch
-
-    def _scalar_snapshot_delta(self, number: int) -> Any:
-        replies = self._pool_broadcast(("scalar", number))
-        total = self.ring.zero
-        for reply in replies:
-            total = self.ring.add(total, reply.payload)
-        return total
-
-    def scalar_snapshot(self, pairs: tuple | None = None) -> Any:
-        """:meth:`scalar` against the published epoch."""
+    def _pin(self):
+        """The published epoch (publishing one first if none exists)."""
         if self._delta_ipc:
-            return self._scalar_snapshot_delta(self._snapshot_epoch())
-        if pairs is None:
-            pairs = self._snapshot_pairs()
-        total = self.ring.zero
-        for engine, snap in pairs:
-            total = self.ring.add(total, engine.scalar_snapshot(snap))
-        return total
+            if self._published_epoch is None:
+                self.publish_epoch()
+            return self._published_epoch
+        if self._epoch_snapshot is None:
+            self.publish_epoch()
+        return self._epoch_snapshot
+
+    def scalar_snapshot(self) -> Any:
+        """:meth:`scalar` against the published epoch."""
+        return self._scalar(self._pin())
 
     def enumerate_snapshot(
         self, prebound: dict[str, Any] | None = None
@@ -676,55 +657,14 @@ class ShardedEngine(Observable):
 
         Safe to drive from any thread while shard maintenance runs: each
         shard is drained through its frozen snapshot and the union is
-        materialized into a fresh thread-local relation.  Delta mode
-        pins the published epoch *number*; workers answer from their
-        retained snapshot for that number, so a read that races the
-        next publish stays on its own consistent epoch.
+        materialized into a fresh thread-local relation.  The epoch is
+        pinned here, at the call, so a read that races the next publish
+        stays on its own consistent epoch.
         """
-        if self._delta_ipc:
-            number = self._snapshot_epoch()
-            return observed_enumeration(
-                self._maintenance_stats,
-                self._enumerate_snapshot_delta(prebound, number),
-            )
-        pairs = self._snapshot_pairs()
         return observed_enumeration(
             self._maintenance_stats,
-            self._enumerate_merged_snapshot(prebound, pairs),
+            self._enumerate_merged(prebound, self._pin()),
         )
-
-    def _enumerate_snapshot_delta(
-        self, prebound: dict[str, Any] | None, number: int
-    ) -> Iterator[tuple[tuple, Any]]:
-        if not self.query.head:
-            payload = self._scalar_snapshot_delta(number)
-            if not self.ring.is_zero(payload):
-                yield (), payload
-            return
-        out = Relation(
-            f"{self.query.name}_merged", Schema(self.query.head), self.ring
-        )
-        replies = self._pool_broadcast(("enumerate", prebound, number, False))
-        for reply in replies:
-            for key, payload in reply.items or []:
-                out.add(key, payload)
-        yield from out.data.items()
-
-    def _enumerate_merged_snapshot(
-        self, prebound: dict[str, Any] | None, pairs: tuple
-    ) -> Iterator[tuple[tuple, Any]]:
-        if not self.query.head:
-            payload = self.scalar_snapshot(pairs)
-            if not self.ring.is_zero(payload):
-                yield (), payload
-            return
-        out = Relation(
-            f"{self.query.name}_merged", Schema(self.query.head), self.ring
-        )
-        for engine, snap in pairs:
-            for key, payload in engine._enumerate(prebound, None, epoch=snap):
-                out.add(key, payload)
-        yield from out.data.items()
 
     # ------------------------------------------------------------------
     # Output change streams (merged per-shard deltas)
@@ -793,16 +733,37 @@ class ShardedEngine(Observable):
             return stable_hash(prebound[self.shard_variable]) % self.shards
         return None
 
-    def _lookup_delta(self, key: tuple, number: int | None) -> Any:
-        """Delta-mode point lookup (live or pinned to epoch ``number``)."""
+    def _lookup(self, key: tuple, snapshot: bool) -> Any:
+        key = tuple(key)
         head = self.query.head
+        if len(key) != len(head):
+            raise ValueError(
+                f"lookup key {key!r} does not match head {head!r}"
+            )
+        pin = self._pin() if snapshot else None
+        if not head:
+            return self._scalar(pin)
         prebound = dict(zip(head, key))
+        # A join-output tuple with shard-variable value v can only
+        # arise on the shard owning v (disjoint decomposition — see
+        # the module docstring), so the others cannot contribute.
         owner = self._lookup_owner(prebound)
         shard_list = range(self.shards) if owner is None else (owner,)
-        total = self.ring.zero
+        total = zero = self.ring.zero
         for shard in shard_list:
-            reply = self._pool_call(shard, ("lookup", key, prebound, number))
-            total = self.ring.add(total, reply.payload)
+            if self._delta_ipc:
+                command = ("lookup", key, prebound, pin)
+                payload = self._pool_call(shard, command).payload
+            else:
+                if pin is None:
+                    entries = self.engines[shard].enumerate(prebound)
+                else:
+                    engine, snap = pin[shard]
+                    entries = engine._enumerate(prebound, None, epoch=snap)
+                # A fully-prebound key matches at most one tuple per
+                # shard: abandon the iterator on the first match.
+                payload = next((p for found, p in entries if found == key), zero)
+            total = self.ring.add(total, payload)
         stats = self._maintenance_stats
         if stats is not None:
             stats.record_point_lookup(len(shard_list))
@@ -810,34 +771,7 @@ class ShardedEngine(Observable):
 
     def lookup_snapshot(self, key: tuple) -> Any:
         """:meth:`lookup` against the published epoch (same probe savers)."""
-        key = tuple(key)
-        head = self.query.head
-        if len(key) != len(head):
-            raise ValueError(
-                f"lookup key {key!r} does not match head {head!r}"
-            )
-        if self._delta_ipc:
-            number = self._snapshot_epoch()
-            if not head:
-                return self._scalar_snapshot_delta(number)
-            return self._lookup_delta(key, number)
-        pairs = self._snapshot_pairs()
-        if not head:
-            return self.scalar_snapshot(pairs)
-        prebound = dict(zip(head, key))
-        owner = self._lookup_owner(prebound)
-        if owner is not None:
-            pairs = (pairs[owner],)
-        total = self.ring.zero
-        for engine, snap in pairs:
-            for found, payload in engine._enumerate(prebound, None, epoch=snap):
-                if found == key:
-                    total = self.ring.add(total, payload)
-                    break
-        stats = self._maintenance_stats
-        if stats is not None:
-            stats.record_point_lookup(len(pairs))
-        return total
+        return self._lookup(key, snapshot=True)
 
     def lookup(self, key: tuple) -> Any:
         """Merged payload of one output tuple (ring zero when absent).
@@ -857,34 +791,7 @@ class ShardedEngine(Observable):
         recorder (plus the shards' ``enum_guard_probes``) make the saved
         probes visible.
         """
-        key = tuple(key)
-        head = self.query.head
-        if len(key) != len(head):
-            raise ValueError(
-                f"lookup key {key!r} does not match head {head!r}"
-            )
-        if not head:
-            return self.scalar()
-        if self._delta_ipc:
-            return self._lookup_delta(key, None)
-        prebound = dict(zip(head, key))
-        engines = self.engines
-        # A join-output tuple with shard-variable value v can only
-        # arise on the shard owning v (disjoint decomposition — see
-        # the module docstring), so the others cannot contribute.
-        owner = self._lookup_owner(prebound)
-        if owner is not None:
-            engines = (self.engines[owner],)
-        total = self.ring.zero
-        for engine in engines:
-            for found, payload in engine.enumerate(prebound):
-                if found == key:
-                    total = self.ring.add(total, payload)
-                    break
-        stats = self._maintenance_stats
-        if stats is not None:
-            stats.record_point_lookup(len(engines))
-        return total
+        return self._lookup(key, snapshot=False)
 
     def output_relation(self, name: str | None = None) -> Relation:
         out = self._merged_output(observed=False)
@@ -998,15 +905,27 @@ class ShardedEngine(Observable):
         return
 
     def merged_stats(self) -> MaintenanceStats:
-        """One recorder: coordinator series + per-shard labelled summaries."""
-        if self._delta_ipc and self._worker_pool is not None:
-            # Pull any stats the workers accumulated since their last
-            # shipped delta (e.g. read-path enumeration counters).
-            if not self._worker_pool.broken:
-                try:
-                    self._pool_broadcast(("pull_stats",))
-                except ShardWorkerError:
-                    pass
+        """One recorder: coordinator series + per-shard labelled summaries.
+
+        Delta mode pulls here: commit acks carry no stats, so the
+        workers ship what their recorders accumulated since the last
+        pull (fresh-recorder swap — pulling twice counts nothing twice)
+        and it folds into the per-shard recorders.  Observability is
+        paid for when it is read, not on every commit.
+        """
+        pool = self._worker_pool
+        if pool is not None and not pool.broken:
+            try:
+                replies = self._pool_broadcast(("pull_stats",))
+            except ShardWorkerError:
+                replies = ()
+            started = time.perf_counter()
+            for recorder, reply in zip(self.shard_stats, replies):
+                recorder.merge(reply.stats)
+            if self._maintenance_stats is not None:
+                self._maintenance_stats.record_ipc_stats_merge(
+                    time.perf_counter() - started
+                )
         merged = MaintenanceStats(
             engine=f"ShardedEngine[{self.shards}x{self.shard_variable}]"
         )
@@ -1062,30 +981,20 @@ class _ShardChangeTracker:
             # engine-number mapping, then pull the per-shard output
             # states frozen at that epoch.
             owner._pool_broadcast(("track_changes", None))
-            owner.publish_epoch(record=False)
-            number = owner.epoch
-            self._seed_states_delta(number)
         else:
             for engine in owner.engines:
                 engine.track_changes()
-            owner.publish_epoch(record=False)
-            self._seed_states_local()
+        self._seed_states(owner.publish_epoch(record=False))
         self.window = DeltaWindow(owner.epoch)
 
-    # -- state seeding --------------------------------------------------
-
-    def _seed_states_delta(self, number: int) -> None:
-        replies = self.owner._pool_broadcast(("enumerate", None, number, False))
-        self.shard_states = [dict(reply.items or []) for reply in replies]
-
-    def _seed_states_local(self) -> None:
+    def _seed_states(self, pin) -> None:
+        """Each shard's absolute output state, frozen at ``pin``."""
         owner = self.owner
-        pairs = owner._epoch_snapshot
         self.shard_states = [
-            dict(engine._enumerate(None, None, epoch=snap))
-            for engine, snap in pairs
+            dict(entries) for entries in owner._shard_outputs(None, pin, False)
         ]
-        self._shard_epochs = [engine.epoch for engine in owner.engines]
+        if not owner._delta_ipc:
+            self._shard_epochs = [engine.epoch for engine in owner.engines]
 
     # -- publish hook ---------------------------------------------------
 
@@ -1147,7 +1056,7 @@ class _ShardChangeTracker:
         owner = self.owner
         if owner._delta_ipc:
             owner._pool_broadcast(("track_changes", number))
-            self._seed_states_delta(number)
+            self._seed_states(number)
         else:
             states = []
             epochs = []

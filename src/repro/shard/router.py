@@ -19,28 +19,65 @@ The router decides, per relation, where an update goes:
 
 Hashing uses a content-stable hash (not Python's seeded ``hash``), so a
 stream routes identically across processes and runs — differential
-shard-invariance tests and the process-pool executor both rely on that.
+shard-invariance tests and the shard worker processes both rely on that.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Iterable, Optional
+import zlib
+from typing import Any, Optional
 
-from ..data.update import Update, split_batch
+from ..data.update import Update
 from ..query.ast import Query
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN64 = 0x9E3779B97F4A7C15  # 2**64 / golden ratio, odd
 
 
 def stable_hash(value: Any) -> int:
-    """A process-stable 64-bit hash of one attribute value.
+    """A process-stable hash of one attribute value.
 
-    ``PYTHONHASHSEED`` randomizes ``hash`` per process; routing must not
-    depend on it, so values are hashed through their ``repr`` instead.
-    Equal values of the same type repr identically, which is all routing
-    needs.
+    ``PYTHONHASHSEED`` randomizes ``hash`` per process and routing must
+    not depend on it.  Exact ``int`` and ``str`` values — nearly every
+    key — take stateless fast paths: a 64-bit multiplicative mix whose
+    *high* half is kept (the low bits of a product depend only on the
+    low bits of the value, and callers reduce modulo small shard
+    counts), and ``crc32`` of the UTF-8 bytes.  Every other type hashes
+    its ``repr`` through blake2b.  Equal values of the same type hash
+    identically, which is all routing needs; ``1``, ``1.0`` and ``True``
+    are one dict key but three hashes, so the result is never memoised
+    by value — a warm coordinator and a freshly spawned worker's
+    :class:`ShardLeafFilter` would disagree about the owner.
     """
+    kind = type(value)
+    if kind is int:
+        return (value * _GOLDEN64 & _MASK64) >> 32
+    if kind is str:
+        return zlib.crc32(value.encode("utf-8", "surrogatepass"))
     data = repr(value).encode("utf-8", "backslashreplace")
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+
+
+class SubBatch:
+    """One shard's slice of a coalesced batch.
+
+    ``columns`` is ``{relation: (keys, payloads)}``; ``len()`` is the
+    number of tuples across the relations (the measure of shard skew).
+    """
+
+    __slots__ = ("columns", "size")
+
+    def __init__(self):
+        self.columns: dict[str, tuple[list, list]] = {}
+        self.size = 0
+
+    def add(self, relation: str, keys: list, payloads: list) -> None:
+        self.columns[relation] = (keys, payloads)
+        self.size += len(keys)
+
+    def __len__(self) -> int:
+        return self.size
 
 
 def choose_shard_variable(query: Query) -> str:
@@ -109,9 +146,35 @@ class ShardRouter:
         """Owning shard of one update; ``None`` means broadcast."""
         return self.shard_of_key(update.relation, update.key)
 
-    def split(self, batch: Iterable[Update]) -> list[list[Update]]:
-        """Per-shard sub-batches (broadcast updates go to every shard)."""
-        return split_batch(batch, self.shard_of, self.shards)
+    def split(self, columns: dict[str, tuple[list, list]]) -> list[SubBatch]:
+        """Partition a coalesced columnar batch into one slice per shard.
+
+        ``columns`` is :func:`~repro.data.columnar.coalesce_columnar`'s
+        ``{relation: (keys, payloads)}``.  A partitioned relation's
+        columns split by owner, each slice keeping the batch's key order;
+        a broadcast relation's columns go to every shard as the *same*
+        two lists (consumers only read them).  Ring updates commute, so
+        applying the slices independently, in any interleaving, has the
+        cumulative effect of the batch.
+        """
+        shards = self.shards
+        subs = [SubBatch() for _ in range(shards)]
+        for relation, (keys, payloads) in columns.items():
+            position = self.positions.get(relation)
+            if position is None or shards == 1:
+                for sub in subs:
+                    sub.add(relation, keys, payloads)
+                continue
+            key_slices: list[list] = [[] for _ in range(shards)]
+            payload_slices: list[list] = [[] for _ in range(shards)]
+            for key, payload in zip(keys, payloads):
+                owner = stable_hash(key[position]) % shards
+                key_slices[owner].append(key)
+                payload_slices[owner].append(payload)
+            for sub, owned, owned_payloads in zip(subs, key_slices, payload_slices):
+                if owned:
+                    sub.add(relation, owned, owned_payloads)
+        return subs
 
     def __repr__(self) -> str:
         return (

@@ -11,11 +11,16 @@ runtime:
   id), builds its shard engine locally, and keeps all view state
   resident for the life of the pool;
 * the parent speaks a small command protocol over a duplex pipe —
-  ``apply_batch`` ships only the coalesced, router-split sub-batch in
-  the columnar encoding of :mod:`repro.data.columnar` (numpy payload
-  buffers travel as raw bytes for ``numeric_dtype`` rings), and the
-  worker replies with a :class:`~repro.obs.MaintenanceStats` *delta*,
-  never the engine;
+  ``apply_batch`` ships only the shard's slice of the coalesced batch,
+  as ``{relation: (keys, payloads)}`` columns (numpy payload buffers
+  travel as raw bytes for ``numeric_dtype`` rings); the worker decodes
+  straight to columns, applies them through
+  ``ViewTreeEngine.apply_coalesced_batch`` and replies with a bare
+  ack, never the engine;
+* stats are lazy: the worker keeps accumulating into its recorder and
+  ships the :class:`~repro.obs.MaintenanceStats` *delta* only when
+  asked (``pull_stats``, ``shutdown``) — observability is paid for
+  when it is read, not per commit;
 * reads (``lookup`` routed to the owner shard, ``enumerate`` /
   ``scalar`` / ``output_relation`` streamed in chunks,
   ``publish_epoch`` broadcast as a barrier) ride the same protocol, so
@@ -41,23 +46,25 @@ Broadcast rounds take the locks in worker-index order; point commands
 take exactly one — no lock-order cycles, hence no deadlocks.
 
 Failure: a dead pipe or worker process raises
-:class:`ShardWorkerError` naming the shard, marks the pool broken,
-and the coordinator can rebuild from its authoritative base database
-(see ``ShardedEngine._ensure_workers``) — surviving shards lose no
-committed state because every worker is rebuilt from the same
-committed prefix.
+:class:`ShardWorkerError` naming the shard — each worker's persistent
+selector watches the pipe *and* the process sentinel, so a death is
+noticed at once, after any final reply is drained — marks the pool
+broken, and the coordinator can rebuild from its authoritative base
+database (see ``ShardedEngine._ensure_workers``): surviving shards
+lose no committed state because every worker is rebuilt from the same
+committed prefix.  Only stats not yet pulled are lost with a pool.
 """
 
 from __future__ import annotations
 
 import pickle
+import selectors
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..data.columnar import coalesce_columnar
 from ..data.database import Database
 from ..data.update import Update
 from ..obs import MaintenanceStats
@@ -84,11 +91,10 @@ CHUNK_SIZE = 4096
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-#: Commands whose reply piggybacks the worker's accumulated stats
-#: delta (maintenance writes plus the explicit pull).
-_STATS_COMMANDS = frozenset(
-    {"apply", "apply_batch", "rebuild", "pull_stats", "shutdown"}
-)
+#: Commands whose reply carries the worker's accumulated stats delta.
+#: Commit acks do not: observability is paid for when it is read
+#: (``merged_stats`` / ``close``), not on every commit.
+_STATS_COMMANDS = frozenset({"pull_stats", "shutdown"})
 
 
 class ShardWorkerError(RuntimeError):
@@ -105,53 +111,47 @@ class ShardWorkerError(RuntimeError):
 
 
 def encode_batch(
-    sub_batch, ring: Semiring
+    columns: dict[str, tuple[list, list]], ring: Semiring
 ) -> dict[str, tuple[list, tuple[str, Any]]]:
-    """Encode a router-split sub-batch for the pipe.
+    """Encode one shard's slice of a coalesced batch for the pipe.
 
-    Produces ``{relation: (keys, payload_column)}`` via
-    :func:`~repro.data.columnar.coalesce_columnar`; for rings with a
-    ``numeric_dtype`` the payload column is shipped as raw numpy bytes
-    (``("np", buffer)``) instead of a pickled list.  Size is
-    proportional to the (coalesced) sub-batch only — never to the
-    worker's resident view state.
+    ``{relation: (keys, payloads)}`` becomes ``{relation: (keys,
+    payload_column)}``: for rings with a ``numeric_dtype`` the payload
+    column ships as raw numpy bytes (``("np", buffer)``), otherwise as
+    the list itself (``("py", payloads)``).  Encoding only — the
+    coordinator coalesced the batch once, before the split.
     """
-    columns = coalesce_columnar(sub_batch, ring)
-    encoded: dict[str, tuple[list, tuple[str, Any]]] = {}
-    numeric = _np is not None and ring.numeric_dtype is not None
-    for relation, (keys, payloads) in columns.items():
-        if numeric:
-            buffer = _np.asarray(payloads, dtype=ring.numeric_dtype).tobytes()
-            encoded[relation] = (keys, ("np", buffer))
-        else:
-            encoded[relation] = (keys, ("py", payloads))
-    return encoded
+    if _np is None or ring.numeric_dtype is None:
+        return {
+            relation: (keys, ("py", payloads))
+            for relation, (keys, payloads) in columns.items()
+        }
+    dtype = ring.numeric_dtype
+    return {
+        relation: (keys, ("np", _np.asarray(payloads, dtype=dtype).tobytes()))
+        for relation, (keys, payloads) in columns.items()
+    }
 
 
 def decode_batch(
     encoded: dict[str, tuple[list, tuple[str, Any]]], ring: Semiring
-) -> list[Update]:
-    """Decode :func:`encode_batch` output back into update objects.
+) -> dict[str, tuple[list, list]]:
+    """Decode :func:`encode_batch` output straight back to columns.
 
     ``float64`` buffers round-trip bit-identically through
     ``tobytes``/``frombuffer``, so the worker applies exactly the
     payloads the coordinator coalesced.
     """
-    updates: list[Update] = []
+    columns: dict[str, tuple[list, list]] = {}
     for relation, (keys, (tag, data)) in encoded.items():
         if tag == "np":
             if _np is None:  # pragma: no cover - symmetric container
                 raise RuntimeError(
                     "numpy-encoded batch received without numpy available"
                 )
-            payloads = _np.frombuffer(data, dtype=ring.numeric_dtype).tolist()
-        else:
-            payloads = data
-        updates.extend(
-            Update(relation, key, payload)
-            for key, payload in zip(keys, payloads)
-        )
-    return updates
+            data = _np.frombuffer(data, dtype=ring.numeric_dtype).tolist()
+        columns[relation] = (keys, data)
+    return columns
 
 
 # ----------------------------------------------------------------------
@@ -237,9 +237,10 @@ class _WorkerRuntime:
         return None, None
 
     def _cmd_apply_batch(self, encoded, rebuild_factor):
-        batch = decode_batch(encoded, self.ring)
-        self.engine.apply_batch(
-            batch, update_base=False, rebuild_factor=rebuild_factor
+        self.engine.apply_coalesced_batch(
+            decode_batch(encoded, self.ring),
+            update_base=False,
+            rebuild_factor=rebuild_factor,
         )
         return None, None
 
@@ -434,13 +435,18 @@ class _Reply:
 
 
 class _Worker:
-    __slots__ = ("shard", "process", "conn", "lock")
+    __slots__ = ("shard", "process", "conn", "lock", "selector")
 
     def __init__(self, shard, process, conn):
         self.shard = shard
         self.process = process
         self.conn = conn
         self.lock = threading.Lock()
+        #: Wakes on a reply *or* on the process exiting, whichever comes
+        #: first; built once (``Connection.poll`` builds one per call).
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(conn, selectors.EVENT_READ)
+        self.selector.register(process.sentinel, selectors.EVENT_READ)
 
 
 class ShardWorkerPool:
@@ -500,15 +506,19 @@ class ShardWorkerPool:
         return len(blob)
 
     def _recv_blob(self, worker: _Worker) -> bytes:
-        while not worker.conn.poll(0.2):
-            if not worker.process.is_alive() and not worker.conn.poll(0.05):
-                raise self._fail(
-                    worker,
-                    f"worker process died (exitcode "
-                    f"{worker.process.exitcode}) — rebuild the pool",
-                )
+        conn = worker.conn
+        ready = worker.selector.select()
+        # A reply the worker wrote before dying is readable together
+        # with the sentinel and is still delivered; the sentinel alone
+        # means the process is gone and left nothing behind.
+        if not any(key.fileobj is conn for key, _ in ready):
+            raise self._fail(
+                worker,
+                f"worker process died (exitcode "
+                f"{worker.process.exitcode}) — rebuild the pool",
+            )
         try:
-            return worker.conn.recv_bytes()
+            return conn.recv_bytes()
         except (EOFError, OSError) as exc:
             raise self._fail(
                 worker, f"pipe closed mid-reply ({exc}) — rebuild the pool"
@@ -545,13 +555,18 @@ class ShardWorkerPool:
             sent = self._send(worker, command)
             return self._collect(worker, sent)
 
-    def round(self, commands: list[tuple]) -> list[_Reply]:
+    def round(self, commands: list[tuple], overlap=None) -> list[_Reply]:
         """One command per worker, sent to all before collecting any.
 
         The workers compute concurrently; collection is in index order
         (each worker's reply waits only on that worker).  Locks are
         taken in index order, so a concurrent :meth:`call` cannot
         deadlock against a broadcast.
+
+        ``overlap`` is called exactly once, after the sends and before
+        any reply is read, so its work runs while the workers do theirs
+        — also when a send fails (the coordinator's base writes must
+        land whether or not the round does).
         """
         if len(commands) != len(self.workers):
             raise ValueError(
@@ -562,10 +577,14 @@ class ShardWorkerPool:
             for worker in self.workers:
                 worker.lock.acquire()
                 acquired.append(worker)
-            sent = [
-                self._send(worker, command)
-                for worker, command in zip(self.workers, commands)
-            ]
+            try:
+                sent = [
+                    self._send(worker, command)
+                    for worker, command in zip(self.workers, commands)
+                ]
+            finally:
+                if overlap is not None:
+                    overlap()
             return [
                 self._collect(worker, bytes_sent)
                 for worker, bytes_sent in zip(self.workers, sent)
@@ -591,6 +610,7 @@ class ShardWorkerPool:
                 except ShardWorkerError:
                     pass
                 finally:
+                    worker.selector.close()
                     try:
                         worker.conn.close()
                     except OSError:

@@ -376,27 +376,79 @@ class ViewTreeEngine(Observable):
         update_base: bool = True,
         rebuild_factor: float | None = None,
     ) -> None:
-        """Apply a batch of single-tuple updates (three-way heuristic).
+        """Coalesce a batch of single-tuple updates and apply it.
+
+        Update batches over a ring commute, so ring-summing same-key
+        deltas (cancellations vanish) and regrouping by relation keeps
+        the batch's cumulative effect while shrinking the work below;
+        :meth:`apply_coalesced_batch` does the rest.
+        """
+        batch = list(batch)
+        if self._kernels or not self.compiled:
+            columns = coalesce_columnar(batch, self.ring)
+        else:
+            # Interpreted plans are the generated kernels' differential
+            # oracle: they keep the dict coalescer, so the two sides
+            # share no coalescing code (the numpy path least of all).
+            columns = {
+                name: (list(deltas), list(deltas.values()))
+                for name, deltas in coalesce_grouped(batch, self.ring).items()
+            }
+        self.apply_coalesced_batch(
+            columns, update_base, rebuild_factor, raw=len(batch)
+        )
+
+    @observed
+    def apply_coalesced_batch(
+        self,
+        columns: dict[str, tuple[list, list]],
+        update_base: bool = True,
+        rebuild_factor: float | None = None,
+        raw: int | None = None,
+    ) -> None:
+        """Apply an already coalesced ``{relation: (keys, payloads)}`` batch.
+
+        The entry point of callers that coalesce themselves — the shard
+        coordinator sums a batch once and ships each shard its slice of
+        the columns.  Keys are distinct per relation and no payload is
+        the ring zero; the lists are read, never mutated.  ``raw`` is
+        the number of updates the columns were coalesced from (default:
+        their own size): the heuristic and the recorder size the batch
+        as its sender did.
 
         The paper's opening observation cuts both ways: small changes are
         worth propagating, but a batch comparable to the database size is
         cheaper to *recompute*.  The heuristic, in order:
 
         1. **rebuild** — with ``rebuild_factor`` set, a batch larger than
-           ``rebuild_factor * |leaves|`` skips propagation: updates land
-           on the leaves directly and all views are rebuilt bottom-up in
-           one pass (see the batch-rebuild ablation bench for the
-           crossover);
+           ``rebuild_factor * |leaves|`` skips propagation: the deltas
+           land on the leaves directly and all views are rebuilt
+           bottom-up in one pass (see the batch-rebuild ablation bench
+           for the crossover);
         2. **compiled batch** — with compiled plans and at least
-           ``batch_compile_threshold`` updates, the batch is coalesced
-           (same-key deltas ring-summed, cancellations dropped) and each
-           per-relation group runs through
-           :meth:`~repro.viewtree.compile.DeltaPlan.push_batch` — bulk
-           leaf writes, sibling probes shared across the group;
-        3. **per-tuple** — otherwise, one :meth:`apply` per update (the
+           ``batch_compile_threshold`` updates, each relation's columns
+           feed the generated batch kernel of every anchor (the
+           interpreted :meth:`~repro.viewtree.compile.DeltaPlan.
+           push_batch` where no kernel exists) — bulk leaf writes,
+           sibling probes shared across the group;
+        3. **per-tuple** — otherwise, one :meth:`apply` per tuple (the
            generic interpretation when plans are disabled).
+
+        Correctness of step 2 rests on the anchor loop mirroring the
+        per-tuple path at batch granularity — bulk leaf insert, then one
+        ``push_batch`` — so by the telescoping identity ``Δ(L1·L2) =
+        Δ·L2_old + L1_new·Δ`` the grouped pushes land exactly the summed
+        per-tuple deltas (self-joins included: the anchor's own leaf is
+        updated before its push and excluded from its first sibling
+        join, while later anchors of the same relation see the earlier
+        leaves' post-batch state, matching the per-tuple interleaving's
+        sum).
         """
-        batch = list(batch)
+        size = sum(len(keys) for keys, _ in columns.values())
+        if raw is None:
+            raw = size
+        stats = self._maintenance_stats
+        database = self.database
         if rebuild_factor is not None:
             # Count each base relation once: a relation anchored at
             # several atoms contributes one leaf copy per atom, and
@@ -405,94 +457,46 @@ class ViewTreeEngine(Observable):
             leaf_size = sum(
                 len(anchors[0][2]) for anchors in self._anchors.values()
             )
-            if len(batch) >= rebuild_factor * max(leaf_size, 1):
-                for update in batch:
-                    if update_base and update.relation in self.database:
-                        self.database[update.relation].add(
-                            update.key, update.payload
-                        )
-                    for _atom, _node, leaf in self._anchors.get(
-                        update.relation, ()
-                    ):
-                        leaf.add(update.key, update.payload)
+            if raw >= rebuild_factor * max(leaf_size, 1):
+                for name, (keys, pays) in columns.items():
+                    if update_base and name in database:
+                        database[name].add_delta(zip(keys, pays))
+                    for _atom, _node, leaf in self._anchors.get(name, ()):
+                        leaf.add_delta(zip(keys, pays))
                 self.rebuild()
-                if self._maintenance_stats is not None:
+                if stats is not None:
                     self.sample_view_sizes()
                 return
-        if self.compiled and len(batch) >= self.batch_compile_threshold:
-            self._apply_batch_compiled(batch, update_base)
+        if not self.compiled or raw < self.batch_compile_threshold:
+            for name, (keys, pays) in columns.items():
+                for key, payload in zip(keys, pays):
+                    self.apply(Update(name, key, payload), update_base)
             return
-        for update in batch:
-            self.apply(update, update_base)
-
-    def _apply_batch_compiled(self, batch, update_base: bool) -> None:
-        """Coalesce the batch and push one grouped delta per anchor.
-
-        Correctness rests on two facts.  Update batches over a ring
-        commute, so ring-summing same-key deltas and regrouping by
-        relation preserves the batch's cumulative effect.  And for each
-        relation the anchor loop mirrors the per-tuple path at batch
-        granularity — bulk leaf insert, then one :meth:`push_batch` —
-        so by the telescoping identity ``Δ(L1·L2) = Δ·L2_old +
-        L1_new·Δ`` the grouped pushes land exactly the summed per-tuple
-        deltas (self-joins included: the anchor's own leaf is updated
-        before its push and excluded from its first sibling join, while
-        later anchors of the same relation see the earlier leaves'
-        post-batch state, matching the per-tuple interleaving's sum).
-        """
-        stats = self._maintenance_stats
-        if self._kernels:
-            # Columnar twin of the dict path below: coalesce straight
-            # into parallel key/payload lists and feed the generated
-            # batch kernels; anchors whose kernel fell back to the
-            # interpreted plan get the dict view built on demand.
-            grouped_columnar = coalesce_columnar(batch, self.ring)
-            if stats is not None:
-                stats.record_batch_coalesce(
-                    len(batch),
-                    sum(len(keys) for keys, _ in grouped_columnar.values()),
-                )
-            database = self.database
-            for name, (keys, pays) in grouped_columnar.items():
-                if update_base and name in database:
-                    database[name].add_delta(zip(keys, pays))
-                plans = self._plans.get(name)
-                if not plans:
-                    continue
-                kernels = self._kernels.get(name)
-                if kernels is None:
-                    kernels = (None,) * len(plans)
-                deltas = None
-                for (_atom, _node, leaf), plan, kernel in zip(
-                    self._anchors[name], plans, kernels
-                ):
-                    leaf.add_delta(zip(keys, pays))
-                    if kernel is not None:
-                        kernel.push_batch(keys, pays, stats)
-                    else:
-                        if deltas is None:
-                            deltas = dict(zip(keys, pays))
-                        plan.push_batch(deltas, stats)
-            if stats is not None:
-                self._maybe_sample_views(len(batch))
-            return
-        grouped = coalesce_grouped(batch, self.ring)
         if stats is not None:
-            stats.record_batch_coalesce(
-                len(batch), sum(len(deltas) for deltas in grouped.values())
-            )
-        database = self.database
-        for name, deltas in grouped.items():
+            stats.record_batch_coalesce(raw, size)
+        for name, (keys, pays) in columns.items():
             if update_base and name in database:
-                database[name].add_delta(deltas.items())
+                database[name].add_delta(zip(keys, pays))
             plans = self._plans.get(name)
             if not plans:
                 continue
-            for (_atom, _node, leaf), plan in zip(self._anchors[name], plans):
-                leaf.add_delta(deltas.items())
-                plan.push_batch(deltas, stats)
+            kernels = self._kernels.get(name)
+            if kernels is None:
+                kernels = (None,) * len(plans)
+            deltas = None
+            for (_atom, _node, leaf), plan, kernel in zip(
+                self._anchors[name], plans, kernels
+            ):
+                leaf.add_delta(zip(keys, pays))
+                if kernel is not None:
+                    kernel.push_batch(keys, pays, stats)
+                else:
+                    # Interpreted plans take the delta as a dict.
+                    if deltas is None:
+                        deltas = dict(zip(keys, pays))
+                    plan.push_batch(deltas, stats)
         if stats is not None:
-            self._maybe_sample_views(len(batch))
+            self._maybe_sample_views(raw)
 
     def rebuild(self) -> None:
         """Recompute every guard and view from the current leaves."""

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from repro.data import Database, Update, split_batch
+from repro.data import Database, Update
+from repro.data.columnar import coalesce_columnar
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
+from repro.rings import B, MIN_PLUS, PROVENANCE, R, Z
 from repro.shard import (
     ShardLeafFilter,
     ShardRouter,
@@ -33,9 +35,13 @@ def fresh_db(rng=None, rows=0, domain=8):
 
 
 class TestStableHash:
+    #: One value per hashing path: int mix, str crc32, repr + blake2b.
+    VALUES = [12345, -7, 2 ** 70, "hot-key", "sn\u00f6", 2.5, (1, "x"), None, True]
+
     def test_deterministic_across_calls(self):
         assert stable_hash((1, "x")) == stable_hash((1, "x"))
         assert stable_hash("a") != stable_hash("b")
+        assert stable_hash(1) != stable_hash(2)
 
     def test_matches_subprocess(self):
         # The whole point: routing must agree across processes, which
@@ -46,7 +52,7 @@ class TestStableHash:
         script = (
             "import sys; sys.path.insert(0, 'src'); "
             "from repro.shard import stable_hash; "
-            "print(stable_hash('hot-key'))"
+            f"print([stable_hash(value) for value in {self.VALUES!r}])"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
@@ -56,7 +62,36 @@ class TestStableHash:
             env={"PYTHONHASHSEED": "12345"},
         )
         assert out.returncode == 0, out.stderr
-        assert int(out.stdout.strip()) == stable_hash("hot-key")
+        assert out.stdout.strip() == str(
+            [stable_hash(value) for value in self.VALUES]
+        )
+
+    def test_equal_values_of_other_types_hash_on_their_own(self):
+        # 1 == 1.0 == True is one dict key, so a memo keyed by value
+        # would answer all three with whichever came first — and a fresh
+        # worker's leaf filter, asked in another order, would disagree.
+        # The fast paths are stateless and exact-type: every order of
+        # asking gives each value its own, repeatable hash.
+        values = [1, 1.0, True]
+        forward = [stable_hash(value) for value in values]
+        backward = [stable_hash(value) for value in reversed(values)][::-1]
+        assert forward == backward
+        assert len(set(forward)) == 3
+        router = ShardRouter(QUERY, "B", 64)
+        for value in values:
+            owner = router.shard_of_key("S", (value,))
+            assert all(
+                ShardLeafFilter(router, shard)("S", (value,)) == (shard == owner)
+                for shard in range(64)
+            )
+
+    def test_small_shard_counts_are_balanced(self):
+        # The int mix keeps the product's high half: reduced modulo a
+        # small shard count, consecutive keys must not all land together.
+        for shards in (2, 3, 4, 8):
+            owners = [stable_hash(value) % shards for value in range(4000)]
+            smallest = min(owners.count(shard) for shard in range(shards))
+            assert smallest > 0.8 * 4000 / shards
 
 
 class TestChooseShardVariable:
@@ -118,32 +153,122 @@ class TestShardRouter:
 
 
 class TestSplitBatch:
+    """``ShardRouter.split`` over coalesced columns ≡ per-update ``shard_of``."""
+
+    QUERY = parse_query("Q(B, C) = R(B, A) * S(B) * T(C)")
+
     def test_partitions_and_broadcasts(self):
-        batch = [Update("R", (i, 0), 1) for i in range(6)]
-        batch.append(Update("T", (9,), 1))
-
-        def shard_of(update):
-            return None if update.relation == "T" else update.key[0] % 3
-
-        parts = split_batch(batch, shard_of, 3)
+        router = ShardRouter(self.QUERY, "B", 3)
+        batch = valid_stream(random.Random(2), {"R": 2, "S": 1, "T": 1}, 200)
+        columns = coalesce_columnar(batch, Z)
+        parts = router.split(columns)
         assert len(parts) == 3
         for index, part in enumerate(parts):
-            owned = [u for u in part if u.relation == "R"]
-            assert all(u.key[0] % 3 == index for u in owned)
-            # the broadcast update reaches every shard
-            assert sum(1 for u in part if u.relation == "T") == 1
-        total_owned = sum(len([u for u in p if u.relation == "R"]) for p in parts)
-        assert total_owned == 6
+            for relation in ("R", "S"):
+                keys, payloads = part.columns.get(relation, ([], []))
+                # exactly the tuples shard_of assigns here, in batch order
+                expected = [
+                    (key, payload)
+                    for key, payload in zip(*columns[relation])
+                    if router.shard_of(Update(relation, key, payload)) == index
+                ]
+                assert list(zip(keys, payloads)) == expected
+            # the broadcast relation reaches every shard: the same lists
+            assert part.columns["T"][0] is columns["T"][0]
+            assert part.columns["T"][1] is columns["T"][1]
+            assert len(part) == sum(len(keys) for keys, _ in part.columns.values())
+        for relation in ("R", "S"):
+            assert sum(
+                len(part.columns.get(relation, ([], []))[0]) for part in parts
+            ) == len(columns[relation][0])
 
     def test_preserves_order_within_shard(self):
-        batch = [Update("R", (0, i), 1) for i in range(5)]
-        parts = split_batch(batch, lambda u: 0, 2)
-        assert [u.key[1] for u in parts[0]] == [0, 1, 2, 3, 4]
-        assert parts[1] == []
+        router = ShardRouter(QUERY, "B", 2)
+        owner = router.shard_of_key("R", (0, 0))
+        columns = {"R": ([(0, i) for i in range(5)], [1, 2, 3, 4, 5])}
+        parts = router.split(columns)
+        assert parts[owner].columns == columns
+        # a shard owning nothing gets an empty slice, not a missing one
+        assert parts[1 - owner].columns == {} and len(parts[1 - owner]) == 0
+        assert [len(part) for part in router.split({})] == [0, 0]
 
-    def test_out_of_range_owner_rejected(self):
-        with pytest.raises(ValueError):
-            split_batch([Update("R", (0,), 1)], lambda u: 5, 2)
+    def test_single_shard_takes_everything(self):
+        router = ShardRouter(QUERY, "B", 1)
+        columns = coalesce_columnar(
+            valid_stream(random.Random(4), {"R": 2, "S": 1}, 40), Z
+        )
+        (only,) = router.split(columns)
+        assert only.columns == columns
+
+
+class TestCoalescedBatchEntryPoint:
+    """``apply_coalesced_batch(coalesce(batch))`` ≡ ``apply_batch(batch)``."""
+
+    QUERY = parse_query("Q(A, B) = R(A, B) * S(B, C) * T(B)")
+    ARITIES = {"R": 2, "S": 2, "T": 1}
+
+    def stream(self, ring, deletes, count=160):
+        stream = []
+        for update in valid_stream(
+            random.Random(31), self.ARITIES, count, domain=6,
+            delete_prob=0.3 if deletes else 0.0,
+        ):
+            payload = ring.one if update.payload > 0 else ring.neg(ring.one)
+            stream.append(Update(update.relation, update.key, payload))
+        return stream
+
+    def engine(self, ring, **kwargs):
+        db = Database(ring=ring)
+        for name, schema in (("R", "AB"), ("S", "BC"), ("T", "B")):
+            db.create(name, tuple(schema))
+        return ViewTreeEngine(self.QUERY, db, **kwargs)
+
+    @pytest.mark.parametrize(
+        "ring,deletes",
+        [(Z, True), (R, True), (B, False), (MIN_PLUS, False), (PROVENANCE, False)],
+        ids=["int", "float", "boolean", "min-plus", "provenance"],
+    )
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{}, {"codegen": False}, {"compile_plans": False}],
+        ids=["generated", "interpreted", "generic"],
+    )
+    @pytest.mark.parametrize("rebuild_factor", [None, 0.5])
+    def test_matches_apply_batch(self, ring, deletes, kwargs, rebuild_factor):
+        stream = self.stream(ring, deletes)
+        whole = self.engine(ring, **kwargs)
+        columnar = self.engine(ring, **kwargs)
+        s_whole, s_columnar = whole.attach_stats(), columnar.attach_stats()
+        # 100 updates on empty leaves cross rebuild_factor=0.5; the
+        # later 30-update slices fall below it and propagate.
+        for start, stop in ((0, 100), (100, 130), (130, 160), (160, 160)):
+            batch = stream[start:stop]
+            whole.apply_batch(batch, rebuild_factor=rebuild_factor)
+            columnar.apply_coalesced_batch(
+                coalesce_columnar(batch, ring),
+                rebuild_factor=rebuild_factor,
+                raw=len(batch),
+            )
+        assert list(columnar.enumerate()) == list(whole.enumerate())
+        assert columnar.database["R"] == whole.database["R"]
+        for root, twin in zip(columnar.roots, whole.roots):
+            for node, other in zip(root.walk(), twin.walk()):
+                assert node.view == other.view
+        # observed as a batch, with the same coalescing accounting
+        assert s_columnar.batches == s_whole.batches == 4
+        assert s_columnar.updates == s_whole.updates == 0
+        assert s_columnar.batch_updates_raw == s_whole.batch_updates_raw
+        assert (
+            s_columnar.batch_updates_coalesced == s_whole.batch_updates_coalesced
+        )
+
+    def test_update_base_false_leaves_the_database_alone(self):
+        engine = self.engine(Z)
+        engine.apply_coalesced_batch(
+            coalesce_columnar(self.stream(Z, True), Z), update_base=False
+        )
+        assert all(len(engine.database[name]) == 0 for name in self.ARITIES)
+        assert engine.total_view_size() > 0
 
 
 class TestShardedEngine:

@@ -2,19 +2,26 @@
 
 The tentpole invariant under test: with ``executor="process"`` and the
 default ``ipc="delta"``, the coordinator holds no engine replicas —
-workers keep all view state resident and the pipe carries only
-coalesced sub-batches out and stats deltas / read results back.  Every
-read path must stay bit-identical to the serial executor and to the
-``ipc="pickle-engine"`` oracle (the old ship-the-engine path).
+workers keep all view state resident and the pipe carries only the
+columns of coalesced sub-batches out and acks / read results back
+(stats deltas only when pulled).  Every read path must stay
+bit-identical to the serial executor and to the ``ipc="pickle-engine"``
+oracle (the old ship-the-engine path).
 """
 
+import os
+import pickle
 import random
+import signal
+import threading
 
 import pytest
 
-from repro.data import Database, Update
+from repro.data import Database, Update, apply_batch
+from repro.data.columnar import coalesce_columnar
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
+from repro.rings import PROVENANCE, Polynomial
 from repro.rings.standard import FloatRing, Z
 from repro.serve import update_stream
 from repro.shard import (
@@ -23,6 +30,7 @@ from repro.shard import (
     decode_batch,
     encode_batch,
 )
+from repro.viewtree import ViewTreeEngine
 from tests.conftest import valid_stream
 
 QUERY = parse_query("Q(B, A) = R(B, A) * S(B)")
@@ -44,22 +52,28 @@ def fresh_db(rng=None, rows=0, domain=8, ring=Z):
 # ----------------------------------------------------------------------
 
 
+def wire_round_trip(batch, ring):
+    """Coalesce, encode, cross a pickle boundary, decode: columns again."""
+    encoded = encode_batch(coalesce_columnar(batch, ring), ring)
+    return encoded, decode_batch(pickle.loads(pickle.dumps(encoded)), ring)
+
+
 class TestWireEncoding:
     def test_round_trip_integer_ring(self):
         batch = [
             Update("R", (1, 2), 3),
-            Update("R", (1, 2), -1),  # coalesces with the first
+            Update("R", (1, 2), -1),  # coalesced before encoding
             Update("S", (4,), 5),
             Update("R", (0, 0), 1),
+            Update("S", (6,), 2 ** 80),  # exact integers never narrow
         ]
-        encoded = encode_batch(batch, Z)
-        decoded = decode_batch(encoded, Z)
-        got = {(u.relation, u.key): u.payload for u in decoded}
-        assert got == {
-            ("R", (1, 2)): 2,
-            ("R", (0, 0)): 1,
-            ("S", (4,)): 5,
+        encoded, decoded = wire_round_trip(batch, Z)
+        assert encoded["R"][1][0] == "py"  # Z declares no numeric_dtype
+        assert decoded == {
+            "R": ([(1, 2), (0, 0)], [2, 1]),
+            "S": ([(4,), (6,)], [5, 2 ** 80]),
         }
+        assert decoded == coalesce_columnar(batch, Z)
 
     def test_float_payloads_round_trip_bit_identically(self):
         ring = FloatRing()
@@ -69,14 +83,25 @@ class TestWireEncoding:
             Update("R", (i, 0), payload)
             for i, payload in enumerate(payloads)
         ]
-        decoded = decode_batch(encode_batch(batch, ring), ring)
-        got = {u.key[0]: u.payload for u in decoded}
-        for i, payload in enumerate(payloads):
-            assert got[i] == payload  # exact, not approx
+        encoded, decoded = wire_round_trip(batch, ring)
+        assert encoded["R"][1][0] == "np"
+        keys, got = decoded["R"]
+        assert keys == [(i, 0) for i in range(len(payloads))]
+        assert [value.hex() for value in got] == [p.hex() for p in payloads]
+
+    def test_non_numeric_ring_ships_python_payloads(self):
+        ring = PROVENANCE
+        x, y = Polynomial.variable("x"), Polynomial.variable("y")
+        batch = [Update("R", (1, 1), x), Update("R", (1, 1), y), Update("S", (2,), x)]
+        encoded, decoded = wire_round_trip(batch, ring)
+        assert encoded["R"][1][0] == "py"
+        assert decoded == {"R": ([(1, 1)], [ring.add(x, y)]), "S": ([(2,)], [x])}
 
     def test_cancelled_updates_never_hit_the_wire(self):
         batch = [Update("R", (7, 7), 1), Update("R", (7, 7), -1)]
-        assert encode_batch(batch, Z) == {}
+        assert wire_round_trip(batch, Z) == ({}, {})
+        floats = [Update("R", (7, 7), 0.25), Update("R", (7, 7), -0.25)]
+        assert wire_round_trip(floats, FloatRing()) == ({}, {})
 
 
 # ----------------------------------------------------------------------
@@ -187,6 +212,43 @@ class TestDeltaDifferential:
         serial.close()
 
 
+    @pytest.mark.parametrize(
+        "executor,ipc",
+        [("serial", "delta"), ("thread", "delta"),
+         ("process", "delta"), ("process", "pickle-engine")],
+    )
+    def test_sliding_window_with_in_batch_cancellation(self, executor, ipc):
+        """A window shorter than the batch puts a tuple's insert *and*
+        its delete into one batch: the coordinator's single coalescing
+        pass must cancel them before the split, on every executor."""
+        stream = list(update_stream(
+            QUERY, 600, domain=12, seed=9, workload="sliding-window", window=24
+        ))
+        batches = [stream[at:at + 100] for at in range(0, len(stream), 100)]
+        assert any(
+            len(coalesce_columnar(batch, Z).get("R", ([],))[0])
+            < sum(update.relation == "R" for update in batch)
+            for batch in batches
+        )
+        plain = ViewTreeEngine(QUERY, fresh_db())
+        with ShardedEngine(
+            QUERY, fresh_db(), shards=3, executor=executor, ipc=ipc
+        ) as engine:
+            for batch in batches:
+                engine.apply_batch(batch)
+                plain.apply_batch(batch)
+                assert dict(engine.enumerate()) == dict(plain.enumerate())
+            assert engine.database["R"] == plain.database["R"]
+            assert engine.database["S"] == plain.database["S"]
+            assert engine.merged_views() == {
+                f"{kind}_{node.variable}": relation
+                for root in plain.roots
+                for node in root.walk()
+                for kind, relation in (("V", node.view), ("G", node.guard))
+                if relation is not None
+            }
+
+
 # ----------------------------------------------------------------------
 # ipc observability: bytes per commit scale with the batch, not state
 # ----------------------------------------------------------------------
@@ -256,6 +318,56 @@ class TestIpcObservability:
         )
 
 
+    def test_lazy_stats_total_what_per_commit_shipping_did(self):
+        """Commit acks carry no stats; ``merged_stats`` pulls.  The
+        per-shard totals equal the serial executor's (whose shard
+        recorders are written in-process, per commit), and pulling
+        twice does not count anything twice."""
+        batches = [
+            valid_stream(random.Random(seed), {"R": 2, "S": 1}, 50)
+            for seed in range(6)
+        ]
+        totals = {}
+        for executor in ("serial", "process"):
+            with ShardedEngine(
+                QUERY, fresh_db(), shards=2, executor=executor
+            ) as engine:
+                stats = engine.attach_stats()
+                for batch in batches:
+                    engine.apply_batch(batch)
+                engine.apply(Update("R", (1, 1), 1))
+                if executor == "process":
+                    # nothing was shipped with the acks
+                    assert all(s.batches == 0 for s in engine.shard_stats)
+                first = engine.merged_stats().shard_summaries
+                second = engine.merged_stats().shard_summaries
+                assert first == second
+                totals[executor] = {
+                    label: {
+                        name: summary[name]
+                        for name in (
+                            "batches", "updates", "batch_updates_raw",
+                            "batch_updates_coalesced",
+                        )
+                    }
+                    for label, summary in first.items()
+                }
+                # the coordinator counts the one coalescing pass itself
+                assert stats.batch_updates_raw == sum(map(len, batches))
+                assert stats.batch_updates_coalesced == sum(
+                    len(keys)
+                    for batch in batches
+                    for keys, _ in coalesce_columnar(batch, Z).values()
+                )
+            # ... and close() ships what the last pull left behind
+            assert engine.merged_stats().shard_summaries == first
+        assert totals["process"] == totals["serial"]
+        assert all(
+            summary["batches"] == len(batches) for summary in first.values()
+        )
+        assert sum(summary["updates"] for summary in first.values()) == 1
+
+
 # ----------------------------------------------------------------------
 # Worker crashes (satellite): clear error, counted, pool rebuilds
 # ----------------------------------------------------------------------
@@ -298,9 +410,57 @@ class TestWorkerCrash:
 
             for batch in batches:
                 serial.apply_batch(batch)
+            assert db["R"] == serial.database["R"]
+            assert db["S"] == serial.database["S"]
             assert dict(engine.enumerate()) == dict(serial.enumerate())
             assert engine.output_relation() == evaluate(QUERY, db)
         serial.close()
+
+    def test_worker_killed_mid_round(self):
+        """The worker dies *after* its sub-batch is on the pipe and
+        before it acks: the round raises naming the shard, the base
+        writes (which overlap the workers) landed exactly once, and the
+        next read — from a pool rebuilt off that base — is correct."""
+        batches = [
+            valid_stream(random.Random(seed), {"R": 2, "S": 1}, 60)
+            for seed in (1, 2)
+        ]
+        db, reference = fresh_db(), fresh_db()
+        with ShardedEngine(
+            QUERY, db, shards=3, executor="process", ipc="delta"
+        ) as engine:
+            stats = engine.attach_stats()
+            engine.apply_batch(batches[0])
+            pool = engine._worker_pool
+            victim = pool.workers[1].process
+            # A stopped worker takes the command into its pipe but never
+            # reads it; killing it while the coordinator waits for the
+            # ack is a death mid-round, noticed through the sentinel.
+            os.kill(victim.pid, signal.SIGSTOP)
+            killer = threading.Timer(0.3, victim.kill)
+            killer.start()
+            try:
+                with pytest.raises(ShardWorkerError, match="shard worker 1"):
+                    engine.apply_batch(batches[1])
+            finally:
+                killer.join(5.0)
+                victim.kill()
+            assert not killer.is_alive()
+            assert pool.broken and stats.ipc_worker_failures == 1
+            for batch in batches:
+                apply_batch(reference, batch)
+            assert db["R"] == reference["R"] and db["S"] == reference["S"]
+            assert engine.output_relation() == evaluate(QUERY, db)
+            assert engine._worker_pool is not pool
+
+    def test_update_base_false_skips_the_base_writes(self):
+        batch = valid_stream(random.Random(3), {"R": 2, "S": 1}, 40)
+        for executor in ("serial", "process"):
+            db = fresh_db()
+            with ShardedEngine(QUERY, db, shards=2, executor=executor) as engine:
+                engine.apply_batch(batch, update_base=False)
+                assert len(db["R"]) == 0 and len(db["S"]) == 0
+                assert engine.total_view_size() > 0
 
     def test_remote_error_does_not_break_the_pool(self):
         """An application-level error inside a worker (bad command)
