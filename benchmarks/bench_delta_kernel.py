@@ -2,14 +2,15 @@
 
 ``repro.viewtree.compile`` pre-compiles, for every (relation, anchor)
 pair, the leaf-to-root propagation path into a :class:`DeltaPlan` —
-precomputed sibling lists, position tuples, resolved group indexes, and
-pre-bound ring ops — so a single-tuple update runs with zero Relation
-allocations and zero schema re-derivation.  The asymptotics are
+precomputed sibling lists, position tuples, resolved group indexes —
+and ``repro.viewtree.codegen`` generates one kernel per plan, so a
+single-tuple update runs with zero Relation allocations and zero schema
+re-derivation.  The asymptotics are
 untouched (Theorem 4.1's O(1) per update for q-hierarchical queries);
 the constant factor is the whole point.
 
 This bench replays identical single-tuple update streams through the
-compiled and the generic (``compile_plans=False``) engine on:
+compiled and the generic (``generated=False``) engine on:
 
 * a q-hierarchical query (``Q(Y,X,Z) = R(Y,X) * S(Y,Z)``) — the
   Theorem 4.1 fast case, where per-update work is a handful of dict
@@ -25,7 +26,7 @@ differential-checked bit-identical against its generic twin.
 A third table covers the batch kernel: the same streams sliced into
 batches of 64 and 256 and replayed through ``apply_batch``, which
 coalesces same-key deltas and shares sibling probes per group push
-(``DeltaPlan.push_batch``), against per-tuple compiled ``apply``.
+(the generated ``push_batch``), against per-tuple compiled ``apply``.
 
 Acceptance gates: compiled >= 2x generic on the q-hierarchical
 single-tuple apply path, and batch-compiled ``apply_batch`` >= 2x
@@ -167,11 +168,11 @@ def _kernel_table():
         for workload in ("uniform", "zipf"):
             stream = _stream(query, workload, 7)
             generic = ViewTreeEngine(
-                query, _fresh_db(query, workload), order, compile_plans=False
+                query, _fresh_db(query, workload), order, generated=False
             )
             generic_rate = _replay(generic, stream)
             compiled = ViewTreeEngine(
-                query, _fresh_db(query, workload), order, compile_plans=True
+                query, _fresh_db(query, workload), order
             )
             compiled_rate = _replay(compiled, stream)
             # differential gate: the kernels must be invisible semantically
@@ -198,12 +199,12 @@ def _kernel_table():
         order = _order_for(query)
         stream = _stream(query, "uniform", 7)
         per_tuple = ViewTreeEngine(
-            query, _fresh_db(query, "uniform"), order, compile_plans=True
+            query, _fresh_db(query, "uniform"), order
         )
         per_tuple_rate = _replay(per_tuple, stream)
         for batch_size in BATCH_SIZES:
             batched = ViewTreeEngine(
-                query, _fresh_db(query, "uniform"), order, compile_plans=True
+                query, _fresh_db(query, "uniform"), order
             )
             start = time.perf_counter()
             for at in range(0, len(stream), batch_size):
@@ -234,8 +235,8 @@ def _kernel_table():
     stream = _stream(query, "uniform", 7)
     rates = {}
     for name, kwargs in (
-        ("eager-fact (compiled)", {"compile_plans": True}),
-        ("eager-fact (generic)", {"compile_plans": False}),
+        ("eager-fact (compiled)", {}),
+        ("eager-fact (generic)", {"generated": False}),
         ("eager-list", {}),
     ):
         strategy = make_strategy(

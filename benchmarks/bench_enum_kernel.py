@@ -2,14 +2,14 @@
 
 ``repro.viewtree.enumplan`` pre-compiles the constant-delay enumeration
 of Section 4.1 (Theorem 4.1, Example 4.4) into an :class:`EnumPlan` —
-a flat step schedule over slot arrays with itemgetter key assembly,
-resolved group indexes, inlined zero tests, and an iterative
-explicit-stack driver — the read-side twin of the write path's
-``DeltaPlan``.  The asymptotics are untouched; the constant factor per
+a flat step schedule over slot positions with resolved group indexes,
+the read-side twin of the write path's ``DeltaPlan`` — which
+``repro.viewtree.codegen`` generates as nested literal loops with
+inlined zero tests.  The asymptotics are untouched; the constant factor per
 output tuple is the whole point.
 
 This bench populates identical databases and drains full enumerations
-through the compiled and the generic (``compile_enum=False``) engine on:
+through the compiled and the generic (``generated=False``) engine on:
 
 * a q-hierarchical query (``Q(Y,X,Z) = R(Y,X) * S(Y,Z)``) — the
   Theorem 4.1 constant-delay case, guard buckets plus one leaf probe
@@ -136,9 +136,10 @@ def _kernel_table():
         order = _order_for(query)
         for workload in ("uniform", "zipf"):
             db = _fresh_db(query, workload)
-            generic = ViewTreeEngine(query, db, order, compile_enum=False)
+            generic = ViewTreeEngine(query, db, order, generated=False)
             compiled = ViewTreeEngine(query, db, order)
-            assert compiled.enum_compiled and not generic.enum_compiled
+            assert compiled._enum_kernel is not None
+            assert generic._enum_kernel is None
             # differential gate: the kernel must be invisible semantically
             # (same contents AND the same enumeration order)
             assert list(compiled.enumerate()) == list(generic.enumerate())
@@ -163,7 +164,7 @@ def _kernel_table():
         query = parse_query(text)
         order = _order_for(query)
         db = _fresh_db(query, "uniform")
-        generic = ViewTreeEngine(query, db, order, compile_enum=False)
+        generic = ViewTreeEngine(query, db, order, generated=False)
         compiled = ViewTreeEngine(query, db, order)
         top = (compiled.order.roots[0].variable
                if order is None else order.roots[0].variable)

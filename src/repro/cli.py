@@ -21,15 +21,14 @@ the Section 6 "effective guide" as a tool.
 engine with a :class:`repro.obs.MaintenanceStats` recorder attached and
 prints (or dumps as JSON) per-update latency, enumeration delay, delta
 sizes, memory, and rebalance events — the observability layer as a tool.
-``--no-compile`` forces the generic interpreted delta path for A/B runs
-against the compiled kernels; ``--no-compile-enum`` does the same for
-the read path (generic recursive enumeration instead of the compiled
-EnumPlan kernel); ``--no-codegen`` keeps the compiled plans but runs
-them interpreted instead of as exec-generated source kernels.
+``--oracle`` replays the same stream through the reference
+implementation instead (``generated=False``: the generic view-tree walk,
+no plans, no generated kernels) for A/B runs against the kernels.
 
 ``explain`` prints the chosen plan, and with ``--kernel-source`` dumps
-the generated Python source of every delta/enumeration kernel the plan
-would run — the ground truth for what the codegen layer executes.
+the generated Python source of every delta/enumeration kernel the
+plan's engine runs — the ground truth for what the codegen layer
+executes.
 
 ``benchplot`` renders ``repro.bench/1`` JSON records as grouped bar
 charts — PNG when matplotlib is available, ASCII bar tables otherwise,
@@ -163,9 +162,7 @@ def run_stats(
     shard_ipc: str = "delta",
     workload: str = "uniform",
     zipf_s: float = 1.2,
-    compile_plans: bool = True,
-    compile_enum: bool = True,
-    codegen: bool = True,
+    generated: bool = True,
     window: int = 256,
 ) -> int:
     """Replay a synthetic workload and print/dump the stats recorder."""
@@ -211,15 +208,7 @@ def run_stats(
         for _ in range(prefill):
             db[name].add(random_key(name), 1)
 
-    plan = plan_maintenance(
-        query,
-        fds,
-        insert_only,
-        shards=shards,
-        compile_plans=compile_plans,
-        compile_enum=compile_enum,
-        codegen=codegen,
-    )
+    plan = plan_maintenance(query, fds, insert_only, shards=shards)
     engine = IVMEngine(
         query,
         db,
@@ -229,9 +218,7 @@ def run_stats(
         shards=shards,
         shard_executor=shard_executor,
         shard_ipc=shard_ipc,
-        compile_plans=compile_plans,
-        compile_enum=compile_enum,
-        codegen=codegen,
+        generated=generated,
     )
     stats = engine.attach_stats()
     deletes_ok = not insert_only and plan.strategy != "insert-only"
@@ -239,7 +226,7 @@ def run_stats(
     sharded = isinstance(engine.backend, ShardedEngine)
     # Batches of ``--batch`` go through ``apply_batch``: the sharded
     # coordinator splits once and runs shards in parallel, the view-tree
-    # family coalesces and runs the compiled batch kernel.  ``--batch 1``
+    # family coalesces and runs the generated batch kernels.  ``--batch 1``
     # forces the per-update path (except for sharded plans, where the
     # per-update path would serialize the coordinator).
     batched = sharded or batch > 1
@@ -370,9 +357,7 @@ def run_stats(
                 "zipf_s": zipf_s if workload == "zipf" else None,
                 "window": window if workload == "sliding-window" else None,
                 "batch": batch,
-                "compiled": plan.compiled,
-                "enum_compiled": plan.enum_kernel,
-                "codegen": plan.codegen,
+                "generated": engine.generated,
             },
         )
         print(f"stats written to {written}")
@@ -392,11 +377,12 @@ def run_explain(
     code a populated engine of the same shape executes — deterministic
     output that tests pin.
     """
-    from .constraints.fds import FunctionalDependency
+    from .constraints.fds import FDEngine, FunctionalDependency
     from .core.engine import IVMEngine
     from .cqap.engine import CQAPEngine
     from .data.database import Database
     from .shard.engine import ShardedEngine
+    from .staticdyn.engine import StaticDynamicEngine
     from .viewtree.engine import ViewTreeEngine
 
     query = parse_query(text)
@@ -405,10 +391,6 @@ def run_explain(
     print(f"query: {query}")
     print(f"plan:  {plan}")
     if not kernel_source:
-        return 0
-    if not plan.codegen:
-        print()
-        print("no generated kernels: the plan runs without codegen")
         return 0
 
     db = Database()
@@ -423,6 +405,8 @@ def run_explain(
         trees = backend.engines[:1]
     elif isinstance(backend, CQAPEngine):
         trees = backend.engines
+    elif isinstance(backend, (FDEngine, StaticDynamicEngine)):
+        trees = [backend.engine]
     elif isinstance(backend, ViewTreeEngine):
         trees = [backend]
     else:
@@ -432,8 +416,6 @@ def run_explain(
         prefix = f"component {index} " if len(trees) > 1 else ""
         for name in sorted(tree._kernels):
             for anchor, kernel in enumerate(tree._kernels[name]):
-                if kernel is None:
-                    continue
                 print()
                 print(f"-- {prefix}delta kernel {name}[{anchor}] --")
                 print(kernel.source.rstrip("\n"))
@@ -445,7 +427,7 @@ def run_explain(
             dumped += 1
     if not dumped:
         print()
-        print("no generated kernels: every plan fell back to the interpreter")
+        print(f"no generated kernels: plan {plan.strategy!r} runs none")
     return 0
 
 
@@ -471,7 +453,6 @@ def run_serve(
     per_update: bool = False,
     smoke: bool = False,
     snapshot_reads: bool | None = None,
-    codegen: bool = True,
     change_feed: bool = False,
 ) -> int:
     """Closed-loop load test against the async serving front-end."""
@@ -517,7 +498,7 @@ def run_serve(
         print("query has no dynamic relations; nothing to serve")
         return 1
 
-    plan = plan_maintenance(query, fds, shards=shards, codegen=codegen)
+    plan = plan_maintenance(query, fds, shards=shards)
     engine = IVMEngine(
         query,
         db,
@@ -526,7 +507,6 @@ def run_serve(
         shards=shards,
         shard_executor=shard_executor,
         shard_ipc=shard_ipc,
-        codegen=codegen,
     )
     if per_update:
         max_batch, max_delay_ms = 1, 0.0
@@ -632,7 +612,7 @@ def run_serve(
                 "high_water": high_water,
                 "per_update": per_update,
                 "snapshot_reads": server.snapshot_reads,
-                "codegen": plan.codegen,
+                "generated": engine.generated,
                 **summary,
             },
         )
@@ -740,19 +720,9 @@ def main(argv: list[str] | None = None) -> int:
         help="tuples kept live by --workload sliding-window (default 256)",
     )
     stats_parser.add_argument(
-        "--no-compile", action="store_true",
-        help="disable the compiled delta-plan fast path (A/B against the "
-        "generic interpreter)",
-    )
-    stats_parser.add_argument(
-        "--no-compile-enum", action="store_true",
-        help="disable the compiled enumeration kernel (A/B against the "
-        "generic recursive walk)",
-    )
-    stats_parser.add_argument(
-        "--no-codegen", action="store_true",
-        help="run the compiled plans interpreted instead of as "
-        "exec-generated source kernels (A/B against codegen)",
+        "--oracle", action="store_true",
+        help="run the reference implementation (generated=False: the "
+        "generic view-tree walk, no generated kernels) for A/B runs",
     )
 
     explain_parser = subparsers.add_parser(
@@ -850,11 +820,6 @@ def main(argv: list[str] | None = None) -> int:
         "deadline) — the group-commit A/B baseline",
     )
     serve_parser.add_argument(
-        "--no-codegen", action="store_true",
-        help="run the compiled plans interpreted instead of as "
-        "exec-generated source kernels (A/B against codegen)",
-    )
-    serve_parser.add_argument(
         "--no-snapshot-reads", action="store_true",
         help="serialize reads against commits instead of answering from "
         "the last published epoch (the pre-epoch read model)",
@@ -927,9 +892,7 @@ def main(argv: list[str] | None = None) -> int:
             args.ipc,
             args.workload,
             args.zipf_s,
-            compile_plans=not args.no_compile,
-            compile_enum=not args.no_compile_enum,
-            codegen=not args.no_codegen,
+            generated=not args.oracle,
             window=args.window,
         )
     if args.command == "explain":
@@ -959,7 +922,6 @@ def main(argv: list[str] | None = None) -> int:
             per_update=args.per_update,
             smoke=args.smoke,
             snapshot_reads=False if args.no_snapshot_reads else None,
-            codegen=not args.no_codegen,
             change_feed=args.change_feed,
         )
     if args.command == "benchplot":

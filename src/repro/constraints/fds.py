@@ -169,12 +169,16 @@ class FDEngine(Observable):
         fds: Iterable[FunctionalDependency],
         database: Database,
         lifting: LiftingMap | None = None,
+        generated: bool = True,
     ):
         self.query = query
         self.fds = tuple(fds)
         order = fd_guided_order(query, self.fds)
         self._extended = order.query
-        self.engine = ViewTreeEngine(self._extended, database, order, lifting)
+        self.engine = ViewTreeEngine(
+            self._extended, database, order, lifting, generated=generated
+        )
+        self.generated = self.engine.generated
         self._project = Schema(self._extended.head).projector(query.head)
 
     def _propagate_stats(self, stats) -> None:

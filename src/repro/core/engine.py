@@ -60,24 +60,20 @@ class IVMEngine(Observable):
         shards: int = 1,
         shard_executor: str = "thread",
         shard_ipc: str = "delta",
-        compile_plans: bool = True,
-        compile_enum: bool = True,
-        codegen: bool = True,
+        generated: bool = True,
     ):
+        """Plan ``query`` and build the engine the plan names.
+
+        ``generated`` reaches every view-tree-backed backend: ``True``
+        (the default) runs source-generated kernels, ``False`` the
+        generic walk — the differential-testing oracle.  Backends
+        without a view tree ignore it.
+        """
         self.query = query
         self.database = database
         self.plan = plan or plan_maintenance(
-            query,
-            fds,
-            insert_only,
-            shards=shards,
-            compile_plans=compile_plans,
-            compile_enum=compile_enum,
-            codegen=codegen,
+            query, fds, insert_only, shards=shards
         )
-        compile_plans = compile_plans and self.plan.compiled
-        compile_enum = compile_enum and self.plan.enum_kernel
-        codegen = codegen and self.plan.codegen
         strategy = self.plan.strategy
 
         if strategy in ("viewtree", "viewtree-hierarchical", "sharded-viewtree"):
@@ -97,9 +93,7 @@ class IVMEngine(Observable):
                     lifting=lifting,
                     executor=shard_executor,
                     ipc=shard_ipc,
-                    compile_plans=compile_plans,
-                    compile_enum=compile_enum,
-                    codegen=codegen,
+                    generated=generated,
                 )
             else:
                 self._engine = ViewTreeEngine(
@@ -107,21 +101,19 @@ class IVMEngine(Observable):
                     database,
                     order,
                     lifting=lifting,
-                    compile_plans=compile_plans,
-                    compile_enum=compile_enum,
-                    codegen=codegen,
+                    generated=generated,
                 )
         elif strategy == "fd-viewtree":
-            self._engine = FDEngine(query, fds, database, lifting=lifting)
+            self._engine = FDEngine(
+                query, fds, database, lifting=lifting, generated=generated
+            )
         elif strategy == "static-dynamic":
-            self._engine = StaticDynamicEngine(query, database, lifting=lifting)
+            self._engine = StaticDynamicEngine(
+                query, database, lifting=lifting, generated=generated
+            )
         elif strategy == "cqap":
             self._engine = CQAPEngine(
-                query,
-                database,
-                lifting=lifting,
-                compile_enum=compile_enum,
-                codegen=codegen,
+                query, database, lifting=lifting, generated=generated
             )
         elif strategy == "insert-only":
             self._engine = InsertOnlyEngine(query)
@@ -164,7 +156,7 @@ class IVMEngine(Observable):
         ):
             # Backends with a real batch path: the sharded coordinator
             # splits once and runs shards in parallel; the view-tree
-            # family coalesces and runs the compiled batch kernel.
+            # family coalesces and runs the generated batch kernels.
             engine.apply_batch(list(batch))
             return
         if isinstance(engine, DeltaQueryEngine):
@@ -334,3 +326,12 @@ class IVMEngine(Observable):
     def backend(self):
         """The underlying specialised engine (for advanced use)."""
         return self._engine
+
+    @property
+    def generated(self) -> bool:
+        """Whether the backend that runs executes generated kernels.
+
+        Read from the backend, not from what the caller asked for:
+        ``False`` for the oracle and for plans without a view tree.
+        """
+        return getattr(self._engine, "generated", False)

@@ -14,11 +14,14 @@ paper's decision ladder and picks the strongest applicable engine:
 
 Every decision is returned as a :class:`Plan` with the guarantee it
 carries, so callers (and tests) can check *why* an engine was chosen.
+A plan is the paper's strategy choice only: *how* the chosen engine
+executes (generated kernels, or the generic walk as the oracle) is the
+engine's ``generated`` flag, not a plan field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..constraints.fds import FunctionalDependency, q_hierarchical_under_fds
@@ -38,39 +41,12 @@ class Plan:
     update_time: str
     enumeration_delay: str
     preprocessing_time: str
-    #: Whether the engine runs single-tuple updates through pre-compiled
-    #: delta plans (view-tree strategies only; see repro.viewtree.compile).
-    compiled: bool = False
-    #: Whether ``apply_batch`` routes batches through the compiled batch
-    #: kernel — coalesced, probe-sharing group pushes under the engine's
-    #: three-way heuristic (compiled-batch / per-tuple / rebuild).  Set
-    #: alongside ``compiled`` for the view-tree strategy family.
-    batch_kernel: bool = False
-    #: Whether enumeration (including prebound CQAP access requests)
-    #: runs through a compiled EnumPlan (repro.viewtree.enumplan) —
-    #: the read-side twin of ``compiled``.
-    enum_kernel: bool = False
-    #: Whether the compiled plans additionally run as exec-generated
-    #: source kernels (repro.viewtree.codegen) — the plans stay around
-    #: as the interpreted differential-testing oracle.
-    codegen: bool = False
 
     def __str__(self) -> str:
-        kernels = ""
-        if self.compiled:
-            kernels = (
-                ", compiled kernels (batched)"
-                if self.batch_kernel
-                else ", compiled kernels"
-            )
-        if self.enum_kernel:
-            kernels += ", compiled enumeration"
-        if self.codegen:
-            kernels += ", generated source"
         return (
             f"{self.strategy}: {self.reason} "
             f"[preprocess {self.preprocessing_time}, update {self.update_time}, "
-            f"delay {self.enumeration_delay}{kernels}]"
+            f"delay {self.enumeration_delay}]"
         )
 
 
@@ -96,27 +72,11 @@ def _is_triangle_shaped(query: Query) -> bool:
 _SHARDABLE_STRATEGIES = frozenset({"viewtree", "viewtree-hierarchical"})
 
 
-#: Strategies whose engine supports the compiled delta-plan fast path.
-_COMPILABLE_STRATEGIES = frozenset(
-    {"viewtree", "viewtree-hierarchical", "sharded-viewtree"}
-)
-
-
-#: Strategies whose engine enumerates through a compiled EnumPlan (the
-#: CQAP engine compiles one plan per fracture component).
-_ENUM_COMPILABLE_STRATEGIES = frozenset(
-    {"viewtree", "viewtree-hierarchical", "sharded-viewtree", "cqap"}
-)
-
-
 def plan_maintenance(
     query: Query,
     fds: Iterable[FunctionalDependency] = (),
     insert_only: bool = False,
     shards: int = 1,
-    compile_plans: bool = True,
-    compile_enum: bool = True,
-    codegen: bool = True,
 ) -> Plan:
     """Choose a maintenance plan following the Section 6 decision ladder.
 
@@ -125,19 +85,6 @@ def plan_maintenance(
     work, so hash shards of the join key maintain disjoint view slices
     in parallel.  Strategies with cross-shard state (IVM^eps partitions,
     CQAP fractures, delta materializations) keep their unsharded plan.
-
-    ``compile_plans`` marks view-tree plans to run single-tuple updates
-    through pre-compiled delta kernels (``repro.viewtree.compile``);
-    pass ``False`` (the CLI's ``--no-compile``) to force the generic
-    interpretation path.  ``compile_enum`` is its read-side twin: it
-    marks plans whose engine enumerates through a compiled EnumPlan
-    (``repro.viewtree.enumplan``); pass ``False`` (the CLI's
-    ``--no-compile-enum``) for the generic recursive walk.
-
-    ``codegen`` marks compiled plans to additionally exec-generate
-    specialized source kernels (``repro.viewtree.codegen``); pass
-    ``False`` (the CLI's ``--no-codegen``) to run the interpreted plans
-    directly.  It has effect only where some plan compiles at all.
     """
     plan = _plan_unsharded(query, tuple(fds), insert_only)
     if shards > 1 and plan.strategy in _SHARDABLE_STRATEGIES:
@@ -148,12 +95,6 @@ def plan_maintenance(
             plan.enumeration_delay,
             plan.preprocessing_time,
         )
-    if compile_plans and plan.strategy in _COMPILABLE_STRATEGIES:
-        plan = replace(plan, compiled=True, batch_kernel=True)
-    if compile_enum and plan.strategy in _ENUM_COMPILABLE_STRATEGIES:
-        plan = replace(plan, enum_kernel=True)
-    if codegen and (plan.compiled or plan.enum_kernel):
-        plan = replace(plan, codegen=True)
     return plan
 
 

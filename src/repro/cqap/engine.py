@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping, Sequence
 
+from ..data.columnar import coalesce_columnar
 from ..data.database import Database
-from ..data.update import Update, coalesce
+from ..data.update import Update
 from ..obs import Observable, observed, share_stats
 from ..query.ast import Query
 from ..query.variable_order import canonical_order
@@ -31,8 +32,7 @@ class CQAPEngine(Observable):
         query: Query,
         database: Database,
         lifting: LiftingMap | None = None,
-        compile_enum: bool = True,
-        codegen: bool = True,
+        generated: bool = True,
     ):
         if not query.input_variables:
             raise ValueError(
@@ -47,14 +47,15 @@ class CQAPEngine(Observable):
         self.database = database
         self.ring = database.ring
         self.fracture: Fracture = fracture(query)
+        #: Whether the component engines run generated kernels or the
+        #: generic walk (the oracle).
+        self.generated = generated
         self.engines: list[ViewTreeEngine] = []
         for component in self.fracture.components:
             order = canonical_order(component)
             self.engines.append(
                 ViewTreeEngine(
-                    component, database, order, lifting,
-                    compile_enum=compile_enum,
-                    codegen=codegen,
+                    component, database, order, lifting, generated=generated
                 )
             )
         self._relations = frozenset(a.relation for a in query.atoms)
@@ -81,19 +82,24 @@ class CQAPEngine(Observable):
     def apply_batch(self, batch) -> None:
         """Coalesced batch maintenance across the fracture's components.
 
-        The batch lands on the shared base once, then every component
-        engine runs it through its own (compiled) batch path; components
-        ignore relations outside their anchors.
+        The batch is coalesced once and checked before anything is
+        written (a batch naming an unknown relation changes nothing);
+        then it lands on the shared base, one bulk write per relation,
+        and every component engine applies the same columns through its
+        batch path — components ignore relations outside their anchors.
         """
-        batch = coalesce(batch, self.ring)
-        for update in batch:
-            if update.relation not in self._relations:
-                raise KeyError(f"relation {update.relation!r} not in the query")
-        for update in batch:
-            if update.relation in self.database:
-                self.database[update.relation].add(update.key, update.payload)
+        batch = list(batch)
+        columns = coalesce_columnar(batch, self.ring)
+        for name in columns:
+            if name not in self._relations:
+                raise KeyError(f"relation {name!r} not in the query")
+        for name, (keys, pays) in columns.items():
+            if name in self.database:
+                self.database[name].add_delta(zip(keys, pays))
         for engine in self.engines:
-            engine.apply_batch(batch, update_base=False)
+            engine.apply_coalesced_batch(
+                columns, update_base=False, raw=len(batch)
+            )
 
     # ------------------------------------------------------------------
     # Access requests

@@ -100,10 +100,12 @@ def coalesce_grouped(
 ) -> dict[str, dict[tuple, Any]]:
     """Coalesce a batch into per-relation delta dicts (zeros dropped).
 
-    Same cancellation semantics as :func:`coalesce`, but shaped for the
-    compiled batch kernel: ``{relation: {key: payload}}`` with relations
-    and keys in first-occurrence order.  Relations whose deltas cancel
-    entirely are absent from the result.
+    Same cancellation semantics as :func:`coalesce`, grouped for batch
+    maintenance: ``{relation: {key: payload}}`` with relations and keys
+    in first-occurrence order.  Relations whose deltas cancel entirely
+    are absent from the result.  The view-tree oracle
+    (``generated=False``) coalesces with this; the generated kernels use
+    its columnar twin, :func:`repro.data.columnar.coalesce_columnar`.
     """
     grouped: dict[str, dict[tuple, Any]] = {}
     add = ring.add

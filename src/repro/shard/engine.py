@@ -135,9 +135,7 @@ class ShardedEngine(Observable):
         lifting: LiftingMap | None = None,
         executor: str = "thread",
         max_workers: int | None = None,
-        compile_plans: bool = True,
-        compile_enum: bool = True,
-        codegen: bool = True,
+        generated: bool = True,
         ipc: str = "delta",
     ):
         if shards < 1:
@@ -174,9 +172,10 @@ class ShardedEngine(Observable):
         )
         self._worker_pool: ShardWorkerPool | None = None
         self._lifting = lifting
-        self._compile_plans = compile_plans
-        self._compile_enum = compile_enum
-        self._codegen_requested = codegen
+        #: Whether the shard engines run generated kernels (shards share
+        #: plan shapes, so each shape compiles once per process) or the
+        #: generic walk (the oracle).
+        self.generated = generated
 
         #: One recorder per shard, attached from birth (delta mode: the
         #: worker deltas merged_stats/close pulled); merged on demand.
@@ -188,12 +187,10 @@ class ShardedEngine(Observable):
             # The shard engines live in the workers (spawned lazily on
             # first use, from the then-current base database).
             self.engines = []
-            self.codegen = bool(codegen)
         else:
-            # Per-shard compiled delta plans: each shard engine compiles
-            # its own (the plans reference that shard's leaves and views)
-            # and the whole graph stays picklable for the process-pool
-            # executor.
+            # Each shard engine generates its own kernels (their plans
+            # reference that shard's leaves and views) and the whole
+            # graph stays picklable for the process-pool executor.
             self.engines = [
                 ViewTreeEngine(
                     query,
@@ -202,15 +199,10 @@ class ShardedEngine(Observable):
                     lifting=lifting,
                     stats=self.shard_stats[index],
                     leaf_filter=ShardLeafFilter(self.router, index),
-                    compile_plans=compile_plans,
-                    compile_enum=compile_enum,
-                    codegen=codegen,
+                    generated=generated,
                 )
                 for index in range(self.shards)
             ]
-            #: Whether any shard engine runs generated kernels (shards
-            #: share plan shapes, so codegen compiles once per shape).
-            self.codegen = any(engine.codegen for engine in self.engines)
         #: Variables whose subtree joins at least one partitioned leaf;
         #: their per-shard views are disjoint slices (ring-add to merge),
         #: all other views are identical replicas (take any one copy).
@@ -280,9 +272,7 @@ class ShardedEngine(Observable):
                 router=self.router,
                 order=self.order,
                 lifting=self._lifting,
-                compile_plans=self._compile_plans,
-                compile_enum=self._compile_enum,
-                codegen=self._codegen_requested,
+                generated=self.generated,
             )
             for index in range(self.shards)
         ]

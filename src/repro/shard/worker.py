@@ -165,7 +165,7 @@ class ShardWorkerSpec:
 
     Small and picklable: the plan inputs plus the base database — the
     one-time spawn cost.  After construction the engine (views, guards,
-    compiled kernels) lives only in the worker.
+    generated kernels) lives only in the worker.
     """
 
     query: Query
@@ -174,9 +174,7 @@ class ShardWorkerSpec:
     router: ShardRouter
     order: VariableOrder
     lifting: LiftingMap | None = None
-    compile_plans: bool = True
-    compile_enum: bool = True
-    codegen: bool = True
+    generated: bool = True
     engine_kwargs: dict = field(default_factory=dict)
 
     def build(self):
@@ -191,9 +189,7 @@ class ShardWorkerSpec:
             lifting=self.lifting,
             stats=stats,
             leaf_filter=ShardLeafFilter(self.router, self.shard),
-            compile_plans=self.compile_plans,
-            compile_enum=self.compile_enum,
-            codegen=self.codegen,
+            generated=self.generated,
             **self.engine_kwargs,
         )
         return engine

@@ -33,6 +33,7 @@ class StaticDynamicEngine(Observable):
         database: Database,
         lifting: LiftingMap | None = None,
         search_limit: int = 100_000,
+        generated: bool = True,
     ):
         order = find_static_dynamic_order(query, limit=search_limit)
         if order is None:
@@ -42,7 +43,10 @@ class StaticDynamicEngine(Observable):
             )
         self.query = query
         self.order = order
-        self.engine = ViewTreeEngine(query, database, order, lifting)
+        self.engine = ViewTreeEngine(
+            query, database, order, lifting, generated=generated
+        )
+        self.generated = self.engine.generated
         self._static = frozenset(a.relation for a in query.static_atoms)
         self._dynamic = frozenset(a.relation for a in query.dynamic_atoms)
         overlap = self._static & self._dynamic

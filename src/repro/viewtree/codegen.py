@@ -1,14 +1,15 @@
-"""Source-generated kernels: the compiled plans compiled one rung further.
+"""Source-generated kernels: the one executor of the view-tree plans.
 
-:mod:`repro.viewtree.compile` and :mod:`repro.viewtree.enumplan` already
-flattened the interpreter into step lists, but the hot loops still walk
-those lists in Python: every push pays a ``for step in steps`` /
-``for join in step.siblings`` dispatch, a mode test per sibling, a
-``tuple(dkey[i] for i in positions)`` genexpr per projection, and a ring
-method call per multiplication.  All of that is constant per *plan* —
-so this module emits it away (the classic ORM/serializer trick, cf.
-stepping's profiling notes in SNIPPETS.md and OpenIVM's compile-to-code
-design in PAPERS.md):
+:mod:`repro.viewtree.compile` and :mod:`repro.viewtree.enumplan` resolve
+everything about maintenance and enumeration that depends only on the
+query into plan objects — step lists, probe modes, position tuples.
+Walking those lists at run time would still pay, per update, a
+``for step in steps`` / ``for join in step.siblings`` dispatch, a mode
+test per sibling, a ``tuple(dkey[i] for i in positions)`` genexpr per
+projection, and a ring method call per multiplication.  All of that is
+constant per *plan* — so this module emits it away (the classic
+ORM/serializer trick, cf. stepping's profiling notes in SNIPPETS.md and
+OpenIVM's compile-to-code design in PAPERS.md):
 
 * for each :class:`~repro.viewtree.compile.DeltaPlan` it generates
   Python source with the step loop fully unrolled — one straight-line
@@ -21,14 +22,15 @@ design in PAPERS.md):
   ``push_batch`` functions;
 * for each :class:`~repro.viewtree.enumplan.EnumPlan` it generates the
   enumeration walk as *nested literal loops* over named slot locals
-  (``s0``, ``s1``, …) instead of the explicit-stack driver, one block
-  per depth with its guard probe, leaf probes, and bound-view probes
-  unrolled in place.
+  (``s0``, ``s1``, …), one block per depth with its guard probe, leaf
+  probes, and bound-view probes unrolled in place.
 
-The generated functions execute the **same probe sequence, the same
-ring-operation order, and the same elementary-operation accounting** as
-the interpreted plans — the interpreted kernels remain the bit-identical
-differential-testing oracle (``tests/test_codegen.py``).
+The generated functions execute the **same probe sequence and the same
+ring-operation order** as the generic walk
+(:meth:`ViewTreeEngine._propagate` / ``_enumerate_generic``), which
+shares no code with them but :class:`~repro.data.relation.Relation` and
+is the differential-testing oracle: an engine built with
+``generated=False`` must agree bit for bit (``tests/test_codegen.py``).
 
 Shape cache
 -----------
@@ -49,8 +51,8 @@ kernel.
 Copy-on-write safety: environments bind :class:`Relation` /
 :class:`GroupIndex` **objects** (and bound methods), never their
 ``data``/``groups`` dicts — the generated code re-reads ``.data`` and
-``.groups`` at call time, exactly like the interpreted plans, so epoch
-publication (which swaps those dicts on the next write) keeps working.
+``.groups`` at call time, so epoch publication (which swaps those dicts
+on the next write) keeps working.
 
 Pickling: a kernel's functions are closures over live objects and cannot
 pickle, so :class:`DeltaKernel`/:class:`EnumKernel` implement
@@ -68,8 +70,13 @@ from typing import Any, Optional
 
 from ..data.opcounter import COUNTER
 from ..rings.base import Semiring
-from .compile import CROSS, DIRECT, INDEXED, _MISS, DeltaPlan
+from .compile import CROSS, DIRECT, INDEXED, DeltaPlan
 from .enumplan import EnumPlan
+
+#: Sentinel the generated code tests with ``is``: a probe-cache miss in
+#: ``push_batch`` (``None`` is a legitimate cached result — an absent
+#: sibling entry/bucket) and "no prebound value" in ``iterate``.
+_MISS = object()
 
 __all__ = [
     "DeltaKernel",
@@ -343,14 +350,18 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
 
 
 def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
-    """The single-tuple ``push`` body, mirroring :meth:`DeltaPlan.push`.
+    """The single-tuple ``push(key, payload, stats)`` body.
 
     The flowing delta starts as one ``(dk, dp)`` pair and stays scalar
     straight-line code through DIRECT joins and marginalizations; the
     first INDEXED/CROSS join fans it out into parallel-iteration list
-    code.  Probe sequence, counter accounting, per-view
-    ``stats.record_delta`` calls, and ring-operation order all match the
-    interpreted plan exactly.
+    code.  Sibling order, early exits, per-view ``stats.record_delta``
+    calls, and ring-operation order follow the generic
+    :meth:`ViewTreeEngine._propagate`; probes and per-match enumeration
+    steps are counted in bulk — one ``COUNTER.bump(kind, n)`` per push
+    instead of one call per operation — so COUNTER-based complexity
+    assertions see the same asymptotic shape at a fraction of the
+    bookkeeping cost.
     """
     w.emit("def push(key, payload, stats=None):")
     with w.block():
@@ -600,7 +611,7 @@ def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
     w.emit("else:")
     with w.block():
         body(indexed=False)
-    # Dirty-key oracle (Relation.track_dirty): re-read per call so
+    # Dirty-key set (Relation.track_dirty): re-read per call so
     # enabling change tracking after kernel generation still takes, and
     # recompute the projection only on the tracked path.
     w.emit("vdirty = vrel._dirty")
@@ -616,12 +627,12 @@ def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
 def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
     """Fused filter + view write over a marginalization's ``agg`` dict.
 
-    One pass per aggregated key replaces the oracle's filtered-dict copy
-    plus bulk :meth:`Relation.add_delta`: survivors land on the view and
-    in the ``dks``/``dps`` lists (the step's outgoing delta) in the same
-    ``agg`` insertion order the oracle filters in, so payload-combination
-    order — and therefore every non-commutative-rounding ring — is
-    untouched.  With ``wrap``, ``agg`` is keyed by bare values (a
+    One pass per aggregated key replaces a filtered-dict copy plus bulk
+    :meth:`Relation.add_delta`: survivors land on the view and in the
+    ``dks``/``dps`` lists (the step's outgoing delta) in ``agg``
+    insertion order — the order ``marginalize`` accumulates in on the
+    generic path — so payload-combination order, and therefore every
+    non-commutative-rounding ring, matches it.  With ``wrap``, ``agg`` is keyed by bare values (a
     single-position projection aggregated via ``itemgetter``) and each
     surviving key is boxed back into the view's 1-tuple here, once per
     distinct key instead of once per delta entry.
@@ -678,8 +689,8 @@ def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
         body(indexed=False)
     w.emit("if dks:")
     with w.block():
-        # ``dks`` is exactly the set of view keys written above, so the
-        # dirty oracle costs one bulk update only when tracking is on.
+        # ``dks`` is exactly the set of view keys written above, so
+        # dirty tracking costs one bulk update only when it is on.
         w.emit("vdirty = vrel._dirty")
         w.emit("if vdirty is not None:")
         with w.block():
@@ -690,17 +701,30 @@ def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
 def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
     """The columnar ``push_batch(keys, pays, stats)`` body.
 
-    Mirrors :meth:`DeltaPlan.push_batch` over parallel key/payload lists
-    (the columnar batch representation from
-    :func:`repro.viewtree.columnar.coalesce_columnar`) instead of a
-    delta dict — legal because a coalesced delta's keys are distinct and
-    sibling joins never collide output keys; only the marginalization
-    aggregates, through the same dict the oracle uses.  Per-sibling
-    probe caches are kept (with the oracle's shared-probe accounting)
-    except when the probe covers the *full* delta key: coalesced keys
-    are distinct, so every such probe would miss and the cache is pure
-    overhead — the emitted bulk ``lookups += len(...)`` matches the
-    oracle's all-miss counting exactly.
+    ``push`` lifted to one *coalesced* per-relation delta, flowing as
+    parallel key/payload lists (the columnar batch representation from
+    :func:`repro.data.columnar.coalesce_columnar`) instead of a delta
+    dict — legal because a coalesced delta's keys are distinct and
+    sibling joins never collide output keys (every delta key has the
+    step's full schema, so distinct keys extend to distinct joined
+    keys); only the marginalization, which drops a position,
+    aggregates through a dict.  So the batch lands exactly the
+    telescoped sum of its per-tuple pushes, with two fusions on top:
+
+    * **shared sibling probes** — each sibling is probed once per
+      *distinct* join key across the whole delta: a per-join probe cache
+      memoizes the payload (DIRECT) or the index bucket (INDEXED), and
+      repeated join keys — the common case under skew — hit the cache
+      instead of the relation.  Cache hits are *not* counted as
+      elementary lookups (``COUNTER`` sees only the probes actually
+      issued; the saved ones are reported to
+      ``stats.record_probe_sharing``).  When the probe covers the *full*
+      delta key the cache is dropped: coalesced keys are distinct, so
+      every probe would miss, and one bulk ``lookups += len(...)``
+      counts them.
+    * **fused view writes** — each step's delta lands on its guard/view
+      inline (:meth:`Relation.add_delta` unrolled in place, see
+      :func:`_emit_sink`) instead of one ``Relation.add`` per entry.
     """
     w.emit("def push_batch(keys, pays, stats=None):")
     with w.block():
@@ -734,8 +758,8 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                 # the guard sink, and traversed again to aggregate.  The
                 # guard and the probed sibling views are distinct
                 # relations (one per view-tree node), so interleaving the
-                # writes with the probes observes nothing the oracle's
-                # stage-then-sink order doesn't; write order and
+                # writes with the probes observes nothing a
+                # stage-then-sink order wouldn't; write order and
                 # accumulation order per relation are unchanged.  CROSS
                 # stages (rare, unbounded fan-out) keep the simple path.
                 fuse = bool(step.siblings) and step.siblings[-1].mode in (
@@ -1094,8 +1118,8 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                     # Scalar marginalization (aggregation tail): every key
                     # projects to ``()``, so the whole "aggregate by key"
                     # dict degenerates to one left-fold over the payload
-                    # column — in delta order, exactly the order the
-                    # oracle's single-key dict accumulates in.
+                    # column — in delta order, exactly the order a
+                    # single-key aggregation dict would accumulate in.
                     if step.lift is not None:
                         lifted = ops.mul(
                             "dp", f"LIFT_{s}(dk[{step.lift_position}])"
@@ -1279,17 +1303,28 @@ def _slot_tuple(positions: tuple[int, ...]) -> str:
 
 
 def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
-    """The generated enumeration walk, mirroring :meth:`EnumPlan.iterate`.
+    """The generated ``iterate(prebound, stats, epoch)`` enumeration walk.
 
-    The explicit-stack driver becomes literal nested loops, one block
-    per free variable: entering a depth issues the oracle's guard probe
-    (bucket iteration, or a single full-key membership probe for a
-    prebound value), each surviving candidate binds its named slot local
-    and runs the unrolled leaf/bound-view probes, and the innermost
-    depth flushes the op counters and yields the literal head tuple.
-    Probe order, zero tests, ring-operation order (including the
-    ``p = mul(p, factor)`` step with ``factor`` starting at ``one``),
-    and counter accounting match the interpreted plan bit for bit.
+    Literal nested loops, one block per free variable: entering a depth
+    issues the generic walk's guard probe (bucket iteration, or a single
+    full-key membership probe for a prebound value), each surviving
+    candidate binds its named slot local and runs the unrolled
+    leaf/bound-view probes, and the innermost depth flushes the op
+    counters and yields the literal head tuple.  Candidate order, zero
+    tests, and ring-operation order (including the ``p = mul(p,
+    factor)`` step with ``factor`` starting at ``one``) follow
+    :meth:`ViewTreeEngine._enumerate_generic`, so payloads — floats
+    included — are bit-identical to it.  Elementary operations are
+    counted with the generic walk's shape (one ``lookup`` per probe, one
+    ``enum`` per candidate consumed) and flushed to the global
+    :data:`~repro.data.opcounter.COUNTER` at every yield, so
+    delay-profile assertions over the counter see the same flat gaps.
+
+    ``epoch`` (an :class:`~repro.viewtree.epoch.EpochSnapshot`)
+    redirects every dict binding — guard data, group buckets, leaf and
+    view payloads — to the published snapshot's frozen dicts, so the
+    walk is identical but reads a consistent committed state while
+    maintenance mutates the live relations from another thread.
     """
     steps = plan.steps
     last = len(steps) - 1
@@ -1327,7 +1362,8 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
                 with w.block():
                     w.emit("return")
             # Dict bindings: live relation attributes, or the epoch's
-            # frozen dicts — same grouping order as the oracle.
+            # frozen dicts, resolved once up front so a publish racing
+            # with this generator cannot mix epochs.
             w.emit("if data_of is None:")
             with w.block():
                 for d in range(len(steps)):

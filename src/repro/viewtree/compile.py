@@ -1,4 +1,4 @@
-"""Compiled delta-propagation kernels for the view-tree hot path.
+"""Delta-propagation plans: the write-path IR of the view-tree kernels.
 
 The generic maintenance path (:meth:`ViewTreeEngine._propagate`) is
 already asymptotically optimal — for q-hierarchical queries under their
@@ -24,60 +24,35 @@ leaf-to-root path once and records, per node:
 * the position plans projecting the joined delta onto the node's guard
   and view schemas,
 * the resolved lifting callable (or ``None`` for trivial COUNT lifting)
-  and the position of the marginalized variable,
-* pre-bound ring operations.
+  and the position of the marginalized variable.
 
-:meth:`DeltaPlan.push` then propagates a single-tuple delta as a plain
-``{key: payload}`` dict through straight-line probe/multiply/accumulate
-loops: **zero Relation allocations and zero schema re-derivation** per
-update.  Only the terminal accumulation into each view/guard goes through
-:meth:`Relation.add`, which keeps zero-elimination, group-index
-maintenance, and write accounting exactly as the generic path leaves
-them.
+A :class:`DeltaPlan` is data only — it executes nothing.  Its one
+consumer is :mod:`repro.viewtree.codegen`, which emits each plan as a
+specialized ``push`` / ``push_batch`` function pair; the differential
+oracle for those kernels is the generic walk itself (an engine built
+with ``generated=False``), which shares no planning code with them.
 
-Why this preserves Theorem 4.1's O(1) bound while cutting the constant:
-the kernel executes the *same* probe sequence as the generic path — for a
-q-hierarchical query under the canonical order, each sibling join is a
-constant number of hash probes (the sibling's schema is contained in the
-delta's, so the join is one ``dict.get``), and each marginalization
-shrinks the delta key by one position.  Nothing about the asymptotics
-changes; what disappears is the per-update interpretation overhead (on
-the order of a dozen object allocations and closure constructions per
-propagation step), which benchmarks show is worth >2x single-tuple apply
-throughput (``benchmarks/bench_delta_kernel.py``).  For non-q-hierarchical
-queries the kernel degrades exactly as the generic path does: group-index
-probes enumerate the same matching sets, so update cost stays
-proportional to the number of affected view entries.
-
-Elementary-operation accounting: probes and per-match enumeration steps
-are counted in bulk — one ``COUNTER.bump(kind, n)`` per push instead of
-one call per operation — so COUNTER-based complexity assertions see the
-same asymptotic shape at a fraction of the bookkeeping cost.
-
-Batch execution: :meth:`DeltaPlan.push_batch` runs a whole *coalesced*
-batch group (one ``{key: payload}`` delta per base relation, same-key
-updates ring-summed and cancelled upstream) through the same compiled
-path.  On top of the per-tuple kernel's savings it shares sibling probes
-across the group — each sibling is probed once per distinct join key,
-memoized in a per-join cache — and lands every step's aggregated delta
-on its guard/view through one bulk
-:meth:`~repro.data.relation.Relation.add_delta` write.
-:meth:`ViewTreeEngine.apply_batch` routes batches here under its
-three-way heuristic (compiled-batch / per-tuple / rebuild).
+Why a plan preserves Theorem 4.1's O(1) bound: it describes the *same*
+probe sequence as the generic path — for a q-hierarchical query under
+the canonical order, each sibling join is a constant number of hash
+probes (the sibling's schema is contained in the delta's, so the join is
+one ``dict.get``), and each marginalization shrinks the delta key by one
+position.  For non-q-hierarchical queries it degrades exactly as the
+generic path does: group-index probes enumerate the same matching sets,
+so update cost stays proportional to the number of affected view
+entries.
 
 Everything stored here is positions, relation references, named
-callables, and ring singletons, so compiled plans pickle with their
-engine — the process-pool shard executor ships compiled engines whole,
-and the pickle memo preserves the identity between a plan's relation
-references and the view tree's own.
+callables, and ring singletons, so plans pickle — a generated kernel
+pickles as "regenerate from my plan", and the pickle memo preserves the
+identity between a plan's relation references and the view tree's own
+when an engine is shipped whole (the ``pickle-engine`` shard IPC).
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Any, Optional
+from typing import Optional
 
-from ..data.opcounter import COUNTER
 from ..data.relation import GroupIndex, Relation
 from ..rings.base import Semiring
 
@@ -85,27 +60,6 @@ from ..rings.base import Semiring
 DIRECT = 0  #: sibling schema is contained in the delta schema: one dict.get
 INDEXED = 1  #: probe the sibling's group index on the shared variables
 CROSS = 2  #: no shared variables: cross product with every sibling entry
-
-#: Probe-cache miss sentinel for :meth:`DeltaPlan.push_batch` — ``None``
-#: is a legitimate cached result (an absent sibling entry/bucket).
-_MISS = object()
-
-
-def _tuple_getter(positions: tuple[int, ...]):
-    """A ``key -> projected tuple`` callable for a position tuple.
-
-    ``operator.itemgetter`` (C speed) for two or more positions; small
-    closures for the one- and zero-position cases, where itemgetter
-    would return a bare element instead of a tuple.  Getters are built
-    per :meth:`DeltaPlan.push_batch` call and never stored on the plan,
-    which must stay picklable for the process-pool shard executor.
-    """
-    if len(positions) >= 2:
-        return itemgetter(*positions)
-    if positions:
-        index = positions[0]
-        return lambda key: (key[index],)
-    return lambda key: ()
 
 
 class SiblingJoin:
@@ -197,296 +151,6 @@ class DeltaPlan:
         self.steps = steps
         self.ring = ring
 
-    def push(self, key: tuple, payload: Any, stats=None) -> None:
-        """Propagate one single-tuple delta along the compiled path.
-
-        Mirrors :meth:`ViewTreeEngine._propagate` exactly — same sibling
-        order, same early exits, same per-view delta-size samples into
-        ``stats`` — but runs on plain dicts and precomputed positions.
-        """
-        ring = self.ring
-        if ring.is_zero(payload):
-            return
-        mul = ring.mul
-        add = ring.add
-        is_zero = ring.is_zero
-        delta: dict[tuple, Any] = {key: payload}
-        lookups = 0
-        matches = 0
-        try:
-            for step in self.steps:
-                for join in step.siblings:
-                    if not delta:
-                        break
-                    data = join.relation.data
-                    mode = join.mode
-                    out: dict[tuple, Any] = {}
-                    if mode == DIRECT:
-                        positions = join.probe_positions
-                        lookups += len(delta)
-                        for dkey, dpayload in delta.items():
-                            other = data.get(tuple(dkey[i] for i in positions))
-                            if other is None:
-                                continue
-                            product = mul(dpayload, other)
-                            if not is_zero(product):
-                                out[dkey] = product
-                    elif mode == INDEXED:
-                        positions = join.probe_positions
-                        extend = join.extend_positions
-                        groups = join.index.groups
-                        lookups += len(delta)
-                        for dkey, dpayload in delta.items():
-                            bucket = groups.get(
-                                tuple(dkey[i] for i in positions)
-                            )
-                            if not bucket:
-                                continue
-                            matches += len(bucket)
-                            for skey in bucket:
-                                product = mul(dpayload, data[skey])
-                                if is_zero(product):
-                                    continue
-                                out[
-                                    dkey + tuple(skey[i] for i in extend)
-                                ] = product
-                    else:  # CROSS
-                        extend = join.extend_positions
-                        matches += len(data) * len(delta)
-                        for dkey, dpayload in delta.items():
-                            for skey, spayload in data.items():
-                                product = mul(dpayload, spayload)
-                                if is_zero(product):
-                                    continue
-                                out[
-                                    dkey + tuple(skey[i] for i in extend)
-                                ] = product
-                    delta = out
-                if not delta:
-                    return
-                guard = step.guard
-                if guard is not None:
-                    positions = step.guard_positions
-                    for dkey, dpayload in delta.items():
-                        guard.add(
-                            tuple(dkey[i] for i in positions), dpayload
-                        )
-                # Marginalize the node variable: aggregate onto the view
-                # schema, dropping entries that cancel to the ring zero.
-                positions = step.out_positions
-                lift = step.lift
-                aggregated: dict[tuple, Any] = {}
-                if lift is None:
-                    for dkey, dpayload in delta.items():
-                        okey = tuple(dkey[i] for i in positions)
-                        previous = aggregated.get(okey)
-                        aggregated[okey] = (
-                            dpayload
-                            if previous is None
-                            else add(previous, dpayload)
-                        )
-                else:
-                    lift_position = step.lift_position
-                    for dkey, dpayload in delta.items():
-                        okey = tuple(dkey[i] for i in positions)
-                        lifted = mul(dpayload, lift(dkey[lift_position]))
-                        previous = aggregated.get(okey)
-                        aggregated[okey] = (
-                            lifted
-                            if previous is None
-                            else add(previous, lifted)
-                        )
-                view = step.view
-                delta = {}
-                for okey, opayload in aggregated.items():
-                    if is_zero(opayload):
-                        continue
-                    view.add(okey, opayload)
-                    delta[okey] = opayload
-                if stats is not None:
-                    stats.record_delta(step.view_label, len(delta))
-                if not delta:
-                    return
-        finally:
-            if COUNTER.enabled:
-                if lookups:
-                    COUNTER.bump("lookup", lookups)
-                if matches:
-                    COUNTER.bump("enum", matches)
-
-    def push_batch(self, delta: dict, stats=None) -> None:
-        """Propagate one *coalesced* multi-tuple delta along the path.
-
-        ``delta`` maps key tuples to non-zero ring payloads — the
-        per-relation group a batch coalesces to (see
-        :func:`repro.data.update.coalesce_grouped`).  The propagation is
-        exactly :meth:`push` lifted to a dict of deltas, so the batch
-        equals the telescoped sum of its per-tuple pushes, with two batch
-        fusions on top:
-
-        * **shared sibling probes** — each sibling is probed once per
-          *distinct* join key across the whole delta, not once per
-          update.  A probe cache per sibling join memoizes the payload
-          (DIRECT) or the index bucket (INDEXED); repeated join keys —
-          the common case under skew — hit the cache instead of the
-          relation.  Cache hits are *not* counted as elementary lookups:
-          ``COUNTER`` sees only the probes actually issued, which is the
-          point (the saved probes are reported to ``stats`` instead).
-        * **fused view writes** — each step's aggregated delta lands on
-          the guard/view through one bulk
-          :meth:`~repro.data.relation.Relation.add_delta` pass instead
-          of one :meth:`~repro.data.relation.Relation.add` call per
-          entry.
-
-        Output keys never collide across the batch: every delta key has
-        the step's full schema, so two distinct keys extend to distinct
-        joined keys and the single-tuple assignment logic carries over;
-        only the marginalization (which drops a position) aggregates.
-        """
-        if not delta:
-            return
-        ring = self.ring
-        mul = ring.mul
-        add = ring.add
-        is_zero = ring.is_zero
-        # Inline the zero test for exact-zero rings: ``!= zero`` is one
-        # C-level comparison where ``is_zero`` is a Python call per
-        # payload — on the integer ring that call dominates otherwise.
-        exact = ring.exact_zero
-        zero = ring.zero
-        lookups = 0
-        matches = 0
-        shared = 0
-        miss = _MISS
-        try:
-            for step in self.steps:
-                for join in step.siblings:
-                    if not delta:
-                        break
-                    data = join.relation.data
-                    mode = join.mode
-                    out: dict[tuple, Any] = {}
-                    if mode == DIRECT:
-                        probe_of = _tuple_getter(join.probe_positions)
-                        cache: dict[tuple, Any] = {}
-                        for dkey, dpayload in delta.items():
-                            probe = probe_of(dkey)
-                            other = cache.get(probe, miss)
-                            if other is miss:
-                                lookups += 1
-                                other = data.get(probe)
-                                cache[probe] = other
-                            else:
-                                shared += 1
-                            if other is None:
-                                continue
-                            product = mul(dpayload, other)
-                            if (
-                                (product != zero)
-                                if exact
-                                else not is_zero(product)
-                            ):
-                                out[dkey] = product
-                    elif mode == INDEXED:
-                        probe_of = _tuple_getter(join.probe_positions)
-                        extend_of = _tuple_getter(join.extend_positions)
-                        groups = join.index.groups
-                        cache = {}
-                        for dkey, dpayload in delta.items():
-                            probe = probe_of(dkey)
-                            bucket = cache.get(probe, miss)
-                            if bucket is miss:
-                                lookups += 1
-                                bucket = groups.get(probe)
-                                cache[probe] = bucket
-                            else:
-                                shared += 1
-                            if not bucket:
-                                continue
-                            matches += len(bucket)
-                            for skey in bucket:
-                                product = mul(dpayload, data[skey])
-                                if (
-                                    (product == zero)
-                                    if exact
-                                    else is_zero(product)
-                                ):
-                                    continue
-                                out[dkey + extend_of(skey)] = product
-                    else:  # CROSS
-                        extend_of = _tuple_getter(join.extend_positions)
-                        matches += len(data) * len(delta)
-                        entries = list(data.items())
-                        for dkey, dpayload in delta.items():
-                            for skey, spayload in entries:
-                                product = mul(dpayload, spayload)
-                                if (
-                                    (product == zero)
-                                    if exact
-                                    else is_zero(product)
-                                ):
-                                    continue
-                                out[dkey + extend_of(skey)] = product
-                    delta = out
-                if not delta:
-                    return
-                guard = step.guard
-                if guard is not None:
-                    guard_of = _tuple_getter(step.guard_positions)
-                    guard.add_delta(
-                        (guard_of(dkey), dpayload)
-                        for dkey, dpayload in delta.items()
-                    )
-                out_of = _tuple_getter(step.out_positions)
-                lift = step.lift
-                aggregated: dict[tuple, Any] = {}
-                if lift is None:
-                    for dkey, dpayload in delta.items():
-                        okey = out_of(dkey)
-                        previous = aggregated.get(okey)
-                        aggregated[okey] = (
-                            dpayload
-                            if previous is None
-                            else add(previous, dpayload)
-                        )
-                else:
-                    lift_position = step.lift_position
-                    for dkey, dpayload in delta.items():
-                        okey = out_of(dkey)
-                        lifted = mul(dpayload, lift(dkey[lift_position]))
-                        previous = aggregated.get(okey)
-                        aggregated[okey] = (
-                            lifted
-                            if previous is None
-                            else add(previous, lifted)
-                        )
-                if exact:
-                    delta = {
-                        okey: opayload
-                        for okey, opayload in aggregated.items()
-                        if opayload != zero
-                    }
-                else:
-                    delta = {
-                        okey: opayload
-                        for okey, opayload in aggregated.items()
-                        if not is_zero(opayload)
-                    }
-                if delta:
-                    step.view.add_delta(delta.items())
-                if stats is not None:
-                    stats.record_delta(step.view_label, len(delta))
-                if not delta:
-                    return
-        finally:
-            if COUNTER.enabled:
-                if lookups:
-                    COUNTER.bump("lookup", lookups)
-                if matches:
-                    COUNTER.bump("enum", matches)
-            if stats is not None and (lookups or shared):
-                stats.record_probe_sharing(lookups, shared)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DeltaPlan({self.relation_name!r}, steps={len(self.steps)})"
@@ -572,9 +236,10 @@ def compile_delta_plans(engine) -> dict[str, list[DeltaPlan]]:
     """Compile one :class:`DeltaPlan` per (base relation, anchor) pair.
 
     The result maps a base relation name to the plans of its anchors, in
-    the same order as ``engine._anchors[name]`` — ``apply()`` zips the
-    two, so an update's leaf insert and its compiled propagation stay in
-    lock-step with the generic path's anchor loop.
+    the same order as ``engine._anchors[name]`` — the engine generates
+    one kernel per plan and ``apply()`` zips anchors with kernels, so an
+    update's leaf insert and its propagation stay in lock-step with the
+    generic path's anchor loop.
     """
     plans: dict[str, list[DeltaPlan]] = {}
     for name, anchors in engine._anchors.items():

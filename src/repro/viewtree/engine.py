@@ -29,6 +29,7 @@ walk would skip them.
 
 from __future__ import annotations
 
+import warnings
 from typing import Any, Iterator, Optional
 
 from ..data.database import Database
@@ -49,8 +50,8 @@ from .codegen import (
     new_codegen_info,
 )
 from .changes import ChangeTracker, MaterializedView, OutputDelta
-from .compile import DeltaPlan, compile_delta_plans
-from .enumplan import EnumPlan, _flatten, compile_enum_plan
+from .compile import compile_delta_plans
+from .enumplan import _flatten, compile_enum_plan
 from .epoch import EpochSnapshot
 
 
@@ -117,9 +118,9 @@ class ViewTreeEngine(Observable):
     #: updates (0 disables periodic memory sampling).
     view_sample_interval: int = 64
 
-    #: Minimum batch size routed through the compiled batch kernel.
+    #: Minimum batch size routed through the generated batch kernels.
     #: Below it there is nothing to coalesce or share, so the per-tuple
-    #: compiled path wins on plain call overhead.
+    #: kernels win on plain call overhead.
     batch_compile_threshold: int = 2
 
     #: Engines exposing publish_epoch / *_snapshot reads (feature probe
@@ -134,9 +135,7 @@ class ViewTreeEngine(Observable):
         lifting: LiftingMap | None = None,
         stats=None,
         leaf_filter=None,
-        compile_plans: bool = True,
-        compile_enum: bool = True,
-        codegen: bool = True,
+        generated: bool = True,
     ):
         """Build the view tree over ``database``.
 
@@ -151,31 +150,23 @@ class ViewTreeEngine(Observable):
         lets several engines share one database, each maintaining a
         disjoint hash shard of it.
 
-        ``compile_plans`` pre-compiles one :class:`~repro.viewtree.compile.
-        DeltaPlan` per (base relation, anchor) pair so single-tuple
-        updates run through the allocation-free kernel; pass ``False``
-        to force the generic interpretation path (the ``--no-compile``
-        escape hatch).  Batch rebuilds always use the generic bottom-up
-        rebuild regardless.
+        ``generated`` (the default) plans every (base relation, anchor)
+        propagation path and the free-top enumeration walk
+        (:mod:`repro.viewtree.compile`, :mod:`repro.viewtree.enumplan`)
+        and source-generates one kernel per plan, eagerly, here
+        (:mod:`repro.viewtree.codegen`).  Pass ``False`` for the
+        reference implementation: no plan and no kernel is built, and
+        maintenance and enumeration run the generic walk
+        (:meth:`_propagate`, :meth:`_enumerate_generic`) — the
+        differential-testing oracle, which shares no coalescing,
+        planning or execution code with the kernels.  Batch rebuilds,
+        empty-head queries and non-free-top orders use the generic code
+        either way.
 
-        ``compile_enum`` is the read-side twin: it pre-compiles one
-        :class:`~repro.viewtree.enumplan.EnumPlan` from the free-top
-        variable order so :meth:`enumerate` (including prebound CQAP
-        lookups) runs through the flat slot-array kernel; pass ``False``
-        (the ``--no-compile-enum`` escape hatch) for the generic
-        recursive walk.  Empty-head queries and non-free-top orders
-        always use the generic path.
-
-        ``codegen`` takes the compiled plans one rung further: each
-        :class:`DeltaPlan`/:class:`EnumPlan` is source-generated into an
-        exec-compiled kernel (:mod:`repro.viewtree.codegen`) with the
-        step loops unrolled and projections/ring ops inlined; batches
-        run over columnar key/payload lists.  Pass ``False`` (the
-        ``--no-codegen`` escape hatch) to run the interpreted plans —
-        the bit-identical differential-testing oracle.  A plan whose
-        generation fails falls back to interpretation (counted as
-        ``fallbacks`` in the ``codegen`` obs block) without affecting
-        the others.
+        A plan whose generation raises is never silent: the relation
+        (or the enumeration) runs the generic walk, ``fallbacks`` in the
+        ``codegen`` obs block counts it, and a :class:`RuntimeWarning`
+        names it and the exception.
         """
         self.query = query
         self.database = database
@@ -194,51 +185,35 @@ class ViewTreeEngine(Observable):
         self._anchors: dict[str, list[tuple[Atom, ViewNode, Relation]]] = {}
         for var_root in self.order.roots:
             self.roots.append(self._build_node(var_root, None))
-        #: relation name -> list of DeltaPlans, parallel to _anchors.
-        self._plans: dict[str, list[DeltaPlan]] = {}
-        self.compiled = False
-        if compile_plans:
-            self._plans = compile_delta_plans(self)
-            self.compiled = True
-        #: Compiled enumeration plan (None -> generic recursive walk).
-        self._enum_plan: EnumPlan | None = (
-            compile_enum_plan(self) if compile_enum else None
-        )
-        self.enum_compiled = self._enum_plan is not None
-        #: Source-generated kernels: relation name -> list parallel to
-        #: _plans (None entries fall back to the interpreted plan), plus
-        #: the read-path kernel.  Built only when ``codegen`` is set.
-        self._kernels: dict[str, list[DeltaKernel | None]] = {}
+        #: Whether this engine runs generated kernels (the production
+        #: path) or the generic walk (the oracle).
+        self.generated = generated
+        #: relation name -> generated kernels, parallel to _anchors (each
+        #: kernel carries its ``.plan``).  A relation absent from this
+        #: map — generation failed for one of its anchors — runs the
+        #: generic walk.
+        self._kernels: dict[str, list[DeltaKernel]] = {}
+        #: Generated read-path kernel (None -> generic recursive walk).
         self._enum_kernel: EnumKernel | None = None
         #: Generation counters, recorded into the first attached stats
         #: recorder (then cleared, so re-attachment never double-counts).
         self._codegen_info: dict | None = None
-        self.codegen = False
-        if codegen and (self.compiled or self._enum_plan is not None):
-            info = new_codegen_info()
-            for name, plans in self._plans.items():
-                row: list[DeltaKernel | None] = []
-                for plan in plans:
-                    try:
-                        row.append(compile_delta_kernel(plan, info))
-                    except Exception:
-                        info["fallbacks"] += 1
-                        row.append(None)
-                self._kernels[name] = row
-            if self._enum_plan is not None:
+        if generated:
+            self._codegen_info = info = new_codegen_info()
+            for name, plans in compile_delta_plans(self).items():
                 try:
-                    self._enum_kernel = compile_enum_kernel(
-                        self._enum_plan, info
-                    )
-                except Exception:
-                    info["fallbacks"] += 1
-            self.codegen = self._enum_kernel is not None or any(
-                kernel is not None
-                for row in self._kernels.values()
-                for kernel in row
-            )
-            self._codegen_info = info
-        #: Lazily-built flat schedule for the generic fallback walk.
+                    self._kernels[name] = [
+                        compile_delta_kernel(plan, info) for plan in plans
+                    ]
+                except Exception as exc:
+                    self._generation_failed(f"relation {name!r}", exc)
+            enum_plan = compile_enum_plan(self)
+            if enum_plan is not None:
+                try:
+                    self._enum_kernel = compile_enum_kernel(enum_plan, info)
+                except Exception as exc:
+                    self._generation_failed("enumeration", exc)
+        #: Lazily-built flat schedule for the generic enumeration walk.
         self._enum_schedule: list | None = None
         #: Last published epoch number and its frozen snapshot.
         self.epoch = 0
@@ -248,6 +223,16 @@ class ViewTreeEngine(Observable):
         self._updates_since_sample = 0
         if stats is not None:
             self.attach_stats(stats)
+
+    def _generation_failed(self, what: str, exc: Exception) -> None:
+        """Count and report one plan the generic walk now serves."""
+        self._codegen_info["fallbacks"] += 1
+        warnings.warn(
+            f"kernel generation failed for {what} of query "
+            f"{self.query.name!r} ({exc!r}); it runs the generic walk",
+            RuntimeWarning,
+            stacklevel=3,
+        )
 
     def __getstate__(self):
         # Epoch snapshots are keyed by object identity, which does not
@@ -338,28 +323,20 @@ class ViewTreeEngine(Observable):
         pass ``False`` when a coordinator shares one database among
         several engines and applies base updates itself.
 
-        With compiled plans (the default) the delta runs through the
-        allocation-free :meth:`~repro.viewtree.compile.DeltaPlan.push`
-        kernel; otherwise — or for a relation without a plan — it falls
-        back to the generic :meth:`_propagate` interpretation.
+        The delta runs through the relation's generated ``push``
+        kernels; a relation without kernels (``generated=False``, or a
+        reported generation failure) takes the generic
+        :meth:`_propagate` walk.
         """
         if update_base and update.relation in self.database:
             self.database[update.relation].add(update.key, update.payload)
         anchors = self._anchors.get(update.relation, ())
-        plans = self._plans.get(update.relation) if self.compiled else None
-        if plans is not None:
+        kernels = self._kernels.get(update.relation)
+        if kernels is not None:
             stats = self._maintenance_stats
-            kernels = self._kernels.get(update.relation)
-            if kernels is None:
-                kernels = (None,) * len(plans)
-            for (_atom, _node, leaf), plan, kernel in zip(
-                anchors, plans, kernels
-            ):
+            for (_atom, _node, leaf), kernel in zip(anchors, kernels):
                 leaf.add(update.key, update.payload)
-                if kernel is not None:
-                    kernel.push(update.key, update.payload, stats)
-                else:
-                    plan.push(update.key, update.payload, stats)
+                kernel.push(update.key, update.payload, stats)
         else:
             for atom, node, leaf in anchors:
                 delta = Relation(f"d_{atom}", leaf.schema, self.ring)
@@ -384,11 +361,11 @@ class ViewTreeEngine(Observable):
         :meth:`apply_coalesced_batch` does the rest.
         """
         batch = list(batch)
-        if self._kernels or not self.compiled:
+        if self.generated:
             columns = coalesce_columnar(batch, self.ring)
         else:
-            # Interpreted plans are the generated kernels' differential
-            # oracle: they keep the dict coalescer, so the two sides
+            # The generic walk is the generated kernels' differential
+            # oracle: it keeps the dict coalescer, so the two sides
             # share no coalescing code (the numpy path least of all).
             columns = {
                 name: (list(deltas), list(deltas.values()))
@@ -425,14 +402,13 @@ class ViewTreeEngine(Observable):
            land on the leaves directly and all views are rebuilt
            bottom-up in one pass (see the batch-rebuild ablation bench
            for the crossover);
-        2. **compiled batch** — with compiled plans and at least
-           ``batch_compile_threshold`` updates, each relation's columns
-           feed the generated batch kernel of every anchor (the
-           interpreted :meth:`~repro.viewtree.compile.DeltaPlan.
-           push_batch` where no kernel exists) — bulk leaf writes,
-           sibling probes shared across the group;
-        3. **per-tuple** — otherwise, one :meth:`apply` per tuple (the
-           generic interpretation when plans are disabled).
+        2. **batch kernels** — a ``generated`` engine with at least
+           ``batch_compile_threshold`` updates feeds each relation's
+           columns to the generated ``push_batch`` kernel of every
+           anchor — bulk leaf writes, sibling probes shared across the
+           group;
+        3. **per-tuple** — otherwise, and for a relation whose kernels
+           failed to generate, one :meth:`apply` per tuple.
 
         Correctness of step 2 rests on the anchor loop mirroring the
         per-tuple path at batch granularity — bulk leaf insert, then one
@@ -467,7 +443,7 @@ class ViewTreeEngine(Observable):
                 if stats is not None:
                     self.sample_view_sizes()
                 return
-        if not self.compiled or raw < self.batch_compile_threshold:
+        if not self.generated or raw < self.batch_compile_threshold:
             for name, (keys, pays) in columns.items():
                 for key, payload in zip(keys, pays):
                     self.apply(Update(name, key, payload), update_base)
@@ -475,26 +451,21 @@ class ViewTreeEngine(Observable):
         if stats is not None:
             stats.record_batch_coalesce(raw, size)
         for name, (keys, pays) in columns.items():
+            kernels = self._kernels.get(name)
+            if kernels is None and name in self._anchors:
+                # Generation failed for this relation: the generic walk.
+                for key, payload in zip(keys, pays):
+                    self.apply(Update(name, key, payload), update_base)
+                continue
             if update_base and name in database:
                 database[name].add_delta(zip(keys, pays))
-            plans = self._plans.get(name)
-            if not plans:
-                continue
-            kernels = self._kernels.get(name)
             if kernels is None:
-                kernels = (None,) * len(plans)
-            deltas = None
-            for (_atom, _node, leaf), plan, kernel in zip(
-                self._anchors[name], plans, kernels
+                continue
+            for (_atom, _node, leaf), kernel in zip(
+                self._anchors[name], kernels
             ):
                 leaf.add_delta(zip(keys, pays))
-                if kernel is not None:
-                    kernel.push_batch(keys, pays, stats)
-                else:
-                    # Interpreted plans take the delta as a dict.
-                    if deltas is None:
-                        deltas = dict(zip(keys, pays))
-                    plan.push_batch(deltas, stats)
+                kernel.push_batch(keys, pays, stats)
         if stats is not None:
             self._maybe_sample_views(raw)
 
@@ -579,7 +550,7 @@ class ViewTreeEngine(Observable):
         ``cow_buckets_copied``); a shard coordinator passes ``False`` and
         records one aggregate publish itself.
         """
-        if self._enum_plan is None and self.query.head and self.order.is_free_top():
+        if self._enum_kernel is None and self.query.head and self.order.is_free_top():
             # The generic walk builds guard group-indexes lazily on first
             # enumeration; force them into existence so the snapshot
             # captures them (the snapshot path never mutates the engine).
@@ -773,7 +744,7 @@ class ViewTreeEngine(Observable):
         stats=None,
         epoch: EpochSnapshot | None = None,
     ) -> Iterator[tuple[tuple, Any]]:
-        """Dispatch to the compiled kernel or the generic recursive walk.
+        """Dispatch to the generated kernel or the generic recursive walk.
 
         ``stats`` feeds the kernel's structural read-path counters
         (``enum_compiled``, guard probes); internal materializations pass
@@ -786,13 +757,10 @@ class ViewTreeEngine(Observable):
         kernel = self._enum_kernel
         if kernel is not None:
             return kernel.iterate(prebound, stats, epoch=epoch)
-        plan = self._enum_plan
-        if plan is not None:
-            return plan.iterate(prebound, stats, epoch=epoch)
         return self._enumerate_generic(prebound, epoch=epoch)
 
     def _enum_schedule_specs(self) -> list[tuple]:
-        """Flatten the enumeration walk for the generic fallback.
+        """Flatten the enumeration walk for :meth:`_enumerate_generic`.
 
         The recursion's ``children + rest`` continuation is data
         independent, so the node sequence — with per-node guard,

@@ -1,14 +1,14 @@
-"""Compiled constant-delay enumeration kernels for the view-tree read path.
+"""Enumeration plans: the read-path IR of the view-tree kernels.
 
 This is the read-side twin of :mod:`repro.viewtree.compile`.  The generic
 factorized enumeration (:meth:`ViewTreeEngine._enumerate_generic`) already
 achieves the constant-delay bound of Theorem 4.1 / Example 4.4 for
 q-hierarchical queries under a free-top order, but — exactly like the
-pre-compilation write path — it pays a large *constant* for it: every
-surviving candidate allocates a fresh continuation list, every binding
-goes through a dict keyed by variable name, every key assembly re-reads
-``schema.position``, and every output tuple is yielded through a chain of
-nested generator frames proportional to the variable-order depth.
+generic write path — it pays a large *constant* for it: every surviving
+candidate goes through a name-keyed binding dict, every key assembly
+re-reads the schedule's variable tuples, and every output tuple is
+yielded through a chain of nested generator frames proportional to the
+variable-order depth.
 
 All of that depends only on the *query*, never on the data.
 :func:`compile_enum_plan` therefore flattens the enumeration walk once,
@@ -21,52 +21,39 @@ at engine construction:
 * the name-keyed binding dict becomes a flat *slot array*; every probe —
   guard group keys, prebound guard checks, anchored-leaf lookups, bound
   view lookups, head projection — is a precomputed tuple of slot
-  positions, assembled with ``operator.itemgetter`` at C speed;
+  positions;
 * the guard of every free step resolves to its
   :class:`~repro.data.relation.GroupIndex` (created at compile time and
   incrementally maintained by every subsequent update, exactly as the
-  generic path's lazy ``index_on`` would);
-* ring operations bind once per enumeration and the zero test inlines to
-  one ``==`` comparison for :attr:`~repro.rings.base.Semiring.exact_zero`
-  rings;
-* the driver (:meth:`EnumPlan.iterate`) is a *single* generator running
-  an explicit stack of candidate iterators — output tuples surface
-  through one frame regardless of the variable-order depth.
+  generic path's lazy ``index_on`` would).
 
-Access-pattern requests (``enumerate(prebound=...)``, the CQAP engine of
-Section 4.3) run through the same plan: a prebound variable's step swaps
-its candidate iteration for one O(1) guard probe, so a fully-bound point
-lookup is a constant number of hash probes end to end.
+An :class:`EnumPlan` is data only — it executes nothing.  Its one
+consumer is :mod:`repro.viewtree.codegen`, which emits the plan as one
+generator of nested literal loops over named slot locals.  Access-pattern
+requests (``enumerate(prebound=...)``, the CQAP engine of Section 4.3)
+run through the same plan: a prebound variable's step swaps its
+candidate iteration for one O(1) guard probe.
 
-The kernel executes the *same* probe sequence as the generic walk — same
-guard buckets in the same insertion order, same leaf/view lookups, same
-zero tests — so outputs are bit-identical (the differential suites in
+The plan describes the *same* probe sequence as the generic walk — same
+guard buckets in the same insertion order, same leaf/view lookups — so
+the generated kernel's output is bit-identical to an engine built with
+``generated=False`` (the differential suites in
 ``tests/test_enum_kernel.py`` and ``benchmarks/bench_enum_kernel.py``
-pin this) and the constant-delay asymptotics are untouched.  Elementary
-operations are counted with the generic path's shape (one ``lookup`` per
-probe, one ``enum`` per candidate consumed) and flushed to the global
-:data:`~repro.data.opcounter.COUNTER` at every yield, so delay-profile
-assertions over the counter see the same flat gaps.
+pin this) and the constant-delay asymptotics are untouched.
 
 Everything stored on a plan is positions, relation references, group
-indexes, and the ring singleton, so compiled enumeration plans pickle
-with their engine — process-pool shards ship engines whole, and the
-pickle memo keeps plan references identical to the view tree's own
-relations.
+indexes, and the ring singleton, so plans pickle — a generated kernel
+pickles as "regenerate from my plan", and the pickle memo keeps plan
+references identical to the view tree's own relations when an engine is
+shipped whole.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
-from ..data.opcounter import COUNTER
 from ..data.relation import GroupIndex, Relation
 from ..rings.base import Semiring
-from .compile import _tuple_getter
-
-#: Sentinel distinguishing "no prebound value" / "iterator exhausted"
-#: from legitimate ``None`` values.
-_MISS = object()
 
 
 class EnumStep:
@@ -141,192 +128,6 @@ class EnumPlan:
         #: (connected components with no free variable).
         self.prefix_probes = prefix_probes
         self.steps = steps
-
-    def iterate(
-        self, prebound: dict[str, Any] | None = None, stats=None, epoch=None
-    ) -> Iterator[tuple[tuple, Any]]:
-        """Enumerate ``(head key, payload)`` pairs through the plan.
-
-        Mirrors the generic recursive walk exactly — same candidate
-        order, same probes, same zero tests, same ring-operation order
-        (so float payloads stay bit-identical) — on flat slot arrays and
-        one explicit stack.  ``stats`` receives the structural read-path
-        counters (``enum_compiled``, guard probes); pass ``None`` for an
-        unobserved materialization.
-
-        ``epoch`` (an :class:`~repro.viewtree.epoch.EpochSnapshot`)
-        redirects every dict binding — guard data, group buckets, leaf
-        and view payloads — to the published snapshot's frozen dicts, so
-        the walk is identical but reads a consistent committed state
-        while maintenance mutates the live relations from another thread.
-        """
-        ring = self.ring
-        mul = ring.mul
-        is_zero = ring.is_zero
-        exact = ring.exact_zero
-        zero = ring.zero
-        one = ring.one
-        counter = COUNTER
-        miss = _MISS
-        steps = self.steps
-        nsteps = len(steps)
-        lookups = 0
-        enums = 0
-        guard_probes = 0
-        if stats is not None:
-            stats.record_compiled_enumeration()
-        try:
-            # Dict source: live relation attributes, or — for snapshot
-            # reads — the epoch's frozen dicts.  Everything below this
-            # pair of accessors is identical in both modes.
-            if epoch is None:
-                data_of = None
-            else:
-                data_of = epoch.data_of
-            slots: list = [None] * self.nslots
-            payload = one
-            for view, positions in self.prefix_probes:
-                lookups += 1
-                vdata = view.data if data_of is None else data_of(view)
-                factor = vdata.get(_tuple_getter(positions)(slots))
-                if factor is None:
-                    return
-                payload = mul(payload, factor)
-                if (payload == zero) if exact else is_zero(payload):
-                    return
-
-            # Per-call locals: plain parallel lists so the hot loop pays
-            # list indexing instead of attribute lookups, and itemgetters
-            # (built here, never stored — plans must stay picklable).
-            modes = (
-                [prebound.get(step.variable, miss) for step in steps]
-                if prebound
-                else None
-            )
-            if data_of is None:
-                guard_data = [step.guard.data for step in steps]
-                groups = [step.index.groups for step in steps]
-            else:
-                guard_data = [data_of(step.guard) for step in steps]
-                groups = [
-                    epoch.groups_of(step.guard, step.index.group_vars)
-                    for step in steps
-                ]
-            group_of = [_tuple_getter(step.group_positions) for step in steps]
-            probe_of = [_tuple_getter(step.probe_positions) for step in steps]
-            var_slot = [step.var_slot for step in steps]
-            var_pos = [step.var_pos for step in steps]
-            leaf_probes = [
-                tuple(
-                    (
-                        leaf.data if data_of is None else data_of(leaf),
-                        _tuple_getter(positions),
-                    )
-                    for leaf, positions in step.leaf_probes
-                )
-                for step in steps
-            ]
-            post_probes = [
-                tuple(
-                    (
-                        view.data if data_of is None else data_of(view),
-                        _tuple_getter(positions),
-                    )
-                    for view, positions in step.post_probes
-                )
-                for step in steps
-            ]
-            head_of = _tuple_getter(self.head_positions)
-
-            # Explicit-stack driver.  ``iters[d]`` holds the candidate
-            # iterator at depth ``d``, ``pay_in[d]`` the payload entering
-            # that depth; ``pending`` marks a freshly-entered depth whose
-            # iterator still needs creating.
-            iters: list = [None] * nsteps
-            pay_in: list = [None] * nsteps
-            checked = [False] * nsteps
-            pay_in[0] = payload
-            last = nsteps - 1
-            depth = 0
-            pending = True
-            while depth >= 0:
-                if pending:
-                    pending = False
-                    value = modes[depth] if modes is not None else miss
-                    guard_probes += 1
-                    lookups += 1
-                    if value is miss:
-                        checked[depth] = False
-                        bucket = groups[depth].get(group_of[depth](slots))
-                        if not bucket:
-                            depth -= 1
-                            continue
-                        iters[depth] = iter(bucket)
-                    else:
-                        checked[depth] = True
-                        # Access-pattern check: one O(1) guard probe for
-                        # the given value instead of candidate iteration.
-                        slots[var_slot[depth]] = value
-                        probe = probe_of[depth](slots)
-                        if probe not in guard_data[depth]:
-                            depth -= 1
-                            continue
-                        iters[depth] = iter((probe,))
-                key = next(iters[depth], miss)
-                if key is miss:
-                    depth -= 1
-                    continue
-                if not checked[depth]:
-                    enums += 1
-                slots[var_slot[depth]] = key[var_pos[depth]]
-                p = pay_in[depth]
-                factor = one
-                dead = False
-                for data, get in leaf_probes[depth]:
-                    lookups += 1
-                    value = data.get(get(slots))
-                    if value is None:
-                        dead = True
-                        break
-                    factor = mul(factor, value)
-                if dead:
-                    continue
-                p = mul(p, factor)
-                if (p == zero) if exact else is_zero(p):
-                    continue
-                for data, get in post_probes[depth]:
-                    lookups += 1
-                    value = data.get(get(slots))
-                    if value is None:
-                        dead = True
-                        break
-                    p = mul(p, value)
-                    if (p == zero) if exact else is_zero(p):
-                        dead = True
-                        break
-                if dead:
-                    continue
-                if depth == last:
-                    if counter.enabled:
-                        if lookups:
-                            counter.bump("lookup", lookups)
-                            lookups = 0
-                        if enums:
-                            counter.bump("enum", enums)
-                            enums = 0
-                    yield head_of(slots), p
-                    continue
-                depth += 1
-                pay_in[depth] = p
-                pending = True
-        finally:
-            if counter.enabled:
-                if lookups:
-                    counter.bump("lookup", lookups)
-                if enums:
-                    counter.bump("enum", enums)
-            if stats is not None and guard_probes:
-                stats.record_enum_probes(guard_probes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnumPlan(steps={len(self.steps)}, slots={self.nslots})"

@@ -85,18 +85,10 @@ class EagerFact(MaintenanceStrategy):
         database: Database,
         order: VariableOrder | None = None,
         lifting: LiftingMap | None = None,
-        compile_plans: bool = True,
-        compile_enum: bool = True,
-        codegen: bool = True,
+        generated: bool = True,
     ):
         self.engine = ViewTreeEngine(
-            query,
-            database,
-            order,
-            lifting,
-            compile_plans=compile_plans,
-            compile_enum=compile_enum,
-            codegen=codegen,
+            query, database, order, lifting, generated=generated
         )
 
     def _propagate_stats(self, stats) -> None:
@@ -109,7 +101,7 @@ class EagerFact(MaintenanceStrategy):
     @observed
     def apply_batch(self, batch) -> None:
         """Batch maintenance through the engine's three-way heuristic
-        (compiled-batch / per-tuple / rebuild)."""
+        (batch kernels / per-tuple / rebuild)."""
         self.engine.apply_batch(list(batch))
 
     def enumerate(self) -> Iterator[tuple[tuple, Any]]:
@@ -188,28 +180,19 @@ class LazyFact(MaintenanceStrategy):
         database: Database,
         order: VariableOrder | None = None,
         lifting: LiftingMap | None = None,
-        compile_enum: bool = True,
-        codegen: bool = True,
+        generated: bool = True,
     ):
         self.query = query
         self.database = database
         self.order = order
         self.lifting = lifting
-        self.compile_enum = compile_enum
-        self.codegen = codegen
-        # Lazy rebuilds never propagate deltas, so compiling per-anchor
-        # delta plans on every rebuild would be pure overhead.  The
-        # enumeration plan, by contrast, is what serves the request.
-        # Enum codegen rides along: rebuilds hit the process-wide shape
-        # cache, so only the first rebuild pays generation time.
+        self.generated = generated
+        # Rebuilds hit the process-wide kernel shape cache, so only the
+        # first one pays generation time; the delta kernels a lazy
+        # rebuild never runs ride along for tens of microseconds against
+        # the O(N) rebuild itself.
         self._engine = ViewTreeEngine(
-            query,
-            database,
-            order,
-            lifting,
-            compile_plans=False,
-            compile_enum=compile_enum,
-            codegen=codegen,
+            query, database, order, lifting, generated=generated
         )
         self._dirty = False
 
@@ -230,9 +213,7 @@ class LazyFact(MaintenanceStrategy):
                 self.database,
                 self.order,
                 self.lifting,
-                compile_plans=False,
-                compile_enum=self.compile_enum,
-                codegen=self.codegen,
+                generated=self.generated,
             )
             # The rebuilt tree inherits the attached recorder, if any.
             self._engine._maintenance_stats = self._maintenance_stats
@@ -256,9 +237,7 @@ def make_strategy(
             f"unknown strategy {name!r}; choose from {sorted(STRATEGIES)}"
         ) from None
     if factory is EagerList or factory is LazyList:
+        # The list strategies run no view tree: no order, no kernels.
         kwargs.pop("order", None)
-        kwargs.pop("compile_enum", None)
-        kwargs.pop("codegen", None)
-    if factory is LazyFact:
-        kwargs.pop("compile_plans", None)
+        kwargs.pop("generated", None)
     return factory(query, database, **kwargs)

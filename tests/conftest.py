@@ -7,6 +7,8 @@ import random
 import pytest
 
 from repro.data import Database
+from repro.rings import Z
+from repro.viewtree import ViewTreeEngine
 
 
 @pytest.fixture
@@ -48,6 +50,45 @@ def random_binary_relation(db, name, vars, rng, n, domain):
     for _ in range(n):
         relation.insert(*(rng.randrange(domain) for _ in vars))
     return relation
+
+
+def seeded_db(schemas, rng, rows=60, domain=8, ring=Z):
+    """A database of ``rows`` random ring-one tuples per ``(name, schema)``."""
+    db = Database(ring=ring)
+    for name, schema in schemas:
+        relation = db.create(name, schema)
+        for _ in range(rows):
+            key = tuple(rng.randrange(domain) for _ in schema)
+            relation.add(key, ring.one)
+    return db
+
+
+def twin_engines(
+    query, schemas, seed, order=None, lifting=None, ring=Z, rows=60
+):
+    """``(generated, oracle)`` engines over identically-seeded databases.
+
+    The first runs the source-generated kernels (the production path);
+    the second is the differential oracle — ``generated=False``: no
+    plan, no kernel, the generic walk with the dict coalescer.
+    """
+    generated = ViewTreeEngine(
+        query,
+        seeded_db(schemas, random.Random(seed), rows=rows, ring=ring),
+        order,
+        lifting,
+    )
+    oracle = ViewTreeEngine(
+        query,
+        seeded_db(schemas, random.Random(seed), rows=rows, ring=ring),
+        order,
+        lifting,
+        generated=False,
+    )
+    assert generated.generated and generated._kernels
+    assert not oracle.generated
+    assert not oracle._kernels and oracle._enum_kernel is None
+    return generated, oracle
 
 
 def valid_stream(rng, relations, count, domain=8, delete_prob=0.25):

@@ -1,15 +1,15 @@
-"""Batch-compiled delta kernels (coalesce + DeltaPlan.push_batch).
+"""Generated batch delta kernels (coalesce + the generated push_batch).
 
 The batch path must be *semantically invisible*: for any valid update
 stream sliced into batches, the batch-kernel engine's views, scalars and
-enumerations are bit-identical to the per-tuple compiled path's — which
-is itself differential-tested against the generic interpreter and naive
+enumerations are bit-identical to the per-tuple kernel path's — which
+is itself differential-tested against the generic walk and naive
 recomputation.  On top of equivalence, these tests pin the batch-only
 machinery: ring coalescing (cancellation, ordering), fused
 ``Relation.add_delta`` writes with index maintenance, probe-sharing and
 coalescing observability counters, the ``apply_batch`` heuristic tiers,
 the Fig. 4 strategy surface, and the sharded executors (the process pool
-runs ``push_batch`` on unpickled plans).
+runs ``push_batch`` inside its worker processes).
 """
 
 from __future__ import annotations
@@ -29,17 +29,7 @@ from repro.shard import ShardedEngine
 from repro.viewtree import ViewTreeEngine
 from repro.viewtree.strategies import STRATEGIES, make_strategy
 
-from tests.conftest import valid_stream
-
-
-def seeded_db(schemas, rng, rows=60, domain=8, ring=Z):
-    db = Database(ring=ring)
-    for name, schema in schemas:
-        relation = db.create(name, schema)
-        for _ in range(rows):
-            key = tuple(rng.randrange(domain) for _ in schema)
-            relation.add(key, ring.one)
-    return db
+from tests.conftest import seeded_db, valid_stream
 
 
 def batched(engine, stream, batch_size, **kwargs):
@@ -389,7 +379,7 @@ class TestBatchObservability:
         engine = ViewTreeEngine(
             query,
             seeded_db(self.SCHEMAS, random.Random(3)),
-            compile_plans=False,
+            generated=False,
         )
         batched(engine, stream, 30)
         assert engine.output_relation() == evaluate(query, engine.database)
@@ -452,14 +442,12 @@ class TestShardedBatch:
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_sharded_batches_match_unsharded(self, executor):
         """The coordinator coalesces before splitting; the process pool
-        additionally exercises ``push_batch`` on unpickled plans."""
+        additionally exercises ``push_batch`` inside worker processes."""
         query = parse_query(self.QUERY)
         stream = valid_stream(random.Random(53), {"R": 2, "S": 1}, 150)
         expected = self._unsharded_output(stream)
         db = seeded_db(self.SCHEMAS, random.Random(47), rows=25)
-        with ShardedEngine(
-            query, db, shards=2, executor=executor, compile_plans=True
-        ) as sharded:
+        with ShardedEngine(query, db, shards=2, executor=executor) as sharded:
             batched(sharded, stream, 50)
             assert sharded.output_relation().to_dict() == expected
             assert sharded.output_relation() == evaluate(query, db)

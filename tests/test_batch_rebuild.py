@@ -66,13 +66,13 @@ class TestBatchApplication:
     def test_rebuild_cheaper_for_database_sized_batches(self, rng):
         """The motivation from the paper's opening paragraph, inverted:
         when the change is NOT small, recomputation beats *per-tuple*
-        propagation — and the compiled batch kernel, which coalesces the
+        propagation — and the generated batch kernel, which coalesces the
         3000 updates down to the ~144 distinct keys they touch, beats
         per-tuple propagation by an even wider margin."""
         import random
 
         local = random.Random(2)
-        engine, _db = fresh_engine(local, rows=50, compile_plans=False)
+        engine, _db = fresh_engine(local, rows=50, generated=False)
         big_batch = [
             Update("R", (local.randrange(12), local.randrange(12)), 1)
             for _ in range(3000)

@@ -3,9 +3,12 @@
 The codegen layer must be *semantically invisible*: for any valid update
 stream, any ring (exact-zero and tolerance/structural alike), any
 strategy, and any shard executor, an engine running generated kernels
-produces bit-identical views, enumerations, and operation counters to
-the same engine running the interpreted plans — which are themselves
-differential-tested against naive recomputation.  Plus the satellites:
+produces bit-identical views and enumerations (contents AND order) to
+the oracle — the same engine built with ``generated=False``, which runs
+the generic walk and shares no coalescing, planning or execution code
+with the kernels.  A plan whose generation fails must be reported
+(warning + ``codegen.fallbacks``) and served by the generic walk with
+the same results.  Plus the satellites:
 the plan-shape cache must key on ring identity (never on relation or
 anchor names), kernels must survive pickling through process-pool
 shards, `explain --kernel-source` must be deterministic, the columnar
@@ -49,31 +52,7 @@ from repro.viewtree.codegen import (
     shape_cache_size,
 )
 
-from tests.conftest import valid_stream
-
-
-def seeded_db(schemas, rng, rows=60, domain=8, ring=Z):
-    db = Database(ring=ring)
-    for name, schema in schemas:
-        relation = db.create(name, schema)
-        for _ in range(rows):
-            key = tuple(rng.randrange(domain) for _ in schema)
-            relation.add(key, ring.one)
-    return db
-
-
-def twin_engines(query, schemas, seed, ring=Z, lifting=None, order=None):
-    """A codegen engine and an interpreted engine, identically seeded."""
-    generated = ViewTreeEngine(
-        query, seeded_db(schemas, random.Random(seed), ring=ring),
-        order, lifting, codegen=True,
-    )
-    interpreted = ViewTreeEngine(
-        query, seeded_db(schemas, random.Random(seed), ring=ring),
-        order, lifting, codegen=False,
-    )
-    assert generated.codegen and not interpreted.codegen
-    return generated, interpreted
+from tests.conftest import seeded_db, twin_engines, valid_stream
 
 
 def ring_stream(rng, schemas, ring, count, deletes, domain=8):
@@ -89,14 +68,14 @@ def ring_stream(rng, schemas, ring, count, deletes, domain=8):
     return stream
 
 
-def assert_twins_agree(generated, interpreted, query):
+def assert_twins_agree(generated, oracle, query):
     if query.head:
-        assert list(generated.enumerate()) == list(interpreted.enumerate())
+        assert list(generated.enumerate()) == list(oracle.enumerate())
     else:
-        assert generated.scalar() == interpreted.scalar()
+        assert generated.scalar() == oracle.scalar()
     assert (
         generated.output_relation().to_dict()
-        == interpreted.output_relation().to_dict()
+        == oracle.output_relation().to_dict()
     )
 
 
@@ -121,10 +100,10 @@ class TestDifferentialFuzz:
     @pytest.mark.parametrize("text,schemas", QUERIES)
     def test_mixed_stream_bit_identical(self, text, schemas):
         query = parse_query(text)
-        generated, interpreted = twin_engines(query, schemas, seed=17)
+        generated, oracle = twin_engines(query, schemas, seed=17)
         stream = ring_stream(random.Random(23), schemas, Z, 600, True)
         s_gen = generated.attach_stats()
-        s_int = interpreted.attach_stats()
+        s_orc = oracle.attach_stats()
         # Interleave per-tuple pushes with batches of several sizes so
         # both the scalar push and the columnar push_batch paths run.
         cursor = 0
@@ -134,21 +113,18 @@ class TestDifferentialFuzz:
             if size == 1:
                 for update in chunk:
                     generated.apply(update)
-                    interpreted.apply(update)
+                    oracle.apply(update)
             else:
                 generated.apply_batch(chunk)
-                interpreted.apply_batch(chunk)
+                oracle.apply_batch(chunk)
         rest = stream[cursor:]
         generated.apply_batch(rest)
-        interpreted.apply_batch(rest)
-        assert_twins_agree(generated, interpreted, query)
-        d_gen, d_int = s_gen.to_dict(), s_int.to_dict()
-        # Operation accounting is part of bit-identity: same lookups,
-        # matches, writes, probe sharing, and per-view delta sizes.
-        for key in ("ops", "batch", "delta_sizes", "enumeration"):
-            assert d_gen[key] == d_int[key], key
+        oracle.apply_batch(rest)
+        assert_twins_agree(generated, oracle, query)
+        d_gen, d_orc = s_gen.to_dict(), s_orc.to_dict()
         assert d_gen["codegen"]["kernels_generated"] > 0
-        assert d_int["codegen"]["kernels_generated"] == 0
+        assert d_gen["codegen"]["fallbacks"] == 0
+        assert d_orc["codegen"]["kernels_generated"] == 0
 
     @pytest.mark.parametrize(
         "ring,deletes",
@@ -163,21 +139,21 @@ class TestDifferentialFuzz:
         # inlined operators.
         query = parse_query("Q(A, B) = R(A, B) * S(B, C) * T(B)")
         schemas = [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("B",))]
-        generated, interpreted = twin_engines(query, schemas, seed=29, ring=ring)
+        generated, oracle = twin_engines(query, schemas, seed=29, ring=ring)
         stream = ring_stream(random.Random(31), schemas, ring, 300, deletes)
         for update in stream[:100]:
             generated.apply(update)
-            interpreted.apply(update)
+            oracle.apply(update)
         generated.apply_batch(stream[100:])
-        interpreted.apply_batch(stream[100:])
-        assert_twins_agree(generated, interpreted, query)
+        oracle.apply_batch(stream[100:])
+        assert_twins_agree(generated, oracle, query)
 
     def test_analytics_ring_with_lifting(self):
         ring = CovarianceRing()
         query = parse_query("Q(A) = R(A, V) * S(A)")
         lifting = LiftingMap(ring, {"V": moment_lifting("V")})
         schemas = [("R", ("A", "V")), ("S", ("A",))]
-        generated, interpreted = twin_engines(
+        generated, oracle = twin_engines(
             query, schemas, seed=37, ring=ring, lifting=lifting
         )
         rng = random.Random(41)
@@ -203,48 +179,48 @@ class TestDifferentialFuzz:
                 )
         for update in stream[:80]:
             generated.apply(update)
-            interpreted.apply(update)
+            oracle.apply(update)
         generated.apply_batch(stream[80:])
-        interpreted.apply_batch(stream[80:])
-        assert_twins_agree(generated, interpreted, query)
+        oracle.apply_batch(stream[80:])
+        assert_twins_agree(generated, oracle, query)
 
     @pytest.mark.parametrize("text,schemas", QUERIES[:2])
     def test_prebound_enumeration_identical(self, text, schemas):
         query = parse_query(text)
-        generated, interpreted = twin_engines(query, schemas, seed=43)
+        generated, oracle = twin_engines(query, schemas, seed=43)
         for update in ring_stream(random.Random(47), schemas, Z, 300, True):
             generated.apply(update)
-            interpreted.apply(update)
+            oracle.apply(update)
         head = query.head
         for value in range(-1, 9):  # -1: guaranteed miss
             one = {head[0]: value}
             assert list(generated.enumerate(prebound=one)) == list(
-                interpreted.enumerate(prebound=one)
+                oracle.enumerate(prebound=one)
             )
             everything = {v: (value + i) % 8 for i, v in enumerate(head)}
             assert list(generated.enumerate(prebound=everything)) == list(
-                interpreted.enumerate(prebound=everything)
+                oracle.enumerate(prebound=everything)
             )
 
     def test_snapshot_reads_identical(self):
         query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
-        generated, interpreted = twin_engines(query, schemas, seed=53)
+        generated, oracle = twin_engines(query, schemas, seed=53)
         stream = ring_stream(random.Random(59), schemas, Z, 400, True)
         for update in stream[:200]:
             generated.apply(update)
-            interpreted.apply(update)
+            oracle.apply(update)
         generated.publish_epoch()
-        interpreted.publish_epoch()
+        oracle.publish_epoch()
         # Mutate past the epoch: snapshot reads must see the frozen
         # state, live reads the current one — under generated kernels
-        # exactly as under interpreted plans.
+        # exactly as under the generic walk.
         generated.apply_batch(stream[200:])
-        interpreted.apply_batch(stream[200:])
+        oracle.apply_batch(stream[200:])
         assert list(generated.enumerate_snapshot()) == list(
-            interpreted.enumerate_snapshot()
+            oracle.enumerate_snapshot()
         )
-        assert list(generated.enumerate()) == list(interpreted.enumerate())
+        assert list(generated.enumerate()) == list(oracle.enumerate())
 
 
 class TestStrategies:
@@ -255,10 +231,13 @@ class TestStrategies:
         query = parse_query("Q(B, A) = R(B, A) * S(B)")
         schemas = [("R", ("B", "A")), ("S", ("B",))]
         with_codegen = make_strategy(
-            name, query, seeded_db(schemas, random.Random(61)), codegen=True
+            name, query, seeded_db(schemas, random.Random(61))
         )
+        # ``generated`` is accepted by all four (the list strategies run
+        # no view tree and discard it).
         without = make_strategy(
-            name, query, seeded_db(schemas, random.Random(61)), codegen=False
+            name, query, seeded_db(schemas, random.Random(61)),
+            generated=False,
         )
         for update in ring_stream(random.Random(67), schemas, Z, 200, True):
             with_codegen.apply(update)
@@ -284,34 +263,34 @@ class TestSharded:
         stream = valid_stream(random.Random(73), {"R": 2, "S": 1}, 150)
         count = 60 if executor == "process" else 150
         with ShardedEngine(
-            query, fresh(), shards=2, executor=executor, codegen=True
+            query, fresh(), shards=2, executor=executor
         ) as generated, ShardedEngine(
-            query, fresh(), shards=2, executor=executor, codegen=False
-        ) as interpreted:
-            assert generated.codegen and not interpreted.codegen
+            query, fresh(), shards=2, executor=executor, generated=False
+        ) as oracle:
+            assert generated.generated and not oracle.generated
             generated.apply_batch(stream[:count])
-            interpreted.apply_batch(stream[:count])
+            oracle.apply_batch(stream[:count])
             generated.apply(Update("R", (1, 1), 1))
-            interpreted.apply(Update("R", (1, 1), 1))
-            assert dict(generated.enumerate()) == dict(interpreted.enumerate())
+            oracle.apply(Update("R", (1, 1), 1))
+            assert dict(generated.enumerate()) == dict(oracle.enumerate())
 
 
 class TestPickling:
     def test_engine_round_trip_keeps_kernels(self):
         query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
-        generated, interpreted = twin_engines(query, schemas, seed=79)
+        generated, oracle = twin_engines(query, schemas, seed=79)
         stream = ring_stream(random.Random(83), schemas, Z, 300, True)
         for update in stream[:150]:
             generated.apply(update)
-            interpreted.apply(update)
+            oracle.apply(update)
         clone = pickle.loads(pickle.dumps(generated))
-        assert clone.codegen
+        assert clone.generated and set(clone._kernels) == {"R", "S"}
         assert clone._enum_kernel is not None
         for update in stream[150:]:
             clone.apply(update)
-            interpreted.apply(update)
-        assert list(clone.enumerate()) == list(interpreted.enumerate())
+            oracle.apply(update)
+        assert list(clone.enumerate()) == list(oracle.enumerate())
 
     def test_kernel_reduce_regenerates_identical_source(self):
         query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
@@ -363,13 +342,91 @@ class TestShapeCache:
         ) != ring_identity(ProductRing(IntegerRing(), FloatRing()))
 
     def test_fallback_counter_on_uncompilable_plan(self):
-        # A plan object missing required attributes must fall back to the
-        # interpreter and be counted, never crash engine construction.
+        # Generation of a malformed plan raises; the engine constructor
+        # catches, counts and reports it (TestGenerationFailure).
         info = new_codegen_info()
         with pytest.raises(Exception):
             compile_delta_kernel(object(), info)
         with pytest.raises(Exception):
             compile_enum_kernel(object(), info)
+
+
+class TestGenerationFailure:
+    """A plan whose generation raises is reported and served by the
+    generic walk — never silent, never wrong."""
+
+    QUERY = "Q(Y, X, Z) = R(Y, X) * S(Y, Z)"
+    SCHEMAS = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
+
+    def twins(self, monkeypatch, target, fails, match):
+        """``(degraded, oracle)``: a generated engine for which the
+        ``target`` generator raises on plans ``fails`` selects."""
+        import repro.viewtree.engine as engine_module
+
+        real = getattr(engine_module, target)
+
+        def flaky(plan, info=None):
+            if fails(plan):
+                raise ValueError("injected generation failure")
+            return real(plan, info)
+
+        monkeypatch.setattr(engine_module, target, flaky)
+        query = parse_query(self.QUERY)
+        with pytest.warns(RuntimeWarning, match=match) as caught:
+            degraded = ViewTreeEngine(
+                query, seeded_db(self.SCHEMAS, random.Random(5))
+            )
+        assert len(caught) == 1
+        assert "injected generation failure" in str(caught[0].message)
+        oracle = ViewTreeEngine(
+            query, seeded_db(self.SCHEMAS, random.Random(5)), generated=False
+        )
+        return degraded, oracle
+
+    def test_delta_kernel_failure_runs_the_generic_walk(self, monkeypatch):
+        degraded, oracle = self.twins(
+            monkeypatch,
+            "compile_delta_kernel",
+            lambda plan: plan.relation_name == "S",
+            match="relation 'S'",
+        )
+        assert set(degraded._kernels) == {"R"}
+        assert degraded._enum_kernel is not None
+        stats = degraded.attach_stats()
+        assert stats.to_dict()["codegen"]["fallbacks"] == 1
+        stream = ring_stream(random.Random(7), self.SCHEMAS, Z, 300, True)
+        for update in stream[:100]:
+            degraded.apply(update)
+            oracle.apply(update)
+        assert list(degraded.enumerate()) == list(oracle.enumerate())
+        for start in (100, 200):
+            degraded.apply_batch(stream[start:start + 100])
+            oracle.apply_batch(stream[start:start + 100])
+        assert_twins_agree(degraded, oracle, degraded.query)
+        assert degraded.database["S"] == oracle.database["S"]
+
+    def test_enum_kernel_failure_runs_the_generic_walk(self, monkeypatch):
+        degraded, oracle = self.twins(
+            monkeypatch,
+            "compile_enum_kernel",
+            lambda plan: True,
+            match="enumeration",
+        )
+        assert set(degraded._kernels) == {"R", "S"}
+        assert degraded._enum_kernel is None
+        stats = degraded.attach_stats()
+        assert stats.to_dict()["codegen"]["fallbacks"] == 1
+        stream = ring_stream(random.Random(11), self.SCHEMAS, Z, 200, True)
+        degraded.apply_batch(stream)
+        oracle.apply_batch(stream)
+        assert_twins_agree(degraded, oracle, degraded.query)
+        assert list(degraded.enumerate(prebound={"Y": 3})) == list(
+            oracle.enumerate(prebound={"Y": 3})
+        )
+        assert list(degraded.enumerate_snapshot()) == list(
+            oracle.enumerate_snapshot()
+        )
+        assert stats.to_dict()["enumeration"]["compiled"] == 0
 
 
 class TestExplainCLI:

@@ -144,6 +144,50 @@ class TestCQAPEngine:
         with pytest.raises(KeyError):
             engine.apply(Update("X", (1,), 1))
 
+    @pytest.mark.parametrize("generated", [True, False], ids=["kernels", "oracle"])
+    def test_apply_batch_matches_per_tuple(self, rng, generated):
+        """One coalesced batch through every fracture component (three
+        anchors of the same base relation here) lands what the per-tuple
+        path lands, on the views and on the shared base."""
+        stream = valid_stream(rng, {"E": 2}, 240, domain=7)
+        engines = []
+        for _ in range(2):
+            db = Database()
+            db.create("E", ("X", "Y"))
+            engines.append(CQAPEngine(TRIANGLE_CHECK, db, generated=generated))
+        batched, per_tuple = engines
+        for start in range(0, len(stream), 60):
+            batched.apply_batch(stream[start:start + 60])
+        for update in stream:
+            per_tuple.apply(update)
+        assert batched.database["E"] == per_tuple.database["E"]
+        for a in range(7):
+            for b in range(7):
+                for c in range(7):
+                    inputs = {"A": a, "B": b, "C": c}
+                    assert list(batched.answer(inputs)) == list(
+                        per_tuple.answer(inputs)
+                    )
+
+    def test_batch_with_unknown_relation_changes_nothing(self):
+        db = Database()
+        db.create("S", ("A", "B"))
+        db.create("T", ("B",))
+        db.create("X", ("A",))
+        engine = CQAPEngine(LOOKUP, db)
+        engine.apply_batch([Update("S", (1, 2), 1), Update("T", (2,), 1)])
+        before = list(engine.answer((2,)))
+        assert before == [((1,), 1)]
+        with pytest.raises(KeyError):
+            engine.apply_batch(
+                [Update("S", (3, 2), 1), Update("X", (1,), 1), Update("T", (2,), 1)]
+            )
+        # The check runs before any write: base and views are untouched.
+        assert db["S"].to_dict() == {(1, 2): 1}
+        assert db["T"].to_dict() == {(2,): 1}
+        assert len(db["X"]) == 0
+        assert list(engine.answer((2,))) == before
+
     def test_constant_access_cost(self):
         """Access requests cost O(1) regardless of the graph size
         (Theorem 4.8's upper bound for the triangle-check CQAP)."""

@@ -1,12 +1,12 @@
-"""Compiled delta kernels (repro.viewtree.compile).
+"""Generated single-tuple delta kernels (repro.viewtree.compile + codegen).
 
-The compiled fast path must be *semantically invisible*: for any valid
-update stream, any ring, and any supported query shape, the compiled
-engine's views, scalars, and enumerations are bit-identical to the
-generic interpreted path's — which in turn is differential-tested against
-naive recomputation.  Plus: compiled engines must survive pickling (the
-process-pool shard executor ships them whole), the memory accounting
-satellite, and the benchdiff regression gate.
+The kernels must be *semantically invisible*: for any valid update
+stream, any ring, and any supported query shape, the generated engine's
+views, scalars, and enumerations are bit-identical to the generic walk's
+(``generated=False``, the oracle) — which in turn is differential-tested
+against naive recomputation.  Plus: generated engines must survive
+pickling (the process-pool shard executor ships them whole), the memory
+accounting satellite, and the benchdiff regression gate.
 """
 
 from __future__ import annotations
@@ -36,41 +36,16 @@ from repro.rings import (
 from repro.shard import ShardedEngine
 from repro.viewtree import DeltaPlan, ViewTreeEngine, compile_delta_plans
 
-from tests.conftest import valid_stream
+from tests.conftest import seeded_db, twin_engines, valid_stream
 
 
 def tree_nodes(engine):
     return [node for root in engine.roots for node in root.walk()]
 
 
-def seeded_db(schemas, rng, rows=60, domain=8, ring=Z):
-    db = Database(ring=ring)
-    for name, schema in schemas:
-        relation = db.create(name, schema)
-        for _ in range(rows):
-            key = tuple(rng.randrange(domain) for _ in schema)
-            relation.add(key, ring.one)
-    return db
-
-
-def twin_engines(query, schemas, seed, order=None, lifting=None, ring=Z):
-    """A compiled and a generic engine over identically-seeded databases."""
-    compiled = ViewTreeEngine(
-        query,
-        seeded_db(schemas, random.Random(seed), ring=ring),
-        order,
-        lifting,
-        compile_plans=True,
-    )
-    generic = ViewTreeEngine(
-        query,
-        seeded_db(schemas, random.Random(seed), ring=ring),
-        order,
-        lifting,
-        compile_plans=False,
-    )
-    assert compiled.compiled and not generic.compiled
-    return compiled, generic
+def plans_of(engine, name):
+    """The DeltaPlans a relation's generated kernels were built from."""
+    return [kernel.plan for kernel in engine._kernels[name]]
 
 
 class TestCompiledGenericEquivalence:
@@ -216,7 +191,7 @@ class TestCompiledGenericEquivalence:
             db.create("S", ("A",))
         compiled = ViewTreeEngine(query, db_c, lifting=lifting)
         generic = ViewTreeEngine(
-            query, db_g, lifting=lifting, compile_plans=False
+            query, db_g, lifting=lifting, generated=False
         )
         rng = random.Random(59)
         live = []
@@ -267,7 +242,7 @@ class TestCompiledPlans:
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
         engine, _ = twin_engines(query, schemas, seed=1)
         for name, anchors in engine._anchors.items():
-            plans = engine._plans[name]
+            plans = plans_of(engine, name)
             assert len(plans) == len(anchors)
             for (atom, node, leaf), plan in zip(anchors, plans):
                 assert isinstance(plan, DeltaPlan)
@@ -279,10 +254,10 @@ class TestCompiledPlans:
         schemas = [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))]
         engine, _ = twin_engines(query, schemas, seed=8)
         again = compile_delta_plans(engine)
-        assert set(again) == set(engine._plans)
+        assert set(again) == set(engine._kernels)
         for name in again:
             assert [p.relation_name for p in again[name]] == [
-                p.relation_name for p in engine._plans[name]
+                p.relation_name for p in plans_of(engine, name)
             ]
 
     def test_zero_payload_is_a_noop(self):
@@ -290,8 +265,7 @@ class TestCompiledPlans:
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
         engine, _ = twin_engines(query, schemas, seed=4)
         before = engine.output_relation().to_dict()
-        plan = engine._plans["R"][0]
-        plan.push((0, 0), 0)
+        engine._kernels["R"][0].push((0, 0), 0)
         assert engine.output_relation().to_dict() == before
 
 
@@ -305,7 +279,7 @@ class TestCompiledPickling:
             engine.apply(update)
             generic.apply(update)
         clone = pickle.loads(pickle.dumps(engine))
-        assert clone.compiled
+        assert clone.generated and set(clone._kernels) == {"R", "S"}
         for update in stream[75:]:
             clone.apply(update)
             generic.apply(update)
@@ -323,7 +297,7 @@ class TestCompiledPickling:
         engine, _ = twin_engines(query, schemas, seed=7)
         clone = pickle.loads(pickle.dumps(engine))
         for name, anchors in clone._anchors.items():
-            for (atom, node, leaf), plan in zip(anchors, clone._plans[name]):
+            for (atom, node, leaf), plan in zip(anchors, plans_of(clone, name)):
                 assert plan.leaf is leaf
                 assert plan.steps[0].view is node.view
                 root_step = plan.steps[-1]
@@ -336,10 +310,9 @@ class TestCompiledPickling:
         db = seeded_db(schemas, random.Random(21), rows=15)
         batch = valid_stream(random.Random(5), {"R": 2, "S": 1}, 60)
         with ShardedEngine(
-            query, db, shards=2, executor="process", compile_plans=True,
-            ipc="pickle-engine",
+            query, db, shards=2, executor="process", ipc="pickle-engine"
         ) as engine:
-            assert all(shard.compiled for shard in engine.engines)
+            assert all(shard._kernels for shard in engine.engines)
             engine.apply_batch(batch)
             assert engine.output_relation() == evaluate(query, db)
 
@@ -351,12 +324,10 @@ class TestShardInvarianceWithCompilation:
         plain = ViewTreeEngine(
             query,
             seeded_db(schemas, random.Random(47), rows=25),
-            compile_plans=False,
+            generated=False,
         )
         db = seeded_db(schemas, random.Random(47), rows=25)
-        with ShardedEngine(
-            query, db, shards=3, executor="serial", compile_plans=True
-        ) as sharded:
+        with ShardedEngine(query, db, shards=3, executor="serial") as sharded:
             for update in valid_stream(random.Random(53), {"R": 2, "S": 1}, 200):
                 plain.apply(update)
                 sharded.apply(update)

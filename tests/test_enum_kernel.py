@@ -1,13 +1,14 @@
-"""Compiled enumeration kernels (repro.viewtree.enumplan).
+"""Generated enumeration kernels (repro.viewtree.enumplan + codegen).
 
-The compiled read path must be *semantically invisible*: for any valid
-update stream, any ring, and any supported query shape, the compiled
+The generated read path must be *semantically invisible*: for any valid
+update stream, any ring, and any supported query shape, the generated
 engine's enumerations — full drains and prebound access requests alike —
-are bit-identical (contents AND order) to the generic recursive walk's,
-which in turn is differential-tested against naive recomputation.  Plus:
-compiled plans must survive pickling (the process-pool shard executor
-ships engines whole), two in-flight iterators on one engine must not
-interfere, and the read-path obs counters must record what actually ran.
+are bit-identical (contents AND order) to the generic recursive walk's
+(``generated=False``, the oracle), which in turn is differential-tested
+against naive recomputation.  Plus: enumeration plans must survive
+pickling (the process-pool shard executor ships engines whole), two
+in-flight iterators on one engine must not interfere, and the read-path
+obs counters must record what actually ran.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import random
 import pytest
 
 from repro.core.engine import IVMEngine
-from repro.core.planner import plan_maintenance
 from repro.cqap.engine import CQAPEngine
-from repro.data import Database, Update
+from repro.data import Update
 from repro.naive import evaluate
 from repro.obs import MaintenanceStats
 from repro.query import parse_query, search_order
@@ -30,33 +30,7 @@ from repro.shard import ShardedEngine
 from repro.viewtree import EnumPlan, ViewTreeEngine, make_strategy
 from repro.viewtree.strategies import STRATEGIES
 
-from tests.conftest import valid_stream
-
-
-def seeded_db(schemas, rng, rows=60, domain=8, ring=Z):
-    db = Database(ring=ring)
-    for name, schema in schemas:
-        relation = db.create(name, schema)
-        for _ in range(rows):
-            key = tuple(rng.randrange(domain) for _ in schema)
-            relation.add(key, ring.one)
-    return db
-
-
-def twin_engines(query, schemas, seed, order=None, ring=Z, rows=60):
-    """A compiled and a generic engine over identically-seeded databases."""
-    compiled = ViewTreeEngine(
-        query, seeded_db(schemas, random.Random(seed), rows=rows, ring=ring),
-        order,
-    )
-    generic = ViewTreeEngine(
-        query, seeded_db(schemas, random.Random(seed), rows=rows, ring=ring),
-        order, compile_enum=False,
-    )
-    assert compiled.enum_compiled and not generic.enum_compiled
-    assert isinstance(compiled._enum_plan, EnumPlan)
-    assert generic._enum_plan is None
-    return compiled, generic
+from tests.conftest import seeded_db, twin_engines, valid_stream
 
 
 QUERIES = [
@@ -84,6 +58,7 @@ class TestCompiledGenericEquivalence:
         query = parse_query(text)
         order = search_order(query, require_free_top=True) if searched else None
         compiled, generic = twin_engines(query, schemas, seed=17, order=order)
+        assert isinstance(compiled._enum_kernel.plan, EnumPlan)
         arities = {name: len(schema) for name, schema in schemas}
         for step, update in enumerate(
             valid_stream(random.Random(23), arities, 400)
@@ -154,11 +129,11 @@ class TestCompiledGenericEquivalence:
             ViewTreeEngine(query, seeded_db(schemas, random.Random(3))),
             ViewTreeEngine(
                 query, seeded_db(schemas, random.Random(3)),
-                compile_enum=False,
+                generated=False,
             ),
         )
         # Nothing to compile for an empty head: scalar() serves it.
-        assert not compiled.enum_compiled
+        assert compiled._enum_kernel is None
         assert list(compiled.enumerate()) == list(generic.enumerate())
         assert compiled.scalar() == generic.scalar()
 
@@ -169,7 +144,7 @@ class TestCompiledGenericEquivalence:
         # The canonical order for this query is not free-top: no plan is
         # compiled and enumeration reports the structural failure as
         # before.
-        assert not engine.enum_compiled
+        assert engine._enum_kernel is None
         with pytest.raises(ValueError, match="free-top"):
             list(engine.enumerate())
 
@@ -215,12 +190,11 @@ class TestStrategies:
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
         stream = list(valid_stream(random.Random(19), {"R": 2, "S": 2}, 250))
         fast = make_strategy(
-            name, query, seeded_db(schemas, random.Random(29)),
-            compile_enum=True,
+            name, query, seeded_db(schemas, random.Random(29))
         )
         slow = make_strategy(
             name, query, seeded_db(schemas, random.Random(29)),
-            compile_enum=False,
+            generated=False,
         )
         assert self._replay(fast, stream) == self._replay(slow, stream)
 
@@ -230,20 +204,21 @@ class TestStrategies:
         eager = make_strategy(
             "eager-fact", query, seeded_db(schemas, random.Random(1))
         )
-        assert eager.engine.enum_compiled
+        assert eager.engine._enum_kernel is not None
         lazy = make_strategy(
             "lazy-fact", query, seeded_db(schemas, random.Random(1))
         )
         lazy.apply(Update("R", (1, 2), 1))
         list(lazy.enumerate())  # triggers the rebuild
-        assert lazy._engine.enum_compiled
+        assert lazy._engine._enum_kernel is not None
         lazy_off = make_strategy(
             "lazy-fact", query, seeded_db(schemas, random.Random(1)),
-            compile_enum=False,
+            generated=False,
         )
         lazy_off.apply(Update("R", (1, 2), 1))
         list(lazy_off.enumerate())
-        assert not lazy_off._engine.enum_compiled
+        assert not lazy_off._engine.generated
+        assert lazy_off._engine._enum_kernel is None
 
 
 class TestSharded:
@@ -251,14 +226,14 @@ class TestSharded:
         query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
         plain = ViewTreeEngine(
-            query, seeded_db(schemas, random.Random(8)), compile_enum=False
+            query, seeded_db(schemas, random.Random(8)), generated=False
         )
         sharded = ShardedEngine(
             query, seeded_db(schemas, random.Random(8)), shards=3,
             executor="serial",
         )
         for engine in sharded.engines:
-            assert engine.enum_compiled
+            assert engine._enum_kernel is not None
         for update in valid_stream(random.Random(12), {"R": 2, "S": 2}, 400):
             plain.apply(update)
             sharded.apply(update)
@@ -277,7 +252,7 @@ class TestSharded:
         query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
         reference = ViewTreeEngine(
-            query, seeded_db(schemas, random.Random(4)), compile_enum=False
+            query, seeded_db(schemas, random.Random(4)), generated=False
         )
         with ShardedEngine(
             query, seeded_db(schemas, random.Random(4)), shards=2,
@@ -289,7 +264,8 @@ class TestSharded:
             reference.apply_batch(stream)
             sharded.apply_batch(stream)  # ships engines through pickle
             for engine in sharded.engines:
-                assert engine.enum_compiled  # adopted engines kept plans
+                # adopted engines regenerated their kernel from its plan
+                assert engine._enum_kernel is not None
             assert dict(sharded.enumerate()) == dict(reference.enumerate())
 
     def test_engine_pickle_round_trip(self):
@@ -299,7 +275,7 @@ class TestSharded:
         for update in valid_stream(random.Random(22), {"R": 2, "S": 2}, 150):
             engine.apply(update)
         clone = pickle.loads(pickle.dumps(engine))
-        assert clone.enum_compiled
+        assert clone._enum_kernel is not None
         assert list(clone.enumerate()) == list(engine.enumerate())
         # The unpickled plan's guard references are identical objects to
         # the unpickled tree's own relations (pickle memo), so updates
@@ -315,12 +291,12 @@ class TestCQAP:
         schemas = [("R", ("A", "B")), ("S", ("B",))]
         compiled = CQAPEngine(query, seeded_db(schemas, random.Random(14)))
         generic = CQAPEngine(
-            query, seeded_db(schemas, random.Random(14)), compile_enum=False
+            query, seeded_db(schemas, random.Random(14)), generated=False
         )
         for engine in compiled.engines:
-            assert engine.enum_compiled
+            assert engine._enum_kernel is not None
         for engine in generic.engines:
-            assert not engine.enum_compiled
+            assert engine._enum_kernel is None
         for update in valid_stream(random.Random(15), {"R": 2, "S": 1}, 300):
             compiled.apply(update)
             generic.apply(update)
@@ -416,31 +392,18 @@ class TestObservability:
 
 
 class TestPlannerAndCLI:
-    def test_planner_marks_enum_kernel(self):
-        query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
-        plan = plan_maintenance(query)
-        assert plan.enum_kernel
-        assert "compiled enumeration" in str(plan)
-        assert not plan_maintenance(query, compile_enum=False).enum_kernel
-        sharded = plan_maintenance(query, shards=4)
-        assert sharded.strategy == "sharded-viewtree" and sharded.enum_kernel
-        cqap = plan_maintenance(parse_query("Q(A | B) = R(A, B) * S(B)"))
-        assert cqap.strategy == "cqap" and cqap.enum_kernel
-        delta = plan_maintenance(parse_query("Q() = R(A,B) * S(B,C) * T(C,A)"))
-        assert not delta.enum_kernel
-
     def test_facade_threads_the_flag(self):
         query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
         on = IVMEngine(query, seeded_db(schemas, random.Random(3)))
-        assert on.backend.enum_compiled
+        assert on.generated and on.backend._enum_kernel is not None
         off = IVMEngine(
-            query, seeded_db(schemas, random.Random(3)), compile_enum=False
+            query, seeded_db(schemas, random.Random(3)), generated=False
         )
-        assert not off.backend.enum_compiled
+        assert not off.generated and off.backend._enum_kernel is None
         assert dict(on.enumerate()) == dict(off.enumerate())
 
-    def test_cli_no_compile_enum(self, tmp_path, capsys):
+    def test_cli_oracle(self, tmp_path, capsys):
         from repro.cli import main
 
         out = tmp_path / "stats.json"
@@ -449,15 +412,16 @@ class TestPlannerAndCLI:
                 [
                     "stats", "Q(Y,X,Z) = R(Y,X) * S(Y,Z)",
                     "--updates", "200", "--prefill", "10",
-                    "--no-compile-enum", "--json", str(out),
+                    "--oracle", "--json", str(out),
                 ]
             )
             == 0
         )
         capsys.readouterr()
         payload = json.loads(out.read_text())
-        assert payload["meta"]["enum_compiled"] is False
+        assert payload["meta"]["generated"] is False
         assert payload["stats"]["enumeration"]["compiled"] == 0
+        assert payload["stats"]["codegen"]["kernels_generated"] == 0
         assert (
             main(
                 [
@@ -470,5 +434,6 @@ class TestPlannerAndCLI:
         )
         capsys.readouterr()
         payload = json.loads(out.read_text())
-        assert payload["meta"]["enum_compiled"] is True
+        assert payload["meta"]["generated"] is True
         assert payload["stats"]["enumeration"]["compiled"] > 0
+        assert payload["stats"]["codegen"]["kernels_generated"] > 0

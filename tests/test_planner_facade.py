@@ -164,3 +164,78 @@ class TestFacade:
         engine.insert("R", 1, 2)
         engine.insert("S", 1, 3)
         assert dict(engine.enumerate()) == {(1, 2, 3): 1}
+
+
+class TestGeneratedFlag:
+    """``generated`` reaches every view-tree-backed backend: the facade
+    reports what runs, and the oracle builds no kernel."""
+
+    CASES = {
+        "viewtree": ("Q(Y,X,Z) = R(Y,X) * S(Y,Z)", {}),
+        "viewtree-hierarchical": ("Q(A) = R(A,B) * S(B)", {}),
+        "sharded-viewtree": (
+            "Q(B,A) = R(B,A) * S(B)",
+            {"shards": 2, "shard_executor": "serial"},
+        ),
+        "fd-viewtree": (
+            "Q(Z, Y, X, W) = R(X, W) * S(X, Y) * T(Y, Z)",
+            {"fds": parse_fds("X -> Y", "Y -> Z")},
+        ),
+        "static-dynamic": ("Q(A,B,C) = R(A,D) * S(A,B) * T@s(B,C)", {}),
+        "cqap": ("Q(A | B) = R(A,B) * S(B)", {}),
+    }
+
+    @pytest.mark.parametrize("generated", [True, False], ids=["kernels", "oracle"])
+    @pytest.mark.parametrize("strategy", sorted(CASES))
+    def test_flag_reaches_the_backend_and_matches_naive(
+        self, strategy, generated, rng
+    ):
+        text, kwargs = self.CASES[strategy]
+        query = parse_query(text)
+        if strategy == "fd-viewtree":
+            from tests.test_constraints import fd_satisfying_db
+
+            # Inserts into R keep X -> Y and Y -> Z satisfied.
+            db = fd_satisfying_db(rng)
+            stream = [
+                Update("R", (rng.randrange(12), rng.randrange(20)), 1)
+                for _ in range(120)
+            ]
+        else:
+            db = Database()
+            dynamic = {}
+            for atom in query.atoms:
+                relation = db.create(atom.relation, atom.variables)
+                if atom in query.static_atoms:
+                    for _ in range(40):
+                        relation.insert(*(rng.randrange(6) for _ in atom.variables))
+                else:
+                    dynamic[atom.relation] = len(atom.variables)
+            stream = valid_stream(rng, dynamic, 160, domain=6)
+
+        engine = IVMEngine(query, db, generated=generated, **kwargs)
+        assert engine.plan.strategy == strategy
+        assert engine.generated is generated
+        stats = engine.attach_stats()
+        for update in stream[:80]:
+            engine.apply(update)
+        engine.apply_batch(stream[80:])
+        if strategy == "sharded-viewtree":
+            stats = engine.backend.merged_stats()
+        kernels = stats.to_dict()["codegen"]["kernels_generated"]
+        assert (kernels > 0) is generated
+
+        if strategy == "cqap":
+            joined = evaluate(parse_query("Q(A, B) = R(A,B) * S(B)"), db)
+            for b in range(6):
+                expected = {
+                    (a,): payload
+                    for (a, bound), payload in joined.to_dict().items()
+                    if bound == b
+                }
+                assert dict(engine.answer({"B": b})) == expected
+        else:
+            assert dict(engine.enumerate()) == evaluate(query, db).to_dict()
+        close = getattr(engine.backend, "close", None)
+        if close is not None:
+            close()

@@ -42,8 +42,8 @@ SNAPSHOT_CONFIGS = [
     # (query text, shards, executor, engine kwargs)
     ("Q(Y,X,Z) = R(Y,X) * S(Y,Z)", 1, "thread", {}),
     ("Q(A) = R(A,B) * S(B)", 1, "thread", {}),
-    # Generic (non-compiled) enumeration path.
-    ("Q(A) = R(A,B) * S(B)", 1, "thread", {"compile_enum": False}),
+    # The generic walk (the oracle), write and read path alike.
+    ("Q(A) = R(A,B) * S(B)", 1, "thread", {"generated": False}),
     ("Q(B,A) = R(B,A) * S(B)", 3, "serial", {}),
     ("Q(B,A) = R(B,A) * S(B)", 3, "thread", {}),
     # "process" defaults to ipc="delta": snapshots live worker-side,
