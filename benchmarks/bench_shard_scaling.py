@@ -12,18 +12,16 @@ shard counts, under two workload shapes:
   motivates IVM^eps-style heavy/light treatment, seen from the
   partitioning side).
 
-Expected shape: serial sharding costs a little coordination overhead
-(the split plus N smaller engines); the thread executor only helps to
-the extent the interpreter releases the GIL, so treat these numbers as
-an upper bound on coordination cost rather than a parallelism win — the
-load-balance table is the interesting output.  A final differential
-check asserts every configuration produced the bit-identical output.
-
-The process executor (persistent delta-IPC workers, ``repro.shard
-.worker``) rides along in its own rows, plus a state-growth table that
-gates the whole point of the worker redesign: per-commit time must stay
-flat as resident view state grows (the old ship-the-engine path
-regressed linearly in state — see ``bench_ipc`` for the head-to-head).
+The shards run on the ``process`` executor: the coordinator hosts
+shard 0 and N-1 persistent workers (``repro.shard.worker``) host the
+rest, so the 1-shard row is the coordination cost with no process at
+all and every further shard adds one process.  On a box with fewer
+cores than shards the rows past the core count measure oversubscription,
+not scaling — the load-balance table is the interesting output there.
+A differential check asserts every configuration produced the
+bit-identical output.  A state-growth table gates the point of
+persistent workers: per-commit time must stay flat as resident view
+state grows (IPC ships the batch, never the state).
 """
 
 from __future__ import annotations
@@ -47,10 +45,9 @@ BATCH = 250
 PREFILL = 300
 DOMAIN = 500
 SHARD_COUNTS = (1, 2, 4)
-EXECUTOR = "thread"
+EXECUTOR = "process"
 WORKLOADS = ("uniform", "zipf")
 ZIPF_S = 1.2
-PROCESS_SHARD_COUNTS = (2, 4)
 #: State-growth gate: per-commit time at ~5x resident state must stay
 #: within this factor of the small-state time (process/delta workers).
 GROWTH_FLAT_BOUND = 1.3
@@ -119,13 +116,12 @@ def _state_growth_table():
     Disjoint-key batches grow the resident views between two probe
     levels; identical fixed-size probe batches are timed at each level
     (min over GROWTH_PROBES, noise-robust).  Under the persistent
-    delta-IPC workers the per-commit time stays flat; the old
-    pickle-engine path regressed linearly in state.
+    delta-IPC workers the per-commit time stays flat.
     """
     from repro.data import Update
 
     table = Table(
-        "process/delta per-commit time vs resident state "
+        "process executor per-commit time vs resident state "
         f"(batch fixed at {GROWTH_BATCH} updates, 4 shards)",
         ["state (rows)", "per-commit ms", "upd/s"],
     )
@@ -212,17 +208,6 @@ def _scaling_table():
             balance.add(workload, str(shards), *[str(c) for c in counts])
         table.add(*row)
 
-    for shards in PROCESS_SHARD_COUNTS:
-        row = [f"{shards} shard(s), process/delta"]
-        for workload in WORKLOADS:
-            stream = _stream(workload, 7)
-            with ShardedEngine(
-                QUERY, _fresh_db(workload), shards=shards, executor="process"
-            ) as engine:
-                row.append(f"{_replay(engine, stream):,.0f}")
-                assert engine.output_relation().to_dict() == outputs[workload]
-        table.add(*row)
-
     growth = _state_growth_table()
 
     report(
@@ -237,7 +222,6 @@ def _scaling_table():
             "prefill": PREFILL,
             "domain": DOMAIN,
             "shard_counts": list(SHARD_COUNTS),
-            "process_shard_counts": list(PROCESS_SHARD_COUNTS),
             "executor": EXECUTOR,
             "workloads": list(WORKLOADS),
             "zipf_s": ZIPF_S,

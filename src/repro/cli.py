@@ -158,8 +158,7 @@ def run_stats(
     enum_interval: int,
     json_path: str | None,
     shards: int = 1,
-    shard_executor: str = "thread",
-    shard_ipc: str = "delta",
+    shard_executor: str = "serial",
     workload: str = "uniform",
     zipf_s: float = 1.2,
     generated: bool = True,
@@ -217,7 +216,6 @@ def run_stats(
         plan=plan,
         shards=shards,
         shard_executor=shard_executor,
-        shard_ipc=shard_ipc,
         generated=generated,
     )
     stats = engine.attach_stats()
@@ -300,7 +298,7 @@ def run_stats(
             stats = engine.backend.merged_stats()
     finally:
         # Close unconditionally: an exception mid-replay must not leak
-        # the sharded backend's process-pool workers.
+        # the sharded backend's worker processes.
         close = getattr(engine.backend, "close", None)
         if close is not None:
             close()
@@ -348,11 +346,6 @@ def run_stats(
                 "rate_end_to_end": rate_end_to_end,
                 "shards": shards,
                 "shard_executor": shard_executor if shards > 1 else None,
-                "shard_ipc": (
-                    shard_ipc
-                    if shards > 1 and shard_executor == "process"
-                    else None
-                ),
                 "workload": workload,
                 "zipf_s": zipf_s if workload == "zipf" else None,
                 "window": window if workload == "sliding-window" else None,
@@ -445,8 +438,7 @@ def run_serve(
     high_water: int,
     json_path: str | None,
     shards: int = 1,
-    shard_executor: str = "thread",
-    shard_ipc: str = "delta",
+    shard_executor: str = "serial",
     workload: str = "uniform",
     zipf_s: float = 1.2,
     window: int = 256,
@@ -506,7 +498,6 @@ def run_serve(
         plan=plan,
         shards=shards,
         shard_executor=shard_executor,
-        shard_ipc=shard_ipc,
     )
     if per_update:
         max_batch, max_delay_ms = 1, 0.0
@@ -596,11 +587,6 @@ def run_serve(
                 "plan": plan.strategy,
                 "shards": shards,
                 "shard_executor": shard_executor if shards > 1 else None,
-                "shard_ipc": (
-                    shard_ipc
-                    if shards > 1 and shard_executor == "process"
-                    else None
-                ),
                 "workload": workload,
                 "zipf_s": zipf_s if workload == "zipf" else None,
                 "window": window if workload == "sliding-window" else None,
@@ -691,18 +677,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     stats_parser.add_argument(
         "--shard-executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="shard executor: in-process serial/thread pools, or "
-        "persistent worker processes (default thread)",
-    )
-    stats_parser.add_argument(
-        "--ipc",
-        choices=("delta", "pickle-engine"),
-        default="delta",
-        help="process-executor wire protocol: delta-only persistent "
-        "workers, or the legacy ship-the-engine-per-batch oracle "
-        "(default delta)",
+        choices=("serial", "process"),
+        default="serial",
+        help="shard executor: every shard in-process, or shard 0 "
+        "in-process plus N-1 persistent worker processes (default serial)",
     )
     stats_parser.add_argument(
         "--workload",
@@ -793,18 +771,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_parser.add_argument(
         "--shard-executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="shard executor: in-process serial/thread pools, or "
-        "persistent worker processes (default thread)",
-    )
-    serve_parser.add_argument(
-        "--ipc",
-        choices=("delta", "pickle-engine"),
-        default="delta",
-        help="process-executor wire protocol: delta-only persistent "
-        "workers, or the legacy ship-the-engine-per-batch oracle "
-        "(default delta)",
+        choices=("serial", "process"),
+        default="serial",
+        help="shard executor: every shard in-process, or shard 0 "
+        "in-process plus N-1 persistent worker processes (default serial)",
     )
     serve_parser.add_argument(
         "--workload",
@@ -889,7 +859,6 @@ def main(argv: list[str] | None = None) -> int:
             args.json,
             args.shards,
             args.shard_executor,
-            args.ipc,
             args.workload,
             args.zipf_s,
             generated=not args.oracle,
@@ -915,7 +884,6 @@ def main(argv: list[str] | None = None) -> int:
             args.json,
             args.shards,
             args.shard_executor,
-            args.ipc,
             args.workload,
             args.zipf_s,
             args.window,

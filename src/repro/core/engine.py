@@ -58,8 +58,7 @@ class IVMEngine(Observable):
         lifting: LiftingMap | None = None,
         plan: Plan | None = None,
         shards: int = 1,
-        shard_executor: str = "thread",
-        shard_ipc: str = "delta",
+        shard_executor: str = "serial",
         generated: bool = True,
     ):
         """Plan ``query`` and build the engine the plan names.
@@ -92,7 +91,6 @@ class IVMEngine(Observable):
                     order=order,
                     lifting=lifting,
                     executor=shard_executor,
-                    ipc=shard_ipc,
                     generated=generated,
                 )
             else:

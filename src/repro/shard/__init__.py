@@ -3,12 +3,14 @@
 View trees maintain every view by key-partitioned group updates, so hash
 shards of a join variable maintain disjoint view slices independently.
 This package provides the router that partitions base relations and
-update streams (:class:`ShardRouter`), the coordinator that runs one
-view-tree engine per shard on an executor and merges outputs and
-statistics (:class:`ShardedEngine`), and the persistent shard-worker
-runtime for ``executor="process"`` (:mod:`repro.shard.worker`): worker
-processes that keep shard state resident and exchange only sub-batch
-columns, acks and (when pulled) stats increments with the coordinator.
+update streams (:class:`ShardRouter`), the shard runtime every shard
+runs wherever it lives (:class:`ShardRuntime`), the coordinator that
+hosts shard 0 itself and merges outputs and statistics
+(:class:`ShardedEngine`), and — for ``executor="process"`` — the
+persistent worker processes hosting shards 1..N-1
+(:mod:`repro.shard.worker`), which keep shard state resident and
+exchange only sub-batch columns, acks and (when pulled) stats
+increments with the coordinator.
 """
 
 from .engine import ShardedEngine
@@ -19,6 +21,7 @@ from .router import (
     stable_hash,
 )
 from .worker import (
+    ShardRuntime,
     ShardWorkerError,
     ShardWorkerPool,
     ShardWorkerSpec,
@@ -29,6 +32,7 @@ from .worker import (
 __all__ = [
     "ShardLeafFilter",
     "ShardRouter",
+    "ShardRuntime",
     "ShardWorkerError",
     "ShardWorkerPool",
     "ShardWorkerSpec",

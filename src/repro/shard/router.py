@@ -187,8 +187,7 @@ class ShardLeafFilter:
     """``(relation, key) -> bool`` predicate selecting one shard's slice.
 
     Passed to :class:`~repro.viewtree.engine.ViewTreeEngine` as
-    ``leaf_filter``; a named picklable class so whole engines can ship to
-    process-pool workers.
+    ``leaf_filter``; a named class so an engine holding one pickles.
     """
 
     __slots__ = ("router", "shard")

@@ -1,30 +1,35 @@
-"""Persistent shard workers: delta-only IPC for process-parallel shards.
+"""The shard runtime, and the worker processes that host it remotely.
 
-The original ``executor="process"`` path shipped each shard's *entire*
-``ViewTreeEngine`` through pickle on every batch and adopted the
-returned copy — O(accumulated view state) per commit, the opposite of
-incremental.  This module replaces that with a persistent worker
-runtime:
+A :class:`ShardRuntime` is one shard: its ``ViewTreeEngine`` plus the
+small state a coordinator addresses by number (retained epoch
+snapshots, the coordinator-epoch -> engine-epoch map of the change
+stream), driven by ``handle(command)``.  Every shard of a
+:class:`~repro.shard.engine.ShardedEngine` is one of these, wherever it
+lives: the coordinator hosts shard 0 (every shard under
+``executor="serial"``) and calls ``handle`` directly; shards 1..N-1 of
+``executor="process"`` run the same object inside a worker process
+behind a pipe.  One implementation per command, two transports.
+
+The remote transport:
 
 * each worker process is spawned **once** from a small pickled
   :class:`ShardWorkerSpec` (query + database + order + router + shard
-  id), builds its shard engine locally, and keeps all view state
-  resident for the life of the pool;
-* the parent speaks a small command protocol over a duplex pipe —
-  ``apply_batch`` ships only the shard's slice of the coalesced batch,
-  as ``{relation: (keys, payloads)}`` columns (numpy payload buffers
-  travel as raw bytes for ``numeric_dtype`` rings); the worker decodes
-  straight to columns, applies them through
+  id), builds its runtime locally, and keeps all view state resident
+  for the life of the pool;
+* the parent speaks the command protocol over a duplex pipe —
+  ``apply_encoded`` ships only the shard's slice of the coalesced
+  batch, as ``{relation: (keys, payloads)}`` columns (numpy payload
+  buffers travel as raw bytes for ``numeric_dtype`` rings); the worker
+  decodes straight to columns, applies them through
   ``ViewTreeEngine.apply_coalesced_batch`` and replies with a bare
   ack, never the engine;
 * stats are lazy: the worker keeps accumulating into its recorder and
   ships the :class:`~repro.obs.MaintenanceStats` *delta* only when
   asked (``pull_stats``, ``shutdown``) — observability is paid for
   when it is read, not per commit;
-* reads (``lookup`` routed to the owner shard, ``enumerate`` /
-  ``scalar`` / ``output_relation`` streamed in chunks,
-  ``publish_epoch`` broadcast as a barrier) ride the same protocol, so
-  the parent holds **no** engine replicas at all.
+* reads (``lookup`` routed to the owner shard, ``enumerate`` streamed
+  in chunks, ``publish_epoch`` broadcast as a barrier) ride the same
+  protocol.
 
 Wire format: every message in either direction is one
 ``pickle.dumps`` blob sent with ``Connection.send_bytes`` — framing by
@@ -35,23 +40,25 @@ terminal ``("ok", payload, stats_delta, busy_seconds)`` /
 followed by a terminal one (streamed enumerations).
 
 Epoch snapshots never cross the pipe: ``EpochSnapshot`` objects are
-identity-keyed (meaningless after pickling), so workers retain their
-last few published snapshots keyed by the *coordinator's* epoch
+identity-keyed (meaningless after pickling), so every runtime retains
+its last few published snapshots keyed by the *coordinator's* epoch
 number and snapshot reads name the epoch they want.
 
 Concurrency: one :class:`threading.Lock` per worker is held across a
 full send+receive exchange, so concurrent parent threads (the serve
 tier's commit executor vs. its event loop) cannot interleave frames.
-Broadcast rounds take the locks in worker-index order; point commands
-take exactly one — no lock-order cycles, hence no deadlocks.
+Rounds take the locks in worker-index order; point commands take
+exactly one — no lock-order cycles, hence no deadlocks.  The
+coordinator-hosted runtimes take no lock at all: snapshot reads are
+lock-free by construction (:mod:`repro.viewtree.epoch`).
 
 Failure: a dead pipe or worker process raises
 :class:`ShardWorkerError` naming the shard — each worker's persistent
 selector watches the pipe *and* the process sentinel, so a death is
 noticed at once, after any final reply is drained — marks the pool
-broken, and the coordinator can rebuild from its authoritative base
-database (see ``ShardedEngine._ensure_workers``): surviving shards
-lose no committed state because every worker is rebuilt from the same
+broken, and the coordinator rebuilds it from its authoritative base
+database (see ``ShardedEngine._ensure``): surviving shards lose no
+committed state because every worker is rebuilt from the same
 committed prefix.  Only stats not yet pulled are lost with a pool.
 """
 
@@ -155,17 +162,17 @@ def decode_batch(
 
 
 # ----------------------------------------------------------------------
-# Worker-side runtime
+# The shard runtime (hosted by the coordinator or by a worker process)
 # ----------------------------------------------------------------------
 
 
 @dataclass
 class ShardWorkerSpec:
-    """Everything a worker needs to build its shard engine locally.
+    """Everything needed to build one shard's engine where it will live.
 
     Small and picklable: the plan inputs plus the base database — the
-    one-time spawn cost.  After construction the engine (views, guards,
-    generated kernels) lives only in the worker.
+    one-time spawn cost of a worker.  After construction the engine
+    (views, guards, generated kernels) lives only in its host.
     """
 
     query: Query
@@ -177,12 +184,14 @@ class ShardWorkerSpec:
     generated: bool = True
     engine_kwargs: dict = field(default_factory=dict)
 
-    def build(self):
-        """Construct the shard's ``ViewTreeEngine`` with a fresh recorder."""
+    def build(self, stats: MaintenanceStats | None = None):
+        """Construct the shard's ``ViewTreeEngine``, recording into
+        ``stats`` (a fresh recorder when the host keeps none)."""
         from ..viewtree.engine import ViewTreeEngine
 
-        stats = MaintenanceStats(engine=f"ViewTreeEngine/shard{self.shard}")
-        engine = ViewTreeEngine(
+        if stats is None:
+            stats = MaintenanceStats(engine=f"ViewTreeEngine/shard{self.shard}")
+        return ViewTreeEngine(
             self.query,
             self.database,
             self.order,
@@ -192,15 +201,14 @@ class ShardWorkerSpec:
             generated=self.generated,
             **self.engine_kwargs,
         )
-        return engine
 
 
-class _WorkerRuntime:
-    """The state machine a worker process runs until shutdown."""
+class ShardRuntime:
+    """One shard's engine and epoch bookkeeping, driven by commands."""
 
-    def __init__(self, spec: ShardWorkerSpec):
+    def __init__(self, spec: ShardWorkerSpec, stats: MaintenanceStats | None = None):
         self.spec = spec
-        self.engine = spec.build()
+        self.engine = spec.build(stats)
         self.ring = self.engine.ring
         #: Coordinator epoch number -> this shard's EpochSnapshot.
         self.snapshots: dict[int, Any] = {}
@@ -218,8 +226,8 @@ class _WorkerRuntime:
         )
         return delta
 
-    # Each handler returns (payload, chunks) where chunks is an
-    # iterable of item lists to stream before the terminal reply.
+    # Each handler returns (payload, stream) where stream is an
+    # iterator of items to deliver before the terminal reply.
 
     def handle(self, command: tuple):
         op = command[0]
@@ -228,17 +236,29 @@ class _WorkerRuntime:
             raise ValueError(f"unknown worker command {op!r}")
         return handler(*command[1:])
 
+    def call(self, command: tuple) -> "_Reply":
+        """The in-process transport: :meth:`handle` with a pipe
+        exchange's reply shape (nothing shipped, no stats piggybacked —
+        the host reads this runtime's recorder directly)."""
+        payload, stream = self.handle(command)
+        items = None if stream is None else list(stream)
+        return _Reply(payload, items, None, 0.0, 0, 0)
+
     def _cmd_apply(self, update: Update):
         self.engine.apply(update, update_base=False)
         return None, None
 
-    def _cmd_apply_batch(self, encoded, rebuild_factor):
+    def _cmd_apply_batch(self, columns, rebuild_factor):
         self.engine.apply_coalesced_batch(
-            decode_batch(encoded, self.ring),
-            update_base=False,
-            rebuild_factor=rebuild_factor,
+            columns, update_base=False, rebuild_factor=rebuild_factor
         )
         return None, None
+
+    def _cmd_apply_encoded(self, encoded, rebuild_factor):
+        """``apply_batch`` for columns that crossed the pipe."""
+        return self._cmd_apply_batch(
+            decode_batch(encoded, self.ring), rebuild_factor
+        )
 
     def _cmd_rebuild(self):
         self.engine.rebuild()
@@ -306,7 +326,7 @@ class _WorkerRuntime:
             # Materialization (output_relation) is not an enumeration
             # request; the unobserved drain records no delay samples.
             iterator = self.engine._enumerate(prebound)
-        return None, _chunked(iterator)
+        return None, iterator
 
     def _cmd_lookup(self, key: tuple, prebound, number: int | None):
         if number is not None:
@@ -367,7 +387,7 @@ def _chunked(iterator):
 def _worker_main(conn, spec_blob: bytes) -> None:
     """Worker process entry point: build the engine, serve commands."""
     try:
-        runtime = _WorkerRuntime(pickle.loads(spec_blob))
+        runtime = ShardRuntime(pickle.loads(spec_blob))
     except Exception:
         try:
             conn.send_bytes(
@@ -386,9 +406,9 @@ def _worker_main(conn, spec_blob: bytes) -> None:
         op = command[0]
         started = time.perf_counter()
         try:
-            payload, chunks = runtime.handle(command)
-            if chunks is not None:
-                for chunk in chunks:
+            payload, stream = runtime.handle(command)
+            if stream is not None:
+                for chunk in _chunked(stream):
                     conn.send_bytes(pickle.dumps(("chunk", chunk), _PROTOCOL))
             stats = (
                 runtime.take_stats() if op in _STATS_COMMANDS else None
@@ -562,7 +582,9 @@ class ShardWorkerPool:
         ``overlap`` is called exactly once, after the sends and before
         any reply is read, so its work runs while the workers do theirs
         — also when a send fails (the coordinator's base writes must
-        land whether or not the round does).
+        land whether or not the round does).  Whatever ``overlap`` or a
+        worker raises, every reply still owed is read before the first
+        error propagates: an unread ack would answer the next command.
         """
         if len(commands) != len(self.workers):
             raise ValueError(
@@ -573,18 +595,29 @@ class ShardWorkerPool:
             for worker in self.workers:
                 worker.lock.acquire()
                 acquired.append(worker)
+            errors: list[BaseException] = []
+            sent: list[int] = []
             try:
-                sent = [
-                    self._send(worker, command)
-                    for worker, command in zip(self.workers, commands)
-                ]
-            finally:
-                if overlap is not None:
+                for worker, command in zip(self.workers, commands):
+                    sent.append(self._send(worker, command))
+            except Exception as exc:  # a dead pipe, an unpicklable command
+                errors.append(exc)
+            if overlap is not None:
+                try:
                     overlap()
-            return [
-                self._collect(worker, bytes_sent)
-                for worker, bytes_sent in zip(self.workers, sent)
-            ]
+                except BaseException as exc:  # re-raised once the acks are in
+                    errors.append(exc)
+            replies = []
+            for worker, bytes_sent in zip(self.workers, sent):
+                if self.broken:  # a dead transport owes nothing readable
+                    break
+                try:
+                    replies.append(self._collect(worker, bytes_sent))
+                except ShardWorkerError as exc:
+                    errors.append(exc)
+            if errors:
+                raise errors[0]
+            return replies
         finally:
             for worker in reversed(acquired):
                 worker.lock.release()

@@ -46,7 +46,7 @@ Everything stored here is positions, relation references, named
 callables, and ring singletons, so plans pickle — a generated kernel
 pickles as "regenerate from my plan", and the pickle memo preserves the
 identity between a plan's relation references and the view tree's own
-when an engine is shipped whole (the ``pickle-engine`` shard IPC).
+when an engine is pickled whole.
 """
 
 from __future__ import annotations

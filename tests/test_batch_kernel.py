@@ -439,7 +439,7 @@ class TestShardedBatch:
             engine.apply(update)
         return engine.output_relation().to_dict()
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_sharded_batches_match_unsharded(self, executor):
         """The coordinator coalesces before splitting; the process pool
         additionally exercises ``push_batch`` inside worker processes."""

@@ -281,7 +281,7 @@ class TestStrategies:
                     assert got == maintained, name
 
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 class TestSharded:
@@ -304,12 +304,14 @@ class TestSharded:
             engine.close()
 
     def test_worker_retain_epochs_boundary(self, rng):
-        """The worker CHANGES command refuses evicted coordinator epochs.
+        """The shard CHANGES command refuses evicted coordinator epochs.
 
-        Workers map coordinator epoch numbers to their own engine epochs
+        Shards map coordinator epoch numbers to their own engine epochs
         and retain only RETAIN_EPOCHS + 1 entries; asking for an older
-        epoch must surface the typed gap, never a partial delta — and
-        the coordinator-level ``changes_since`` guard mirrors it.
+        epoch must surface the typed gap, never a partial delta — from
+        the coordinator-hosted shard directly, from a worker over the
+        pipe — and the coordinator-level ``changes_since`` guard
+        mirrors it.
         """
         db = fresh_db(rng=rng, rows=60, domain=10)
         engine = ShardedEngine(QUERY, db, shards=2, executor="process")
@@ -321,9 +323,11 @@ class TestSharded:
                 engine.publish_epoch()
             with pytest.raises(EpochGapError):
                 engine.changes_since(evicted)
-            pool = engine._ensure_workers()
+            stale = ("changes", evicted, engine.epoch)
+            with pytest.raises(EpochGapError):
+                engine._call(0, stale)
             with pytest.raises(ShardWorkerError, match="EpochGapError"):
-                pool.call(0, ("changes", evicted, engine.epoch))
+                engine._call(1, stale)
             # The stale subscriber recovers through a counted full drain.
             view.refresh()
             assert view.full_refreshes == 1
@@ -335,10 +339,10 @@ class TestSharded:
         """A pool rebuild marks the tracker stale; subscribers full-drain
         once and the stream then resumes patching."""
         db = fresh_db(rng=rng, rows=60, domain=10)
-        engine = ShardedEngine(QUERY, db, shards=2, executor="thread")
+        engine = ShardedEngine(QUERY, db, shards=2, executor="serial")
         try:
             view = engine.subscribe()
-            engine._change_tracker.mark_stale()
+            engine._change_tracker.stale = True
             engine.apply(Update("R", (4, 4), 1))
             engine.publish_epoch()  # resync happens here
             view.refresh()

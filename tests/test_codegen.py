@@ -246,7 +246,7 @@ class TestStrategies:
 
 
 class TestSharded:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executor_parity(self, executor):
         query = parse_query("Q(B, A) = R(B, A) * S(B)")
 

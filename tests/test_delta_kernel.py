@@ -309,12 +309,13 @@ class TestCompiledPickling:
         schemas = [("R", ("B", "A")), ("S", ("B",))]
         db = seeded_db(schemas, random.Random(21), rows=15)
         batch = valid_stream(random.Random(5), {"R": 2, "S": 1}, 60)
-        with ShardedEngine(
-            query, db, shards=2, executor="process", ipc="pickle-engine"
-        ) as engine:
+        with ShardedEngine(query, db, shards=2, executor="process") as engine:
             assert all(shard._kernels for shard in engine.engines)
             engine.apply_batch(batch)
             assert engine.output_relation() == evaluate(query, db)
+            engine.merged_stats()  # pulls the worker's counters
+            for recorder in engine.shard_stats:
+                assert recorder.kernels_generated + recorder.shape_cache_hits
 
 
 class TestShardInvarianceWithCompilation:

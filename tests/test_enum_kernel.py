@@ -256,15 +256,20 @@ class TestSharded:
         )
         with ShardedEngine(
             query, seeded_db(schemas, random.Random(4)), shards=2,
-            executor="process", ipc="pickle-engine",
+            executor="process",
         ) as sharded:
             stream = list(
                 valid_stream(random.Random(6), {"R": 2, "S": 2}, 200)
             )
             reference.apply_batch(stream)
-            sharded.apply_batch(stream)  # ships engines through pickle
+            sharded.apply_batch(stream)
+            # The worker built its engine from a pickled spec and got
+            # its kernels there (generated or from the shape cache it
+            # was forked with); its pulled codegen counters say so.
+            sharded.merged_stats()
+            for recorder in sharded.shard_stats:
+                assert recorder.kernels_generated + recorder.shape_cache_hits
             for engine in sharded.engines:
-                # adopted engines regenerated their kernel from its plan
                 assert engine._enum_kernel is not None
             assert dict(sharded.enumerate()) == dict(reference.enumerate())
 

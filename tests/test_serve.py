@@ -231,7 +231,7 @@ class TestGroupCommitEquivalence:
             close_backend(engine)
 
         assert engine_stats.ipc_commits == stats.commits
-        assert engine_stats.ipc_workers_spawned == shards
+        assert engine_stats.ipc_workers_spawned == shards - 1  # shard 0 is local
         assert engine_stats.ipc_worker_failures == 0
 
         _, serial = fresh_engine(text, shards=1)

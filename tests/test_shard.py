@@ -1,5 +1,6 @@
 """Sharded parallel view-tree maintenance: router, splitter, engine."""
 
+import multiprocessing
 import pickle
 import random
 
@@ -9,6 +10,7 @@ from repro.data import Database, Update
 from repro.data.columnar import coalesce_columnar
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
+from repro.query.variable_order import search_order
 from repro.rings import B, MIN_PLUS, PROVENANCE, R, Z
 from repro.shard import (
     ShardLeafFilter,
@@ -201,27 +203,37 @@ class TestSplitBatch:
         assert only.columns == columns
 
 
+#: The ring matrix: (ring, whether its stream may carry deletes).
+RINGS = [(Z, True), (R, True), (B, False), (MIN_PLUS, False), (PROVENANCE, False)]
+RING_IDS = ["int", "float", "boolean", "min-plus", "provenance"]
+STAR_QUERY = parse_query("Q(A, B) = R(A, B) * S(B, C) * T(B)")
+STAR_ARITIES = {"R": 2, "S": 2, "T": 1}
+
+
+def star_db(ring):
+    db = Database(ring=ring)
+    for name, schema in (("R", "AB"), ("S", "BC"), ("T", "B")):
+        db.create(name, tuple(schema))
+    return db
+
+
+def star_stream(ring, deletes, count=160):
+    """A valid stream over ``STAR_QUERY`` with ``ring``'s unit payloads."""
+    stream = []
+    for update in valid_stream(
+        random.Random(31), STAR_ARITIES, count, domain=6,
+        delete_prob=0.3 if deletes else 0.0,
+    ):
+        payload = ring.one if update.payload > 0 else ring.neg(ring.one)
+        stream.append(Update(update.relation, update.key, payload))
+    return stream
+
+
 class TestCoalescedBatchEntryPoint:
     """``apply_coalesced_batch(coalesce(batch))`` ≡ ``apply_batch(batch)``."""
 
-    QUERY = parse_query("Q(A, B) = R(A, B) * S(B, C) * T(B)")
-    ARITIES = {"R": 2, "S": 2, "T": 1}
-
-    def stream(self, ring, deletes, count=160):
-        stream = []
-        for update in valid_stream(
-            random.Random(31), self.ARITIES, count, domain=6,
-            delete_prob=0.3 if deletes else 0.0,
-        ):
-            payload = ring.one if update.payload > 0 else ring.neg(ring.one)
-            stream.append(Update(update.relation, update.key, payload))
-        return stream
-
     def engine(self, ring, drop=None, **kwargs):
-        db = Database(ring=ring)
-        for name, schema in (("R", "AB"), ("S", "BC"), ("T", "B")):
-            db.create(name, tuple(schema))
-        engine = ViewTreeEngine(self.QUERY, db, **kwargs)
+        engine = ViewTreeEngine(STAR_QUERY, star_db(ring), **kwargs)
         if drop is not None:
             # What a reported generation failure leaves behind: no kernel
             # row, so the generic walk interprets this relation's deltas
@@ -229,11 +241,7 @@ class TestCoalescedBatchEntryPoint:
             del engine._kernels[drop]
         return engine
 
-    @pytest.mark.parametrize(
-        "ring,deletes",
-        [(Z, True), (R, True), (B, False), (MIN_PLUS, False), (PROVENANCE, False)],
-        ids=["int", "float", "boolean", "min-plus", "provenance"],
-    )
+    @pytest.mark.parametrize("ring,deletes", RINGS, ids=RING_IDS)
     @pytest.mark.parametrize(
         "kwargs",
         [{}, {"drop": "S"}, {"generated": False}],
@@ -241,7 +249,7 @@ class TestCoalescedBatchEntryPoint:
     )
     @pytest.mark.parametrize("rebuild_factor", [None, 0.5])
     def test_matches_apply_batch(self, ring, deletes, kwargs, rebuild_factor):
-        stream = self.stream(ring, deletes)
+        stream = star_stream(ring, deletes)
         whole = self.engine(ring, **kwargs)
         columnar = self.engine(ring, **kwargs)
         s_whole, s_columnar = whole.attach_stats(), columnar.attach_stats()
@@ -271,9 +279,9 @@ class TestCoalescedBatchEntryPoint:
     def test_update_base_false_leaves_the_database_alone(self):
         engine = self.engine(Z)
         engine.apply_coalesced_batch(
-            coalesce_columnar(self.stream(Z, True), Z), update_base=False
+            coalesce_columnar(star_stream(Z, True), Z), update_base=False
         )
-        assert all(len(engine.database[name]) == 0 for name in self.ARITIES)
+        assert all(len(engine.database[name]) == 0 for name in STAR_ARITIES)
         assert engine.total_view_size() > 0
 
 
@@ -297,21 +305,13 @@ class TestShardedEngine:
             assert dict(engine.enumerate()) == dict(plain.enumerate())
             assert engine.output_relation() == evaluate(QUERY, db)
 
-    def test_thread_executor_batches(self):
-        rng = random.Random(11)
-        db = fresh_db(rng, rows=20)
-        batch = valid_stream(random.Random(5), {"R": 2, "S": 1}, 200)
-        with ShardedEngine(QUERY, db, shards=4, executor="thread") as engine:
-            engine.apply_batch(batch)
-            assert engine.output_relation() == evaluate(QUERY, db)
-
     def test_process_executor_batches(self):
         db = fresh_db(random.Random(13), rows=10)
         batch = valid_stream(random.Random(5), {"R": 2, "S": 1}, 60)
         with ShardedEngine(QUERY, db, shards=2, executor="process") as engine:
             engine.apply_batch(batch[:30])
-            # interleave a single update between batches: the adopted
-            # worker-side engines must keep accepting inline updates
+            # interleave a single update between batches: both hosts
+            # of a shard must keep accepting inline updates
             engine.apply(Update("R", (1, 1), 1))
             engine.apply_batch(batch[30:])
             engine.apply(Update("R", (1, 1), -1))
@@ -396,3 +396,95 @@ class TestShardedEngine:
         with ShardedEngine(QUERY, db, shards=2, executor="serial") as engine:
             text = engine.describe()
         assert "shard" in text and "B" in text
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize(
+        "text,disjoint",
+        [
+            # B is a head variable and partitions R and S: no output key
+            # occurs on two shards, the merge is a plain union.
+            ("Q(B, A) = R(B, A) * S(B)", True),
+            # B is summed away (under a searched free-top order): every
+            # shard may hold a share of Q(a), the merge ring-folds them
+            # in shard order.
+            ("Q(A) = R(B, A) * S(B)", False),
+        ],
+    )
+    def test_merged_output_unions_or_folds_by_query(
+        self, text, disjoint, executor
+    ):
+        query = parse_query(text)
+        stream = valid_stream(random.Random(19), {"R": 2, "S": 1}, 200, domain=6)
+        order = search_order(query, require_free_top=True)
+        plain = ViewTreeEngine(query, fresh_db(random.Random(23), rows=30), order)
+        db = fresh_db(random.Random(23), rows=30)
+        with ShardedEngine(
+            query, db, shards=3, shard_variable="B", order=order,
+            executor=executor,
+        ) as engine:
+            assert engine._disjoint_outputs is disjoint
+            for at in range(0, len(stream), 50):
+                engine.apply_batch(stream[at:at + 50])
+                plain.apply_batch(stream[at:at + 50])
+            expected = evaluate(query, db)
+            assert len(expected) > 0
+            assert plain.output_relation() == expected
+            assert engine.output_relation() == expected
+            assert dict(engine.enumerate()) == expected.data
+            assert len(list(engine.enumerate())) == len(expected)
+            assert dict(engine.enumerate_snapshot()) == expected.data
+            some = next(iter(expected.data))
+            assert dict(
+                engine.enumerate(dict(zip(query.head, some)))
+            ) == {some: expected.data[some]}
+
+
+class TestExecutorMatrix:
+    """process ≡ serial ≡ unsharded ≡ ``repro.naive``: every ring, shard
+    count and write path, on one stream."""
+
+    WRITE_PATHS = ("apply", "apply_batch", "rebuild_factor")
+
+    def feed(self, engine, stream, path):
+        if path == "apply":
+            for update in stream:
+                engine.apply(update)
+            return
+        # 80 updates on empty leaves cross rebuild_factor=0.5; the
+        # 20-update slices after them fall below it and propagate.
+        factor = 0.5 if path == "rebuild_factor" else None
+        for start, stop in ((0, 80), (80, 100), (100, 120)):
+            engine.apply_batch(stream[start:stop], rebuild_factor=factor)
+
+    @pytest.mark.parametrize("ring,deletes", RINGS, ids=RING_IDS)
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_write_paths_match_the_oracles(self, ring, deletes, shards):
+        stream = star_stream(ring, deletes, count=120)
+        children = len(multiprocessing.active_children())
+        for path in self.WRITE_PATHS:
+            plain = ViewTreeEngine(STAR_QUERY, star_db(ring))
+            sharded = {
+                executor: ShardedEngine(
+                    STAR_QUERY, star_db(ring), shards=shards, executor=executor
+                )
+                for executor in ("serial", "process")
+            }
+            try:
+                self.feed(plain, stream, path)
+                expected = evaluate(STAR_QUERY, plain.database)
+                assert plain.output_relation() == expected, path
+                for executor, engine in sharded.items():
+                    self.feed(engine, stream, path)
+                    assert engine.output_relation() == expected, (path, executor)
+                    assert dict(engine.enumerate()) == expected.data
+                    for key in list(expected.data)[:4]:
+                        assert engine.lookup(key) == expected.data[key]
+                    assert engine.database["R"] == plain.database["R"]
+                    assert engine.merged_views()["V_B"] == plain.roots[0].view
+                assert (
+                    len(multiprocessing.active_children())
+                    == children + shards - 1
+                )
+            finally:
+                for engine in sharded.values():
+                    engine.close()

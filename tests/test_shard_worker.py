@@ -1,19 +1,21 @@
-"""Persistent shard workers: delta-only IPC (`repro.shard.worker`).
+"""Shard runtimes and their worker processes (`repro.shard.worker`).
 
-The tentpole invariant under test: with ``executor="process"`` and the
-default ``ipc="delta"``, the coordinator holds no engine replicas —
-workers keep all view state resident and the pipe carries only the
-columns of coalesced sub-batches out and acks / read results back
+The tentpole invariant under test: with ``executor="process"`` the
+coordinator hosts shard 0 itself and N-1 worker processes host the
+rest — workers keep all view state resident and the pipe carries only
+the columns of coalesced sub-batches out and acks / read results back
 (stats deltas only when pulled).  Every read path must stay
-bit-identical to the serial executor and to the ``ipc="pickle-engine"``
-oracle (the old ship-the-engine path).
+bit-identical to the serial executor (the same runtimes, all local),
+the unsharded engine and ``repro.naive``.
 """
 
+import multiprocessing
 import os
 import pickle
 import random
 import signal
 import threading
+import time
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.shard import (
     ShardedEngine,
     decode_batch,
     encode_batch,
+    stable_hash,
 )
 from repro.viewtree import ViewTreeEngine
 from tests.conftest import valid_stream
@@ -104,46 +107,52 @@ class TestWireEncoding:
         assert wire_round_trip(floats, FloatRing()) == ({}, {})
 
 
+def owned_key(engine, shard, spread=64):
+    """An ``R`` key whose shard-variable value ``shard`` owns."""
+    return next(
+        (value, 1) for value in range(spread)
+        if stable_hash(value) % engine.shards == shard
+    )
+
+
 # ----------------------------------------------------------------------
-# Differential: delta protocol vs serial executor vs pickle-engine oracle
+# Differential: process (shard 0 local + workers) vs serial vs naive
 # ----------------------------------------------------------------------
 
 
 class TestDeltaDifferential:
-    def test_delta_matches_serial_and_pickle_engine(self):
-        """Same stream through three coordinators — serial in-process,
-        process+delta workers, process+pickle-engine (the old path, kept
-        as the differential oracle) — must agree bit-for-bit on every
-        read path."""
+    def test_process_matches_serial_and_naive(self):
+        """Same stream through two coordinators — every runtime local,
+        shard 0 local plus two workers — must agree bit-for-bit on
+        every read path, and with a from-scratch evaluation."""
         stream = valid_stream(random.Random(5), {"R": 2, "S": 1}, 160)
+        children = len(multiprocessing.active_children())
         engines = {
             "serial": ShardedEngine(
                 QUERY, fresh_db(random.Random(13), rows=20), shards=3,
                 executor="serial",
             ),
-            "delta": ShardedEngine(
+            "process": ShardedEngine(
                 QUERY, fresh_db(random.Random(13), rows=20), shards=3,
                 executor="process", ipc="delta",
             ),
-            "oracle": ShardedEngine(
-                QUERY, fresh_db(random.Random(13), rows=20), shards=3,
-                executor="process", ipc="pickle-engine",
-            ),
         }
-        assert engines["delta"].engines == []  # no coordinator replicas
-        assert engines["oracle"].engines  # the old path still has them
         try:
             for engine in engines.values():
                 engine.apply_batch(stream[:100])
                 engine.apply(Update("R", (1, 1), 2))  # inline single update
                 engine.apply_batch(stream[100:])
+            # the coordinator hosts shard 0 only; one process per other shard
+            assert len(engines["process"].engines) == 1
+            assert len(engines["serial"].engines) == 3
+            assert len(multiprocessing.active_children()) == children + 2
             expected = dict(engines["serial"].enumerate())
-            for name in ("delta", "oracle"):
-                assert dict(engines[name].enumerate()) == expected
-                assert (
-                    engines[name].output_relation()
-                    == engines["serial"].output_relation()
-                )
+            assert expected == evaluate(QUERY, engines["serial"].database).data
+            assert dict(engines["process"].enumerate()) == expected
+            assert (
+                engines["process"].output_relation()
+                == engines["serial"].output_relation()
+            )
             for key in list(expected)[:5] + [(99, 99)]:
                 payloads = {
                     name: engine.lookup(key)
@@ -151,12 +160,20 @@ class TestDeltaDifferential:
                 }
                 assert len(set(payloads.values())) == 1, payloads
             assert (
-                engines["delta"].total_view_size()
+                engines["process"].total_view_size()
                 == engines["serial"].total_view_size()
             )
         finally:
             for engine in engines.values():
                 engine.close()
+
+    def test_two_shards_are_one_child_process(self):
+        before = len(multiprocessing.active_children())
+        with ShardedEngine(
+            QUERY, fresh_db(), shards=2, executor="process"
+        ) as engine:
+            engine.apply(Update("R", (0, 0), 1))
+            assert len(multiprocessing.active_children()) == before + 1
 
     def test_boolean_scalar_via_workers(self):
         query = parse_query("Q() = R(B, A) * S(B)")
@@ -207,17 +224,14 @@ class TestDeltaDifferential:
             )
             assert engine.merged_views() == serial.merged_views()
             text = engine.describe()
-            assert "process/delta" in text
-            assert "worker-resident" in text
+            assert "(process)" in text
+            assert "shard 0:" in text
+            assert text.count("worker-resident") == 2
         serial.close()
 
 
-    @pytest.mark.parametrize(
-        "executor,ipc",
-        [("serial", "delta"), ("thread", "delta"),
-         ("process", "delta"), ("process", "pickle-engine")],
-    )
-    def test_sliding_window_with_in_batch_cancellation(self, executor, ipc):
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_sliding_window_with_in_batch_cancellation(self, executor):
         """A window shorter than the batch puts a tuple's insert *and*
         its delete into one batch: the coordinator's single coalescing
         pass must cancel them before the split, on every executor."""
@@ -232,7 +246,7 @@ class TestDeltaDifferential:
         )
         plain = ViewTreeEngine(QUERY, fresh_db())
         with ShardedEngine(
-            QUERY, fresh_db(), shards=3, executor=executor, ipc=ipc
+            QUERY, fresh_db(), shards=3, executor=executor
         ) as engine:
             for batch in batches:
                 engine.apply_batch(batch)
@@ -258,8 +272,8 @@ class TestIpcObservability:
     def test_bytes_per_commit_flat_as_state_grows(self):
         """Ship 8 same-size batches of fresh keys; resident view state
         grows ~8x while the bytes crossing the pipe per commit stay
-        flat.  Under pickle-engine semantics the last commit would ship
-        ~8x the first one."""
+        flat — shipping state would make the last commit ~8x the
+        first one."""
         db = fresh_db()
         commits = 8
         with ShardedEngine(
@@ -282,7 +296,7 @@ class TestIpcObservability:
             # small wiggle is pickle framing), not proportional to the
             # 8x-grown view state.
             assert high <= 1.5 * low, (low, high)
-            assert stats.ipc_workers_spawned == 2
+            assert stats.ipc_workers_spawned == 1  # shard 0 is local
             assert stats.ipc_rounds >= commits
             assert stats.ipc_bytes_sent > 0
             assert stats.ipc_bytes_received > 0
@@ -303,14 +317,14 @@ class TestIpcObservability:
         assert payload["rounds"] >= 1
         assert payload["bytes_sent"] > 0
         assert payload["bytes_received"] > 0
-        assert payload["workers"] == 2
-        assert payload["workers_spawned"] == 2
+        assert payload["workers"] == 1
+        assert payload["workers_spawned"] == 1
         assert payload["worker_failures"] == 0
         assert 0.0 <= payload["utilization"] <= 1.0
         assert payload["commit_bytes"]["count"] == 1
         assert "worker ipc:" in stats.render()
-        # Worker-side maintenance stats delta made it back to the
-        # per-shard recorders the merged view labels.
+        # Shard 0 recorded live; the worker-side maintenance stats
+        # delta made it back to the recorder the merged view labels.
         assert set(merged.shard_summaries) == {"shard0", "shard1"}
         assert all(
             summary["batches"] >= 1
@@ -319,10 +333,10 @@ class TestIpcObservability:
 
 
     def test_lazy_stats_total_what_per_commit_shipping_did(self):
-        """Commit acks carry no stats; ``merged_stats`` pulls.  The
-        per-shard totals equal the serial executor's (whose shard
-        recorders are written in-process, per commit), and pulling
-        twice does not count anything twice."""
+        """Commit acks carry no stats; ``merged_stats`` pulls from the
+        worker while shard 0's recorder is written live.  The per-shard
+        totals equal the serial executor's (all recorders live), and
+        pulling twice does not count anything twice."""
         batches = [
             valid_stream(random.Random(seed), {"R": 2, "S": 1}, 50)
             for seed in range(6)
@@ -336,9 +350,10 @@ class TestIpcObservability:
                 for batch in batches:
                     engine.apply_batch(batch)
                 engine.apply(Update("R", (1, 1), 1))
+                local, remote = engine.shard_stats
+                assert local.batches == len(batches)  # live, never pulled
                 if executor == "process":
-                    # nothing was shipped with the acks
-                    assert all(s.batches == 0 for s in engine.shard_stats)
+                    assert remote.batches == 0  # nothing rode the acks
                 first = engine.merged_stats().shard_summaries
                 second = engine.merged_stats().shard_summaries
                 assert first == second
@@ -369,7 +384,7 @@ class TestIpcObservability:
 
 
 # ----------------------------------------------------------------------
-# Worker crashes (satellite): clear error, counted, pool rebuilds
+# Failures: clear error, counted, the condemned rebuilt from the base
 # ----------------------------------------------------------------------
 
 
@@ -388,12 +403,12 @@ class TestWorkerCrash:
         ) as engine:
             stats = engine.attach_stats()
             engine.apply_batch(batches[0])
-            first_pool = engine._worker_pool
+            first_pool = engine._pool
             assert first_pool is not None and not first_pool.broken
 
-            # Kill one worker out from under the pool, mid-life.
-            first_pool.workers[1].process.kill()
-            first_pool.workers[1].process.join(5.0)
+            # Kill shard 1's worker out from under the pool, mid-life.
+            first_pool.workers[0].process.kill()
+            first_pool.workers[0].process.join(5.0)
             with pytest.raises(ShardWorkerError, match="shard worker 1"):
                 engine.apply_batch(batches[1])
             assert first_pool.broken
@@ -404,9 +419,9 @@ class TestWorkerCrash:
             # so the rebuilt workers (respawned from the authoritative
             # base database) include it — nothing is lost or doubled.
             engine.apply_batch(batches[2])
-            assert engine._worker_pool is not first_pool
-            assert not engine._worker_pool.broken
-            assert stats.ipc_workers_spawned == 6  # 3 at birth + 3 rebuilt
+            assert engine._pool is not first_pool
+            assert not engine._pool.broken
+            assert stats.ipc_workers_spawned == 4  # 2 at birth + 2 rebuilt
 
             for batch in batches:
                 serial.apply_batch(batch)
@@ -419,8 +434,9 @@ class TestWorkerCrash:
     def test_worker_killed_mid_round(self):
         """The worker dies *after* its sub-batch is on the pipe and
         before it acks: the round raises naming the shard, the base
-        writes (which overlap the workers) landed exactly once, and the
-        next read — from a pool rebuilt off that base — is correct."""
+        writes and shard 0's slice (which overlap the workers) landed
+        exactly once, and the next read — shard 0 with the state it
+        kept, the pool rebuilt off that base — is correct."""
         batches = [
             valid_stream(random.Random(seed), {"R": 2, "S": 1}, 60)
             for seed in (1, 2)
@@ -431,8 +447,9 @@ class TestWorkerCrash:
         ) as engine:
             stats = engine.attach_stats()
             engine.apply_batch(batches[0])
-            pool = engine._worker_pool
-            victim = pool.workers[1].process
+            pool = engine._pool
+            (shard_zero,) = engine._runtimes
+            victim = pool.workers[0].process
             # A stopped worker takes the command into its pipe but never
             # reads it; killing it while the coordinator waits for the
             # ack is a death mid-round, noticed through the sentinel.
@@ -451,7 +468,66 @@ class TestWorkerCrash:
                 apply_batch(reference, batch)
             assert db["R"] == reference["R"] and db["S"] == reference["S"]
             assert engine.output_relation() == evaluate(QUERY, db)
-            assert engine._worker_pool is not pool
+            assert engine._pool is not pool
+            assert engine._runtimes == [shard_zero]  # never rebuilt
+
+    def test_failure_in_the_slot_leaves_no_stale_ack(self, monkeypatch):
+        """Whatever raises between send and receive — a base write, now
+        also shard 0's kernel — every ack is read before it propagates
+        (the next command must not be answered by a stale one), and the
+        commit nobody can vouch for rebuilds every shard from the base."""
+        batches = [
+            valid_stream(random.Random(seed), {"R": 2, "S": 1}, 60)
+            for seed in (1, 2, 3)
+        ]
+        db, reference = fresh_db(), fresh_db()
+        with ShardedEngine(QUERY, db, shards=3, executor="process") as engine:
+            engine.apply_batch(batches[0])
+            pool, runtimes = engine._pool, engine._runtimes
+
+            def failing_write(columns):
+                raise RuntimeError("disk full")
+
+            monkeypatch.setattr(engine, "_write_base", failing_write)
+            with pytest.raises(RuntimeError, match="disk full"):
+                engine.apply_batch(batches[1])
+            monkeypatch.undo()
+            # The transport is in step: the old pool answers a fresh
+            # command with that command's reply, not a leftover ack.
+            assert isinstance(pool.call(0, ("total_view_size",)).payload, int)
+            # The workers applied slices the base never got; the next
+            # read sees shards rebuilt from the base instead.
+            assert engine.output_relation() == evaluate(QUERY, db)
+            assert engine._pool is not pool
+            assert engine._runtimes is not runtimes
+            engine.apply_batch(batches[2])
+            for batch in (batches[0], batches[2]):
+                apply_batch(reference, batch)
+            assert db["R"] == reference["R"] and db["S"] == reference["S"]
+            assert engine.output_relation() == evaluate(QUERY, db)
+
+    def test_round_drains_every_ack_before_raising(self):
+        """Pool-level: an ``overlap`` that raises still has every reply
+        read, and the base-write slot ran exactly once."""
+        with ShardedEngine(QUERY, fresh_db(), shards=3, executor="process") as engine:
+            engine.apply(Update("R", (1, 2), 3))
+            pool = engine._pool
+            calls = []
+
+            def overlap():
+                calls.append(1)
+                raise KeyError("boom")
+
+            with pytest.raises(KeyError, match="boom"):
+                pool.round([("scalar", None)] * pool.size, overlap)
+            assert calls == [1] and not pool.broken
+            sizes = pool.broadcast(("total_view_size",))
+            assert all(isinstance(reply.payload, int) for reply in sizes)
+            # a worker-side application error is drained the same way
+            with pytest.raises(ShardWorkerError, match="unknown worker"):
+                pool.round([("no_such_command",)] * pool.size)
+            assert not pool.broken
+            assert engine.lookup((1, 2)) == 0  # S(1) is absent: no output
 
     def test_update_base_false_skips_the_base_writes(self):
         batch = valid_stream(random.Random(3), {"R": 2, "S": 1}, 40)
@@ -472,14 +548,83 @@ class TestWorkerCrash:
         ) as engine:
             stats = engine.attach_stats()
             engine.apply(Update("R", (1, 2), 3))
-            pool = engine._worker_pool
+            pool = engine._pool
             with pytest.raises(ShardWorkerError, match="unknown worker"):
                 pool.call(0, ("no_such_command",))
             assert not pool.broken
             assert stats.ipc_worker_failures == 0
             engine.apply(Update("S", (1,), 5))  # same pool still serves
-            assert engine._worker_pool is pool
+            assert engine._pool is pool
             assert engine.lookup((1, 2)) == 15
+
+
+# ----------------------------------------------------------------------
+# Owner routing: shard 0 never touches a pipe
+# ----------------------------------------------------------------------
+
+
+class TestOwnerRouting:
+    def test_lookups_live_and_pinned_for_both_owners(self):
+        """A key owned by shard 0 and one owned by the worker, read
+        live, at the published epoch, and at an epoch pinned before
+        later publishes."""
+        with ShardedEngine(QUERY, fresh_db(), shards=2, executor="process") as engine:
+            stats = engine.attach_stats()
+            keys = [owned_key(engine, 0), owned_key(engine, 1)]
+            engine.apply_batch(
+                [Update("R", key, 2) for key in keys]
+                + [Update("S", key[:1], 3) for key in keys]
+            )
+            rounds = stats.ipc_rounds
+            assert engine.lookup(keys[0]) == 6
+            assert stats.ipc_rounds == rounds  # shard 0: no pipe
+            assert engine.lookup(keys[1]) == 6
+            assert stats.ipc_rounds == rounds + 1  # the worker: one trip
+
+            pinned = engine.publish_epoch()
+            frozen = engine.enumerate_snapshot()  # pins here, drains later
+            for _ in range(2):  # later publishes, inside the retention
+                engine.apply_batch([Update("R", key, 1) for key in keys])
+                engine.publish_epoch()
+            engine.apply_batch([Update("R", key, 1) for key in keys])
+            for owner, key in enumerate(keys):
+                assert engine.lookup(key) == 15  # live: unpublished too
+                assert engine.lookup_snapshot(key) == 12
+                at_pin = ("lookup", key, dict(zip(QUERY.head, key)), pinned)
+                assert engine._call(owner, at_pin).payload == 6
+            assert dict(frozen) == {key: 6 for key in keys}
+
+    def test_local_snapshot_read_returns_while_a_round_is_in_flight(self):
+        """No per-worker lock guards the coordinator's own shard: with
+        the worker stopped mid-round (its lock held by the commit
+        thread), a snapshot lookup of a shard-0 key still answers."""
+        with ShardedEngine(QUERY, fresh_db(), shards=2, executor="process") as engine:
+            local, remote = owned_key(engine, 0), owned_key(engine, 1)
+            engine.apply_batch(
+                [Update("R", local, 2), Update("S", local[:1], 3)]
+            )
+            engine.publish_epoch()
+            worker = engine._pool.workers[0]
+            victim = worker.process
+            commit = threading.Thread(
+                target=engine.apply_batch,
+                args=([Update("R", remote, 1), Update("R", local, 5)],),
+            )
+            os.kill(victim.pid, signal.SIGSTOP)
+            try:
+                commit.start()
+                deadline = time.monotonic() + 5.0
+                # the round holds the worker's lock from send to receive
+                while not worker.lock.locked() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert worker.lock.locked() and commit.is_alive()
+                assert engine.lookup_snapshot(local) == 6
+                assert commit.is_alive()  # answered mid-round, not after it
+            finally:
+                os.kill(victim.pid, signal.SIGCONT)
+                commit.join(10.0)
+            assert not commit.is_alive()
+            assert engine.lookup(local) == 21
 
 
 # ----------------------------------------------------------------------
@@ -495,16 +640,17 @@ class TestWorkerLifecycle:
         )
         engine.attach_stats()
         engine.apply_batch(valid_stream(random.Random(9), {"R": 2, "S": 1}, 40))
-        processes = [w.process for w in engine._worker_pool.workers]
-        assert all(p.is_alive() for p in processes)
+        processes = [w.process for w in engine._pool.workers]
+        assert len(processes) == 1 and processes[0].is_alive()
         engine.close()
-        assert engine._worker_pool is None
+        assert engine._pool is None
         for process in processes:
             process.join(5.0)
             assert not process.is_alive()
-        # The shutdown replies shipped each worker's final stats delta.
+        # The shutdown reply shipped the worker's final stats delta.
         merged = engine.merged_stats()
         assert set(merged.shard_summaries) == {"shard0", "shard1"}
+        assert all(s["batches"] == 1 for s in merged.shard_summaries.values())
         engine.close()  # idempotent
 
     def test_context_manager_tears_down(self):
@@ -513,37 +659,43 @@ class TestWorkerLifecycle:
             QUERY, db, shards=2, executor="process", ipc="delta"
         ) as engine:
             engine.apply(Update("R", (0, 0), 1))
-            processes = [w.process for w in engine._worker_pool.workers]
+            processes = [w.process for w in engine._pool.workers]
         for process in processes:
             process.join(5.0)
             assert not process.is_alive()
 
     def test_coordinator_pickles_without_pool(self):
-        import pickle
-
-        db = fresh_db(random.Random(1), rows=10)
-        with ShardedEngine(
-            QUERY, db, shards=2, executor="process", ipc="delta"
-        ) as engine:
-            engine.apply(Update("R", (3, 3), 2))
-            blob = pickle.dumps(engine)
-            expected = dict(engine.enumerate())
-        clone = pickle.loads(blob)
-        try:
-            assert clone._worker_pool is None  # respawns lazily
-            assert dict(clone.enumerate()) == expected
-        finally:
-            clone.close()
+        """Shards are derived state: a restored engine rebuilds all of
+        them — shard 0 like the workers — from its base database, and
+        re-publishes the epoch its readers had pinned."""
+        for executor in ("serial", "process"):
+            db = fresh_db(random.Random(1), rows=10)
+            with ShardedEngine(QUERY, db, shards=2, executor=executor) as engine:
+                engine.apply(Update("R", (3, 3), 2))
+                pinned = engine.publish_epoch()
+                blob = pickle.dumps(engine)
+                expected = dict(engine.enumerate())
+            clone = pickle.loads(blob)
+            try:
+                assert clone._pool is None and clone._runtimes is None
+                assert clone.epoch == pinned
+                assert dict(clone.enumerate_snapshot()) == expected
+                assert dict(clone.enumerate()) == expected
+                assert clone.output_relation() == evaluate(QUERY, clone.database)
+            finally:
+                clone.close()
 
     def test_single_shard_stays_in_process(self):
-        db = fresh_db()
+        before = len(multiprocessing.active_children())
         with ShardedEngine(
-            QUERY, db, shards=1, executor="process", ipc="delta"
+            QUERY, fresh_db(), shards=1, executor="process", ipc="delta"
         ) as engine:
-            assert not engine._delta_ipc
-            assert len(engine.engines) == 1
             engine.apply(Update("R", (1, 1), 1))
-            assert engine._worker_pool is None
+            engine.apply_batch([Update("S", (1,), 2)])
+            assert engine.lookup((1, 1)) == 2
+            assert len(engine.engines) == 1
+            assert engine._pool is None
+            assert len(multiprocessing.active_children()) == before
 
     def test_invalid_ipc_mode_rejected(self):
         with pytest.raises(ValueError, match="ipc"):

@@ -21,7 +21,7 @@ from repro.serve import AsyncIVMServer, update_stream
 from repro.viewtree.engine import ViewTreeEngine
 
 
-def fresh_engine(text, shards=1, shard_executor="thread", **kwargs):
+def fresh_engine(text, shards=1, shard_executor="serial", **kwargs):
     query = parse_query(text)
     db = Database()
     for atom in query.atoms:
@@ -40,17 +40,16 @@ def close_backend(engine):
 
 SNAPSHOT_CONFIGS = [
     # (query text, shards, executor, engine kwargs)
-    ("Q(Y,X,Z) = R(Y,X) * S(Y,Z)", 1, "thread", {}),
-    ("Q(A) = R(A,B) * S(B)", 1, "thread", {}),
+    ("Q(Y,X,Z) = R(Y,X) * S(Y,Z)", 1, "serial", {}),
+    ("Q(A) = R(A,B) * S(B)", 1, "serial", {}),
     # The generic walk (the oracle), write and read path alike.
-    ("Q(A) = R(A,B) * S(B)", 1, "thread", {"generated": False}),
+    ("Q(A) = R(A,B) * S(B)", 1, "serial", {"generated": False}),
     ("Q(B,A) = R(B,A) * S(B)", 3, "serial", {}),
-    ("Q(B,A) = R(B,A) * S(B)", 3, "thread", {}),
-    # "process" defaults to ipc="delta": snapshots live worker-side,
-    # addressed by the coordinator's epoch number over the pipe.
+    # "process": shard 0's snapshots live in the coordinator, the
+    # others worker-side — all addressed by the coordinator's epoch
+    # number, the remote ones over the pipe.
     ("Q(B,A) = R(B,A) * S(B)", 2, "process", {}),
-    # The old ship-the-engine path, kept as the differential oracle.
-    ("Q(B,A) = R(B,A) * S(B)", 2, "process", {"shard_ipc": "pickle-engine"}),
+    ("Q(B,A) = R(B,A) * S(B)", 3, "process", {}),
 ]
 
 
@@ -192,7 +191,9 @@ class TestSnapshotDifferential:
 
 
 class TestConcurrentReaders:
-    @pytest.mark.parametrize("shards,executor", [(1, "thread"), (3, "thread")])
+    @pytest.mark.parametrize(
+        "shards,executor", [(1, "serial"), (3, "serial"), (2, "process")]
+    )
     def test_readers_see_precommit_epoch_during_slow_commit(
         self, shards, executor
     ):
