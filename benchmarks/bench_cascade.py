@@ -71,9 +71,9 @@ def _cascade_table():
         q2_engine = DeltaQueryEngine(Q2, db2)
         tuples = 0
         for i, update in enumerate(stream):
-            q1_engine.update(update)
+            q1_engine.apply(update)
             if update.relation in ("R", "S"):
-                q2_engine.update(update)
+                q2_engine.apply(update)
             if i % ENUM_EVERY == ENUM_EVERY - 1:
                 tuples += sum(1 for _ in q2_engine.enumerate())
                 tuples += sum(1 for _ in q1_engine.enumerate())

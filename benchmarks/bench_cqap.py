@@ -3,7 +3,7 @@
 The triangle-detection CQAP ("do these three nodes form a triangle?") is
 maintained with O(1) updates; an access request costs O(1) regardless of
 the graph size.  The bench grows the graph and compares the CQAP
-engine's access cost with re-running the Boolean triangle query filtered
+plan's access cost with re-running the Boolean triangle query filtered
 to the probe (the no-IVM alternative).
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from repro.bench import Table, growth_exponent
-from repro.cqap import CQAPEngine
+from repro import IVMEngine
 from repro.data import Database, Update, counting
 from repro.query import parse_query
 from repro.workloads import random_edges
@@ -38,7 +38,7 @@ def _access_table():
         edges = random_edges(nodes, size, seed=size)
         db = Database()
         db.create("E", ("X", "Y"))
-        engine = CQAPEngine(QUERY, db)
+        engine = IVMEngine(QUERY, db)
         for edge in edges[:-50]:
             engine.apply(Update("E", edge, 1))
         with counting() as ops:
@@ -53,7 +53,7 @@ def _access_table():
         ]
         with counting() as ops:
             for probe in probes:
-                engine.answer_boolean(probe)
+                next(engine.answer(probe), None)  # is there a triangle?
         per_access = ops.total() / 100
 
         update_costs.append(per_update)
@@ -74,14 +74,13 @@ def bench_cqap_access(benchmark):
     edges = random_edges(400, 4000, seed=1)
     db = Database()
     db.create("E", ("X", "Y"))
-    engine = CQAPEngine(QUERY, db)
+    engine = IVMEngine(QUERY, db)
     for edge in edges:
         engine.apply(Update("E", edge, 1))
     rng = random.Random(2)
 
     def one_access():
-        engine.answer_boolean(
-            {"A": rng.randrange(400), "B": rng.randrange(400), "C": rng.randrange(400)}
-        )
+        probe = {"A": rng.randrange(400), "B": rng.randrange(400), "C": rng.randrange(400)}
+        next(engine.answer(probe), None)
 
     benchmark(one_access)

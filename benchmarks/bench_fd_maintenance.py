@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 
 from repro.bench import Table, growth_exponent
-from repro.constraints import FDEngine, parse_fds
+from repro import IVMEngine
+from repro.constraints import parse_fds
 from repro.data import Database, Update, counting
 from repro.delta import DeltaQueryEngine
 from repro.query import parse_query
@@ -53,7 +54,7 @@ def _fd_table():
     for n in SIZES:
         rng = random.Random(n)
         db, x_domain = _database(n)
-        fd_engine = FDEngine(QUERY, FDS, db.copy())
+        fd_engine = IVMEngine(QUERY, db.copy(), FDS)
         with counting() as ops:
             for _ in range(30):
                 fd_engine.apply(
@@ -64,7 +65,7 @@ def _fd_table():
         delta_engine = DeltaQueryEngine(QUERY, db.copy())
         with counting() as ops:
             for _ in range(10):
-                delta_engine.update(
+                delta_engine.apply(
                     Update("R", (rng.randrange(x_domain), rng.randrange(n)), 1)
                 )
         delta_cost = ops.total() / 10
@@ -86,7 +87,7 @@ def _fd_table():
 
 def bench_fd_engine_update(benchmark):
     db, x_domain = _database(4000)
-    engine = FDEngine(QUERY, FDS, db)
+    engine = IVMEngine(QUERY, db, FDS)
     rng = random.Random(9)
 
     def one_update():

@@ -43,7 +43,7 @@ def _window_table():
         db.create(name, ("X", "Y"))
     delta_engine = DeltaQueryEngine(TRIANGLE, db)
     delta_seconds, _ = time_call(
-        lambda: [delta_engine.update(u) for u in stream]
+        lambda: [delta_engine.apply(u) for u in stream]
     )
     assert counter.count == delta_engine.scalar()
 

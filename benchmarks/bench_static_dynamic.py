@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import random
 
+from repro import IVMEngine
 from repro.bench import Table, growth_exponent
 from repro.data import Database, Update, counting
 from repro.delta import DeltaQueryEngine
 from repro.query import parse_query
-from repro.staticdyn import StaticDynamicEngine
 
 from _util import report
 
@@ -55,7 +55,7 @@ def _static_dynamic_table():
     for t_rows in SIZES:
         rng = random.Random(t_rows)
         db, b_domain = _database(t_rows)
-        engine = StaticDynamicEngine(QUERY, db)
+        engine = IVMEngine(QUERY, db)
         with counting() as ops:
             for i in range(30):
                 engine.apply(Update("S", (i % 10, rng.randrange(b_domain)), 1))
@@ -66,7 +66,7 @@ def _static_dynamic_table():
         delta_engine = DeltaQueryEngine(ALL_DYNAMIC, db2)
         with counting() as ops:
             for i in range(10):
-                delta_engine.update(Update("S", (i % 10, rng.randrange(b_domain2)), 1))
+                delta_engine.apply(Update("S", (i % 10, rng.randrange(b_domain2)), 1))
         delta_cost = ops.total() / 10
 
         tree_costs.append(tree_cost)
@@ -85,7 +85,7 @@ def _static_dynamic_table():
 
 def bench_static_dynamic_update(benchmark):
     db, b_domain = _database(5000)
-    engine = StaticDynamicEngine(QUERY, db)
+    engine = IVMEngine(QUERY, db)
     rng = random.Random(4)
 
     def one_update():

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import random
 
+from repro import IVMEngine
 from repro.bench import Table, growth_exponent
-from repro.constraints import FDEngine
 from repro.data import Update, counting
 from repro.delta import DeltaQueryEngine
 from repro.workloads.tpch import tpch_q3_database, tpch_queries
@@ -51,7 +51,7 @@ def _q3_table():
         db = tpch_q3_database(customers=customers, seed=customers)
         probes = _customer_updates(customers, 15, seed=2)
 
-        fd_engine = FDEngine(Q3_ITEM.query, Q3_ITEM.fds, db.copy())
+        fd_engine = IVMEngine(Q3_ITEM.query, db.copy(), Q3_ITEM.fds)
         with counting() as ops:
             for probe in probes:
                 fd_engine.apply(probe)
@@ -60,7 +60,7 @@ def _q3_table():
         delta_engine = DeltaQueryEngine(Q3_ITEM.query, db.copy())
         with counting() as ops:
             for probe in probes:
-                delta_engine.update(probe)
+                delta_engine.apply(probe)
         delta_cost = ops.total() / len(probes)
 
         fd_costs.append(fd_cost)
@@ -80,7 +80,7 @@ def _q3_table():
 def bench_tpch_q3_lineitem_insert(benchmark):
     """Wall-clock lineitem insert through the FD engine."""
     db = tpch_q3_database(customers=300, seed=5)
-    engine = FDEngine(Q3_ITEM.query, Q3_ITEM.fds, db)
+    engine = IVMEngine(Q3_ITEM.query, db, Q3_ITEM.fds)
     rng = random.Random(6)
 
     def one_insert():

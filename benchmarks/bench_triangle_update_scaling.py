@@ -87,7 +87,7 @@ def _scaling_table():
         delta_engine = DeltaQueryEngine(TRIANGLE, db)
         with counting() as ops:
             for probe in probes:
-                delta_engine.update(probe)
+                delta_engine.apply(probe)
         delta = ops.total() / len(probes)
 
         # IVM^eps.

@@ -17,11 +17,12 @@ delay per returned row.
 The natural-sounding one-stop connection query, by contrast, is NOT a
 tractable CQAP — the intermediate ``stop`` variable dominates the input
 variables, exactly like the edge-triangle-listing of Example 4.6 — and
-the engine refuses it upfront rather than silently degrading.
+the planner says so upfront (it falls back to delta queries and
+``answer()`` raises ``NotSupported``) rather than silently degrading.
 """
 
-from repro import Database, parse_query
-from repro.cqap import CQAPEngine, fracture, is_tractable_cqap
+from repro import Database, IVMEngine, parse_query
+from repro.cqap import fracture, is_tractable_cqap
 from repro.data import Update
 
 SCHEDULE = [
@@ -54,7 +55,8 @@ def main() -> None:
     db = Database()
     db.create("Schedule", ("origin", "date", "flight"))
     db.create("Gates", ("origin", "date", "flight", "gate"))
-    engine = CQAPEngine(query, db)
+    engine = IVMEngine(query, db)
+    print(f"plan: {engine.plan.strategy}")
     for row in SCHEDULE:
         engine.apply(Update("Schedule", row, 1))
     for row in GATES:

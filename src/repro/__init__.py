@@ -12,9 +12,11 @@ substrate of ring relations:
 * :mod:`repro.cascade` — cascading q-hierarchical queries (§4.2);
 * :mod:`repro.cqap` — free access patterns (§4.3);
 * :mod:`repro.constraints` — FDs and PK-FK constraints (§4.4);
-* :mod:`repro.staticdyn` — static vs dynamic relations (§4.5);
+* :mod:`repro.staticdyn` — static vs dynamic relations (§4.5)
+  (these three are analyses plus rewrites the view tree runs);
 * :mod:`repro.insertonly` — insert-only maintenance (§4.6);
-* :mod:`repro.core` — the planner and the :class:`IVMEngine` facade (§6).
+* :mod:`repro.core` — the planner and the :class:`IVMEngine` facade (§6)
+  over the :mod:`repro.backend` protocol.
 
 Quickstart::
 

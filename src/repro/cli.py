@@ -129,7 +129,7 @@ def demo() -> int:
     print(f"Q = {engine.scalar()}")
     print()
     print("update dR = {(a2, b1) -> -2}  (a delete of two copies)")
-    engine.update(Update("R", ("a2", "b1"), -2))
+    engine.apply(Update("R", ("a2", "b1"), -2))
     print(f"R(a2, b1) is now {r.get(('a2', 'b1'))}  (3 - 2 = 1)")
     print(f"Q = {engine.scalar()}  (was 9, delta = -4)")
     return 0
@@ -174,7 +174,6 @@ def run_stats(
     from .data.database import Database
     from .data.update import Update
     from .obs import write_stats_json
-    from .shard.engine import ShardedEngine
 
     query = parse_query(text)
     fds = tuple(FunctionalDependency.parse(t) for t in fd_texts)
@@ -220,8 +219,9 @@ def run_stats(
     )
     stats = engine.attach_stats()
     deletes_ok = not insert_only and plan.strategy != "insert-only"
-    can_enumerate = not query.input_variables
-    sharded = isinstance(engine.backend, ShardedEngine)
+    # A CQAP plan is read through access requests, never enumerated whole.
+    can_enumerate = plan.input_origin is None
+    sharded = plan.strategy == "sharded-viewtree"
     # Batches of ``--batch`` go through ``apply_batch``: the sharded
     # coordinator splits once and runs shards in parallel, the view-tree
     # family coalesces and runs the generated batch kernels.  ``--batch 1``
@@ -299,9 +299,7 @@ def run_stats(
     finally:
         # Close unconditionally: an exception mid-replay must not leak
         # the sharded backend's worker processes.
-        close = getattr(engine.backend, "close", None)
-        if close is not None:
-            close()
+        engine.close()
 
     print(f"query: {query}")
     print(f"plan:  {plan}")
@@ -370,13 +368,9 @@ def run_explain(
     code a populated engine of the same shape executes — deterministic
     output that tests pin.
     """
-    from .constraints.fds import FDEngine, FunctionalDependency
+    from .constraints.fds import FunctionalDependency
     from .core.engine import IVMEngine
-    from .cqap.engine import CQAPEngine
     from .data.database import Database
-    from .shard.engine import ShardedEngine
-    from .staticdyn.engine import StaticDynamicEngine
-    from .viewtree.engine import ViewTreeEngine
 
     query = parse_query(text)
     fds = tuple(FunctionalDependency.parse(t) for t in fd_texts)
@@ -390,37 +384,22 @@ def run_explain(
     for atom in query.atoms:
         if atom.relation not in db:
             db.create(atom.relation, atom.variables)
-    engine = IVMEngine(query, db, fds, insert_only, plan=plan)
-    backend = engine.backend
-    # One tree is enough: shards and fracture components share kernel
-    # shapes, so the first engine's source is the whole story.
-    if isinstance(backend, ShardedEngine):
-        trees = backend.engines[:1]
-    elif isinstance(backend, CQAPEngine):
-        trees = backend.engines
-    elif isinstance(backend, (FDEngine, StaticDynamicEngine)):
-        trees = [backend.engine]
-    elif isinstance(backend, ViewTreeEngine):
-        trees = [backend]
-    else:
-        trees = []
-    dumped = 0
-    for index, tree in enumerate(trees):
-        prefix = f"component {index} " if len(trees) > 1 else ""
-        for name in sorted(tree._kernels):
-            for anchor, kernel in enumerate(tree._kernels[name]):
-                print()
-                print(f"-- {prefix}delta kernel {name}[{anchor}] --")
-                print(kernel.source.rstrip("\n"))
-                dumped += 1
-        if tree._enum_kernel is not None:
-            print()
-            print(f"-- {prefix}enum kernel --")
-            print(tree._enum_kernel.source.rstrip("\n"))
-            dumped += 1
-    if not dumped:
+    if plan.query is None:
         print()
         print(f"no generated kernels: plan {plan.strategy!r} runs none")
+        return 0
+    # Every view-tree plan is one tree (a CQAP's fracture components are
+    # its roots), so its kernels are the whole story.
+    tree = IVMEngine(query, db, fds, insert_only, plan=plan).backend
+    for name in sorted(tree._kernels):
+        for anchor, kernel in enumerate(tree._kernels[name]):
+            print()
+            print(f"-- delta kernel {name}[{anchor}] --")
+            print(kernel.source.rstrip("\n"))
+    if tree._enum_kernel is not None:
+        print()
+        print("-- enum kernel --")
+        print(tree._enum_kernel.source.rstrip("\n"))
     return 0
 
 
@@ -455,7 +434,6 @@ def run_serve(
     from .data.database import Database
     from .obs import write_stats_json
     from .serve import AsyncIVMServer, run_load_test
-    from .shard.engine import ShardedEngine
 
     query = parse_query(text)
     fds = tuple(FunctionalDependency.parse(t) for t in fd_texts)
@@ -527,15 +505,12 @@ def run_serve(
                 change_feed=change_feed,
             )
 
-    sharded = isinstance(engine.backend, ShardedEngine)
     try:
         summary = asyncio.run(run())
-        if sharded:
+        if plan.strategy == "sharded-viewtree":
             stats = engine.backend.merged_stats()
     finally:
-        close = getattr(engine.backend, "close", None)
-        if close is not None:
-            close()
+        engine.close()
 
     print(f"query: {query}")
     print(f"plan:  {plan}")

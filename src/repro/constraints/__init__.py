@@ -1,7 +1,6 @@
 """Data integrity constraints: FDs and PK-FK maintenance (Section 4.4)."""
 
 from .fds import (
-    FDEngine,
     FunctionalDependency,
     closure,
     fd_guided_order,
@@ -13,7 +12,6 @@ from .pkfk import Dimension, StarJoinCounter
 
 __all__ = [
     "Dimension",
-    "FDEngine",
     "FunctionalDependency",
     "StarJoinCounter",
     "closure",

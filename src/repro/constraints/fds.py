@@ -1,5 +1,5 @@
-"""Functional dependencies: closures, Sigma-reducts, FD-guided view trees
-(Section 4.4, Definition 4.9, Theorem 4.11).
+"""Functional dependencies: closures, Sigma-reducts, FD-guided variable
+orders (Section 4.4, Definition 4.9, Theorem 4.11).
 
 Non-hierarchical queries can behave like hierarchical ones over databases
 satisfying functional dependencies.  The *Sigma-reduct* extends each
@@ -9,17 +9,18 @@ the *original* atoms re-anchored into it — maintains the original query
 with O(1) updates and O(1) delay, because every sibling lookup that looks
 linear syntactically touches at most one tuple on FD-satisfying data
 (Example 4.12 / Fig. 6).
+
+This module is the analysis and the rewrite, not an engine: the planner
+takes :func:`fd_guided_order` (whose ``.query`` is the extended-head
+query) and the one ``ViewTreeEngine`` maintains it, reading it through
+the original head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Iterable
 
-from ..data.database import Database
-from ..data.relation import Relation
-from ..data.schema import Schema
-from ..data.update import Update, coalesce
 from ..query.ast import Atom, Query
 from ..query.properties import is_q_hierarchical
 from ..query.variable_order import (
@@ -28,9 +29,6 @@ from ..query.variable_order import (
     canonical_order,
     validate_order,
 )
-from ..rings.lifting import LiftingMap
-from ..obs import Observable, observed, share_stats
-from ..viewtree.engine import ViewTreeEngine
 
 
 @dataclass(frozen=True)
@@ -158,54 +156,3 @@ def _extended_head_query(
         query.atoms,
         query.input_variables,
     )
-
-
-class FDEngine(Observable):
-    """Theorem 4.11 maintenance: O(1) updates/delay on FD-satisfying data."""
-
-    def __init__(
-        self,
-        query: Query,
-        fds: Iterable[FunctionalDependency],
-        database: Database,
-        lifting: LiftingMap | None = None,
-        generated: bool = True,
-    ):
-        self.query = query
-        self.fds = tuple(fds)
-        order = fd_guided_order(query, self.fds)
-        self._extended = order.query
-        self.engine = ViewTreeEngine(
-            self._extended, database, order, lifting, generated=generated
-        )
-        self.generated = self.engine.generated
-        self._project = Schema(self._extended.head).projector(query.head)
-
-    def _propagate_stats(self, stats) -> None:
-        share_stats(self.engine, stats)
-
-    @observed
-    def apply(self, update: Update, update_base: bool = True) -> None:
-        self.engine.apply(update, update_base)
-
-    @observed
-    def apply_batch(self, batch) -> None:
-        """Coalesced batch maintenance through the view-tree batch path."""
-        self.engine.apply_batch(coalesce(batch, self.engine.ring))
-
-    def enumerate(self) -> Iterator[tuple[tuple, Any]]:
-        """Enumerate original-head tuples with constant delay.
-
-        Keys are distinct as long as the data satisfies the FDs (the
-        projected-away variables are functionally determined).
-        """
-        for key, payload in self.engine.enumerate():
-            yield self._project(key), payload
-
-    def output_relation(self, name: str | None = None) -> Relation:
-        out = Relation(
-            name or self.query.name, Schema(self.query.head), self.engine.ring
-        )
-        for key, payload in self.enumerate():
-            out.add(key, payload)
-        return out

@@ -1,52 +1,34 @@
-"""The unified IVM facade: register a query, feed updates, enumerate.
-
-``IVMEngine`` hides the zoo of specialised engines behind one interface,
-instantiating whichever the planner selects.  It is the public entry
-point a downstream user should reach for first::
-
-    from repro import Database, IVMEngine, parse_query
-
-    db = Database()
-    db.create("R", ["A", "B"])
-    db.create("S", ["B"])
-    engine = IVMEngine(parse_query("Q(A) = R(A, B) * S(B)"), db)
-    engine.insert("R", 1, 2)
-    engine.insert("S", 2)
-    dict(engine.enumerate())   # {(1,): 1}
-"""
+"""The unified IVM facade: plan a query, build the one backend the plan
+names, delegate to it (quickstart: :mod:`repro`)."""
 
 from __future__ import annotations
 
 from typing import Any, Iterator
 
-from ..constraints.fds import FDEngine, FunctionalDependency
-from ..cqap.engine import CQAPEngine
+from ..backend import Backend, NotSupported
+from ..constraints.fds import FunctionalDependency
+from ..cqap.fracture import bind_inputs
 from ..data.database import Database
 from ..data.update import Update
 from ..delta.engine import DeltaQueryEngine
 from ..insertonly.engine import InsertOnlyEngine
 from ..ivme.triangle import TriangleCounter
-from ..obs import Observable, share_stats
+from ..obs import share_stats
 from ..query.ast import Query
-from ..query.properties import is_q_hierarchical
-from ..query.variable_order import search_order
 from ..rings.lifting import LiftingMap
 from ..shard.engine import ShardedEngine
-from ..staticdyn.engine import StaticDynamicEngine
 from ..viewtree.engine import ViewTreeEngine
 from .planner import Plan, plan_maintenance
 
 
-class IVMEngine(Observable):
-    """Plan-and-dispatch facade over the library's maintenance engines.
+class IVMEngine(Backend):
+    """Construct-and-delegate facade over one :class:`~repro.backend.Backend`.
 
-    Observability: ``attach_stats()`` shares one
-    :class:`~repro.obs.MaintenanceStats` recorder with the selected
-    backend engine (and, transitively, its sub-engines and partitioned
-    relations), so per-update latency, delta sizes, enumeration delay,
-    and rebalance events are all captured regardless of the plan.  The
-    facade itself records nothing — the backend's instrumented entry
-    points do — which keeps facade dispatch out of the latency samples.
+    Every view-tree strategy (q-hierarchical, FD, static/dynamic, CQAP)
+    is the plan's rewrite run by one ``ViewTreeEngine`` (or one
+    ``ShardedEngine``); the other strategies are engines of their own.
+    ``attach_stats()`` shares one recorder with the backend; the facade
+    itself records nothing, keeping its dispatch out of the samples.
     """
 
     def __init__(
@@ -63,273 +45,121 @@ class IVMEngine(Observable):
     ):
         """Plan ``query`` and build the engine the plan names.
 
-        ``generated`` reaches every view-tree-backed backend: ``True``
-        (the default) runs source-generated kernels, ``False`` the
-        generic walk — the differential-testing oracle.  Backends
-        without a view tree ignore it.
+        ``generated`` reaches every view-tree-backed backend: ``False``
+        runs the generic walk, the differential-testing oracle.
         """
         self.query = query
         self.database = database
-        self.plan = plan or plan_maintenance(
+        self.plan = plan = plan or plan_maintenance(
             query, fds, insert_only, shards=shards
         )
-        strategy = self.plan.strategy
-
-        if strategy in ("viewtree", "viewtree-hierarchical", "sharded-viewtree"):
-            # q-hierarchical queries get their canonical (free-top) order;
-            # merely-hierarchical ones need a searched free-top order so
-            # that enumeration works (updates are then rightly costlier —
-            # the Theorem 4.1 lower bound says they must be).
-            order = None
-            if query.head and not is_q_hierarchical(query):
-                order = search_order(query, require_free_top=True)
-            if strategy == "sharded-viewtree":
-                self._engine = ShardedEngine(
-                    query,
-                    database,
-                    shards=max(shards, 1),
-                    order=order,
-                    lifting=lifting,
-                    executor=shard_executor,
-                    generated=generated,
-                )
-            else:
-                self._engine = ViewTreeEngine(
-                    query,
-                    database,
-                    order,
-                    lifting=lifting,
-                    generated=generated,
-                )
-        elif strategy == "fd-viewtree":
-            self._engine = FDEngine(
-                query, fds, database, lifting=lifting, generated=generated
+        tree = dict(order=plan.order, lifting=lifting, generated=generated)
+        if plan.strategy == "sharded-viewtree":
+            self._engine = ShardedEngine(
+                plan.query, database, max(shards, 1), executor=shard_executor, **tree
             )
-        elif strategy == "static-dynamic":
-            self._engine = StaticDynamicEngine(
-                query, database, lifting=lifting, generated=generated
-            )
-        elif strategy == "cqap":
-            self._engine = CQAPEngine(
-                query, database, lifting=lifting, generated=generated
-            )
-        elif strategy == "insert-only":
-            self._engine = InsertOnlyEngine(query)
-            for atom in query.atoms:
-                for key in database[atom.relation].keys():
-                    self._engine.insert(atom.relation, key)
-        elif strategy == "ivm-eps-triangle":
+        elif plan.query is not None:
+            self._engine = ViewTreeEngine(plan.query, database, head=plan.head, **tree)
+        elif plan.strategy == "insert-only":
+            self._engine = InsertOnlyEngine(query, database)
+        elif plan.strategy == "ivm-eps-triangle":
             names = tuple(a.relation for a in query.atoms)
-            self._engine = TriangleCounter(
-                epsilon=0.5, relation_names=names, database=database
-            )
+            self._engine = TriangleCounter(0.5, names, database)
         else:
             self._engine = DeltaQueryEngine(query, database, lifting, eager=True)
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
+        # What runs decides, not what the caller asked for; a CQAP's
+        # output is only defined per access request, so it has no deltas.
+        self.generated = self._engine.generated
+        self.supports_snapshots = self._engine.supports_snapshots
+        self.supports_changes = (
+            plan.input_origin is None and self._engine.supports_changes
+        )
 
     def _propagate_stats(self, stats) -> None:
         share_stats(self._engine, stats)
 
+    def _output(self) -> Backend:
+        """The backend, for reads of the whole output (not a CQAP's)."""
+        if self.plan.input_origin is not None:
+            raise NotSupported(
+                f"plan {self.plan.strategy!r} reads through access requests "
+                "only: bind the input variables with answer()"
+            )
+        return self._engine
+
+    def _prebound(self, inputs) -> dict[str, Any]:
+        """An access request's inputs as the fracture's prebound variables."""
+        origin = self.plan.input_origin
+        if origin is None:
+            raise NotSupported(
+                f"plan {self.plan.strategy!r} does not support access requests"
+            )
+        return bind_inputs(self.query.input_variables, origin, inputs)
+
     def apply(self, update: Update) -> None:
-        engine = self._engine
-        if isinstance(engine, TriangleCounter):
-            engine.apply(update)
-            self.database[update.relation].add(update.key, update.payload)
-        elif isinstance(engine, InsertOnlyEngine):
-            engine.apply(update)
-            self.database[update.relation].add(update.key, update.payload)
-        elif isinstance(engine, DeltaQueryEngine):
-            engine.update(update)
-        else:
-            engine.apply(update)
+        self._engine.apply(update)
 
     def apply_batch(self, batch) -> None:
-        engine = self._engine
-        if isinstance(
-            engine,
-            (ShardedEngine, ViewTreeEngine, CQAPEngine, StaticDynamicEngine, FDEngine),
-        ):
-            # Backends with a real batch path: the sharded coordinator
-            # splits once and runs shards in parallel; the view-tree
-            # family coalesces and runs the generated batch kernels.
-            engine.apply_batch(list(batch))
-            return
-        if isinstance(engine, DeltaQueryEngine):
-            engine.update_batch(list(batch))
-            return
-        # TriangleCounter / InsertOnlyEngine need the facade's per-update
-        # base bookkeeping (and IVM^eps's amortization accounting assumes
-        # an uncoalesced stream), so they keep the per-update loop.
-        for update in batch:
-            self.apply(update)
+        self._engine.apply_batch(list(batch))
 
     def insert(self, relation: str, *key, payload: Any = 1) -> None:
         self.apply(Update(relation, tuple(key), payload))
 
     def delete(self, relation: str, *key, payload: Any = 1) -> None:
-        ring = self.database.ring
-        self.apply(Update(relation, tuple(key), ring.neg(payload)))
-
-    # ------------------------------------------------------------------
-    # Output access
-    # ------------------------------------------------------------------
+        self.apply(Update(relation, tuple(key), self.database.ring.neg(payload)))
 
     def enumerate(self) -> Iterator[tuple[tuple, Any]]:
         """Enumerate the output (full enumeration request)."""
-        engine = self._engine
-        if isinstance(engine, TriangleCounter):
-            if engine.count:
-                yield (), engine.count
-            return
-        if isinstance(engine, InsertOnlyEngine):
-            for key in engine.enumerate():
-                yield key, 1
-            return
-        yield from engine.enumerate()
+        return self._output().enumerate()
 
     def answer(self, inputs) -> Iterator[tuple[tuple, Any]]:
-        """CQAP access request (only for plans with input variables)."""
-        if not isinstance(self._engine, CQAPEngine):
-            raise TypeError(
-                f"plan {self.plan.strategy!r} does not support access requests"
-            )
-        return self._engine.answer(inputs)
+        """CQAP access request: ``inputs`` binds the input variables (a
+        mapping, or a sequence in ``query.input_variables`` order)."""
+        return self._engine.enumerate(self._prebound(inputs))
 
     def scalar(self) -> Any:
         """The payload of a Boolean query's output."""
-        engine = self._engine
-        if isinstance(engine, TriangleCounter):
-            return engine.count
-        if isinstance(engine, (ViewTreeEngine, StaticDynamicEngine, ShardedEngine)):
-            return engine.scalar()
-        if isinstance(engine, DeltaQueryEngine):
-            return engine.scalar()
-        raise TypeError(f"plan {self.plan.strategy!r} has no scalar output")
+        return self._engine.scalar()
 
     def lookup(self, key: tuple) -> Any:
-        """Payload of one output tuple (ring zero when absent).
-
-        Backends with a point-lookup fast path (view-tree family,
-        sharded) answer with O(1) guard probes; the rest fall back to a
-        scan of ``enumerate()`` that stops at the first match.
-        """
-        key = tuple(key)
-        head = self.query.head
-        if not head:
-            if key:
-                raise ValueError(
-                    f"lookup key {key!r} does not match empty head"
-                )
-            return self.scalar()
-        if len(key) != len(head):
-            raise ValueError(
-                f"lookup key {key!r} does not match head {head!r}"
-            )
-        engine = self._engine
-        backend_lookup = getattr(engine, "lookup", None)
-        if backend_lookup is not None:
-            return backend_lookup(key)
-        ring = self.database.ring
-        for found, payload in self.enumerate():
-            if found == key:
-                return payload
-        return ring.zero
-
-    # ------------------------------------------------------------------
-    # Epoch snapshot reads (backends that support them)
-    # ------------------------------------------------------------------
-
-    @property
-    def supports_snapshots(self) -> bool:
-        """Whether the selected backend exposes epoch snapshot reads."""
-        return bool(getattr(self._engine, "supports_snapshots", False))
-
-    def _snapshot_backend(self):
-        if not self.supports_snapshots:
-            raise TypeError(
-                f"plan {self.plan.strategy!r} does not support epoch "
-                "snapshot reads"
-            )
-        return self._engine
+        """Payload of one output tuple (ring zero when absent)."""
+        return self._output().lookup(key)
 
     def publish_epoch(self):
         """Publish the current committed state as the readable epoch."""
-        return self._snapshot_backend().publish_epoch()
+        return self._engine.publish_epoch()
 
     def enumerate_snapshot(self) -> Iterator[tuple[tuple, Any]]:
         """Enumerate the last published epoch (never blocks maintenance)."""
-        return self._snapshot_backend().enumerate_snapshot()
+        return self._output().enumerate_snapshot()
+
+    def answer_snapshot(self, inputs) -> Iterator[tuple[tuple, Any]]:
+        """:meth:`answer` against the last published epoch."""
+        return self._engine.enumerate_snapshot(self._prebound(inputs))
 
     def scalar_snapshot(self) -> Any:
-        """Boolean-query payload of the last published epoch."""
-        return self._snapshot_backend().scalar_snapshot()
+        return self._engine.scalar_snapshot()
 
     def lookup_snapshot(self, key: tuple) -> Any:
-        """Point lookup against the last published epoch."""
-        key = tuple(key)
-        head = self.query.head
-        if not head:
-            if key:
-                raise ValueError(
-                    f"lookup key {key!r} does not match empty head"
-                )
-            return self.scalar_snapshot()
-        if len(key) != len(head):
-            raise ValueError(
-                f"lookup key {key!r} does not match head {head!r}"
-            )
-        return self._snapshot_backend().lookup_snapshot(key)
-
-    # ------------------------------------------------------------------
-    # Output change streams (backends that support them)
-    # ------------------------------------------------------------------
-
-    @property
-    def supports_changes(self) -> bool:
-        """Whether the backend emits per-epoch output change deltas."""
-        backend = self._engine
-        return bool(getattr(backend, "supports_changes", False))
-
-    def _changes_backend(self):
-        if not self.supports_changes:
-            raise TypeError(
-                f"plan {self.plan.strategy!r} does not support output "
-                "change streams (needs epoch snapshots and a free-top "
-                "variable order)"
-            )
-        return self._engine
+        return self._output().lookup_snapshot(key)
 
     def track_changes(self) -> None:
         """Start emitting per-epoch output deltas (idempotent)."""
-        self._changes_backend().track_changes()
+        self._output().track_changes()
 
     def changes_since(self, epoch: int):
-        """The output delta from published ``epoch`` to the current one.
-
-        Raises ``EpochGapError`` once ``epoch`` leaves the retained
-        window — callers must fall back to a full drain.
-        """
-        return self._changes_backend().changes_since(epoch)
+        """The output delta since ``epoch`` (``EpochGapError`` past the window)."""
+        return self._output().changes_since(epoch)
 
     def subscribe(self, ratio_threshold: float = 0.5):
         """A ``MaterializedView`` patched in O(δ) per published epoch."""
-        return self._changes_backend().subscribe(
-            ratio_threshold=ratio_threshold
-        )
+        return self._output().subscribe(ratio_threshold=ratio_threshold)
 
     @property
-    def backend(self):
-        """The underlying specialised engine (for advanced use)."""
+    def backend(self) -> Backend:
+        """The underlying engine (for advanced use)."""
         return self._engine
 
-    @property
-    def generated(self) -> bool:
-        """Whether the backend that runs executes generated kernels.
-
-        Read from the backend, not from what the caller asked for:
-        ``False`` for the oracle and for plans without a view tree.
-        """
-        return getattr(self._engine, "generated", False)
+    def close(self) -> None:
+        """Release the backend's resources (shard worker processes)."""
+        self._engine.close()

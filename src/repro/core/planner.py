@@ -14,21 +14,33 @@ paper's decision ladder and picks the strongest applicable engine:
 
 Every decision is returned as a :class:`Plan` with the guarantee it
 carries, so callers (and tests) can check *why* an engine was chosen.
-A plan is the paper's strategy choice only: *how* the chosen engine
-executes (generated kernels, or the generic walk as the oracle) is the
-engine's ``generated`` flag, not a plan field.
+The paper presents rungs 2-4 as *reductions* to rung 1, and so does the
+plan: for every view-tree strategy it carries the rewrite — the query
+the one :class:`~repro.viewtree.engine.ViewTreeEngine` maintains, its
+variable order and the output head — and the facade just runs it.
+*How* the engine executes (generated kernels, or the generic walk as
+the oracle) is the engine's ``generated`` flag, not a plan field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping, Optional
 
-from ..constraints.fds import FunctionalDependency, q_hierarchical_under_fds
-from ..cqap.fracture import is_tractable_cqap
+from ..constraints.fds import (
+    FunctionalDependency,
+    fd_guided_order,
+    q_hierarchical_under_fds,
+)
+from ..cqap.fracture import fracture
 from ..query.ast import Query
 from ..query.hypergraph import is_alpha_acyclic
 from ..query.properties import is_hierarchical, is_q_hierarchical
+from ..query.variable_order import (
+    VariableOrder,
+    canonical_order,
+    search_order,
+)
 from ..staticdyn.analysis import find_static_dynamic_order
 
 
@@ -41,6 +53,23 @@ class Plan:
     update_time: str
     enumeration_delay: str
     preprocessing_time: str
+    #: The rewrite, for view-tree strategies: the maintained query (the
+    #: extended-head query under FDs, the combined fracture of a CQAP,
+    #: else the query itself), its variable order, and the output head
+    #: the caller sees (``None``: the maintained head).
+    query: Optional[Query] = field(default=None, compare=False, repr=False)
+    order: Optional[VariableOrder] = field(
+        default=None, compare=False, repr=False
+    )
+    head: Optional[tuple[str, ...]] = field(
+        default=None, compare=False, repr=False
+    )
+    #: CQAP plans only: fresh input variable of the fracture -> the
+    #: input variable of the original query it copies.  Such a plan is
+    #: read through access requests, never enumerated whole.
+    input_origin: Optional[Mapping[str, str]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __str__(self) -> str:
         return (
@@ -88,12 +117,11 @@ def plan_maintenance(
     """
     plan = _plan_unsharded(query, tuple(fds), insert_only)
     if shards > 1 and plan.strategy in _SHARDABLE_STRATEGIES:
-        plan = Plan(
-            "sharded-viewtree",
-            f"{plan.reason}; hash-partitioned across {shards} shards",
-            f"{plan.update_time} per shard",
-            plan.enumeration_delay,
-            plan.preprocessing_time,
+        plan = replace(
+            plan,
+            strategy="sharded-viewtree",
+            reason=f"{plan.reason}; hash-partitioned across {shards} shards",
+            update_time=f"{plan.update_time} per shard",
         )
     return plan
 
@@ -105,7 +133,11 @@ def _plan_unsharded(
 ) -> Plan:
 
     if query.input_variables:
-        if is_tractable_cqap(query):
+        fractured = fracture(query)
+        if fractured.is_tractable():
+            # The components are the roots of one tree; inputs sit on
+            # top of each and arrive prebound with an access request.
+            combined = fractured.combined()
             return Plan(
                 "cqap",
                 "tractable CQAP: fracture is hierarchical, free- and "
@@ -113,6 +145,10 @@ def _plan_unsharded(
                 "O(1)",
                 "O(1)",
                 "O(N)",
+                query=combined,
+                order=canonical_order(combined),
+                head=query.output_variables,
+                input_origin=fractured.input_origin,
             )
         return Plan(
             "delta",
@@ -129,9 +165,15 @@ def _plan_unsharded(
             "O(1)",
             "O(1)",
             "O(N)",
+            query=query,
+            order=canonical_order(query),
         )
 
     if fds and q_hierarchical_under_fds(query, fds):
+        # Maintain the extended-head query under the Sigma-reduct's
+        # order; the closure-added head variables are determined by the
+        # original head, so projecting them away loses nothing.
+        order = fd_guided_order(query, fds)
         return Plan(
             "fd-viewtree",
             "Sigma-reduct is q-hierarchical under the given FDs "
@@ -139,16 +181,23 @@ def _plan_unsharded(
             "O(1)",
             "O(1)",
             "O(N)",
+            query=order.query,
+            order=order,
+            head=query.head,
         )
 
-    if query.static_atoms and find_static_dynamic_order(query) is not None:
-        return Plan(
-            "static-dynamic",
-            "tractable in the mixed static/dynamic setting (Section 4.5)",
-            "O(1) per dynamic update",
-            "O(1)",
-            "poly(N) over the static part",
-        )
+    if query.static_atoms:
+        order = find_static_dynamic_order(query)
+        if order is not None:
+            return Plan(
+                "static-dynamic",
+                "tractable in the mixed static/dynamic setting (Section 4.5)",
+                "O(1) per dynamic update",
+                "O(1)",
+                "poly(N) over the static part",
+                query=query,
+                order=order,
+            )
 
     if insert_only and is_alpha_acyclic(query):
         return Plan(
@@ -170,6 +219,9 @@ def _plan_unsharded(
         )
 
     if is_hierarchical(query):
+        # Not q-hierarchical, so enumeration needs a searched free-top
+        # order; updates are then rightly costlier — the Theorem 4.1
+        # lower bound says they must be.
         return Plan(
             "viewtree-hierarchical",
             "hierarchical but not q-hierarchical: view-tree maintenance "
@@ -177,6 +229,12 @@ def _plan_unsharded(
             "O(N)",
             "O(N)",
             "O(N)",
+            query=query,
+            order=(
+                search_order(query, require_free_top=True)
+                if query.head
+                else canonical_order(query)
+            ),
         )
 
     return Plan(

@@ -15,6 +15,7 @@ and input-dominant (Theorem 4.8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping, Sequence
 
 from ..query.ast import Atom, Query
 from ..query.properties import (
@@ -38,7 +39,12 @@ class Fracture:
     input_origin: dict[str, str]
 
     def combined(self) -> Query:
-        """All components as one (disconnected) query, for classification."""
+        """All components as one (disconnected) query.
+
+        This is what a ``cqap`` plan maintains: its canonical order has
+        one root per component with the input variables on top, so an
+        access request is one enumeration with the inputs prebound.
+        """
         atoms: list[Atom] = []
         head: list[str] = []
         inputs: list[str] = []
@@ -51,6 +57,15 @@ class Fracture:
             tuple(head),
             tuple(atoms),
             tuple(inputs),
+        )
+
+    def is_tractable(self) -> bool:
+        """Theorem 4.8's syntactic criterion on the fractured query."""
+        fractured = self.combined()
+        return (
+            is_hierarchical(fractured)
+            and is_free_dominant(fractured)
+            and is_input_dominant(fractured)
         )
 
 
@@ -118,10 +133,29 @@ def fracture(query: Query) -> Fracture:
 
 
 def is_tractable_cqap(query: Query) -> bool:
-    """Theorem 4.8's syntactic criterion for CQAP tractability."""
-    fractured = fracture(query).combined()
-    return (
-        is_hierarchical(fractured)
-        and is_free_dominant(fractured)
-        and is_input_dominant(fractured)
-    )
+    """Is the CQAP tractable (its fracture passes Theorem 4.8)?"""
+    return fracture(query).is_tractable()
+
+
+def bind_inputs(
+    names: Sequence[str],
+    input_origin: Mapping[str, str],
+    inputs: Mapping[str, Any] | Sequence[Any],
+) -> dict[str, Any]:
+    """An access request as prebound variables of the combined fracture.
+
+    ``inputs`` binds the original query's input variables ``names`` (a
+    mapping, or a sequence in that order); every component's copy of an
+    input variable gets that variable's value.
+    """
+    if not isinstance(inputs, Mapping):
+        values = tuple(inputs)
+        if len(values) != len(names):
+            raise ValueError(
+                f"expected {len(names)} input values, got {len(values)}"
+            )
+        inputs = dict(zip(names, values))
+    missing = set(names) - set(inputs)
+    if missing:
+        raise ValueError(f"missing input values for {sorted(missing)}")
+    return {fresh: inputs[name] for fresh, name in input_origin.items()}

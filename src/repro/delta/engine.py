@@ -18,20 +18,21 @@ non-empty subsets of occurrences replaced by the delta relation.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator
+from typing import Any, Iterator
 
 from ..data.database import Database
 from ..data.relation import Relation
 from ..data.update import Update
 from ..naive.evaluator import evaluate
-from ..obs import Observable, observed
+from ..backend import Backend
+from ..obs import observed
 from ..query.ast import Atom, Query
 from ..rings.lifting import LiftingMap
 
 _DELTA_PREFIX = "__delta__"
 
 
-class DeltaQueryEngine(Observable):
+class DeltaQueryEngine(Backend):
     """First-order IVM: maintain ``query`` over ``database`` with deltas."""
 
     def __init__(
@@ -61,7 +62,7 @@ class DeltaQueryEngine(Observable):
     # ------------------------------------------------------------------
 
     @observed
-    def update(self, update: Update) -> None:
+    def apply(self, update: Update) -> None:
         """Process one single-tuple update."""
         if self.eager:
             delta = self._singleton_delta(update)
@@ -71,9 +72,9 @@ class DeltaQueryEngine(Observable):
             self._buffer(update)
 
     @observed
-    def update_batch(self, batch) -> None:
+    def apply_batch(self, batch) -> None:
         for update in batch:
-            self.update(update)
+            self.apply(update)
 
     def _singleton_delta(self, update: Update) -> Relation:
         relation = self.database[update.relation]
@@ -151,6 +152,16 @@ class DeltaQueryEngine(Observable):
         """Enumerate the output tuples (draining pending updates first)."""
         self.refresh()
         yield from self.output.items()
+
+    def lookup(self, key: tuple) -> Any:
+        """Payload of one output tuple: one probe of the materialization."""
+        key = tuple(key)
+        if len(key) != len(self.query.head):
+            raise ValueError(
+                f"lookup key {key!r} does not match head {self.query.head!r}"
+            )
+        self.refresh()
+        return self.output.get(key)
 
     def result(self) -> Relation:
         """The current output as a relation (pending updates drained)."""

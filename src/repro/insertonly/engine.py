@@ -26,9 +26,11 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
+from ..backend import Backend
+from ..data.database import Database
 from ..data.opcounter import COUNTER
-from ..obs import Observable, observed
 from ..data.update import Update
+from ..obs import observed
 from ..query.ast import Atom, Query
 from ..query.hypergraph import JoinTreeNode, build_join_tree
 
@@ -65,20 +67,27 @@ class _NodeState:
         return tuple(key[i] for i in positions)
 
 
-class InsertOnlyEngine(Observable):
+class InsertOnlyEngine(Backend):
     """Amortized O(1) insert-only maintenance for alpha-acyclic joins."""
 
-    def __init__(self, query: Query):
+    def __init__(self, query: Query, database: Database | None = None):
+        """Build the join tree; with ``database``, load its tuples and
+        land every applied update on it as well."""
         if not query.is_self_join_free():
             raise ValueError("insert-only engine requires a self-join-free query")
         forest = build_join_tree(query)
         if forest is None:
             raise ValueError(f"{query.name} is not alpha-acyclic")
         self.query = query
+        self.database = database
         self.roots: list[_NodeState] = []
         self._by_relation: dict[str, _NodeState] = {}
         for root in forest:
             self.roots.append(self._build(root, None))
+        if database is not None:
+            for atom in query.atoms:
+                for key in database[atom.relation].keys():
+                    self.insert(atom.relation, key)
 
     def _build(self, tree: JoinTreeNode, parent: Optional[_NodeState]) -> _NodeState:
         state = _NodeState(tree.atom)
@@ -131,6 +140,8 @@ class InsertOnlyEngine(Observable):
                 "streams use the view-tree or delta engines"
             )
         self.insert(update.relation, update.key)
+        if self.database is not None:
+            self.database[update.relation].add(update.key, update.payload)
 
     def _activate(self, node: _NodeState, key: tuple) -> None:
         """Mark ``key`` alive and propagate group activations upward."""
@@ -168,10 +179,10 @@ class InsertOnlyEngine(Observable):
             any(root.alive_groups.values()) for root in self.roots
         )
 
-    def enumerate(self) -> Iterator[tuple]:
-        """Enumerate the full join (tuples over all variables, in the
-        order the variables first appear across atoms) with constant
-        delay per output tuple."""
+    def enumerate(self) -> Iterator[tuple[tuple, int]]:
+        """Enumerate the full join as ``(key, 1)`` pairs (keys over all
+        variables, in the order the variables first appear across
+        atoms; set semantics) with constant delay per output tuple."""
         variables: list[str] = []
         for atom in self.query.atoms:
             for var in atom.variables:
@@ -202,7 +213,7 @@ class InsertOnlyEngine(Observable):
                         del binding[var]
                 return
             if index == len(self.roots):
-                yield tuple(binding[v] for v in variables)
+                yield tuple(binding[v] for v in variables), 1
                 return
             root = self.roots[index]
             yield from full(index + 1, [root])

@@ -24,18 +24,19 @@ the database size doubles or halves since the last one.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterator
 
+from ..backend import Backend
 from ..data.database import Database
 from ..data.opcounter import COUNTER
 from ..data.relation import Relation
 from ..data.update import Update
-from ..obs import Observable, observed
+from ..obs import observed
 from ..rings.standard import Z
 from .partition import PartitionedRelation
 
 
-class TriangleCounter(Observable):
+class TriangleCounter(Backend):
     """Worst-case optimal maintenance of the triangle count."""
 
     def __init__(
@@ -66,6 +67,9 @@ class TriangleCounter(Observable):
         self._updates_since_rebalance = 0
         self._size_at_rebalance = 0
 
+        #: The base relations this counter was loaded from, if any;
+        #: every applied update lands on them as well.
+        self.database = database
         if database is not None:
             self._bulk_load(database)
 
@@ -96,13 +100,30 @@ class TriangleCounter(Observable):
             self._update_t(update.key, update.payload)
         else:
             raise KeyError(f"unknown relation {update.relation!r}")
+        if self.database is not None:
+            self.database[update.relation].add(update.key, update.payload)
         self._updates_since_rebalance += 1
         self._maybe_rebalance()
 
     @observed
     def apply_batch(self, batch) -> None:
+        # Per update, uncoalesced: the amortization argument charges
+        # rebalances to the updates of the stream as it arrived.
         for update in batch:
             self.apply(update)
+
+    def scalar(self) -> int:
+        """The maintained triangle count (the Boolean query's payload)."""
+        return self.count
+
+    def enumerate(self) -> Iterator[tuple[tuple, int]]:
+        if self.count:
+            yield (), self.count
+
+    def lookup(self, key: tuple) -> int:
+        if tuple(key):
+            raise ValueError(f"lookup key {key!r} does not match empty head")
+        return self.count
 
     # ------------------------------------------------------------------
     # Update handlers (one per relation; symmetric under rotation)

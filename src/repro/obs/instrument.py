@@ -1,9 +1,9 @@
 """Attachment protocol between engines and :class:`MaintenanceStats`.
 
 Engines opt into observability by mixing in :class:`Observable` and
-decorating their ``apply``/``apply_batch`` (or ``update``/``update_batch``)
-methods with :func:`observed`.  The cost when no recorder is attached is
-one attribute read and a ``None`` check per call.
+decorating their ``apply``/``apply_batch`` methods with :func:`observed`.
+The cost when no recorder is attached is one attribute read and a
+``None`` check per call.
 
 Engines stack — the :class:`~repro.core.engine.IVMEngine` facade wraps a
 view-tree engine, a cascade wraps two of them — so a recorder shared down

@@ -74,6 +74,8 @@ import threading
 import time
 from typing import Any, Iterator
 
+from ..backend import Backend, NotSupported
+
 # ``coalesce`` is this module's name for the one coalescing pass of the
 # write path (benchmarks/e2e wraps it by that dotted name).
 from ..data.columnar import coalesce_columnar as coalesce
@@ -81,7 +83,7 @@ from ..data.database import Database
 from ..data.relation import Relation
 from ..data.schema import Schema
 from ..data.update import Update
-from ..obs import MaintenanceStats, Observable, observed, observed_enumeration
+from ..obs import MaintenanceStats, observed, observed_enumeration
 from ..query.ast import Query
 from ..query.variable_order import VariableOrder, order_for
 from ..rings.lifting import LiftingMap
@@ -100,7 +102,7 @@ from .worker import (
 _EXECUTORS = ("serial", "process")
 
 
-class ShardedEngine(Observable):
+class ShardedEngine(Backend):
     """Hash-sharded parallel maintenance over per-shard view trees."""
 
     #: Coordinator exposes publish_epoch / *_snapshot reads (feature
@@ -367,12 +369,6 @@ class ShardedEngine(Observable):
         self.__dict__.update(state)
         self._build_lock = threading.Lock()
 
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def __del__(self):  # best-effort; close() is the supported path
         try:
             self.close()
@@ -598,7 +594,7 @@ class ShardedEngine(Observable):
         if self._change_tracker is not None:
             return
         if not self.supports_changes:
-            raise TypeError(
+            raise NotSupported(
                 "change streams require a free-top variable order; "
                 f"order for {self.query.name!r} interleaves bound "
                 "variables above free ones"

@@ -1,15 +1,16 @@
-"""Static versus dynamic relations (Section 4.5)."""
+"""Static versus dynamic relations (Section 4.5): the tractability
+analysis and the variable-order rewrite.  The one ``ViewTreeEngine``
+runs the order and rejects updates to static relations."""
 
+from ..viewtree.engine import StaticRelationUpdateError
 from .analysis import (
     constant_update_atoms,
     enumerate_orders,
     find_static_dynamic_order,
     is_static_dynamic_tractable,
 )
-from .engine import StaticDynamicEngine, StaticRelationUpdateError
 
 __all__ = [
-    "StaticDynamicEngine",
     "StaticRelationUpdateError",
     "constant_update_atoms",
     "enumerate_orders",

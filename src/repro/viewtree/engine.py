@@ -32,12 +32,13 @@ from __future__ import annotations
 import warnings
 from typing import Any, Iterator, Optional
 
+from ..backend import Backend, NotSupported
 from ..data.database import Database
 from ..data.relation import Relation
 from ..data.schema import Schema
 from ..data.update import Update, coalesce_grouped
 from ..naive.algebra import join_all, join_pair, marginalize, union_into
-from ..obs import Observable, observed, observed_enumeration
+from ..obs import observed, observed_enumeration
 from ..query.ast import Atom, Query
 from ..query.variable_order import VariableOrder, VarOrderNode, order_for
 from ..data.columnar import coalesce_columnar
@@ -111,8 +112,22 @@ class ViewNode:
         )
 
 
-class ViewTreeEngine(Observable):
-    """Eager factorized IVM over a variable order (the F-IVM engine)."""
+class StaticRelationUpdateError(RuntimeError):
+    """An update targeted a relation adorned as static (Section 4.5)."""
+
+
+class ViewTreeEngine(Backend):
+    """Eager factorized IVM over a variable order (the F-IVM engine).
+
+    The paper's extensions are rewrites in front of this one engine, not
+    engines of their own: an FD plan maintains the extended-head query
+    under the Sigma-reduct's order and reads it through the original
+    ``head`` (Theorem 4.11); a static/dynamic plan is an order under
+    which every dynamic atom propagates in O(1), with updates to
+    ``query.static_atoms`` rejected (Section 4.5); a CQAP plan maintains
+    the fracture's components as this tree's roots and answers an access
+    request as ``enumerate(prebound)`` (Theorem 4.8).
+    """
 
     #: Sample view sizes into an attached recorder every N single-tuple
     #: updates (0 disables periodic memory sampling).
@@ -136,8 +151,17 @@ class ViewTreeEngine(Observable):
         stats=None,
         leaf_filter=None,
         generated: bool = True,
+        head: tuple[str, ...] | None = None,
     ):
         """Build the view tree over ``database``.
+
+        ``head`` is the output head when it is a proper subset of the
+        maintained ``query.head`` (the planner's rewrites set it):
+        enumeration, lookups, snapshots and change streams then speak
+        ``head``, while the tree keeps every ``query.head`` variable
+        free.  Keys stay distinct as long as the dropped variables are
+        determined by the kept ones (FDs) or arrive prebound (CQAP
+        inputs).
 
         ``stats`` injects a :class:`~repro.obs.MaintenanceStats` recorder
         at construction time (equivalent to calling :meth:`attach_stats`
@@ -178,6 +202,23 @@ class ViewTreeEngine(Observable):
             or self.order.query.head != query.head
         ):
             raise ValueError("variable order was built for a different query")
+        #: The head the read paths emit (``query.head`` unless a rewrite
+        #: maintains a wider one).
+        self.head = query.head if head is None else tuple(head)
+        if not set(self.head) <= set(query.head):
+            raise ValueError(
+                f"output head {self.head!r} is not a subset of the "
+                f"maintained head {query.head!r}"
+            )
+        #: Relations that never receive updates (Section 4.5 adornment).
+        self._static = frozenset(a.relation for a in query.static_atoms)
+        overlap = self._static.intersection(
+            a.relation for a in query.dynamic_atoms
+        )
+        if overlap:
+            raise ValueError(
+                f"relations {sorted(overlap)} appear both static and dynamic"
+            )
         self._leaf_filter = leaf_filter
 
         self.roots: list[ViewNode] = []
@@ -321,16 +362,20 @@ class ViewTreeEngine(Observable):
 
         ``update_base`` also applies the update to the database relation;
         pass ``False`` when a coordinator shares one database among
-        several engines and applies base updates itself.
+        several engines and applies base updates itself.  Updates to a
+        static relation (:class:`StaticRelationUpdateError`) or to one
+        outside the query (``KeyError``) are rejected before any write.
 
         The delta runs through the relation's generated ``push``
         kernels; a relation without kernels (``generated=False``, or a
         reported generation failure) takes the generic
         :meth:`_propagate` walk.
         """
+        anchors = self._anchors.get(update.relation)
+        if anchors is None or update.relation in self._static:
+            raise self._rejected(update.relation)
         if update_base and update.relation in self.database:
             self.database[update.relation].add(update.key, update.payload)
-        anchors = self._anchors.get(update.relation, ())
         kernels = self._kernels.get(update.relation)
         if kernels is not None:
             stats = self._maintenance_stats
@@ -345,6 +390,14 @@ class ViewTreeEngine(Observable):
                 self._propagate(node, delta, exclude=leaf)
         if self._maintenance_stats is not None:
             self._maybe_sample_views()
+
+    def _rejected(self, relation: str) -> Exception:
+        """Why ``relation`` takes no updates (raised before any write)."""
+        if relation in self._static:
+            return StaticRelationUpdateError(
+                f"relation {relation!r} is adorned static"
+            )
+        return KeyError(f"relation {relation!r} not in the query")
 
     @observed
     def apply_batch(
@@ -391,7 +444,8 @@ class ViewTreeEngine(Observable):
         the ring zero; the lists are read, never mutated.  ``raw`` is
         the number of updates the columns were coalesced from (default:
         their own size): the heuristic and the recorder size the batch
-        as its sender did.
+        as its sender did.  A batch naming a static relation, or one
+        outside the query, is rejected before anything is written.
 
         The paper's opening observation cuts both ways: small changes are
         worth propagating, but a batch comparable to the database size is
@@ -420,6 +474,9 @@ class ViewTreeEngine(Observable):
         leaves' post-batch state, matching the per-tuple interleaving's
         sum).
         """
+        for name in columns:
+            if name not in self._anchors or name in self._static:
+                raise self._rejected(name)
         size = sum(len(keys) for keys, _ in columns.values())
         if raw is None:
             raw = size
@@ -437,7 +494,7 @@ class ViewTreeEngine(Observable):
                 for name, (keys, pays) in columns.items():
                     if update_base and name in database:
                         database[name].add_delta(zip(keys, pays))
-                    for _atom, _node, leaf in self._anchors.get(name, ()):
+                    for _atom, _node, leaf in self._anchors[name]:
                         leaf.add_delta(zip(keys, pays))
                 self.rebuild()
                 if stats is not None:
@@ -452,15 +509,13 @@ class ViewTreeEngine(Observable):
             stats.record_batch_coalesce(raw, size)
         for name, (keys, pays) in columns.items():
             kernels = self._kernels.get(name)
-            if kernels is None and name in self._anchors:
+            if kernels is None:
                 # Generation failed for this relation: the generic walk.
                 for key, payload in zip(keys, pays):
                     self.apply(Update(name, key, payload), update_base)
                 continue
             if update_base and name in database:
                 database[name].add_delta(zip(keys, pays))
-            if kernels is None:
-                continue
             for (_atom, _node, leaf), kernel in zip(
                 self._anchors[name], kernels
             ):
@@ -610,7 +665,7 @@ class ViewTreeEngine(Observable):
         """
         if self._change_tracker is None:
             if not self.supports_changes:
-                raise TypeError(
+                raise NotSupported(
                     f"query {self.query.name!r} has no free-top order; "
                     "output change streams are unavailable"
                 )
@@ -673,7 +728,7 @@ class ViewTreeEngine(Observable):
         if snap is None:
             snap = self.snapshot()
         key = tuple(key)
-        head = self.query.head
+        head = self.head
         if len(key) != len(head):
             raise ValueError(
                 f"lookup key {key!r} does not match head {head!r}"
@@ -720,7 +775,7 @@ class ViewTreeEngine(Observable):
         iterator is abandoned after the first (unique) match.
         """
         key = tuple(key)
-        head = self.query.head
+        head = self.head
         if len(key) != len(head):
             raise ValueError(
                 f"lookup key {key!r} does not match head {head!r}"
@@ -815,7 +870,7 @@ class ViewTreeEngine(Observable):
             )
         ring = self.ring
         zero = ring.zero
-        head = self.query.head
+        head = self.head
         prebound = prebound or {}
         binding: dict[str, Any] = {}
         schedule = self._enum_schedule
@@ -896,7 +951,7 @@ class ViewTreeEngine(Observable):
                 if ok:
                     yield from rec(i + 1, ring.mul(payload, factor))
 
-        if not head:
+        if not self.query.head:
             payload = (
                 self.scalar() if epoch is None else self.scalar_snapshot(epoch)
             )
@@ -912,7 +967,7 @@ class ViewTreeEngine(Observable):
         is not an enumeration request, so it must not inject phantom
         ``enum_delay`` samples into an attached recorder.
         """
-        out = Relation(name or self.query.name, Schema(self.query.head), self.ring)
+        out = Relation(name or self.query.name, Schema(self.head), self.ring)
         for key, payload in self._enumerate():
             out.add(key, payload)
         return out

@@ -122,7 +122,8 @@ class EnumPlan:
     ):
         self.ring = ring
         self.nslots = nslots
-        #: Slot positions projecting the slot array onto the query head.
+        #: Slot positions projecting the slot array onto the output head
+        #: (``engine.head``: the maintained head, or a rewrite's subset).
         self.head_positions = head_positions
         #: Bound-root views probed once, before any free step runs
         #: (connected components with no free variable).
@@ -210,7 +211,7 @@ def compile_enum_plan(engine) -> Optional[EnumPlan]:
     return EnumPlan(
         engine.ring,
         len(slot_of),
-        tuple(slot_of[v] for v in query.head),
+        tuple(slot_of[v] for v in engine.head),
         tuple(prefix_probes),
         tuple(steps),
     )

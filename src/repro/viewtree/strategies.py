@@ -132,7 +132,7 @@ class EagerList(MaintenanceStrategy):
 
     @observed
     def apply(self, update: Update) -> None:
-        self.engine.update(update)
+        self.engine.apply(update)
 
     def enumerate(self) -> Iterator[tuple[tuple, Any]]:
         return self.engine.output.items()

@@ -64,31 +64,110 @@ def seeded_db(schemas, rng, rows=60, domain=8, ring=Z):
 
 
 def twin_engines(
-    query, schemas, seed, order=None, lifting=None, ring=Z, rows=60
+    query,
+    schemas,
+    seed,
+    order=None,
+    lifting=None,
+    ring=Z,
+    rows=60,
+    plan=None,
+    make_db=None,
 ):
     """``(generated, oracle)`` engines over identically-seeded databases.
 
     The first runs the source-generated kernels (the production path);
     the second is the differential oracle — ``generated=False``: no
     plan, no kernel, the generic walk with the dict coalescer.
+
+    With ``plan`` the twins run the planner's rewrite (its maintained
+    query, order and output head) — what ``IVMEngine`` builds for the
+    FD, static/dynamic and CQAP strategies; ``make_db`` replaces the
+    random ``schemas`` database (FD plans need FD-satisfying data).
     """
-    generated = ViewTreeEngine(
-        query,
-        seeded_db(schemas, random.Random(seed), rows=rows, ring=ring),
-        order,
-        lifting,
-    )
+    if make_db is None:
+        def make_db():
+            return seeded_db(schemas, random.Random(seed), rows=rows, ring=ring)
+    head = None
+    if plan is not None:
+        query, order, head = plan.query, plan.order, plan.head
+    generated = ViewTreeEngine(query, make_db(), order, lifting, head=head)
     oracle = ViewTreeEngine(
-        query,
-        seeded_db(schemas, random.Random(seed), rows=rows, ring=ring),
-        order,
-        lifting,
-        generated=False,
+        query, make_db(), order, lifting, generated=False, head=head
     )
     assert generated.generated and generated._kernels
     assert not oracle.generated
     assert not oracle._kernels and oracle._enum_kernel is None
     return generated, oracle
+
+
+def fd_satisfying_db(rng, x_domain=12, w_domain=20):
+    """Data for Example 4.12 satisfying X -> Y and Y -> Z."""
+    db = Database()
+    r = db.create("R", ("X", "W"))
+    s = db.create("S", ("X", "Y"))
+    t = db.create("T", ("Y", "Z"))
+    y_of = {x: rng.randrange(6) for x in range(x_domain)}
+    z_of = {y: rng.randrange(6) for y in range(6)}
+    for x, y in y_of.items():
+        s.insert(x, y)
+    for y, z in z_of.items():
+        t.insert(y, z)
+    for _ in range(150):
+        r.insert(rng.randrange(x_domain), rng.randrange(w_domain))
+    return db
+
+
+#: The rewrites that are not plain q-hierarchical view trees but do have
+#: an enumerable output (a CQAP's is only defined per access request).
+REWRITES = ("fd-viewtree", "static-dynamic")
+
+
+def rewrite_case(strategy, seed, count=240):
+    """``(query, fds, make_db, stream)`` exercising one of :data:`REWRITES`.
+
+    ``make_db()`` returns a fresh, identically-seeded database; ``stream``
+    is valid over it (and keeps the FDs satisfied: S and T only toggle
+    tuples the database started with).
+    """
+    from repro.constraints import parse_fds
+    from repro.data import Update
+    from repro.query import parse_query
+
+    rng = random.Random(seed)
+    if strategy == "fd-viewtree":
+        query = parse_query("Q(Z, Y, X, W) = R(X, W) * S(X, Y) * T(Y, Z)")
+        fds = parse_fds("X -> Y", "Y -> Z")
+
+        def make_db():
+            return fd_satisfying_db(random.Random(seed))
+
+        base = make_db()
+        present = {
+            (name, key): True for name in ("S", "T") for key in base[name].keys()
+        }
+        stream = []
+        for update in valid_stream(rng, {"R": 2}, count, domain=12):
+            stream.append(update)
+            if rng.random() < 0.2:
+                name, key = rng.choice(list(present))
+                stream.append(Update(name, key, -1 if present[name, key] else 1))
+                present[name, key] = not present[name, key]
+        return query, fds, make_db, stream
+    assert strategy == "static-dynamic"
+    query = parse_query("Q(A,B,C) = R(A,D) * S(A,B) * T@s(B,C)")
+
+    def make_db():
+        fill = random.Random(seed)
+        db = Database()
+        db.create("R", ("A", "D"))
+        db.create("S", ("A", "B"))
+        t = db.create("T", ("B", "C"))
+        for _ in range(50):
+            t.insert(fill.randrange(6), fill.randrange(6))
+        return db
+
+    return query, (), make_db, valid_stream(rng, {"R": 2, "S": 2}, count, domain=6)
 
 
 def valid_stream(rng, relations, count, domain=8, delete_prob=0.25):

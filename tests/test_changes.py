@@ -11,12 +11,15 @@ serving partial state.
 
 from __future__ import annotations
 
+import asyncio
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import IVMEngine, plan_maintenance
 from repro.data import Database, Update
+from repro.naive import evaluate
 from repro.query import parse_query
 from repro.rings import (
     B,
@@ -36,7 +39,8 @@ from repro.viewtree import (
     make_strategy,
     STRATEGIES,
 )
-from tests.conftest import valid_stream
+from repro.serve import AsyncIVMServer
+from tests.conftest import REWRITES, rewrite_case, twin_engines, valid_stream
 
 QUERY = parse_query("Q(B, A) = R(B, A) * S(B)")
 SCHEMAS = {"R": 2, "S": 1}
@@ -282,6 +286,57 @@ class TestStrategies:
 
 
 EXECUTORS = ("serial", "process")
+
+
+class TestRewrittenPlans:
+    """The FD and static/dynamic rewrites run on the one view tree, so
+    they get its change streams — in the caller's head."""
+
+    @pytest.mark.parametrize("strategy", REWRITES)
+    def test_patched_views_bit_identical_to_oracle_and_naive(self, strategy):
+        query, fds, make_db, stream = rewrite_case(strategy, seed=71)
+        plan = plan_maintenance(query, fds)
+        assert plan.strategy == strategy
+        generated, oracle = twin_engines(
+            query, None, 71, plan=plan, make_db=make_db
+        )
+        views = []
+        for engine in (generated, oracle):
+            assert engine.supports_changes
+            # Publishes every 20 updates, refreshes every other publish:
+            # the view is patched across a dozen epochs, never re-drained.
+            view, fresh = drive_and_check(engine, stream)
+            assert view.full_refreshes == 0 and view.epoch >= 3
+            views.append(view)
+        assert views[0].state == views[1].state
+        assert views[0].state == evaluate(query, generated.database).to_dict()
+
+    def test_server_serves_an_fd_plan_from_snapshots_with_a_feed(self):
+        """``AsyncIVMServer(IVMEngine(<fd plan>))`` used to fall back to
+        commit-lock reads with no change feed."""
+        query, fds, make_db, stream = rewrite_case("fd-viewtree", seed=73)
+        engine = IVMEngine(query, make_db(), fds)
+        assert engine.plan.strategy == "fd-viewtree"
+        assert engine.supports_snapshots and engine.supports_changes
+
+        async def run():
+            async with AsyncIVMServer(engine, max_batch=32) as server:
+                assert server.snapshot_reads is True
+                state = dict(await server.enumerate())
+                feed = server.subscribe()
+                await server.submit_many(stream)
+                await server.drain()
+                served = dict(await server.enumerate())
+                deltas = 0
+                while not feed._queue.empty():
+                    (await feed.__anext__()).apply_to(state)
+                    deltas += 1
+                return state, served, deltas
+
+        state, served, deltas = asyncio.run(run())
+        expected = evaluate(query, engine.database).to_dict()
+        assert deltas >= 3
+        assert state == served == expected
 
 
 class TestSharded:

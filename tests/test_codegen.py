@@ -446,6 +446,21 @@ class TestExplainCLI:
         assert "def push_batch(" in first
         assert "def iterate(" in first
 
+    def test_cqap_dumps_the_one_tree(self, capsys):
+        """A CQAP's fracture components are roots of one tree: every
+        anchor of E is that tree's, with no per-component prefix."""
+        args = [
+            "explain", "Q(. | A, B, C) = E(A,B) * E(B,C) * E(C,A)",
+            "--kernel-source",
+        ]
+        assert cli_main(args) == 0
+        out = capsys.readouterr().out
+        assert "plan:  cqap" in out
+        for anchor in range(3):
+            assert f"-- delta kernel E[{anchor}] --" in out
+        assert out.count("-- enum kernel --") == 1
+        assert "component" not in out
+
     def test_plan_without_codegen_says_so(self, capsys):
         assert cli_main(
             ["explain", "Q() = R(A,B) * S(B,C) * T(C,A)", "--insert-only",

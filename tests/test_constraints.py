@@ -1,11 +1,11 @@
-"""Integrity constraints: FDs (closure, reducts, engine) and PK-FK."""
+"""Integrity constraints: FDs (closure, reducts, the rewrite) and PK-FK."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import IVMEngine
 from repro.constraints import (
     Dimension,
-    FDEngine,
     FunctionalDependency,
     StarJoinCounter,
     closure,
@@ -14,9 +14,10 @@ from repro.constraints import (
     q_hierarchical_under_fds,
     sigma_reduct,
 )
-from repro.data import Database, Update, counting, permuted
+from repro.data import Update, counting, permuted
 from repro.naive import evaluate
 from repro.query import is_q_hierarchical, parse_query
+from tests.conftest import fd_satisfying_db
 
 
 class TestFDBasics:
@@ -70,23 +71,6 @@ class TestSigmaReduct:
         assert set(reduct.head) == {"X", "Y"}
 
 
-def fd_satisfying_db(rng, x_domain=12, w_domain=20):
-    """Data for Example 4.12 satisfying X -> Y and Y -> Z."""
-    db = Database()
-    r = db.create("R", ("X", "W"))
-    s = db.create("S", ("X", "Y"))
-    t = db.create("T", ("Y", "Z"))
-    y_of = {x: rng.randrange(6) for x in range(x_domain)}
-    z_of = {y: rng.randrange(6) for y in range(6)}
-    for x, y in y_of.items():
-        s.insert(x, y)
-    for y, z in z_of.items():
-        t.insert(y, z)
-    for _ in range(150):
-        r.insert(rng.randrange(x_domain), rng.randrange(w_domain))
-    return db
-
-
 class TestFDEngine:
     QUERY = parse_query("Q(Z, Y, X, W) = R(X, W) * S(X, Y) * T(Y, Z)")
     FDS = parse_fds("X -> Y", "Y -> Z")
@@ -103,24 +87,25 @@ class TestFDEngine:
 
     def test_initial_output_matches(self, rng):
         db = fd_satisfying_db(rng)
-        engine = FDEngine(self.QUERY, self.FDS, db)
-        assert engine.output_relation() == evaluate(self.QUERY, db)
+        engine = IVMEngine(self.QUERY, db, self.FDS)
+        assert engine.plan.strategy == "fd-viewtree"
+        assert engine.backend.output_relation() == evaluate(self.QUERY, db)
 
     def test_maintenance_matches(self, rng):
         db = fd_satisfying_db(rng)
-        engine = FDEngine(self.QUERY, self.FDS, db)
+        engine = IVMEngine(self.QUERY, db, self.FDS)
         for _ in range(150):
             engine.apply(
                 Update("R", (rng.randrange(12), rng.randrange(20)), rng.choice([1, 1, -1]))
             )
-        assert engine.output_relation() == evaluate(self.QUERY, db)
+        assert engine.backend.output_relation() == evaluate(self.QUERY, db)
 
     def test_constant_update_cost(self, rng):
         """Fig. 6's point: R-updates cost O(1) thanks to the FDs."""
         costs = []
         for x_domain in (50, 200):
             local_db = fd_satisfying_db(rng, x_domain=x_domain)
-            engine = FDEngine(self.QUERY, self.FDS, local_db)
+            engine = IVMEngine(self.QUERY, local_db, self.FDS)
             with counting() as ops:
                 for _ in range(20):
                     engine.apply(
@@ -131,7 +116,7 @@ class TestFDEngine:
 
     def test_enumeration_projects_extended_head(self, rng):
         db = fd_satisfying_db(rng)
-        engine = FDEngine(self.QUERY, self.FDS, db)
+        engine = IVMEngine(self.QUERY, db, self.FDS)
         for key, _payload in engine.enumerate():
             assert len(key) == 4  # original head (Z, Y, X, W)
 

@@ -1,11 +1,15 @@
-"""CQAPs: fractures, the tractability dichotomy, and the access engine."""
+"""CQAPs: fractures, the tractability dichotomy, and access requests."""
 
 import pytest
 
-from repro.cqap import CQAPEngine, fracture, is_tractable_cqap
+from repro import IVMEngine
+from repro.backend import NotSupported
+from repro.cqap import fracture, is_tractable_cqap
 from repro.data import Database, Update
 from repro.naive import evaluate
 from repro.query import parse_query
+from repro.staticdyn import StaticRelationUpdateError
+from repro.viewtree import ViewTreeEngine
 from tests.conftest import valid_stream
 
 TRIANGLE_CHECK = parse_query("Qt(. | A, B, C) = E(A,B) * E(B,C) * E(C,A)")
@@ -70,22 +74,108 @@ class TestTractability:
 
 
 class TestCQAPEngine:
+    """A tractable CQAP through the facade: one ``ViewTreeEngine`` over
+    the combined fracture, access requests as prebound enumerations."""
+
     def test_rejects_intractable(self):
+        """Theorem 4.8 fails: no access requests, the delta engine runs."""
         db = Database()
         db.create("E", ("X", "Y"))
-        with pytest.raises(ValueError):
-            CQAPEngine(EDGE_LISTING, db)
+        engine = IVMEngine(EDGE_LISTING, db)
+        assert engine.plan.strategy == "delta"
+        with pytest.raises(NotSupported):
+            engine.answer({"A": 1, "B": 2})
 
     def test_rejects_no_inputs(self):
         db = Database()
         db.create("R", ("A", "B"))
-        with pytest.raises(ValueError):
-            CQAPEngine(parse_query("Q(A) = R(A, B)"), db)
+        with pytest.raises(NotSupported, match="access requests"):
+            IVMEngine(parse_query("Q(A) = R(A, B)"), db).answer(())
+
+    def test_enumerate_and_lookup_name_the_plan_and_answer(self):
+        """Regression: these raised a bare ``AttributeError`` (the old
+        wrapper engine had no ``enumerate`` attribute)."""
+        db = Database()
+        db.create("S", ("A", "B"))
+        db.create("T", ("B",))
+        engine = IVMEngine(LOOKUP, db)
+        for read in (
+            engine.enumerate,
+            engine.enumerate_snapshot,
+            engine.subscribe,
+            lambda: engine.lookup((1,)),
+            lambda: engine.lookup_snapshot((1,)),
+        ):
+            with pytest.raises(NotSupported, match=r"'cqap'.*answer\(\)"):
+                read()
+        assert not engine.supports_changes
+
+    @pytest.mark.parametrize(
+        "text,schemas",
+        [
+            ("Q(A | B) = S(A,B) * T(B)", {"S": 2, "T": 1}),
+            ("Q(. | A, B, C) = E(A,B) * E(B,C) * E(C,A)", {"E": 2}),
+            ("Q(. | Y) = R(Y, X) * S(Y, Z)", {"R": 2, "S": 2}),
+            ("Q(X | A, B) = R(A, X) * S(B)", {"R": 2, "S": 1}),
+            ("Q(X, Z | A, B) = R(A, X) * S(B, Z) * T(A)", {"R": 2, "S": 2, "T": 1}),
+        ],
+    )
+    def test_every_binding_matches_naive_and_oracle(self, rng, text, schemas):
+        """Five tractable CQAPs (1-3 fracture components): the kernels,
+        the ``generated=False`` oracle and ``repro.naive`` agree on every
+        input binding, live and against a published epoch."""
+        import itertools
+
+        query = parse_query(text)
+        engines = []
+        for generated in (True, False):
+            db = Database()
+            for atom in query.atoms:
+                if atom.relation not in db:
+                    db.create(atom.relation, atom.variables)
+            engine = IVMEngine(query, db, generated=generated)
+            assert engine.plan.strategy == "cqap"
+            assert type(engine.backend) is ViewTreeEngine
+            assert len(engine.backend.roots) == len(fracture(query).components)
+            engines.append(engine)
+        stream = valid_stream(rng, schemas, 200, domain=4)
+        for engine in engines:
+            for update in stream[:100]:
+                engine.apply(update)
+            engine.apply_batch(stream[100:])
+            engine.publish_epoch()
+        full = evaluate(query, engines[0].database).to_dict()
+        head, inputs = query.head, query.input_variables
+        for values in itertools.product(range(4), repeat=len(inputs)):
+            request = dict(zip(inputs, values))
+            expected = {
+                tuple(k for v, k in zip(head, key) if v not in request): payload
+                for key, payload in full.items()
+                if all(key[head.index(v)] == request[v] for v in inputs)
+            }
+            for engine in engines:
+                assert dict(engine.answer(request)) == expected
+                assert dict(engine.answer_snapshot(values)) == expected
+
+    def test_answer_against_a_published_epoch(self):
+        db = Database()
+        db.create("S", ("A", "B"))
+        db.create("T", ("B",))
+        engine = IVMEngine(LOOKUP, db)
+        assert engine.supports_snapshots
+        engine.apply_batch([Update("S", (1, 2), 1), Update("T", (2,), 1)])
+        engine.publish_epoch()
+        engine.apply(Update("S", (3, 2), 1))
+        # The epoch is frozen; the live state has moved on.
+        assert list(engine.answer_snapshot((2,))) == [((1,), 1)]
+        assert sorted(engine.answer((2,))) == [((1,), 1), ((3,), 1)]
+        engine.publish_epoch()
+        assert list(engine.answer_snapshot((2,))) == list(engine.answer((2,)))
 
     def test_triangle_check_differential(self, rng):
         db = Database()
         db.create("E", ("X", "Y"))
-        engine = CQAPEngine(TRIANGLE_CHECK, db)
+        engine = IVMEngine(TRIANGLE_CHECK, db)
         edges: dict[tuple, int] = {}
         for update in valid_stream(rng, {"E": 2}, 250, domain=10):
             engine.apply(update)
@@ -97,12 +187,12 @@ class TestCQAPEngine:
             expected = (
                 (a, b) in edges and (b, c) in edges and (c, a) in edges
             )
-            assert engine.answer_boolean({"A": a, "B": b, "C": c}) == expected
+            assert bool(list(engine.answer({"A": a, "B": b, "C": c}))) == expected
 
     def test_answer_payload_is_product(self):
         db = Database()
         db.create("E", ("X", "Y"))
-        engine = CQAPEngine(TRIANGLE_CHECK, db)
+        engine = IVMEngine(TRIANGLE_CHECK, db)
         engine.apply(Update("E", (1, 2), 2))
         engine.apply(Update("E", (2, 3), 3))
         engine.apply(Update("E", (3, 1), 5))
@@ -113,7 +203,7 @@ class TestCQAPEngine:
         db = Database()
         db.create("S", ("A", "B"))
         db.create("T", ("B",))
-        engine = CQAPEngine(LOOKUP, db)
+        engine = IVMEngine(LOOKUP, db)
         for update in valid_stream(rng, {"S": 2}, 120, domain=8):
             engine.apply(update)
         for b in range(0, 8, 2):
@@ -130,7 +220,7 @@ class TestCQAPEngine:
         db = Database()
         db.create("S", ("A", "B"))
         db.create("T", ("B",))
-        engine = CQAPEngine(LOOKUP, db)
+        engine = IVMEngine(LOOKUP, db)
         with pytest.raises(ValueError):
             list(engine.answer(()))  # wrong arity
         with pytest.raises(ValueError):
@@ -140,7 +230,7 @@ class TestCQAPEngine:
         db = Database()
         db.create("S", ("A", "B"))
         db.create("T", ("B",))
-        engine = CQAPEngine(LOOKUP, db)
+        engine = IVMEngine(LOOKUP, db)
         with pytest.raises(KeyError):
             engine.apply(Update("X", (1,), 1))
 
@@ -154,7 +244,7 @@ class TestCQAPEngine:
         for _ in range(2):
             db = Database()
             db.create("E", ("X", "Y"))
-            engines.append(CQAPEngine(TRIANGLE_CHECK, db, generated=generated))
+            engines.append(IVMEngine(TRIANGLE_CHECK, db, generated=generated))
         batched, per_tuple = engines
         for start in range(0, len(stream), 60):
             batched.apply_batch(stream[start:start + 60])
@@ -174,7 +264,7 @@ class TestCQAPEngine:
         db.create("S", ("A", "B"))
         db.create("T", ("B",))
         db.create("X", ("A",))
-        engine = CQAPEngine(LOOKUP, db)
+        engine = IVMEngine(LOOKUP, db)
         engine.apply_batch([Update("S", (1, 2), 1), Update("T", (2,), 1)])
         before = list(engine.answer((2,)))
         assert before == [((1,), 1)]
@@ -188,6 +278,18 @@ class TestCQAPEngine:
         assert len(db["X"]) == 0
         assert list(engine.answer((2,))) == before
 
+    def test_batch_with_static_relation_changes_nothing(self):
+        query = parse_query("Q(A | B) = S(A,B) * T@s(B)")
+        db = Database()
+        db.create("S", ("A", "B"))
+        db.create("T", ("B",)).insert(2)
+        engine = IVMEngine(query, db)
+        assert engine.plan.strategy == "cqap"
+        with pytest.raises(StaticRelationUpdateError):
+            engine.apply_batch([Update("S", (1, 2), 1), Update("T", (3,), 1)])
+        assert len(db["S"]) == 0 and db["T"].to_dict() == {(2,): 1}
+        assert list(engine.answer((2,))) == []
+
     def test_constant_access_cost(self):
         """Access requests cost O(1) regardless of the graph size
         (Theorem 4.8's upper bound for the triangle-check CQAP)."""
@@ -197,13 +299,13 @@ class TestCQAPEngine:
         for n in (100, 400):
             db = Database()
             db.create("E", ("X", "Y"))
-            engine = CQAPEngine(TRIANGLE_CHECK, db)
+            engine = IVMEngine(TRIANGLE_CHECK, db)
             for i in range(n):
                 engine.apply(Update("E", (i, (i + 1) % n), 1))
             with counting() as ops:
                 for probe in range(20):
-                    engine.answer_boolean(
+                    list(engine.answer(
                         {"A": probe, "B": probe + 1, "C": probe + 2}
-                    )
+                    ))
             costs.append(ops.total())
         assert costs[1] <= costs[0] * 2 + 10

@@ -84,7 +84,7 @@ class TestDeltaQueryEngine:
         db = fig2_database()
         engine = DeltaQueryEngine(TRIANGLE, db)
         assert engine.scalar() == 9
-        engine.update(Update("R", ("a2", "b1"), -2))
+        engine.apply(Update("R", ("a2", "b1"), -2))
         assert engine.scalar() == 5
         assert db["R"].get(("a2", "b1")) == 1  # 3 - 2, as in the paper
 
@@ -95,7 +95,7 @@ class TestDeltaQueryEngine:
         engine = DeltaQueryEngine(TRIANGLE, db)
         for _ in range(150):
             rel = rng.choice(["R", "S", "T"])
-            engine.update(
+            engine.apply(
                 Update(rel, (rng.randrange(6), rng.randrange(6)), rng.choice([1, 1, -1]))
             )
         assert engine.scalar() == evaluate_scalar(TRIANGLE, db)
@@ -105,7 +105,7 @@ class TestDeltaQueryEngine:
         for name, schema in [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "A"))]:
             db.create(name, schema)
         engine = DeltaQueryEngine(TRIANGLE, db, eager=False)
-        engine.update(Update("R", (1, 1), 1))
+        engine.apply(Update("R", (1, 1), 1))
         assert len(db["R"]) == 0  # not yet applied
         engine.refresh()
         assert db["R"].get((1, 1)) == 1
@@ -130,7 +130,7 @@ class TestDeltaQueryEngine:
                 db.create(name, schema)
             engine = DeltaQueryEngine(TRIANGLE, db, eager=eager)
             for i, update in enumerate(updates):
-                engine.update(update)
+                engine.apply(update)
                 if i % 40 == 39:
                     engine.refresh()
             return engine.scalar()
@@ -145,9 +145,9 @@ class TestDeltaQueryEngine:
         engine = DeltaQueryEngine(q, db)
         for _ in range(100):
             if rng.random() < 0.5:
-                engine.update(Update("R", (rng.randrange(6), rng.randrange(6)), 1))
+                engine.apply(Update("R", (rng.randrange(6), rng.randrange(6)), 1))
             else:
-                engine.update(Update("S", (rng.randrange(6),), rng.choice([1, -1])))
+                engine.apply(Update("S", (rng.randrange(6),), rng.choice([1, -1])))
         assert engine.result() == evaluate(q, db)
 
     def test_self_join_deltas(self, rng):
@@ -156,7 +156,7 @@ class TestDeltaQueryEngine:
         db.create("E", ("A", "B"))
         engine = DeltaQueryEngine(q, db)
         for _ in range(80):
-            engine.update(
+            engine.apply(
                 Update("E", (rng.randrange(5), rng.randrange(5)), rng.choice([1, 1, -1]))
             )
         assert engine.result() == evaluate(q, db)
@@ -167,14 +167,14 @@ class TestDeltaQueryEngine:
         db.create("E", ("A", "B"))
         engine = DeltaQueryEngine(q, db, eager=False)
         for _ in range(40):
-            engine.update(Update("E", (rng.randrange(4), rng.randrange(4)), 1))
+            engine.apply(Update("E", (rng.randrange(4), rng.randrange(4)), 1))
         assert engine.result() == evaluate(q, db)
 
     def test_update_to_unknown_relation(self):
         db = fig2_database()
         db.create("Other", ("A",))
         engine = DeltaQueryEngine(TRIANGLE, db)
-        engine.update(Update("Other", (1,), 1))  # no-op for the output
+        engine.apply(Update("Other", (1,), 1))  # no-op for the output
         assert engine.scalar() == 9
 
     def test_scalar_requires_boolean(self):
@@ -205,7 +205,7 @@ class TestDeltaQueryEngine:
             db = fig2_database()
             engine = DeltaQueryEngine(TRIANGLE, db)
             for update in updates:
-                engine.update(update)
+                engine.apply(update)
             return engine.scalar()
 
         assert run(batch) == run(permuted(batch, seed))

@@ -17,38 +17,38 @@ def make_engine():
 class TestDeltaEnumeration:
     def test_reports_net_change(self):
         engine, _ = make_engine()
-        engine.update(Update("R", (1, 10), 1))
-        engine.update(Update("S", (10,), 1))
+        engine.apply(Update("R", (1, 10), 1))
+        engine.apply(Update("S", (10,), 1))
         delta = dict(engine.enumerate_delta())
         assert delta == {(1,): 1}
 
     def test_resets_after_drain(self):
         engine, _ = make_engine()
-        engine.update(Update("R", (1, 10), 1))
-        engine.update(Update("S", (10,), 1))
+        engine.apply(Update("R", (1, 10), 1))
+        engine.apply(Update("S", (10,), 1))
         assert dict(engine.enumerate_delta()) == {(1,): 1}
         assert dict(engine.enumerate_delta()) == {}
 
     def test_retraction_is_negative(self):
         engine, _ = make_engine()
-        engine.update(Update("R", (1, 10), 1))
-        engine.update(Update("S", (10,), 1))
+        engine.apply(Update("R", (1, 10), 1))
+        engine.apply(Update("S", (10,), 1))
         list(engine.enumerate_delta())
-        engine.update(Update("S", (10,), -1))
+        engine.apply(Update("S", (10,), -1))
         assert dict(engine.enumerate_delta()) == {(1,): -1}
 
     def test_cancelling_changes_not_reported(self):
         engine, _ = make_engine()
-        engine.update(Update("S", (10,), 1))
-        engine.update(Update("R", (1, 10), 1))
-        engine.update(Update("R", (1, 10), -1))
+        engine.apply(Update("S", (10,), 1))
+        engine.apply(Update("R", (1, 10), 1))
+        engine.apply(Update("R", (1, 10), -1))
         assert dict(engine.enumerate_delta()) == {}
 
     def test_delta_accumulates_across_updates(self):
         engine, _ = make_engine()
-        engine.update(Update("S", (10,), 1))
+        engine.apply(Update("S", (10,), 1))
         for a in range(5):
-            engine.update(Update("R", (a, 10), 1))
+            engine.apply(Update("R", (a, 10), 1))
         delta = dict(engine.enumerate_delta())
         assert delta == {(a,): 1 for a in range(5)}
 
@@ -57,14 +57,14 @@ class TestDeltaEnumeration:
         db.create("R", ("A", "B"))
         db.create("S", ("B",))
         engine = DeltaQueryEngine(QUERY, db, eager=False)
-        engine.update(Update("R", (1, 10), 1))
-        engine.update(Update("S", (10,), 1))
+        engine.apply(Update("R", (1, 10), 1))
+        engine.apply(Update("S", (10,), 1))
         # refresh happens inside enumerate_delta
         assert dict(engine.enumerate_delta()) == {(1,): 1}
 
     def test_full_enumeration_unaffected(self):
         engine, _ = make_engine()
-        engine.update(Update("R", (1, 10), 1))
-        engine.update(Update("S", (10,), 1))
+        engine.apply(Update("R", (1, 10), 1))
+        engine.apply(Update("S", (10,), 1))
         list(engine.enumerate_delta())
         assert dict(engine.enumerate()) == {(1,): 1}

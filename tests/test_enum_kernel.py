@@ -20,7 +20,6 @@ import random
 import pytest
 
 from repro.core.engine import IVMEngine
-from repro.cqap.engine import CQAPEngine
 from repro.data import Update
 from repro.naive import evaluate
 from repro.obs import MaintenanceStats
@@ -294,14 +293,13 @@ class TestCQAP:
     def test_access_requests_identical(self):
         query = parse_query("Q(A | B) = R(A, B) * S(B)")
         schemas = [("R", ("A", "B")), ("S", ("B",))]
-        compiled = CQAPEngine(query, seeded_db(schemas, random.Random(14)))
-        generic = CQAPEngine(
+        compiled = IVMEngine(query, seeded_db(schemas, random.Random(14)))
+        generic = IVMEngine(
             query, seeded_db(schemas, random.Random(14)), generated=False
         )
-        for engine in compiled.engines:
-            assert engine._enum_kernel is not None
-        for engine in generic.engines:
-            assert engine._enum_kernel is None
+        assert compiled.plan.strategy == generic.plan.strategy == "cqap"
+        assert compiled.backend._enum_kernel is not None
+        assert generic.backend._enum_kernel is None
         for update in valid_stream(random.Random(15), {"R": 2, "S": 1}, 300):
             compiled.apply(update)
             generic.apply(update)

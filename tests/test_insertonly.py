@@ -62,7 +62,7 @@ class TestBasics:
         engine.insert("S", (2, 3))
         engine.insert("T", (3, 4))
         assert engine.is_nonempty()
-        assert list(engine.enumerate()) == [(1, 2, 3, 4)]
+        assert list(engine.enumerate()) == [((1, 2, 3, 4), 1)]
 
     def test_activation_on_late_leaf(self):
         """Inserting the missing leaf last activates the whole chain."""
@@ -80,7 +80,7 @@ class TestBasics:
         assert not engine.is_nonempty()
         engine.insert("S", (2,))
         assert engine.is_nonempty()
-        assert list(engine.enumerate()) == [(1, 2)]
+        assert list(engine.enumerate()) == [((1, 2), 1)]
 
 
 class TestDifferential:
@@ -93,7 +93,7 @@ class TestDifferential:
             for _ in range(60)
         ]
         engine, db = replay(PATH3, {"R": 2, "S": 2, "T": 2}, inserts)
-        got = sorted(engine.enumerate())
+        got = sorted(key for key, _ in engine.enumerate())
         expected = sorted(evaluate(PATH3, db).keys())
         assert got == expected
 
@@ -104,7 +104,7 @@ class TestDifferential:
             for _ in range(150)
         ]
         engine, db = replay(q, {"R": 2, "S": 2, "T": 2}, inserts)
-        assert sorted(engine.enumerate()) == sorted(evaluate(q, db).keys())
+        assert sorted(dict(engine.enumerate())) == sorted(evaluate(q, db).keys())
 
     def test_interleaving_orders_agree(self, rng):
         inserts = [

@@ -70,7 +70,7 @@ class TestReduction:
                 )
 
             def apply(self, update):
-                self.engine.update(update)
+                self.engine.apply(update)
 
             def detect(self):
                 return self.engine.scalar() > 0

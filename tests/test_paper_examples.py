@@ -63,7 +63,7 @@ class TestFig2Example31:
         # "(a2, b1) is now mapped to 3 - 2 = 1".
         db = fig2_database()
         engine = DeltaQueryEngine(TRIANGLE, db)
-        engine.update(Update("R", ("a2", "b1"), -2))
+        engine.apply(Update("R", ("a2", "b1"), -2))
         assert db["R"].get(("a2", "b1")) == 1
 
     def test_only_one_join_tuple_changes(self):
@@ -84,7 +84,7 @@ class TestFig2Example31:
         )
         assert -2 * inner == -4
         engine = DeltaQueryEngine(TRIANGLE, db)
-        engine.update(Update("R", ("a2", "b1"), -2))
+        engine.apply(Update("R", ("a2", "b1"), -2))
         assert engine.scalar() == 9 - 4
 
 

@@ -3,10 +3,14 @@
 import pytest
 
 from repro import Database, IVMEngine, parse_query, plan_maintenance
+from repro.backend import NotSupported
 from repro.constraints import parse_fds
 from repro.data import Update
 from repro.naive import evaluate, evaluate_scalar
-from tests.conftest import valid_stream
+from repro.obs.counter import op_scope
+from repro.shard import ShardedEngine
+from repro.viewtree import ViewTreeEngine
+from tests.conftest import fd_satisfying_db, valid_stream
 
 
 class TestPlannerLadder:
@@ -73,8 +77,6 @@ class TestFacade:
         assert engine.scalar() == evaluate_scalar(q, db)
 
     def test_fd_path(self, rng):
-        from tests.test_constraints import fd_satisfying_db
-
         db = fd_satisfying_db(rng)
         q = parse_query("Q(Z, Y, X, W) = R(X, W) * S(X, Y) * T(Y, Z)")
         fds = parse_fds("X -> Y", "Y -> Z")
@@ -94,12 +96,77 @@ class TestFacade:
         engine.insert("E", 3, 1)
         assert list(engine.answer({"A": 1, "B": 2, "C": 3}))
 
+    def test_boolean_fd_plan_answers_scalar(self, rng):
+        """A Boolean query under FDs has a scalar output like any other
+        (was: ``TypeError: plan 'fd-viewtree' has no scalar output``)."""
+        q = parse_query("Q() = R(A,B) * S(B,C) * T(C)")
+        db = Database()
+        db.create("R", ("A", "B"))
+        db.create("S", ("B", "C"))
+        db.create("T", ("C",))
+        engine = IVMEngine(q, db, fds=parse_fds("B -> C"))
+        assert engine.plan.strategy == "fd-viewtree"
+        for b in range(6):
+            engine.insert("S", b, b % 3)  # B -> C holds
+        for update in valid_stream(rng, {"R": 2, "T": 1}, 150, domain=6):
+            engine.apply(update)
+        expected = evaluate_scalar(q, db)
+        assert expected
+        assert engine.scalar() == expected
+        assert engine.lookup(()) == expected
+        engine.publish_epoch()
+        engine.insert("T", 0)
+        assert engine.scalar_snapshot() == expected
+        assert engine.lookup_snapshot(()) == expected
+        assert engine.scalar() == evaluate_scalar(q, db) != expected
+
+    @pytest.mark.parametrize("strategy", ["fd-viewtree", "static-dynamic"])
+    def test_lookup_cost_is_independent_of_size(self, strategy):
+        """Theorem 4.11 / Section 4.5 promise O(1) lookups: the probe
+        count (not wall time) is the same at N and 10·N.  The facade
+        used to scan ``enumerate()`` for these plans."""
+        costs = []
+        for n in (200, 2000):
+            db = Database()
+            if strategy == "fd-viewtree":
+                q = parse_query("Q(Z, Y, X, W) = R(X, W) * S(X, Y) * T(Y, Z)")
+                fds = parse_fds("X -> Y", "Y -> Z")
+                r = db.create("R", ("X", "W"))
+                s = db.create("S", ("X", "Y"))
+                t = db.create("T", ("Y", "Z"))
+                for i in range(n):
+                    r.insert(i % (n // 4), i)
+                    s.insert(i % (n // 4), i % 50)  # X -> Y holds
+                    t.insert(i % 50, i % 5)  # Y -> Z holds
+                keys = [
+                    (i % 5, i % 50, i % (n // 4), i) for i in range(0, n, n // 20)
+                ]
+            else:
+                q = parse_query("Q(A,B,C) = R(A,D) * S(A,B) * T@s(B,C)")
+                fds = ()
+                r = db.create("R", ("A", "D"))
+                s = db.create("S", ("A", "B"))
+                t = db.create("T", ("B", "C"))
+                for i in range(n):
+                    r.insert(i, i)
+                    s.insert(i, i % 50)
+                    t.insert(i % 50, i % 7)
+                keys = [(i, i % 50, i % 7) for i in range(0, n, n // 20)]
+            engine = IVMEngine(q, db, fds=fds)
+            assert engine.plan.strategy == strategy
+            expected = evaluate(q, db).to_dict()
+            with op_scope("lookups") as scope:
+                found = [engine.lookup(key) for key in keys]
+            assert found == [expected[key] for key in keys]
+            costs.append(scope.total())
+        assert costs[0] == costs[1] > 0
+
     def test_answer_rejected_for_non_cqap(self):
         db = Database()
         db.create("R", ("Y", "X"))
         db.create("S", ("Y", "Z"))
         engine = IVMEngine(parse_query("Q(Y,X,Z) = R(Y,X) * S(Y,Z)"), db)
-        with pytest.raises(TypeError):
+        with pytest.raises(NotSupported):
             engine.answer({"Y": 1})
 
     def test_insert_only_path(self, rng):
@@ -193,8 +260,6 @@ class TestGeneratedFlag:
         text, kwargs = self.CASES[strategy]
         query = parse_query(text)
         if strategy == "fd-viewtree":
-            from tests.test_constraints import fd_satisfying_db
-
             # Inserts into R keep X -> Y and Y -> Z satisfied.
             db = fd_satisfying_db(rng)
             stream = [
@@ -216,6 +281,12 @@ class TestGeneratedFlag:
         engine = IVMEngine(query, db, generated=generated, **kwargs)
         assert engine.plan.strategy == strategy
         assert engine.generated is generated
+        # One engine runs every view-tree-family plan: no wrapper.
+        assert type(engine.backend) is (
+            ShardedEngine if strategy == "sharded-viewtree" else ViewTreeEngine
+        )
+        assert engine.supports_snapshots
+        assert engine.supports_changes is (strategy != "cqap")
         stats = engine.attach_stats()
         for update in stream[:80]:
             engine.apply(update)
@@ -236,6 +307,4 @@ class TestGeneratedFlag:
                 assert dict(engine.answer({"B": b})) == expected
         else:
             assert dict(engine.enumerate()) == evaluate(query, db).to_dict()
-        close = getattr(engine.backend, "close", None)
-        if close is not None:
-            close()
+        engine.close()

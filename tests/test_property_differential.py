@@ -91,10 +91,7 @@ def _run_stream(query, engine_factory, stream_spec):
             key = tuple(rng.randrange(4) for _ in range(arities[name]))
             update = Update(name, key, 1)
             live[(name, key)] = live.get((name, key), 0) + 1
-        if isinstance(engine, DeltaQueryEngine):
-            engine.update(update)
-        else:
-            engine.apply(update)
+        engine.apply(update)
     return engine, db
 
 

@@ -120,4 +120,4 @@ class TestProvenanceQueries:
         engine = InsertOnlyEngine(q)
         engine.insert("R", (1, 2))
         engine.insert("S", (2, 3))
-        assert list(engine.enumerate()) == [(1, 2, 3)]
+        assert list(engine.enumerate()) == [((1, 2, 3), 1)]

@@ -1,8 +1,9 @@
-"""Example 4.10 end-to-end: the Retailer FD query through the FD engine."""
+"""Example 4.10 end-to-end: the Retailer FD query through the FD rewrite."""
 
 import random
 
-from repro.constraints import FDEngine, q_hierarchical_under_fds
+from repro import IVMEngine
+from repro.constraints import q_hierarchical_under_fds
 from repro.data import Update, counting
 from repro.naive import evaluate
 from repro.workloads import retailer_fd_database, retailer_fd_query
@@ -16,13 +17,14 @@ class TestRetailerFDIntegration:
     def test_initial_build_matches_naive(self):
         query, fds = retailer_fd_query()
         db = retailer_fd_database(seed=1)
-        engine = FDEngine(query, fds, db)
-        assert engine.output_relation() == evaluate(query, db)
+        engine = IVMEngine(query, db, fds)
+        assert engine.plan.strategy == "fd-viewtree"
+        assert engine.backend.output_relation() == evaluate(query, db)
 
     def test_inventory_stream_maintenance(self):
         query, fds = retailer_fd_query()
         db = retailer_fd_database(seed=2)
-        engine = FDEngine(query, fds, db)
+        engine = IVMEngine(query, db, fds)
         rng = random.Random(3)
         inserted: list[tuple] = []
         for _ in range(200):
@@ -33,7 +35,7 @@ class TestRetailerFDIntegration:
                 key = (rng.randrange(40), rng.randrange(30), rng.randrange(80))
                 engine.apply(Update("Inventory", key, 1))
                 inserted.append(key)
-        assert engine.output_relation() == evaluate(query, db)
+        assert engine.backend.output_relation() == evaluate(query, db)
 
     def test_census_updates_stay_constant(self):
         """Census is keyed by zip with zip -> locn: its updates are O(1)
@@ -44,7 +46,7 @@ class TestRetailerFDIntegration:
             db = retailer_fd_database(
                 locations=zips * 3, zips=zips, inventory_rows=zips * 100, seed=4
             )
-            engine = FDEngine(query, fds, db)
+            engine = IVMEngine(query, db, fds)
             rng = random.Random(5)
             with counting() as ops:
                 for _ in range(20):
@@ -56,7 +58,7 @@ class TestRetailerFDIntegration:
     def test_weather_updates_match(self):
         query, fds = retailer_fd_query()
         db = retailer_fd_database(seed=6)
-        engine = FDEngine(query, fds, db)
+        engine = IVMEngine(query, db, fds)
         rng = random.Random(7)
         for _ in range(100):
             engine.apply(
@@ -66,4 +68,4 @@ class TestRetailerFDIntegration:
                     rng.choice([1, -1]),
                 )
             )
-        assert engine.output_relation() == evaluate(query, db)
+        assert engine.backend.output_relation() == evaluate(query, db)

@@ -56,9 +56,7 @@ def fresh_engine(text, shards=1, **kwargs):
 
 
 def close_backend(engine):
-    close = getattr(engine.backend, "close", None)
-    if close is not None:
-        close()
+    engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,14 @@ import time
 import pytest
 
 from repro.core.engine import IVMEngine
+from repro.core.planner import plan_maintenance
 from repro.data.database import Database
+from repro.naive import evaluate
 from repro.obs import MaintenanceStats
 from repro.query.parser import parse_query
 from repro.serve import AsyncIVMServer, update_stream
 from repro.viewtree.engine import ViewTreeEngine
+from tests.conftest import REWRITES, rewrite_case, twin_engines
 
 
 def fresh_engine(text, shards=1, shard_executor="serial", **kwargs):
@@ -33,9 +36,7 @@ def fresh_engine(text, shards=1, shard_executor="serial", **kwargs):
 
 
 def close_backend(engine):
-    close = getattr(engine.backend, "close", None)
-    if close is not None:
-        close()
+    engine.close()
 
 
 SNAPSHOT_CONFIGS = [
@@ -188,6 +189,45 @@ class TestSnapshotDifferential:
         finally:
             close_backend(engine)
             close_backend(twin)
+
+
+    @pytest.mark.parametrize("strategy", REWRITES)
+    def test_rewritten_plans_bit_identical_to_oracle_and_naive(self, strategy):
+        """The FD and static/dynamic rewrites read their published epoch
+        through the caller's head: the kernels, the generic-walk oracle
+        and ``repro.naive`` over the committed prefix all agree, while
+        the suffix has already landed on the live views."""
+        query, fds, make_db, stream = rewrite_case(strategy, seed=61)
+        plan = plan_maintenance(query, fds)
+        assert plan.strategy == strategy
+        generated, oracle = twin_engines(
+            query, None, 61, plan=plan, make_db=make_db
+        )
+        prefix, suffix = stream[:150], stream[150:]
+        committed = make_db()
+        for update in prefix:
+            committed[update.relation].add(update.key, update.payload)
+        expected = evaluate(query, committed).to_dict()
+        assert expected
+        for engine in (generated, oracle):
+            engine.apply_batch(prefix[:100])
+            for update in prefix[100:]:
+                engine.apply(update)
+            engine.publish_epoch()
+            engine.apply_batch(suffix)  # uncommitted from the reader's view
+        frozen = list(generated.enumerate_snapshot())
+        assert frozen == list(oracle.enumerate_snapshot())
+        assert dict(frozen) == expected and len(frozen) == len(expected)
+        live = evaluate(query, generated.database).to_dict()
+        assert live != expected  # the suffix actually changed the output
+        zero = generated.ring.zero
+        for key in list(expected)[:6] + list(live)[:6]:
+            for engine in (generated, oracle):
+                assert engine.lookup_snapshot(key) == expected.get(key, zero)
+                assert engine.lookup(key) == live.get(key, zero)
+        for engine in (generated, oracle):
+            engine.publish_epoch()
+            assert dict(engine.enumerate_snapshot()) == live
 
 
 class TestConcurrentReaders:

@@ -1,12 +1,12 @@
-"""Static vs dynamic relations: analysis and engine (Section 4.5)."""
+"""Static vs dynamic relations: analysis and the plan it yields (Section 4.5)."""
 
 import pytest
 
+from repro import IVMEngine, plan_maintenance
 from repro.data import Database, Update, counting
 from repro.naive import evaluate
 from repro.query import canonical_order, parse_query
 from repro.staticdyn import (
-    StaticDynamicEngine,
     StaticRelationUpdateError,
     constant_update_atoms,
     enumerate_orders,
@@ -74,24 +74,29 @@ class TestEngine:
         return db
 
     def test_static_updates_rejected(self, rng):
-        engine = StaticDynamicEngine(EX414, self.make_db(rng))
+        db = self.make_db(rng)
+        engine = IVMEngine(EX414, db)
+        assert engine.plan.strategy == "static-dynamic"
+        before = db["T"].to_dict()
         with pytest.raises(StaticRelationUpdateError):
             engine.apply(Update("T", (0, 0), 1))
+        # Rejected before any write, on the batch path too.
+        with pytest.raises(StaticRelationUpdateError):
+            engine.apply_batch([Update("S", (1, 1), 1), Update("T", (0, 0), 1)])
+        assert db["T"].to_dict() == before and len(db["S"]) == 0
 
     def test_differential(self, rng):
         db = self.make_db(rng)
-        engine = StaticDynamicEngine(EX414, db)
+        engine = IVMEngine(EX414, db)
         for update in valid_stream(rng, {"R": 2, "S": 2}, 250, domain=8):
             engine.apply(update)
         assert dict(engine.enumerate()) == evaluate(EX414, db).to_dict()
 
     def test_intractable_rejected(self):
-        db = Database()
-        for name, schema in [("R", ("A",)), ("S", ("A", "B")), ("T", ("B",))]:
-            db.create(name, schema)
+        """No order qualifies, so the planner never picks the rewrite."""
         q3 = parse_query("Q(A,B) = R(A) * S@s(A,B) * T(B)")
-        with pytest.raises(ValueError):
-            StaticDynamicEngine(q3, db)
+        assert find_static_dynamic_order(q3) is None
+        assert plan_maintenance(q3).strategy != "static-dynamic"
 
     def test_dynamic_updates_are_constant_time(self, rng):
         """The Section 4.5 upper bound: O(1) per dynamic single-tuple
@@ -104,7 +109,7 @@ class TestEngine:
             t = db.create("T", ("B", "C"))
             for i in range(t_rows):
                 t.insert(i % 20, i)
-            engine = StaticDynamicEngine(EX414, db)
+            engine = IVMEngine(EX414, db)
             with counting() as ops:
                 for i in range(20):
                     engine.apply(Update("S", (i % 5, i % 20), 1))
@@ -122,7 +127,8 @@ class TestEngine:
         for _ in range(60):
             s.insert(rng.randrange(6), rng.randrange(6))
             t.insert(rng.randrange(6), rng.randrange(6))
-        engine = StaticDynamicEngine(q2, db)
+        engine = IVMEngine(q2, db)
+        assert engine.plan.strategy == "static-dynamic"
         for update in valid_stream(rng, {"R": 2, "U": 1}, 150, domain=6):
             engine.apply(update)
         assert dict(engine.enumerate()) == evaluate(q2, db).to_dict()

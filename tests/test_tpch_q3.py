@@ -1,10 +1,10 @@
-"""TPC-H Q3 end-to-end: generator invariants and FD-engine correctness."""
+"""TPC-H Q3 end-to-end: generator invariants and FD-plan correctness."""
 
 import random
 
 import pytest
 
-from repro.constraints import FDEngine
+from repro import IVMEngine
 from repro.data import Update
 from repro.delta import DeltaQueryEngine
 from repro.naive import evaluate
@@ -38,25 +38,26 @@ class TestGenerator:
 class TestQ3Maintenance:
     def test_fd_engine_matches_naive(self):
         db = tpch_q3_database(customers=25, seed=3)
-        engine = FDEngine(Q3.query, Q3.fds, db)
+        engine = IVMEngine(Q3.query, db, Q3.fds)
+        assert engine.plan.strategy == "fd-viewtree"
         rng = random.Random(4)
         for _ in range(100):
             engine.apply(
                 Update("L", (rng.randrange(125), rng.randrange(50), rng.randrange(50)), 1)
             )
-        assert engine.output_relation() == evaluate(Q3.query, db)
+        assert engine.backend.output_relation() == evaluate(Q3.query, db)
 
     def test_customer_updates_match(self):
         db = tpch_q3_database(customers=15, seed=5)
-        engine = FDEngine(Q3.query, Q3.fds, db)
+        engine = IVMEngine(Q3.query, db, Q3.fds)
         # Segment change for customer 3: delete then insert.
         engine.apply(Update("C", (3, "seg3"), -1))
         engine.apply(Update("C", (3, "segX"), 1))
-        assert engine.output_relation() == evaluate(Q3.query, db)
+        assert engine.backend.output_relation() == evaluate(Q3.query, db)
 
     def test_agrees_with_delta_engine(self):
         db = tpch_q3_database(customers=12, seed=6)
-        fd_engine = FDEngine(Q3.query, Q3.fds, db.copy())
+        fd_engine = IVMEngine(Q3.query, db.copy(), Q3.fds)
         delta_engine = DeltaQueryEngine(Q3.query, db.copy())
         rng = random.Random(7)
         updates = [
@@ -65,5 +66,5 @@ class TestQ3Maintenance:
         ]
         for update in updates:
             fd_engine.apply(update)
-            delta_engine.update(update)
-        assert fd_engine.output_relation() == delta_engine.result()
+            delta_engine.apply(update)
+        assert fd_engine.backend.output_relation() == delta_engine.result()

@@ -70,9 +70,9 @@ class TestInvalidFinalStates:
         for name in ("R", "S", "T"):
             db.create(name, ("X", "Y"))
         engine = DeltaQueryEngine(q, db)
-        engine.update(Update("R", (1, 2), -3))  # permanently negative
-        engine.update(Update("S", (2, 3), 2))
-        engine.update(Update("T", (3, 1), 1))
+        engine.apply(Update("R", (1, 2), -3))  # permanently negative
+        engine.apply(Update("S", (2, 3), 2))
+        engine.apply(Update("T", (3, 1), 1))
         assert engine.scalar() == -6 == evaluate_scalar(q, db)
 
     def test_factorized_enumeration_documented_limitation(self):
@@ -96,7 +96,7 @@ class TestInvalidFinalStates:
         materialized output is exact even on invalid states."""
         db = fresh_db()
         engine = DeltaQueryEngine(FIG3, db)
-        engine.update(Update("S", (1, 7), 1))
-        engine.update(Update("S", (1, 8), -1))
-        engine.update(Update("R", (1, 2), 1))
+        engine.apply(Update("S", (1, 7), 1))
+        engine.apply(Update("S", (1, 8), -1))
+        engine.apply(Update("R", (1, 2), 1))
         assert engine.result().to_dict() == {(1, 2, 7): 1, (1, 2, 8): -1}
