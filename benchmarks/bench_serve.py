@@ -8,11 +8,12 @@ run concurrently and observe comparable staleness, because the deadline
 trigger bounds how long an update can sit uncommitted.
 
 Each configuration drives the same closed loop: 4 writer tasks split the
-update stream, 2 reader tasks run point lookups non-stop, and the
-reported rate is end-to-end (first submit to final drain, readers
-included).  The per-update row commits with ``max_batch=1`` and no
-deadline — the group-commit machinery degenerated to one engine call
-per update, which is exactly what a naive serving loop would do.
+update stream, 2 reader tasks share a schedule of 1000 point lookups
+per second (``loadgen.READS_PER_S``), and the reported rate is
+end-to-end (first submit to final drain, readers included).  The
+per-update row commits with ``max_batch=1`` and no deadline — the
+group-commit machinery degenerated to one engine call per update, which
+is exactly what a naive serving loop would do.
 
 Acceptance gate (asserted below): the adaptive group-commit
 configuration sustains >= 2x the upd/s of per-update submission.

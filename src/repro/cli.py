@@ -539,7 +539,7 @@ def run_serve(
         f"p99<={summary['commit_p99']:.2g}s; "
         f"read staleness p50<={summary['staleness_p50']:.2g}s "
         f"p99<={summary['staleness_p99']:.2g}s "
-        f"over {summary['reads']} reads"
+        f"over {summary['reads']} reads ({summary['read_rate']:,.0f}/s)"
     )
     if "feed_deltas" in summary:
         verdict = "identical" if summary["maintained_ok"] else "MISMATCH"

@@ -237,20 +237,6 @@ class Relation:
         if self._dirty is None:
             self._dirty = set()
 
-    def drain_dirty(self) -> set:
-        """Return the keys written since the last drain and reset the set.
-
-        Only meaningful after :meth:`track_dirty`; raises otherwise so a
-        missing enablement surfaces as a hard error, not an empty delta.
-        """
-        dirty = self._dirty
-        if dirty is None:
-            raise RuntimeError(
-                f"relation {self.name!r} is not tracking dirty keys"
-            )
-        self._dirty = set()
-        return dirty
-
     # ------------------------------------------------------------------
     # Lookups and enumeration
     # ------------------------------------------------------------------

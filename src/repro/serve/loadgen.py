@@ -1,4 +1,7 @@
-"""Closed-loop load generation for the serving front-end.
+"""Load generation for the serving front-end.
+
+Writers run closed-loop (each submits as fast as backpressure allows);
+readers run open-loop on a fixed schedule (:data:`READS_PER_S`).
 
 Reuses the ``stats`` CLI's stream shapes — uniform / zipf value
 distributions and the sliding-window insert+delayed-delete pairing —
@@ -23,6 +26,13 @@ from typing import Any, Callable, Iterator
 
 from ..data.update import Update
 from ..viewtree.changes import EpochGapError
+
+#: Point lookups per second the reader tasks offer between them: the
+#: read load of the end-to-end benchmark's serve workloads
+#: (``benchmarks/e2e/README.md``), so ``bench_serve`` and
+#: ``python -m repro serve`` measure writes under the same read
+#: pressure.
+READS_PER_S = 1000.0
 
 
 def value_sampler(
@@ -137,11 +147,15 @@ async def run_load_test(
 
     ``writers`` tasks split ``updates`` between them, each submitting
     its own independently-seeded stream as fast as backpressure allows.
-    ``readers`` tasks run point lookups on random candidate keys until
-    the writers finish.  The returned summary reports the sustained
+    ``readers`` tasks share an open-loop schedule of :data:`READS_PER_S`
+    point lookups per second on random candidate keys until the writers
+    finish: each sleeps until its next read is due, so the readers
+    offer a fixed load instead of competing with the writers for every
+    turn of the event loop.  The returned summary reports the sustained
     end-to-end rate (submit of first update to drain of last), the
-    maintenance-only rate (updates over summed commit time), and the
-    commit-latency / read-staleness percentiles from the recorder.
+    maintenance-only rate (updates over summed commit time), the
+    achieved ``read_rate``, and the commit-latency / read-staleness
+    percentiles from the recorder.
 
     With ``change_feed=True`` (engines with change-stream support) a
     subscriber task seeds an absolute state from ``enumerate()`` and
@@ -151,6 +165,7 @@ async def run_load_test(
     identical to a fresh server enumeration.
     """
     writers = max(int(writers), 1)
+    readers = max(int(readers), 0)
     head = tuple(query.head)
     key_rng = random.Random(seed ^ 0x5EED)
     key_value = value_sampler(
@@ -178,15 +193,22 @@ async def run_load_test(
     done = asyncio.Event()
     reads = 0
 
+    read_interval = readers / READS_PER_S
+
     async def read() -> None:
         nonlocal reads
+        clock = time.perf_counter
+        due = clock()
         while not done.is_set():
+            # Always yield, so a reader that has fallen behind catches
+            # up one read per loop turn instead of holding the loop.
+            await asyncio.sleep(max(0.0, due - clock()))
             if head:
                 await server.lookup(tuple(key_value() for _ in head))
             else:
                 await server.scalar()
             reads += 1
-            await asyncio.sleep(0)
+            due += read_interval
 
     feed = None
     feed_task = None
@@ -219,7 +241,7 @@ async def run_load_test(
     start = time.perf_counter()
     reader_tasks = [
         asyncio.get_running_loop().create_task(read())
-        for _ in range(max(int(readers), 0))
+        for _ in range(readers)
     ]
     try:
         await asyncio.gather(
@@ -247,6 +269,7 @@ async def run_load_test(
         "writers": writers,
         "readers": readers,
         "reads": reads,
+        "read_rate": reads / seconds if seconds > 0 else 0.0,
         "seconds": seconds,
         "rate_end_to_end": updates / seconds if seconds > 0 else 0.0,
     }

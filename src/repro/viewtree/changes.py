@@ -15,14 +15,42 @@ previous one and emits a compact :class:`OutputDelta` —
 payload-only updates never touch indexes), so tracked relations record
 the *keys* of their writes (:meth:`Relation.track_dirty` — a single
 ``None`` test per write when disabled).  Only the relations the
-enumeration actually reads are tracked: free-node guards and leaves,
-and the boundary views of non-free subtrees.  In a free-top order every
-one of those has schema ⊆ head, so a dirty key *is* a pattern over head
-variables: any output tuple whose enumeration changed must project onto
-some dirty key, and re-enumerating both snapshots under each pattern
-(``prebound`` probes, O(1) per step) yields exactly the changed region.
-Untouched patterns enumerate identically on both sides and are never
-visited.  Empty-head queries shortcut to an O(1) scalar comparison.
+enumeration actually reads are tracked, and in a free-top order every
+one of them has schema ⊆ head, so a key of one *is* a pattern over head
+variables (a ``prebound`` probe, O(1) per step).  They come in two
+kinds, told apart once, at construction:
+
+* **valued** — the leaves anchored at free nodes and the boundary views
+  of non-free subtrees.  Enumeration multiplies their payloads into the
+  output payload.
+* **guard-only** — the guard ``G_X`` of a free node that is not itself
+  one of that node's leaves.  Enumeration reads it for *membership*
+  only (which candidates exist); its payload never reaches an output
+  tuple — although it moves on every update below the node, which is
+  why treating its writes as changes costs a whole group per update.
+
+At publish, a written key of a valued relation is a pattern; a written
+key of a guard-only relation is a pattern only if its membership differs
+between the two snapshots.  Each pattern is then enumerated on the old
+snapshot only if its key is in that relation there, and on the new one
+only if it is there: an insert never walks the old side, a delete never
+the new one, and a key written but absent from both costs two ``in``
+tests.  The filter reads the snapshots' frozen dicts, so the write path
+records bare keys and no pre-image.
+
+*Why this is exact.*  An output tuple ``t`` is produced on a side iff the
+projection of ``t`` onto every tracked relation is present on that side,
+and its payload is the product of the valued entries alone.  Hence (a) a
+side on which the pattern's own key is absent yields nothing under that
+pattern, so skipping it loses nothing; and (b) a ``t`` that differs
+between the two epochs — present on one side only, or with another
+payload — projects onto a valued key that was written or onto a guard
+key whose membership flipped, so some pattern covers it.  Everything a
+pattern enumerates is compared old against new, so covered-but-equal
+tuples drop out.  On ``Q(Y,X,Z) = R(Y,X) * S(Y,Z)`` an update to
+``R(y,x)`` costs one walk of ``S(y,·)`` on one side, plus a walk of the
+``y`` group only when ``y`` itself appears or disappears.  Empty-head
+queries shortcut to an O(1) scalar comparison.
 
 **Retention.** Per-epoch deltas live in a window of
 :data:`RETAIN_EPOCHS` (matching the shard workers' snapshot window);
@@ -204,6 +232,8 @@ class DeltaWindow:
     Mutations and reads may come from different threads (the serve
     tier publishes on its commit worker thread while the event loop
     composes catch-up deltas), so the deque is guarded by a lock.
+    Retained deltas are immutable: ``changes_since`` hands the same
+    object to every caller that asks for exactly one epoch.
     """
 
     def __init__(self, baseline_epoch: int, retain: int = RETAIN_EPOCHS):
@@ -245,7 +275,12 @@ class DeltaWindow:
                 )
             if epoch == self.epoch:
                 return OutputDelta(epoch, epoch, [])
-            selected = [d for d in self._deltas if d.epoch_from >= epoch]
+            deltas = self._deltas
+            if deltas and deltas[-1].epoch_from == epoch:
+                # The steady state of a per-commit consumer: one epoch
+                # behind, nothing to compose.
+                return deltas[-1]
+            selected = [d for d in deltas if d.epoch_from >= epoch]
             if not selected or selected[0].epoch_from != epoch:
                 raise EpochGapError(
                     f"epoch {epoch} is outside the retained change window "
@@ -264,11 +299,13 @@ class ChangeTracker:
     """Maintains a :class:`DeltaWindow` for one ``ViewTreeEngine``.
 
     Created lazily by ``ViewTreeEngine.track_changes()``: enables
-    dirty-key recording on exactly the relations enumeration reads and
+    dirty-key recording on exactly the relations enumeration reads,
+    classifies each as valued or guard-only (module docstring) and
     baselines at the engine's current published snapshot.  On every
     subsequent publish, :meth:`on_publish` drains the dirty sets into
-    patterns, re-enumerates both snapshots under each pattern, and
-    appends the resulting per-epoch delta.
+    the patterns that could have changed, enumerates each on the
+    snapshots that hold its key, and appends the resulting per-epoch
+    delta.
     """
 
     def __init__(self, engine):
@@ -281,32 +318,38 @@ class ChangeTracker:
         # the serve tier).
         snap = engine.publish_epoch(record=False)
         head = engine.query.head
-        self.tracked: list = []
+        #: ``(relation, schema variables, guard_only)`` per tracked
+        #: relation, in enumeration order.
+        self.tracked: list[tuple[Any, tuple[str, ...], bool]] = []
         if head:
-            seen: dict[int, Any] = {}
             schedule = engine._enum_schedule
             if schedule is None:
                 schedule = engine._enum_schedule = (
                     engine._enum_schedule_specs()
                 )
-            head_set = set(head)
+            seen: dict[int, Any] = {}
+            valued: set[int] = set()
             for spec in schedule:
-                rels = (
-                    [spec[1]]
-                    if not spec[0]
-                    else [spec[2], *(leaf for leaf, _ in spec[6])]
-                )
-                for rel in rels:
-                    if not set(rel.schema.variables) <= head_set:
-                        raise TypeError(
-                            f"relation {rel.name!r} (schema "
-                            f"{rel.schema.variables!r}) escapes the head "
-                            f"{head!r}; change streams need a free-top "
-                            "order"
-                        )
+                if spec[0]:
+                    seen[id(spec[2])] = spec[2]
+                    leaves = [leaf for leaf, _ in spec[6]]
+                else:
+                    leaves = [spec[1]]
+                for rel in leaves:
                     seen[id(rel)] = rel
-            self.tracked = list(seen.values())
-        for rel in self.tracked:
+                    valued.add(id(rel))
+            head_set = set(head)
+            for ident, rel in seen.items():
+                variables = rel.schema.variables
+                if not set(variables) <= head_set:
+                    raise TypeError(
+                        f"relation {rel.name!r} (schema "
+                        f"{variables!r}) escapes the head "
+                        f"{head!r}; change streams need a free-top "
+                        "order"
+                    )
+                self.tracked.append((rel, variables, ident not in valued))
+        for rel, _, _ in self.tracked:
             rel.track_dirty()
         self._prev = snap
         self.window = DeltaWindow(snap.number)
@@ -336,29 +379,28 @@ class ChangeTracker:
         return [((), old_v, new_v)]
 
     def _diff_patterns(self, prev, snap) -> list:
-        engine = self.engine
-        patterns: dict[tuple, dict] = {}
-        for rel in self.tracked:
-            dirty = rel._dirty
-            if dirty:
-                rel._dirty = set()
-                variables = rel.schema.variables
-                for key in dirty:
-                    pat = (variables, key)
-                    if pat not in patterns:
-                        patterns[pat] = dict(zip(variables, key))
-        if not patterns:
-            return []
         old_region: dict[tuple, Any] = {}
         new_region: dict[tuple, Any] = {}
-        enumerate_ = engine._enumerate
-        for prebound in patterns.values():
-            # Overlapping patterns re-derive identical payloads for a
-            # shared output key, so plain dict overwrites dedupe them.
-            for key, payload in enumerate_(dict(prebound), None, epoch=prev):
-                old_region[key] = payload
-            for key, payload in enumerate_(dict(prebound), None, epoch=snap):
-                new_region[key] = payload
+        enumerate_ = self.engine._enumerate
+        for rel, variables, guard_only in self.tracked:
+            dirty = rel._dirty
+            if not dirty:
+                continue
+            rel._dirty = set()
+            before = prev.data_of(rel)
+            after = snap.data_of(rel)
+            for key in dirty:
+                was = key in before
+                now = key in after
+                if was == now and (guard_only or not was):
+                    continue
+                # Overlapping patterns re-derive identical payloads for a
+                # shared output key, so plain dict overwrites dedupe them.
+                prebound = dict(zip(variables, key))
+                if was:
+                    old_region.update(enumerate_(prebound, None, epoch=prev))
+                if now:
+                    new_region.update(enumerate_(prebound, None, epoch=snap))
         entries = []
         for key, old in old_region.items():
             new = new_region.get(key)

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import IVMEngine, plan_maintenance
-from repro.data import Database, Update
+from repro.constraints import parse_fds
+from repro.data import Database, Update, counting
 from repro.naive import evaluate
 from repro.query import parse_query
 from repro.rings import (
@@ -283,6 +284,215 @@ class TestStrategies:
                             got[key] + payload if key in got else payload
                         )
                     assert got == maintained, name
+
+
+Q_LIST = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
+
+
+def list_engine(groups=4, fanout=30):
+    """``Q_LIST`` over ``groups`` values of Y, each with ``fanout`` X and
+    ``fanout`` Z partners — ``fanout**2`` output tuples per group."""
+    db = Database()
+    r = db.create("R", ("Y", "X"))
+    s = db.create("S", ("Y", "Z"))
+    for y in range(groups):
+        for v in range(fanout):
+            r.insert(y, v)
+            s.insert(y, v)
+    engine = ViewTreeEngine(Q_LIST, db)
+    engine.track_changes()
+    return engine
+
+
+def publish_spying(engine):
+    """Publish once; return ``(delta, ops, dirty_keys, walked_epochs)``.
+
+    ``ops`` counts the lookups and enumeration steps of the publish
+    alone, ``dirty_keys`` the written keys the tracker had to look at,
+    and ``walked_epochs`` the epoch number of every snapshot walk the
+    diff started.
+    """
+    tracker = engine._change_tracker
+    dirty_keys = sum(len(rel._dirty) for rel, _, _ in tracker.tracked)
+    walked = []
+    inner = engine._enumerate
+
+    def spy(prebound=None, stats=None, epoch=None):
+        walked.append(epoch.number)
+        return inner(prebound, stats, epoch=epoch)
+
+    engine._enumerate = spy
+    try:
+        prev = engine.epoch
+        with counting() as ops:
+            engine.publish_epoch()
+    finally:
+        del engine._enumerate
+    return engine.changes_since(prev), ops, dirty_keys, walked
+
+
+class TestWorkIsProportionalToTheDelta:
+    """The diff walks what changed, not the groups it changed in."""
+
+    #: Lookups + enumeration steps allowed per delta tuple or dirty key.
+    C = 6
+
+    def test_mixed_batch_within_the_bound(self):
+        engine = list_engine(groups=4, fanout=30)
+        engine.apply_batch([
+            Update("R", (0, 100), 1),    # insert: 30 new tuples
+            Update("R", (1, 3), -1),     # delete: 30 tuples gone
+            Update("S", (2, 5), 1),      # payload 1 -> 2: 30 tuples move
+            Update("S", (3, 7), -1),
+            Update("R", (9, 0), 1),      # new Y with no S partner: nothing
+        ])
+        delta, ops, dirty_keys, _ = publish_spying(engine)
+        assert len(delta) == 120
+        work = ops["lookup"] + ops["enum"]
+        # Re-walking each touched group on both snapshots is
+        # 2 * 4 * 900 steps; the bound here is 6 * (120 + 9).
+        assert work <= self.C * (len(delta) + dirty_keys), (work, dirty_keys)
+
+    def test_inserts_never_walk_the_previous_snapshot(self):
+        engine = list_engine(groups=3, fanout=10)
+        old_epoch = engine.epoch
+        engine.apply_batch(
+            [Update("R", (y, 50 + y), 1) for y in range(3)]
+            + [Update("S", (7, 1), 1), Update("R", (7, 1), 1)]  # a new group
+        )
+        delta, _, _, walked = publish_spying(engine)
+        assert len(delta) == 31 and all(old is None for _, old, _ in delta)
+        assert walked and old_epoch not in walked
+
+    def test_deletes_never_walk_the_new_snapshot(self):
+        engine = list_engine(groups=3, fanout=10)
+        engine.apply_batch([Update("R", (y, 2), -1) for y in range(3)])
+        delta, _, _, walked = publish_spying(engine)
+        assert len(delta) == 30 and all(new is None for _, _, new in delta)
+        assert walked and engine.epoch not in walked
+
+    def test_write_that_cancels_walks_nothing(self):
+        engine = list_engine(groups=2, fanout=5)
+        engine.apply(Update("R", (0, 77), 1))
+        engine.apply(Update("R", (0, 77), -1))
+        delta, _, dirty_keys, walked = publish_spying(engine)
+        assert dirty_keys > 0 and len(delta) == 0 and walked == []
+
+
+def _naive_output(engine):
+    """The maintained query from scratch, keyed by the output head."""
+    maintained = evaluate(engine.query, engine.database)
+    positions = [engine.query.head.index(v) for v in engine.head]
+    return {
+        tuple(key[i] for i in positions): payload
+        for key, payload in maintained.to_dict().items()
+    }
+
+
+#: ``(query, fds, rows, flip, expected keys)``: ``rows`` leaves one join
+#: value with partner payloads +1 and -1, so its aggregate cancels and
+#: the free node's guard entry is *absent* while every leaf under it is
+#: non-zero; ``flip`` makes the guard appear, which must surface every
+#: tuple of the group — not just the one the written leaf key names.
+GUARD_FLIPS = {
+    "list": (
+        "Q(Y, X, Z) = R(Y, X) * S(Y, Z)", (),
+        [("R", (5, 1), 1), ("R", (5, 2), -1), ("S", (5, 9), 1)],
+        Update("R", (5, 3), 1),
+        {(5, 1, 9): 1, (5, 2, 9): -1, (5, 3, 9): 1},
+    ),
+    # Output head (X, Z) through ``head=``: the tree keeps Y free.
+    "fd-head": (
+        "Q(X, Z) = R(X, Y) * S(Y, Z)", ("X -> Y",),
+        [("R", (1, 5), 1), ("R", (2, 5), -1), ("S", (5, 9), 1)],
+        Update("R", (3, 5), 1),
+        {(1, 9): 1, (2, 9): -1, (3, 9): 1},
+    ),
+    # Z is bound: V_Z(Y) is the boundary view of a non-free subtree and
+    # its payload (here 2) multiplies into every output tuple.
+    "boundary-view": (
+        "Q(Y, X) = R(Y, X) * S(Y, Z)", (),
+        [("R", (5, 1), 1), ("R", (5, 2), -1), ("S", (5, 8), 1),
+         ("S", (5, 9), 1)],
+        Update("R", (5, 3), 1),
+        {(5, 1): 2, (5, 2): -2, (5, 3): 2},
+    ),
+}
+
+
+class TestGuardFlips:
+    @pytest.mark.parametrize("case", sorted(GUARD_FLIPS))
+    def test_flip_surfaces_and_retracts_the_whole_group(self, case):
+        text, fd_texts, rows, flip, expected = GUARD_FLIPS[case]
+        query = parse_query(text)
+        plan = plan_maintenance(query, parse_fds(*fd_texts))
+
+        def make_db():
+            db = Database()
+            for atom in query.atoms:
+                db.create(atom.relation, atom.variables)
+            # Bystanders the flip must not touch.
+            db["R"].insert(0, 0)
+            db["S"].insert(0, 0)
+            for name, key, payload in rows:
+                db[name].add(key, payload)
+            return db
+
+        states = []
+        for engine in twin_engines(query, None, 0, plan=plan, make_db=make_db):
+            view = engine.subscribe(ratio_threshold=100.0)
+            before = dict(view.items())
+            assert not set(expected) & set(before)
+
+            engine.apply(flip)
+            engine.publish_epoch()
+            appeared = engine.changes_since(engine.epoch - 1)
+            assert {k: (o, n) for k, o, n in appeared} == {
+                k: (None, p) for k, p in expected.items()
+            }
+            view.refresh()
+            assert dict(view.items()) == {**before, **expected}
+            assert dict(view.items()) == _naive_output(engine)
+
+            engine.apply(flip.inverted(Z))
+            engine.publish_epoch()
+            vanished = engine.changes_since(engine.epoch - 1)
+            assert {k: (o, n) for k, o, n in vanished} == {
+                k: (p, None) for k, p in expected.items()
+            }
+            view.refresh()
+            assert dict(view.items()) == before
+            assert view.full_refreshes == 0
+            states.append(before)
+        assert states[0] == states[1]
+
+    def test_boundary_view_payload_moves_every_tuple_under_it(self):
+        query = parse_query("Q(Y, X) = R(Y, X) * S(Y, Z)")
+        for engine in twin_engines(query, (("R", "YX"), ("S", "YZ")), 5):
+            view = engine.subscribe(ratio_threshold=100.0)
+            group = {k: p for k, p in view.items() if k[0] == 3}
+            assert len(group) > 1
+            engine.apply(Update("S", (3, 99), 1))
+            engine.publish_epoch()
+            delta = engine.changes_since(engine.epoch - 1)
+            assert {k for k, _, _ in delta} == set(group)
+            assert all(new != old for _, old, new in delta)
+            view.refresh()
+            assert dict(view.items()) == _naive_output(engine)
+
+
+class TestDeltaWindow:
+    def test_single_epoch_request_returns_the_retained_delta(self):
+        engine = list_engine(groups=2, fanout=3)
+        engine.apply(Update("R", (0, 9), 1))
+        engine.publish_epoch()
+        one = engine.changes_since(engine.epoch - 1)
+        assert one is engine.changes_since(engine.epoch - 1)
+        engine.apply(Update("R", (0, 9), -1))
+        engine.publish_epoch()
+        # Two epochs compose into a fresh object; the round trip cancels.
+        assert len(engine.changes_since(engine.epoch - 2)) == 0
+        assert len(one) == 3  # the retained delta was not touched
 
 
 EXECUTORS = ("serial", "process")

@@ -1,5 +1,10 @@
 """Relations, group indexes, databases, updates: the Section 2 contract."""
 
+import copy
+import dataclasses
+import multiprocessing
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -342,6 +347,29 @@ class TestUpdates:
     def test_inverted(self):
         up = Update("R", (1,), 3)
         assert up.inverted(Z) == Update("R", (1,), -3)
+
+    def test_value_semantics_survive_slots(self):
+        up = Update("R", (1, 2), 3)
+        assert up == Update("R", (1, 2), 3) and up != Update("R", (1, 2), 4)
+        assert hash(up) == hash(Update("R", (1, 2), 3))
+        assert len({up, Update("R", (1, 2), 3), Update("S", (1, 2), 3)}) == 2
+        assert Update("R", (1,)).payload == 1
+        assert dataclasses.replace(up, payload=5) == Update("R", (1, 2), 5)
+        assert not hasattr(up, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            up.key = (9,)
+        with pytest.raises((AttributeError, TypeError)):
+            up.extra = 1
+
+    def test_pickles_at_every_protocol_and_across_spawn(self):
+        up = Update("R", (1, "a"), -2)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(up, protocol)) == up
+        assert copy.deepcopy(up) == up
+        # Both directions of a spawned worker's pipe, as a process pool
+        # would ship a batch.
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            assert pool.apply(copy.copy, (up,)) == up
 
     def test_batches_of(self):
         updates = [Update("R", (i,), 1) for i in range(5)]

@@ -12,8 +12,14 @@ from repro.core.engine import IVMEngine
 from repro.data.database import Database
 from repro.obs import MaintenanceStats
 from repro.query.parser import parse_query
-from repro.serve import AsyncIVMServer, GroupCommitQueue, update_stream
+from repro.serve import (
+    AsyncIVMServer,
+    GroupCommitQueue,
+    run_load_test,
+    update_stream,
+)
 from repro.serve.batcher import QueueClosed
+from repro.serve.loadgen import READS_PER_S
 
 TEST_TIMEOUT_SECONDS = 60.0
 
@@ -269,6 +275,142 @@ class TestGroupCommitEquivalence:
         assert stats.commits > 0
         assert stats.commit_batch_size.count == stats.commits
         assert stats.commit_queue_depth.count == stats.commits
+
+
+class TestServerHeldView:
+    """``enumerate()`` answers from a view that reads catch up."""
+
+    TEXT = "Q(Y,X,Z) = R(Y,X) * S(Y,Z)"
+
+    def test_a_read_after_many_unread_commits_is_current(self):
+        query, engine = fresh_engine(self.TEXT)
+
+        async def run():
+            stats = MaintenanceStats()
+            async with AsyncIVMServer(
+                engine, max_batch=8, max_delay=0.0005, stats=stats
+            ) as server:
+                for update in update_stream(query, 400, domain=6, seed=11):
+                    await server.submit(update)
+                await server.drain()
+                # Far more commits than the change window retains, and
+                # not one read: the catch-up is one full drain.
+                assert stats.commits > 20
+                served = await server.enumerate()
+                assert dict(served) == dict(engine.enumerate_snapshot())
+                assert len(served) > 0
+                assert server._matview.epoch == engine.backend.epoch
+                assert server._matview.full_refreshes == 1
+                # The next commit is inside the window: patched, not drained.
+                await server.submit(next(update_stream(query, 1, domain=6, seed=3)))
+                await server.drain()
+                assert dict(await server.enumerate()) == dict(
+                    engine.enumerate_snapshot()
+                )
+                assert server._matview.full_refreshes == 1
+
+        asyncio.run(run())
+
+    def test_reads_during_commits_see_whole_epochs(self):
+        query, engine = fresh_engine(self.TEXT)
+        published = []
+        inner_publish = engine.publish_epoch
+
+        def recording_publish():
+            snap = inner_publish()
+            published.append(dict(engine.enumerate_snapshot()))
+            return snap
+
+        engine.publish_epoch = recording_publish
+
+        async def run():
+            async with AsyncIVMServer(
+                engine, max_batch=4, max_delay=0.0
+            ) as server:
+                done = False
+                results = []
+
+                async def hammer():
+                    while not done:
+                        results.append(dict(await server.enumerate()))
+                        await asyncio.sleep(0)
+
+                reader = asyncio.get_running_loop().create_task(hammer())
+                for update in update_stream(query, 800, domain=5, seed=5):
+                    await server.submit(update)
+                await server.drain()
+                done = True
+                await reader  # re-raises whatever a read raised
+                return results, dict(await server.enumerate())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results, final = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(published) >= 200 and len(results) > 10
+        assert final == published[-1]
+        for got in results:
+            assert any(got == epoch for epoch in published)
+
+    def test_failed_commit_leaves_the_view_at_the_last_good_epoch(self):
+        query, engine = fresh_engine(self.TEXT)
+        inner_apply = engine.apply_batch
+        fail = {"next": False}
+
+        def flaky_apply(batch):
+            if fail["next"]:
+                fail["next"] = False
+                raise RuntimeError("kaboom")
+            inner_apply(batch)
+
+        engine.apply_batch = flaky_apply
+        updates = list(update_stream(query, 60, domain=4, seed=2))
+
+        async def run():
+            async with AsyncIVMServer(
+                engine, max_batch=64, max_delay=0.0
+            ) as server:
+                await server.submit_many(updates[:30])
+                await server.drain()
+                good = dict(await server.enumerate())
+                good_epoch = server._matview.epoch
+
+                fail["next"] = True
+                await server.submit_many(updates[30:40])
+                with pytest.raises(RuntimeError, match="kaboom"):
+                    await server.drain()
+                assert dict(await server.enumerate()) == good
+                assert server._matview.epoch == good_epoch
+
+                await server.submit_many(updates[40:])
+                await server.drain()
+                assert dict(await server.enumerate()) == dict(
+                    engine.enumerate_snapshot()
+                )
+                assert server._matview.epoch == engine.backend.epoch
+
+        asyncio.run(run())
+
+
+class TestLoadGenerator:
+    def test_readers_keep_to_their_schedule(self):
+        """Readers used to re-arm with ``sleep(0)`` and take every other
+        turn of the loop from the writers."""
+        query, engine = fresh_engine("Q(Y,X,Z) = R(Y,X) * S(Y,Z)")
+
+        async def run():
+            async with AsyncIVMServer(engine) as server:
+                return await run_load_test(
+                    server, query, 4000, writers=2, readers=2, domain=8
+                )
+
+        summary = asyncio.run(run())
+        # Read k of a reader is due k * (readers / READS_PER_S) after
+        # the start, so no run can read more than this.
+        assert 2 <= summary["reads"] <= summary["seconds"] * READS_PER_S + 2
+        assert summary["read_rate"] == summary["reads"] / summary["seconds"]
 
 
 class TestBackpressure:
