@@ -1,7 +1,6 @@
 """Benchmark harness helpers."""
 
 from .diff import Finding, benchdiff, diff_records, load_record
-from .plot import benchplot
 from .harness import (
     BENCH_SCHEMA,
     Table,
@@ -21,7 +20,6 @@ __all__ = [
     "ThroughputResult",
     "bench_record",
     "benchdiff",
-    "benchplot",
     "diff_records",
     "growth_exponent",
     "load_record",

@@ -10,7 +10,6 @@ Usage::
         --json stats.json
     python -m repro stats "Q(A) = R(A,B) * S(B)" \
         --workload sliding-window --window 128 --batch-size 64
-    python -m repro benchplot benchmarks/results/BENCH_*.json -o plots/
     python -m repro benchdiff OLD.json NEW.json --band 0.2
 
 ``classify`` runs every syntactic classifier from the paper on the query
@@ -29,10 +28,6 @@ no plans, no generated kernels) for A/B runs against the kernels.
 the generated Python source of every delta/enumeration kernel the
 plan's engine runs — the ground truth for what the codegen layer
 executes.
-
-``benchplot`` renders ``repro.bench/1`` JSON records as grouped bar
-charts — PNG when matplotlib is available, ASCII bar tables otherwise,
-so the plotting layer works in the dependency-free CI container.
 
 ``benchdiff`` compares two ``repro.bench/1`` JSON records (the
 ``benchmarks/results/BENCH_*.json`` files) and exits non-zero when a
@@ -135,55 +130,58 @@ def demo() -> int:
     return 0
 
 
-def _make_value_sampler(rng, domain: int, workload: str, zipf_s: float):
-    """A ``() -> int`` attribute-value sampler for the chosen workload.
+def _value_sampler(args, rng):
+    """A ``() -> int`` attribute-value sampler for ``--workload``.
 
     Shared with the serving load generator — see
-    :func:`repro.serve.loadgen.value_sampler` for the shapes.
+    :func:`repro.serve.loadgen.value_sampler` for the shapes (a sliding
+    window draws its keys uniformly).
     """
     from .serve.loadgen import value_sampler
 
-    return value_sampler(rng, domain, workload, zipf_s)
+    workload = "uniform" if args.workload == "sliding-window" else args.workload
+    return value_sampler(rng, args.domain, workload, args.zipf_s)
 
 
-def run_stats(
-    text: str,
-    fd_texts: list[str],
-    insert_only: bool,
-    updates: int,
-    prefill: int,
-    domain: int,
-    seed: int,
-    batch: int,
-    enum_interval: int,
-    json_path: str | None,
-    shards: int = 1,
-    shard_executor: str = "serial",
-    workload: str = "uniform",
-    zipf_s: float = 1.2,
-    generated: bool = True,
-    window: int = 256,
-) -> int:
+def _print_header(args, query, plan) -> None:
+    print(f"query: {query}")
+    print(f"plan:  {plan}")
+    shape = ""
+    if args.workload == "zipf":
+        shape = f" (s={args.zipf_s})"
+    elif args.workload == "sliding-window":
+        shape = f" (window={args.window})"
+    print(f"workload: {args.workload}{shape}")
+
+
+def _workload_meta(args) -> dict:
+    """The ``meta`` keys of the options ``stats`` and ``serve`` share."""
+    return {
+        "shards": args.shards,
+        "shard_executor": args.shard_executor if args.shards > 1 else None,
+        "workload": args.workload,
+        "zipf_s": args.zipf_s if args.workload == "zipf" else None,
+        "window": args.window if args.workload == "sliding-window" else None,
+    }
+
+
+def run_stats(args: argparse.Namespace) -> int:
     """Replay a synthetic workload and print/dump the stats recorder."""
     import random
     import time
     from collections import deque
 
-    from .constraints.fds import FunctionalDependency
     from .core.engine import IVMEngine
     from .data.database import Database
     from .data.update import Update
     from .obs import write_stats_json
 
-    query = parse_query(text)
-    fds = tuple(FunctionalDependency.parse(t) for t in fd_texts)
-    rng = random.Random(seed)
-    value = _make_value_sampler(
-        rng,
-        domain,
-        "uniform" if workload == "sliding-window" else workload,
-        zipf_s,
-    )
+    insert_only, updates, batch = args.insert_only, args.updates, args.batch
+    workload, window, shards = args.workload, args.window, args.shards
+    query = parse_query(args.query)
+    fds = tuple(FunctionalDependency.parse(t) for t in args.fd)
+    rng = random.Random(args.seed)
+    value = _value_sampler(args, rng)
 
     db = Database()
     static_names = {atom.relation for atom in getattr(query, "static_atoms", ())}
@@ -203,7 +201,7 @@ def run_stats(
         return tuple(value() for _ in range(arities[relation]))
 
     for name in arities:
-        for _ in range(prefill):
+        for _ in range(args.prefill):
             db[name].add(random_key(name), 1)
 
     plan = plan_maintenance(query, fds, insert_only, shards=shards)
@@ -214,8 +212,8 @@ def run_stats(
         insert_only,
         plan=plan,
         shards=shards,
-        shard_executor=shard_executor,
-        generated=generated,
+        shard_executor=args.shard_executor,
+        generated=not args.oracle,
     )
     stats = engine.attach_stats()
     deletes_ok = not insert_only and plan.strategy != "insert-only"
@@ -281,8 +279,8 @@ def run_stats(
                 engine.apply(update)
             if (
                 can_enumerate
-                and enum_interval
-                and (index + 1) % (max(batch, 1) * enum_interval) == 0
+                and args.enum_interval
+                and (index + 1) % (max(batch, 1) * args.enum_interval) == 0
             ):
                 if pending:
                     engine.apply_batch(pending)
@@ -301,14 +299,7 @@ def run_stats(
         # the sharded backend's worker processes.
         engine.close()
 
-    print(f"query: {query}")
-    print(f"plan:  {plan}")
-    shape = ""
-    if workload == "zipf":
-        shape = f" (s={zipf_s})"
-    elif workload == "sliding-window":
-        shape = f" (window={window})"
-    print(f"workload: {workload}{shape}")
+    _print_header(args, query, plan)
     print()
     print(stats.render())
     print()
@@ -326,27 +317,23 @@ def run_stats(
         f"{rate_end_to_end:,.0f} upd/s end-to-end incl. "
         f"{enum_seconds:.3f}s enumeration)"
     )
-    if json_path:
+    if args.json:
         written = write_stats_json(
-            json_path,
+            args.json,
             stats,
             meta={
                 "query": str(query),
                 "plan": plan.strategy,
                 "updates": updates,
-                "prefill": prefill,
-                "domain": domain,
-                "seed": seed,
+                "prefill": args.prefill,
+                "domain": args.domain,
+                "seed": args.seed,
                 "seconds": seconds,
                 "seconds_maintenance": maintenance_seconds,
                 "seconds_enumeration": enum_seconds,
                 "rate_maintenance": rate_maintenance,
                 "rate_end_to_end": rate_end_to_end,
-                "shards": shards,
-                "shard_executor": shard_executor if shards > 1 else None,
-                "workload": workload,
-                "zipf_s": zipf_s if workload == "zipf" else None,
-                "window": window if workload == "sliding-window" else None,
+                **_workload_meta(args),
                 "batch": batch,
                 "generated": engine.generated,
             },
@@ -368,7 +355,6 @@ def run_explain(
     code a populated engine of the same shape executes — deterministic
     output that tests pin.
     """
-    from .constraints.fds import FunctionalDependency
     from .core.engine import IVMEngine
     from .data.database import Database
 
@@ -403,55 +389,27 @@ def run_explain(
     return 0
 
 
-def run_serve(
-    text: str,
-    fd_texts: list[str],
-    updates: int,
-    writers: int,
-    readers: int,
-    prefill: int,
-    domain: int,
-    seed: int,
-    max_batch: int,
-    max_delay_ms: float,
-    high_water: int,
-    json_path: str | None,
-    shards: int = 1,
-    shard_executor: str = "serial",
-    workload: str = "uniform",
-    zipf_s: float = 1.2,
-    window: int = 256,
-    per_update: bool = False,
-    smoke: bool = False,
-    snapshot_reads: bool | None = None,
-    change_feed: bool = False,
-) -> int:
+def run_serve(args: argparse.Namespace) -> int:
     """Closed-loop load test against the async serving front-end."""
     import asyncio
+    import random
 
-    from .constraints.fds import FunctionalDependency
     from .core.engine import IVMEngine
     from .data.database import Database
     from .obs import write_stats_json
     from .serve import AsyncIVMServer, run_load_test
 
-    query = parse_query(text)
-    fds = tuple(FunctionalDependency.parse(t) for t in fd_texts)
+    query = parse_query(args.query)
+    fds = tuple(FunctionalDependency.parse(t) for t in args.fd)
     if query.input_variables:
         print("serve needs an enumerable query (no input variables)")
         return 1
-    if smoke:
-        updates = min(updates, 500)
+    updates = min(args.updates, 500) if args.smoke else args.updates
+    max_batch, max_delay_ms = args.max_batch, args.max_delay
+    if args.per_update:
+        max_batch, max_delay_ms = 1, 0.0
 
-    import random
-
-    rng = random.Random(seed ^ 0xF111)
-    value = _make_value_sampler(
-        rng,
-        domain,
-        "uniform" if workload == "sliding-window" else workload,
-        zipf_s,
-    )
+    value = _value_sampler(args, random.Random(args.seed ^ 0xF111))
     db = Database()
     static_names = {atom.relation for atom in getattr(query, "static_atoms", ())}
     dynamic = []
@@ -460,7 +418,7 @@ def run_serve(
             db.create(atom.relation, atom.variables)
             if atom.relation not in static_names:
                 dynamic.append(atom.relation)
-            for _ in range(prefill):
+            for _ in range(args.prefill):
                 db[atom.relation].add(
                     tuple(value() for _ in atom.variables), 1
                 )
@@ -468,23 +426,21 @@ def run_serve(
         print("query has no dynamic relations; nothing to serve")
         return 1
 
-    plan = plan_maintenance(query, fds, shards=shards)
+    plan = plan_maintenance(query, fds, shards=args.shards)
     engine = IVMEngine(
         query,
         db,
         fds,
         plan=plan,
-        shards=shards,
-        shard_executor=shard_executor,
+        shards=args.shards,
+        shard_executor=args.shard_executor,
     )
-    if per_update:
-        max_batch, max_delay_ms = 1, 0.0
     server = AsyncIVMServer(
         engine,
         max_batch=max_batch,
         max_delay=max_delay_ms / 1000.0,
-        high_water=high_water,
-        snapshot_reads=snapshot_reads,
+        high_water=args.high_water,
+        snapshot_reads=False if args.no_snapshot_reads else None,
     )
     stats = server.attach_stats()
 
@@ -494,15 +450,15 @@ def run_serve(
                 server,
                 query,
                 updates,
-                writers=writers,
-                readers=readers,
-                domain=domain,
-                seed=seed,
-                workload=workload,
-                zipf_s=zipf_s,
-                window=window,
+                writers=args.writers,
+                readers=args.readers,
+                domain=args.domain,
+                seed=args.seed,
+                workload=args.workload,
+                zipf_s=args.zipf_s,
+                window=args.window,
                 deletes_ok=plan.strategy != "insert-only",
-                change_feed=change_feed,
+                change_feed=args.change_feed,
             )
 
     try:
@@ -512,19 +468,12 @@ def run_serve(
     finally:
         engine.close()
 
-    print(f"query: {query}")
-    print(f"plan:  {plan}")
-    shape = ""
-    if workload == "zipf":
-        shape = f" (s={zipf_s})"
-    elif workload == "sliding-window":
-        shape = f" (window={window})"
-    print(f"workload: {workload}{shape}")
+    _print_header(args, query, plan)
     reads_mode = "epoch snapshots" if server.snapshot_reads else "commit lock"
     print(
-        f"serving:  {writers} writers + {readers} readers, "
+        f"serving:  {args.writers} writers + {args.readers} readers, "
         f"max_batch={max_batch} max_delay={max_delay_ms:g}ms "
-        f"high_water={high_water} reads={reads_mode}"
+        f"high_water={args.high_water} reads={reads_mode}"
     )
     print()
     print(stats.render())
@@ -552,26 +501,22 @@ def run_serve(
         )
         if not summary["maintained_ok"]:
             return 1
-    if json_path:
+    if args.json:
         written = write_stats_json(
-            json_path,
+            args.json,
             stats,
             meta={
                 "mode": "serve",
                 "query": str(query),
                 "plan": plan.strategy,
-                "shards": shards,
-                "shard_executor": shard_executor if shards > 1 else None,
-                "workload": workload,
-                "zipf_s": zipf_s if workload == "zipf" else None,
-                "window": window if workload == "sliding-window" else None,
-                "prefill": prefill,
-                "domain": domain,
-                "seed": seed,
+                **_workload_meta(args),
+                "prefill": args.prefill,
+                "domain": args.domain,
+                "seed": args.seed,
                 "max_batch": max_batch,
                 "max_delay_ms": max_delay_ms,
-                "high_water": high_water,
-                "per_update": per_update,
+                "high_water": args.high_water,
+                "per_update": args.per_update,
                 "snapshot_reads": server.snapshot_reads,
                 "generated": engine.generated,
                 **summary,
@@ -581,23 +526,75 @@ def run_serve(
     return 0
 
 
+def _query_options() -> argparse.ArgumentParser:
+    """Parent parser: the query and its functional dependencies."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("query", help='e.g. "Q(A) = R(A,B) * S(B)"')
+    parent.add_argument(
+        "--fd", action="append", default=[], metavar="'X -> Y'",
+        help="functional dependency (repeatable)",
+    )
+    return parent
+
+
+def _workload_options(domain: int) -> argparse.ArgumentParser:
+    """Parent parser for what ``stats`` and ``serve`` both take.
+
+    Built once per subcommand: argparse shares a parent's actions with
+    its children, so a per-command default has to be its own action.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--prefill", type=int, default=50,
+        help="tuples preloaded per relation before planning (default 50)",
+    )
+    parent.add_argument(
+        "--domain", type=int, default=domain,
+        help=f"attribute value domain size (default {domain})",
+    )
+    parent.add_argument("--seed", type=int, default=0)
+    parent.add_argument(
+        "--shards", type=int, default=1,
+        help="hash-partition view-tree maintenance across N shards "
+        "(default 1 = unsharded)",
+    )
+    parent.add_argument(
+        "--shard-executor", choices=("serial", "process"), default="serial",
+        help="shard executor: every shard in-process, or shard 0 "
+        "in-process plus N-1 persistent worker processes (default serial)",
+    )
+    parent.add_argument(
+        "--workload", choices=("uniform", "zipf", "sliding-window"),
+        default="uniform",
+        help="stream shape: uniform / zipf value distributions, or "
+        "sliding-window insert+delayed-delete pairs (default uniform)",
+    )
+    parent.add_argument(
+        "--zipf-s", type=float, default=1.2,
+        help="Zipf skew exponent for --workload zipf (default 1.2)",
+    )
+    parent.add_argument(
+        "--window", type=int, default=256,
+        help="tuples kept live by --workload sliding-window (default 256)",
+    )
+    parent.add_argument(
+        "--json", metavar="PATH", default=None,
+        help="also dump the recorder as repro.obs/1 JSON",
+    )
+    return parent
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="IVM query classification and maintenance planning",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    query_options = _query_options()
 
     classify_parser = subparsers.add_parser(
-        "classify", help="classify a query and print its maintenance plan"
-    )
-    classify_parser.add_argument("query", help='e.g. "Q(A) = R(A,B) * S(B)"')
-    classify_parser.add_argument(
-        "--fd",
-        action="append",
-        default=[],
-        metavar="'X -> Y'",
-        help="functional dependency (repeatable)",
+        "classify", parents=[query_options],
+        help="classify a query and print its maintenance plan",
     )
     classify_parser.add_argument(
         "--insert-only",
@@ -608,13 +605,8 @@ def main(argv: list[str] | None = None) -> int:
     subparsers.add_parser("demo", help="replay the Fig. 2 worked example")
 
     stats_parser = subparsers.add_parser(
-        "stats",
+        "stats", parents=[query_options, _workload_options(domain=10)],
         help="replay a synthetic workload and report maintenance statistics",
-    )
-    stats_parser.add_argument("query", help='e.g. "Q(A) = R(A,B) * S(B)"')
-    stats_parser.add_argument(
-        "--fd", action="append", default=[], metavar="'X -> Y'",
-        help="functional dependency (repeatable)",
     )
     stats_parser.add_argument(
         "--insert-only", action="store_true",
@@ -623,15 +615,6 @@ def main(argv: list[str] | None = None) -> int:
     stats_parser.add_argument(
         "--updates", type=int, default=2000, help="stream length (default 2000)"
     )
-    stats_parser.add_argument(
-        "--prefill", type=int, default=50,
-        help="tuples preloaded per relation before planning (default 50)",
-    )
-    stats_parser.add_argument(
-        "--domain", type=int, default=10,
-        help="attribute value domain size (default 10)",
-    )
-    stats_parser.add_argument("--seed", type=int, default=0)
     stats_parser.add_argument(
         "--batch", "--batch-size", dest="batch", type=int, default=100,
         help="batch size routed through apply_batch; 1 forces the "
@@ -642,51 +625,15 @@ def main(argv: list[str] | None = None) -> int:
         help="full enumeration every N batches; 0 disables (default 4)",
     )
     stats_parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also dump the recorder as repro.obs/1 JSON",
-    )
-    stats_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="hash-partition view-tree maintenance across N shards "
-        "(default 1 = unsharded)",
-    )
-    stats_parser.add_argument(
-        "--shard-executor",
-        choices=("serial", "process"),
-        default="serial",
-        help="shard executor: every shard in-process, or shard 0 "
-        "in-process plus N-1 persistent worker processes (default serial)",
-    )
-    stats_parser.add_argument(
-        "--workload",
-        choices=("uniform", "zipf", "sliding-window"),
-        default="uniform",
-        help="stream shape: uniform / zipf value distributions, or "
-        "sliding-window insert+delayed-delete pairs (default uniform)",
-    )
-    stats_parser.add_argument(
-        "--zipf-s", type=float, default=1.2,
-        help="Zipf skew exponent for --workload zipf (default 1.2)",
-    )
-    stats_parser.add_argument(
-        "--window", type=int, default=256,
-        help="tuples kept live by --workload sliding-window (default 256)",
-    )
-    stats_parser.add_argument(
         "--oracle", action="store_true",
         help="run the reference implementation (generated=False: the "
         "generic view-tree walk, no generated kernels) for A/B runs",
     )
 
     explain_parser = subparsers.add_parser(
-        "explain",
+        "explain", parents=[query_options],
         help="print the maintenance plan; --kernel-source dumps the "
         "generated kernel code",
-    )
-    explain_parser.add_argument("query", help='e.g. "Q(A) = R(A,B) * S(B)"')
-    explain_parser.add_argument(
-        "--fd", action="append", default=[], metavar="'X -> Y'",
-        help="functional dependency (repeatable)",
     )
     explain_parser.add_argument(
         "--insert-only", action="store_true",
@@ -698,14 +645,9 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     serve_parser = subparsers.add_parser(
-        "serve",
+        "serve", parents=[query_options, _workload_options(domain=16)],
         help="closed-loop load test of the async group-commit serving "
         "front-end (concurrent writers + readers)",
-    )
-    serve_parser.add_argument("query", help='e.g. "Q(A) = R(A,B) * S(B)"')
-    serve_parser.add_argument(
-        "--fd", action="append", default=[], metavar="'X -> Y'",
-        help="functional dependency (repeatable)",
     )
     serve_parser.add_argument(
         "--updates", type=int, default=5000,
@@ -720,15 +662,6 @@ def main(argv: list[str] | None = None) -> int:
         help="concurrent point-lookup reader tasks (default 2)",
     )
     serve_parser.add_argument(
-        "--prefill", type=int, default=50,
-        help="tuples preloaded per relation (default 50)",
-    )
-    serve_parser.add_argument(
-        "--domain", type=int, default=16,
-        help="attribute value domain size (default 16)",
-    )
-    serve_parser.add_argument("--seed", type=int, default=0)
-    serve_parser.add_argument(
         "--max-batch", type=int, default=256,
         help="group-commit size trigger (default 256)",
     )
@@ -741,25 +674,6 @@ def main(argv: list[str] | None = None) -> int:
         help="queue depth at which submit() blocks (default 4096)",
     )
     serve_parser.add_argument(
-        "--shards", type=int, default=1,
-        help="hash-partition maintenance across N shards (default 1)",
-    )
-    serve_parser.add_argument(
-        "--shard-executor",
-        choices=("serial", "process"),
-        default="serial",
-        help="shard executor: every shard in-process, or shard 0 "
-        "in-process plus N-1 persistent worker processes (default serial)",
-    )
-    serve_parser.add_argument(
-        "--workload",
-        choices=("uniform", "zipf", "sliding-window"),
-        default="uniform",
-        help="stream shape (default uniform)",
-    )
-    serve_parser.add_argument("--zipf-s", type=float, default=1.2)
-    serve_parser.add_argument("--window", type=int, default=256)
-    serve_parser.add_argument(
         "--per-update", action="store_true",
         help="commit every update individually (max_batch=1, no "
         "deadline) — the group-commit A/B baseline",
@@ -770,11 +684,6 @@ def main(argv: list[str] | None = None) -> int:
         "the last published epoch (the pre-epoch read model)",
     )
     serve_parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="dump the recorder (with the serving block) as repro.obs/1 "
-        "JSON",
-    )
-    serve_parser.add_argument(
         "--smoke", action="store_true",
         help="clamp to a short CI-sized run (at most 500 updates)",
     )
@@ -783,24 +692,6 @@ def main(argv: list[str] | None = None) -> int:
         help="attach a change-feed subscriber that applies every "
         "per-epoch output delta and verifies the maintained state "
         "against a fresh drain (exit 1 on mismatch)",
-    )
-
-    plot_parser = subparsers.add_parser(
-        "benchplot",
-        help="render repro.bench/1 JSON records as charts (PNG, or ASCII "
-        "when matplotlib is unavailable)",
-    )
-    plot_parser.add_argument(
-        "records", nargs="+", metavar="BENCH.json",
-        help="one or more repro.bench/1 JSON records",
-    )
-    plot_parser.add_argument(
-        "-o", "--out", default="plots",
-        help="output directory (default plots/)",
-    )
-    plot_parser.add_argument(
-        "--ascii", action="store_true",
-        help="force the ASCII renderer even when matplotlib is installed",
     )
 
     diff_parser = subparsers.add_parser(
@@ -821,56 +712,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "demo":
         return demo()
     if args.command == "stats":
-        return run_stats(
-            args.query,
-            args.fd,
-            args.insert_only,
-            args.updates,
-            args.prefill,
-            args.domain,
-            args.seed,
-            args.batch,
-            args.enum_interval,
-            args.json,
-            args.shards,
-            args.shard_executor,
-            args.workload,
-            args.zipf_s,
-            generated=not args.oracle,
-            window=args.window,
-        )
+        return run_stats(args)
     if args.command == "explain":
         return run_explain(
             args.query, args.fd, args.insert_only, args.kernel_source
         )
     if args.command == "serve":
-        return run_serve(
-            args.query,
-            args.fd,
-            args.updates,
-            args.writers,
-            args.readers,
-            args.prefill,
-            args.domain,
-            args.seed,
-            args.max_batch,
-            args.max_delay,
-            args.high_water,
-            args.json,
-            args.shards,
-            args.shard_executor,
-            args.workload,
-            args.zipf_s,
-            args.window,
-            per_update=args.per_update,
-            smoke=args.smoke,
-            snapshot_reads=False if args.no_snapshot_reads else None,
-            change_feed=args.change_feed,
-        )
-    if args.command == "benchplot":
-        from .bench.plot import benchplot
-
-        return benchplot(args.records, args.out, ascii_only=args.ascii)
+        return run_serve(args)
     if args.command == "benchdiff":
         from .bench.diff import benchdiff
 

@@ -7,11 +7,13 @@ through this package:
   accounting of :mod:`repro.data.opcounter` into scoped, nestable blocks
   (inner scopes no longer clobber outer ones), and :class:`StopWatch`
   gives nestable accumulating wall-clock timers;
-* **how is it distributed?** — :class:`MaintenanceStats` records
-  per-update latency histograms, per-view delta sizes, enumeration delay
-  samples, and heavy/light rebalance events; it is attached to any engine
-  through the :class:`Observable` mixin and the :func:`observed` hook on
-  ``apply``/``apply_batch``;
+* **how is it distributed?** — :class:`MaintenanceStats` records every
+  metric declared in :data:`repro.obs.stats.METRICS` (one row each: the
+  recorder's state, its merges, the per-shard summary and the
+  ``repro.obs/1`` document all derive from that table) into the
+  accumulators of :mod:`repro.obs.histogram`; it is attached to any
+  engine through the :class:`Observable` mixin and the :func:`observed`
+  hook on ``apply``/``apply_batch``;
 * **can a machine read it?** — :func:`write_stats_json` and the bench
   record helpers in :mod:`repro.bench.harness` emit schema-stable JSON so
   benchmark trajectories can be diffed across commits.
@@ -27,7 +29,8 @@ from .export import (
     write_stats_json,
 )
 from .instrument import Observable, observed, observed_enumeration, share_stats
-from .stats import CountHistogram, LatencyHistogram, MaintenanceStats, RunningStat
+from .histogram import CountHistogram, LatencyHistogram, RunningStat
+from .stats import MaintenanceStats
 
 __all__ = [
     "CountHistogram",

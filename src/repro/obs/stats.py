@@ -1,380 +1,276 @@
 """The :class:`MaintenanceStats` recorder shared by all engines.
 
-One recorder captures everything the experiment sections of the paper
-plot:
+One recorder captures what the experiment sections of the paper plot —
+per-update and per-batch **latency histograms** (Fig. 4 throughput is a
+summary of these), per-view **delta sizes** ("small changes beget small
+changes", measurable), **enumeration delay** samples (what the
+O(1)-delay theorems bound), heavy/light **rebalance events** and
+view-size **memory** samples (Fig. 7) — plus the counters of the layers
+above the view tree (batch kernels, serving, epochs, change feeds,
+codegen, worker IPC).
 
-* per-update and per-batch **latency histograms** (Fig. 4 throughput is a
-  summary of these),
-* per-view **delta sizes** in view trees (the "small changes beget small
-  changes" premise, measurable),
-* **enumeration delay** samples — the time between consecutive output
-  tuples, the quantity bounded by the O(1)-delay theorems,
-* heavy/light **rebalance events** from :mod:`repro.ivme.partition`
-  (migrations and global repartitions, whose amortization Fig. 7 relies
-  on),
-* optional **elementary-operation** totals folded in from
-  :func:`repro.obs.op_scope`.
+Every metric is declared **once**, as a row of :data:`METRICS`: the
+recorder attribute, its kind (how it is created, folded and exported),
+its path in the ``repro.obs/1`` document and what a labelled (per-shard)
+merge does with it.  The constructor, both arms of ``merge``, the
+per-shard summary and ``to_dict`` are loops over that table; only the
+``record_*`` methods (direct attribute arithmetic: a recording call
+looks nothing up) and ``render`` name a metric again.  Adding a metric
+is one row plus its ``record_*``.
 
-Histograms are log2-bucketed over seconds: pure-Python wall-clock numbers
-are noisy, but their order of magnitude is stable, which is exactly what
-a bucketed histogram preserves.  Everything serializes via
-:meth:`MaintenanceStats.to_dict` into plain JSON types.
-
-Thread safety: one recorder may be shared across threads — the sharded
-coordinator drains shard enumerations on a thread pool, and the serving
-front-end (:mod:`repro.serve`) commits batches on an executor thread
-while the event-loop thread records reads.  Every mutating ``record_*``
-method and :meth:`MaintenanceStats.merge` therefore holds the recorder's
-internal lock (unattached engines never pay for it — no recorder, no
-call), and the :func:`~repro.obs.instrument.observed` reentrancy depth is
-tracked per *thread*, so an observed call on one thread does not suppress
-recording on another.  The lock and the thread-local are dropped on
-pickling (process-pool shards ship recorders inside engines) and rebuilt
-fresh on unpickling.
+Thread safety: one recorder may be shared across threads — the serving
+front-end commits on an executor thread while the event loop records
+reads, and a sharded coordinator merges shard 0's live recorder.  Every
+``record_*`` holds the recorder's lock (unattached engines never pay for
+it), ``merge`` holds both recorders' locks and ``to_dict`` / ``render``
+their own, so a merge never iterates a growing dict and an exported
+document is never torn.  The :func:`~repro.obs.instrument.observed`
+reentrancy depth is per *thread*.  Lock and thread-local are dropped on
+pickling (shard workers ship recorders) and rebuilt on unpickling.
 """
 
 from __future__ import annotations
 
-import math
+import operator
 import threading
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
-#: Smallest latency bucket boundary (100 ns — below timer resolution).
-_BASE = 1e-7
+from .histogram import CountHistogram, LatencyHistogram, RunningStat
 
-#: Shard-summary fields that add when the same label is merged twice.
-_SUMMARY_COUNT_KEYS = frozenset(
-    {
-        "updates",
-        "batches",
-        "enumerations",
-        "tuples_enumerated",
-        "migrations",
-        "repartitions",
-        "ops",
-        "batch_updates_raw",
-        "batch_updates_coalesced",
-        "sibling_probes",
-        "sibling_probes_shared",
-        "enum_compiled",
-        "enum_guard_probes",
-        "lazy_refreshes",
-        "point_lookups",
-        "lookup_shards_probed",
-        "epochs_published",
-        "cow_buckets_copied",
-        "cow_tables_copied",
-        "snapshot_reads",
-        "output_delta_tuples",
-        "deltas_emitted",
-        "delta_tuples",
-        "delta_bytes",
-        "tuples_patched",
-        "full_refresh_fallbacks",
-        "kernels_generated",
-        "shape_cache_hits",
-        "codegen_fallbacks",
-        "codegen_time_ms",
-        "ipc_rounds",
-        "ipc_commits",
-        "ipc_bytes_sent",
-        "ipc_bytes_received",
-        "ipc_worker_failures",
-        "ipc_workers_spawned",
-    }
+
+class _Kind(NamedTuple):
+    """How one kind of metric is created, folded and exported."""
+
+    new: Callable[[], Any] | None  #: fresh value (None: derived, holds no state)
+    fold: Callable[[Any, Any], Any] | None  #: ``(mine, theirs) -> merged``
+    export: Callable[[Any], Any]  #: the value's plain-JSON form
+    scalar: bool = False  #: a number or string: fits a shard-summary cell
+    adds: bool = False  #: a cell that adds when the same shard label recurs
+
+
+def _same(value):
+    return value
+
+
+def _merged(mine, theirs):
+    mine.merge(theirs)
+    return mine
+
+
+def _fold_stats(mine: dict, theirs: dict) -> dict:
+    for key, stat in theirs.items():
+        if key not in mine:
+            mine[key] = RunningStat()
+        mine[key].merge(stat)
+    return mine
+
+
+def _fold_counts(mine: dict, theirs: dict) -> dict:
+    for key, amount in theirs.items():
+        mine[key] = mine.get(key, 0) + amount
+    return mine
+
+
+def _fold_summaries(mine: dict, theirs: dict) -> dict:
+    for label, cells in theirs.items():
+        held = mine.setdefault(label, {})
+        # Same label seen twice: counts add, means are recomputed poorly
+        # at best — keep the counts exact and let the latest win on the rest.
+        for key, value in cells.items():
+            adds = key in _ADDING_CELLS and key in held
+            held[key] = held[key] + value if adds else value
+    return mine
+
+
+_described = operator.methodcaller("to_dict")
+
+NAME = _Kind(str, lambda mine, theirs: mine, _same, scalar=True)
+INT = _Kind(int, operator.add, _same, scalar=True, adds=True)
+FLOAT = _Kind(float, operator.add, _same, scalar=True, adds=True)
+PEAK = _Kind(int, max, _same, scalar=True)
+STAT = _Kind(RunningStat, _merged, _described)
+LATENCY = _Kind(LatencyHistogram, _merged, _described)
+COUNTS = _Kind(CountHistogram, _merged, _described)
+#: ``{view: RunningStat}``; a labelled merge keeps shards apart as
+#: ``"<label>/<view>"``.
+STAT_BY_VIEW = _Kind(
+    dict,
+    _fold_stats,
+    lambda value: {view: stat.to_dict() for view, stat in sorted(value.items())},
+)
+COUNT_BY_KIND = _Kind(dict, _fold_counts, lambda value: dict(sorted(value.items())))
+SUMMARIES = _Kind(
+    dict,
+    _fold_summaries,
+    lambda value: {label: dict(cells) for label, cells in sorted(value.items())},
+)
+#: Derived cells: computed from other rows on export, never stored.
+GAUGE = _Kind(None, None, _same, scalar=True)
+TOTAL = _Kind(None, None, _same, scalar=True, adds=True)
+
+#: Shard policies: what ``merge(other, label=...)`` does with a row.
+#: ``COORDINATOR``: nothing — the coordinator records every logical update
+#: itself, and adding each shard's count would count a broadcast update
+#: once per shard.  ``SUMMARY``: a cell of the label's entry in ``shards``.
+#: ``ROLLUP``: shard-level engine work is real work — it also adds into
+#: the coordinator's totals (and is a summary cell if it is a scalar).
+COORDINATOR, SUMMARY, ROLLUP = range(3)
+
+
+class Metric(NamedTuple):
+    """One row of :data:`METRICS`."""
+
+    name: str  #: recorder attribute; for a derived row, its summary key
+    kind: _Kind
+    path: str | None  #: dotted path in the ``repro.obs/1`` document
+    shard: int = COORDINATOR
+    derive: Callable[["MaintenanceStats"], Any] | None = None
+
+    def value(self, stats: "MaintenanceStats") -> Any:
+        return self.derive(stats) if self.derive else getattr(stats, self.name)
+
+
+def _peak_view_size(stats: "MaintenanceStats") -> float:
+    return stats.view_size.maximum if stats.view_size.count else 0
+
+
+def _utilization(stats: "MaintenanceStats") -> float:
+    """Worker busy time over coordinator wall time across the pool."""
+    if not (stats.ipc_wall_s and stats.ipc_workers):
+        return 0.0
+    return stats.ipc_worker_busy_s / (stats.ipc_wall_s * stats.ipc_workers)
+
+
+def _slot(path: str) -> Metric:
+    """Hold ``path``'s place in the document for a row declared later:
+    rows are in shard-summary order, and where the (append-only) document
+    has a key earlier than that, a slot reserves the position."""
+    return Metric("", GAUGE, path, derive=lambda stats: {})
+
+
+#: Every metric, once.  Row order is the key order of a shard summary
+#: and, within each block, of the ``repro.obs/1`` document; both are
+#: append-only, so a new row goes at the end of its block.
+METRICS: tuple[Metric, ...] = (
+    Metric("engine", NAME, "engine", SUMMARY),
+    # Top-level update / batch calls observed, and their latency.
+    Metric("updates", INT, "updates", SUMMARY),
+    Metric("batches", INT, "batches", SUMMARY),
+    Metric("update_latency", LATENCY, "update_latency"),
+    Metric("batch_latency", LATENCY, "batch_latency"),
+    Metric("update_mean_s", GAUGE, None, SUMMARY, lambda s: s.update_latency.stat.mean),
+    Metric("batch_mean_s", GAUGE, None, SUMMARY, lambda s: s.batch_latency.stat.mean),
+    # View name -> delta-size distribution (view-tree propagation).
+    Metric("delta_sizes", STAT_BY_VIEW, "delta_sizes", ROLLUP),
+    # Enumeration requests, tuples, and per-tuple delay samples.
+    Metric("enumerations", INT, "enumerations", SUMMARY),
+    Metric("tuples_enumerated", INT, "tuples_enumerated", SUMMARY),
+    Metric("enum_delay", LATENCY, "enum_delay"),
+    # Heavy/light partition events (repro.ivme.partition).
+    Metric("migrations", INT, "rebalance.migrations", SUMMARY),
+    Metric("tuples_migrated", INT, "rebalance.tuples_migrated"),
+    Metric("repartitions", INT, "rebalance.repartitions", SUMMARY),
+    # Elementary op totals folded in via record_ops / op_scope.
+    Metric("ops", COUNT_BY_KIND, "ops", ROLLUP),
+    Metric("ops", TOTAL, None, SUMMARY, lambda s: sum(s.ops.values())),
+    Metric("peak_view_size", GAUGE, None, SUMMARY, _peak_view_size),
+    # Batch kernels: updates entering the batch path vs. distinct deltas
+    # surviving ring-coalescing; sibling probes issued vs. saved.
+    Metric("batch_updates_raw", INT, "batch.raw_updates", ROLLUP),
+    Metric("batch_updates_coalesced", INT, "batch.coalesced_updates", ROLLUP),
+    Metric("sibling_probes", INT, "batch.sibling_probes", ROLLUP),
+    Metric("sibling_probes_shared", INT, "batch.probes_shared", ROLLUP),
+    # Read path: enumerations served by a kernel, its guard probes, lazy
+    # recomputes inside enumerate(), fully-prebound point lookups and the
+    # shard engines they probed (unsharded: one each).
+    Metric("enum_compiled", INT, "enumeration.compiled", ROLLUP),
+    Metric("enum_guard_probes", INT, "enumeration.guard_probes", ROLLUP),
+    Metric("lazy_refreshes", INT, "enumeration.lazy_refreshes", ROLLUP),
+    Metric("point_lookups", INT, "enumeration.point_lookups", ROLLUP),
+    Metric("lookup_shards_probed", INT, "enumeration.lookup_shards_probed", ROLLUP),
+    # Serving (repro.serve): successful group commits by trigger with
+    # their histograms, backpressure, reads between commits.
+    Metric("submits", INT, "serving.submits"),
+    Metric("commits", INT, "serving.commits"),
+    Metric("size_commits", INT, "serving.size_commits"),
+    Metric("deadline_commits", INT, "serving.deadline_commits"),
+    Metric("drain_commits", INT, "serving.drain_commits"),
+    Metric("commit_latency", LATENCY, "serving.commit_latency"),
+    Metric("commit_batch_size", COUNTS, "serving.batch_size"),
+    Metric("commit_queue_depth", COUNTS, "serving.queue_depth"),
+    Metric("backpressure_waits", INT, "serving.backpressure_waits"),
+    Metric("backpressure_wait", LATENCY, "serving.backpressure_wait"),
+    Metric("serve_lookups", INT, "serving.lookups"),
+    Metric("read_staleness", LATENCY, "serving.read_staleness"),
+    Metric("commit_errors", INT, "serving.commit_errors"),
+    _slot("codegen"),
+    # Worker IPC (repro.shard.worker): per-worker round-trips, pipe bytes,
+    # per-commit bytes ("cost scales with batch, not state"), worker busy
+    # vs. coordinator wall time, processes spawned (> shards - 1: a rebuild).
+    Metric("ipc_rounds", INT, "ipc.rounds"),
+    Metric("ipc_commits", INT, "ipc.commits"),
+    Metric("ipc_bytes_sent", INT, "ipc.bytes_sent"),
+    Metric("ipc_bytes_received", INT, "ipc.bytes_received"),
+    Metric("ipc_commit_bytes", COUNTS, "ipc.commit_bytes"),
+    Metric("ipc_worker_busy_s", FLOAT, "ipc.worker_busy_s"),
+    Metric("ipc_wall_s", FLOAT, "ipc.wall_s"),
+    Metric("ipc_workers", PEAK, "ipc.workers"),
+    Metric("utilization", GAUGE, "ipc.utilization", derive=_utilization),
+    Metric("ipc_stats_merge_s", FLOAT, "ipc.stats_merge_s"),
+    Metric("ipc_worker_failures", INT, "ipc.worker_failures"),
+    Metric("ipc_workers_spawned", INT, "ipc.workers_spawned"),
+    # Epoch snapshots (repro.viewtree.epoch): publishes, the copy-on-write
+    # work paid for them, snapshot-mode reads, output delta per publish.
+    Metric("epochs_published", INT, "epochs.published", ROLLUP),
+    _slot("epochs.snapshot_reads"),
+    Metric("snapshot_read_latency", LATENCY, "epochs.read_latency", ROLLUP),
+    Metric("cow_buckets_copied", INT, "epochs.cow_buckets_copied", ROLLUP),
+    Metric("cow_tables_copied", INT, "epochs.cow_tables_copied", ROLLUP),
+    Metric("snapshot_reads", INT, "epochs.snapshot_reads", ROLLUP),
+    Metric("output_delta_tuples", INT, "epochs.output_delta_tuples", ROLLUP),
+    # Output change streams (repro.viewtree.changes): per-epoch deltas,
+    # subscriber patches, full-drain fallbacks, delta/state ratio in percent.
+    Metric("deltas_emitted", INT, "changes.deltas_emitted", ROLLUP),
+    Metric("delta_tuples", INT, "changes.delta_tuples", ROLLUP),
+    Metric("delta_bytes", INT, "changes.delta_bytes", ROLLUP),
+    Metric("tuples_patched", INT, "changes.tuples_patched", ROLLUP),
+    Metric("patch_time", LATENCY, "changes.patch_time", ROLLUP),
+    Metric("full_refresh_fallbacks", INT, "changes.full_refresh_fallbacks", ROLLUP),
+    Metric("delta_ratio", COUNTS, "changes.delta_ratio_pct", ROLLUP),
+    # Codegen (repro.viewtree.codegen): kernels exec'd from generated
+    # source, shape-cache hits, relations left to the generic walk.
+    Metric("kernels_generated", INT, "codegen.kernels_generated", ROLLUP),
+    Metric("codegen_time_ms", FLOAT, "codegen.codegen_time_ms", ROLLUP),
+    Metric("shape_cache_hits", INT, "codegen.shape_cache_hits", ROLLUP),
+    Metric("codegen_fallbacks", INT, "codegen.fallbacks", ROLLUP),
+    # Memory: periodic samples of total view size (views + guards +
+    # leaves), and per view / guard.
+    Metric("view_size", STAT, "memory.total_view_size", ROLLUP),
+    Metric("view_sizes", STAT_BY_VIEW, "memory.view_sizes", ROLLUP),
+    # Label -> summary cells, written by labelled merges (sharded runs).
+    Metric("shard_summaries", SUMMARIES, "shards"),
 )
 
-
-class RunningStat:
-    """Count/total/min/max accumulator for a stream of numbers."""
-
-    __slots__ = ("count", "total", "minimum", "maximum")
-
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "RunningStat") -> None:
-        self.count += other.count
-        self.total += other.total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
-    def to_dict(self) -> dict:
-        if not self.count:
-            return {"count": 0, "total": 0.0, "min": None, "max": None, "mean": 0.0}
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.minimum,
-            "max": self.maximum,
-            "mean": self.mean,
-        }
-
-    def __repr__(self) -> str:
-        return f"RunningStat(count={self.count}, mean={self.mean:.4g})"
-
-
-class LatencyHistogram:
-    """Log2-bucketed histogram of durations in seconds.
-
-    Bucket ``i`` covers ``(_BASE * 2^(i-1), _BASE * 2^i]``; durations at
-    or below ``_BASE`` land in bucket 0.  Percentiles are reported as the
-    upper boundary of the bucket containing the requested rank, i.e. a
-    conservative (over-)estimate within a factor of 2.
-    """
-
-    __slots__ = ("buckets", "stat")
-
-    def __init__(self):
-        self.buckets: dict[int, int] = {}
-        self.stat = RunningStat()
-
-    def record(self, seconds: float) -> None:
-        if seconds < 0:
-            seconds = 0.0
-        self.stat.record(seconds)
-        index = 0 if seconds <= _BASE else int(math.ceil(math.log2(seconds / _BASE)))
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    @property
-    def count(self) -> int:
-        return self.stat.count
-
-    def percentile(self, q: float) -> float:
-        """Upper bucket boundary at quantile ``q`` in [0, 1]."""
-        if not self.stat.count:
-            return 0.0
-        rank = max(1, math.ceil(q * self.stat.count))
-        seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
-            if seen >= rank:
-                return _BASE * (2.0 ** index)
-        return self.stat.maximum
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        self.stat.merge(other.stat)
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-
-    def to_dict(self) -> dict:
-        summary = self.stat.to_dict()
-        if self.stat.count:
-            summary["p50"] = self.percentile(0.50)
-            summary["p95"] = self.percentile(0.95)
-            summary["p99"] = self.percentile(0.99)
-        summary["buckets"] = {
-            f"<={_BASE * (2.0 ** index):.3g}s": self.buckets[index]
-            for index in sorted(self.buckets)
-        }
-        return summary
-
-    def __repr__(self) -> str:
-        return (
-            f"LatencyHistogram(count={self.stat.count}, "
-            f"mean={self.stat.mean:.3g}s)"
-        )
-
-
-class CountHistogram:
-    """Log2-bucketed histogram of non-negative integer counts.
-
-    The integer twin of :class:`LatencyHistogram`, used for quantities
-    like batch sizes and queue depths whose order of magnitude is the
-    interesting part.  Bucket ``i`` covers ``[2^(i-1), 2^i - 1]`` (bucket
-    0 holds exact zeros), so percentiles are conservative upper bounds
-    within a factor of 2, same as the latency buckets.
-    """
-
-    __slots__ = ("buckets", "stat")
-
-    def __init__(self):
-        self.buckets: dict[int, int] = {}
-        self.stat = RunningStat()
-
-    def record(self, value: int) -> None:
-        if value < 0:
-            value = 0
-        self.stat.record(value)
-        index = int(value).bit_length()
-        self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    @property
-    def count(self) -> int:
-        return self.stat.count
-
-    def percentile(self, q: float) -> float:
-        """Upper bucket boundary at quantile ``q`` in [0, 1]."""
-        if not self.stat.count:
-            return 0.0
-        rank = max(1, math.ceil(q * self.stat.count))
-        seen = 0
-        for index in sorted(self.buckets):
-            seen += self.buckets[index]
-            if seen >= rank:
-                return 0.0 if index == 0 else float(2 ** index - 1)
-        return self.stat.maximum
-
-    def merge(self, other: "CountHistogram") -> None:
-        self.stat.merge(other.stat)
-        for index, count in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + count
-
-    def to_dict(self) -> dict:
-        summary = self.stat.to_dict()
-        if self.stat.count:
-            summary["p50"] = self.percentile(0.50)
-            summary["p95"] = self.percentile(0.95)
-            summary["p99"] = self.percentile(0.99)
-        summary["buckets"] = {
-            ("0" if index == 0 else f"<={2 ** index - 1}"): self.buckets[index]
-            for index in sorted(self.buckets)
-        }
-        return summary
-
-    def __repr__(self) -> str:
-        return (
-            f"CountHistogram(count={self.stat.count}, "
-            f"mean={self.stat.mean:.3g})"
-        )
+#: Rows that hold recorder state (the rest are derived on export).
+_STATE = tuple(row for row in METRICS if row.derive is None)
+#: Rows that are a cell of a shard summary, in summary key order.
+_CELLS = tuple(row for row in METRICS if row.shard != COORDINATOR and row.kind.scalar)
+_ADDING_CELLS = frozenset(row.name for row in _CELLS if row.kind.adds)
 
 
 class MaintenanceStats:
-    """Structured recorder for one engine's maintenance activity."""
+    """Structured recorder for one engine's maintenance activity.
+
+    Its attributes are the state rows of :data:`METRICS`.
+    """
 
     def __init__(self, engine: str = "engine"):
+        for row in _STATE:
+            setattr(self, row.name, row.kind.new())
         self.engine = engine
-        #: Top-level single-tuple updates observed.
-        self.updates = 0
-        #: Top-level batch calls observed.
-        self.batches = 0
-        self.update_latency = LatencyHistogram()
-        self.batch_latency = LatencyHistogram()
-        #: View name -> delta-size distribution (view-tree propagation).
-        self.delta_sizes: dict[str, RunningStat] = {}
-        #: Per-tuple enumeration delay samples.
-        self.enum_delay = LatencyHistogram()
-        self.enumerations = 0
-        self.tuples_enumerated = 0
-        #: Heavy/light partition events (repro.ivme.partition).
-        self.migrations = 0
-        self.tuples_migrated = 0
-        self.repartitions = 0
-        #: Elementary op totals folded in via record_ops / op_scope.
-        self.ops: dict[str, int] = {}
-        #: Batch-kernel accounting: updates entering the compiled batch
-        #: path vs. the distinct deltas surviving ring-coalescing, and
-        #: sibling probes issued vs. saved by cross-delta sharing.
-        self.batch_updates_raw = 0
-        self.batch_updates_coalesced = 0
-        self.sibling_probes = 0
-        self.sibling_probes_shared = 0
-        #: Read-path kernel accounting: enumerations served by a compiled
-        #: EnumPlan, guard probes the kernel issued (group lookups plus
-        #: prebound point checks), and lazy-strategy on-demand recomputes
-        #: triggered inside enumerate().
-        self.enum_compiled = 0
-        self.enum_guard_probes = 0
-        self.lazy_refreshes = 0
-        #: Memory accounting: samples of the engine's total view size
-        #: (views + guards + leaves) taken periodically during maintenance.
-        self.view_size = RunningStat()
-        #: View/guard name -> size-sample distribution.
-        self.view_sizes: dict[str, RunningStat] = {}
-        #: Point-lookup accounting: fully-prebound key lookups served and
-        #: how many shard engines each one probed (unsharded lookups
-        #: count one) — the counters behind the sharded early-break fix.
-        self.point_lookups = 0
-        self.lookup_shards_probed = 0
-        #: Serving accounting (repro.serve): group commits by trigger,
-        #: per-commit latency / batch-size / queue-depth histograms,
-        #: submit and backpressure counters, and read staleness samples.
-        self.submits = 0
-        self.commits = 0
-        self.size_commits = 0
-        self.deadline_commits = 0
-        self.drain_commits = 0
-        self.commit_latency = LatencyHistogram()
-        self.commit_batch_size = CountHistogram()
-        self.commit_queue_depth = CountHistogram()
-        self.backpressure_waits = 0
-        self.backpressure_wait = LatencyHistogram()
-        self.serve_lookups = 0
-        self.read_staleness = LatencyHistogram()
-        #: Commits that raised out of the engine: counted apart so the
-        #: commit latency/batch-size histograms hold successes only.
-        self.commit_errors = 0
-        #: Epoch snapshot accounting (repro.viewtree.epoch): epochs
-        #: published, snapshot-mode reads served with their end-to-end
-        #: latency (the read-tail histogram), and copy-on-write work the
-        #: write path paid for snapshot isolation.
-        self.epochs_published = 0
-        self.snapshot_reads = 0
-        self.snapshot_read_latency = LatencyHistogram()
-        self.cow_buckets_copied = 0
-        self.cow_tables_copied = 0
-        #: Output delta tuples closed over by epoch publishes (the
-        #: per-epoch output change size next to the COW copy work, so
-        #: delta/state ratios are visible straight from ``stats``).
-        self.output_delta_tuples = 0
-        #: Output change-stream accounting (repro.viewtree.changes):
-        #: per-epoch deltas emitted with their tuple and wire-byte
-        #: volume, subscriber patch latency, tuples patched into
-        #: subscriber materializations, full-drain fallbacks (ratio
-        #: threshold or epoch gap), and the delta/state ratio
-        #: distribution in percent.
-        self.deltas_emitted = 0
-        self.delta_tuples = 0
-        self.delta_bytes = 0
-        self.tuples_patched = 0
-        self.patch_time = LatencyHistogram()
-        self.full_refresh_fallbacks = 0
-        self.delta_ratio = CountHistogram()
-        #: Codegen accounting (repro.viewtree.codegen): kernels exec'd
-        #: from generated source, wall-clock spent generating+compiling,
-        #: plan shapes served from the process-wide factory cache, and
-        #: plans that fell back to the interpreter.
-        self.kernels_generated = 0
-        self.codegen_time_ms = 0.0
-        self.shape_cache_hits = 0
-        self.codegen_fallbacks = 0
-        #: Worker-IPC accounting (repro.shard.worker): command
-        #: round-trips to persistent shard workers, bytes shipped over
-        #: the pipes (both directions), per-commit byte histogram (the
-        #: "cost scales with batch, not state" evidence), worker busy
-        #: time vs. coordinator wall time (utilization), time spent
-        #: merging shipped stats deltas, worker crashes surfaced, and
-        #: worker processes spawned (> shards means a pool rebuild).
-        self.ipc_rounds = 0
-        self.ipc_commits = 0
-        self.ipc_bytes_sent = 0
-        self.ipc_bytes_received = 0
-        self.ipc_commit_bytes = CountHistogram()
-        self.ipc_worker_busy_s = 0.0
-        self.ipc_wall_s = 0.0
-        self.ipc_workers = 0
-        self.ipc_stats_merge_s = 0.0
-        self.ipc_worker_failures = 0
-        self.ipc_workers_spawned = 0
-        #: Per-shard summaries recorded by labelled merges (sharded runs).
-        self.shard_summaries: dict[str, dict] = {}
-        # Recorders may be shared across threads (thread-pool shards,
-        # the serve commit executor); every mutation holds this lock.
+        # Recorders may be shared across threads (the serve commit
+        # executor, shard 0 of a process pool); every mutation and every
+        # whole-recorder read holds this lock.
         self._lock = threading.RLock()
         # Reentrancy guard: engines stack (facade -> cascade -> view tree),
         # and only the outermost observed call should count the update.
@@ -402,7 +298,8 @@ class MaintenanceStats:
         self._local = threading.local()
 
     # ------------------------------------------------------------------
-    # Recording API (called from instrumentation hooks)
+    # Recording API (called from instrumentation hooks): direct attribute
+    # arithmetic under the lock, nothing looked up in METRICS
     # ------------------------------------------------------------------
 
     def record_update(self, seconds: float, kind: str = "apply") -> None:
@@ -450,7 +347,7 @@ class MaintenanceStats:
                 stat.record(size)
 
     def record_batch_coalesce(self, raw: int, coalesced: int) -> None:
-        """One compiled-batch run: raw updates vs. surviving deltas."""
+        """One batch run: raw updates vs. surviving deltas."""
         with self._lock:
             self.batch_updates_raw += raw
             self.batch_updates_coalesced += coalesced
@@ -462,7 +359,7 @@ class MaintenanceStats:
             self.sibling_probes_shared += shared
 
     def record_compiled_enumeration(self) -> None:
-        """One enumeration request served by a compiled EnumPlan."""
+        """One enumeration request served by an enumeration kernel."""
         with self._lock:
             self.enum_compiled += 1
 
@@ -497,9 +394,7 @@ class MaintenanceStats:
             for kind, amount in items:
                 self.ops[kind] = self.ops.get(kind, 0) + amount
 
-    # ------------------------------------------------------------------
     # Serving hooks (repro.serve)
-    # ------------------------------------------------------------------
 
     def record_submit(self, count: int = 1) -> None:
         """Updates accepted into the serving queue."""
@@ -513,11 +408,7 @@ class MaintenanceStats:
             self.backpressure_wait.record(seconds)
 
     def record_commit(
-        self,
-        seconds: float,
-        batch_size: int,
-        queue_depth: int,
-        trigger: str = "size",
+        self, seconds: float, batch_size: int, queue_depth: int, trigger: str = "size"
     ) -> None:
         """One group commit: latency, batch size, queue depth at commit.
 
@@ -562,10 +453,7 @@ class MaintenanceStats:
             self.commit_errors += 1
 
     def record_epoch_publish(
-        self,
-        buckets_copied: int = 0,
-        tables_copied: int = 0,
-        delta_tuples: int = 0,
+        self, buckets_copied: int = 0, tables_copied: int = 0, delta_tuples: int = 0
     ) -> None:
         """One epoch publish, with the copy-on-write work it closed over.
 
@@ -597,9 +485,7 @@ class MaintenanceStats:
             self.delta_tuples += tuples
             self.delta_bytes += bytes_
 
-    def record_change_patch(
-        self, seconds: float, tuples: int, ratio: float
-    ) -> None:
+    def record_change_patch(self, seconds: float, tuples: int, ratio: float) -> None:
         """One subscriber materialization patched in O(δ).
 
         ``ratio`` is delta size over materialization size; it lands in
@@ -616,11 +502,7 @@ class MaintenanceStats:
             self.full_refresh_fallbacks += 1
 
     def record_codegen(
-        self,
-        kernels: int,
-        time_ms: float,
-        cache_hits: int = 0,
-        fallbacks: int = 0,
+        self, kernels: int, time_ms: float, cache_hits: int = 0, fallbacks: int = 0
     ) -> None:
         """One engine's kernel-generation totals (recorded at attach)."""
         with self._lock:
@@ -681,401 +563,122 @@ class MaintenanceStats:
     def merge(self, other: "MaintenanceStats", label: str | None = None) -> None:
         """Fold ``other`` into this recorder.
 
-        With ``label`` (e.g. ``"shard3"``) the merge is *labelled*: the
-        other recorder is summarized under that label in
-        :attr:`shard_summaries`, its delta-size series are kept apart as
-        ``"<label>/<view>"``, and its elementary ops roll up — but its
-        update/batch counts and latency histograms do **not** add into
-        the top-level series.  A shard coordinator already records every
-        logical update once; adding each shard's count again would count
-        broadcast updates once per shard.
-
-        Unlabelled merges behave as before (associative recorder
-        composition) and carry any shard summaries of ``other`` along.
+        With ``label`` (e.g. ``"shard3"``) the merge is *labelled*: ``other``
+        is summarized under that label in :attr:`shard_summaries`, its
+        ``ROLLUP`` rows add into this recorder (per-view series kept apart
+        as ``"<label>/<view>"``) and the rest is left alone — see the shard
+        policies above :data:`METRICS`.  Without it every row folds
+        (associative recorder composition), shard summaries included.
+        ``other`` may be live: both locks are held, taken in ``id`` order.
         """
-        with self._lock:
-            self._merge_locked(other, label)
-
-    def _merge_locked(self, other: "MaintenanceStats", label: str | None) -> None:
-        if label is not None:
-            self.shard_summaries[label] = {
-                "engine": other.engine,
-                "updates": other.updates,
-                "batches": other.batches,
-                "update_mean_s": other.update_latency.stat.mean,
-                "batch_mean_s": other.batch_latency.stat.mean,
-                "enumerations": other.enumerations,
-                "tuples_enumerated": other.tuples_enumerated,
-                "migrations": other.migrations,
-                "repartitions": other.repartitions,
-                "ops": sum(other.ops.values()),
-                "peak_view_size": (
-                    other.view_size.maximum if other.view_size.count else 0
-                ),
-                "batch_updates_raw": other.batch_updates_raw,
-                "batch_updates_coalesced": other.batch_updates_coalesced,
-                "sibling_probes": other.sibling_probes,
-                "sibling_probes_shared": other.sibling_probes_shared,
-                "enum_compiled": other.enum_compiled,
-                "enum_guard_probes": other.enum_guard_probes,
-                "lazy_refreshes": other.lazy_refreshes,
-                "point_lookups": other.point_lookups,
-                "lookup_shards_probed": other.lookup_shards_probed,
-                "epochs_published": other.epochs_published,
-                "cow_buckets_copied": other.cow_buckets_copied,
-                "cow_tables_copied": other.cow_tables_copied,
-                "snapshot_reads": other.snapshot_reads,
-                "output_delta_tuples": other.output_delta_tuples,
-                "deltas_emitted": other.deltas_emitted,
-                "delta_tuples": other.delta_tuples,
-                "delta_bytes": other.delta_bytes,
-                "tuples_patched": other.tuples_patched,
-                "full_refresh_fallbacks": other.full_refresh_fallbacks,
-                "kernels_generated": other.kernels_generated,
-                "codegen_time_ms": other.codegen_time_ms,
-                "shape_cache_hits": other.shape_cache_hits,
-                "codegen_fallbacks": other.codegen_fallbacks,
-            }
-            # Shard-level kernel work is real engine work; roll it
-            # up into the coordinator totals like elementary ops.
-            self.batch_updates_raw += other.batch_updates_raw
-            self.batch_updates_coalesced += other.batch_updates_coalesced
-            self.sibling_probes += other.sibling_probes
-            self.sibling_probes_shared += other.sibling_probes_shared
-            self.enum_compiled += other.enum_compiled
-            self.enum_guard_probes += other.enum_guard_probes
-            self.lazy_refreshes += other.lazy_refreshes
-            self.point_lookups += other.point_lookups
-            self.lookup_shards_probed += other.lookup_shards_probed
-            self.epochs_published += other.epochs_published
-            self.cow_buckets_copied += other.cow_buckets_copied
-            self.cow_tables_copied += other.cow_tables_copied
-            self.snapshot_reads += other.snapshot_reads
-            self.snapshot_read_latency.merge(other.snapshot_read_latency)
-            self.output_delta_tuples += other.output_delta_tuples
-            self.deltas_emitted += other.deltas_emitted
-            self.delta_tuples += other.delta_tuples
-            self.delta_bytes += other.delta_bytes
-            self.tuples_patched += other.tuples_patched
-            self.patch_time.merge(other.patch_time)
-            self.full_refresh_fallbacks += other.full_refresh_fallbacks
-            self.delta_ratio.merge(other.delta_ratio)
-            self.kernels_generated += other.kernels_generated
-            self.codegen_time_ms += other.codegen_time_ms
-            self.shape_cache_hits += other.shape_cache_hits
-            self.codegen_fallbacks += other.codegen_fallbacks
-            for view, stat in other.delta_sizes.items():
-                mine = self.delta_sizes.get(f"{label}/{view}")
-                if mine is None:
-                    mine = self.delta_sizes[f"{label}/{view}"] = RunningStat()
-                mine.merge(stat)
-            for view, stat in other.view_sizes.items():
-                mine = self.view_sizes.get(f"{label}/{view}")
-                if mine is None:
-                    mine = self.view_sizes[f"{label}/{view}"] = RunningStat()
-                mine.merge(stat)
-            self.view_size.merge(other.view_size)
-            self.record_ops(other.ops)
-            return
-        self.updates += other.updates
-        self.batches += other.batches
-        self.update_latency.merge(other.update_latency)
-        self.batch_latency.merge(other.batch_latency)
-        for view, stat in other.delta_sizes.items():
-            mine = self.delta_sizes.get(view)
-            if mine is None:
-                mine = self.delta_sizes[view] = RunningStat()
-            mine.merge(stat)
-        self.view_size.merge(other.view_size)
-        for view, stat in other.view_sizes.items():
-            mine = self.view_sizes.get(view)
-            if mine is None:
-                mine = self.view_sizes[view] = RunningStat()
-            mine.merge(stat)
-        self.enum_delay.merge(other.enum_delay)
-        self.enumerations += other.enumerations
-        self.tuples_enumerated += other.tuples_enumerated
-        self.migrations += other.migrations
-        self.tuples_migrated += other.tuples_migrated
-        self.repartitions += other.repartitions
-        self.batch_updates_raw += other.batch_updates_raw
-        self.batch_updates_coalesced += other.batch_updates_coalesced
-        self.sibling_probes += other.sibling_probes
-        self.sibling_probes_shared += other.sibling_probes_shared
-        self.enum_compiled += other.enum_compiled
-        self.enum_guard_probes += other.enum_guard_probes
-        self.lazy_refreshes += other.lazy_refreshes
-        self.point_lookups += other.point_lookups
-        self.lookup_shards_probed += other.lookup_shards_probed
-        self.submits += other.submits
-        self.commits += other.commits
-        self.size_commits += other.size_commits
-        self.deadline_commits += other.deadline_commits
-        self.drain_commits += other.drain_commits
-        self.commit_latency.merge(other.commit_latency)
-        self.commit_batch_size.merge(other.commit_batch_size)
-        self.commit_queue_depth.merge(other.commit_queue_depth)
-        self.backpressure_waits += other.backpressure_waits
-        self.backpressure_wait.merge(other.backpressure_wait)
-        self.serve_lookups += other.serve_lookups
-        self.read_staleness.merge(other.read_staleness)
-        self.commit_errors += other.commit_errors
-        self.epochs_published += other.epochs_published
-        self.snapshot_reads += other.snapshot_reads
-        self.snapshot_read_latency.merge(other.snapshot_read_latency)
-        self.cow_buckets_copied += other.cow_buckets_copied
-        self.cow_tables_copied += other.cow_tables_copied
-        self.output_delta_tuples += other.output_delta_tuples
-        self.deltas_emitted += other.deltas_emitted
-        self.delta_tuples += other.delta_tuples
-        self.delta_bytes += other.delta_bytes
-        self.tuples_patched += other.tuples_patched
-        self.patch_time.merge(other.patch_time)
-        self.full_refresh_fallbacks += other.full_refresh_fallbacks
-        self.delta_ratio.merge(other.delta_ratio)
-        self.kernels_generated += other.kernels_generated
-        self.codegen_time_ms += other.codegen_time_ms
-        self.shape_cache_hits += other.shape_cache_hits
-        self.codegen_fallbacks += other.codegen_fallbacks
-        self.ipc_rounds += other.ipc_rounds
-        self.ipc_commits += other.ipc_commits
-        self.ipc_bytes_sent += other.ipc_bytes_sent
-        self.ipc_bytes_received += other.ipc_bytes_received
-        self.ipc_commit_bytes.merge(other.ipc_commit_bytes)
-        self.ipc_worker_busy_s += other.ipc_worker_busy_s
-        self.ipc_wall_s += other.ipc_wall_s
-        if other.ipc_workers > self.ipc_workers:
-            self.ipc_workers = other.ipc_workers
-        self.ipc_stats_merge_s += other.ipc_stats_merge_s
-        self.ipc_worker_failures += other.ipc_worker_failures
-        self.ipc_workers_spawned += other.ipc_workers_spawned
-        self.record_ops(other.ops)
-        for shard_label, summary in other.shard_summaries.items():
-            mine = self.shard_summaries.get(shard_label)
-            if mine is None:
-                self.shard_summaries[shard_label] = dict(summary)
-            else:
-                # Same label seen twice: counts add, means are recomputed
-                # poorly at best — keep the counts exact and let the
-                # latest merge win on the rest.
-                for key, value in summary.items():
-                    if key in _SUMMARY_COUNT_KEYS and key in mine:
-                        mine[key] += value
-                    else:
-                        mine[key] = value
+        first, second = sorted((self._lock, other._lock), key=id)
+        with first, second:
+            if label is not None:
+                self.shard_summaries[label] = {
+                    row.name: row.value(other) for row in _CELLS
+                }
+            for row in _STATE:
+                if label is not None and row.shard != ROLLUP:
+                    continue
+                theirs = getattr(other, row.name)
+                if label is not None and row.kind is STAT_BY_VIEW:
+                    theirs = {f"{label}/{view}": s for view, s in theirs.items()}
+                merged = row.kind.fold(getattr(self, row.name), theirs)
+                setattr(self, row.name, merged)
 
     def to_dict(self) -> dict:
         """Plain-JSON snapshot (the ``repro.obs/1`` stats payload)."""
-        return {
-            "engine": self.engine,
-            "updates": self.updates,
-            "batches": self.batches,
-            "update_latency": self.update_latency.to_dict(),
-            "batch_latency": self.batch_latency.to_dict(),
-            "delta_sizes": {
-                view: stat.to_dict()
-                for view, stat in sorted(self.delta_sizes.items())
-            },
-            "enumerations": self.enumerations,
-            "tuples_enumerated": self.tuples_enumerated,
-            "enum_delay": self.enum_delay.to_dict(),
-            "rebalance": {
-                "migrations": self.migrations,
-                "tuples_migrated": self.tuples_migrated,
-                "repartitions": self.repartitions,
-            },
-            "ops": dict(sorted(self.ops.items())),
-            "batch": {
-                "raw_updates": self.batch_updates_raw,
-                "coalesced_updates": self.batch_updates_coalesced,
-                "sibling_probes": self.sibling_probes,
-                "probes_shared": self.sibling_probes_shared,
-            },
-            "enumeration": {
-                "compiled": self.enum_compiled,
-                "guard_probes": self.enum_guard_probes,
-                "lazy_refreshes": self.lazy_refreshes,
-                "point_lookups": self.point_lookups,
-                "lookup_shards_probed": self.lookup_shards_probed,
-            },
-            "serving": {
-                "submits": self.submits,
-                "commits": self.commits,
-                "size_commits": self.size_commits,
-                "deadline_commits": self.deadline_commits,
-                "drain_commits": self.drain_commits,
-                "commit_latency": self.commit_latency.to_dict(),
-                "batch_size": self.commit_batch_size.to_dict(),
-                "queue_depth": self.commit_queue_depth.to_dict(),
-                "backpressure_waits": self.backpressure_waits,
-                "backpressure_wait": self.backpressure_wait.to_dict(),
-                "lookups": self.serve_lookups,
-                "read_staleness": self.read_staleness.to_dict(),
-                "commit_errors": self.commit_errors,
-            },
-            "codegen": {
-                "kernels_generated": self.kernels_generated,
-                "codegen_time_ms": self.codegen_time_ms,
-                "shape_cache_hits": self.shape_cache_hits,
-                "fallbacks": self.codegen_fallbacks,
-            },
-            "ipc": {
-                "rounds": self.ipc_rounds,
-                "commits": self.ipc_commits,
-                "bytes_sent": self.ipc_bytes_sent,
-                "bytes_received": self.ipc_bytes_received,
-                "commit_bytes": self.ipc_commit_bytes.to_dict(),
-                "worker_busy_s": self.ipc_worker_busy_s,
-                "wall_s": self.ipc_wall_s,
-                "workers": self.ipc_workers,
-                "utilization": (
-                    self.ipc_worker_busy_s
-                    / (self.ipc_wall_s * self.ipc_workers)
-                    if self.ipc_wall_s and self.ipc_workers
-                    else 0.0
-                ),
-                "stats_merge_s": self.ipc_stats_merge_s,
-                "worker_failures": self.ipc_worker_failures,
-                "workers_spawned": self.ipc_workers_spawned,
-            },
-            "epochs": {
-                "published": self.epochs_published,
-                "snapshot_reads": self.snapshot_reads,
-                "read_latency": self.snapshot_read_latency.to_dict(),
-                "cow_buckets_copied": self.cow_buckets_copied,
-                "cow_tables_copied": self.cow_tables_copied,
-                "output_delta_tuples": self.output_delta_tuples,
-            },
-            "changes": {
-                "deltas_emitted": self.deltas_emitted,
-                "delta_tuples": self.delta_tuples,
-                "delta_bytes": self.delta_bytes,
-                "tuples_patched": self.tuples_patched,
-                "patch_time": self.patch_time.to_dict(),
-                "full_refresh_fallbacks": self.full_refresh_fallbacks,
-                "delta_ratio_pct": self.delta_ratio.to_dict(),
-            },
-            "memory": {
-                "total_view_size": self.view_size.to_dict(),
-                "view_sizes": {
-                    view: stat.to_dict()
-                    for view, stat in sorted(self.view_sizes.items())
-                },
-            },
-            "shards": {
-                label: dict(summary)
-                for label, summary in sorted(self.shard_summaries.items())
-            },
-        }
+        document: dict = {}
+        with self._lock:
+            for row in METRICS:
+                if row.path is None:
+                    continue
+                *blocks, leaf = row.path.split(".")
+                block = document
+                for name in blocks:
+                    block = block.setdefault(name, {})
+                block[leaf] = row.kind.export(row.value(self))
+        return document
 
     def render(self) -> str:
         """Human-readable multi-line summary (CLI ``stats`` output)."""
+        with self._lock:
+            return "\n".join(self._render_lines())
+
+    def _render_lines(self) -> list[str]:
         lines = [f"maintenance stats — {self.engine}"]
-        lines.append("=" * len(lines[0]))
-
-        def latency_line(label: str, histogram: LatencyHistogram) -> str:
-            s = histogram.stat
-            if not s.count:
-                return f"{label}: none"
-            return (
-                f"{label}: n={s.count}  mean={s.mean:.3g}s  "
-                f"p50<={histogram.percentile(0.5):.3g}s  "
-                f"p95<={histogram.percentile(0.95):.3g}s  "
-                f"max={s.maximum:.3g}s"
-            )
-
-        lines.append(f"updates:  {self.updates}  (batches: {self.batches})")
-        lines.append("  " + latency_line("latency", self.update_latency))
+        add = lines.append
+        add("=" * len(lines[0]))
+        add(f"updates:  {self.updates}  (batches: {self.batches})")
+        add(_latency_line("latency", self.update_latency))
         if self.batches:
-            lines.append("  " + latency_line("batch latency", self.batch_latency))
-        lines.append(
-            f"enumerations: {self.enumerations}  "
-            f"tuples: {self.tuples_enumerated}"
-        )
+            add(_latency_line("batch latency", self.batch_latency))
+        add(f"enumerations: {self.enumerations}  tuples: {self.tuples_enumerated}")
         if self.tuples_enumerated:
-            lines.append("  " + latency_line("delay", self.enum_delay))
+            add(_latency_line("delay", self.enum_delay))
         if self.enum_compiled or self.lazy_refreshes:
-            lines.append(
+            add(
                 f"enum kernel: {self.enum_compiled} compiled runs, "
                 f"{self.enum_guard_probes} guard probes; "
                 f"{self.lazy_refreshes} lazy refreshes"
             )
         if self.point_lookups:
-            lines.append(
+            add(
                 f"point lookups: {self.point_lookups}  "
                 f"(shards probed: {self.lookup_shards_probed})"
             )
         if self.commits or self.submits or self.commit_errors:
-            errors = (
-                f", {self.commit_errors} failed" if self.commit_errors else ""
-            )
-            lines.append(
+            errors = f", {self.commit_errors} failed" if self.commit_errors else ""
+            add(
                 f"serving: {self.submits} submits -> {self.commits} commits "
                 f"({self.size_commits} size / {self.deadline_commits} "
                 f"deadline / {self.drain_commits} drain{errors})"
             )
-            lines.append(
-                "  " + latency_line("commit latency", self.commit_latency)
-            )
+            add(_latency_line("commit latency", self.commit_latency))
             if self.commit_batch_size.count:
-                lines.append(
-                    f"  batch size: mean={self.commit_batch_size.stat.mean:.3g}"
-                    f"  p50<={self.commit_batch_size.percentile(0.5):g}"
-                    f"  max={self.commit_batch_size.stat.maximum:g}"
-                    f"  queue depth p50<="
-                    f"{self.commit_queue_depth.percentile(0.5):g}"
-                    f"  max={self.commit_queue_depth.stat.maximum:g}"
+                depth = self.commit_queue_depth
+                add(
+                    _count_line("batch size", self.commit_batch_size)
+                    + f"  queue depth p50<={depth.percentile(0.5):g}"
+                    f"  max={depth.stat.maximum:g}"
                 )
             if self.backpressure_waits:
-                lines.append(
-                    f"  backpressure: {self.backpressure_waits} blocked "
-                    f"submits, mean wait "
-                    f"{self.backpressure_wait.stat.mean:.3g}s"
+                add(
+                    f"  backpressure: {self.backpressure_waits} blocked submits, "
+                    f"mean wait {self.backpressure_wait.stat.mean:.3g}s"
                 )
             if self.serve_lookups:
-                s = self.read_staleness
-                lines.append(
+                stale = self.read_staleness
+                add(
                     f"  reads: {self.serve_lookups} lookups  "
-                    f"staleness mean={s.stat.mean:.3g}s  "
-                    f"p50<={s.percentile(0.5):.3g}s  "
-                    f"p99<={s.percentile(0.99):.3g}s"
+                    f"staleness mean={stale.stat.mean:.3g}s  "
+                    f"p50<={stale.percentile(0.5):.3g}s  "
+                    f"p99<={stale.percentile(0.99):.3g}s"
                 )
         if self.kernels_generated or self.codegen_fallbacks:
-            lines.append(
+            add(
                 f"codegen: {self.kernels_generated} kernels in "
                 f"{self.codegen_time_ms:.3g}ms  "
                 f"(shape-cache hits: {self.shape_cache_hits}, "
                 f"fallbacks: {self.codegen_fallbacks})"
             )
         if self.ipc_rounds or self.ipc_workers_spawned:
-            utilization = (
-                self.ipc_worker_busy_s / (self.ipc_wall_s * self.ipc_workers)
-                if self.ipc_wall_s and self.ipc_workers
-                else 0.0
-            )
-            failures = (
-                f"  failures: {self.ipc_worker_failures}"
-                if self.ipc_worker_failures
-                else ""
-            )
-            lines.append(
+            failed = self.ipc_worker_failures
+            add(
                 f"worker ipc: {self.ipc_rounds} round-trips "
                 f"({self.ipc_commits} commits)  "
-                f"bytes: {self.ipc_bytes_sent} out / "
-                f"{self.ipc_bytes_received} in  "
-                f"utilization: {utilization:.0%}  "
-                f"workers spawned: {self.ipc_workers_spawned}{failures}"
+                f"bytes: {self.ipc_bytes_sent} out / {self.ipc_bytes_received} in  "
+                f"utilization: {_utilization(self):.0%}  "
+                f"workers spawned: {self.ipc_workers_spawned}"
+                + (f"  failures: {failed}" if failed else "")
             )
             if self.ipc_commit_bytes.count:
-                lines.append(
-                    f"  commit bytes: "
-                    f"mean={self.ipc_commit_bytes.stat.mean:.3g}"
-                    f"  p50<={self.ipc_commit_bytes.percentile(0.5):g}"
-                    f"  max={self.ipc_commit_bytes.stat.maximum:g}"
-                    f"  stats-merge: {self.ipc_stats_merge_s:.3g}s"
+                add(
+                    _count_line("commit bytes", self.ipc_commit_bytes)
+                    + f"  stats-merge: {self.ipc_stats_merge_s:.3g}s"
                 )
         if self.epochs_published or self.snapshot_reads:
-            lines.append(
+            add(
                 f"epochs: {self.epochs_published} published  "
                 f"snapshot reads: {self.snapshot_reads}  "
                 f"cow: {self.cow_buckets_copied} buckets / "
@@ -1083,71 +686,53 @@ class MaintenanceStats:
                 f"output delta tuples: {self.output_delta_tuples}"
             )
             if self.snapshot_reads:
-                lines.append(
-                    "  " + latency_line(
-                        "snapshot read", self.snapshot_read_latency
-                    )
-                )
+                add(_latency_line("snapshot read", self.snapshot_read_latency))
         if self.deltas_emitted or self.full_refresh_fallbacks:
-            lines.append(
+            add(
                 f"changes: {self.deltas_emitted} deltas "
                 f"({self.delta_tuples} tuples, {self.delta_bytes} wire "
                 f"bytes)  patched: {self.tuples_patched} tuples  "
                 f"full refreshes: {self.full_refresh_fallbacks}"
             )
             if self.patch_time.count:
-                lines.append("  " + latency_line("patch", self.patch_time))
+                add(_latency_line("patch", self.patch_time))
             if self.delta_ratio.count:
-                lines.append(
-                    f"  delta/state ratio: "
-                    f"mean={self.delta_ratio.stat.mean:.3g}%  "
-                    f"p50<={self.delta_ratio.percentile(0.5):g}%  "
-                    f"max={self.delta_ratio.stat.maximum:g}%"
-                )
+                add(_count_line("delta/state ratio", self.delta_ratio, "%"))
         if self.delta_sizes:
-            lines.append("delta sizes per view:")
+            add("delta sizes per view:")
             for view, stat in sorted(self.delta_sizes.items()):
-                lines.append(
-                    f"  {view}: n={stat.count}  mean={stat.mean:.3g}  "
-                    f"max={stat.maximum:g}"
-                )
+                add(f"  {view}: n={stat.count}  mean={stat.mean:.3g}  max={stat.maximum:g}")
         if self.view_size.count:
-            lines.append(
+            add(
                 f"view size: samples={self.view_size.count}  "
-                f"mean={self.view_size.mean:.3g}  "
-                f"peak={self.view_size.maximum:g}"
+                f"mean={self.view_size.mean:.3g}  peak={self.view_size.maximum:g}"
             )
         if self.batch_updates_raw:
             cancelled = self.batch_updates_raw - self.batch_updates_coalesced
-            lines.append(
+            add(
                 f"batch kernel: {self.batch_updates_raw} updates -> "
                 f"{self.batch_updates_coalesced} coalesced deltas "
                 f"({cancelled} cancelled); sibling probes "
-                f"{self.sibling_probes} issued, "
-                f"{self.sibling_probes_shared} shared"
+                f"{self.sibling_probes} issued, {self.sibling_probes_shared} shared"
             )
         if self.migrations or self.repartitions:
-            lines.append(
+            add(
                 f"rebalancing: {self.migrations} migrations "
-                f"({self.tuples_migrated} tuples), "
-                f"{self.repartitions} repartitions"
+                f"({self.tuples_migrated} tuples), {self.repartitions} repartitions"
             )
         if self.ops:
-            total = sum(self.ops.values())
-            detail = ", ".join(
-                f"{kind}={count}" for kind, count in sorted(self.ops.items())
-            )
-            lines.append(f"elementary ops: {total}  ({detail})")
+            detail = ", ".join(f"{kind}={n}" for kind, n in sorted(self.ops.items()))
+            add(f"elementary ops: {sum(self.ops.values())}  ({detail})")
         if self.shard_summaries:
-            lines.append("per-shard maintenance:")
-            for label, summary in sorted(self.shard_summaries.items()):
-                lines.append(
-                    f"  {label}: updates={summary.get('updates', 0)}  "
-                    f"batches={summary.get('batches', 0)}  "
-                    f"mean={summary.get('update_mean_s', 0.0):.3g}s  "
-                    f"ops={summary.get('ops', 0)}"
+            add("per-shard maintenance:")
+            for label, cells in sorted(self.shard_summaries.items()):
+                add(
+                    f"  {label}: updates={cells.get('updates', 0)}  "
+                    f"batches={cells.get('batches', 0)}  "
+                    f"mean={cells.get('update_mean_s', 0.0):.3g}s  "
+                    f"ops={cells.get('ops', 0)}"
                 )
-        return "\n".join(lines)
+        return lines
 
     def __repr__(self) -> str:
         return (
@@ -1156,9 +741,19 @@ class MaintenanceStats:
         )
 
 
-def merge_stats(stats: Iterable[MaintenanceStats], engine: str = "merged") -> MaintenanceStats:
-    """Fold several recorders into one (multi-engine coordinators)."""
-    merged = MaintenanceStats(engine=engine)
-    for item in stats:
-        merged.merge(item)
-    return merged
+def _latency_line(label: str, histogram: LatencyHistogram) -> str:
+    stat = histogram.stat
+    if not stat.count:
+        return f"  {label}: none"
+    return (
+        f"  {label}: n={stat.count}  mean={stat.mean:.3g}s  "
+        f"p50<={histogram.percentile(0.5):.3g}s  "
+        f"p95<={histogram.percentile(0.95):.3g}s  max={stat.maximum:.3g}s"
+    )
+
+
+def _count_line(label: str, histogram: CountHistogram, unit: str = "") -> str:
+    return (
+        f"  {label}: mean={histogram.stat.mean:.3g}{unit}  "
+        f"p50<={histogram.percentile(0.5):g}{unit}  max={histogram.stat.maximum:g}{unit}"
+    )

@@ -207,72 +207,50 @@ class TestStats:
         capsys.readouterr()
 
 
-class TestBenchplot:
-    def _record(self, tmp_path):
-        record = {
-            "schema": "repro.bench/1",
-            "name": "demo",
-            "tables": [
-                {
-                    "title": "throughput table",
-                    "columns": ["configuration", "uniform upd/s", "speedup"],
-                    "rows": [
-                        ["plain", "35,156", "1.00x"],
-                        ["batched", "88,000", "2.50x"],
-                    ],
-                }
-            ],
-        }
-        path = tmp_path / "BENCH_demo.json"
-        path.write_text(json.dumps(record))
-        return path
+class TestSharedOptions:
+    """``stats`` and ``serve`` declare their common flags once; each
+    keeps its own defaults and its ``meta`` block."""
 
-    def test_ascii_fallback_renders_bars(self, tmp_path, capsys):
-        path = self._record(tmp_path)
-        out_dir = tmp_path / "plots"
-        code = main(["benchplot", str(path), "-o", str(out_dir), "--ascii"])
-        assert code == 0
+    SHARED = [
+        "--prefill", "5", "--seed", "3", "--shards", "2",
+        "--shard-executor", "serial", "--workload", "zipf", "--zipf-s", "1.5",
+        "--window", "32", "--fd", "A -> B",
+    ]
+
+    def _meta(self, argv, path):
+        assert main([*argv, "--json", str(path)]) == 0
+        with open(path) as handle:
+            return json.load(handle)["meta"]
+
+    def test_per_command_defaults(self, tmp_path, capsys):
+        query = "Q(A) = R(A,B) * S(B)"
+        stats = self._meta(["stats", query, "--updates", "50"], tmp_path / "a")
+        serve = self._meta(["serve", query, "--updates", "50"], tmp_path / "b")
         capsys.readouterr()
-        written = list(out_dir.glob("*.txt"))
-        assert len(written) == 1
-        text = written[0].read_text()
-        assert "throughput table" in text
-        assert "uniform upd/s" in text
-        assert "#" in text
-        assert "88000" in text
+        assert (stats["domain"], serve["domain"]) == (10, 16)
+        for meta in (stats, serve):
+            assert meta["prefill"] == 50 and meta["seed"] == 0
+            assert meta["shards"] == 1 and meta["shard_executor"] is None
+            assert meta["workload"] == "uniform"
+            assert meta["zipf_s"] is None and meta["window"] is None
 
-    def test_no_metric_tables_exits_nonzero(self, tmp_path, capsys):
-        record = {
-            "schema": "repro.bench/1",
-            "name": "empty",
-            "tables": [
-                {"title": "labels only", "columns": ["a"], "rows": [["x"]]}
-            ],
-        }
-        path = tmp_path / "BENCH_empty.json"
-        path.write_text(json.dumps(record))
-        code = main(["benchplot", str(path), "-o", str(tmp_path / "p")])
-        assert code == 1
-        assert "no plottable tables" in capsys.readouterr().out
-
-    def test_committed_records_plot(self, tmp_path, capsys):
-        """The real BENCH_*.json records in the repo must render."""
-        import os
-
-        results = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "results"
+    @pytest.mark.parametrize("command", ["stats", "serve"])
+    def test_both_commands_take_every_shared_flag(self, command, tmp_path, capsys):
+        meta = self._meta(
+            [command, "Q(B,A) = R(B,A) * S(B)", "--updates", "60",
+             "--domain", "7", *self.SHARED],
+            tmp_path / "out.json",
         )
-        records = [
-            os.path.join(results, name)
-            for name in sorted(os.listdir(results))
-            if name.startswith("BENCH_") and name.endswith(".json")
-        ]
-        assert records
-        out_dir = tmp_path / "plots"
-        code = main(["benchplot", *records, "-o", str(out_dir), "--ascii"])
-        assert code == 0
-        capsys.readouterr()
-        assert list(out_dir.glob("*.txt"))
+        out = capsys.readouterr().out
+        assert "workload: zipf (s=1.5)" in out
+        assert "per-shard maintenance:" in out
+        assert meta["domain"] == 7 and meta["prefill"] == 5 and meta["seed"] == 3
+        assert meta["shards"] == 2 and meta["shard_executor"] == "serial"
+        assert meta["zipf_s"] == 1.5 and meta["window"] is None
+
+    def test_benchplot_is_gone(self):
+        with pytest.raises(SystemExit):
+            main(["benchplot", "x.json"])
 
 
 class TestErrors:

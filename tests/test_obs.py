@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pickle
+import sys
+import threading
 
 import pytest
 
@@ -339,3 +343,219 @@ class TestStatsExport:
             data = json.load(handle)
         assert data["schema"] == STATS_SCHEMA
         assert data["stats"]["updates"] == 1
+
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "fixtures", "obs_golden.json")
+
+
+def _recorded(engine: str, k: int = 1) -> MaintenanceStats:
+    """A recorder on which every ``record_*`` ran with fixed values."""
+    s = MaintenanceStats(engine)
+    s.record_update(0.001 * k, "apply")
+    s.record_update(0.004, "update")
+    s.record_update(-1.0)  # clock skew clamps to 0
+    s.record_update(0.02 * k, "apply_batch")
+    s.record_delta("V_A", 3 * k)
+    s.record_delta("V_A", 1)
+    s.record_delta("V_B", 2)
+    s.record_enumeration()
+    s.record_enum_delay(2e-6 * k)
+    s.record_enum_delay(0.0)
+    s.record_view_sizes(10 * k, {"V_A": 6 * k, "V_B": 4})
+    s.record_view_sizes(12)
+    s.record_batch_coalesce(8 * k, 5)
+    s.record_probe_sharing(4, 2 * k)
+    s.record_compiled_enumeration()
+    s.record_enum_probes(7 * k)
+    s.record_lazy_refresh()
+    s.record_point_lookup()
+    s.record_point_lookup(3)
+    s.record_migration(5 * k, to_heavy=True)
+    s.record_repartition(4.0)
+    s.record_ops({"lookup": 7 * k, "insert": 2})  # ops as a dict ...
+    s.record_ops([("lookup", 1), ("delete", 3)])  # ... and as pairs
+    s.record_submit()
+    s.record_submit(4 * k)
+    s.record_backpressure(0.003)
+    s.record_commit(0.002, 64, 10)  # every commit trigger
+    s.record_commit(0.005, 3 * k, 0, trigger="deadline")
+    s.record_commit(0.001, 1, 2, trigger="drain")
+    s.record_serve_read(0.0)
+    s.record_serve_read(0.0007 * k)
+    s.record_commit_error()
+    s.record_epoch_publish()
+    s.record_epoch_publish(3, k, 9)
+    s.record_snapshot_read(4e-5)
+    s.record_change_delta(6 * k)
+    s.record_change_delta(2, 128)
+    s.record_change_patch(3e-4, 6, 0.125 * k)
+    s.record_full_refresh()
+    s.record_codegen(3, 1.5 * k, cache_hits=2, fallbacks=1)
+    s.record_ipc_round(
+        2, 100 * k, 40, busy_s=0.01, wall_s=0.02, workers=2, commit=True
+    )
+    s.record_ipc_round(1, 10, 500, busy_s=0.001, wall_s=0.004, workers=1)
+    s.record_ipc_stats_merge(0.0005)
+    s.record_ipc_worker_failure()
+    s.record_ipc_workers_spawned(2)
+    return s
+
+
+def _golden_recorder() -> MaintenanceStats:
+    """Labelled, unlabelled and same-label merges over ``_recorded``."""
+    total = _recorded("coordinator")
+    total.merge(_recorded("worker", 2), label="shard0")
+    carrier = _recorded("carrier", 3)
+    carrier.merge(_recorded("worker", 4), label="shard0")
+    carrier.merge(_recorded("worker", 5), label="shard1")
+    total.merge(carrier)  # carries summaries; "shard0" collides
+    total.merge(_recorded("worker", 6), label="shard1")  # same label again
+    total.merge(MaintenanceStats("idle"), label="shard2")
+    return total
+
+
+def _golden_text(merged: MaintenanceStats) -> str:
+    return json.dumps([MaintenanceStats("fresh").to_dict(), merged.to_dict()])
+
+
+def write_golden() -> None:
+    """Regenerate the fixture after adding a metric (the diff must only
+    add keys): ``PYTHONPATH=src python -c "import tests.test_obs as t;
+    t.write_golden()"``."""
+    with open(GOLDEN, "w") as handle:
+        handle.write(_golden_text(_golden_recorder()))
+
+
+class TestGoldenDocument:
+    """``repro.obs/1`` is append-only: the committed document (generated
+    at the commit before the metric table replaced the hand-kept lists)
+    must be reproduced byte for byte — keys, key order and values."""
+
+    def test_document_is_byte_identical(self):
+        with open(GOLDEN) as handle:
+            assert _golden_text(_golden_recorder()) == handle.read()
+
+    def test_pickle_round_trip_is_byte_identical(self):
+        merged = pickle.loads(pickle.dumps(_golden_recorder()))
+        with open(GOLDEN) as handle:
+            assert _golden_text(merged) == handle.read()
+        merged.record_update(0.001)  # the lock came back
+        assert merged.updates == _golden_recorder().updates + 1
+
+
+class TestMetricTable:
+    """One declaration per metric: the table is the recorder's state,
+    its document and its shard summary."""
+
+    def test_table_is_the_recorder(self):
+        from repro.obs.stats import METRICS
+
+        fresh = MaintenanceStats("fresh")
+        state = [row.name for row in METRICS if row.derive is None]
+        assert len(state) == len(set(state))
+        # every declared attribute exists; every public attribute is declared
+        assert set(state) == {n for n in vars(fresh) if not n.startswith("_")}
+        document = fresh.to_dict()
+        paths = [row.path for row in METRICS if row.path is not None]
+        for path in paths:
+            node = document
+            for part in path.split("."):
+                assert part in node, path
+                node = node[part]
+        # ... and nothing undeclared is exported (a block slot such as
+        # "codegen" is a prefix of the rows that fill it, not a leaf)
+        declared = {
+            p for p in paths if not any(q.startswith(p + ".") for q in paths)
+        }
+
+        def leaves(node, prefix=""):
+            for key, value in node.items():
+                path = prefix + key
+                if isinstance(value, dict) and path not in declared:
+                    yield from leaves(value, path + ".")
+                else:
+                    yield path
+
+        assert sorted(leaves(document)) == sorted(declared)
+
+    def test_summary_cells_and_adding_rule_come_from_the_table(self):
+        from repro.obs.stats import COORDINATOR, METRICS
+
+        total = MaintenanceStats("coordinator")
+        total.merge(_recorded("worker"), label="shard0")
+        cells = [
+            row.name
+            for row in METRICS
+            if row.shard != COORDINATOR and row.kind.scalar
+        ]
+        assert list(total.shard_summaries["shard0"]) == cells
+        # worker-pool metrics belong to the coordinator: no summary has them
+        assert not [name for name in cells if name.startswith("ipc_")]
+        assert total.delta_ratio.count == 1  # a ROLLUP histogram folded in
+        assert total.commit_latency.count == 0  # a COORDINATOR one did not
+
+
+class TestLiveRecorderReads:
+    """``merge(other)``, ``to_dict()`` and ``render()`` of a recorder
+    another thread is writing (``ShardedEngine.merged_stats()`` folds
+    shard 0's live recorder while the serve commit thread records)."""
+
+    ROUNDS = 300
+
+    def test_merge_and_export_while_a_writer_records(self):
+        live = [MaintenanceStats("live")]
+        stop = threading.Event()
+
+        def write():
+            n = 0
+            while not stop.is_set():
+                n += 1
+                stats = live[0]
+                # fresh dict keys on every call: new views, new buckets
+                stats.record_delta(f"V{n}", n)
+                stats.record_view_sizes(n, {f"V{n}": n})
+                stats.record_update(1e-7 * 2.0 ** (n % 40))
+                stats.record_ops({f"op{n}": 1})
+                stats.record_commit(1e-6, n, 0, ("size", "deadline", "drain")[n % 3])
+
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            for round_ in range(self.ROUNDS):
+                if round_ % 10 == 0:
+                    live[0] = MaintenanceStats("live")  # keep merges short
+                other = live[0]
+                try:
+                    MaintenanceStats("labelled").merge(other, label="shard0")
+                    MaintenanceStats("unlabelled").merge(other)
+                    other.render()
+                    serving = other.to_dict()["serving"]
+                    if serving["commits"] != (
+                        serving["size_commits"]
+                        + serving["deadline_commits"]
+                        + serving["drain_commits"]
+                    ):
+                        errors.append("torn document")
+                except RuntimeError as error:
+                    errors.append(repr(error))
+        finally:
+            stop.set()
+            writer.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert not errors, f"{len(errors)} of {self.ROUNDS} rounds: {errors[:3]}"
+
+    def test_opposite_merges_do_not_deadlock(self):
+        a, b = _recorded("a"), _recorded("b")
+        threads = [
+            threading.Thread(target=lambda x=x, y=y: [x.merge(y) for _ in range(200)])
+            for x, y in ((a, b), (b, a))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
