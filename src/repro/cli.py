@@ -348,12 +348,15 @@ def run_explain(
     insert_only: bool,
     kernel_source: bool,
 ) -> int:
-    """Print the maintenance plan, optionally with generated kernel source.
+    """Print the maintenance plan and its view tree, optionally with
+    generated kernel source.
 
-    Kernel source is a pure function of the plan *shape* (step structure
-    plus ring identity), so the dump over empty relations is exactly the
-    code a populated engine of the same shape executes — deterministic
-    output that tests pin.
+    The tree is built over empty relations, each with the schema of its
+    first atom; its rendering marks every leaf ``= base`` or
+    ``copy (why)``.  Kernel source is a pure function of the plan
+    *shape* (step structure plus ring identity), so the dump is exactly
+    the code a populated engine of the same shape executes —
+    deterministic output that tests pin.
     """
     from .core.engine import IVMEngine
     from .data.database import Database
@@ -363,20 +366,24 @@ def run_explain(
     plan = plan_maintenance(query, fds, insert_only)
     print(f"query: {query}")
     print(f"plan:  {plan}")
-    if not kernel_source:
+    if plan.query is None:
+        if kernel_source:
+            print()
+            print(f"no generated kernels: plan {plan.strategy!r} runs none")
         return 0
 
     db = Database()
     for atom in query.atoms:
         if atom.relation not in db:
             db.create(atom.relation, atom.variables)
-    if plan.query is None:
-        print()
-        print(f"no generated kernels: plan {plan.strategy!r} runs none")
-        return 0
     # Every view-tree plan is one tree (a CQAP's fracture components are
     # its roots), so its kernels are the whole story.
     tree = IVMEngine(query, db, fds, insert_only, plan=plan).backend
+    print()
+    print("view tree:")
+    print(tree.describe())
+    if not kernel_source:
+        return 0
     for name in sorted(tree._kernels):
         for anchor, kernel in enumerate(tree._kernels[name]):
             print()

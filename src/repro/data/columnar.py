@@ -32,7 +32,7 @@ from .update import Update
 
 try:  # pragma: no cover - exercised indirectly via coalesce_columnar
     import numpy as _np
-except Exception:  # pragma: no cover - numpy is baked into CI images
+except Exception:  # pragma: no cover - numpy is optional
     _np = None
 
 #: Below this many updates the numpy path's array setup costs more than

@@ -26,16 +26,18 @@ from .schema import Schema
 class GroupIndex:
     """Secondary index grouping a relation's keys by a schema subset.
 
-    Stores plain position tuples rather than a projection closure, so
-    indexed relations stay picklable (process-pool sharding ships whole
-    engines between processes).
+    Projects keys with the schema's :meth:`~Schema.projector`, a C-level
+    ``itemgetter`` that pickles, so indexed relations stay picklable (a
+    shard worker's database crosses a pipe inside its
+    ``ShardWorkerSpec``).
     """
 
-    __slots__ = ("group_vars", "_positions", "groups", "_cow", "_owned", "_cow_copied")
+    __slots__ = ("group_vars", "_project", "groups", "_cow", "_owned", "_cow_copied")
 
     def __init__(self, schema: Schema, group_vars: tuple[str, ...]):
         self.group_vars = group_vars
-        self._positions = schema.positions(group_vars)
+        #: key -> group key (always a tuple).
+        self._project = schema.projector(group_vars)
         # group key -> dict used as an insertion-ordered set of full keys
         self.groups: dict[tuple, dict[tuple, None]] = {}
         # Copy-on-write state for epoch snapshots (see share_version):
@@ -46,8 +48,20 @@ class GroupIndex:
         self._owned: set | None = None
         self._cow_copied = 0
 
-    def _project(self, key: tuple) -> tuple:
-        return tuple(key[i] for i in self._positions)
+    def _writable(self) -> tuple[dict, Any, set | None, "GroupIndex"]:
+        """Privatize ``groups`` for a run of postings made in place.
+
+        Returns what :meth:`Relation.add_delta` binds per index at a
+        delta's first posting (as :meth:`add` / :meth:`remove` privatize
+        at theirs): ``(groups, project, owned, self)``.  The postings it
+        makes must follow :meth:`add` / :meth:`remove` exactly — a bucket
+        in ``owned`` mode is copied (and counted) before its first write.
+        """
+        if self._cow:
+            self.groups = dict(self.groups)
+            self._cow = False
+            self._owned = set()
+        return self.groups, self._project, self._owned, self
 
     def share_version(self) -> tuple[dict, int]:
         """Freeze ``groups`` for a snapshot; return ``(groups, buckets_copied)``.
@@ -66,7 +80,7 @@ class GroupIndex:
         return self.groups, copied
 
     def add(self, key: tuple) -> None:
-        group_key = tuple(key[i] for i in self._positions)
+        group_key = self._project(key)
         if self._cow:
             self.groups = dict(self.groups)
             self._cow = False
@@ -87,7 +101,7 @@ class GroupIndex:
         bucket[key] = None
 
     def remove(self, key: tuple) -> None:
-        group_key = tuple(key[i] for i in self._positions)
+        group_key = self._project(key)
         if self._cow:
             self.groups = dict(self.groups)
             self._cow = False
@@ -120,7 +134,7 @@ class GroupIndex:
         """Structural copy sharing no mutable state with the original."""
         clone = object.__new__(GroupIndex)
         clone.group_vars = self.group_vars
-        clone._positions = self._positions
+        clone._project = self._project
         clone.groups = {
             group_key: dict(bucket) for group_key, bucket in self.groups.items()
         }
@@ -305,13 +319,98 @@ class Relation:
 
         Semantically identical to calling :meth:`add` once per pair —
         zero payloads are skipped, entries cancelling to the ring zero
-        are removed together with their index postings — but the hot
-        locals (data dict, ring ops, index list) bind once for the whole
-        delta and the write accounting is one bulk ``COUNTER`` bump.
-        This is the leaf/base/view sink of the compiled batch kernel.
+        are removed together with their index postings, and payloads,
+        index buckets and the dirty set end up as :meth:`add` leaves
+        them, insertion order included — but the hot locals bind once
+        for the whole delta and the write accounting is one bulk
+        ``COUNTER`` bump.  Every batched leaf and base write goes
+        through here; generated kernels write views and guards inline
+        (``codegen._emit_sink``).
+
+        Rings declaring ``exact_zero`` with ``add_operator == "+"`` — the
+        two flags the generated kernels inline too — take a loop with
+        ``old + payload`` and the zero tests in place and with the group
+        index postings made in the loop; other rings call the ring's
+        ``add`` / ``is_zero`` and :meth:`GroupIndex.add` / ``remove``
+        per entry.
 
         Returns the number of entries written (the op count bumped).
         """
+        if self._cow:
+            self._unshare()
+        ring = self.ring
+        if ring.exact_zero and ring.add_operator == "+":
+            writes = self._add_numeric(entries)
+        else:
+            writes = self._add_generic(entries)
+        if writes:
+            COUNTER.bump("write", writes)
+        return writes
+
+    def _add_numeric(self, entries: Iterable[tuple[tuple, Any]]) -> int:
+        """:meth:`add_delta` for numeric exact-zero rings.
+
+        ``add_operator == "+"`` asserts numeric payloads, whose
+        truthiness is exactly ``!= 0``.  Each posting is
+        :meth:`GroupIndex.add` / :meth:`GroupIndex.remove` written out,
+        bucket copy-on-write included.
+        """
+        data = self.data
+        get = data.get
+        dirty = self._dirty
+        indexes = self._indexes.values()
+        # Bound at the first posting, not before: a delta that only
+        # changes payloads copies no shared index version.
+        posts = None
+        writes = 0
+        for key, payload in entries:
+            if not payload:
+                continue
+            writes += 1
+            if dirty is not None:
+                dirty.add(key)
+            old = get(key)
+            if old is None:
+                data[key] = payload
+                if posts is None:
+                    posts = [index._writable() for index in indexes]
+                for groups, project, owned, index in posts:
+                    group_key = project(key)
+                    bucket = groups.get(group_key)
+                    if bucket is None:
+                        groups[group_key] = {key: None}
+                        if owned is not None:
+                            owned.add(group_key)
+                        continue
+                    if owned is not None and group_key not in owned:
+                        bucket = groups[group_key] = dict(bucket)
+                        owned.add(group_key)
+                        index._cow_copied += 1
+                    bucket[key] = None
+                continue
+            new = old + payload
+            if new:
+                data[key] = new
+                continue
+            del data[key]
+            if posts is None:
+                posts = [index._writable() for index in indexes]
+            for groups, project, owned, index in posts:
+                group_key = project(key)
+                bucket = groups[group_key]
+                if owned is not None and group_key not in owned:
+                    bucket = groups[group_key] = dict(bucket)
+                    owned.add(group_key)
+                    index._cow_copied += 1
+                del bucket[key]
+                if not bucket:
+                    del groups[group_key]
+                    if owned is not None:
+                        owned.discard(group_key)
+        return writes
+
+    def _add_generic(self, entries: Iterable[tuple[tuple, Any]]) -> int:
+        """:meth:`add_delta` for any ring: ring calls per entry."""
         ring = self.ring
         is_zero = ring.is_zero
         ring_add = ring.add
@@ -319,8 +418,6 @@ class Relation:
         # one comparison instead of a Python call per entry.
         exact = ring.exact_zero
         zero = ring.zero
-        if self._cow:
-            self._unshare()
         data = self.data
         dirty = self._dirty
         indexes = list(self._indexes.values()) if self._indexes else None
@@ -346,8 +443,6 @@ class Relation:
                         index.remove(key)
             else:
                 data[key] = new
-        if writes:
-            COUNTER.bump("write", writes)
         return writes
 
     def set(self, key: tuple, payload: Any) -> None:

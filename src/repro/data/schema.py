@@ -7,6 +7,7 @@ offering the set operations the query machinery needs.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -31,9 +32,9 @@ class Schema:
         self._projector_cache: dict = {}
 
     def __reduce__(self):
-        # Rebuild from the variable tuple: the caches hold closures, which
-        # must not (and need not) travel through pickle — process-pool
-        # sharding ships whole engines, schemas included.
+        # Rebuild from the variable tuple: the caches are derived state and
+        # need not travel with a pickled relation (a shard worker's
+        # database crosses a pipe inside its ShardWorkerSpec).
         return (Schema, (self.variables,))
 
     @classmethod
@@ -56,22 +57,27 @@ class Schema:
 
     def project(self, key: tuple, variables: Iterable[str]) -> tuple:
         """Project a key tuple over this schema onto ``variables``."""
-        return tuple(key[self._positions[v]] for v in variables)
+        return self.projector(variables)(key)
 
-    def projector(self, variables: Iterable[str]):
-        """Return a fast ``key -> projected key`` function (memoized).
+    def projector(self, variables: Iterable[str]) -> itemgetter:
+        """Return a ``key -> projected key`` function (memoized).
 
-        Prefer this in loops: it resolves positions once, and repeated
-        requests for the same projection return the same closure.
+        The one projection routine of the data layer: a C-level
+        :func:`operator.itemgetter` that always returns a tuple.  Ascending
+        contiguous positions — one position and none included — take the
+        slice form (``key[i:j]``), which for the full schema returns the
+        key itself; any other order picks the positions one by one.
+        Picklable, so group indexes holding one travel with their relation.
         """
         variables = tuple(variables)
         projector = self._projector_cache.get(variables)
         if projector is None:
             positions = self.positions(variables)
-            if positions == tuple(range(len(self.variables))):
-                projector = lambda key: key
+            start = positions[0] if positions else 0
+            if positions == tuple(range(start, start + len(positions))):
+                projector = itemgetter(slice(start, start + len(positions)))
             else:
-                projector = lambda key: tuple(key[i] for i in positions)
+                projector = itemgetter(*positions)
             self._projector_cache[variables] = projector
         return projector
 

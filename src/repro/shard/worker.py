@@ -84,7 +84,7 @@ from .router import ShardLeafFilter, ShardRouter
 
 try:  # pragma: no cover - exercised indirectly via the encoders
     import numpy as _np
-except Exception:  # pragma: no cover - numpy is baked into CI images
+except Exception:  # pragma: no cover - numpy is optional
     _np = None
 
 # RETAIN_EPOCHS (how many published epochs each worker keeps

@@ -67,7 +67,7 @@ from typing import Any, Iterator
 
 try:  # pragma: no cover - exercised indirectly via the encoders
     import numpy as _np
-except Exception:  # pragma: no cover - numpy is baked into CI images
+except Exception:  # pragma: no cover - numpy is optional
     _np = None
 
 #: How many per-epoch deltas stay addressable.  Deliberately equal to

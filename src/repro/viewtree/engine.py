@@ -3,8 +3,11 @@
 A view tree materializes, for each node of a variable order, the aggregate
 of the join of everything below the node.  Following F-IVM:
 
-* each query atom becomes a *leaf* relation of the tree (a live copy of
-  the database relation, renamed to the atom's variables);
+* each query atom becomes a *leaf* relation of the tree: the database
+  relation itself when the atom uses its schema and is its only atom,
+  otherwise a live copy renamed to the atom's variables — so after
+  construction the query's base relations are written through the
+  engine, never behind it;
 * the view at node ``X`` has schema ``dep(X)`` — the node's dependency
   set — and aggregates away ``X`` from the join of the node's children
   views and anchored leaves;
@@ -172,7 +175,11 @@ class ViewTreeEngine(Backend):
         predicate; when given, leaves materialize only the base tuples it
         accepts.  Combined with ``apply(update, update_base=False)`` this
         lets several engines share one database, each maintaining a
-        disjoint hash shard of it.
+        disjoint hash shard of it.  Without one, a leaf whose atom is
+        its relation's only atom and uses its schema *is* the database
+        relation (see :meth:`_make_leaf`; :meth:`describe` marks each
+        leaf ``= base`` or ``copy``): writing that relation behind the
+        engine's back changes a leaf without maintaining the views.
 
         ``generated`` (the default) plans every (base relation, anchor)
         propagation path and the free-top enumeration walk
@@ -224,8 +231,18 @@ class ViewTreeEngine(Backend):
         self.roots: list[ViewNode] = []
         #: relation name -> list of (atom, anchor ViewNode, leaf Relation)
         self._anchors: dict[str, list[tuple[Atom, ViewNode, Relation]]] = {}
+        #: atom -> why its leaf is a private copy (see _make_leaf).
+        self._leaf_copies: dict[Atom, str] = {}
         for var_root in self.order.roots:
             self.roots.append(self._build_node(var_root, None))
+        #: Relations whose one leaf is the base relation itself: an
+        #: update writes them once, and not at all when the caller
+        #: writes the base (``update_base=False``).
+        self._aliased = frozenset(
+            name
+            for name, anchors in self._anchors.items()
+            if anchors[0][2] is database[name]
+        )
         #: Whether this engine runs generated kernels (the production
         #: path) or the generic walk (the oracle).
         self.generated = generated
@@ -334,12 +351,32 @@ class ViewTreeEngine(Backend):
         return node
 
     def _make_leaf(self, atom: Atom) -> Relation:
+        """The leaf of ``atom``: its base relation itself when it can be.
+
+        A leaf *is* ``database[atom.relation]`` unless something makes
+        it differ, recorded per atom in ``_leaf_copies``: a
+        ``leaf_filter`` (the leaf holds one shard of the base), atom
+        variables other than the base schema (``renamed``), or a second
+        atom over the same relation (``self-join``: an anchor's push must
+        see the relation's later anchors in their pre-update state, see
+        :meth:`apply_coalesced_batch`, so each atom needs a leaf of its
+        own).  Those leaves are private copies.
+        """
         base = self.database[atom.relation]
         if len(atom.variables) != len(base.schema):
             raise ValueError(
                 f"atom {atom} arity does not match relation "
                 f"{base.schema.variables!r}"
             )
+        if self._leaf_filter is not None:
+            why = "filter"
+        elif atom.variables != base.schema.variables:
+            why = "renamed"
+        elif sum(a.relation == atom.relation for a in self.query.atoms) > 1:
+            why = "self-join"
+        else:
+            return base
+        self._leaf_copies[atom] = why
         leaf = Relation(f"leaf_{atom}", Schema(atom.variables), self.ring)
         if self._leaf_filter is None:
             leaf.data = dict(base.data)
@@ -362,8 +399,13 @@ class ViewTreeEngine(Backend):
 
         ``update_base`` also applies the update to the database relation;
         pass ``False`` when a coordinator shares one database among
-        several engines and applies base updates itself.  Updates to a
-        static relation (:class:`StaticRelationUpdateError`) or to one
+        several engines and applies base updates itself.  ``False`` is a
+        per-update contract: the caller writes *this* update to the base
+        immediately before this call and nothing else in between, since
+        a leaf that is the base relation is then not written again (with
+        ``True`` it is written once, as the base) and every other leaf
+        the push reads must still be in its pre-update state.  Updates
+        to a static relation (:class:`StaticRelationUpdateError`) or to one
         outside the query (``KeyError``) are rejected before any write.
 
         The delta runs through the relation's generated ``push``
@@ -374,19 +416,22 @@ class ViewTreeEngine(Backend):
         anchors = self._anchors.get(update.relation)
         if anchors is None or update.relation in self._static:
             raise self._rejected(update.relation)
-        if update_base and update.relation in self.database:
+        write_base, write_leaves = self._writes(update.relation, update_base)
+        if write_base:
             self.database[update.relation].add(update.key, update.payload)
         kernels = self._kernels.get(update.relation)
         if kernels is not None:
             stats = self._maintenance_stats
             for (_atom, _node, leaf), kernel in zip(anchors, kernels):
-                leaf.add(update.key, update.payload)
+                if write_leaves:
+                    leaf.add(update.key, update.payload)
                 kernel.push(update.key, update.payload, stats)
         else:
             for atom, node, leaf in anchors:
                 delta = Relation(f"d_{atom}", leaf.schema, self.ring)
                 delta.add(update.key, update.payload)
-                leaf.add(update.key, update.payload)
+                if write_leaves:
+                    leaf.add(update.key, update.payload)
                 self._propagate(node, delta, exclude=leaf)
         if self._maintenance_stats is not None:
             self._maybe_sample_views()
@@ -398,6 +443,15 @@ class ViewTreeEngine(Backend):
                 f"relation {relation!r} is adorned static"
             )
         return KeyError(f"relation {relation!r} not in the query")
+
+    def _writes(self, relation: str, update_base: bool) -> tuple[bool, bool]:
+        """``(base, leaves)``: which relations an update to ``relation``
+        writes.  An aliased leaf is the base: written once when
+        ``update_base`` is set, and not at all otherwise — the caller
+        has just written the base (see :meth:`apply`)."""
+        if relation in self._aliased:
+            return False, update_base
+        return update_base and relation in self.database, True
 
     @observed
     def apply_batch(
@@ -447,6 +501,17 @@ class ViewTreeEngine(Backend):
         as its sender did.  A batch naming a static relation, or one
         outside the query, is rejected before anything is written.
 
+        ``update_base=False`` means the caller wrote the batch to the
+        base just before this call.  A leaf that is its base relation
+        (``= base`` in :meth:`describe`) then already holds the whole
+        batch while other relations' deltas are still being pushed, and
+        the pushes would join two deltas twice (``ΔR·ΔS`` once from each
+        side).  So under ``update_base=False`` a batch naming such a
+        relation must name no other one (``ValueError``, before any
+        write): push one relation per call, or use ``update_base=True``.
+        A one-relation batch is exact — a relation with a base leaf has
+        one atom, and its push never reads its own leaf.
+
         The paper's opening observation cuts both ways: small changes are
         worth propagating, but a batch comparable to the database size is
         cheaper to *recompute*.  The heuristic, in order:
@@ -472,11 +537,20 @@ class ViewTreeEngine(Backend):
         updated before its push and excluded from its first sibling
         join, while later anchors of the same relation see the earlier
         leaves' post-batch state, matching the per-tuple interleaving's
-        sum).
+        sum).  A leaf that is its base relation is written at most once,
+        in both branches, exactly as in :meth:`apply`.
         """
         for name in columns:
             if name not in self._anchors or name in self._static:
                 raise self._rejected(name)
+        if not update_base and len(columns) > 1:
+            written = sorted(self._aliased.intersection(columns))
+            if written:
+                raise ValueError(
+                    f"update_base=False over {written}, whose leaf is the "
+                    "base relation, together with other relations: apply "
+                    "one relation per batch, or pass update_base=True"
+                )
         size = sum(len(keys) for keys, _ in columns.values())
         if raw is None:
             raw = size
@@ -492,10 +566,12 @@ class ViewTreeEngine(Backend):
             )
             if raw >= rebuild_factor * max(leaf_size, 1):
                 for name, (keys, pays) in columns.items():
-                    if update_base and name in database:
+                    write_base, write_leaves = self._writes(name, update_base)
+                    if write_base:
                         database[name].add_delta(zip(keys, pays))
-                    for _atom, _node, leaf in self._anchors[name]:
-                        leaf.add_delta(zip(keys, pays))
+                    if write_leaves:
+                        for _atom, _node, leaf in self._anchors[name]:
+                            leaf.add_delta(zip(keys, pays))
                 self.rebuild()
                 if stats is not None:
                     self.sample_view_sizes()
@@ -514,12 +590,14 @@ class ViewTreeEngine(Backend):
                 for key, payload in zip(keys, pays):
                     self.apply(Update(name, key, payload), update_base)
                 continue
-            if update_base and name in database:
+            write_base, write_leaves = self._writes(name, update_base)
+            if write_base:
                 database[name].add_delta(zip(keys, pays))
             for (_atom, _node, leaf), kernel in zip(
                 self._anchors[name], kernels
             ):
-                leaf.add_delta(zip(keys, pays))
+                if write_leaves:
+                    leaf.add_delta(zip(keys, pays))
                 kernel.push_batch(keys, pays, stats)
         if stats is not None:
             self._maybe_sample_views(raw)
@@ -1028,7 +1106,13 @@ class ViewTreeEngine(Backend):
             self.sample_view_sizes()
 
     def describe(self) -> str:
-        """ASCII rendering of the view tree with sizes."""
+        """ASCII rendering of the view tree with sizes.
+
+        Each leaf line says whether the leaf is its base relation
+        (``= base``) or a private copy, and why (``copy (filter)``,
+        ``copy (renamed)``, ``copy (self-join)``): how many copies of
+        each input tuple this engine holds.
+        """
         lines: list[str] = []
 
         def visit(node: ViewNode, depth: int) -> None:
@@ -1040,7 +1124,9 @@ class ViewTreeEngine(Backend):
                 + (f" guard={len(node.guard)}" if node.guard is not None else "")
             )
             for atom, leaf in node.leaves:
-                lines.append(f"{pad}  leaf {atom} size={len(leaf)}")
+                why = self._leaf_copies.get(atom)
+                kind = "= base" if why is None else f"copy ({why})"
+                lines.append(f"{pad}  leaf {atom} {kind} size={len(leaf)}")
             for child in node.children:
                 visit(child, depth + 1)
 

@@ -170,6 +170,20 @@ def rewrite_case(strategy, seed, count=240):
     return query, (), make_db, valid_stream(rng, {"R": 2, "S": 2}, count, domain=6)
 
 
+def applied_once(db, stream):
+    """``{relation: payloads}`` of ``db`` (over Z) after ``stream`` lands
+    on it exactly once; ``db`` itself is not touched."""
+    tables = {relation.name: dict(relation.data) for relation in db}
+    for update in stream:
+        table = tables[update.relation]
+        payload = table.get(update.key, 0) + update.payload
+        if payload:
+            table[update.key] = payload
+        else:
+            del table[update.key]
+    return tables
+
+
 def valid_stream(rng, relations, count, domain=8, delete_prob=0.25):
     """A random update stream that keeps all multiplicities non-negative.
 

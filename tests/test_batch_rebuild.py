@@ -1,10 +1,14 @@
 """Batch application with the rebuild crossover (propagate vs recompute)."""
 
+import pytest
+
 from repro.data import Database, Update, counting
+from repro.data.columnar import coalesce_columnar
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
+from repro.rings import Z
 from repro.viewtree import ViewTreeEngine
-from tests.conftest import valid_stream
+from tests.conftest import applied_once, valid_stream
 
 QUERY = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
 
@@ -49,6 +53,28 @@ class TestBatchApplication:
         engine, db = fresh_engine(rng, rows=20)
         batch = valid_stream(rng, {"R": 2, "S": 2}, 500, domain=12)
         engine.apply_batch(batch, rebuild_factor=0.5)
+        assert engine.output_relation() == evaluate(QUERY, db)
+
+    @pytest.mark.parametrize("update_base", [True, False])
+    def test_rebuild_writes_an_aliased_relation_once(self, rng, update_base):
+        engine, db = fresh_engine(rng, rows=20)
+        assert engine._aliased == {"R", "S"}
+        rebuilds = []
+        engine.rebuild = lambda: rebuilds.append(ViewTreeEngine.rebuild(engine))
+        # Under update_base=False a batch over a base leaf names one
+        # relation (see apply_coalesced_batch).
+        arities = {"R": 2, "S": 2} if update_base else {"R": 2}
+        batch = valid_stream(rng, arities, 500, domain=12)
+        expected = applied_once(db, batch)
+        columns = coalesce_columnar(batch, Z)
+        if not update_base:  # the caller writes the base, then the engine
+            for name, (keys, payloads) in columns.items():
+                db[name].add_delta(zip(keys, payloads))
+        engine.apply_coalesced_batch(
+            columns, update_base=update_base, rebuild_factor=0.5
+        )
+        assert len(rebuilds) == 1
+        assert {rel.name: rel.data for rel in db} == expected
         assert engine.output_relation() == evaluate(QUERY, db)
 
     def test_equivalence_across_modes(self, rng):

@@ -6,7 +6,7 @@ from repro.cascade import CascadeEngine, StaleCascadeError
 from repro.data import Database, Update
 from repro.naive import evaluate
 from repro.query import parse_query, rewrite_using, find_embedding
-from tests.conftest import valid_stream
+from tests.conftest import applied_once, valid_stream
 
 Q1 = parse_query("Q1(A,B,C,D) = R(A,B) * S(B,C) * T(C,D)")
 Q2 = parse_query("Q2(A,B,C) = R(A,B) * S(B,C)")
@@ -128,3 +128,22 @@ class TestCascadeEngine:
         engine.apply(Update("R", (0, 0), 1))
         engine.refresh()
         list(engine.enumerate_q1())  # no StaleCascadeError
+
+    def test_aliased_leaves_see_each_update_once(self, rng):
+        # Schemas equal to the atoms: every leaf of both trees is a base
+        # relation (V_Q2 included), which the cascade writes itself before
+        # calling apply(update, update_base=False).
+        db = Database()
+        for name, schema in (("R", "AB"), ("S", "BC"), ("T", "CD")):
+            db.create(name, tuple(schema))
+        engine = CascadeEngine(Q1, Q2, db)
+        assert engine.q2_engine._aliased == {"R", "S"}
+        assert engine.q1_engine._aliased == {"Q2", "T"}
+        stream = valid_stream(rng, {"R": 2, "S": 2, "T": 2}, 300, domain=6)
+        expected = applied_once(db, stream)
+        for i, update in enumerate(stream):
+            engine.apply(update)
+            if i % 75 == 74:
+                assert dict(engine.enumerate_q2()) == evaluate(Q2, db).to_dict()
+                assert dict(engine.enumerate_q1()) == evaluate(Q1, db).to_dict()
+        assert {rel.name: rel.data for rel in db} == expected

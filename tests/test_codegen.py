@@ -461,6 +461,16 @@ class TestExplainCLI:
         assert out.count("-- enum kernel --") == 1
         assert "component" not in out
 
+    def test_view_tree_marks_base_and_copied_leaves(self, capsys):
+        assert cli_main(["explain", "Q(Y, X, Z) = R(Y, X) * S(Y, Z)"]) == 0
+        out = capsys.readouterr().out
+        assert "leaf R(Y, X) = base" in out and "leaf S(Y, Z) = base" in out
+        assert "def push(" not in out  # kernel source only on request
+        assert cli_main(["explain", "Q(A, B, C) = E(A, B) * E(B, C)"]) == 0
+        out = capsys.readouterr().out
+        assert "leaf E(A, B) copy (self-join)" in out
+        assert "leaf E(B, C) copy (renamed)" in out
+
     def test_plan_without_codegen_says_so(self, capsys):
         assert cli_main(
             ["explain", "Q() = R(A,B) * S(B,C) * T(C,A)", "--insert-only",
@@ -548,7 +558,23 @@ class TestColumnarCoalesce:
         batch = self.make_batch(rng, 40, lambda r: r.choice([1, 2, -1]))
         self.assert_matches_grouped(batch, Z)
 
-    def test_numpy_path_matches_grouped(self):
+    @staticmethod
+    def numpy_calls(monkeypatch) -> list:
+        """Skip without numpy; else record each numpy-path coalesce."""
+        pytest.importorskip("numpy")
+        import repro.data.columnar as columnar
+
+        calls = []
+        numeric = columnar._coalesce_numeric
+        monkeypatch.setattr(
+            columnar,
+            "_coalesce_numeric",
+            lambda *args: calls.append(args) or numeric(*args),
+        )
+        return calls
+
+    def test_numpy_path_matches_grouped(self, monkeypatch):
+        calls = self.numpy_calls(monkeypatch)
         rng = random.Random(131)
         batch = self.make_batch(
             rng, max(NUMPY_MIN_BATCH * 4, 300),
@@ -556,8 +582,10 @@ class TestColumnarCoalesce:
         )
         assert len(batch) >= NUMPY_MIN_BATCH
         self.assert_matches_grouped(batch, R)
+        assert len(calls) == 1
 
-    def test_numpy_path_cancellation_filtered(self):
+    def test_numpy_path_cancellation_filtered(self, monkeypatch):
+        calls = self.numpy_calls(monkeypatch)
         # Keys whose payloads sum to (tolerance-band) zero must be
         # dropped by both paths.
         batch = []
@@ -567,6 +595,7 @@ class TestColumnarCoalesce:
         batch.append(Update("R", (9, 9), 2.0))
         columnar = coalesce_columnar(batch, R)
         assert columnar == {"R": ([(9, 9)], [2.0])}
+        assert len(calls) == 1
 
     def test_small_numeric_batch_uses_python_path(self):
         batch = [Update("R", (1, 2), 0.5)] * (NUMPY_MIN_BATCH - 1)

@@ -46,6 +46,23 @@ class TestSchema:
         key = (1, 2)
         assert project(key) is key
 
+    @pytest.mark.parametrize(
+        "variables,expected",
+        [
+            ((), ()),
+            (("B",), (2,)),
+            (("B", "C"), (2, 3)),
+            (("A", "C"), (1, 3)),
+            (("C", "A"), (3, 1)),
+            (("A", "B", "C"), (1, 2, 3)),
+        ],
+    )
+    def test_projector_returns_tuples_and_pickles(self, variables, expected):
+        project = Schema.of("A", "B", "C").projector(variables)
+        assert project((1, 2, 3)) == expected
+        assert type(project((1, 2, 3))) is tuple
+        assert pickle.loads(pickle.dumps(project))((1, 2, 3)) == expected
+
     def test_set_operations(self):
         a = Schema.of("A", "B")
         b = Schema.of("B", "C")
@@ -249,6 +266,105 @@ class TestRelation:
         for a in range(6):
             expected = sorted(k for k in oracle if k[0] == a)
             assert sorted(rel.group(("A",), (a,))) == expected
+
+
+#: Index positions over the schema ("A", "B", "C"): empty, single,
+#: non-contiguous and out-of-order projections.
+INDEXED = [(), ("A",), ("B",), ("A", "C"), ("B", "A")]
+
+_entry = st.tuples(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+    st.sampled_from([-2, -1, 0, 1, 2]),
+)
+
+
+def _indexed(prefill, dirty):
+    rel = Relation("R", ("A", "B", "C"), data=dict(prefill))
+    for variables in INDEXED:
+        rel.index_on(variables)
+    if dirty:
+        rel.track_dirty()
+    return rel
+
+
+def _ordered(groups_by_vars):
+    """``{variables: groups}`` as lists: group and member order included."""
+    return {
+        variables: [(gk, list(bucket)) for gk, bucket in groups.items()]
+        for variables, groups in groups_by_vars.items()
+    }
+
+
+def _buckets(rel):
+    return _ordered({v: index.groups for v, index in rel._indexes.items()})
+
+
+def _frozen(shared):
+    data, groups, _, _ = shared
+    return list(data.items()), _ordered(groups)
+
+
+def _assert_indexes_consistent(rel):
+    for variables, index in rel._indexes.items():
+        project = rel.schema.projector(variables)
+        expected: dict = {}
+        for key in rel.data:
+            expected.setdefault(project(key), []).append(key)
+        assert {gk: list(b) for gk, b in index.groups.items()} == expected
+
+
+class TestAddDeltaFastLoop:
+    """``add_delta``'s numeric loop (exact-zero ``+`` rings such as Z)
+    against one :meth:`Relation.add` per entry."""
+
+    @given(
+        st.dictionaries(_entry.map(lambda e: e[0]), st.integers(1, 2), max_size=8),
+        st.lists(
+            st.tuples(st.lists(_entry, max_size=14), st.booleans()), max_size=6
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_entry_add(self, prefill, chunks, dirty):
+        assert Z.exact_zero and Z.add_operator == "+"
+        fast, slow = _indexed(prefill, dirty), _indexed(prefill, dirty)
+        published = []
+        for entries, publish in chunks:
+            if publish:
+                shared = fast.share_version()
+                assert shared[2] == slow.share_version()[2]  # buckets copied
+                published.append((shared, _frozen(shared)))
+            # Exact cancellations: every third entry comes back negated.
+            entries = entries + [(key, -p) for key, p in entries[::3]]
+            with counting() as fused:
+                writes = fast.add_delta(iter(entries))
+            with counting() as single:
+                for key, payload in entries:
+                    slow.add(key, payload)
+            assert writes == fused["write"] == single["write"]
+            assert list(fast.data.items()) == list(slow.data.items())
+            assert _buckets(fast) == _buckets(slow)
+            assert fast._dirty == slow._dirty
+            # Shared index versions are copied at the first posting, as
+            # add/remove do — a payload-only delta copies none.
+            assert [i._cow for i in fast._indexes.values()] == [
+                i._cow for i in slow._indexes.values()
+            ]
+        for shared, frozen in published:
+            assert _frozen(shared) == frozen
+        _assert_indexes_consistent(fast)
+
+        # Copies and pickles keep maintaining their indexes.
+        more = [((0, 1, 0), 1), ((2, 2, 1), 1), ((0, 1, 0), -1)]
+        more += [(key, -p) for key, p in list(fast.data.items())[:3]]
+        expected = slow.copy()
+        for key, payload in more:
+            expected.add(key, payload)
+        for clone in (fast.copy(), pickle.loads(pickle.dumps(fast))):
+            clone.add_delta(more)
+            assert list(clone.data.items()) == list(expected.data.items())
+            assert _buckets(clone) == _buckets(expected)
+            _assert_indexes_consistent(clone)
 
 
 class TestOpCounter:

@@ -79,6 +79,7 @@ class TestWireEncoding:
         assert decoded == coalesce_columnar(batch, Z)
 
     def test_float_payloads_round_trip_bit_identically(self):
+        pytest.importorskip("numpy")
         ring = FloatRing()
         # Payloads chosen so any decimal re-parse would drift.
         payloads = [0.1, 1e-9, 3.141592653589793, -2.5000000000000004]
@@ -105,6 +106,25 @@ class TestWireEncoding:
         assert wire_round_trip(batch, Z) == ({}, {})
         floats = [Update("R", (7, 7), 0.25), Update("R", (7, 7), -0.25)]
         assert wire_round_trip(floats, FloatRing()) == ({}, {})
+
+    def test_output_delta_float_payloads_round_trip_bit_identically(self):
+        pytest.importorskip("numpy")
+        from repro.viewtree.changes import OutputDelta, decode_delta, encode_delta
+
+        def bits(entries):
+            return [
+                tuple(None if v is None else v.hex() for v in (old, new))
+                for _key, old, new in entries
+            ]
+
+        ring = FloatRing()
+        entries = [((1,), None, 0.1), ((2,), 1e-9, None), ((3,), 2.5, -3.14159)]
+        wire = encode_delta(OutputDelta(4, 5, entries), ring)
+        assert wire[2] == "np"
+        delta = decode_delta(pickle.loads(pickle.dumps(wire)), ring)
+        assert (delta.epoch_from, delta.epoch_to) == (4, 5)
+        assert [key for key, _, _ in delta.entries] == [(1,), (2,), (3,)]
+        assert bits(delta.entries) == bits(entries)
 
 
 def owned_key(engine, shard, spread=64):

@@ -13,7 +13,7 @@ from repro.viewtree import (
     LazyList,
     make_strategy,
 )
-from tests.conftest import valid_stream
+from tests.conftest import applied_once, valid_stream
 
 QUERY = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
 SCHEMAS = {"R": 2, "S": 2}
@@ -111,3 +111,17 @@ class TestCharacteristics:
             strategy.enumerate_count()
         third = ops.total()
         assert third > second
+
+    def test_lazy_fact_writes_the_base_its_rebuilt_leaves_alias(self, rng):
+        # LazyFact writes the base itself and rebuilds its engine on read;
+        # every rebuilt tree's leaves are those base relations.
+        db = fresh_db()
+        strategy = LazyFact(QUERY, db)
+        stream = valid_stream(rng, SCHEMAS, 240, domain=6)
+        expected = applied_once(db, stream)
+        for i, update in enumerate(stream):
+            strategy.apply(update)
+            if i % 60 == 59:
+                assert dict(strategy.enumerate()) == evaluate(QUERY, db).to_dict()
+                assert strategy._engine._aliased == {"R", "S"}
+        assert {rel.name: rel.data for rel in db} == expected

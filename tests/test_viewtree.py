@@ -24,15 +24,65 @@ def seeded_db(schemas, rng, rows=120, domain=12):
     return db
 
 
+def leaves_of(engine):
+    """``{str(atom): leaf}`` over the whole tree."""
+    return {
+        str(atom): leaf
+        for root in engine.roots
+        for node in root.walk()
+        for atom, leaf in node.leaves
+    }
+
+
 class TestConstruction:
-    def test_leaves_are_copies(self, rng):
+    def test_leaf_contract_base_or_private_copy(self, rng):
+        # A leaf is its base relation when nothing makes it differ ...
         db = seeded_db([("R", ("Y", "X")), ("S", ("Y", "Z"))], rng)
         engine = ViewTreeEngine(FIG3, db)
-        # Mutating the base relation behind the engine's back leaves the
-        # tree stale (leaves are copies): pick a Y value that joins.
-        some_y = next(iter(db["S"].keys()))[0]
-        db["R"].insert(some_y, 999)
-        assert engine.output_relation() != evaluate(FIG3, db)
+        leaves = leaves_of(engine)
+        assert leaves["R(Y, X)"] is db["R"] and leaves["S(Y, Z)"] is db["S"]
+        assert engine._aliased == {"R", "S"}
+        text = engine.describe()
+        assert "leaf R(Y, X) = base" in text and "copy" not in text
+
+        # ... and a private copy for a self-join ...
+        q = parse_query("Q(A, B, C) = E(A, B) * E(B, C)")
+        db = seeded_db([("E", ("A", "B"))], rng, rows=30, domain=6)
+        engine = ViewTreeEngine(q, db, search_order(q, require_free_top=True))
+        for leaf in leaves_of(engine).values():
+            assert leaf is not db["E"] and leaf.data == db["E"].data
+        assert engine._aliased == frozenset()
+        text = engine.describe()
+        assert "leaf E(A, B) copy (self-join)" in text
+        assert "leaf E(B, C) copy (renamed)" in text
+
+        # ... for atom variables other than the base schema ...
+        db = seeded_db([("R", ("A", "B")), ("S", ("Y", "Z"))], rng)
+        engine = ViewTreeEngine(FIG3, db)
+        leaves = leaves_of(engine)
+        assert leaves["R(Y, X)"] is not db["R"] and leaves["S(Y, Z)"] is db["S"]
+        assert "leaf R(Y, X) copy (renamed)" in engine.describe()
+
+        # ... and for a leaf filter (one shard of the base).
+        db = seeded_db([("R", ("Y", "X")), ("S", ("Y", "Z"))], rng)
+        engine = ViewTreeEngine(FIG3, db, leaf_filter=lambda name, key: key[0] % 2)
+        for leaf in leaves_of(engine).values():
+            assert leaf is not db["R"] and leaf is not db["S"]
+            assert all(key[0] % 2 for key in leaf.data)
+        assert engine.describe().count("copy (filter)") == 2
+
+    def test_base_relations_are_written_once_through_the_engine(self, rng):
+        from tests.conftest import applied_once, valid_stream
+
+        db = seeded_db([("R", ("Y", "X")), ("S", ("Y", "Z"))], rng)
+        engine = ViewTreeEngine(FIG3, db)
+        stream = valid_stream(rng, {"R": 2, "S": 2}, 200, domain=12)
+        expected = applied_once(db, stream)
+        for update in stream[:100]:
+            engine.apply(update)
+        engine.apply_batch(stream[100:])
+        assert {rel.name: rel.data for rel in db} == expected
+        assert engine.output_relation() == evaluate(FIG3, db)
 
     def test_guard_only_when_multiple_sources(self, rng):
         db = seeded_db([("R", ("Y", "X")), ("S", ("Y", "Z"))], rng)
@@ -107,6 +157,85 @@ class TestMaintenance:
         size = len(db["R"])
         engine.apply(Update("R", (50, 51), 1), update_base=False)
         assert len(db["R"]) == size
+
+    # R and S anchor at different nodes in FIG3 and at the same node in
+    # CO_ANCHORED, where each push joins its delta with the other leaf.
+    CO_ANCHORED = parse_query("Q(A, B) = R(A, B) * S(A, B)")
+
+    @pytest.mark.parametrize("generated", [True, False])
+    @pytest.mark.parametrize(
+        "query,schemas",
+        [
+            (FIG3, [("R", ("Y", "X")), ("S", ("Y", "Z"))]),
+            (CO_ANCHORED, [("R", ("A", "B")), ("S", ("A", "B"))]),
+        ],
+    )
+    def test_update_base_false_after_the_caller_wrote_the_base(
+        self, rng, query, schemas, generated
+    ):
+        # The coordinator contract: the caller writes the base just before
+        # each call — one update, or one relation's batch — and a leaf
+        # that is the base relation is not written again.
+        from repro.data.columnar import coalesce_columnar
+        from tests.conftest import applied_once, valid_stream
+
+        db = seeded_db(schemas, rng, rows=60, domain=6)
+        engine = ViewTreeEngine(query, db, generated=generated)
+        engine.batch_compile_threshold = 1  # kernels for every batch
+        assert engine._aliased == {"R", "S"}
+        stream = valid_stream(rng, {"R": 2, "S": 2}, 300, domain=6)
+        expected = applied_once(db, stream)
+        for update in stream[:100]:
+            db[update.relation].add(update.key, update.payload)
+            engine.apply(update, update_base=False)
+        for part in (stream[100:200], stream[200:]):
+            for name, (keys, payloads) in coalesce_columnar(part, Z).items():
+                db[name].add_delta(zip(keys, payloads))
+                engine.apply_coalesced_batch(
+                    {name: (keys, payloads)}, update_base=False
+                )
+        assert {rel.name: rel.data for rel in db} == expected
+        assert engine.output_relation() == evaluate(query, db)
+
+    @pytest.mark.parametrize("generated", [True, False])
+    def test_co_anchored_deltas_are_joined_once(self, generated):
+        # Q(1, 1) = R(1, 1) · S(1, 1) = 1: the cross term ΔR·ΔS must be
+        # counted by exactly one of the two pushes, on every path.
+        from repro.data.columnar import coalesce_columnar
+
+        query = self.CO_ANCHORED
+        batch = [Update("R", (1, 1), 1), Update("S", (1, 1), 1)]
+
+        def empty_engine():
+            db = Database()
+            db.create("R", ("A", "B"))
+            db.create("S", ("A", "B"))
+            engine = ViewTreeEngine(query, db, generated=generated)
+            engine.batch_compile_threshold = 1
+            return engine, db
+
+        engine, _db = empty_engine()
+        engine.apply_batch(batch)  # the engine writes the base
+        assert engine.output_relation().to_dict() == {(1, 1): 1}
+
+        engine, db = empty_engine()
+        for update in batch:  # per update, base written just before
+            db[update.relation].add(update.key, update.payload)
+            engine.apply(update, update_base=False)
+        assert engine.output_relation().to_dict() == {(1, 1): 1}
+
+        # A whole pre-written multi-relation batch cannot be pushed over
+        # base leaves: both pushes would see the other's post-batch leaf.
+        engine, db = empty_engine()
+        for update in batch:
+            db[update.relation].add(update.key, update.payload)
+        with pytest.raises(ValueError, match="one relation per batch"):
+            engine.apply_coalesced_batch(
+                coalesce_columnar(batch, Z), update_base=False
+            )
+        with pytest.raises(ValueError, match="one relation per batch"):
+            engine.apply_batch(batch, update_base=False)
+        assert engine.output_relation().to_dict() == {}
 
     def test_self_join_within_one_tree(self, rng):
         from tests.conftest import valid_stream
