@@ -11,6 +11,22 @@ Section 2's data-structure contract, implemented literally:
 
 Entries whose payload becomes zero are removed, so ``len(relation)`` is
 always the number of tuples with non-zero payload.
+
+Versions
+--------
+Writes always go in place.  What an epoch snapshot
+(:mod:`repro.viewtree.epoch`) needs of a relation is one **pre-image
+map** per live snapshot: key -> the payload it had at the snapshot's
+publish, or :data:`ABSENT`.  Every write path fills the maps of the live
+snapshots before it writes, first write wins, so a map holds exactly
+the keys written since its publish; a relation no snapshot covers has
+no map and its writes pay one empty-list test.  A group index keeps the
+same maps over its buckets (group key -> the bucket object at publish),
+and copies a bucket once, before its first write after a publish, so
+published buckets are never mutated and a snapshot iterates them in
+their publish-time order.  A snapshot reads a key from the live dict
+first and from its map second; see :class:`~repro.viewtree.epoch.VersionView`
+for why that order is exact against a concurrent writer.
 """
 
 from __future__ import annotations
@@ -22,6 +38,26 @@ from ..rings.standard import Z
 from .opcounter import COUNTER
 from .schema import Schema
 
+#: The pre-image of a key (or group key) that was absent at publish.
+#: Stored payloads and buckets are never ``None``, so ``None`` marks
+#: absence exactly as ``dict.get`` does: ``undo.get(key, live.get(key))``
+#: is a snapshot read.
+ABSENT = None
+
+
+def _detach(maps: list[dict], undo: dict) -> list[dict]:
+    """``maps`` without ``undo`` (by identity: maps compare by content)."""
+    return [m for m in maps if m is not undo]
+
+
+def _postings(indexes: Iterable["GroupIndex"]) -> list[tuple]:
+    """What :meth:`Relation.add_delta` binds per index at a delta's first
+    posting: ``(groups, project, newest map or None, index)``."""
+    return [
+        (index.groups, index._project, index._maps[-1] if index._maps else None, index)
+        for index in indexes
+    ]
+
 
 class GroupIndex:
     """Secondary index grouping a relation's keys by a schema subset.
@@ -29,10 +65,13 @@ class GroupIndex:
     Projects keys with the schema's :meth:`~Schema.projector`, a C-level
     ``itemgetter`` that pickles, so indexed relations stay picklable (a
     shard worker's database crosses a pipe inside its
-    ``ShardWorkerSpec``).
+    ``ShardWorkerSpec``).  ``_maps`` holds the bucket pre-image maps of
+    the live snapshots, newest last (module docstring): a bucket whose
+    group key is not yet in the newest map is shared with a snapshot and
+    is copied before it is written.  Pickles and copies carry no maps.
     """
 
-    __slots__ = ("group_vars", "_project", "groups", "_cow", "_owned", "_cow_copied")
+    __slots__ = ("group_vars", "_project", "groups", "_maps")
 
     def __init__(self, schema: Schema, group_vars: tuple[str, ...]):
         self.group_vars = group_vars
@@ -40,95 +79,97 @@ class GroupIndex:
         self._project = schema.projector(group_vars)
         # group key -> dict used as an insertion-ordered set of full keys
         self.groups: dict[tuple, dict[tuple, None]] = {}
-        # Copy-on-write state for epoch snapshots (see share_version):
-        # _cow marks the whole ``groups`` dict as shared with a published
-        # snapshot; once privatized, _owned tracks which buckets have been
-        # copied (None = not in bucket-COW mode at all).
-        self._cow = False
-        self._owned: set | None = None
-        self._cow_copied = 0
+        self._maps: list[dict] = []
 
-    def _writable(self) -> tuple[dict, Any, set | None, "GroupIndex"]:
-        """Privatize ``groups`` for a run of postings made in place.
+    def __getstate__(self):
+        return self.group_vars, self._project, self.groups
 
-        Returns what :meth:`Relation.add_delta` binds per index at a
-        delta's first posting (as :meth:`add` / :meth:`remove` privatize
-        at theirs): ``(groups, project, owned, self)``.  The postings it
-        makes must follow :meth:`add` / :meth:`remove` exactly — a bucket
-        in ``owned`` mode is copied (and counted) before its first write.
+    def __setstate__(self, state) -> None:
+        self.group_vars, self._project, self.groups = state
+        self._maps = []
+
+    def share_version(self) -> tuple[dict, dict]:
+        """Open a bucket pre-image map for a new snapshot.
+
+        Returns ``(groups, undo)``: the live bucket dict and the map,
+        which records every bucket's publish-time object (or
+        :data:`ABSENT`) before its group key is first written.
         """
-        if self._cow:
-            self.groups = dict(self.groups)
-            self._cow = False
-            self._owned = set()
-        return self.groups, self._project, self._owned, self
+        undo: dict = {}
+        self._maps.append(undo)
+        return self.groups, undo
 
-    def share_version(self) -> tuple[dict, int]:
-        """Freeze ``groups`` for a snapshot; return ``(groups, buckets_copied)``.
+    def _preserve(self, group_key: tuple, bucket: dict | None) -> dict | None:
+        """Record ``bucket`` as ``group_key``'s pre-image in every live
+        map lacking one; return the bucket to write — a private copy,
+        installed, or ``None`` when the group is absent.
 
-        After this call the returned mapping (and every bucket in it) is
-        never mutated in place: the next :meth:`add`/:meth:`remove` copies
-        the top-level dict, and each touched bucket is copied once before
-        its first post-publish write.  The counter reports buckets copied
-        since the previous call (copy-on-write cost of the closing epoch)
-        and resets.
+        The record lands before the copy is installed, which is what lets
+        a reader that saw either bucket in the live dict find the
+        publish-time one in the map.
         """
-        copied = self._cow_copied
-        self._cow_copied = 0
-        self._cow = True
-        self._owned = None
-        return self.groups, copied
+        for undo in self._maps:
+            undo.setdefault(group_key, bucket)
+        if bucket is None:
+            return None
+        bucket = self.groups[group_key] = dict(bucket)
+        return bucket
 
     def add(self, key: tuple) -> None:
         group_key = self._project(key)
-        if self._cow:
-            self.groups = dict(self.groups)
-            self._cow = False
-            self._owned = set()
         groups = self.groups
-        owned = self._owned
         bucket = groups.get(group_key)
+        maps = self._maps
+        if maps and group_key not in maps[-1]:
+            bucket = self._preserve(group_key, bucket)
         if bucket is None:
             groups[group_key] = {key: None}
-            if owned is not None:
-                owned.add(group_key)
-            return
-        if owned is not None and group_key not in owned:
-            bucket = dict(bucket)
-            groups[group_key] = bucket
-            owned.add(group_key)
-            self._cow_copied += 1
-        bucket[key] = None
+        else:
+            bucket[key] = None
 
     def remove(self, key: tuple) -> None:
         group_key = self._project(key)
-        if self._cow:
-            self.groups = dict(self.groups)
-            self._cow = False
-            self._owned = set()
         groups = self.groups
         bucket = groups.get(group_key)
         if bucket is None:
             return
-        owned = self._owned
-        if owned is not None and group_key not in owned:
-            bucket = dict(bucket)
-            groups[group_key] = bucket
-            owned.add(group_key)
-            self._cow_copied += 1
+        maps = self._maps
+        if maps and group_key not in maps[-1]:
+            bucket = self._preserve(group_key, bucket)
         bucket.pop(key, None)
         if not bucket:
             del groups[group_key]
-            if owned is not None:
-                owned.discard(group_key)
 
     def clear(self) -> None:
-        if self._cow:
+        """Empty the index.  Under a live snapshot the bucket dict is
+        swapped for a fresh one and the maps detach: the snapshots keep
+        reading the old dict, which nothing writes again."""
+        if self._maps:
             self.groups = {}
-            self._cow = False
-            self._owned = set()
+            self._maps = []
         else:
             self.groups.clear()
+
+    def rebuild(self, keys: Iterable[tuple]) -> None:
+        """Re-derive every bucket from ``keys`` in a fresh dict (rollback
+        of an index its snapshot does not describe)."""
+        self.groups = {}
+        self._maps = []
+        for key in keys:
+            self.add(key)
+
+    def restore(self, undo: dict) -> None:
+        """Put every bucket named in ``undo`` back to its pre-image.
+
+        Restored buckets are copies: the pre-image objects stay frozen
+        for the snapshot that recorded them.
+        """
+        groups = self.groups
+        for group_key, bucket in undo.items():
+            if bucket is ABSENT:
+                groups.pop(group_key, None)
+            else:
+                groups[group_key] = dict(bucket)
 
     def copy(self) -> "GroupIndex":
         """Structural copy sharing no mutable state with the original."""
@@ -138,10 +179,12 @@ class GroupIndex:
         clone.groups = {
             group_key: dict(bucket) for group_key, bucket in self.groups.items()
         }
-        clone._cow = False
-        clone._owned = None
-        clone._cow_copied = 0
+        clone._maps = []
         return clone
+
+    def drop_version(self, undo: dict) -> None:
+        """Stop recording into ``undo`` (its snapshot is gone)."""
+        self._maps = _detach(self._maps, undo)
 
     def keys_in_group(self, group_key: tuple) -> Iterator[tuple]:
         bucket = self.groups.get(group_key)
@@ -161,18 +204,15 @@ class GroupIndex:
 
 
 class Relation:
-    """A finite map from key tuples to non-zero ring payloads."""
+    """A finite map from key tuples to non-zero ring payloads.
 
-    __slots__ = (
-        "name",
-        "schema",
-        "ring",
-        "data",
-        "_indexes",
-        "_cow",
-        "_cow_copied",
-        "_dirty",
-    )
+    ``data`` is written in place, always.  ``_maps`` holds the pre-image
+    maps of the live snapshots that cover the relation, newest last
+    (module docstring); it is empty when none does, and pickles and
+    copies carry none.
+    """
+
+    __slots__ = ("name", "schema", "ring", "data", "_indexes", "_maps")
 
     def __init__(
         self,
@@ -188,68 +228,86 @@ class Relation:
         self.ring = ring
         self.data: dict[tuple, Any] = {}
         self._indexes: dict[tuple[str, ...], GroupIndex] = {}
-        # Copy-on-write state for epoch snapshots: _cow marks ``data`` as
-        # shared with a published snapshot; the first mutation afterwards
-        # copies the dict (counted in _cow_copied) before writing.
-        self._cow = False
-        self._cow_copied = 0
-        # Opt-in write-time change oracle (see track_dirty): the set of
-        # keys written since the last drain, or None when disabled so the
-        # hot write paths pay only a None test.
-        self._dirty: set | None = None
+        self._maps: list[dict] = []
         if data:
             for key, payload in data.items():
                 self.add(key, payload)
 
+    def __getstate__(self):
+        return self.name, self.schema, self.ring, self.data, self._indexes
+
+    def __setstate__(self, state) -> None:
+        self.name, self.schema, self.ring, self.data, self._indexes = state
+        self._maps = []
+
     # ------------------------------------------------------------------
-    # Epoch snapshots (copy-on-write)
+    # Versions (epoch snapshots, rollback)
     # ------------------------------------------------------------------
 
-    def _unshare(self) -> None:
-        """Privatize the payload dict before the first post-publish write."""
-        self.data = dict(self.data)
-        self._cow = False
-        self._cow_copied += 1
+    def share_version(self) -> tuple[dict, dict, dict]:
+        """Open pre-image maps for a new snapshot.
 
-    def share_version(self) -> tuple[dict, dict, int, int]:
-        """Freeze the current contents for an epoch snapshot.
-
-        Returns ``(data, groups, buckets_copied, tables_copied)``:
-        ``data`` is the live payload dict and ``groups`` maps each group
-        index's variables to its bucket dict.  After this call the
-        returned dicts are never mutated in place — the next write copies
-        the payload dict (and each touched index bucket) first — so any
-        holder of the returned references keeps seeing exactly the frozen
-        state, including insertion order.  The trailing counters report
-        copy-on-write work performed since the previous call (the cost of
-        the epoch that just closed) and reset.
+        Returns ``(data, undo, groups)``: the live payload dict, its map,
+        and ``{group_vars: (buckets, bucket_undo)}`` for every group
+        index (:meth:`GroupIndex.share_version`).  From here on every
+        write records the first pre-image of its key in ``undo`` before
+        it lands, so ``undo.get(key, data.get(key))`` reads the
+        publish-time payload, and index buckets keep their publish-time
+        objects — and order — in theirs.
         """
-        tables_copied = self._cow_copied
-        self._cow_copied = 0
-        self._cow = True
-        groups: dict[tuple[str, ...], dict] = {}
-        buckets_copied = 0
+        undo: dict = {}
+        self._maps.append(undo)
+        groups = {
+            group_vars: index.share_version()
+            for group_vars, index in self._indexes.items()
+        }
+        return self.data, undo, groups
+
+    def drop_version(self, undo: dict) -> None:
+        """Stop recording into ``undo`` (its snapshot is gone)."""
+        self._maps = _detach(self._maps, undo)
+
+    def _record(self, key: tuple, old: Any) -> None:
+        """Keep ``old`` (``None``: absent) as ``key``'s pre-image in every
+        live map that has none yet.  Callers test first that the newest
+        map lacks ``key``: a key in the newest map is in all of them."""
+        for undo in self._maps:
+            undo.setdefault(key, old)
+
+    def restore(self, data: dict, undo: dict, groups: dict) -> None:
+        """Roll back to the version :meth:`share_version` returned.
+
+        When ``data`` is still the live dict the pre-images are written
+        back in place and each index bucket is restored from its own map
+        (:meth:`GroupIndex.restore`).  When :meth:`clear` swapped the dict
+        out since, the live dict becomes a restored copy of ``data`` and
+        the indexes are rebuilt from it, as is an index created after
+        the version was opened.  The maps keep their entries: each now
+        equals the live value it overrides.
+
+        Contents come back exactly; insertion order need not.  A key
+        deleted since the version was opened is re-inserted at the end of
+        ``data``, and a rebuilt index follows that order, and nothing
+        records where the key stood.  Iteration after a rollback may
+        therefore visit entries in another order than a twin that never
+        failed — for a ring whose addition rounds (``FloatRing``), later
+        sums may differ in the last bits.  Snapshots published before
+        the failure are unaffected: they read frozen buckets.
+        """
+        swapped = self.data is not data
+        if swapped:
+            data = self.data = dict(data)
+        for key, payload in undo.items():
+            if payload is ABSENT:
+                data.pop(key, None)
+            else:
+                data[key] = payload
         for group_vars, index in self._indexes.items():
-            shared, copied = index.share_version()
-            groups[group_vars] = shared
-            buckets_copied += copied
-        return self.data, groups, buckets_copied, tables_copied
-
-    # ------------------------------------------------------------------
-    # Dirty-key tracking (output change streams)
-    # ------------------------------------------------------------------
-
-    def track_dirty(self) -> None:
-        """Start recording the keys of every subsequent write.
-
-        The COW machinery alone cannot serve as a change oracle at key
-        granularity: an index bucket that empties is discarded from the
-        owned set, and payload-only updates never touch the indexes at
-        all.  Tracking is opt-in (``_dirty`` stays ``None`` otherwise) so
-        untracked relations pay one ``None`` test per write.
-        """
-        if self._dirty is None:
-            self._dirty = set()
+            version = groups.get(group_vars)
+            if swapped or version is None or index.groups is not version[0]:
+                index.rebuild(data)
+            else:
+                index.restore(version[1])
 
     # ------------------------------------------------------------------
     # Lookups and enumeration
@@ -292,26 +350,26 @@ class Relation:
         index postings, in amortized constant time.
         """
         ring = self.ring
+        data = self.data
         if ring.is_zero(payload):
-            return self.data.get(key, ring.zero)
-        if self._cow:
-            self._unshare()
-        if self._dirty is not None:
-            self._dirty.add(key)
+            return data.get(key, ring.zero)
         COUNTER.bump("write")
-        old = self.data.get(key)
+        old = data.get(key)
+        maps = self._maps
+        if maps and key not in maps[-1]:
+            self._record(key, old)
         if old is None:
-            self.data[key] = payload
+            data[key] = payload
             for index in self._indexes.values():
                 index.add(key)
             return payload
         new = ring.add(old, payload)
         if ring.is_zero(new):
-            del self.data[key]
+            del data[key]
             for index in self._indexes.values():
                 index.remove(key)
             return ring.zero
-        self.data[key] = new
+        data[key] = new
         return new
 
     def add_delta(self, entries: Iterable[tuple[tuple, Any]]) -> int:
@@ -320,7 +378,7 @@ class Relation:
         Semantically identical to calling :meth:`add` once per pair —
         zero payloads are skipped, entries cancelling to the ring zero
         are removed together with their index postings, and payloads,
-        index buckets and the dirty set end up as :meth:`add` leaves
+        index buckets and pre-image maps end up as :meth:`add` leaves
         them, insertion order included — but the hot locals bind once
         for the whole delta and the write accounting is one bulk
         ``COUNTER`` bump.  Every batched leaf and base write goes
@@ -336,8 +394,6 @@ class Relation:
 
         Returns the number of entries written (the op count bumped).
         """
-        if self._cow:
-            self._unshare()
         ring = self.ring
         if ring.exact_zero and ring.add_operator == "+":
             writes = self._add_numeric(entries)
@@ -353,40 +409,36 @@ class Relation:
         ``add_operator == "+"`` asserts numeric payloads, whose
         truthiness is exactly ``!= 0``.  Each posting is
         :meth:`GroupIndex.add` / :meth:`GroupIndex.remove` written out,
-        bucket copy-on-write included.
+        bucket preservation included.
         """
         data = self.data
         get = data.get
-        dirty = self._dirty
+        newest = self._maps[-1] if self._maps else None
         indexes = self._indexes.values()
-        # Bound at the first posting, not before: a delta that only
-        # changes payloads copies no shared index version.
+        # Bound at the first posting, not before: most deltas to a big
+        # relation only change payloads.
         posts = None
         writes = 0
         for key, payload in entries:
             if not payload:
                 continue
             writes += 1
-            if dirty is not None:
-                dirty.add(key)
             old = get(key)
+            if newest is not None and key not in newest:
+                self._record(key, old)
             if old is None:
                 data[key] = payload
                 if posts is None:
-                    posts = [index._writable() for index in indexes]
-                for groups, project, owned, index in posts:
+                    posts = _postings(indexes)
+                for groups, project, fresh, index in posts:
                     group_key = project(key)
                     bucket = groups.get(group_key)
+                    if fresh is not None and group_key not in fresh:
+                        bucket = index._preserve(group_key, bucket)
                     if bucket is None:
                         groups[group_key] = {key: None}
-                        if owned is not None:
-                            owned.add(group_key)
-                        continue
-                    if owned is not None and group_key not in owned:
-                        bucket = groups[group_key] = dict(bucket)
-                        owned.add(group_key)
-                        index._cow_copied += 1
-                    bucket[key] = None
+                    else:
+                        bucket[key] = None
                 continue
             new = old + payload
             if new:
@@ -394,19 +446,15 @@ class Relation:
                 continue
             del data[key]
             if posts is None:
-                posts = [index._writable() for index in indexes]
-            for groups, project, owned, index in posts:
+                posts = _postings(indexes)
+            for groups, project, fresh, index in posts:
                 group_key = project(key)
                 bucket = groups[group_key]
-                if owned is not None and group_key not in owned:
-                    bucket = groups[group_key] = dict(bucket)
-                    owned.add(group_key)
-                    index._cow_copied += 1
+                if fresh is not None and group_key not in fresh:
+                    bucket = index._preserve(group_key, bucket)
                 del bucket[key]
                 if not bucket:
                     del groups[group_key]
-                    if owned is not None:
-                        owned.discard(group_key)
         return writes
 
     def _add_generic(self, entries: Iterable[tuple[tuple, Any]]) -> int:
@@ -419,16 +467,16 @@ class Relation:
         exact = ring.exact_zero
         zero = ring.zero
         data = self.data
-        dirty = self._dirty
+        newest = self._maps[-1] if self._maps else None
         indexes = list(self._indexes.values()) if self._indexes else None
         writes = 0
         for key, payload in entries:
             if (payload == zero) if exact else is_zero(payload):
                 continue
             writes += 1
-            if dirty is not None:
-                dirty.add(key)
             old = data.get(key)
+            if newest is not None and key not in newest:
+                self._record(key, old)
             if old is None:
                 data[key] = payload
                 if indexes is not None:
@@ -451,25 +499,22 @@ class Relation:
         A zero payload on an absent key is a no-op and counts no write,
         so complexity assertions over ``COUNTER`` see only real work.
         """
-        present = key in self.data
-        if self.ring.is_zero(payload):
-            if present:
-                if self._cow:
-                    self._unshare()
-                if self._dirty is not None:
-                    self._dirty.add(key)
-                COUNTER.bump("write")
-                del self.data[key]
-                for index in self._indexes.values():
-                    index.remove(key)
+        data = self.data
+        old = data.get(key)
+        zero = self.ring.is_zero(payload)
+        if zero and old is None:
             return
-        if self._cow:
-            self._unshare()
-        if self._dirty is not None:
-            self._dirty.add(key)
         COUNTER.bump("write")
-        self.data[key] = payload
-        if not present:
+        maps = self._maps
+        if maps and key not in maps[-1]:
+            self._record(key, old)
+        if zero:
+            del data[key]
+            for index in self._indexes.values():
+                index.remove(key)
+            return
+        data[key] = payload
+        if old is None:
             for index in self._indexes.values():
                 index.add(key)
 
@@ -494,15 +539,13 @@ class Relation:
             self.add(key, payload)
 
     def clear(self) -> None:
-        # Every present key is (over-)marked dirty: a clear-and-rebuild
-        # cycle (see ViewTreeEngine.rebuild) may rewrite any of them, and
-        # a dirty superset keeps the change oracle exact — unmatched keys
-        # simply re-enumerate identically on both sides of the diff.
-        if self._dirty is not None:
-            self._dirty.update(self.data)
-        if self._cow:
+        """Remove every entry.  Under a live snapshot the payload dict
+        (and each index's bucket dict) is swapped for a fresh one and the
+        maps detach: the snapshots keep reading the old dicts, which
+        nothing writes again, so a clear costs no pre-image per key."""
+        if self._maps:
             self.data = {}
-            self._cow = False
+            self._maps = []
         else:
             self.data.clear()
         for index in self._indexes.values():

@@ -219,8 +219,10 @@ METRICS: tuple[Metric, ...] = (
     Metric("ipc_stats_merge_s", FLOAT, "ipc.stats_merge_s"),
     Metric("ipc_worker_failures", INT, "ipc.worker_failures"),
     Metric("ipc_workers_spawned", INT, "ipc.workers_spawned"),
-    # Epoch snapshots (repro.viewtree.epoch): publishes, the copy-on-write
-    # work paid for them, snapshot-mode reads, output delta per publish.
+    # Epoch snapshots (repro.viewtree.epoch): publishes, the work paid for
+    # them (buckets copied; tables copied is 0 since relations keep
+    # pre-image maps instead), snapshot-mode reads, output delta per
+    # publish, pre-images recorded (a rolled-back commit's included).
     Metric("epochs_published", INT, "epochs.published", ROLLUP),
     _slot("epochs.snapshot_reads"),
     Metric("snapshot_read_latency", LATENCY, "epochs.read_latency", ROLLUP),
@@ -228,6 +230,7 @@ METRICS: tuple[Metric, ...] = (
     Metric("cow_tables_copied", INT, "epochs.cow_tables_copied", ROLLUP),
     Metric("snapshot_reads", INT, "epochs.snapshot_reads", ROLLUP),
     Metric("output_delta_tuples", INT, "epochs.output_delta_tuples", ROLLUP),
+    Metric("undo_entries", INT, "epochs.undo_entries", ROLLUP),
     # Output change streams (repro.viewtree.changes): per-epoch deltas,
     # subscriber patches, full-drain fallbacks, delta/state ratio in percent.
     Metric("deltas_emitted", INT, "changes.deltas_emitted", ROLLUP),
@@ -453,20 +456,30 @@ class MaintenanceStats:
             self.commit_errors += 1
 
     def record_epoch_publish(
-        self, buckets_copied: int = 0, tables_copied: int = 0, delta_tuples: int = 0
+        self,
+        buckets_copied: int = 0,
+        tables_copied: int = 0,
+        delta_tuples: int = 0,
+        undo_entries: int = 0,
     ) -> None:
-        """One epoch publish, with the copy-on-write work it closed over.
+        """One epoch publish, with the work of the epoch it closed.
 
-        ``delta_tuples`` is the size of the output change delta the
-        publish emitted (0 when change tracking is off), recorded next
-        to the COW counters so delta/state ratios show up in ``stats``
-        without running a bench.
+        ``undo_entries`` counts the pre-images the closing epoch's
+        snapshot recorded (one per key and per bucket written while it
+        was live), ``buckets_copied`` the index buckets copied before
+        their first write; both include the writes of a commit that was
+        rolled back, whose pre-images stay in the map
+        (:meth:`~repro.viewtree.epoch.EpochSnapshot.restore`).  Relations no longer copy tables, so
+        ``tables_copied`` stays 0 in the engines; the ``repro.obs/1``
+        key is kept.  ``delta_tuples`` is the size of the output change
+        delta the publish emitted (0 when change tracking is off).
         """
         with self._lock:
             self.epochs_published += 1
             self.cow_buckets_copied += buckets_copied
             self.cow_tables_copied += tables_copied
             self.output_delta_tuples += delta_tuples
+            self.undo_entries += undo_entries
 
     def record_snapshot_read(self, seconds: float) -> None:
         """One snapshot-mode read with its end-to-end latency."""
@@ -681,8 +694,8 @@ class MaintenanceStats:
             add(
                 f"epochs: {self.epochs_published} published  "
                 f"snapshot reads: {self.snapshot_reads}  "
-                f"cow: {self.cow_buckets_copied} buckets / "
-                f"{self.cow_tables_copied} tables copied  "
+                f"cow: {self.cow_buckets_copied} buckets copied  "
+                f"undo: {self.undo_entries} pre-images  "
                 f"output delta tuples: {self.output_delta_tuples}"
             )
             if self.snapshot_reads:

@@ -537,8 +537,8 @@ class ShardedEngine(Backend):
         if record and stats is not None:
             stats.record_epoch_publish(
                 sum(reply.payload[0] for reply in replies),
-                sum(reply.payload[1] for reply in replies),
-                len(delta) if delta is not None else 0,
+                delta_tuples=len(delta) if delta is not None else 0,
+                undo_entries=sum(reply.payload[1] for reply in replies),
             )
             if delta is not None:
                 stats.record_change_delta(len(delta), tracker.last_bytes)

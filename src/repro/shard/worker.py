@@ -274,7 +274,7 @@ class ShardRuntime:
             epochs[number] = snap.number
             for stale in sorted(epochs)[: -(RETAIN_EPOCHS + 1)]:
                 del epochs[stale]
-        return (snap.cow_buckets, snap.cow_tables), None
+        return (snap.cow_buckets, snap.undo_entries), None
 
     def _cmd_track_changes(self, number: int | None):
         """Enable output change tracking on the shard engine.

@@ -10,11 +10,14 @@ previous one and emits a compact :class:`OutputDelta` —
 ``(epoch_from, epoch_to, [(key, old_payload, new_payload)])`` — that a
 :class:`MaterializedView` subscriber applies in O(δ).
 
-**Change oracle.** Bucket-level COW alone cannot name the changed keys
-(an emptied index bucket is discarded from the owned set, and
-payload-only updates never touch indexes), so tracked relations record
-the *keys* of their writes (:meth:`Relation.track_dirty` — a single
-``None`` test per write when disabled).  Only the relations the
+**Change oracle.** The previous snapshot's pre-image maps
+(:mod:`repro.viewtree.epoch`) already name every key written during the
+epoch, first write wins, with its payload at the previous publish —
+``ABSENT`` when it was not there.  So the write path does nothing for
+change streams beyond what snapshots make it do anyway: at publish the
+tracker reads each tracked relation's map of the previous snapshot for
+its written keys and for whether each was present before, and the live
+dict for whether it is present now.  Only the relations the
 enumeration actually reads are tracked, and in a free-top order every
 one of them has schema ⊆ head, so a key of one *is* a pattern over head
 variables (a ``prebound`` probe, O(1) per step).  They come in two
@@ -32,11 +35,13 @@ kinds, told apart once, at construction:
 At publish, a written key of a valued relation is a pattern; a written
 key of a guard-only relation is a pattern only if its membership differs
 between the two snapshots.  Each pattern is then enumerated on the old
-snapshot only if its key is in that relation there, and on the new one
+snapshot only if its key was in that relation there, and on the new one
 only if it is there: an insert never walks the old side, a delete never
-the new one, and a key written but absent from both costs two ``in``
-tests.  The filter reads the snapshots' frozen dicts, so the write path
-records bare keys and no pre-image.
+the new one, and a key written but absent from both costs one map entry
+and one ``in`` test.  The old side is the live state read through the
+previous snapshot's maps, so no table is copied to keep it.  A relation
+cleared during the epoch (``clear()``, as a batch rebuild does) has
+detached its maps; every key it held on either side is then a candidate.
 
 *Why this is exact.*  An output tuple ``t`` is produced on a side iff the
 projection of ``t`` onto every tracked relation is present on that side,
@@ -64,6 +69,8 @@ import threading
 import time
 from collections import deque
 from typing import Any, Iterator
+
+from ..data.relation import ABSENT
 
 try:  # pragma: no cover - exercised indirectly via the encoders
     import numpy as _np
@@ -298,21 +305,20 @@ class DeltaWindow:
 class ChangeTracker:
     """Maintains a :class:`DeltaWindow` for one ``ViewTreeEngine``.
 
-    Created lazily by ``ViewTreeEngine.track_changes()``: enables
-    dirty-key recording on exactly the relations enumeration reads,
-    classifies each as valued or guard-only (module docstring) and
-    baselines at the engine's current published snapshot.  On every
-    subsequent publish, :meth:`on_publish` drains the dirty sets into
-    the patterns that could have changed, enumerates each on the
-    snapshots that hold its key, and appends the resulting per-epoch
-    delta.
+    Created lazily by ``ViewTreeEngine.track_changes()``: finds exactly
+    the relations enumeration reads, classifies each as valued or
+    guard-only (module docstring) and baselines at a fresh published
+    snapshot, which it holds until the next publish.  On every
+    subsequent publish, :meth:`on_publish` turns the held snapshot's
+    pre-image maps into the patterns that could have changed,
+    enumerates each on the snapshots that hold its key, and appends the
+    resulting per-epoch delta.
     """
 
     def __init__(self, engine):
         self.engine = engine
-        # Baseline at a *fresh* publish, not the last one: writes that
-        # landed after the previous publish are not in any dirty set, so
-        # an older baseline would silently under-report the next delta.
+        # Baseline at a fresh publish: the window starts at the epoch of
+        # the snapshot held here, whose maps name every later write.
         # record=False: enabling tracking is not an application-level
         # epoch publish (keeps `epochs_published == commits + 1` for
         # the serve tier).
@@ -349,8 +355,6 @@ class ChangeTracker:
                         "order"
                     )
                 self.tracked.append((rel, variables, ident not in valued))
-        for rel, _, _ in self.tracked:
-            rel.track_dirty()
         self._prev = snap
         self.window = DeltaWindow(snap.number)
 
@@ -383,14 +387,8 @@ class ChangeTracker:
         new_region: dict[tuple, Any] = {}
         enumerate_ = self.engine._enumerate
         for rel, variables, guard_only in self.tracked:
-            dirty = rel._dirty
-            if not dirty:
-                continue
-            rel._dirty = set()
-            before = prev.data_of(rel)
-            after = snap.data_of(rel)
-            for key in dirty:
-                was = key in before
+            after = rel.data  # the new snapshot's state: no write since
+            for key, was in _written(prev, rel):
                 now = key in after
                 if was == now and (guard_only or not was):
                     continue
@@ -415,6 +413,15 @@ class ChangeTracker:
 
     def changes_since(self, epoch: int) -> OutputDelta:
         return self.window.changes_since(epoch)
+
+
+def _written(snap, rel) -> list[tuple[tuple, bool]]:
+    """``(key, present at snap's publish)`` per key of ``rel`` written since."""
+    data, undo = snap.data_of(rel)
+    if rel.data is data:
+        return [(key, old is not ABSENT) for key, old in undo.items()]
+    before = snap.view(rel)
+    return [(key, key in before) for key in {*data, *undo, *rel.data}]
 
 
 # ----------------------------------------------------------------------

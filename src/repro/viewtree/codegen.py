@@ -48,11 +48,15 @@ ring identity and schema positions — not names — is what keeps two views
 over same-named relations with *different* rings from ever sharing a
 kernel.
 
-Copy-on-write safety: environments bind :class:`Relation` /
+Snapshot safety: environments bind :class:`Relation` /
 :class:`GroupIndex` **objects** (and bound methods), never their
 ``data``/``groups`` dicts — the generated code re-reads ``.data`` and
-``.groups`` at call time, so epoch publication (which swaps those dicts
-on the next write) keeps working.
+``.groups`` at call time, so a ``clear()`` that swaps them under a live
+snapshot keeps working.  Writes under a live snapshot must record
+pre-images (:mod:`repro.viewtree.epoch`): ``push_batch`` binds each
+written relation's newest map once per sink and tests it per key (a
+``None`` test when no snapshot is live); ``push`` writes through
+``Relation.add``, which records itself.
 
 Pickling: a kernel's functions are closures over live objects and cannot
 pickle, so :class:`DeltaKernel`/:class:`EnumKernel` implement
@@ -559,23 +563,38 @@ def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                     w.emit('COUNTER.bump("enum", matches)')
 
 
+def _emit_binding(w: _Writer, p: str, rel: str) -> None:
+    """Bind ``{p}rel`` / ``{p}data`` / ``{p}get`` for writes to ``rel``,
+    its newest pre-image map ``{p}new`` (``None`` for a relation no
+    snapshot covers) and its ``{p}rec`` recorder."""
+    w.emit(f"{p}rel = {rel}")
+    w.emit(f"{p}data = {p}rel.data")
+    w.emit(f"{p}get = {p}data.get")
+    w.emit(f"{p}new = {p}rel._maps[-1] if {p}rel._maps else None")
+    w.emit(f"{p}rec = {p}rel._record")
+
+
+def _emit_record(w: _Writer, p: str, key: str) -> None:
+    """Keep ``old`` as ``key``'s pre-image before the write (see
+    :meth:`Relation._record`); one ``None`` test without a snapshot."""
+    w.emit(f"if {p}new is not None and {key} not in {p}new:")
+    with w.block():
+        w.emit(f"{p}rec({key}, old)")
+
+
 def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
     """Inline one fused view/guard write pass over ``zip(dks, dps)``.
 
     This is :meth:`Relation.add_delta` unrolled in place — same
-    copy-on-write unshare, same ``old -> ring_add -> cancel-or-write``
-    sequence, same index postings, same one-bulk-``write`` accounting —
-    minus the per-entry zero test (every payload reaching a sink is
-    already non-zero) and the per-entry ring/method calls.  Group
-    indexes (guards of enum-compiled trees carry one) take the indexed
-    loop; bare views take the tight one.
+    ``old -> ring_add -> cancel-or-write`` sequence, same index
+    postings, same pre-image recording, same
+    one-bulk-``write`` accounting — minus the per-entry zero test
+    (every payload reaching a sink is already non-zero) and the
+    per-entry ring/method calls.  Group indexes (guards of
+    enum-compiled trees carry one) take the indexed loop; bare views
+    take the tight one.
     """
-    w.emit(f"vrel = {rel}")
-    w.emit("if vrel._cow:")
-    with w.block():
-        w.emit("vrel._unshare()")
-    w.emit("vdata = vrel.data")
-    w.emit("vget = vdata.get")
+    _emit_binding(w, "v", rel)
     w.emit("if vrel._indexes:")
 
     def body(indexed: bool) -> None:
@@ -585,6 +604,7 @@ def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
                 w.emit(f"vk = {key_expr}")
             vk = "vk" if key_expr != "dk" else "dk"
             w.emit(f"old = vget({vk})")
+            _emit_record(w, "v", vk)
             w.emit("if old is None:")
             with w.block():
                 w.emit(f"vdata[{vk}] = dp")
@@ -611,20 +631,12 @@ def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
     w.emit("else:")
     with w.block():
         body(indexed=False)
-    # Dirty-key set (Relation.track_dirty): re-read per call so
-    # enabling change tracking after kernel generation still takes, and
-    # recompute the projection only on the tracked path.
-    w.emit("vdirty = vrel._dirty")
-    w.emit("if vdirty is not None:")
-    with w.block():
-        if key_expr == "dk":
-            w.emit("vdirty.update(dks)")
-        else:
-            w.emit(f"vdirty.update(({key_expr}) for dk in dks)")
     w.emit('COUNTER.bump("write", len(dks))')
 
 
-def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
+def _emit_agg_sink(
+    w: _Writer, ops: _Ops, rel: str, wrap: bool = False
+) -> None:
     """Fused filter + view write over a marginalization's ``agg`` dict.
 
     One pass per aggregated key replaces a filtered-dict copy plus bulk
@@ -637,12 +649,7 @@ def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
     surviving key is boxed back into the view's 1-tuple here, once per
     distinct key instead of once per delta entry.
     """
-    w.emit(f"vrel = {rel}")
-    w.emit("if vrel._cow:")
-    with w.block():
-        w.emit("vrel._unshare()")
-    w.emit("vdata = vrel.data")
-    w.emit("vget = vdata.get")
+    _emit_binding(w, "v", rel)
     w.emit("dks = []")
     w.emit("dps = []")
     w.emit("ka = dks.append")
@@ -661,6 +668,7 @@ def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
             w.emit(f"ka({vk})")
             w.emit("pa(dp)")
             w.emit(f"old = vget({vk})")
+            _emit_record(w, "v", vk)
             w.emit("if old is None:")
             with w.block():
                 w.emit(f"vdata[{vk}] = dp")
@@ -689,16 +697,12 @@ def _emit_agg_sink(w: _Writer, ops: _Ops, rel: str, wrap: bool = False) -> None:
         body(indexed=False)
     w.emit("if dks:")
     with w.block():
-        # ``dks`` is exactly the set of view keys written above, so
-        # dirty tracking costs one bulk update only when it is on.
-        w.emit("vdirty = vrel._dirty")
-        w.emit("if vdirty is not None:")
-        with w.block():
-            w.emit("vdirty.update(dks)")
         w.emit('COUNTER.bump("write", len(dks))')
 
 
-def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
+def _emit_push_batch(
+    w: _Writer, plan: DeltaPlan, ops: _Ops
+) -> None:
     """The columnar ``push_batch(keys, pays, stats)`` body.
 
     ``push`` lifted to one *coalesced* per-relation delta, flowing as
@@ -725,6 +729,9 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
     * **fused view writes** — each step's delta lands on its guard/view
       inline (:meth:`Relation.add_delta` unrolled in place, see
       :func:`_emit_sink`) instead of one ``Relation.add`` per entry.
+
+    Every write first keeps its key's pre-image for the live snapshots
+    (:func:`_emit_record`).
     """
     w.emit("def push_batch(keys, pays, stats=None):")
     with w.block():
@@ -767,18 +774,16 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                     INDEXED,
                 )
 
-                def emit_entry_write(
-                    data: str, ixs: str, key: str, get: str, dirty: str
-                ) -> None:
-                    # One Relation.add_delta entry inline; COW unshare,
-                    # the bound ``.get``, the index list, and the dirty
-                    # set are hoisted by the prologue.  ``ixs`` is
-                    # usually empty, so the posting loops cost one
-                    # iterator setup on the new/cancel paths only.
-                    w.emit(f"if {dirty} is not None:")
-                    with w.block():
-                        w.emit(f"{dirty}.add({key})")
+                def emit_entry_write(p: str, key: str) -> None:
+                    # One Relation.add_delta entry inline on relation
+                    # ``p`` ("g" guard, "v" view); the bound ``.get``,
+                    # the index list and the recorder are hoisted by the
+                    # prologue.  ``ixs`` is usually empty, so the posting
+                    # loops cost one iterator setup on the new/cancel
+                    # paths only.
+                    data, get, ixs = f"{p}data", f"{p}get", f"{p}ixs"
                     w.emit(f"old = {get}({key})")
+                    _emit_record(w, p, key)
                     w.emit("if old is None:")
                     with w.block():
                         w.emit(f"{data}[{key}] = prod")
@@ -801,23 +806,11 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                 def emit_fused_prologue() -> None:
                     w.emit("n = 0")
                     if step.guard is not None:
-                        w.emit(f"grel = GREL_{s}")
-                        w.emit("if grel._cow:")
-                        with w.block():
-                            w.emit("grel._unshare()")
-                        w.emit("gdata = grel.data")
-                        w.emit("gget = gdata.get")
+                        _emit_binding(w, "g", f"GREL_{s}")
                         w.emit("gixs = list(grel._indexes.values())")
-                        w.emit("gdirty = grel._dirty")
                     if kind == "identity":
-                        w.emit(f"vrel = VREL_{s}")
-                        w.emit("if vrel._cow:")
-                        with w.block():
-                            w.emit("vrel._unshare()")
-                        w.emit("vdata = vrel.data")
-                        w.emit("vget = vdata.get")
+                        _emit_binding(w, "v", f"VREL_{s}")
                         w.emit("vixs = list(vrel._indexes.values())")
-                        w.emit("vdirty = vrel._dirty")
                         w.emit("out_k = []")
                         w.emit("out_p = []")
                         w.emit("ka = out_k.append")
@@ -844,11 +837,11 @@ def _emit_push_batch(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                         if gexpr != key:
                             w.emit(f"gk = {gexpr}")
                             gk = "gk"
-                        emit_entry_write("gdata", "gixs", gk, "gget", "gdirty")
+                        emit_entry_write("g", gk)
                     if kind == "identity":
                         w.emit(f"ka({key})")
                         w.emit("pa(prod)")
-                        emit_entry_write("vdata", "vixs", key, "vget", "vdirty")
+                        emit_entry_write("v", key)
                     elif kind == "scalar":
                         if step.lift is not None:
                             w.emit(
@@ -1302,8 +1295,11 @@ def _slot_tuple(positions: tuple[int, ...]) -> str:
     return f"({inner})"
 
 
-def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
-    """The generated ``iterate(prebound, stats, epoch)`` enumeration walk.
+def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None:
+    """One generated enumeration walk: ``iterate(prebound, stats)`` over
+    the live relations, or, with ``snapshot``, ``iterate_epoch(prebound,
+    stats, epoch)`` over a published
+    :class:`~repro.viewtree.epoch.EpochSnapshot`.
 
     Literal nested loops, one block per free variable: entering a depth
     issues the generic walk's guard probe (bucket iteration, or a single
@@ -1320,15 +1316,37 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
     :data:`~repro.data.opcounter.COUNTER` at every yield, so
     delay-profile assertions over the counter see the same flat gaps.
 
-    ``epoch`` (an :class:`~repro.viewtree.epoch.EpochSnapshot`)
-    redirects every dict binding — guard data, group buckets, leaf and
-    view payloads — to the published snapshot's frozen dicts, so the
-    walk is identical but reads a consistent committed state while
-    maintenance mutates the live relations from another thread.
+    Both walks come from this one emitter and differ only in how a
+    probe reads a dict: the live walk reads ``d.get(k)``; the epoch walk
+    binds each relation's ``(live, pre-image map)`` pair from the
+    :class:`~repro.viewtree.epoch.EpochSnapshot` and reads
+    ``u.get(k, d.get(k))`` — live first, map second — so it sees the
+    published state while maintenance writes the live relations from
+    another thread.
     """
     steps = plan.steps
     last = len(steps) - 1
-    w.emit("def iterate(prebound=None, stats=None, epoch=None):")
+
+    def probe(target: str, table: str, key: str) -> None:
+        # ``target = table.get(key)`` as of the walk's epoch: the live
+        # dict first, then the pre-image map, which overrides it.  An
+        # entry never leaves a live snapshot's map, so the membership
+        # test and the read that follows it agree.
+        if not snapshot:
+            w.emit(f"{target} = {table}.get({key})")
+            return
+        if not key.isidentifier():
+            w.emit(f"pk = {key}")
+            key = "pk"
+        w.emit(f"{target} = {table}.get({key})")
+        w.emit(f"if {key} in {table}u:")
+        with w.block():
+            w.emit(f"{target} = {table}u[{key}]")
+
+    if snapshot:
+        w.emit("def iterate_epoch(prebound, stats, epoch):")
+    else:
+        w.emit("def iterate(prebound=None, stats=None):")
     with w.block():
         w.emit("lookups = 0")
         w.emit("enums = 0")
@@ -1338,22 +1356,30 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
             w.emit("stats.record_compiled_enumeration()")
         w.emit("try:")
         with w.block():
-            w.emit("if epoch is None:")
-            with w.block():
-                w.emit("data_of = None")
-            w.emit("else:")
-            with w.block():
+            # Dict bindings — the live relation attributes, or the
+            # epoch's pairs — resolved once up front so a publish racing
+            # with this generator cannot mix epochs.
+            if snapshot:
                 w.emit("data_of = epoch.data_of")
+                for i in range(len(plan.prefix_probes)):
+                    w.emit(f"pre_{i}, pre_{i}u = data_of(PRE_{i})")
+                for d in range(len(steps)):
+                    w.emit(f"gd_{d}, gd_{d}u = data_of(GUARD_{d})")
+                    w.emit(
+                        f"gr_{d}, gr_{d}u = epoch.groups_of(GUARD_{d}, GVARS_{d})"
+                    )
+                for d, step in enumerate(steps):
+                    for k in range(len(step.leaf_probes)):
+                        w.emit(f"ld_{d}_{k}, ld_{d}_{k}u = data_of(LEAF_{d}_{k})")
+                    for k in range(len(step.post_probes)):
+                        w.emit(f"pd_{d}_{k}, pd_{d}_{k}u = data_of(POST_{d}_{k})")
             w.emit("payload = ONE")
             for i in range(len(plan.prefix_probes)):
                 # Prefix probes precede every free step, so no slot is
                 # bound yet and the probe key is always the empty tuple.
                 w.emit("lookups += 1")
-                w.emit(
-                    f"vdata = PRE_{i}.data if data_of is None "
-                    f"else data_of(PRE_{i})"
-                )
-                w.emit("factor = vdata.get(())")
+                table = f"pre_{i}" if snapshot else f"PRE_{i}.data"
+                probe("factor", table, "()")
                 w.emit("if factor is None:")
                 with w.block():
                     w.emit("return")
@@ -1361,11 +1387,7 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
                 w.emit(f"if {ops.is_zero('payload')}:")
                 with w.block():
                     w.emit("return")
-            # Dict bindings: live relation attributes, or the epoch's
-            # frozen dicts, resolved once up front so a publish racing
-            # with this generator cannot mix epochs.
-            w.emit("if data_of is None:")
-            with w.block():
+            if not snapshot:
                 for d in range(len(steps)):
                     w.emit(f"gd_{d} = GUARD_{d}.data")
                 for d in range(len(steps)):
@@ -1376,18 +1398,6 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
                 for d, step in enumerate(steps):
                     for k in range(len(step.post_probes)):
                         w.emit(f"pd_{d}_{k} = POST_{d}_{k}.data")
-            w.emit("else:")
-            with w.block():
-                for d in range(len(steps)):
-                    w.emit(f"gd_{d} = data_of(GUARD_{d})")
-                for d in range(len(steps)):
-                    w.emit(f"gr_{d} = epoch.groups_of(GUARD_{d}, GVARS_{d})")
-                for d, step in enumerate(steps):
-                    for k in range(len(step.leaf_probes)):
-                        w.emit(f"ld_{d}_{k} = data_of(LEAF_{d}_{k})")
-                for d, step in enumerate(steps):
-                    for k in range(len(step.post_probes)):
-                        w.emit(f"pd_{d}_{k} = data_of(POST_{d}_{k})")
             w.emit("if prebound:")
             with w.block():
                 for d in range(len(steps)):
@@ -1407,7 +1417,7 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
                 w.emit(f"if pv_{d} is MISS:")
                 with w.block():
                     group_key = _slot_tuple(step.group_positions)
-                    w.emit(f"cands_{d} = gr_{d}.get({group_key})")
+                    probe(f"cands_{d}", f"gr_{d}", group_key)
                     w.emit(f"if not cands_{d}:")
                     with w.block():
                         w.emit(backtrack)
@@ -1416,7 +1426,11 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
                 with w.block():
                     w.emit(f"s{slot} = pv_{d}")
                     w.emit(f"probe = {_slot_tuple(step.probe_positions)}")
-                    w.emit(f"if probe not in gd_{d}:")
+                    if snapshot:
+                        probe("found", f"gd_{d}", "probe")
+                        w.emit("if found is None:")
+                    else:
+                        w.emit(f"if probe not in gd_{d}:")
                     with w.block():
                         w.emit(backtrack)
                     w.emit(f"cands_{d} = (probe,)")
@@ -1432,7 +1446,7 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
                     for k in range(len(step.leaf_probes)):
                         w.emit("lookups += 1")
                         key_expr = _slot_tuple(step.leaf_probes[k][1])
-                        w.emit(f"val = ld_{d}_{k}.get({key_expr})")
+                        probe("val", f"ld_{d}_{k}", key_expr)
                         w.emit("if val is None:")
                         with w.block():
                             w.emit("continue")
@@ -1445,7 +1459,7 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
                     for k in range(len(step.post_probes)):
                         w.emit("lookups += 1")
                         key_expr = _slot_tuple(step.post_probes[k][1])
-                        w.emit(f"val = pd_{d}_{k}.get({key_expr})")
+                        probe("val", f"pd_{d}_{k}", key_expr)
                         w.emit("if val is None:")
                         with w.block():
                             w.emit("continue")
@@ -1488,8 +1502,10 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops) -> None:
 def _enum_source(plan: EnumPlan) -> str:
     ops = _Ops(plan.ring)
     body = _Writer(indent=1)
-    _emit_iterate(body, plan, ops)
-    return _wrap_factory(body, _enum_env_names(plan), "iterate")
+    _emit_iterate(body, plan, ops, snapshot=False)
+    body.emit()
+    _emit_iterate(body, plan, ops, snapshot=True)
+    return _wrap_factory(body, _enum_env_names(plan), "iterate, iterate_epoch")
 
 
 # ----------------------------------------------------------------------
@@ -1560,14 +1576,17 @@ class DeltaKernel:
 
 
 class EnumKernel:
-    """A source-generated read-path kernel for one :class:`EnumPlan`."""
+    """A source-generated read-path kernel for one :class:`EnumPlan`:
+    ``iterate`` walks the live relations, ``iterate_epoch`` a published
+    epoch."""
 
-    __slots__ = ("plan", "source", "iterate")
+    __slots__ = ("plan", "source", "iterate", "iterate_epoch")
 
-    def __init__(self, plan: EnumPlan, source: str, iterate):
+    def __init__(self, plan: EnumPlan, source: str, iterate, iterate_epoch):
         self.plan = plan
         self.source = source
         self.iterate = iterate
+        self.iterate_epoch = iterate_epoch
 
     def __reduce__(self):
         return (_rebuild_enum_kernel, (self.plan,))
@@ -1600,8 +1619,7 @@ def compile_enum_kernel(
     start = perf_counter()
     shape = _enum_shape(plan)
     (source, make), hit = _factory_for(shape, lambda: _enum_source(plan))
-    iterate = make(_enum_env(plan))
-    kernel = EnumKernel(plan, source, iterate)
+    kernel = EnumKernel(plan, source, *make(_enum_env(plan)))
     if info is not None:
         info["kernels"] += 1
         if hit:

@@ -56,7 +56,7 @@ from .codegen import (
 from .changes import ChangeTracker, MaterializedView, OutputDelta
 from .compile import compile_delta_plans
 from .enumplan import _flatten, compile_enum_plan
-from .epoch import EpochSnapshot
+from .epoch import EpochSnapshot, SnapshotRegistry
 
 
 class ViewNode:
@@ -273,9 +273,14 @@ class ViewTreeEngine(Backend):
                     self._generation_failed("enumeration", exc)
         #: Lazily-built flat schedule for the generic enumeration walk.
         self._enum_schedule: list | None = None
-        #: Last published epoch number and its frozen snapshot.
+        #: Last published epoch number and its snapshot.
         self.epoch = 0
         self._epoch_snapshot: EpochSnapshot | None = None
+        #: Every live snapshot of this engine (the pre-image maps to keep).
+        self._versions = SnapshotRegistry()
+        #: Set while a commit runs, so nested entry points join its undo
+        #: scope instead of opening their own (see _atomically).
+        self._committing = False
         #: Lazily-created per-epoch output change tracker (track_changes).
         self._change_tracker: ChangeTracker | None = None
         self._updates_since_sample = 0
@@ -294,14 +299,15 @@ class ViewTreeEngine(Backend):
 
     def __getstate__(self):
         # Epoch snapshots are keyed by object identity, which does not
-        # survive pickling (process-pool shards ship whole engines);
-        # the receiving side republishes after adoption.  The change
-        # tracker holds snapshots too, so it is likewise dropped — the
-        # receiver re-enables tracking (subscribers see an epoch gap and
-        # fall back to a full drain).
+        # survive pickling, and relations pickle without their pre-image
+        # maps; the receiving side republishes.  The change tracker
+        # holds snapshots too, so it is likewise dropped — the receiver
+        # re-enables tracking (subscribers see an epoch gap and fall
+        # back to a full drain).
         state = self.__dict__.copy()
         state["_epoch_snapshot"] = None
         state["_change_tracker"] = None
+        state["_versions"] = SnapshotRegistry()
         return state
 
     def _propagate_stats(self, stats) -> None:
@@ -411,11 +417,15 @@ class ViewTreeEngine(Backend):
         The delta runs through the relation's generated ``push``
         kernels; a relation without kernels (``generated=False``, or a
         reported generation failure) takes the generic
-        :meth:`_propagate` walk.
+        :meth:`_propagate` walk.  With a snapshot published, an update
+        that raises midway is rolled back first (:meth:`_atomically`).
         """
         anchors = self._anchors.get(update.relation)
         if anchors is None or update.relation in self._static:
             raise self._rejected(update.relation)
+        self._atomically(self._apply_one, update, anchors, update_base)
+
+    def _apply_one(self, update: Update, anchors: list, update_base: bool) -> None:
         write_base, write_leaves = self._writes(update.relation, update_base)
         if write_base:
             self.database[update.relation].add(update.key, update.payload)
@@ -435,6 +445,37 @@ class ViewTreeEngine(Backend):
                 self._propagate(node, delta, exclude=leaf)
         if self._maintenance_stats is not None:
             self._maybe_sample_views()
+
+    def _atomically(self, write, *args) -> None:
+        """Run one commit so that it lands whole or not at all.
+
+        With a snapshot live, a ``write(*args)`` that raises is undone
+        from pre-image maps before the exception propagates: the newest
+        published snapshot's maps when nothing was written since that
+        publish (the serve tier commits, then publishes), else a
+        checkpoint's, captured here and released after.  Without a
+        snapshot the write runs bare, so an engine that never publishes
+        keeps no maps and pays for no undo.
+        """
+        snap = self._epoch_snapshot
+        if snap is None or self._committing:
+            write(*args)
+            return
+        checkpoint = None
+        if snap.written():
+            checkpoint = snap = self._versions.capture(
+                self.epoch, self._snapshot_relations()
+            )
+        self._committing = True
+        try:
+            write(*args)
+        except BaseException:
+            snap.restore()
+            raise
+        finally:
+            self._committing = False
+            if checkpoint is not None:
+                self._versions.release(checkpoint)
 
     def _rejected(self, relation: str) -> Exception:
         """Why ``relation`` takes no updates (raised before any write)."""
@@ -538,7 +579,8 @@ class ViewTreeEngine(Backend):
         join, while later anchors of the same relation see the earlier
         leaves' post-batch state, matching the per-tuple interleaving's
         sum).  A leaf that is its base relation is written at most once,
-        in both branches, exactly as in :meth:`apply`.
+        in both branches, exactly as in :meth:`apply`.  A batch that
+        raises midway is rolled back as in :meth:`apply`.
         """
         for name in columns:
             if name not in self._anchors or name in self._static:
@@ -551,6 +593,17 @@ class ViewTreeEngine(Backend):
                     "base relation, together with other relations: apply "
                     "one relation per batch, or pass update_base=True"
                 )
+        self._atomically(
+            self._apply_columns, columns, update_base, rebuild_factor, raw
+        )
+
+    def _apply_columns(
+        self,
+        columns: dict[str, tuple[list, list]],
+        update_base: bool,
+        rebuild_factor: float | None,
+        raw: int | None,
+    ) -> None:
         size = sum(len(keys) for keys, _ in columns.values())
         if raw is None:
             raw = size
@@ -659,7 +712,10 @@ class ViewTreeEngine(Backend):
     # ------------------------------------------------------------------
 
     def _snapshot_relations(self) -> Iterator[Relation]:
-        """Every relation a read path can touch: views, guards, leaves."""
+        """Every relation a read path can touch — views, guards, leaves —
+        plus the base relations a commit writes, so that a rollback
+        restores them too.  A sharded engine's bases belong to its
+        coordinator (``leaf_filter``), which writes them."""
         for root in self.roots:
             for node in root.walk():
                 yield node.view
@@ -667,6 +723,10 @@ class ViewTreeEngine(Backend):
                     yield node.guard
                 for _, leaf in node.leaves:
                     yield leaf
+        if self._leaf_filter is None:
+            for name in self._anchors:
+                if name in self.database:
+                    yield self.database[name]
 
     def publish_epoch(self, record: bool = True) -> EpochSnapshot:
         """Freeze the current committed state as the next readable epoch.
@@ -677,11 +737,13 @@ class ViewTreeEngine(Backend):
         how maintenance mutates the live relations afterwards.  The swap
         is a single attribute assignment, atomic under the GIL, so a
         publish never blocks readers and readers never block maintenance;
-        the cost is deferred to copy-on-write work on the write path.
+        the cost is one pre-image per key written while the snapshot is
+        live (:mod:`repro.viewtree.epoch`).  The maps of snapshots no one
+        holds any more are released here.
 
         ``record`` feeds the attached recorder (``epochs_published``,
-        ``cow_buckets_copied``); a shard coordinator passes ``False`` and
-        records one aggregate publish itself.
+        ``cow_buckets_copied``, ``undo_entries``); a shard coordinator
+        passes ``False`` and records one aggregate publish itself.
         """
         if self._enum_kernel is None and self.query.head and self.order.is_free_top():
             # The generic walk builds guard group-indexes lazily on first
@@ -693,21 +755,26 @@ class ViewTreeEngine(Backend):
             for spec in schedule:
                 if spec[0]:
                     spec[2].index_on(spec[3])
+        closed = self._epoch_snapshot
         self.epoch += 1
-        snap = EpochSnapshot.capture(self.epoch, self._snapshot_relations())
+        snap = self._versions.capture(self.epoch, self._snapshot_relations())
+        if closed is not None:
+            snap.cow_buckets, snap.undo_entries = closed.work()
         self._epoch_snapshot = snap
         # The change tracker diffs against the previous snapshot on every
         # publish regardless of ``record`` — shard workers publish with
         # record=False but their subscribers still need the delta stream.
         tracker = self._change_tracker
         delta = tracker.on_publish(snap) if tracker is not None else None
+        del closed
+        self._versions.prune()
         if record:
             stats = self._maintenance_stats
             if stats is not None:
                 stats.record_epoch_publish(
                     snap.cow_buckets,
-                    snap.cow_tables,
-                    len(delta) if delta is not None else 0,
+                    delta_tuples=len(delta) if delta is not None else 0,
+                    undo_entries=snap.undo_entries,
                 )
                 if delta is not None:
                     stats.record_change_delta(len(delta))
@@ -778,7 +845,7 @@ class ViewTreeEngine(Backend):
         ring = self.ring
         payload = ring.one
         for root in self.roots:
-            value = snap.data_of(root.view).get((), ring.zero)
+            value = snap.view(root.view).get((), ring.zero)
             payload = ring.mul(payload, value)
         return payload
 
@@ -790,7 +857,7 @@ class ViewTreeEngine(Backend):
         """:meth:`enumerate` against the published epoch.
 
         Safe to drive from any thread while maintenance runs: every probe
-        resolves against the epoch's frozen dicts, never the live ones.
+        reads the live dicts corrected by the epoch's pre-image maps.
         """
         if snap is None:
             snap = self.snapshot()
@@ -888,9 +955,11 @@ class ViewTreeEngine(Backend):
         snapshot-read path).
         """
         kernel = self._enum_kernel
-        if kernel is not None:
-            return kernel.iterate(prebound, stats, epoch=epoch)
-        return self._enumerate_generic(prebound, epoch=epoch)
+        if kernel is None:
+            return self._enumerate_generic(prebound, epoch=epoch)
+        if epoch is None:
+            return kernel.iterate(prebound, stats)
+        return kernel.iterate_epoch(prebound, stats, epoch)
 
     def _enum_schedule_specs(self) -> list[tuple]:
         """Flatten the enumeration walk for :meth:`_enumerate_generic`.
@@ -938,8 +1007,9 @@ class ViewTreeEngine(Backend):
         iterating a node's candidates, the engine checks the given value
         with one guard lookup.
 
-        With ``epoch`` set, every probe reads the snapshot's frozen dicts
-        (raw probes, no op accounting) instead of the live relations.
+        With ``epoch`` set, every probe reads the snapshot's
+        :class:`~repro.viewtree.epoch.VersionView` of a relation (raw
+        probes, no op accounting) instead of the live relation.
         """
         if not self.order.is_free_top():
             raise ValueError(
@@ -955,23 +1025,22 @@ class ViewTreeEngine(Backend):
         if schedule is None:
             schedule = self._enum_schedule = self._enum_schedule_specs()
         nsteps = len(schedule)
-        # Per-step frozen dicts when reading an epoch, resolved up front
+        # Per-step epoch views when reading an epoch, resolved up front
         # so a publish racing with this generator cannot mix epochs.
         resolved: list[tuple] | None = None
         if epoch is not None:
+            view = epoch.view
             resolved = []
             for spec in schedule:
                 if not spec[0]:
-                    resolved.append((epoch.data_of(spec[1]),))
+                    resolved.append((view(spec[1]),))
                 else:
                     guard, group_vars = spec[2], spec[3]
                     resolved.append(
                         (
-                            epoch.data_of(guard),
-                            epoch.groups_of(guard, group_vars),
-                            tuple(
-                                epoch.data_of(leaf) for leaf, _ in spec[6]
-                            ),
+                            view(guard),
+                            view(guard, group_vars),
+                            tuple(view(leaf) for leaf, _ in spec[6]),
                         )
                     )
 

@@ -1,92 +1,117 @@
 """Epoch snapshots: immutable, consistent views of a committed prefix.
 
-The serving tier's concurrency model (ROADMAP "epoch-based snapshot
-reads"): maintenance keeps writing into the live relations while any
-number of reader threads enumerate a frozen *epoch* — the state of every
-view, guard, and leaf at the last ``publish_epoch()`` call — with the
-same constant-delay guarantees as a serialized read.
+The serving tier's concurrency model: maintenance keeps writing into the
+live relations while any number of reader threads enumerate a frozen
+*epoch* — the state of every view, guard, leaf and base relation at the
+last ``publish_epoch()`` call — with the same constant-delay guarantees
+as a serialized read.
 
-The mechanism is copy-on-write at two granularities (see
-:meth:`repro.data.relation.Relation.share_version`):
+**Pre-image maps.**  Writes always go in place; nothing is copied at
+publish or after it.  Instead each live :class:`EpochSnapshot` owns one
+pre-image map per relation it covers (and one per group index), opened
+by :meth:`~repro.data.relation.Relation.share_version`.  The write paths
+fill the maps of the live snapshots before they write, first write
+wins: key -> payload at publish, or ``ABSENT``; for an index, group key
+-> the bucket object at publish.  So a map holds exactly the keys
+written since its publish, and an epoch costs O(keys written), not a
+copy of every table it touches.  Buckets keep copy-on-write at bucket
+granularity: a bucket is copied once, before its first write after a
+publish, so published buckets are never mutated and snapshot iteration
+walks them in their publish-time order.
 
-* each relation's payload dict is frozen by reference; the first
-  post-publish write copies it (``tables_copied``);
-* each :class:`~repro.data.relation.GroupIndex` freezes its bucket dict;
-  post-publish writes copy the top-level mapping once and then each
-  touched bucket exactly once per epoch (``buckets_copied``).
+**Reads: live first, map second.**  A snapshot reads a key as
+``undo.get(key, live.get(key))`` (:class:`VersionView`; the generated
+enumeration kernel emits the same expression).  The order is what makes
+a read racing a commit exact: the writer records the pre-image *before*
+it writes the live dict, so a reader that saw the new live value finds
+the old one in the map, and one that saw the old live value gets the
+same from either.  A ``clear()`` under a live snapshot swaps in fresh
+dicts and detaches the maps instead of recording every key; the
+snapshot keeps reading the old dicts, which nothing writes again.
 
-An :class:`EpochSnapshot` is just the bag of frozen references, keyed by
-relation identity, published with a single attribute assignment (atomic
-under the GIL) so readers either see the whole previous epoch or the
-whole new one — never a mix.  Multiple epochs coexist naturally: an old
-snapshot pins its dicts alive until the last reader drops it.
+**Release.**  A map lives as long as its snapshot.  The
+:class:`SnapshotRegistry` of each writer holds weak references and
+detaches the maps of unreachable snapshots at each publish, on the
+writing thread — readers never mutate a relation.  Hold a snapshot while
+reading through it: its maps are only kept current while it is alive.
+
+**Rollback.**  The maps are also an undo log: :meth:`EpochSnapshot.restore`
+writes every pre-image back, which is how a commit that raises returns
+the engine to its pre-commit state.
+
+Publication is a single attribute assignment (atomic under the GIL), so
+readers see either the whole previous epoch or the whole new one.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterable
 
 
-class EpochSnapshot:
-    """Frozen references to every relation of one published epoch.
+class VersionView:
+    """A read-only view of one payload dict (or bucket dict) at an epoch.
 
-    ``tables`` maps ``id(relation)`` to its frozen payload dict;
-    ``groups`` maps ``(id(relation), group_vars)`` to the frozen bucket
-    dict of that relation's group index.  ``cow_buckets`` /
-    ``cow_tables`` report the copy-on-write work the *previous* epoch
-    cost (buckets and payload dicts copied since the prior publish).
+    ``get`` and ``in`` read the live dict first and the epoch's
+    pre-image map second (module docstring).
     """
 
-    __slots__ = ("number", "tables", "groups", "cow_buckets", "cow_tables")
+    __slots__ = ("live", "undo")
 
-    def __init__(
-        self,
-        number: int,
-        tables: dict[int, dict],
-        groups: dict[tuple[int, tuple[str, ...]], dict],
-        cow_buckets: int = 0,
-        cow_tables: int = 0,
-    ):
+    def __init__(self, live: dict, undo: dict):
+        self.live = live
+        self.undo = undo
+
+    def get(self, key: Any, default: Any = None) -> Any:
+        found = self.undo.get(key, self.live.get(key))
+        return default if found is None else found
+
+    def __contains__(self, key: Any) -> bool:
+        return self.undo.get(key, self.live.get(key)) is not None
+
+
+class EpochSnapshot:
+    """One published epoch: the live dicts plus their pre-image maps.
+
+    ``versions`` maps ``id(relation)`` to ``(relation, data, undo,
+    {group_vars: (buckets, bucket_undo)})``, what
+    :meth:`~repro.data.relation.Relation.share_version` returned.
+    ``cow_buckets`` / ``undo_entries`` report the work of the epoch this
+    publish closed: buckets copied, and pre-images recorded, since the
+    prior publish.
+    """
+
+    __slots__ = ("number", "versions", "cow_buckets", "undo_entries", "__weakref__")
+
+    def __init__(self, number: int, relations: Iterable[Any]):
         self.number = number
-        self.tables = tables
-        self.groups = groups
-        self.cow_buckets = cow_buckets
-        self.cow_tables = cow_tables
-
-    @classmethod
-    def capture(cls, number: int, relations: Iterable[Any]) -> "EpochSnapshot":
-        """Freeze ``relations`` (views, guards, leaves) into one snapshot."""
-        tables: dict[int, dict] = {}
-        groups: dict[tuple[int, tuple[str, ...]], dict] = {}
-        cow_buckets = 0
-        cow_tables = 0
+        self.versions: dict[int, tuple] = {}
+        self.cow_buckets = 0
+        self.undo_entries = 0
         for relation in relations:
             ident = id(relation)
-            if ident in tables:
-                continue
-            data, rel_groups, buckets, copied = relation.share_version()
-            tables[ident] = data
-            cow_buckets += buckets
-            cow_tables += copied
-            for group_vars, bucket_map in rel_groups.items():
-                groups[(ident, group_vars)] = bucket_map
-        return cls(number, tables, groups, cow_buckets, cow_tables)
+            if ident not in self.versions:
+                self.versions[ident] = (relation, *relation.share_version())
 
-    def data_of(self, relation: Any) -> dict:
-        """The frozen payload dict of ``relation`` in this epoch."""
+    def data_of(self, relation: Any) -> tuple[dict, dict]:
+        """``(live payload dict, pre-image map)`` of ``relation``."""
         try:
-            return self.tables[id(relation)]
+            _, data, undo, _ = self.versions[id(relation)]
         except KeyError:
             raise RuntimeError(
                 f"relation {getattr(relation, 'name', relation)!r} is not "
                 f"covered by epoch {self.number}; call publish_epoch() "
                 "after structural changes"
             ) from None
+        return data, undo
 
-    def groups_of(self, relation: Any, group_vars: tuple[str, ...]) -> dict:
-        """The frozen bucket dict of ``relation``'s index on ``group_vars``."""
+    def groups_of(
+        self, relation: Any, group_vars: tuple[str, ...]
+    ) -> tuple[dict, dict]:
+        """``(live bucket dict, pre-image map)`` of ``relation``'s index
+        on ``group_vars``."""
         try:
-            return self.groups[(id(relation), group_vars)]
+            return self.versions[id(relation)][3][group_vars]
         except KeyError:
             raise RuntimeError(
                 f"index on {group_vars!r} of relation "
@@ -94,3 +119,90 @@ class EpochSnapshot:
                 f"epoch {self.number}; call publish_epoch() after "
                 "structural changes"
             ) from None
+
+    def view(self, relation: Any, group_vars: tuple[str, ...] | None = None):
+        """A :class:`VersionView` of ``relation``'s payloads (or, with
+        ``group_vars``, of its index buckets) at this epoch."""
+        if group_vars is None:
+            return VersionView(*self.data_of(relation))
+        return VersionView(*self.groups_of(relation, group_vars))
+
+    def written(self) -> bool:
+        """Whether any covered relation was written since the publish."""
+        return any(
+            undo or relation.data is not data
+            for relation, data, undo, _ in self.versions.values()
+        )
+
+    def work(self) -> tuple[int, int]:
+        """``(buckets copied, pre-images recorded)`` since the publish,
+        a rolled-back commit's included (:meth:`restore`)."""
+        buckets = entries = 0
+        for _, _, undo, groups in self.versions.values():
+            entries += len(undo)
+            for _, bucket_undo in groups.values():
+                entries += len(bucket_undo)
+                # A recorded bucket (not ABSENT) was copied before its write.
+                buckets += sum(map(bool, bucket_undo.values()))
+        return buckets, entries
+
+    def restore(self) -> None:
+        """Put every covered relation back to this epoch's state.
+
+        Writer thread only.  Readers of this snapshot stay exact
+        throughout: every restored key is in its map, which is read
+        last and keeps its entries.  (Emptying the maps afterwards would
+        race a reader that fetched a torn live value just before the
+        restore and then misses in the map.)  So the rolled-back
+        writes still count in the next publish's :meth:`work`, and the
+        change tracker re-reads their keys, whose diff comes out empty.
+        Restored contents are exact; insertion order is not:
+        see :meth:`~repro.data.relation.Relation.restore`.
+        """
+        for relation, data, undo, groups in self.versions.values():
+            relation.restore(data, undo, groups)
+
+
+class SnapshotRegistry:
+    """The live snapshots of one writer (an engine).
+
+    Keeps a weak reference to every snapshot it captured, next to the
+    snapshot's maps; :meth:`prune` detaches the maps of the snapshots
+    nobody holds any more.  Every method runs on the writing thread.
+    """
+
+    __slots__ = ("_live",)
+
+    def __init__(self):
+        self._live: list[tuple[weakref.ref, dict[int, tuple]]] = []
+
+    def capture(self, number: int, relations: Iterable[Any]) -> EpochSnapshot:
+        """Open a snapshot of ``relations`` (views, guards, leaves, bases)."""
+        snap = EpochSnapshot(number, relations)
+        self._live.append((weakref.ref(snap), snap.versions))
+        return snap
+
+    def prune(self) -> None:
+        """Detach the maps of every snapshot that is no longer reachable."""
+        live = []
+        for ref, versions in self._live:
+            if ref() is None:
+                _release(versions)
+            else:
+                live.append((ref, versions))
+        self._live = live
+
+    def release(self, snap: EpochSnapshot) -> None:
+        """Detach ``snap``'s maps now (a checkpoint that was not published)."""
+        _release(snap.versions)
+        self._live = [entry for entry in self._live if entry[0]() is not snap]
+
+
+def _release(versions: dict[int, tuple]) -> None:
+    """Detach a snapshot's maps: later writes record nothing in them."""
+    for relation, _, undo, groups in versions.values():
+        relation.drop_version(undo)
+        for group_vars, (_, bucket_undo) in groups.items():
+            index = relation._indexes.get(group_vars)
+            if index is not None:
+                index.drop_version(bucket_undo)

@@ -308,12 +308,15 @@ def publish_spying(engine):
     """Publish once; return ``(delta, ops, dirty_keys, walked_epochs)``.
 
     ``ops`` counts the lookups and enumeration steps of the publish
-    alone, ``dirty_keys`` the written keys the tracker had to look at,
+    alone, ``dirty_keys`` the written keys the tracker had to look at
+    (the entries of the previous snapshot's pre-image maps),
     and ``walked_epochs`` the epoch number of every snapshot walk the
     diff started.
     """
     tracker = engine._change_tracker
-    dirty_keys = sum(len(rel._dirty) for rel, _, _ in tracker.tracked)
+    dirty_keys = sum(
+        len(tracker._prev.data_of(rel)[1]) for rel, _, _ in tracker.tracked
+    )
     walked = []
     inner = engine._enumerate
 

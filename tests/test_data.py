@@ -278,12 +278,10 @@ _entry = st.tuples(
 )
 
 
-def _indexed(prefill, dirty):
+def _indexed(prefill):
     rel = Relation("R", ("A", "B", "C"), data=dict(prefill))
     for variables in INDEXED:
         rel.index_on(variables)
-    if dirty:
-        rel.track_dirty()
     return rel
 
 
@@ -299,9 +297,46 @@ def _buckets(rel):
     return _ordered({v: index.groups for v, index in rel._indexes.items()})
 
 
-def _frozen(shared):
-    data, groups, _, _ = shared
-    return list(data.items()), _ordered(groups)
+def _maps(rel):
+    """Every pre-image map of ``rel`` and its indexes, in order; a bucket
+    pre-image as its member list."""
+    return [list(undo.items()) for undo in rel._maps], {
+        v: [
+            [(gk, None if b is None else list(b)) for gk, b in undo.items()]
+            for undo in index._maps
+        ]
+        for v, index in rel._indexes.items()
+    }
+
+
+#: Every key of the ``_entry`` domain.
+UNIVERSE = [(a, b, c) for a in range(3) for b in range(3) for c in range(2)]
+
+
+def _frozen(rel):
+    """What a snapshot of ``rel`` must read from now on (a bucket's
+    member order included; snapshots probe groups, never list them)."""
+    return dict(rel.data), {
+        v: {gk: list(bucket) for gk, bucket in index.groups.items()}
+        for v, index in rel._indexes.items()
+    }
+
+
+def _read(snap, rel):
+    """What ``snap`` reads of ``rel``: payloads, and each index's buckets
+    over every group the key domain projects to."""
+    view = snap.view(rel)
+    payloads = {key: view.get(key) for key in UNIVERSE if key in view}
+    buckets = {}
+    for variables in rel._indexes:
+        project = rel.schema.projector(variables)
+        groups = snap.view(rel, variables)
+        buckets[variables] = {
+            project(key): list(groups.get(project(key)))
+            for key in UNIVERSE
+            if project(key) in groups
+        }
+    return payloads, buckets
 
 
 def _assert_indexes_consistent(rel):
@@ -322,18 +357,22 @@ class TestAddDeltaFastLoop:
         st.lists(
             st.tuples(st.lists(_entry, max_size=14), st.booleans()), max_size=6
         ),
-        st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_entry_add(self, prefill, chunks, dirty):
+    def test_matches_per_entry_add(self, prefill, chunks):
+        from repro.viewtree.epoch import SnapshotRegistry
+
         assert Z.exact_zero and Z.add_operator == "+"
-        fast, slow = _indexed(prefill, dirty), _indexed(prefill, dirty)
+        fast, slow = _indexed(prefill), _indexed(prefill)
+        registries = SnapshotRegistry(), SnapshotRegistry()
         published = []
-        for entries, publish in chunks:
+        for number, (entries, publish) in enumerate(chunks):
             if publish:
-                shared = fast.share_version()
-                assert shared[2] == slow.share_version()[2]  # buckets copied
-                published.append((shared, _frozen(shared)))
+                snaps = [
+                    registry.capture(number, [rel])
+                    for registry, rel in zip(registries, (fast, slow))
+                ]
+                published.append((snaps[0], _frozen(fast)))
             # Exact cancellations: every third entry comes back negated.
             entries = entries + [(key, -p) for key, p in entries[::3]]
             with counting() as fused:
@@ -344,23 +383,24 @@ class TestAddDeltaFastLoop:
             assert writes == fused["write"] == single["write"]
             assert list(fast.data.items()) == list(slow.data.items())
             assert _buckets(fast) == _buckets(slow)
-            assert fast._dirty == slow._dirty
-            # Shared index versions are copied at the first posting, as
-            # add/remove do — a payload-only delta copies none.
-            assert [i._cow for i in fast._indexes.values()] == [
-                i._cow for i in slow._indexes.values()
-            ]
-        for shared, frozen in published:
-            assert _frozen(shared) == frozen
+            # Same pre-images, recorded in the same order; buckets are
+            # preserved at the first posting, as add/remove do.
+            assert _maps(fast) == _maps(slow)
+        for snap, (data, buckets) in published:
+            payloads, read_buckets = _read(snap, fast)
+            assert payloads == data
+            assert read_buckets == buckets
         _assert_indexes_consistent(fast)
 
-        # Copies and pickles keep maintaining their indexes.
+        # Copies and pickles keep maintaining their indexes, and carry
+        # no pre-image map.
         more = [((0, 1, 0), 1), ((2, 2, 1), 1), ((0, 1, 0), -1)]
         more += [(key, -p) for key, p in list(fast.data.items())[:3]]
         expected = slow.copy()
         for key, payload in more:
             expected.add(key, payload)
         for clone in (fast.copy(), pickle.loads(pickle.dumps(fast))):
+            assert _maps(clone) == ([], {v: [] for v in INDEXED})
             clone.add_delta(more)
             assert list(clone.data.items()) == list(expected.data.items())
             assert _buckets(clone) == _buckets(expected)

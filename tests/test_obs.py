@@ -384,7 +384,7 @@ def _recorded(engine: str, k: int = 1) -> MaintenanceStats:
     s.record_serve_read(0.0007 * k)
     s.record_commit_error()
     s.record_epoch_publish()
-    s.record_epoch_publish(3, k, 9)
+    s.record_epoch_publish(3, k, 9, 5 * k)
     s.record_snapshot_read(4e-5)
     s.record_change_delta(6 * k)
     s.record_change_delta(2, 128)

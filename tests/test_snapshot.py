@@ -112,9 +112,9 @@ class TestEpochBasics:
         assert engine.lookup_snapshot(()) == frozen
 
     def test_cow_copies_are_counted_and_bounded(self):
-        """Post-publish writes copy each touched bucket/table once per
-        epoch — counted in the stats — and the frozen epoch still reads
-        the pre-write payloads."""
+        """Post-publish writes copy no table: they record pre-images and
+        copy each touched bucket once per epoch — counted in the stats —
+        and the frozen epoch still reads the pre-write payloads."""
         query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
         stats = engine.attach_stats()
         engine.apply_batch(list(update_stream(query, 200, domain=6, seed=9)))
@@ -125,12 +125,14 @@ class TestEpochBasics:
 
         engine.publish_epoch()
         assert stats.epochs_published == 2
-        # The second publish observed the copies the writes forced.
-        assert stats.cow_tables_copied > 0
+        # The second publish observed the work the writes did.
+        assert stats.cow_tables_copied == 0
+        assert stats.undo_entries > 0
         assert stats.cow_buckets_copied > 0
         epochs = stats.to_dict()["epochs"]
         assert epochs["published"] == 2
-        assert epochs["cow_tables_copied"] == stats.cow_tables_copied
+        assert epochs["cow_tables_copied"] == 0
+        assert epochs["undo_entries"] == stats.undo_entries
 
     def test_unsupported_backend_raises_typeerror(self):
         # The triangle-count query plans onto a non-snapshot backend.
