@@ -55,8 +55,9 @@ Snapshot safety: environments bind :class:`Relation` /
 snapshot keeps working.  Writes under a live snapshot must record
 pre-images (:mod:`repro.viewtree.epoch`): ``push_batch`` binds each
 written relation's newest map once per sink and tests it per key (a
-``None`` test when no snapshot is live); ``push`` writes through
-``Relation.add``, which records itself.
+``None`` test when no snapshot is live); ``push`` either writes through
+``Relation.add``, which records itself, or — on a plan that fans out —
+is ``push_batch`` over one key.
 
 Pickling: a kernel's functions are closures over live objects and cannot
 pickle, so :class:`DeltaKernel`/:class:`EnumKernel` implement
@@ -353,214 +354,86 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
     return env
 
 
+def _fans_out(plan: DeltaPlan) -> bool:
+    """Whether some sibling join of ``plan`` can turn one delta tuple
+    into several (an INDEXED or CROSS probe)."""
+    return any(
+        join.mode != DIRECT for step in plan.steps for join in step.siblings
+    )
+
+
 def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
     """The single-tuple ``push(key, payload, stats)`` body.
 
-    The flowing delta starts as one ``(dk, dp)`` pair and stays scalar
-    straight-line code through DIRECT joins and marginalizations; the
-    first INDEXED/CROSS join fans it out into parallel-iteration list
-    code.  Sibling order, early exits, per-view ``stats.record_delta``
-    calls, and ring-operation order follow the generic
-    :meth:`ViewTreeEngine._propagate`; probes and per-match enumeration
-    steps are counted in bulk — one ``COUNTER.bump(kind, n)`` per push
-    instead of one call per operation — so COUNTER-based complexity
-    assertions see the same asymptotic shape at a fraction of the
-    bookkeeping cost.
+    A plan whose sibling joins are all DIRECT keeps the delta one
+    ``(dk, dp)`` pair from leaf to root: straight-line code, one
+    ``dict.get`` per sibling, one ``Relation.add`` per guard/view write.
+    Sibling order, early exits, per-view ``stats.record_delta`` calls,
+    and ring-operation order follow the generic
+    :meth:`ViewTreeEngine._propagate`; probes are counted in bulk — one
+    ``COUNTER.bump`` per push instead of one call per probe.
+
+    A plan with a fan-out step (an INDEXED or CROSS sibling) hands the
+    tuple to ``push_batch`` as a one-key batch: past the fan-out the
+    delta is a list either way, and the batch body joins, writes and
+    aggregates it in fused passes with inline sinks, instead of building
+    a list, aggregating it again, and calling ``Relation.add`` per view
+    key.  Plans without fan-out keep the straight-line body, which
+    beats the batch body's list set-up on one tuple.
     """
     w.emit("def push(key, payload, stats=None):")
     with w.block():
         w.emit(f"if {ops.is_zero('payload')}:")
         with w.block():
             w.emit("return")
+        if _fans_out(plan):
+            w.emit("push_batch([key], [payload], stats)")
+            return
         w.emit("lookups = 0")
-        w.emit("matches = 0")
         w.emit("try:")
         with w.block():
             w.emit("dk = key")
             w.emit("dp = payload")
-            single = True
             arity = len(plan.leaf.schema.variables)
             for s, step in enumerate(plan.steps):
                 w.emit(f"# step {s} ({step.variable})")
                 for j, join in enumerate(step.siblings):
+                    w.emit("lookups += 1")
                     probe = _proj("dk", join.probe_positions, arity)
-                    if join.mode == DIRECT:
-                        if single:
-                            w.emit("lookups += 1")
-                            w.emit(f"val = REL_{s}_{j}.data.get({probe})")
-                            w.emit("if val is None:")
-                            with w.block():
-                                w.emit("return")
-                            w.emit(f"dp = {ops.mul('dp', 'val')}")
-                            w.emit(f"if {ops.is_zero('dp')}:")
-                            with w.block():
-                                w.emit("return")
-                        else:
-                            w.emit("lookups += len(items)")
-                            w.emit(f"data = REL_{s}_{j}.data")
-                            w.emit("out = []")
-                            w.emit("for dk, dp in items:")
-                            with w.block():
-                                w.emit(f"val = data.get({probe})")
-                                w.emit("if val is None:")
-                                with w.block():
-                                    w.emit("continue")
-                                w.emit(f"prod = {ops.mul('dp', 'val')}")
-                                w.emit(f"if {ops.nonzero('prod')}:")
-                                with w.block():
-                                    w.emit("out.append((dk, prod))")
-                            w.emit("items = out")
-                            w.emit("if not items:")
-                            with w.block():
-                                w.emit("return")
-                    elif join.mode == INDEXED:
-                        extend = _proj("sk", join.extend_positions)
-                        if single:
-                            w.emit("lookups += 1")
-                            w.emit(f"bucket = IDX_{s}_{j}.groups.get({probe})")
-                            w.emit("if not bucket:")
-                            with w.block():
-                                w.emit("return")
-                            w.emit("matches += len(bucket)")
-                            w.emit(f"data = REL_{s}_{j}.data")
-                            w.emit("items = []")
-                            w.emit("for sk in bucket:")
-                            with w.block():
-                                w.emit(f"prod = {ops.mul('dp', 'data[sk]')}")
-                                w.emit(f"if {ops.is_zero('prod')}:")
-                                with w.block():
-                                    w.emit("continue")
-                                w.emit(f"items.append((dk + {extend}, prod))")
-                            w.emit("if not items:")
-                            with w.block():
-                                w.emit("return")
-                            single = False
-                        else:
-                            w.emit("lookups += len(items)")
-                            w.emit(f"groups = IDX_{s}_{j}.groups")
-                            w.emit(f"data = REL_{s}_{j}.data")
-                            w.emit("out = []")
-                            w.emit("for dk, dp in items:")
-                            with w.block():
-                                w.emit(f"bucket = groups.get({probe})")
-                                w.emit("if not bucket:")
-                                with w.block():
-                                    w.emit("continue")
-                                w.emit("matches += len(bucket)")
-                                w.emit("for sk in bucket:")
-                                with w.block():
-                                    w.emit(f"prod = {ops.mul('dp', 'data[sk]')}")
-                                    w.emit(f"if {ops.is_zero('prod')}:")
-                                    with w.block():
-                                        w.emit("continue")
-                                    w.emit(f"out.append((dk + {extend}, prod))")
-                            w.emit("items = out")
-                            w.emit("if not items:")
-                            with w.block():
-                                w.emit("return")
-                    else:  # CROSS
-                        extend = _proj("sk", join.extend_positions)
-                        w.emit(f"data = REL_{s}_{j}.data")
-                        if single:
-                            w.emit("matches += len(data)")
-                            w.emit("items = []")
-                            w.emit("for sk, sp in data.items():")
-                            with w.block():
-                                w.emit(f"prod = {ops.mul('dp', 'sp')}")
-                                w.emit(f"if {ops.is_zero('prod')}:")
-                                with w.block():
-                                    w.emit("continue")
-                                w.emit(f"items.append((dk + {extend}, prod))")
-                            w.emit("if not items:")
-                            with w.block():
-                                w.emit("return")
-                            single = False
-                        else:
-                            w.emit("matches += len(data) * len(items)")
-                            w.emit("out = []")
-                            w.emit("for dk, dp in items:")
-                            with w.block():
-                                w.emit("for sk, sp in data.items():")
-                                with w.block():
-                                    w.emit(f"prod = {ops.mul('dp', 'sp')}")
-                                    w.emit(f"if {ops.is_zero('prod')}:")
-                                    with w.block():
-                                        w.emit("continue")
-                                    w.emit(f"out.append((dk + {extend}, prod))")
-                            w.emit("items = out")
-                            w.emit("if not items:")
-                            with w.block():
-                                w.emit("return")
-                    arity += len(join.extend_positions)
-
-                if step.guard is not None:
-                    gproj = _proj("dk", step.guard_positions, arity)
-                    if single:
-                        w.emit(f"GADD_{s}({gproj}, dp)")
-                    else:
-                        w.emit("for dk, dp in items:")
-                        with w.block():
-                            w.emit(f"GADD_{s}({gproj}, dp)")
-
-                # Marginalize the node variable onto the view schema.
-                oproj = _proj("dk", step.out_positions, arity)
-                if single:
-                    if step.lift is not None:
-                        lifted = ops.mul("dp", f"LIFT_{s}(dk[{step.lift_position}])")
-                        w.emit(f"dp = {lifted}")
-                    if oproj != "dk":
-                        w.emit(f"dk = {oproj}")
+                    w.emit(f"val = REL_{s}_{j}.data.get({probe})")
+                    w.emit("if val is None:")
+                    with w.block():
+                        w.emit("return")
+                    w.emit(f"dp = {ops.mul('dp', 'val')}")
                     w.emit(f"if {ops.is_zero('dp')}:")
                     with w.block():
-                        w.emit("if stats is not None:")
-                        with w.block():
-                            w.emit(f"stats.record_delta(LBL_{s}, 0)")
                         w.emit("return")
-                    w.emit(f"VADD_{s}(dk, dp)")
+                if step.guard is not None:
+                    gproj = _proj("dk", step.guard_positions, arity)
+                    w.emit(f"GADD_{s}({gproj}, dp)")
+                # Marginalize the node variable onto the view schema.
+                if step.lift is not None:
+                    lifted = ops.mul("dp", f"LIFT_{s}(dk[{step.lift_position}])")
+                    w.emit(f"dp = {lifted}")
+                oproj = _proj("dk", step.out_positions, arity)
+                if oproj != "dk":
+                    w.emit(f"dk = {oproj}")
+                w.emit(f"if {ops.is_zero('dp')}:")
+                with w.block():
                     w.emit("if stats is not None:")
                     with w.block():
-                        w.emit(f"stats.record_delta(LBL_{s}, 1)")
-                else:
-                    w.emit("agg = {}")
-                    w.emit("for dk, dp in items:")
-                    with w.block():
-                        w.emit(f"okey = {oproj}")
-                        if step.lift is not None:
-                            lifted = ops.mul(
-                                "dp", f"LIFT_{s}(dk[{step.lift_position}])"
-                            )
-                            w.emit(f"dp = {lifted}")
-                        w.emit("prev = agg.get(okey)")
-                        w.emit(
-                            "agg[okey] = dp if prev is None else "
-                            + ops.add("prev", "dp")
-                        )
-                    w.emit("items = []")
-                    w.emit("for okey, dp in agg.items():")
-                    with w.block():
-                        w.emit(f"if {ops.is_zero('dp')}:")
-                        with w.block():
-                            w.emit("continue")
-                        w.emit(f"VADD_{s}(okey, dp)")
-                        w.emit("items.append((okey, dp))")
-                    w.emit("if stats is not None:")
-                    with w.block():
-                        w.emit(f"stats.record_delta(LBL_{s}, len(items))")
-                    if s + 1 < len(plan.steps):
-                        w.emit("if not items:")
-                        with w.block():
-                            w.emit("return")
+                        w.emit(f"stats.record_delta(LBL_{s}, 0)")
+                    w.emit("return")
+                w.emit(f"VADD_{s}(dk, dp)")
+                w.emit("if stats is not None:")
+                with w.block():
+                    w.emit(f"stats.record_delta(LBL_{s}, 1)")
                 arity = len(step.out_positions)
         w.emit("finally:")
         with w.block():
-            w.emit("if COUNTER.enabled:")
+            w.emit("if COUNTER.enabled and lookups:")
             with w.block():
-                w.emit("if lookups:")
-                with w.block():
-                    w.emit('COUNTER.bump("lookup", lookups)')
-                w.emit("if matches:")
-                with w.block():
-                    w.emit('COUNTER.bump("enum", matches)')
+                w.emit('COUNTER.bump("lookup", lookups)')
 
 
 def _emit_binding(w: _Writer, p: str, rel: str) -> None:

@@ -11,9 +11,14 @@ of the join of everything below the node.  Following F-IVM:
 * the view at node ``X`` has schema ``dep(X)`` — the node's dependency
   set — and aggregates away ``X`` from the join of the node's children
   views and anchored leaves;
-* when more than one source constrains ``X``, the node additionally
-  materializes the pre-marginalization join (the *guard*), which is what
-  enumeration iterates over.
+* when ``X`` is free and more than one source constrains it, the node
+  additionally materializes the pre-marginalization join (the *guard*),
+  which is what enumeration iterates over.  A guard exists only where
+  enumeration reads it: the walk treats a bound node as a leaf its view
+  summarizes (:func:`~repro.viewtree.enumplan._flatten`), so a guard at
+  a bound node — on ``Q(A,C) = R(A,B) * S(B,C)`` the whole ``R ⋈ S`` —
+  would cost a write per joined tuple on every update and be read by
+  nothing.
 
 On a single-tuple update, deltas propagate along the leaf-to-root path;
 each step joins the delta with the sibling sources.  For q-hierarchical
@@ -83,7 +88,11 @@ class ViewNode:
         self.leaves: list[tuple[Atom, Relation]] = []
         #: The node view V_X over dep(X) (X marginalized away).
         self.view: Relation | None = None
-        #: Materialized pre-marginalization join, when >1 source exists.
+        #: Materialized pre-marginalization join, kept only where
+        #: enumeration iterates it: at a free node with more than one
+        #: source.  A bound node is summarized by its view (the walk never
+        #: descends into it), so a guard there would be written on every
+        #: update below and never read.
         self.guard: Relation | None = None
 
     def sources(self) -> list[Relation]:
@@ -345,7 +354,7 @@ class ViewTreeEngine(Backend):
 
         sources = node.sources()
         joined = join_all(sources, self.ring, name=f"G_{node.variable}")
-        if len(sources) > 1:
+        if node.is_free and len(sources) > 1:
             node.guard = joined
         lift = None
         if not node.is_free:
@@ -656,7 +665,8 @@ class ViewTreeEngine(Backend):
             self._maybe_sample_views(raw)
 
     def rebuild(self) -> None:
-        """Recompute every guard and view from the current leaves."""
+        """Recompute every guard and view from the current leaves (a
+        bound node has no guard: only its view is rebuilt)."""
         for root in self.roots:
             self._rebuild_node(root)
 
@@ -1124,7 +1134,7 @@ class ViewTreeEngine(Backend):
     # ------------------------------------------------------------------
 
     def total_view_size(self) -> int:
-        """Number of entries across all materialized views and guards."""
+        """Number of entries across all views, guards and leaves."""
         total = 0
         for root in self.roots:
             for node in root.walk():

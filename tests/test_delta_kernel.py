@@ -22,19 +22,25 @@ import pytest
 from repro.bench import Table, diff_records
 from repro.bench import bench_record as _bench_record
 from repro.bench.diff import benchdiff, column_direction, parse_number
-from repro.data import Database, Update
+from repro.data import Database, Update, counting
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query, search_order
 from repro.rings import (
     B,
+    MIN_PLUS,
+    PROVENANCE,
     CovarianceRing,
     LiftingMap,
+    ProductRing,
+    R,
     Z,
     identity_lifting,
     moment_lifting,
 )
+from repro.rings.standard import FloatRing, IntegerRing
 from repro.shard import ShardedEngine
 from repro.viewtree import DeltaPlan, ViewTreeEngine, compile_delta_plans
+from repro.viewtree.compile import DIRECT
 
 from tests.conftest import seeded_db, twin_engines, valid_stream
 
@@ -234,6 +240,77 @@ class TestCompiledGenericEquivalence:
             compiled.output_relation().to_dict()
             == generic.output_relation().to_dict()
         )
+
+
+def _views_in_order(engine):
+    """Every node view's entries, in dict (insertion) order."""
+    return {
+        node.variable: list(node.view.data.items()) for node in tree_nodes(engine)
+    }
+
+
+class TestSingleTupleFanOut:
+    """A single-tuple ``push`` on a plan with an INDEXED/CROSS sibling runs
+    the batch body over one key; it must stay bit-identical to the
+    generic walk, order included, and write no guard at a bound node."""
+
+    @pytest.mark.parametrize(
+        "ring,deletes",
+        [(Z, True), (R, True), (B, False), (MIN_PLUS, False),
+         (PROVENANCE, False), (ProductRing(IntegerRing(), FloatRing()), True)],
+        ids=["int", "float", "boolean", "min-plus", "provenance", "product"],
+    )
+    @pytest.mark.parametrize(
+        "text,schemas",
+        [("Q(A, C) = R(A, B) * S(B, C)", [("R", ("A", "B")), ("S", ("B", "C"))]),
+         ("Q(A, C) = E(A, B) * E(B, C)", [("E", ("A", "B"))])],
+        ids=["hier", "self-join"],
+    )
+    def test_bit_identical_to_the_generic_walk(self, text, schemas, ring, deletes):
+        query = parse_query(text)
+        order = search_order(query, require_free_top=True)
+        compiled, generic = twin_engines(
+            query, schemas, seed=61, order=order, ring=ring, rows=40
+        )
+        assert any(
+            join.mode != DIRECT
+            for kernels in compiled._kernels.values()
+            for kernel in kernels
+            for step in kernel.plan.steps
+            for join in step.siblings
+        )
+        arities = {name: len(schema) for name, schema in schemas}
+        for update in valid_stream(
+            random.Random(67), arities, 300, domain=6,
+            delete_prob=0.25 if deletes else 0.0,
+        ):
+            payload = ring.one if update.payload > 0 else ring.neg(ring.one)
+            update = Update(update.relation, update.key, payload)
+            compiled.apply(update)
+            generic.apply(update)
+        assert _views_in_order(compiled) == _views_in_order(generic)
+        assert list(compiled.enumerate()) == list(generic.enumerate())
+        if ring is Z:
+            assert compiled.output_relation() == evaluate(query, compiled.database)
+
+    @pytest.mark.parametrize("k", [1, 5, 40])
+    def test_fan_out_k_writes_no_guard(self, k):
+        query = parse_query("Q(A, C) = R(A, B) * S(B, C)")
+        db = Database()
+        db.create("R", ("A", "B"))
+        db.create("S", ("B", "C"))
+        for c in range(k):
+            db["S"].insert(7, c)
+        engine = ViewTreeEngine(
+            query, db, search_order(query, require_free_top=True)
+        )
+        with counting() as ops:
+            engine.apply(Update("R", (1, 7), 1))
+        # One base write, k entries of V_B(A, C), one each of V_C(A) and
+        # V_A(): no write of an R ⋈ S guard.
+        assert ops["write"] == 1 + k + 1 + 1
+        assert ops["enum"] == k
+        assert dict(engine.enumerate()) == {(1, c): 1 for c in range(k)}
 
 
 class TestCompiledPlans:

@@ -21,6 +21,7 @@ from repro.core.engine import IVMEngine
 from repro.data import Database, Relation, Update
 from repro.data.relation import GroupIndex
 from repro.naive import evaluate
+from repro.query import search_order
 from repro.query.parser import parse_query
 from repro.rings import FloatRing, Z
 from repro.serve import AsyncIVMServer, update_stream
@@ -114,6 +115,9 @@ class TestSnapshotsReadTheirPublishState:
 
 
 LIST = "Q(Y,X,Z) = R(Y,X) * S(Y,Z)"
+#: Bound ``B`` under the free-top order: an ``R`` update fans out over
+#: ``S``'s ``B`` group.
+HIER = "Q(A,C) = R(A,B) * S(B,C)"
 
 
 def _engine(text=LIST, generated=True, schemas=None):
@@ -470,6 +474,51 @@ class TestRollback:
         assert dict(engine.enumerate_snapshot()) == published
         # The checkpoints' maps are released again.
         assert max(_maps_per_relation(engine)) == 1
+
+    @pytest.mark.parametrize("generated", [True, False], ids=["kernels", "oracle"])
+    def test_single_tuple_fan_out_push_rolls_back(self, generated, monkeypatch):
+        """A single-tuple ``apply`` on ``Q(A,C)`` whose push raises midway —
+        its fan-out already on ``V_B``, ``V_A`` not yet written — under a
+        live snapshot restores base, views and the epoch exactly."""
+        query = parse_query(HIER)
+        db = Database()
+        for atom in query.atoms:
+            db.create(atom.relation, atom.variables)
+        engine = ViewTreeEngine(
+            query, db, search_order(query, require_free_top=True),
+            generated=generated,
+        )
+        prefix, _, _ = _batches(query, 16)
+        engine.apply_batch(prefix)
+        engine.publish_epoch()
+        before = _state(engine)
+        expected = evaluate(query, db).to_dict()
+        partners = {}
+        for b, _c in db["S"].keys():
+            partners[b] = partners.get(b, 0) + 1
+        b = max(partners, key=partners.get)
+        assert partners[b] >= 2
+        update = Update("R", (99, b), 1)
+        view_b = next(n.view for n in engine.roots[0].walk() if n.variable == "B")
+        stats = engine.attach_stats()
+        reached = []
+
+        def record_delta(view, size):
+            if view == "V_C":
+                reached.append(dict(view_b.data) != before["V_B"])
+                raise RuntimeError("injected fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "record_delta", record_delta)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.apply(update)
+        assert reached == [True]
+        assert _state(engine) == before
+        assert dict(engine.enumerate()) == expected
+        assert dict(engine.enumerate_snapshot()) == expected
+        engine.apply(update)
+        engine.publish_epoch()
+        assert dict(engine.enumerate_snapshot()) == evaluate(query, db).to_dict()
 
     def test_failed_rebuild_restores_cleared_views(self, monkeypatch):
         """A batch rebuild clears views under the live snapshot (fresh
