@@ -1,7 +1,7 @@
-"""Cascading q-hierarchical queries (Section 4.2)."""
+"""Cascading q-hierarchical queries over one database (Section 4.2)."""
 
-from .engine import CascadeEngine, StaleCascadeError
-from .multi import MultiQueryEngine, QueryAssignment
+from .engine import CascadeEngine
+from .multi import MultiQueryEngine, QueryAssignment, StaleCascadeError
 
 __all__ = [
     "CascadeEngine",

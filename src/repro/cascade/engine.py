@@ -1,21 +1,13 @@
 """Cascading q-hierarchical queries (Section 4.2, Example 4.5, Fig. 5).
 
 A non-q-hierarchical query ``Q1`` that admits a q-hierarchical rewriting
-over a q-hierarchical query ``Q2`` can piggyback on ``Q2``'s maintenance:
-
-* ``Q2`` is maintained by its own view tree with O(1) updates and delay;
-* ``Q1`` is maintained by a view tree over the rewriting
-  ``Q1' = Q2(head) * rest``, whose ``Q2`` leaf is the materialized view
-  ``V_Q2`` of ``Q2``'s output;
-* ``V_Q2`` is *not* refreshed on updates — it is refreshed during the
-  enumeration of ``Q2``'s output, whose cost asymptotically covers the
-  propagation (each propagated tuple adds O(1) on top of the enumeration
-  step that visits it).
-
-Consequently both queries enjoy amortized O(1) updates and O(1) delay,
-provided (i) both outputs are enumerated and (ii) ``Q2``'s enumeration is
-triggered before ``Q1``'s — the engine enforces (ii) and raises
-:class:`StaleCascadeError` otherwise.
+``Q1' = Q2(head) * rest`` over a q-hierarchical query ``Q2`` piggybacks
+on ``Q2``'s maintenance: ``Q2``'s view tree keeps O(1) updates and
+delay, and ``Q1``'s tree over ``Q1'`` reads ``Q2``'s output through the
+materialized view ``V_Q2``, refreshed only while ``Q2`` is enumerated.
+:class:`CascadeEngine` is the two-query case of
+:class:`~repro.cascade.multi.MultiQueryEngine`, which documents the
+protocol and the shared-database rules.
 """
 
 from __future__ import annotations
@@ -23,22 +15,14 @@ from __future__ import annotations
 from typing import Any, Iterator
 
 from ..data.database import Database
-from ..data.relation import Relation
-from ..data.schema import Schema
-from ..data.update import Update, coalesce
-from ..obs import Observable, observed, share_stats
 from ..query.ast import Query
 from ..query.properties import is_q_hierarchical
 from ..query.rewriting import rewrite_using
 from ..rings.lifting import LiftingMap
-from ..viewtree.engine import ViewTreeEngine
+from .multi import MultiQueryEngine
 
 
-class StaleCascadeError(RuntimeError):
-    """Q1 enumeration requested while V_Q2 is stale (condition (ii))."""
-
-
-class CascadeEngine(Observable):
+class CascadeEngine(MultiQueryEngine):
     """Joint maintenance of a q-hierarchical Q2 and a cascading Q1."""
 
     def __init__(
@@ -62,88 +46,15 @@ class CascadeEngine(Observable):
         self.q1 = q1
         self.q2 = q2
         self.rewriting = rewriting
-        self.database = database
-        self.ring = database.ring
-
-        self.q2_engine = ViewTreeEngine(q2, database, lifting=lifting)
-        #: Materialized output of Q2, refreshed only during Q2 enumeration.
-        self.v_q2 = Relation(q2.name, Schema(q2.head), self.ring)
-        for key, payload in self.q2_engine.enumerate():
-            self.v_q2.add(key, payload)
-
-        # The top engine maintains Q1' over a database in which Q2's
-        # output appears as an ordinary relation (fed by enumerate_q2).
-        self._top_db = Database(ring=self.ring)
-        self._top_db.add_relation(self.v_q2)
-        for atom in rewriting.atoms:
-            if atom.relation != q2.name and atom.relation not in self._top_db:
-                self._top_db.add_relation(database[atom.relation])
-        self.q1_engine = ViewTreeEngine(rewriting, self._top_db, lifting=lifting)
-
-        self._q2_relations = frozenset(a.relation for a in q2.atoms)
-        self._rest_relations = frozenset(
-            a.relation for a in rewriting.atoms if a.relation != q2.name
-        )
-        self._stale = False
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-
-    def _propagate_stats(self, stats) -> None:
-        share_stats(self.q1_engine, stats)
-        share_stats(self.q2_engine, stats)
-
-    @observed
-    def apply(self, update: Update) -> None:
-        """O(1) per update for q-hierarchical Q2 and rewriting."""
-        if update.relation in self.database:
-            self.database[update.relation].add(update.key, update.payload)
-        if update.relation in self._q2_relations:
-            self.q2_engine.apply(update, update_base=False)
-            self._stale = True  # V_Q2 no longer mirrors Q2's output
-        if update.relation in self._rest_relations:
-            self.q1_engine.apply(update, update_base=False)
-
-    @observed
-    def apply_batch(self, batch) -> None:
-        # Ring-coalescing cancels same-key churn before the per-update
-        # routing (batches over a ring commute, so the sum is the same).
-        for update in coalesce(batch, self.ring):
-            self.apply(update)
-
-    # ------------------------------------------------------------------
-    # Enumeration
-    # ------------------------------------------------------------------
+        self._build([q1, q2], database, {q1.name: (q2, rewriting)}, lifting)
+        #: Q1's tree over the rewriting, Q2's tree, and V_Q2.
+        self.q1_engine = self._members[q1.name]
+        self.q2_engine = self._members[q2.name]
+        self.v_q2 = self._hosts[q2.name].view
 
     def enumerate_q2(self) -> Iterator[tuple[tuple, Any]]:
-        """Enumerate Q2's output, piggybacking V_Q2 / Q1-view refreshes.
-
-        Each visited tuple whose payload differs from the stored V_Q2
-        entry is propagated into the Q1 view tree — a constant amount of
-        work per enumerated tuple.  Tuples that vanished from Q2's output
-        are retracted in a final reconciliation sweep, whose cost is
-        covered by the earlier enumerations that inserted them.
-        """
-        seen: set[tuple] = set()
-        for key, payload in self.q2_engine.enumerate():
-            seen.add(key)
-            stored = self.v_q2.get(key)
-            if stored != payload:
-                delta = self.ring.sub(payload, stored)
-                self.v_q2.add(key, delta)
-                self.q1_engine.apply(
-                    Update(self.q2.name, key, delta), update_base=False
-                )
-            yield key, payload
-        for key in [k for k in self.v_q2.keys() if k not in seen]:
-            stored = self.v_q2.get(key)
-            self.v_q2.add(key, self.ring.neg(stored))
-            self.q1_engine.apply(
-                Update(self.q2.name, key, self.ring.neg(stored)),
-                update_base=False,
-            )
-        self._stale = False
+        """Enumerate Q2's output, refreshing V_Q2 and Q1's tree."""
+        return self.enumerate(self.q2.name)
 
     def refresh(self) -> None:
         """Drain a Q2 enumeration purely for its propagation side effect."""
@@ -154,15 +65,8 @@ class CascadeEngine(Observable):
         """Enumerate Q1's output.
 
         With ``strict`` (the default) this raises
-        :class:`StaleCascadeError` when Q2 was updated but not enumerated
-        since — the paper's condition (ii).  With ``strict=False`` the
-        engine refreshes V_Q2 itself first (paying the Q2 enumeration).
+        :class:`~repro.cascade.multi.StaleCascadeError` when Q2 was
+        updated but not enumerated since — the paper's condition (ii).
+        With ``strict=False`` Q2 is enumerated first.
         """
-        if self._stale:
-            if strict:
-                raise StaleCascadeError(
-                    "Q2 was updated since its last enumeration; enumerate "
-                    "Q2 first (condition (ii) of Section 4.2)"
-                )
-            self.refresh()
-        return self.q1_engine.enumerate()
+        return self._enumerate_rider(self.q1.name, strict)

@@ -3,7 +3,7 @@
 from .database import Database
 from .io import dump_relation_csv, load_relation_csv, relation_from_rows
 from .opcounter import COUNTER, OpCounter, counting, measure_ops
-from .relation import GroupIndex, Relation
+from .relation import GroupIndex, Relation, SharedBaseError
 from .schema import EMPTY_SCHEMA, Schema
 from .update import (
     Update,
@@ -24,6 +24,7 @@ __all__ = [
     "OpCounter",
     "Relation",
     "Schema",
+    "SharedBaseError",
     "Update",
     "apply_batch",
     "apply_update",

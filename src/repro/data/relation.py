@@ -27,10 +27,20 @@ published buckets are never mutated and a snapshot iterates them in
 their publish-time order.  A snapshot reads a key from the live dict
 first and from its map second; see :class:`~repro.viewtree.epoch.VersionView`
 for why that order is exact against a concurrent writer.
+
+Writers
+-------
+A view tree whose leaf is a base relation maintains its views from the
+writes it makes itself, so a second engine writing the same relation
+would change that leaf behind the first one's views.  The first engine
+to write a relation claims it (:func:`claim_writer`); a claim is a weak
+reference, so it lapses with its engine, and pickles and copies carry
+none.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..rings.base import Semiring
@@ -43,6 +53,31 @@ from .schema import Schema
 #: absence exactly as ``dict.get`` does: ``undo.get(key, live.get(key))``
 #: is a snapshot read.
 ABSENT = None
+
+
+class SharedBaseError(RuntimeError):
+    """An engine was about to write a base relation that another live
+    engine writes (module docstring, "Writers")."""
+
+
+def claim_writer(relations: Iterable["Relation"], writer: object) -> None:
+    """Make ``writer`` the one engine that writes ``relations``.
+
+    Raises :class:`SharedBaseError`, claiming nothing, when another live
+    engine holds any of them: call it before the first write.
+    """
+    relations = list(relations)
+    for relation in relations:
+        owner = relation._writer() if relation._writer is not None else None
+        if owner is not None and owner is not writer:
+            raise SharedBaseError(
+                f"relation {relation.name!r} is already written by another "
+                f"live engine ({type(owner).__name__}); maintain queries "
+                "that share base relations through one MultiQueryEngine"
+            )
+    ref = weakref.ref(writer)
+    for relation in relations:
+        relation._writer = ref
 
 
 def _detach(maps: list[dict], undo: dict) -> list[dict]:
@@ -209,10 +244,11 @@ class Relation:
     ``data`` is written in place, always.  ``_maps`` holds the pre-image
     maps of the live snapshots that cover the relation, newest last
     (module docstring); it is empty when none does, and pickles and
-    copies carry none.
+    copies carry none.  ``_writer`` is the weak reference of the engine
+    that claimed the relation (:func:`claim_writer`), or ``None``.
     """
 
-    __slots__ = ("name", "schema", "ring", "data", "_indexes", "_maps")
+    __slots__ = ("name", "schema", "ring", "data", "_indexes", "_maps", "_writer")
 
     def __init__(
         self,
@@ -229,6 +265,7 @@ class Relation:
         self.data: dict[tuple, Any] = {}
         self._indexes: dict[tuple[str, ...], GroupIndex] = {}
         self._maps: list[dict] = []
+        self._writer: weakref.ref | None = None
         if data:
             for key, payload in data.items():
                 self.add(key, payload)
@@ -239,6 +276,7 @@ class Relation:
     def __setstate__(self, state) -> None:
         self.name, self.schema, self.ring, self.data, self._indexes = state
         self._maps = []
+        self._writer = None
 
     # ------------------------------------------------------------------
     # Versions (epoch snapshots, rollback)

@@ -7,7 +7,8 @@ of the join of everything below the node.  Following F-IVM:
   relation itself when the atom uses its schema and is its only atom,
   otherwise a live copy renamed to the atom's variables — so after
   construction the query's base relations are written through the
-  engine, never behind it;
+  engine, never behind it, and by one engine only (a second writer is a
+  :class:`~repro.data.relation.SharedBaseError`);
 * the view at node ``X`` has schema ``dep(X)`` — the node's dependency
   set — and aggregates away ``X`` from the join of the node's children
   views and anchored leaves;
@@ -42,7 +43,7 @@ from typing import Any, Iterator, Optional
 
 from ..backend import Backend, NotSupported
 from ..data.database import Database
-from ..data.relation import Relation
+from ..data.relation import Relation, claim_writer
 from ..data.schema import Schema
 from ..data.update import Update, coalesce_grouped
 from ..naive.algebra import join_all, join_pair, marginalize, union_into
@@ -188,7 +189,12 @@ class ViewTreeEngine(Backend):
         its relation's only atom and uses its schema *is* the database
         relation (see :meth:`_make_leaf`; :meth:`describe` marks each
         leaf ``= base`` or ``copy``): writing that relation behind the
-        engine's back changes a leaf without maintaining the views.
+        engine's back changes a leaf without maintaining the views.  So
+        an engine claims each base relation it writes, and one about to
+        write a relation another live engine writes raises
+        :class:`~repro.data.relation.SharedBaseError` before any write,
+        aliased leaf or not; queries that share relations are maintained
+        together by :class:`~repro.cascade.MultiQueryEngine`.
 
         ``generated`` (the default) plans every (base relation, anchor)
         propagation path and the free-top enumeration walk
@@ -252,6 +258,9 @@ class ViewTreeEngine(Backend):
             for name, anchors in self._anchors.items()
             if anchors[0][2] is database[name]
         )
+        #: Base relations this engine has claimed as their one writer
+        #: (:func:`~repro.data.relation.claim_writer`, on first write).
+        self._written: set[str] = set()
         #: Whether this engine runs generated kernels (the production
         #: path) or the generic walk (the oracle).
         self.generated = generated
@@ -312,11 +321,13 @@ class ViewTreeEngine(Backend):
         # maps; the receiving side republishes.  The change tracker
         # holds snapshots too, so it is likewise dropped — the receiver
         # re-enables tracking (subscribers see an epoch gap and fall
-        # back to a full drain).
+        # back to a full drain).  Writer claims are weak references,
+        # which relations drop on pickling: the copy claims anew.
         state = self.__dict__.copy()
         state["_epoch_snapshot"] = None
         state["_change_tracker"] = None
         state["_versions"] = SnapshotRegistry()
+        state["_written"] = set()
         return state
 
     def _propagate_stats(self, stats) -> None:
@@ -420,8 +431,11 @@ class ViewTreeEngine(Backend):
         a leaf that is the base relation is then not written again (with
         ``True`` it is written once, as the base) and every other leaf
         the push reads must still be in its pre-update state.  Updates
-        to a static relation (:class:`StaticRelationUpdateError`) or to one
-        outside the query (``KeyError``) are rejected before any write.
+        to a static relation (:class:`StaticRelationUpdateError`), to one
+        outside the query (``KeyError``) or, with ``update_base``, to a
+        base relation another live engine writes
+        (:class:`~repro.data.relation.SharedBaseError`) are rejected
+        before any write.
 
         The delta runs through the relation's generated ``push``
         kernels; a relation without kernels (``generated=False``, or a
@@ -432,6 +446,8 @@ class ViewTreeEngine(Backend):
         anchors = self._anchors.get(update.relation)
         if anchors is None or update.relation in self._static:
             raise self._rejected(update.relation)
+        if update_base and update.relation not in self._written:
+            self._claim((update.relation,))
         self._atomically(self._apply_one, update, anchors, update_base)
 
     def _apply_one(self, update: Update, anchors: list, update_base: bool) -> None:
@@ -494,6 +510,12 @@ class ViewTreeEngine(Backend):
             )
         return KeyError(f"relation {relation!r} not in the query")
 
+    def _claim(self, names) -> None:
+        """Claim the base relations an ``update_base`` write is about to
+        touch (``SharedBaseError`` when another live engine writes one)."""
+        claim_writer((self.database[name] for name in names), self)
+        self._written.update(names)
+
     def _writes(self, relation: str, update_base: bool) -> tuple[bool, bool]:
         """``(base, leaves)``: which relations an update to ``relation``
         writes.  An aliased leaf is the base: written once when
@@ -548,8 +570,9 @@ class ViewTreeEngine(Backend):
         the ring zero; the lists are read, never mutated.  ``raw`` is
         the number of updates the columns were coalesced from (default:
         their own size): the heuristic and the recorder size the batch
-        as its sender did.  A batch naming a static relation, or one
-        outside the query, is rejected before anything is written.
+        as its sender did.  A batch naming a static relation, one
+        outside the query or, with ``update_base``, one another live
+        engine writes is rejected before anything is written.
 
         ``update_base=False`` means the caller wrote the batch to the
         base just before this call.  A leaf that is its base relation
@@ -602,6 +625,8 @@ class ViewTreeEngine(Backend):
                     "base relation, together with other relations: apply "
                     "one relation per batch, or pass update_base=True"
                 )
+        if update_base and not self._written.issuperset(columns):
+            self._claim(columns)
         self._atomically(
             self._apply_columns, columns, update_base, rebuild_factor, raw
         )
@@ -639,9 +664,12 @@ class ViewTreeEngine(Backend):
                     self.sample_view_sizes()
                 return
         if not self.generated or raw < self.batch_compile_threshold:
+            # Checked and claimed above, and inside this commit's undo
+            # scope: each tuple is the body of apply().
             for name, (keys, pays) in columns.items():
+                anchors = self._anchors[name]
                 for key, payload in zip(keys, pays):
-                    self.apply(Update(name, key, payload), update_base)
+                    self._apply_one(Update(name, key, payload), anchors, update_base)
             return
         if stats is not None:
             stats.record_batch_coalesce(raw, size)
@@ -649,8 +677,9 @@ class ViewTreeEngine(Backend):
             kernels = self._kernels.get(name)
             if kernels is None:
                 # Generation failed for this relation: the generic walk.
+                anchors = self._anchors[name]
                 for key, payload in zip(keys, pays):
-                    self.apply(Update(name, key, payload), update_base)
+                    self._apply_one(Update(name, key, payload), anchors, update_base)
                 continue
             write_base, write_leaves = self._writes(name, update_base)
             if write_base:

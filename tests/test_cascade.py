@@ -122,6 +122,16 @@ class TestCascadeEngine:
         list(engine.enumerate_q2())
         assert dict(engine.enumerate_q1()) == {}
 
+    def test_unknown_relation_rejected_before_any_write(self):
+        db = fresh_db()
+        engine = CascadeEngine(Q1, Q2, db)
+        with pytest.raises(KeyError, match="Nope"):
+            engine.apply(Update("Nope", (1, 2), 1))
+        with pytest.raises(KeyError, match="Nope"):
+            engine.apply_batch([Update("R", (1, 2), 1), Update("Nope", (1, 2), 1)])
+        assert all(len(relation) == 0 for relation in db)
+        list(engine.enumerate_q1())  # nothing reached Q2: not stale
+
     def test_refresh_is_equivalent_to_enumerate_drain(self):
         db = fresh_db()
         engine = CascadeEngine(Q1, Q2, db)

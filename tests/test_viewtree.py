@@ -116,6 +116,78 @@ class TestConstruction:
             ViewTreeEngine(FIG3, db, order)
 
 
+class TestOneWriter:
+    """A base relation has one writing engine; a second is a typed error."""
+
+    Q = parse_query("Q(A, B, C) = R(A, B) * S(B, C)")
+
+    def db(self, schemas=(("A", "B"), ("B", "C"))):
+        db = Database()
+        db.create("R", schemas[0])
+        db.create("S", schemas[1])
+        return db
+
+    @pytest.mark.parametrize("schemas", [(("A", "B"), ("B", "C")), (("X", "Y"),) * 2])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_second_engine_raises_before_any_write(self, schemas, batched):
+        from repro.data import SharedBaseError
+
+        # Aliased leaves or renamed copies: the second engine would write
+        # the base either way.
+        db = self.db(schemas)
+        first, second = ViewTreeEngine(self.Q, db), ViewTreeEngine(self.Q, db)
+        updates = [Update("R", (1, 2), 1), Update("S", (2, 3), 1)]
+        for update in updates:
+            first.apply(update)
+        views = second.total_view_size()
+        with pytest.raises(SharedBaseError, match="'R'"):
+            if batched:
+                second.apply_batch(updates)
+            else:
+                second.apply(updates[0])
+        assert db["R"].data == {(1, 2): 1} and db["S"].data == {(2, 3): 1}
+        assert second.total_view_size() == views
+        assert first.output_relation() == evaluate(self.Q, db)
+        assert dict(first.enumerate()) == {(1, 2, 3): 1}
+
+    def test_claim_is_lazy_and_lapses_with_its_engine(self):
+        db = self.db()
+        reader = ViewTreeEngine(self.Q, db)  # never writes: claims nothing
+        first = ViewTreeEngine(self.Q, db)
+        first.apply(Update("R", (1, 2), 1))
+        del first
+        second = ViewTreeEngine(self.Q, db)
+        second.apply(Update("R", (4, 2), 1))
+        second.apply(Update("S", (2, 3), 1))
+        assert dict(second.enumerate()) == {(1, 2, 3): 1, (4, 2, 3): 1}
+        assert reader._written == set()
+
+    def test_update_base_false_claims_nothing(self):
+        # A coordinator (a shard host, a MultiQueryEngine) writes the base
+        # itself and pushes into several engines.
+        db = self.db()
+        engines = [ViewTreeEngine(self.Q, db) for _ in range(2)]
+        for update in (Update("R", (1, 2), 1), Update("S", (2, 3), 1)):
+            db[update.relation].add(update.key, update.payload)
+            for engine in engines:
+                engine.apply(update, update_base=False)
+        for engine in engines:
+            assert engine.output_relation() == evaluate(self.Q, db)
+
+    def test_pickled_copy_claims_its_own_relations(self):
+        import pickle
+
+        db = self.db()
+        engine = ViewTreeEngine(self.Q, db)
+        engine.apply(Update("R", (1, 2), 1))
+        copy = pickle.loads(pickle.dumps(engine))
+        assert copy.database["R"]._writer is None and not copy._written
+        copy.apply(Update("S", (2, 3), 1))
+        copy.apply(Update("R", (5, 2), 1))
+        assert dict(copy.enumerate()) == {(1, 2, 3): 1, (5, 2, 3): 1}
+        assert db["R"].data == {(1, 2): 1}  # the original is untouched
+
+
 class TestMaintenance:
     QUERIES = [
         ("Q(Y, X, Z) = R(Y, X) * S(Y, Z)", [("R", ("Y", "X")), ("S", ("Y", "Z"))]),
