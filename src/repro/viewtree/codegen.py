@@ -32,6 +32,35 @@ shares no code with them but :class:`~repro.data.relation.Relation` and
 is the differential-testing oracle: an engine built with
 ``generated=False`` must agree bit for bit (``tests/test_codegen.py``).
 
+Single-tuple fan-out
+--------------------
+A plan whose sibling joins are all DIRECT keeps one ``(key, payload)``
+pair from leaf to root: its ``push`` is straight-line code.  A plan that
+fans out (an INDEXED or CROSS sibling) gets a ``push`` that writes each
+view entry as it joins it, shaped by where each position of the delta
+key comes from — the input key, or a fan-out.  Three rules, each exact:
+
+1. **No aggregation dict when output keys are distinct.**  A step whose
+   view keeps every position that varies over its delta writes each
+   survivor to the view at once, in bucket order.  The delta's keys are
+   distinct and agree on every other position, so their projections are
+   distinct: each ``agg`` entry would hold one payload, in that order.
+2. **Keys the input binds are hoisted.**  A group-index key, or a step's
+   output key, whose positions all come from the input key is computed
+   once per push: one bucket probe and one preserve check, and a running
+   sum with one view write instead of a dict.  Every entry has that one
+   key, and the sum folds in the order the dict would.
+3. **Index postings inline.**  Every generated sink posts the written
+   relation's group indexes as :meth:`Relation._add_numeric` does,
+   bucket preservation included, through the one emitter ``push`` and
+   ``push_batch`` share: :meth:`GroupIndex.add` / ``remove`` written out.
+
+A next step without siblings rides the same loop: an entry one view
+takes is at once the next step's survivor.  Postings are specialised to
+the group indexes the written relations carry at generation (part of the
+shape); a call that finds one more re-emits the kernel first
+(:meth:`DeltaKernel.regenerate`).
+
 Shape cache
 -----------
 Generated source depends only on the plan's *shape* — step/sibling
@@ -53,11 +82,10 @@ Snapshot safety: environments bind :class:`Relation` /
 ``data``/``groups`` dicts — the generated code re-reads ``.data`` and
 ``.groups`` at call time, so a ``clear()`` that swaps them under a live
 snapshot keeps working.  Writes under a live snapshot must record
-pre-images (:mod:`repro.viewtree.epoch`): ``push_batch`` binds each
-written relation's newest map once per sink and tests it per key (a
-``None`` test when no snapshot is live); ``push`` either writes through
-``Relation.add``, which records itself, or — on a plan that fans out —
-is ``push_batch`` over one key.
+pre-images (:mod:`repro.viewtree.epoch`): a generated sink binds each
+written relation's newest map once and tests it per key (a ``None``
+test when no snapshot is live); a one-key write goes through
+``Relation.add``, which records itself.
 
 Pickling: a kernel's functions are closures over live objects and cannot
 pickle, so :class:`DeltaKernel`/:class:`EnumKernel` implement
@@ -69,6 +97,7 @@ to the view tree's own), and unpickling hits the shape cache.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Optional
@@ -138,6 +167,14 @@ def ring_identity(ring: Semiring) -> tuple:
     )
 
 
+def _index_positions(relation) -> tuple[tuple[int, ...], ...]:
+    """Key positions of each group index of ``relation`` (``None``: no
+    relation), in ``_indexes`` order — the order the env binds them."""
+    if relation is None:
+        return ()
+    return tuple(relation.schema.positions(gv) for gv in relation._indexes)
+
+
 def _delta_shape(plan: DeltaPlan) -> tuple:
     return (
         "delta",
@@ -154,6 +191,8 @@ def _delta_shape(plan: DeltaPlan) -> tuple:
                 step.out_positions,
                 step.lift is not None,
                 step.lift_position,
+                _index_positions(step.guard),
+                _index_positions(step.view),
             )
             for step in plan.steps
         ),
@@ -247,16 +286,24 @@ class _Ops:
         return f"not IS_ZERO({x})"
 
 
+def _tuple(items: list[str]) -> str:
+    """A literal tuple expression of the ``items`` expressions."""
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _items(var: str, positions) -> list[str]:
+    """The item expressions ``var[i]`` for ``i`` in ``positions`` (an
+    ``int``: the first that many)."""
+    if isinstance(positions, int):
+        positions = range(positions)
+    return [f"{var}[{i}]" for i in positions]
+
+
 def _proj(var: str, positions: tuple[int, ...], arity: int | None = None) -> str:
     """A literal tuple expression projecting ``var`` onto ``positions``."""
     if arity is not None and positions == tuple(range(arity)):
         return var
-    if not positions:
-        return "()"
-    inner = ", ".join(f"{var}[{i}]" for i in positions)
-    if len(positions) == 1:
-        return f"({inner},)"
-    return f"({inner})"
+    return _tuple(_items(var, positions))
 
 
 def _wrap_factory(body: _Writer, env_names: list[str], returns: str) -> str:
@@ -308,14 +355,16 @@ def _delta_getters(plan: DeltaPlan) -> dict[str, tuple[int, ...]]:
 
 
 def _delta_env_names(plan: DeltaPlan) -> list[str]:
-    names = ["MUL", "ADD", "IS_ZERO", "ZERO", "COUNTER", "MISS"]
+    names = ["MUL", "ADD", "IS_ZERO", "ZERO", "COUNTER", "MISS", "KERNEL"]
     for s, step in enumerate(plan.steps):
         names.append(f"LBL_{s}")
         names.append(f"VADD_{s}")
         names.append(f"VREL_{s}")
+        names.extend(f"VIX_{s}_{i}" for i in range(len(step.view._indexes)))
         if step.guard is not None:
             names.append(f"GADD_{s}")
             names.append(f"GREL_{s}")
+            names.extend(f"GIX_{s}_{i}" for i in range(len(step.guard._indexes)))
         if step.lift is not None:
             names.append(f"LIFT_{s}")
         for j, join in enumerate(step.siblings):
@@ -340,9 +389,13 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
         env[f"LBL_{s}"] = step.view_label
         env[f"VADD_{s}"] = step.view.add
         env[f"VREL_{s}"] = step.view
+        for i, index in enumerate(step.view._indexes.values()):
+            env[f"VIX_{s}_{i}"] = index
         if step.guard is not None:
             env[f"GADD_{s}"] = step.guard.add
             env[f"GREL_{s}"] = step.guard
+            for i, index in enumerate(step.guard._indexes.values()):
+                env[f"GIX_{s}_{i}"] = index
         if step.lift is not None:
             env[f"LIFT_{s}"] = step.lift
         for j, join in enumerate(step.siblings):
@@ -362,6 +415,58 @@ def _fans_out(plan: DeltaPlan) -> bool:
     )
 
 
+def _emit_direct_probe(
+    w: _Writer, s: int, j: int, join, ops: _Ops, arity: int
+) -> None:
+    """One DIRECT sibling probe of the one-key delta ``(dk, dp)``: a miss
+    or a zero product ends the push."""
+    w.emit("lookups += 1")
+    probe = _proj("dk", join.probe_positions, arity)
+    w.emit(f"val = REL_{s}_{j}.data.get({probe})")
+    w.emit("if val is None:")
+    with w.block():
+        w.emit("return")
+    w.emit(f"dp = {ops.mul('dp', 'val')}")
+    w.emit(f"if {ops.is_zero('dp')}:")
+    with w.block():
+        w.emit("return")
+
+
+def _emit_one_write(w: _Writer, s: int, ops: _Ops) -> None:
+    """Write the one-key delta ``(dk, dp)`` to step ``s``'s view through
+    ``Relation.add`` (which records the pre-image and posts the indexes),
+    unless it cancelled to zero."""
+    w.emit(f"if {ops.is_zero('dp')}:")
+    with w.block():
+        w.emit("if stats is not None:")
+        with w.block():
+            w.emit(f"stats.record_delta(LBL_{s}, 0)")
+        w.emit("return")
+    w.emit(f"VADD_{s}(dk, dp)")
+    w.emit("if stats is not None:")
+    with w.block():
+        w.emit(f"stats.record_delta(LBL_{s}, 1)")
+
+
+def _emit_one_step(w: _Writer, s: int, step, ops: _Ops, arity: int) -> None:
+    """Step ``s`` on a one-key delta whose sibling joins are all DIRECT:
+    straight-line probes, then one ``Relation.add`` per guard/view write."""
+    w.emit(f"# step {s} ({step.variable})")
+    for j, join in enumerate(step.siblings):
+        _emit_direct_probe(w, s, j, join, ops, arity)
+    if step.guard is not None:
+        gproj = _proj("dk", step.guard_positions, arity)
+        w.emit(f"GADD_{s}({gproj}, dp)")
+    # Marginalize the node variable onto the view schema.
+    if step.lift is not None:
+        lifted = ops.mul("dp", f"LIFT_{s}(dk[{step.lift_position}])")
+        w.emit(f"dp = {lifted}")
+    oproj = _proj("dk", step.out_positions, arity)
+    if oproj != "dk":
+        w.emit(f"dk = {oproj}")
+    _emit_one_write(w, s, ops)
+
+
 def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
     """The single-tuple ``push(key, payload, stats)`` body.
 
@@ -373,22 +478,17 @@ def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
     :meth:`ViewTreeEngine._propagate`; probes are counted in bulk — one
     ``COUNTER.bump`` per push instead of one call per probe.
 
-    A plan with a fan-out step (an INDEXED or CROSS sibling) hands the
-    tuple to ``push_batch`` as a one-key batch: past the fan-out the
-    delta is a list either way, and the batch body joins, writes and
-    aggregates it in fused passes with inline sinks, instead of building
-    a list, aggregating it again, and calling ``Relation.add`` per view
-    key.  Plans without fan-out keep the straight-line body, which
-    beats the batch body's list set-up on one tuple.
+    A plan with a fan-out step (an INDEXED or CROSS sibling) gets the
+    one-pass single-key body of :func:`_emit_body` instead.
     """
+    if _fans_out(plan):
+        _emit_body(w, plan, ops, single=True)
+        return
     w.emit("def push(key, payload, stats=None):")
     with w.block():
         w.emit(f"if {ops.is_zero('payload')}:")
         with w.block():
             w.emit("return")
-        if _fans_out(plan):
-            w.emit("push_batch([key], [payload], stats)")
-            return
         w.emit("lookups = 0")
         w.emit("try:")
         with w.block():
@@ -396,38 +496,7 @@ def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
             w.emit("dp = payload")
             arity = len(plan.leaf.schema.variables)
             for s, step in enumerate(plan.steps):
-                w.emit(f"# step {s} ({step.variable})")
-                for j, join in enumerate(step.siblings):
-                    w.emit("lookups += 1")
-                    probe = _proj("dk", join.probe_positions, arity)
-                    w.emit(f"val = REL_{s}_{j}.data.get({probe})")
-                    w.emit("if val is None:")
-                    with w.block():
-                        w.emit("return")
-                    w.emit(f"dp = {ops.mul('dp', 'val')}")
-                    w.emit(f"if {ops.is_zero('dp')}:")
-                    with w.block():
-                        w.emit("return")
-                if step.guard is not None:
-                    gproj = _proj("dk", step.guard_positions, arity)
-                    w.emit(f"GADD_{s}({gproj}, dp)")
-                # Marginalize the node variable onto the view schema.
-                if step.lift is not None:
-                    lifted = ops.mul("dp", f"LIFT_{s}(dk[{step.lift_position}])")
-                    w.emit(f"dp = {lifted}")
-                oproj = _proj("dk", step.out_positions, arity)
-                if oproj != "dk":
-                    w.emit(f"dk = {oproj}")
-                w.emit(f"if {ops.is_zero('dp')}:")
-                with w.block():
-                    w.emit("if stats is not None:")
-                    with w.block():
-                        w.emit(f"stats.record_delta(LBL_{s}, 0)")
-                    w.emit("return")
-                w.emit(f"VADD_{s}(dk, dp)")
-                w.emit("if stats is not None:")
-                with w.block():
-                    w.emit(f"stats.record_delta(LBL_{s}, 1)")
+                _emit_one_step(w, s, step, ops, arity)
                 arity = len(step.out_positions)
         w.emit("finally:")
         with w.block():
@@ -436,15 +505,37 @@ def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
                 w.emit('COUNTER.bump("lookup", lookups)')
 
 
-def _emit_binding(w: _Writer, p: str, rel: str) -> None:
-    """Bind ``{p}rel`` / ``{p}data`` / ``{p}get`` for writes to ``rel``,
-    its newest pre-image map ``{p}new`` (``None`` for a relation no
-    snapshot covers) and its ``{p}rec`` recorder."""
+def _emit_binding(w: _Writer, p: str, s: int, relation, origin: list) -> list:
+    """Bind writes to step ``s``'s guard (``p`` = ``"g"``) or view
+    (``"v"``): ``{p}rel`` / ``{p}data`` / ``{p}get``, the newest pre-image
+    map ``{p}new`` (``None`` for a relation no snapshot covers), the
+    ``{p}rec`` recorder and, per group index ``i``, its bucket dict
+    ``{p}g{i}`` and newest bucket map ``{p}f{i}``.
+
+    ``origin[q]`` is the input-key position that position ``q`` of every
+    written key equals, or ``None`` where the keys vary.  An index whose
+    group positions all have one gets its group key here, once, as
+    ``{p}k{i}`` (rule 2), and its bucket ``{p}b{i}`` at the first
+    posting.  Returns the postings each write makes (:func:`_emit_post`).
+    """
+    rel = f"{p[0].upper()}REL_{s}"
     w.emit(f"{p}rel = {rel}")
     w.emit(f"{p}data = {p}rel.data")
     w.emit(f"{p}get = {p}data.get")
     w.emit(f"{p}new = {p}rel._maps[-1] if {p}rel._maps else None")
     w.emit(f"{p}rec = {p}rel._record")
+    posts = []
+    for i, positions in enumerate(_index_positions(relation)):
+        index = f"{p[0].upper()}IX_{s}_{i}"
+        w.emit(f"{p}g{i} = {index}.groups")
+        w.emit(f"{p}f{i} = {index}._maps[-1] if {index}._maps else None")
+        bound = tuple(origin[q] for q in positions)
+        hoisted = None not in bound
+        if hoisted:
+            w.emit(f"{p}k{i} = {_proj('key', bound)}")
+            w.emit(f"{p}b{i} = MISS")
+        posts.append((index, i, positions, hoisted))
+    return posts
 
 
 def _emit_record(w: _Writer, p: str, key: str) -> None:
@@ -455,60 +546,97 @@ def _emit_record(w: _Writer, p: str, key: str) -> None:
         w.emit(f"{p}rec({key}, old)")
 
 
-def _emit_sink(w: _Writer, ops: _Ops, rel: str, key_expr: str) -> None:
-    """Inline one fused view/guard write pass over ``zip(dks, dps)``.
+def _emit_post(w: _Writer, p: str, post: tuple, key: str, add: bool) -> None:
+    """Post ``key`` into (``add``) or out of one group index of relation
+    ``p``, written out as :meth:`Relation._add_numeric` does (rule 3): a
+    bucket a live snapshot shares is copied by
+    :meth:`GroupIndex._preserve` before its first write, and an emptied
+    bucket leaves the index.  A hoisted group key probes its bucket at
+    the first posting only and keeps it in ``{p}b{i}``: nothing else
+    writes that index during the pass."""
+    index, i, positions, hoisted = post
+    groups, fresh = f"{p}g{i}", f"{p}f{i}"
+    if hoisted:
+        gk, bucket = f"{p}k{i}", f"{p}b{i}"
+        w.emit(f"if {bucket} is MISS:")
+        probe = w.block()
+    else:
+        gk, bucket = "ik", "ib"
+        w.emit(f"ik = {_proj(key, positions)}")
+        probe = nullcontext()
+    with probe:
+        w.emit(f"{bucket} = {groups}.get({gk})")
+        w.emit(f"if {fresh} is not None and {gk} not in {fresh}:")
+        with w.block():
+            w.emit(f"{bucket} = {index}._preserve({gk}, {bucket})")
+    if add:
+        w.emit(f"if {bucket} is None:")
+        with w.block():
+            target = f"{bucket} = {groups}[{gk}]" if hoisted else f"{groups}[{gk}]"
+            w.emit(f"{target} = {{{key}: None}}")
+        w.emit("else:")
+        with w.block():
+            w.emit(f"{bucket}[{key}] = None")
+    else:
+        w.emit(f"del {bucket}[{key}]")
+        w.emit(f"if not {bucket}:")
+        with w.block():
+            w.emit(f"del {groups}[{gk}]")
+            if hoisted:
+                w.emit(f"{bucket} = None")
+
+
+def _emit_write(
+    w: _Writer, ops: _Ops, p: str, key: str, pay: str, posts: list,
+    cont: bool = False,
+) -> None:
+    """``Relation.add(key, pay)`` inline on relation ``p``, for a non-zero
+    ``pay``: keep the pre-image, then insert, update or cancel, with the
+    postings of an insert or a cancel written out (:func:`_emit_post`).
+    ``cont`` ends the insert branch with ``continue`` (a sink loop)
+    instead of an ``else``."""
+    w.emit(f"old = {p}get({key})")
+    _emit_record(w, p, key)
+    w.emit("if old is None:")
+    with w.block():
+        w.emit(f"{p}data[{key}] = {pay}")
+        for post in posts:
+            _emit_post(w, p, post, key, add=True)
+        if cont:
+            w.emit("continue")
+    if not cont:
+        w.emit("else:")
+    with nullcontext() if cont else w.block():
+        w.emit(f"new = {ops.add('old', pay)}")
+        w.emit(f"if {ops.is_zero('new')}:")
+        with w.block():
+            w.emit(f"del {p}data[{key}]")
+            for post in posts:
+                _emit_post(w, p, post, key, add=False)
+        w.emit("else:")
+        with w.block():
+            w.emit(f"{p}data[{key}] = new")
+
+
+def _emit_sink(w: _Writer, ops: _Ops, s: int, relation, origin: list) -> None:
+    """Inline one fused view write pass over ``zip(dks, dps)``.
 
     This is :meth:`Relation.add_delta` unrolled in place — same
     ``old -> ring_add -> cancel-or-write`` sequence, same index
-    postings, same pre-image recording, same
-    one-bulk-``write`` accounting — minus the per-entry zero test
-    (every payload reaching a sink is already non-zero) and the
-    per-entry ring/method calls.  Group indexes (guards of
-    enum-compiled trees carry one) take the indexed loop; bare views
-    take the tight one.
+    postings, same pre-image recording, same one-bulk-``write``
+    accounting — minus the per-entry zero test (every payload reaching a
+    sink is already non-zero) and the per-entry ring/method calls
+    (:func:`_emit_write`).
     """
-    _emit_binding(w, "v", rel)
-    w.emit("if vrel._indexes:")
-
-    def body(indexed: bool) -> None:
-        w.emit("for dk, dp in zip(dks, dps):")
-        with w.block():
-            if key_expr != "dk":
-                w.emit(f"vk = {key_expr}")
-            vk = "vk" if key_expr != "dk" else "dk"
-            w.emit(f"old = vget({vk})")
-            _emit_record(w, "v", vk)
-            w.emit("if old is None:")
-            with w.block():
-                w.emit(f"vdata[{vk}] = dp")
-                if indexed:
-                    w.emit("for ix in ixs:")
-                    with w.block():
-                        w.emit(f"ix.add({vk})")
-                w.emit("continue")
-            w.emit(f"new = {ops.add('old', 'dp')}")
-            w.emit(f"if {ops.is_zero('new')}:")
-            with w.block():
-                w.emit(f"del vdata[{vk}]")
-                if indexed:
-                    w.emit("for ix in ixs:")
-                    with w.block():
-                        w.emit(f"ix.remove({vk})")
-            w.emit("else:")
-            with w.block():
-                w.emit(f"vdata[{vk}] = new")
-
+    posts = _emit_binding(w, "v", s, relation, origin)
+    w.emit("for dk, dp in zip(dks, dps):")
     with w.block():
-        w.emit("ixs = list(vrel._indexes.values())")
-        body(indexed=True)
-    w.emit("else:")
-    with w.block():
-        body(indexed=False)
+        _emit_write(w, ops, "v", "dk", "dp", posts, cont=True)
     w.emit('COUNTER.bump("write", len(dks))')
 
 
 def _emit_agg_sink(
-    w: _Writer, ops: _Ops, rel: str, wrap: bool = False
+    w: _Writer, ops: _Ops, s: int, relation, origin: list, wrap: bool = False
 ) -> None:
     """Fused filter + view write over a marginalization's ``agg`` dict.
 
@@ -517,74 +645,255 @@ def _emit_agg_sink(
     ``dks``/``dps`` lists (the step's outgoing delta) in ``agg``
     insertion order — the order ``marginalize`` accumulates in on the
     generic path — so payload-combination order, and therefore every
-    non-commutative-rounding ring, matches it.  With ``wrap``, ``agg`` is keyed by bare values (a
-    single-position projection aggregated via ``itemgetter``) and each
-    surviving key is boxed back into the view's 1-tuple here, once per
-    distinct key instead of once per delta entry.
+    non-commutative-rounding ring, matches it.  With ``wrap``, ``agg`` is
+    keyed by bare values (a single-position projection aggregated via
+    ``itemgetter``) and each surviving key is boxed back into the view's
+    1-tuple here, once per distinct key instead of once per delta entry.
     """
-    _emit_binding(w, "v", rel)
+    posts = _emit_binding(w, "v", s, relation, origin)
     w.emit("dks = []")
     w.emit("dps = []")
     w.emit("ka = dks.append")
     w.emit("pa = dps.append")
-    w.emit("if vrel._indexes:")
     vk = "vk" if wrap else "okey"
-
-    def body(indexed: bool) -> None:
-        w.emit("for okey, dp in agg.items():")
+    w.emit("for okey, dp in agg.items():")
+    with w.block():
+        w.emit(f"if {ops.is_zero('dp')}:")
         with w.block():
-            w.emit(f"if {ops.is_zero('dp')}:")
-            with w.block():
-                w.emit("continue")
-            if wrap:
-                w.emit("vk = (okey,)")
-            w.emit(f"ka({vk})")
-            w.emit("pa(dp)")
-            w.emit(f"old = vget({vk})")
-            _emit_record(w, "v", vk)
-            w.emit("if old is None:")
-            with w.block():
-                w.emit(f"vdata[{vk}] = dp")
-                if indexed:
-                    w.emit("for ix in ixs:")
-                    with w.block():
-                        w.emit(f"ix.add({vk})")
-                w.emit("continue")
-            w.emit(f"new = {ops.add('old', 'dp')}")
-            w.emit(f"if {ops.is_zero('new')}:")
-            with w.block():
-                w.emit(f"del vdata[{vk}]")
-                if indexed:
-                    w.emit("for ix in ixs:")
-                    with w.block():
-                        w.emit(f"ix.remove({vk})")
-            w.emit("else:")
-            with w.block():
-                w.emit(f"vdata[{vk}] = new")
-
-    with w.block():
-        w.emit("ixs = list(vrel._indexes.values())")
-        body(indexed=True)
-    w.emit("else:")
-    with w.block():
-        body(indexed=False)
+            w.emit("continue")
+        if wrap:
+            w.emit("vk = (okey,)")
+        w.emit(f"ka({vk})")
+        w.emit("pa(dp)")
+        _emit_write(w, ops, "v", vk, "dp", posts, cont=True)
     w.emit("if dks:")
     with w.block():
         w.emit('COUNTER.bump("write", len(dks))')
 
 
-def _emit_push_batch(
-    w: _Writer, plan: DeltaPlan, ops: _Ops
-) -> None:
-    """The columnar ``push_batch(keys, pays, stats)`` body.
+def _emit_stale_check(w: _Writer, plan: DeltaPlan, call: str) -> None:
+    """Re-emit the kernel first when a relation it writes has gained a
+    group index since generation: postings are specialised to the
+    indexes there were then, and indexes are only ever added."""
+    tests = []
+    for s, step in enumerate(plan.steps):
+        if step.guard is not None:
+            tests.append(f"len(GREL_{s}._indexes) != {len(step.guard._indexes)}")
+        tests.append(f"len(VREL_{s}._indexes) != {len(step.view._indexes)}")
+    w.emit(f"if {' or '.join(tests)}:")
+    with w.block():
+        w.emit(f"return KERNEL.regenerate().{call}")
 
-    ``push`` lifted to one *coalesced* per-relation delta, flowing as
-    parallel key/payload lists (the columnar batch representation from
-    :func:`repro.data.columnar.coalesce_columnar`) instead of a delta
-    dict — legal because a coalesced delta's keys are distinct and
-    sibling joins never collide output keys (every delta key has the
-    step's full schema, so distinct keys extend to distinct joined
-    keys); only the marginalization, which drops a position,
+
+class _Marginalize:
+    """One step's guard write and marginalization around a survivor loop:
+    :meth:`prologue` before it, :meth:`survivor` per joined entry (its
+    payload in ``prod``), :meth:`epilogue` after.
+
+    ``kind`` is how the step's delta leaves it: one running sum
+    (``const``, rule 2; a batch's scalar marginalization), one view
+    write per entry (``identity``, or ``distinct`` by rule 1) or an
+    ``agg`` dict.  ``origin`` maps the output key's positions to the
+    input key's, as in :func:`_emit_body`.  In ``push``, a following
+    step without siblings rides the same loop (``then``): each entry
+    this step writes is that step's survivor at once, instead of a list
+    entry walked again.
+    """
+
+    def __init__(
+        self, w, ops, plan, s, origin, arity, single, shared=None, head=True
+    ):
+        step = plan.steps[s]
+        self.w, self.ops, self.plan, self.s, self.step = w, ops, plan, s, step
+        self.single = single
+        self.arity = arity + sum(len(j.extend_positions) for j in step.siblings)
+        self.joined = origin + [None] * (self.arity - arity)
+        out = step.out_positions
+        self.origin = [self.joined[q] for q in out]
+        if None not in self.origin:
+            self.kind = "const"
+        elif out == tuple(range(self.arity)) and step.lift is None:
+            self.kind = "identity"
+        elif all(q in out for q, o in enumerate(self.joined) if o is None):
+            self.kind = "distinct"
+        else:
+            self.kind = "agg"
+        # A step riding a lift-free one counts its entries with it.
+        self.p = "v" if head else f"v{s}"
+        self.n = shared or ("n" if head else f"n{s}")
+        self.counts = shared is None
+        self.posts: dict[str, list] = {}
+        self.then = None
+        nxt = plan.steps[s + 1] if s + 1 < len(plan.steps) else None
+        if (
+            single
+            and self.kind in ("identity", "distinct")
+            and nxt is not None
+            and not nxt.siblings
+            and nxt.guard is None
+        ):
+            self.then = _Marginalize(
+                w, ops, plan, s + 1, self.origin, len(out), single,
+                self.n if step.lift is None else None, head=False,
+            )
+
+    def last(self) -> "_Marginalize":
+        return self if self.then is None else self.then.last()
+
+    def prologue(self) -> None:
+        w, step, s = self.w, self.step, self.s
+        if self.p != "v":
+            w.emit(f"# step {s} ({step.variable}) rides the loop below")
+        if self.counts:
+            w.emit(f"{self.n} = 0")
+        if step.guard is not None:
+            self.posts["g"] = _emit_binding(
+                w, "g", s, step.guard, [self.joined[q] for q in step.guard_positions]
+            )
+        if self.kind in ("identity", "distinct"):
+            self.posts["v"] = _emit_binding(w, self.p, s, step.view, self.origin)
+            if self.then is None:
+                w.emit("out_k = []")
+                w.emit("out_p = []")
+                w.emit("ka = out_k.append")
+                w.emit("pa = out_p.append")
+        elif self.kind == "const":
+            # The ZERO seed is additively inert under Python ``+``.
+            w.emit("tot = ZERO" if self.ops.add_op == "+" else "tot = None")
+        else:
+            w.emit("agg = {}")
+            w.emit("aget = agg.get")
+        if self.then is not None:
+            self.then.prologue()
+
+    def survivor(self, full: Optional[str], items: list[str]) -> None:
+        """The loop body for one joined entry: ``items`` are its key's
+        item expressions, ``full`` a variable holding the whole key (or
+        ``None``: keys are built from ``items``, never joined first)."""
+        w, ops, step, s = self.w, self.ops, self.step, self.s
+
+        def key(positions, name):
+            if positions == tuple(range(self.arity)) and full is not None:
+                return full
+            w.emit(f"{name} = {_tuple([items[q] for q in positions])}")
+            return name
+
+        if self.counts:
+            w.emit(f"{self.n} += 1")
+        if step.guard is not None:
+            gk = key(step.guard_positions, "gk")
+            _emit_write(w, ops, "g", gk, "prod", self.posts["g"])
+        if step.lift is not None:
+            lift = f"LIFT_{s}({items[step.lift_position]})"
+            w.emit(f"prod = {ops.mul('prod', lift)}")
+        out = step.out_positions
+        if self.kind in ("identity", "distinct"):
+            if step.lift is not None:
+                w.emit(f"if {ops.is_zero('prod')}:")
+                with w.block():
+                    w.emit("continue")
+            vk = key(out, f"{self.p}k")
+            if self.then is None:
+                w.emit(f"ka({vk})")
+                w.emit("pa(prod)")
+            _emit_write(w, ops, self.p, vk, "prod", self.posts["v"])
+            if self.then is not None:
+                self.then.survivor(vk, [f"{vk}[{i}]" for i in range(len(out))])
+        elif self.kind == "const":
+            if ops.add_op == "+":
+                w.emit("tot = tot + prod")
+            else:
+                w.emit("tot = prod if tot is None else " + ops.add("tot", "prod"))
+        else:
+            okey = items[out[0]] if len(out) == 1 else _tuple([items[q] for q in out])
+            w.emit(f"okey = {okey}")
+            if ops.add_op == "+":
+                w.emit("agg[okey] = aget(okey, ZERO) + prod")
+            else:
+                w.emit("prev = aget(okey)")
+                w.emit("agg[okey] = prod if prev is None else " + ops.add("prev", "prod"))
+
+    def epilogue(self) -> None:
+        # The "no survivors" early return, then the deferred write
+        # accounting and the marginalization's finalization.
+        w, step, s = self.w, self.step, self.s
+        if self.counts:
+            w.emit(f"if not {self.n}:")
+            with w.block():
+                w.emit("return")
+        if step.guard is not None:
+            w.emit(f'COUNTER.bump("write", {self.n})')
+        if self.kind in ("identity", "distinct"):
+            # What landed: a lifted payload may have cancelled.
+            if self.then is not None:
+                count = self.then.n
+            else:
+                count = self.n if step.lift is None else "len(out_k)"
+            w.emit(f'COUNTER.bump("write", {count})')
+            if self.then is None:
+                w.emit("dks = out_k")
+                w.emit("dps = out_p")
+            w.emit("if stats is not None:")
+            with w.block():
+                w.emit(f"stats.record_delta(LBL_{s}, {count})")
+            if self.then is not None:
+                self.then.epilogue()
+            elif step.lift is not None and s + 1 < len(self.plan.steps):
+                w.emit("if not dks:")
+                with w.block():
+                    w.emit("return")
+        elif self.kind == "const":
+            self.const_tail()
+        else:
+            _emit_agg_sink(
+                w, self.ops, s, step.view, self.origin, wrap=len(step.out_positions) == 1
+            )
+            self.delta_tail()
+
+    def delta_tail(self) -> None:
+        w = self.w
+        w.emit("if stats is not None:")
+        with w.block():
+            w.emit(f"stats.record_delta(LBL_{self.s}, len(dks))")
+        if self.s + 1 < len(self.plan.steps):
+            w.emit("if not dks:")
+            with w.block():
+                w.emit("return")
+
+    def const_tail(self) -> None:
+        # The running sum ``tot`` of a non-empty delta lands at the one
+        # output key: a pair again in ``push``, a one-entry list (the
+        # root's ``()``) in a batch.
+        w, ops, s = self.w, self.ops, self.s
+        if self.single:
+            w.emit(f"dk = {_proj('key', tuple(self.origin))}")
+            w.emit("dp = tot")
+            _emit_one_write(w, s, ops)
+            return
+        w.emit(f"if {ops.nonzero('tot')}:")
+        with w.block():
+            w.emit("dks = [()]")
+            w.emit("dps = [tot]")
+            _emit_sink(w, ops, s, self.step.view, self.origin)
+        w.emit("else:")
+        with w.block():
+            w.emit("dks = []")
+            w.emit("dps = []")
+        self.delta_tail()
+
+
+def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
+    """The columnar ``push_batch(keys, pays, stats)`` body or, with
+    ``single``, the one-pass ``push(key, payload, stats)`` of a plan
+    that fans out.
+
+    ``push_batch`` is ``push`` lifted to one *coalesced* per-relation
+    delta, flowing as parallel key/payload lists (the columnar batch
+    representation from :func:`repro.data.columnar.coalesce_columnar`)
+    instead of a delta dict — legal because a coalesced delta's keys are
+    distinct and sibling joins never collide output keys (every delta
+    key has the step's full schema, so distinct keys extend to distinct
+    joined keys); only a marginalization that drops a varying position
     aggregates through a dict.  So the batch lands exactly the
     telescoped sum of its per-tuple pushes, with two fusions on top:
 
@@ -600,37 +909,59 @@ def _emit_push_batch(
       every probe would miss, and one bulk ``lookups += len(...)``
       counts them.
     * **fused view writes** — each step's delta lands on its guard/view
-      inline (:meth:`Relation.add_delta` unrolled in place, see
-      :func:`_emit_sink`) instead of one ``Relation.add`` per entry.
+      inline (:func:`_emit_write`) instead of one ``Relation.add`` per
+      entry.
 
-    Every write first keeps its key's pre-image for the live snapshots
-    (:func:`_emit_record`).
+    The single-key body walks the same steps for one input key, which
+    the emitter tracks position by position (``origin``): the delta
+    stays a ``(dk, dp)`` pair through straight-line DIRECT probes, a
+    fan-out probe is one bucket (or table) probe whose survivors are
+    written as they are joined, and a step whose output key the input
+    binds folds its delta into one running sum, after which the delta
+    is one pair again (module docstring, rules 1-3).  It records no
+    probe sharing: one key shares nothing.
     """
-    w.emit("def push_batch(keys, pays, stats=None):")
+    if single:
+        w.emit("def push(key, payload, stats=None):")
+    else:
+        w.emit("def push_batch(keys, pays, stats=None):")
     with w.block():
-        w.emit("if not keys:")
+        w.emit(f"if {ops.is_zero('payload')}:" if single else "if not keys:")
         with w.block():
             w.emit("return")
+        _emit_stale_check(
+            w,
+            plan,
+            "push(key, payload, stats)" if single else "push_batch(keys, pays, stats)",
+        )
         w.emit("lookups = 0")
         w.emit("matches = 0")
         w.emit("shared = 0")
         w.emit("try:")
         with w.block():
-            w.emit("dks = keys")
-            w.emit("dps = pays")
             arity = len(plan.leaf.schema.variables)
+            if single:
+                w.emit("dk = key")
+                w.emit("dp = payload")
+            else:
+                w.emit("dks = keys")
+                w.emit("dps = pays")
+            # origin[q]: the input-key position that position q of every
+            # delta key equals (None: it varies); one: the delta is the
+            # single pair (dk, dp).
+            origin = list(range(arity)) if single else [None] * arity
+            one = single
+            resume = 0
             for s, step in enumerate(plan.steps):
+                if s < resume:
+                    continue  # it rode an earlier step's loop
+                if one and all(jn.mode == DIRECT for jn in step.siblings):
+                    _emit_one_step(w, s, step, ops, arity)
+                    origin = [origin[q] for q in step.out_positions]
+                    arity = len(origin)
+                    continue
                 w.emit(f"# step {s} ({step.variable})")
-                final_arity = arity + sum(
-                    len(jn.extend_positions) for jn in step.siblings
-                )
-                oproj = _proj("dk", step.out_positions, final_arity)
-                if oproj == "dk" and step.lift is None:
-                    kind = "identity"
-                elif not step.out_positions:
-                    kind = "scalar"
-                else:
-                    kind = "agg"
+                m = _Marginalize(w, ops, plan, s, origin, arity, single)
                 # When the step joins siblings, its *last* stage loop can
                 # absorb the guard write and the marginalization
                 # accumulate: each survivor is written/aggregated on the
@@ -646,165 +977,11 @@ def _emit_push_batch(
                     DIRECT,
                     INDEXED,
                 )
-
-                def emit_entry_write(p: str, key: str) -> None:
-                    # One Relation.add_delta entry inline on relation
-                    # ``p`` ("g" guard, "v" view); the bound ``.get``,
-                    # the index list and the recorder are hoisted by the
-                    # prologue.  ``ixs`` is usually empty, so the posting
-                    # loops cost one iterator setup on the new/cancel
-                    # paths only.
-                    data, get, ixs = f"{p}data", f"{p}get", f"{p}ixs"
-                    w.emit(f"old = {get}({key})")
-                    _emit_record(w, p, key)
-                    w.emit("if old is None:")
-                    with w.block():
-                        w.emit(f"{data}[{key}] = prod")
-                        w.emit(f"for ix in {ixs}:")
-                        with w.block():
-                            w.emit(f"ix.add({key})")
-                    w.emit("else:")
-                    with w.block():
-                        w.emit(f"new = {ops.add('old', 'prod')}")
-                        w.emit(f"if {ops.is_zero('new')}:")
-                        with w.block():
-                            w.emit(f"del {data}[{key}]")
-                            w.emit(f"for ix in {ixs}:")
-                            with w.block():
-                                w.emit(f"ix.remove({key})")
-                        w.emit("else:")
-                        with w.block():
-                            w.emit(f"{data}[{key}] = new")
-
-                def emit_fused_prologue() -> None:
-                    w.emit("n = 0")
-                    if step.guard is not None:
-                        _emit_binding(w, "g", f"GREL_{s}")
-                        w.emit("gixs = list(grel._indexes.values())")
-                    if kind == "identity":
-                        _emit_binding(w, "v", f"VREL_{s}")
-                        w.emit("vixs = list(vrel._indexes.values())")
-                        w.emit("out_k = []")
-                        w.emit("out_p = []")
-                        w.emit("ka = out_k.append")
-                        w.emit("pa = out_p.append")
-                    elif kind == "scalar":
-                        if ops.add_op == "+":
-                            # The ZERO seed is additively inert under
-                            # Python ``+`` (the sum() argument below).
-                            w.emit("tot = ZERO")
-                        else:
-                            w.emit("tot = None")
-                    else:
-                        w.emit("agg = {}")
-                        w.emit("aget = agg.get")
-
-                def emit_survivor(key: str) -> None:
-                    # Fused survivor body: replaces ka/pa with the guard
-                    # write and the marginalization accumulate for this
-                    # stage-output key/``prod`` payload.
-                    w.emit("n += 1")
-                    if step.guard is not None:
-                        gexpr = _proj(key, step.guard_positions, final_arity)
-                        gk = key
-                        if gexpr != key:
-                            w.emit(f"gk = {gexpr}")
-                            gk = "gk"
-                        emit_entry_write("g", gk)
-                    if kind == "identity":
-                        w.emit(f"ka({key})")
-                        w.emit("pa(prod)")
-                        emit_entry_write("v", key)
-                    elif kind == "scalar":
-                        if step.lift is not None:
-                            w.emit(
-                                "prod = "
-                                + ops.mul(
-                                    "prod",
-                                    f"LIFT_{s}({key}[{step.lift_position}])",
-                                )
-                            )
-                        if ops.add_op == "+":
-                            w.emit("tot = tot + prod")
-                        else:
-                            w.emit(
-                                "tot = prod if tot is None else "
-                                + ops.add("tot", "prod")
-                            )
-                    else:
-                        if step.lift is not None:
-                            w.emit(
-                                "prod = "
-                                + ops.mul(
-                                    "prod",
-                                    f"LIFT_{s}({key}[{step.lift_position}])",
-                                )
-                            )
-                        if len(step.out_positions) == 1:
-                            w.emit(f"okey = {key}[{step.out_positions[0]}]")
-                        else:
-                            w.emit(
-                                "okey = "
-                                + _proj(key, step.out_positions, final_arity)
-                            )
-                        if ops.add_op == "+":
-                            w.emit("agg[okey] = aget(okey, ZERO) + prod")
-                        else:
-                            w.emit("prev = aget(okey)")
-                            w.emit(
-                                "agg[okey] = prod if prev is None else "
-                                + ops.add("prev", "prod")
-                            )
-
-                def emit_fused_epilogue() -> None:
-                    # The stage-level "no survivors" early return, then
-                    # the deferred write accounting and marginalization
-                    # finalization the unfused path does in later passes.
-                    w.emit("if not n:")
-                    with w.block():
-                        w.emit("return")
-                    if step.guard is not None:
-                        w.emit('COUNTER.bump("write", n)')
-                    if kind == "identity":
-                        w.emit('COUNTER.bump("write", n)')
-                        w.emit("dks = out_k")
-                        w.emit("dps = out_p")
-                        w.emit("if stats is not None:")
-                        with w.block():
-                            w.emit(f"stats.record_delta(LBL_{s}, n)")
-                    elif kind == "scalar":
-                        w.emit(f"if {ops.nonzero('tot')}:")
-                        with w.block():
-                            w.emit("dks = [()]")
-                            w.emit("dps = [tot]")
-                            _emit_sink(w, ops, f"VREL_{s}", "dk")
-                        w.emit("else:")
-                        with w.block():
-                            w.emit("dks = []")
-                            w.emit("dps = []")
-                        w.emit("if stats is not None:")
-                        with w.block():
-                            w.emit(f"stats.record_delta(LBL_{s}, len(dks))")
-                        if s + 1 < len(plan.steps):
-                            w.emit("if not dks:")
-                            with w.block():
-                                w.emit("return")
-                    else:
-                        _emit_agg_sink(
-                            w,
-                            ops,
-                            f"VREL_{s}",
-                            wrap=len(step.out_positions) == 1,
-                        )
-                        w.emit("if stats is not None:")
-                        with w.block():
-                            w.emit(f"stats.record_delta(LBL_{s}, len(dks))")
-                        if s + 1 < len(plan.steps):
-                            w.emit("if not dks:")
-                            with w.block():
-                                w.emit("return")
-
                 for j, join in enumerate(step.siblings):
+                    if one and join.mode == DIRECT:
+                        # Before the fan-out: still one pair.
+                        _emit_direct_probe(w, s, j, join, ops, arity)
+                        continue
                     fused_stage = fuse and j == len(step.siblings) - 1
                     probe = _proj("dk", join.probe_positions, arity)
                     full_key = len(join.probe_positions) == arity
@@ -818,7 +995,7 @@ def _emit_push_batch(
                     miss_key = "(pk,)" if scalar else "pk"
                     if join.mode == DIRECT:
                         if fused_stage:
-                            emit_fused_prologue()
+                            m.prologue()
                         w.emit(f"data = REL_{s}_{j}.data")
                         if not fused_stage:
                             w.emit("out_k = []")
@@ -872,35 +1049,49 @@ def _emit_push_batch(
                             w.emit(f"if {ops.nonzero('prod')}:")
                             with w.block():
                                 if fused_stage:
-                                    emit_survivor("dk")
+                                    m.survivor("dk", _items("dk", arity))
                                 else:
                                     w.emit("ka(dk)")
                                     w.emit("pa(prod)")
                     elif join.mode == INDEXED:
                         extend = _proj("sk", join.extend_positions)
                         if fused_stage:
-                            emit_fused_prologue()
-                        w.emit(f"groups = IDX_{s}_{j}.groups")
+                            m.prologue()
+                        if one:
+                            # The fan-out of one key: one bucket probe.
+                            w.emit("lookups += 1")
+                            w.emit(f"bucket = IDX_{s}_{j}.groups.get({probe})")
+                            w.emit("if not bucket:")
+                            with w.block():
+                                w.emit("return")
+                        else:
+                            w.emit(f"groups = IDX_{s}_{j}.groups")
                         w.emit(f"data = REL_{s}_{j}.data")
                         if not fused_stage:
                             w.emit("out_k = []")
                             w.emit("out_p = []")
                             w.emit("ka = out_k.append")
                             w.emit("pa = out_p.append")
-                        if full_key:
-                            w.emit("lookups += len(dks)")
+                        if one:
+                            outer = nullcontext()
                         else:
-                            w.emit("cache = {}")
-                            w.emit("cget = cache.get")
-                        if mapped:
-                            w.emit(
-                                "for dk, dp, pk in "
-                                f"zip(dks, dps, map(PG_{s}_{j}, dks)):"
-                            )
-                        else:
-                            w.emit("for dk, dp in zip(dks, dps):")
-                        with w.block():
                             if full_key:
+                                w.emit("lookups += len(dks)")
+                            else:
+                                w.emit("cache = {}")
+                                w.emit("cget = cache.get")
+                            if mapped:
+                                w.emit(
+                                    "for dk, dp, pk in "
+                                    f"zip(dks, dps, map(PG_{s}_{j}, dks)):"
+                                )
+                            else:
+                                w.emit("for dk, dp in zip(dks, dps):")
+                            outer = w.block()
+                        with outer:
+                            if one:
+                                pass
+                            elif full_key:
                                 w.emit(f"bucket = groups.get({probe})")
                             else:
                                 if not mapped:
@@ -918,9 +1109,10 @@ def _emit_push_batch(
                                 w.emit("else:")
                                 with w.block():
                                     w.emit("shared += 1")
-                            w.emit("if not bucket:")
-                            with w.block():
-                                w.emit("continue")
+                            if not one:
+                                w.emit("if not bucket:")
+                                with w.block():
+                                    w.emit("continue")
                             w.emit("matches += len(bucket)")
                             w.emit("for sk in bucket:")
                             with w.block():
@@ -929,22 +1121,29 @@ def _emit_push_batch(
                                 with w.block():
                                     w.emit("continue")
                                 if fused_stage:
-                                    w.emit(f"nk = dk + {extend}")
-                                    emit_survivor("nk")
+                                    m.survivor(
+                                        None,
+                                        _items("dk", arity)
+                                        + _items("sk", join.extend_positions),
+                                    )
                                 else:
                                     w.emit(f"ka(dk + {extend})")
                                     w.emit("pa(prod)")
                     else:  # CROSS
                         extend = _proj("sk", join.extend_positions)
                         w.emit(f"data = REL_{s}_{j}.data")
-                        w.emit("matches += len(data) * len(dks)")
+                        if one:
+                            w.emit("matches += len(data)")
+                        else:
+                            w.emit("matches += len(data) * len(dks)")
                         w.emit("entries = list(data.items())")
                         w.emit("out_k = []")
                         w.emit("out_p = []")
                         w.emit("ka = out_k.append")
                         w.emit("pa = out_p.append")
-                        w.emit("for dk, dp in zip(dks, dps):")
-                        with w.block():
+                        if not one:
+                            w.emit("for dk, dp in zip(dks, dps):")
+                        with nullcontext() if one else w.block():
                             w.emit("for sk, sp in entries:")
                             with w.block():
                                 w.emit(f"prod = {ops.mul('dp', 'sp')}")
@@ -954,7 +1153,7 @@ def _emit_push_batch(
                                 w.emit(f"ka(dk + {extend})")
                                 w.emit("pa(prod)")
                     if fused_stage:
-                        emit_fused_epilogue()
+                        m.epilogue()
                     else:
                         w.emit("dks = out_k")
                         w.emit("dps = out_p")
@@ -962,81 +1161,22 @@ def _emit_push_batch(
                         with w.block():
                             w.emit("return")
                     arity += len(join.extend_positions)
+                    one = False
 
-                if fuse:
-                    arity = len(step.out_positions)
-                    continue
-
-                if step.guard is not None:
-                    gproj = _proj("dk", step.guard_positions, arity)
-                    _emit_sink(w, ops, f"GREL_{s}", gproj)
-
-                if oproj == "dk" and step.lift is None:
-                    # Identity marginalization: distinct keys, nothing to
-                    # aggregate, payloads already non-zero (the incoming
-                    # delta is coalesced and every stage filters zeros) —
-                    # the view write is the only remaining effect.
-                    _emit_sink(w, ops, f"VREL_{s}", "dk")
-                    w.emit("if stats is not None:")
+                if not fuse and (m.kind != "agg" or step.guard is not None):
+                    # The marginalization as one fused pass over the list.
+                    m.prologue()
+                    w.emit("for dk, prod in zip(dks, dps):")
                     with w.block():
-                        w.emit(f"stats.record_delta(LBL_{s}, len(dks))")
-                elif not step.out_positions:
-                    # Scalar marginalization (aggregation tail): every key
-                    # projects to ``()``, so the whole "aggregate by key"
-                    # dict degenerates to one left-fold over the payload
-                    # column — in delta order, exactly the order a
-                    # single-key aggregation dict would accumulate in.
-                    if step.lift is not None:
-                        lifted = ops.mul(
-                            "dp", f"LIFT_{s}(dk[{step.lift_position}])"
-                        )
-                        w.emit("tot = None")
-                        w.emit("for dk, dp in zip(dks, dps):")
-                        with w.block():
-                            w.emit(f"dp = {lifted}")
-                            w.emit(
-                                "tot = dp if tot is None else "
-                                + ops.add("tot", "dp")
-                            )
-                    elif ops.add_op == "+":
-                        # Declaring ``add_operator = "+"`` asserts ring
-                        # addition is the Python operator on numeric
-                        # payloads, so sum()'s C-level fold applies.  The
-                        # leading int 0 is additively inert (a -0.0 total
-                        # degrades to 0.0, which the zero filter below
-                        # drops either way).
-                        w.emit("tot = sum(dps)")
-                    else:
-                        w.emit("tot = None")
-                        w.emit("for dp in dps:")
-                        with w.block():
-                            w.emit(
-                                "tot = dp if tot is None else "
-                                + ops.add("tot", "dp")
-                            )
-                    w.emit(f"if tot is not None and {ops.nonzero('tot')}:")
-                    with w.block():
-                        w.emit("dks = [()]")
-                        w.emit("dps = [tot]")
-                        _emit_sink(w, ops, f"VREL_{s}", "dk")
-                    w.emit("else:")
-                    with w.block():
-                        w.emit("dks = []")
-                        w.emit("dps = []")
-                    w.emit("if stats is not None:")
-                    with w.block():
-                        w.emit(f"stats.record_delta(LBL_{s}, len(dks))")
-                    if s + 1 < len(plan.steps):
-                        w.emit("if not dks:")
-                        with w.block():
-                            w.emit("return")
-                else:
+                        m.survivor("dk", _items("dk", arity))
+                    m.epilogue()
+                elif not fuse:
+                    oproj = _proj("dk", step.out_positions, arity)
                     use_og = step.lift is None and oproj != "dk"
-                    # ``add_operator = "+"`` rings accumulate with a
-                    # branch-free ``get(okey, ZERO) + dp`` — the ZERO
-                    # seed is additively inert under Python ``+`` (the
-                    # sum() argument above), saving the None test per
-                    # delta entry.
+                    # ``add_operator = "+"`` asserts ring addition is
+                    # Python ``+`` on numeric payloads: a branch-free
+                    # ``get(okey, ZERO) + dp`` (the ZERO seed is
+                    # additively inert) saves a None test per entry.
                     if ops.add_op == "+":
                         accumulate = "agg[okey] = aget(okey, ZERO) + dp"
                     else:
@@ -1045,8 +1185,8 @@ def _emit_push_batch(
                     w.emit("aget = agg.get")
                     if use_og:
                         # Projection via a mapped itemgetter; a single
-                        # position yields bare values, so the agg dict is
-                        # value-keyed and the sink boxes survivors.
+                        # position yields bare values, so the agg dict
+                        # is value-keyed and the sink boxes survivors.
                         w.emit(
                             f"for okey, dp in zip(map(OG_{s}, dks), dps):"
                         )
@@ -1065,7 +1205,8 @@ def _emit_push_batch(
                             w.emit(f"okey = {oproj}")
                             if step.lift is not None:
                                 lifted = ops.mul(
-                                    "dp", f"LIFT_{s}(dk[{step.lift_position}])"
+                                    "dp",
+                                    f"LIFT_{s}(dk[{step.lift_position}])",
                                 )
                                 w.emit(f"dp = {lifted}")
                             if accumulate is not None:
@@ -1077,19 +1218,15 @@ def _emit_push_batch(
                                     + ops.add("prev", "dp")
                                 )
                     _emit_agg_sink(
-                        w,
-                        ops,
-                        f"VREL_{s}",
+                        w, ops, s, step.view, m.origin,
                         wrap=use_og and len(step.out_positions) == 1,
                     )
-                    w.emit("if stats is not None:")
-                    with w.block():
-                        w.emit(f"stats.record_delta(LBL_{s}, len(dks))")
-                    if s + 1 < len(plan.steps):
-                        w.emit("if not dks:")
-                        with w.block():
-                            w.emit("return")
-                arity = len(step.out_positions)
+                    m.delta_tail()
+                last = m.last()
+                resume = last.s + 1
+                origin = last.origin
+                arity = len(origin)
+                one = single and last.kind == "const"
         w.emit("finally:")
         with w.block():
             w.emit("if COUNTER.enabled:")
@@ -1100,9 +1237,10 @@ def _emit_push_batch(
                 w.emit("if matches:")
                 with w.block():
                     w.emit('COUNTER.bump("enum", matches)')
-            w.emit("if stats is not None and (lookups or shared):")
-            with w.block():
-                w.emit("stats.record_probe_sharing(lookups, shared)")
+            if not single:
+                w.emit("if stats is not None and (lookups or shared):")
+                with w.block():
+                    w.emit("stats.record_probe_sharing(lookups, shared)")
 
 
 def _delta_source(plan: DeltaPlan) -> str:
@@ -1110,7 +1248,7 @@ def _delta_source(plan: DeltaPlan) -> str:
     body = _Writer(indent=1)
     _emit_push(body, plan, ops)
     body.emit()
-    _emit_push_batch(body, plan, ops)
+    _emit_body(body, plan, ops, single=False)
     return _wrap_factory(body, _delta_env_names(plan), "push, push_batch")
 
 
@@ -1427,16 +1565,33 @@ class DeltaKernel:
     ``push(key, payload, stats)`` and ``push_batch(keys, pays, stats)``
     are the exec-compiled functions; ``source`` is the generated factory
     source (shared across every plan of the same shape; dumped by
-    ``python -m repro explain --kernel-source``).
+    ``python -m repro explain --kernel-source``).  The code posts the
+    group indexes its written relations carry at generation; a call that
+    finds one more first re-emits it (:meth:`regenerate`).
     """
 
     __slots__ = ("plan", "source", "push", "push_batch")
 
-    def __init__(self, plan: DeltaPlan, source: str, push, push_batch):
+    def __init__(self, plan: DeltaPlan):
         self.plan = plan
-        self.source = source
-        self.push = push
-        self.push_batch = push_batch
+
+    def generate(self) -> bool:
+        """Bind ``push`` / ``push_batch`` for the plan's current index
+        sets; returns whether the shape cache already had the source."""
+        plan = self.plan
+        (self.source, make), hit = _factory_for(
+            _delta_shape(plan), lambda: _delta_source(plan)
+        )
+        env = _delta_env(plan)
+        env["KERNEL"] = self
+        self.push, self.push_batch = make(env)
+        return hit
+
+    def regenerate(self) -> "DeltaKernel":
+        """Re-emit for the indexes there are now; the generated code calls
+        it when a written relation gained one since generation."""
+        self.generate()
+        return self
 
     def __reduce__(self):
         return (_rebuild_delta_kernel, (self.plan,))
@@ -1473,10 +1628,8 @@ def compile_delta_kernel(
 ) -> DeltaKernel:
     """Generate (or fetch from the shape cache) the kernel for ``plan``."""
     start = perf_counter()
-    shape = _delta_shape(plan)
-    (source, make), hit = _factory_for(shape, lambda: _delta_source(plan))
-    push, push_batch = make(_delta_env(plan))
-    kernel = DeltaKernel(plan, source, push, push_batch)
+    kernel = DeltaKernel(plan)
+    hit = kernel.generate()
     if info is not None:
         info["kernels"] += 1
         if hit:

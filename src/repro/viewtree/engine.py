@@ -276,14 +276,17 @@ class ViewTreeEngine(Backend):
         self._codegen_info: dict | None = None
         if generated:
             self._codegen_info = info = new_codegen_info()
-            for name, plans in compile_delta_plans(self).items():
+            # Both plans create the group indexes they probe; the delta
+            # kernels are generated after, for the final index sets.
+            delta_plans = compile_delta_plans(self)
+            enum_plan = compile_enum_plan(self)
+            for name, plans in delta_plans.items():
                 try:
                     self._kernels[name] = [
                         compile_delta_kernel(plan, info) for plan in plans
                     ]
                 except Exception as exc:
                     self._generation_failed(f"relation {name!r}", exc)
-            enum_plan = compile_enum_plan(self)
             if enum_plan is not None:
                 try:
                     self._enum_kernel = compile_enum_kernel(enum_plan, info)

@@ -363,6 +363,23 @@ class TestBatchObservability:
         payload = stats.to_dict()["batch"]
         assert payload["probes_shared"] == stats.sibling_probes_shared
 
+    def test_single_tuple_pushes_are_not_batch_probes(self):
+        """A fan-out ``apply`` runs no batch kernel: the ``batch`` block
+        stays zero until a batch runs, which still reports its probes."""
+        query = parse_query("Q(A, C) = R(A, B) * S(B, C)")
+        schemas = [("R", ("A", "B")), ("S", ("B", "C"))]
+        engine = ViewTreeEngine(
+            query,
+            seeded_db(schemas, random.Random(11)),
+            search_order(query, require_free_top=True),
+        )
+        stats = engine.attach_stats()
+        for a in range(8):
+            engine.apply(Update("R", (a, a % 3), 1))
+        assert set(stats.to_dict()["batch"].values()) == {0}
+        engine.apply_batch([Update("R", (a, 0), 1) for a in range(30)])
+        assert stats.to_dict()["batch"]["sibling_probes"] > 0
+
     def test_small_batches_skip_the_kernel(self):
         """Below ``batch_compile_threshold`` the per-tuple path runs and
         no batch counters are recorded."""

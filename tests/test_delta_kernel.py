@@ -249,10 +249,49 @@ def _views_in_order(engine):
     }
 
 
+def _lift_b(ring):
+    """A non-trivial lifting of ``B`` in any ring: zero, one or one + one."""
+    two = ring.add(ring.one, ring.one)
+    return LiftingMap(
+        ring, {"B": lambda b: (ring.zero, ring.one, two)[b % 3]}
+    )
+
+
+def _hier_db(ring, r_rows, s_rows, seed=61):
+    """Q(A, C)'s database with ``r_rows`` R and ``s_rows`` S tuples.  The
+    view tree joins a node's sources smallest first, so V_B's schema is
+    (A, C) when R is the smaller and (C, A) when S is."""
+    rng = random.Random(seed)
+    db = Database(ring=ring)
+    for name, schema, rows in (("R", ("A", "B"), r_rows), ("S", ("B", "C"), s_rows)):
+        relation = db.create(name, schema)
+        for _ in range(rows):
+            relation.add(tuple(rng.randrange(6) for _ in schema), ring.one)
+    return db
+
+
+def _push_source(kernel):
+    """The generated single-tuple ``push`` of a kernel."""
+    source = kernel.source
+    return source[source.index("def push("):source.index("def push_batch(")]
+
+
+HIER = ("Q(A, C) = R(A, B) * S(B, C)", [("R", ("A", "B")), ("S", ("B", "C"))])
+STAR = (
+    "Q(A, C, D) = R(A, B) * S(B, C) * T(B, D)",
+    [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("B", "D"))],
+)
+CHAIN = (
+    "Q(A) = R(A, B) * S(B, C) * T(C, D)",
+    [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))],
+)
+
+
 class TestSingleTupleFanOut:
-    """A single-tuple ``push`` on a plan with an INDEXED/CROSS sibling runs
-    the batch body over one key; it must stay bit-identical to the
-    generic walk, order included, and write no guard at a bound node."""
+    """A single-tuple ``push`` on a plan with an INDEXED/CROSS sibling
+    joins and writes in one pass (codegen's rules 1-3); it must stay
+    bit-identical to the generic walk, order included, record what
+    ``Relation.add`` records, and write no guard at a bound node."""
 
     @pytest.mark.parametrize(
         "ring,deletes",
@@ -261,16 +300,28 @@ class TestSingleTupleFanOut:
         ids=["int", "float", "boolean", "min-plus", "provenance", "product"],
     )
     @pytest.mark.parametrize(
-        "text,schemas",
-        [("Q(A, C) = R(A, B) * S(B, C)", [("R", ("A", "B")), ("S", ("B", "C"))]),
-         ("Q(A, C) = E(A, B) * E(B, C)", [("E", ("A", "B"))])],
-        ids=["hier", "self-join"],
+        "text,schemas,reordered,lifted",
+        # Both anchors of Q(A, C): rule 1 at V_B, rule 2 at V_C's key and
+        # (R) V_B's (A,) bucket; "reordered" gives V_B the schema (C, A),
+        # unlike the head.  The star joins two INDEXED siblings in one
+        # step; the chain and the star drop a fanned-out position (an agg
+        # dict stays); "lifted" scales, and zeroes, entries at the bound
+        # node.
+        [(*HIER, False, False),
+         ("Q(A, C) = E(A, B) * E(B, C)", [("E", ("A", "B"))], False, False),
+         (*STAR, False, False), (*CHAIN, False, False), (*HIER, False, True),
+         (*HIER, True, False)],
+        ids=["hier", "self-join", "star", "chain", "lifted", "reordered"],
     )
-    def test_bit_identical_to_the_generic_walk(self, text, schemas, ring, deletes):
+    def test_bit_identical_to_the_generic_walk(
+        self, text, schemas, reordered, lifted, ring, deletes
+    ):
         query = parse_query(text)
         order = search_order(query, require_free_top=True)
         compiled, generic = twin_engines(
-            query, schemas, seed=61, order=order, ring=ring, rows=40
+            query, schemas, seed=61, order=order, ring=ring, rows=40,
+            lifting=_lift_b(ring) if lifted else None,
+            make_db=(lambda: _hier_db(ring, 40, 10)) if reordered else None,
         )
         assert any(
             join.mode != DIRECT
@@ -291,7 +342,127 @@ class TestSingleTupleFanOut:
         assert _views_in_order(compiled) == _views_in_order(generic)
         assert list(compiled.enumerate()) == list(generic.enumerate())
         if ring is Z:
-            assert compiled.output_relation() == evaluate(query, compiled.database)
+            lifting = _lift_b(Z) if lifted else None
+            assert compiled.output_relation() == evaluate(
+                query, compiled.database, lifting
+            )
+
+    def test_rules_shape_the_push(self):
+        """Q(A, C), with V_B over (A, C) or (C, A): no push forwards to
+        ``push_batch`` or aggregates through a dict, and the R anchor
+        hoists V_B's (A,) bucket key from its input key.  The chain keeps
+        an agg dict where a step drops a fanned-out position."""
+        query = parse_query(HIER[0])
+        for rows, schema in (((10, 40), ("A", "C")), ((40, 10), ("C", "A"))):
+            engine, _ = twin_engines(
+                query, HIER[1], seed=1,
+                order=search_order(query, require_free_top=True),
+                make_db=lambda: _hier_db(Z, *rows),  # noqa: B023
+            )
+            by_var = {node.variable: node for node in tree_nodes(engine)}
+            assert by_var["B"].view.schema.variables == schema
+            for name in ("R", "S"):
+                source = _push_source(engine._kernels[name][0])
+                assert "push_batch(" not in source and "agg = {}" not in source
+            assert "vk0 = (key[0],)" in _push_source(engine._kernels["R"][0])
+        query = parse_query(CHAIN[0])
+        engine, _ = twin_engines(
+            query, CHAIN[1], seed=1, order=search_order(query, require_free_top=True)
+        )
+        assert "agg = {}" in _push_source(engine._kernels["T"][0])
+
+    @pytest.mark.parametrize(
+        "text,schemas,lifted",
+        [(*HIER, False), (*STAR, False), (*CHAIN, False), (*HIER, True)],
+        ids=["hier", "star", "chain", "lifted"],
+    )
+    def test_op_counts_equal_a_one_key_batch(self, text, schemas, lifted):
+        """``push`` counts the writes, lookups and enums ``push_batch``
+        counts over the same one key, and lands the same views."""
+        query = parse_query(text)
+        order = search_order(query, require_free_top=True)
+        lifting = _lift_b(Z) if lifted else None
+        single, _ = twin_engines(query, schemas, 13, order, lifting, rows=40)
+        batched, _ = twin_engines(query, schemas, 13, order, lifting, rows=40)
+        batched.batch_compile_threshold = 1
+        arities = {name: len(schema) for name, schema in schemas}
+        for update in valid_stream(random.Random(19), arities, 200, domain=6):
+            with counting() as one:
+                single.apply(update)
+            with counting() as batch:
+                batched.apply_batch([update])
+            for kind in ("write", "lookup", "enum"):
+                assert one[kind] == batch[kind], (kind, update)
+        assert _views_in_order(single) == _views_in_order(batched)
+
+    def test_a_hoisted_bucket_emptied_and_refilled_in_one_push(self):
+        """R(1, 7) cancels V_B(1, 1), the last key of its (A,) bucket, then
+        inserts V_B(1, 2): the bucket leaves the index and comes back."""
+        query = parse_query(HIER[0])
+        db = Database()
+        db.create("R", ("A", "B"))
+        db.create("S", ("B", "C"))
+        engine = ViewTreeEngine(query, db, search_order(query, require_free_top=True))
+        for update in (Update("R", (1, 8), 1), Update("S", (8, 1), 1),
+                       Update("S", (7, 1), -1), Update("S", (7, 2), 1)):
+            engine.apply(update)
+        engine.apply(Update("R", (1, 7), 1))
+        assert dict(engine.enumerate()) == evaluate(query, db).to_dict() == {(1, 2): 1}
+
+    @pytest.mark.parametrize("text,schemas", [HIER, STAR], ids=["hier", "star"])
+    def test_pre_images_equal_what_relation_add_records(self, text, schemas):
+        """Under a live snapshot, every view's and index's pre-image map
+        after single-tuple pushes equals the generic walk's, which writes
+        through ``Relation``."""
+        query = parse_query(text)
+        compiled, generic = twin_engines(
+            query, schemas, seed=5, order=search_order(query, require_free_top=True),
+            rows=40,
+        )
+        compiled.publish_epoch()
+        generic.publish_epoch()
+        arities = {name: len(schema) for name, schema in schemas}
+        for update in valid_stream(random.Random(3), arities, 120, domain=6):
+            compiled.apply(update)
+            generic.apply(update)
+
+        def maps(engine):
+            out = {}
+            for node in tree_nodes(engine):
+                view = node.view
+                out[node.variable] = dict(view._maps[-1])
+                for group_vars, index in view._indexes.items():
+                    out[node.variable, group_vars] = {
+                        gk: None if bucket is None else list(bucket)
+                        for gk, bucket in index._maps[-1].items()
+                    }
+            return out
+
+        assert maps(compiled) == maps(generic)
+        assert any(maps(compiled).values())
+
+    def test_an_index_added_later_regenerates_the_kernel(self):
+        """Postings are specialised to the indexes a view had at
+        generation; a push that finds one more re-emits the kernel and
+        posts it too."""
+        query = parse_query(HIER[0])
+        compiled, generic = twin_engines(
+            query, HIER[1], seed=9, order=search_order(query, require_free_top=True),
+            rows=30,
+        )
+        view_b = next(n.view for n in tree_nodes(compiled) if n.variable == "B")
+        kernel = compiled._kernels["R"][0]
+        before = kernel.source
+        late = view_b.index_on(("C",))
+        for update in valid_stream(random.Random(4), {"R": 2, "S": 2}, 150):
+            compiled.apply(update)
+            generic.apply(update)
+        assert kernel.source != before
+        expected = {}
+        for key in view_b.data:
+            expected.setdefault((key[view_b.schema.position("C")],), []).append(key)
+        assert {gk: list(b) for gk, b in late.groups.items()} == expected
+        assert _views_in_order(compiled) == _views_in_order(generic)
 
     @pytest.mark.parametrize("k", [1, 5, 40])
     def test_fan_out_k_writes_no_guard(self, k):
@@ -310,6 +481,8 @@ class TestSingleTupleFanOut:
         # V_A(): no write of an R ⋈ S guard.
         assert ops["write"] == 1 + k + 1 + 1
         assert ops["enum"] == k
+        # One probe: S's B bucket.
+        assert ops["lookup"] == 1
         assert dict(engine.enumerate()) == {(1, c): 1 for c in range(k)}
 
 

@@ -520,6 +520,50 @@ class TestRollback:
         engine.publish_epoch()
         assert dict(engine.enumerate_snapshot()) == evaluate(query, db).to_dict()
 
+    @pytest.mark.parametrize("generated", [True, False], ids=["kernels", "oracle"])
+    def test_single_tuple_fan_out_chain_rolls_back(self, generated, monkeypatch):
+        """An ``S`` update on ``Q(A,C)`` writes ``V_B`` and ``V_C`` in one
+        loop; a fault after that loop, ``V_A`` not yet written, under a
+        live snapshot restores base, views and the epoch exactly."""
+        query = parse_query(HIER)
+        db = Database()
+        for atom in query.atoms:
+            db.create(atom.relation, atom.variables)
+        engine = ViewTreeEngine(
+            query, db, search_order(query, require_free_top=True),
+            generated=generated,
+        )
+        prefix, _, _ = _batches(query, 17)
+        engine.apply_batch(prefix)
+        engine.publish_epoch()
+        before = _state(engine)
+        expected = evaluate(query, db).to_dict()
+        partners = {}
+        for _a, b in db["R"].keys():
+            partners[b] = partners.get(b, 0) + 1
+        b = max(partners, key=partners.get)
+        assert partners[b] >= 2
+        update = Update("S", (b, 99), 1)
+        stats = engine.attach_stats()
+        reached = []
+
+        def record_delta(view, size):
+            if view == "V_B":
+                reached.append(_state(engine) != before)
+                raise RuntimeError("injected fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stats, "record_delta", record_delta)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.apply(update)
+        assert reached == [True]
+        assert _state(engine) == before
+        assert dict(engine.enumerate()) == expected
+        assert dict(engine.enumerate_snapshot()) == expected
+        engine.apply(update)
+        engine.publish_epoch()
+        assert dict(engine.enumerate_snapshot()) == evaluate(query, db).to_dict()
+
     def test_failed_rebuild_restores_cleared_views(self, monkeypatch):
         """A batch rebuild clears views under the live snapshot (fresh
         dicts, maps detached); a fault midway still restores them."""
