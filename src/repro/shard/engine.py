@@ -49,11 +49,12 @@ crash (the pool only — shard 0 keeps its state) or after a commit that
 failed inside the coordinator (every shard: nobody can vouch for a
 half-applied batch), and rebuilt from it when a pickled engine is
 restored.  An epoch published before a rebuild is re-published under
-the same number, so pinned snapshot readers keep getting answers.
+the same number, so pinned snapshot readers keep getting answers.  It
+also answers live lookups on queries without bound variables.
 
 When to shard: README.md ("Sharded execution") has the measured row
 against the unsharded engine.  A 2-shard ``process`` engine is two
-processes for two cores; a point lookup owned by a worker still costs
+processes for two cores; a routed lookup owned by a worker still costs
 a pipe round-trip.
 
 Observability: every shard records into its own
@@ -88,7 +89,8 @@ from ..query.ast import Query
 from ..query.variable_order import VariableOrder, order_for
 from ..rings.lifting import LiftingMap
 from ..viewtree.changes import EpochGapError, MaterializedView, OutputDelta
-from ..viewtree.engine import ViewTreeEngine
+from ..viewtree.engine import ViewTreeEngine, probe_product
+from ..viewtree.enumplan import key_projector
 from .changes import ShardChangeTracker
 from .router import ShardRouter, choose_shard_variable, stable_hash
 from .worker import (
@@ -170,6 +172,18 @@ class ShardedEngine(Backend):
         #: after every shard acked, so readers never pin an epoch some
         #: shard has not published.
         self.epoch = 0
+        #: Lookup probes over the base (see :meth:`lookup`), grouped and
+        #: ordered as the shard engines' own plans; None: lookups route.
+        self._base_lookup = None
+        if generated and query.head and not query.bound_variables:
+            self._base_lookup = tuple(
+                tuple(
+                    (database[a.relation], key_projector(tuple(map(query.head.index, a.variables))))
+                    for a in node.atoms
+                )
+                for node in self.order.walk()
+                if node.atoms
+            )
         #: Coordinator-side change tracker (see :meth:`track_changes`):
         #: folds per-shard output deltas into merged coordinator-epoch
         #: deltas so subscribers patch in O(δ) across all shards.
@@ -631,48 +645,42 @@ class ShardedEngine(Backend):
             raise ValueError(
                 f"lookup key {key!r} does not match head {head!r}"
             )
-        pin = self._pin() if snapshot else None
         if not head:
-            return self._scalar(pin)
-        prebound = dict(zip(head, key))
-        command = ("lookup", key, prebound, pin)
+            return self._scalar(self._pin() if snapshot else None)
+        if self._base_lookup is not None and not snapshot:
+            result = probe_product(self._base_lookup, key, self.ring)
+            stats = self._maintenance_stats
+            if stats is not None:
+                stats.record_point_lookup(0)
+            return result
+        command = ("lookup", key, self._pin() if snapshot else None)
         if self._disjoint_outputs and self.shards > 1:
             # The key's shard-variable value pins the one shard that can
             # own the tuple; the others cannot contribute.
-            owner = stable_hash(prebound[self.shard_variable]) % self.shards
+            owner = stable_hash(key[head.index(self.shard_variable)]) % self.shards
             replies = [self._call(owner, command)]
         else:
             replies = self._broadcast(command)
         total = self.ring.zero
         for reply in replies:
             total = self.ring.add(total, reply.payload)
-        stats = self._maintenance_stats
-        if stats is not None:
-            stats.record_point_lookup(len(replies))
         return total
 
     def lookup_snapshot(self, key: tuple) -> Any:
-        """:meth:`lookup` against the published epoch (same probe savers)."""
+        """:meth:`lookup` at the published epoch; routed (the base keeps no versions)."""
         return self._lookup(key, snapshot=True)
 
     def lookup(self, key: tuple) -> Any:
         """Merged payload of one output tuple (ring zero when absent).
 
-        Every head variable arrives prebound, so each shard answers with
-        O(1) guard probes along the free prefix — no full enumeration.
-        Two probe savers on top of that:
-
-        * a fully-prebound key identifies at most one output tuple per
-          shard, so each shard's iterator is abandoned on first match
-          instead of being drained to exhaustion;
-        * when the shard variable is itself a head variable (and the
-          query has partitioned leaves), the key value pins the one shard
-          that can own the tuple — the other shards are never probed,
-          and when that shard is the coordinator's no pipe is touched.
-
-        ``point_lookups`` / ``lookup_shards_probed`` on an attached
-        recorder (plus the shards' ``enum_guard_probes``) make the saved
-        probes visible.
+        On a query with no bound variable every probe is a base relation,
+        and the base is authoritative after every commit: the coordinator
+        multiplies the probes itself, touching no shard and no pipe, and
+        records one ``point_lookups`` with 0 shards probed.  Otherwise
+        the owner shard answers (no pipe when it is shard 0) when the
+        shard variable is a head variable, else every shard, ring-added;
+        each records its own point lookup, rolled up by
+        :meth:`merged_stats`.
         """
         return self._lookup(key, snapshot=False)
 
@@ -740,6 +748,11 @@ class ShardedEngine(Backend):
                 else "broadcast"
             )
             lines.append(f"  {name}: {mode}")
+        routed = self._disjoint_outputs and self.shards > 1
+        lines.append("lookups: " + (
+            "coordinator base" if self._base_lookup is not None
+            else "routed to owner" if routed else "every shard"
+        ))
         for index, reply in enumerate(self._broadcast(("describe",))):
             where = "" if index < self._local else " (worker-resident)"
             lines.append(f"shard {index}{where}:")

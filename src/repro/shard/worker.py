@@ -328,19 +328,11 @@ class ShardRuntime:
             iterator = self.engine._enumerate(prebound)
         return None, iterator
 
-    def _cmd_lookup(self, key: tuple, prebound, number: int | None):
-        if number is not None:
-            iterator = self.engine._enumerate(
-                prebound, None, epoch=self._snapshot(number)
-            )
-        else:
-            iterator = self.engine.enumerate(prebound)
-        total = self.ring.zero
-        for found, payload in iterator:
-            if found == key:
-                total = self.ring.add(total, payload)
-                break
-        return total, None
+    def _cmd_lookup(self, key: tuple, number: int | None):
+        """The engine's own lookup (recorded as one, not an enumeration)."""
+        if number is None:
+            return self.engine.lookup(key), None
+        return self.engine.lookup_snapshot(key, self._snapshot(number)), None
 
     def _cmd_views(self):
         entries = []

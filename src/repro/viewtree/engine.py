@@ -43,6 +43,7 @@ from typing import Any, Iterator, Optional
 
 from ..backend import Backend, NotSupported
 from ..data.database import Database
+from ..data.opcounter import COUNTER
 from ..data.relation import Relation, claim_writer
 from ..data.schema import Schema
 from ..data.update import Update, coalesce_grouped
@@ -63,6 +64,41 @@ from .changes import ChangeTracker, MaterializedView, OutputDelta
 from .compile import compile_delta_plans
 from .enumplan import _flatten, compile_enum_plan
 from .epoch import EpochSnapshot, SnapshotRegistry
+
+
+def probe_product(
+    factors: tuple,
+    key: tuple,
+    ring,
+    epoch: EpochSnapshot | None = None,
+) -> Any:
+    """Output tuple ``key``'s payload: the product of the lookup plan
+    ``factors`` (:attr:`~repro.viewtree.enumplan.EnumPlan.lookup`) probed
+    at the key, or the ring zero at the first miss; one ``lookup`` op per
+    probe.  With ``epoch`` a probe reads live first, then the pre-image
+    map, as :class:`~repro.viewtree.epoch.VersionView` does."""
+    mul = ring.mul
+    payload = None  # ``one``, whose product with x is x exactly
+    probes = 0
+    try:
+        for factor in factors:
+            value = None
+            for relation, project in factor:
+                probes += 1
+                probe = project(key)
+                if epoch is None:
+                    found = relation.data.get(probe)
+                else:
+                    live, undo = epoch.data_of(relation)
+                    found = undo.get(probe, live.get(probe))
+                if found is None:
+                    return ring.zero
+                value = found if value is None else mul(value, found)
+            payload = value if payload is None else mul(payload, value)
+    finally:
+        if COUNTER.enabled:
+            COUNTER.bump("lookup", probes)
+    return ring.zero if ring.is_zero(payload) else payload
 
 
 class ViewNode:
@@ -271,6 +307,8 @@ class ViewTreeEngine(Backend):
         self._kernels: dict[str, list[DeltaKernel]] = {}
         #: Generated read-path kernel (None -> generic recursive walk).
         self._enum_kernel: EnumKernel | None = None
+        #: Point-lookup probes (None -> lookups run the enumeration walk).
+        self._lookup_plan = None
         #: Generation counters, recorded into the first attached stats
         #: recorder (then cleared, so re-attachment never double-counts).
         self._codegen_info: dict | None = None
@@ -288,6 +326,7 @@ class ViewTreeEngine(Backend):
                 except Exception as exc:
                     self._generation_failed(f"relation {name!r}", exc)
             if enum_plan is not None:
+                self._lookup_plan = enum_plan.lookup
                 try:
                     self._enum_kernel = compile_enum_kernel(enum_plan, info)
                 except Exception as exc:
@@ -914,24 +953,7 @@ class ViewTreeEngine(Backend):
         """:meth:`lookup` against the published epoch."""
         if snap is None:
             snap = self.snapshot()
-        key = tuple(key)
-        head = self.head
-        if len(key) != len(head):
-            raise ValueError(
-                f"lookup key {key!r} does not match head {head!r}"
-            )
-        if not head:
-            return self.scalar_snapshot(snap)
-        stats = self._maintenance_stats
-        prebound = dict(zip(head, key))
-        result = self.ring.zero
-        for found, payload in self._enumerate(prebound, stats, epoch=snap):
-            if found == key:
-                result = payload
-                break
-        if stats is not None:
-            stats.record_point_lookup()
-        return result
+        return self._lookup(key, snap)
 
     # ------------------------------------------------------------------
     # Enumeration
@@ -957,10 +979,17 @@ class ViewTreeEngine(Backend):
     def lookup(self, key: tuple) -> Any:
         """Payload of one output tuple (ring zero when absent).
 
-        Binds every head variable, so the enumeration degenerates into a
-        chain of guard probes — at most one candidate per depth — and the
-        iterator is abandoned after the first (unique) match.
+        A generated engine whose key binds every maintained head variable
+        multiplies its lookup plan's probes (:func:`probe_product`); the
+        oracle and FD plans (output head ⊂ maintained head) walk the
+        enumeration with the key prebound.  The two agree on valid states
+        (§2).  Where a view cancels to zero above non-zero tuples, the
+        product still returns ``repro.naive``'s payload, while the walk —
+        like factorized enumeration — may skip the tuple.
         """
+        return self._lookup(key, None)
+
+    def _lookup(self, key: tuple, snap: EpochSnapshot | None) -> Any:
         key = tuple(key)
         head = self.head
         if len(key) != len(head):
@@ -968,14 +997,17 @@ class ViewTreeEngine(Backend):
                 f"lookup key {key!r} does not match head {head!r}"
             )
         if not head:
-            return self.scalar()
+            return self.scalar() if snap is None else self.scalar_snapshot(snap)
         stats = self._maintenance_stats
-        prebound = dict(zip(head, key))
-        result = self.ring.zero
-        for found, payload in self._enumerate(prebound, stats):
-            if found == key:
-                result = payload
-                break
+        if self._lookup_plan is not None:
+            result = probe_product(self._lookup_plan, key, self.ring, snap)
+        else:
+            result = self.ring.zero
+            prebound = dict(zip(head, key))
+            for found, payload in self._enumerate(prebound, stats, epoch=snap):
+                if found == key:
+                    result = payload
+                    break
         if stats is not None:
             stats.record_point_lookup()
         return result
@@ -1222,7 +1254,8 @@ class ViewTreeEngine(Backend):
         Each leaf line says whether the leaf is its base relation
         (``= base``) or a private copy, and why (``copy (filter)``,
         ``copy (renamed)``, ``copy (self-join)``): how many copies of
-        each input tuple this engine holds.
+        each input tuple this engine holds.  The last line is the lookup
+        plan (``lookup: R(Y, X) · S(Y, Z)``, or ``walk``).
         """
         lines: list[str] = []
 
@@ -1243,4 +1276,17 @@ class ViewTreeEngine(Backend):
 
         for root in self.roots:
             visit(root, 0)
+        lines.append(f"lookup: {self._lookup_route()}")
         return "\n".join(lines)
+
+    def _lookup_route(self) -> str:
+        """How :meth:`lookup` answers: its probes, or why it walks."""
+        if self._lookup_plan is None:
+            narrow = len(self.head) < len(self.query.head)
+            return "walk (output head ⊂ maintained head)" if narrow else "walk"
+        atoms = {id(leaf): atom for anchors in self._anchors.values() for atom, _, leaf in anchors}
+        return " · ".join(
+            str(atoms.get(id(rel), f"{rel.name}({', '.join(rel.schema.variables)})"))
+            for factor in self._lookup_plan
+            for rel, _ in factor
+        )

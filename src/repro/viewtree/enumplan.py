@@ -27,9 +27,10 @@ at engine construction:
   incrementally maintained by every subsequent update, exactly as the
   generic path's lazy ``index_on`` would).
 
-An :class:`EnumPlan` is data only — it executes nothing.  Its one
-consumer is :mod:`repro.viewtree.codegen`, which emits the plan as one
-generator of nested literal loops over named slot locals.  Access-pattern
+An :class:`EnumPlan` is data only — it executes nothing.
+:mod:`repro.viewtree.codegen` emits it as one generator of nested
+literal loops over named slot locals; its ``lookup`` probes answer
+point lookups without the walk.  Access-pattern
 requests (``enumerate(prebound=...)``, the CQAP engine of Section 4.3)
 run through the same plan: a prebound variable's step swaps its
 candidate iteration for one O(1) guard probe.
@@ -50,6 +51,7 @@ shipped whole.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Optional
 
 from ..data.relation import GroupIndex, Relation
@@ -110,7 +112,7 @@ class EnumStep:
 class EnumPlan:
     """The compiled enumeration walk for one engine's free-top order."""
 
-    __slots__ = ("ring", "nslots", "head_positions", "prefix_probes", "steps")
+    __slots__ = ("ring", "nslots", "head_positions", "prefix_probes", "steps", "lookup")
 
     def __init__(
         self,
@@ -119,6 +121,7 @@ class EnumPlan:
         head_positions: tuple[int, ...],
         prefix_probes: tuple[tuple[Relation, tuple[int, ...]], ...],
         steps: tuple[EnumStep, ...],
+        lookup: Optional[tuple] = None,
     ):
         self.ring = ring
         self.nslots = nslots
@@ -129,6 +132,11 @@ class EnumPlan:
         #: (connected components with no free variable).
         self.prefix_probes = prefix_probes
         self.steps = steps
+        #: Point-lookup plan when a key binds the whole maintained head:
+        #: the walk's probes minus guards, as factors of ``(relation, key
+        #: projector)`` pairs — a step's leaves are one factor, any other
+        #: probe its own — so the product associates as the walk's (§4.1).
+        self.lookup = lookup
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnumPlan(steps={len(self.steps)}, slots={self.nslots})"
@@ -208,10 +216,31 @@ def compile_enum_plan(engine) -> Optional[EnumPlan]:
     if not steps:
         return None
     steps[-1].post_probes = tuple(pending_posts)
+    lookup = None
+    if set(engine.head) == set(query.head):
+        at = {slot_of[v]: i for i, v in enumerate(engine.head)}
+
+        def factor(probes) -> tuple:
+            return tuple((r, key_projector(tuple(at[s] for s in slots))) for r, slots in probes)
+
+        lookup = [factor([p]) for p in prefix_probes]
+        for step in steps:
+            lookup += [factor(step.leaf_probes)] if step.leaf_probes else []
+            lookup += [factor([p]) for p in step.post_probes]
+        lookup = tuple(lookup)
     return EnumPlan(
         engine.ring,
         len(slot_of),
         tuple(slot_of[v] for v in engine.head),
         tuple(prefix_probes),
         tuple(steps),
+        lookup,
     )
+
+
+def key_projector(positions: tuple[int, ...]) -> itemgetter:
+    """``key -> tuple(key[p] for p in positions)``, picklable; a run is a slice."""
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)

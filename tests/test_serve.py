@@ -676,12 +676,12 @@ class TestPointLookup:
             engine.lookup((1, 2))
 
     def test_sharded_lookup_probes_one_shard(self):
-        """Owner routing + early break: a fully-prebound lookup probes
-        exactly one shard, and guard probes stay a small constant
-        instead of scaling with the shard count."""
+        """Owner routing: on a query with a bound variable (``C``) a
+        fully-prebound lookup is routed, and probes exactly the one
+        shard its shard-variable value pins — not all four."""
         shards = 4
         query, engine = fresh_engine(
-            "Q(B,A) = R(B,A) * S(B)", shards=shards
+            "Q(B,A) = R(B,A) * S(B,C)", shards=shards
         )
         stats = engine.attach_stats()
         try:

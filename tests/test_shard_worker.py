@@ -583,17 +583,29 @@ class TestWorkerCrash:
 # ----------------------------------------------------------------------
 
 
+#: The shard variable ``B`` is a head variable, but ``C`` is bound: a
+#: live lookup cannot be answered from the base, so it is routed.
+ROUTED = parse_query("Q(B, A) = R(B, A) * S(B, C)")
+
+
+def routed_db():
+    db = Database()
+    db.create("R", ("B", "A"))
+    db.create("S", ("B", "C"))
+    return db
+
+
 class TestOwnerRouting:
     def test_lookups_live_and_pinned_for_both_owners(self):
         """A key owned by shard 0 and one owned by the worker, read
         live, at the published epoch, and at an epoch pinned before
         later publishes."""
-        with ShardedEngine(QUERY, fresh_db(), shards=2, executor="process") as engine:
+        with ShardedEngine(ROUTED, routed_db(), shards=2, executor="process") as engine:
             stats = engine.attach_stats()
             keys = [owned_key(engine, 0), owned_key(engine, 1)]
             engine.apply_batch(
                 [Update("R", key, 2) for key in keys]
-                + [Update("S", key[:1], 3) for key in keys]
+                + [Update("S", (key[0], 7), 3) for key in keys]
             )
             rounds = stats.ipc_rounds
             assert engine.lookup(keys[0]) == 6
@@ -610,18 +622,87 @@ class TestOwnerRouting:
             for owner, key in enumerate(keys):
                 assert engine.lookup(key) == 15  # live: unpublished too
                 assert engine.lookup_snapshot(key) == 12
-                at_pin = ("lookup", key, dict(zip(QUERY.head, key)), pinned)
+                at_pin = ("lookup", key, pinned)
                 assert engine._call(owner, at_pin).payload == 6
             assert dict(frozen) == {key: 6 for key in keys}
+
+    def test_routed_lookups_record_point_lookups_not_enumerations(self):
+        """The owner shard answers a routed lookup with its engine's own
+        lookup: its recorder counts a point lookup, not an enumeration
+        (was: one ``enumerations`` and a delay sample per lookup, no
+        ``point_lookups``)."""
+        engine = ShardedEngine(ROUTED, routed_db(), shards=2)
+        engine.attach_stats()
+        keys = [owned_key(engine, 0), owned_key(engine, 1)]
+        engine.apply_batch(
+            [Update("R", key, 2) for key in keys]
+            + [Update("S", (key[0], 7), 3) for key in keys]
+        )
+        assert [engine.lookup(key) for key in (keys[0], keys[1], keys[1])] == [6] * 3
+        merged = engine.merged_stats()
+        for label, lookups in (("shard0", 1), ("shard1", 2)):
+            summary = merged.shard_summaries[label]
+            assert summary["enumerations"] == 0
+            assert summary["point_lookups"] == lookups
+        assert merged.point_lookups == merged.lookup_shards_probed == 3
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_full_query_lookups_answer_on_the_coordinator(self, executor):
+        """Every probe of a query with no bound variable is a base
+        relation: the coordinator answers from its database, and no
+        shard sees the read — no pipe round, no shard recorder moves —
+        whichever shard owns the key."""
+        with ShardedEngine(QUERY, fresh_db(), shards=2, executor=executor) as engine:
+            stats = engine.attach_stats()
+            keys = [owned_key(engine, 0), owned_key(engine, 1)]
+            engine.apply_batch(
+                [Update("R", key, 2) for key in keys]
+                + [Update("S", key[:1], 3) for key in keys]
+            )
+            engine.merged_stats()  # sync the worker's recorder
+            before = [shard.to_dict() for shard in engine.shard_stats]
+            rounds = stats.ipc_rounds
+            assert [engine.lookup(key) for key in keys] == [6, 6]
+            assert engine.lookup((99, 99)) == 0
+            assert stats.ipc_rounds == rounds
+            assert stats.point_lookups == 3
+            assert stats.lookup_shards_probed == 0
+            engine.merged_stats()
+            assert [shard.to_dict() for shard in engine.shard_stats] == before
+
+    def test_snapshot_lookups_stay_routed(self):
+        """The coordinator's base keeps no versions, so a snapshot
+        lookup goes to the owner shard even on a full query: a worker
+        key costs one pipe round and answers the published epoch, also
+        after the base has moved on."""
+        with ShardedEngine(QUERY, fresh_db(), shards=2, executor="process") as engine:
+            stats = engine.attach_stats()
+            keys = [owned_key(engine, 0), owned_key(engine, 1)]
+            engine.apply_batch(
+                [Update("R", key, 2) for key in keys]
+                + [Update("S", key[:1], 3) for key in keys]
+            )
+            engine.publish_epoch()
+            engine.apply_batch([Update("R", key, 1) for key in keys])
+            rounds = stats.ipc_rounds
+            assert engine.lookup_snapshot(keys[0]) == 6
+            assert stats.ipc_rounds == rounds  # shard 0: no pipe
+            assert engine.lookup_snapshot(keys[1]) == 6
+            assert stats.ipc_rounds == rounds + 1  # the worker: one trip
+            assert [engine.lookup(key) for key in keys] == [9, 9]
+            assert stats.ipc_rounds == rounds + 1  # live: the base
 
     def test_local_snapshot_read_returns_while_a_round_is_in_flight(self):
         """No per-worker lock guards the coordinator's own shard: with
         the worker stopped mid-round (its lock held by the commit
-        thread), a snapshot lookup of a shard-0 key still answers."""
+        thread), a snapshot lookup of a shard-0 key still answers, and
+        so does a live lookup of the worker's key (the coordinator's
+        base answers it; no pipe is waited on)."""
         with ShardedEngine(QUERY, fresh_db(), shards=2, executor="process") as engine:
             local, remote = owned_key(engine, 0), owned_key(engine, 1)
             engine.apply_batch(
-                [Update("R", local, 2), Update("S", local[:1], 3)]
+                [Update("R", local, 2), Update("S", local[:1], 3),
+                 Update("S", remote[:1], 3)]
             )
             engine.publish_epoch()
             worker = engine._pool.workers[0]
@@ -639,6 +720,15 @@ class TestOwnerRouting:
                     time.sleep(0.01)
                 assert worker.lock.locked() and commit.is_alive()
                 assert engine.lookup_snapshot(local) == 6
+                # Before or after the base write; read on a thread so a
+                # lookup waiting on the stopped worker fails, not hangs.
+                live = []
+                reader = threading.Thread(
+                    target=lambda: live.append(engine.lookup(remote)), daemon=True
+                )
+                reader.start()
+                reader.join(5.0)
+                assert live and live[0] in (0, 3)
                 assert commit.is_alive()  # answered mid-round, not after it
             finally:
                 os.kill(victim.pid, signal.SIGCONT)

@@ -8,7 +8,9 @@ multiplicities.  These tests pin down exactly what the library promises:
   the batch completes (commutativity);
 * scalar/aggregate results are correct even for invalid final states;
 * factorized *enumeration* over an invalid final state may legitimately
-  skip cancelled branches — the documented limitation.
+  skip cancelled branches — the documented limitation;
+* a point lookup multiplies the tuple's own probes, so it returns the
+  naive payload even there, while the enumeration walk may not.
 """
 
 from repro.data import Database, Update, permuted
@@ -90,6 +92,33 @@ class TestInvalidFinalStates:
         # ... although the naive evaluator sees two non-zero outputs.
         naive = evaluate(FIG3, db).to_dict()
         assert naive == {(1, 2, 7): 1, (1, 2, 8): -1}
+
+    def test_point_lookup_returns_the_naive_payload(self):
+        """A generated engine's lookup is the product of the tuple's own
+        leaf probes (``R(1, 2) * S(1, 7)``): the cancelled ``V_Z(1)`` is
+        never read, so on the invalid state above the lookup equals
+        ``repro.naive`` — live and at a snapshot — while enumeration and
+        the oracle's walk (``generated=False``) skip the tuple."""
+        updates = [
+            Update("S", (1, 7), 1),
+            Update("S", (1, 8), -1),  # invalid: negative tuple
+            Update("R", (1, 2), 1),
+        ]
+        db, walk_db = fresh_db(), fresh_db()
+        engine = ViewTreeEngine(FIG3, db)
+        walker = ViewTreeEngine(FIG3, walk_db, generated=False)
+        for update in updates:
+            engine.apply(update)
+            walker.apply(update)
+        naive = evaluate(FIG3, db).to_dict()
+        assert naive == {(1, 2, 7): 1, (1, 2, 8): -1}
+        assert {key: engine.lookup(key) for key in naive} == naive
+        snap = engine.publish_epoch()
+        assert {key: engine.lookup_snapshot(key, snap) for key in naive} == naive
+        assert dict(engine.enumerate()) == {}
+        assert {key: walker.lookup(key) for key in naive} == {
+            (1, 2, 7): 0, (1, 2, 8): 0
+        }
 
     def test_flat_representations_not_affected(self):
         """The list representation has no such caveat: the delta engine's
