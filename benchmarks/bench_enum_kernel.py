@@ -18,7 +18,14 @@ through the compiled and the generic (``generated=False``) engine on:
   (``Q(A,C) = R(A,B) * S(B,C)``) under a searched free-top order —
   deeper walk, bound-view probes on the inner step;
 
-each under uniform and Zipf value distributions.  A second table times
+each under uniform and Zipf value distributions; and
+
+* a three-sibling star (``Q(Y,X,Z,W) = R(Y,X) * S(Y,Z) * T(Y,W)``),
+  uniform only, ≈ 10 children per ``Y`` in each relation — the case
+  where the kernel replays a sibling branch per candidate of the step
+  before instead of re-probing it (``Z·W`` per ``X``, ``W`` per ``Z``).
+
+A second table times
 prebound point lookups — the CQAP access-request shape of Section 4.3,
 where every step is one O(1) guard probe.  Every compiled run is
 differential-checked bit-identical against its generic twin (contents
@@ -56,30 +63,34 @@ QUERIES = (
     ("q-hierarchical", "Q(Y, X, Z) = R(Y, X) * S(Y, Z)"),
     ("hierarchical", "Q(A, C) = R(A, B) * S(B, C)"),
 )
+#: The star's rows per relation and domain: ≈ 10 children per ``Y``
+#: (≈ 200 · 10³ output tuples).
+STAR = ("star", "Q(Y, X, Z, W) = R(Y, X) * S(Y, Z) * T(Y, W)")
+STAR_SIZE, STAR_DOMAIN = 2000, 200
 
 
-def _sampler(rng, workload):
+def _sampler(rng, workload, domain):
     if workload == "uniform":
-        return lambda: rng.randrange(DOMAIN)
+        return lambda: rng.randrange(domain)
     weights = list(
-        itertools.accumulate(1.0 / (k + 1) ** ZIPF_S for k in range(DOMAIN))
+        itertools.accumulate(1.0 / (k + 1) ** ZIPF_S for k in range(domain))
     )
     total = weights[-1]
     return lambda: min(
-        bisect.bisect_left(weights, rng.random() * total), DOMAIN - 1
+        bisect.bisect_left(weights, rng.random() * total), domain - 1
     )
 
 
-def _fresh_db(query, workload, seed=13):
+def _fresh_db(query, workload, seed=13, size=RELATION_SIZE, domain=DOMAIN):
     rng = random.Random(seed)
-    value = _sampler(rng, workload)
+    value = _sampler(rng, workload, domain)
     db = Database()
     for atom in query.atoms:
         if atom.relation not in db.relations:
             db.create(atom.relation, atom.variables)
     for relation in db.relations.values():
         arity = len(relation.schema.variables)
-        for _ in range(RELATION_SIZE):
+        for _ in range(size):
             relation.add(tuple(value() for _ in range(arity)), 1)
     return db
 
@@ -131,31 +142,36 @@ def _kernel_table():
     )
 
     speedups = {}
-    for label, text in QUERIES:
+    cases = [
+        (label, text, workload, {})
+        for label, text in QUERIES
+        for workload in ("uniform", "zipf")
+    ]
+    cases.append((*STAR, "uniform", {"size": STAR_SIZE, "domain": STAR_DOMAIN}))
+    for label, text, workload, sizing in cases:
         query = parse_query(text)
         order = _order_for(query)
-        for workload in ("uniform", "zipf"):
-            db = _fresh_db(query, workload)
-            generic = ViewTreeEngine(query, db, order, generated=False)
-            compiled = ViewTreeEngine(query, db, order)
-            assert compiled._enum_kernel is not None
-            assert generic._enum_kernel is None
-            # differential gate: the kernel must be invisible semantically
-            # (same contents AND the same enumeration order)
-            assert list(compiled.enumerate()) == list(generic.enumerate())
-            generic_rate = _drain_rate(generic)
-            compiled_rate = _drain_rate(compiled)
-            tuples = sum(1 for _ in compiled.enumerate())
-            speedup = compiled_rate / generic_rate
-            speedups[(label, workload)] = speedup
-            table.add(
-                label,
-                workload,
-                f"{tuples:,}",
-                f"{generic_rate:,.0f}",
-                f"{compiled_rate:,.0f}",
-                f"{speedup:.2f}x",
-            )
+        db = _fresh_db(query, workload, **sizing)
+        generic = ViewTreeEngine(query, db, order, generated=False)
+        compiled = ViewTreeEngine(query, db, order)
+        assert compiled._enum_kernel is not None
+        assert generic._enum_kernel is None
+        # differential gate: the kernel must be invisible semantically
+        # (same contents AND the same enumeration order)
+        assert list(compiled.enumerate()) == list(generic.enumerate())
+        generic_rate = _drain_rate(generic)
+        compiled_rate = _drain_rate(compiled)
+        tuples = sum(1 for _ in compiled.enumerate())
+        speedup = compiled_rate / generic_rate
+        speedups[(label, workload)] = speedup
+        table.add(
+            label,
+            workload,
+            f"{tuples:,}",
+            f"{generic_rate:,.0f}",
+            f"{compiled_rate:,.0f}",
+            f"{speedup:.2f}x",
+        )
 
     # Prebound point lookups (the CQAP access-request shape): bind the
     # top free variable and answer one request per domain value.
@@ -190,9 +206,11 @@ def _kernel_table():
         "enum_kernel.txt",
         extra_tables=[lookup_table],
         meta={
-            "queries": {label: text for label, text in QUERIES},
+            "queries": {label: text for label, text in (*QUERIES, STAR)},
             "relation_size": RELATION_SIZE,
             "domain": DOMAIN,
+            "star_relation_size": STAR_SIZE,
+            "star_domain": STAR_DOMAIN,
             "zipf_s": ZIPF_S,
             "rounds": ROUNDS,
             "lookups": LOOKUPS,

@@ -90,15 +90,20 @@ def observed(method):
 def observed_enumeration(
     stats: MaintenanceStats | None, iterable: Iterable
 ) -> Iterator:
-    """Yield from ``iterable`` recording per-tuple enumeration delay.
+    """``iterable``'s iterator, recording per-tuple enumeration delay.
 
     The delay of a tuple is the producer time between the consumer's
     ``next()`` call and the tuple being yielded — consumer time between
     tuples is excluded, matching the paper's notion of enumeration delay.
+    With no recorder the iterator itself is returned: no pass-through
+    frame per tuple.
     """
     if stats is None:
-        yield from iterable
-        return
+        return iter(iterable)
+    return _observed(stats, iterable)
+
+
+def _observed(stats: MaintenanceStats, iterable: Iterable) -> Iterator:
     stats.record_enumeration()
     iterator = iter(iterable)
     while True:

@@ -23,14 +23,18 @@ OpenIVM's compile-to-code design in PAPERS.md):
 * for each :class:`~repro.viewtree.enumplan.EnumPlan` it generates the
   enumeration walk as *nested literal loops* over named slot locals
   (``s0``, ``s1``, …), one block per depth with its guard probe, leaf
-  probes, and bound-view probes unrolled in place.
+  probes, and bound-view probes unrolled in place; a step marked
+  ``replay`` gets a second, probe-free loop over the rows its first
+  pass recorded (see :func:`_emit_iterate`).
 
 The generated functions execute the **same probe sequence and the same
 ring-operation order** as the generic walk
-(:meth:`ViewTreeEngine._propagate` / ``_enumerate_generic``), which
-shares no code with them but :class:`~repro.data.relation.Relation` and
-is the differential-testing oracle: an engine built with
-``generated=False`` must agree bit for bit (``tests/test_codegen.py``).
+(:meth:`ViewTreeEngine._propagate` / ``_enumerate_generic``), less the
+probes a replayed suffix makes redundant and the products with ``ONE``;
+the walk shares no code with them but
+:class:`~repro.data.relation.Relation` and is the differential-testing
+oracle: an engine built with ``generated=False`` must agree bit for bit
+(``tests/test_codegen.py``).
 
 Single-tuple fan-out
 --------------------
@@ -1326,6 +1330,16 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
     ``enum`` per candidate consumed) and flushed to the global
     :data:`~repro.data.opcounter.COUNTER` at every yield, so
     delay-profile assertions over the counter see the same flat gaps.
+    A probe keyed like the step's guard passes the candidate ``key_d``.
+
+    A step marked ``replay`` resets ``rows_d`` whenever step *d−2*
+    advances.  The first pass of step *d−1* walks the suffix while it
+    yields, appending one row per reached tuple (each slot, then each
+    depth's leaf product and bound-view values) before the last product;
+    later passes loop over the rows, multiplying and zero-testing as
+    the walk did, for one ``enum`` and no ``lookup`` a row.  A zero test
+    that prunes inside the suffix earlier leaves the rows incomplete
+    (``rows_d = None``): the next pass walks and records afresh.
 
     Both walks come from this one emitter and differ only in how a
     probe reads a dict: the live walk reads ``d.get(k)``; the epoch walk
@@ -1337,6 +1351,8 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
     """
     steps = plan.steps
     last = len(steps) - 1
+    # ``1 * x`` and ``1.0 * x`` are exact: a product with ``ONE`` is not emitted.
+    identity = ops.mul_op == "*"
 
     def probe(target: str, table: str, key: str) -> None:
         # ``target = table.get(key)`` as of the walk's epoch: the live
@@ -1418,8 +1434,92 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                 for d in range(len(steps)):
                     w.emit(f"pv_{d} = MISS")
 
-            def emit_depth(d: int) -> None:
+            def key_for(d: int, positions: tuple[int, ...]) -> str:
+                # A probe keyed like the guard of a step it runs under
+                # reuses that step's candidate key.
+                for j in range(d, -1, -1):
+                    if positions == steps[j].probe_positions:
+                        return f"key_{j}"
+                return _slot_tuple(positions)
+
+            def row(d: int) -> str:
+                # What a replay needs of depths d..last: each slot value,
+                # then the depth's factors in the order they multiply.
+                names = []
+                for j in range(d, last + 1):
+                    names.append(f"s{steps[j].var_slot}")
+                    names += [f"f_{j}"] if steps[j].leaf_probes else []
+                    names += [f"v_{j}_{k}" for k in range(len(steps[j].post_probes))]
+                return _tuple(names)
+
+            def emit_products(d: int, p: str, live: bool, recording: list) -> str:
+                # Depth d's products and zero tests; the live walk probes
+                # each bound view just before it multiplies.  Recorded
+                # rows are appended before the walk's last product, so a
+                # last zero test drops no row; an earlier one leaves a
+                # hole, and the next pass records afresh.
                 step = steps[d]
+                factors = [
+                    (f"v_{d}_{k}", f"pd_{d}_{k}", key_for(d, positions))
+                    for k, (_, positions) in enumerate(step.post_probes)
+                ]
+                if step.leaf_probes:
+                    factors.insert(0, (f"f_{d}", None, None))
+                elif not identity:
+                    factors.insert(0, ("ONE", None, None))
+                for i, (factor, table, key) in enumerate(factors):
+                    if live and table:
+                        w.emit("lookups += 1")
+                        probe(factor, table, key)
+                        w.emit(f"if {factor} is None:")
+                        with w.block():
+                            w.emit("continue")
+                    final = d == last and i == len(factors) - 1
+                    if final:
+                        for m in recording:
+                            w.emit(f"rec_{m}.append({row(m)})")
+                    w.emit(f"p_{d} = {ops.mul(p, factor)}")
+                    p = f"p_{d}"
+                    w.emit(f"if {ops.is_zero(p)}:")
+                    with w.block():
+                        for m in [] if final else recording:
+                            w.emit(f"rows_{m} = None")
+                        w.emit("continue")
+                if d == last and not factors:
+                    for m in recording:
+                        w.emit(f"rec_{m}.append({row(m)})")
+                return p
+
+            def emit_yield(p: str) -> None:
+                w.emit("if COUNTER.enabled:")
+                with w.block():
+                    w.emit("if lookups:")
+                    with w.block():
+                        w.emit('COUNTER.bump("lookup", lookups)')
+                        w.emit("lookups = 0")
+                    w.emit("if enums:")
+                    with w.block():
+                        w.emit('COUNTER.bump("enum", enums)')
+                        w.emit("enums = 0")
+                w.emit(f"yield {_slot_tuple(plan.head_positions)}, {p}")
+
+            def emit_depth(d: int, p: str, recording: list) -> None:
+                step = steps[d]
+                if d < last and steps[d + 1].replay:
+                    w.emit(f"rows_{d + 1} = None")
+                if step.replay:
+                    w.emit(f"if rows_{d} is not None:")
+                    with w.block():
+                        w.emit(f"for {row(d)} in rows_{d}:")
+                        with w.block():
+                            w.emit("enums += 1")
+                            q = p
+                            for j in range(d, last + 1):
+                                q = emit_products(j, q, False, recording)
+                            emit_yield(q)
+                        w.emit("continue")
+                    w.emit(f"rows_{d} = rec_{d} = []")
+                    recording = recording + [d]
                 slot = step.var_slot
                 backtrack = "return" if d == 0 else "continue"
                 w.emit(f"# depth {d} ({step.variable})")
@@ -1427,8 +1527,7 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                 w.emit("lookups += 1")
                 w.emit(f"if pv_{d} is MISS:")
                 with w.block():
-                    group_key = _slot_tuple(step.group_positions)
-                    probe(f"cands_{d}", f"gr_{d}", group_key)
+                    probe(f"cands_{d}", f"gr_{d}", key_for(d - 1, step.group_positions))
                     w.emit(f"if not cands_{d}:")
                     with w.block():
                         w.emit(backtrack)
@@ -1452,49 +1551,22 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                     with w.block():
                         w.emit("enums += 1")
                     w.emit(f"s{slot} = key_{d}[{step.var_pos}]")
-                    p_in = "payload" if d == 0 else f"p_{d - 1}"
-                    factor = "ONE"
-                    for k in range(len(step.leaf_probes)):
+                    for k, (_, positions) in enumerate(step.leaf_probes):
                         w.emit("lookups += 1")
-                        key_expr = _slot_tuple(step.leaf_probes[k][1])
-                        probe("val", f"ld_{d}_{k}", key_expr)
-                        w.emit("if val is None:")
+                        target = "val" if k else f"f_{d}"
+                        probe(target, f"ld_{d}_{k}", key_for(d, positions))
+                        w.emit(f"if {target} is None:")
                         with w.block():
                             w.emit("continue")
-                        w.emit(f"factor = {ops.mul(factor, 'val')}")
-                        factor = "factor"
-                    w.emit(f"p_{d} = {ops.mul(p_in, factor)}")
-                    w.emit(f"if {ops.is_zero(f'p_{d}')}:")
-                    with w.block():
-                        w.emit("continue")
-                    for k in range(len(step.post_probes)):
-                        w.emit("lookups += 1")
-                        key_expr = _slot_tuple(step.post_probes[k][1])
-                        probe("val", f"pd_{d}_{k}", key_expr)
-                        w.emit("if val is None:")
-                        with w.block():
-                            w.emit("continue")
-                        w.emit(f"p_{d} = {ops.mul(f'p_{d}', 'val')}")
-                        w.emit(f"if {ops.is_zero(f'p_{d}')}:")
-                        with w.block():
-                            w.emit("continue")
+                        if k or not identity:
+                            w.emit(f"f_{d} = {ops.mul(f'f_{d}' if k else 'ONE', target)}")
+                    p = emit_products(d, p, True, recording)
                     if d == last:
-                        w.emit("if COUNTER.enabled:")
-                        with w.block():
-                            w.emit("if lookups:")
-                            with w.block():
-                                w.emit('COUNTER.bump("lookup", lookups)')
-                                w.emit("lookups = 0")
-                            w.emit("if enums:")
-                            with w.block():
-                                w.emit('COUNTER.bump("enum", enums)')
-                                w.emit("enums = 0")
-                        head = _slot_tuple(plan.head_positions)
-                        w.emit(f"yield {head}, p_{d}")
+                        emit_yield(p)
                     else:
-                        emit_depth(d + 1)
+                        emit_depth(d + 1, p, recording)
 
-            emit_depth(0)
+            emit_depth(0, "payload", [])
         w.emit("finally:")
         with w.block():
             w.emit("if COUNTER.enabled:")

@@ -1254,8 +1254,10 @@ class ViewTreeEngine(Backend):
         Each leaf line says whether the leaf is its base relation
         (``= base``) or a private copy, and why (``copy (filter)``,
         ``copy (renamed)``, ``copy (self-join)``): how many copies of
-        each input tuple this engine holds.  The last line is the lookup
-        plan (``lookup: R(Y, X) · S(Y, Z)``, or ``walk``).
+        each input tuple this engine holds.  The last two lines are the
+        enumeration walk (``enum: Y · X · Z (Z replayed per X)``, or
+        ``walk``) and the lookup plan (``lookup: R(Y, X) · S(Y, Z)``, or
+        ``walk``).
         """
         lines: list[str] = []
 
@@ -1276,8 +1278,23 @@ class ViewTreeEngine(Backend):
 
         for root in self.roots:
             visit(root, 0)
+        lines.append(f"enum: {self._enum_route()}")
         lines.append(f"lookup: {self._lookup_route()}")
         return "\n".join(lines)
+
+    def _enum_route(self) -> str:
+        """The generated walk's free variables in visit order, and the
+        steps whose suffix replays per candidate of the step before."""
+        if self._enum_kernel is None:
+            return "walk"
+        steps = self._enum_kernel.plan.steps
+        replays = ", ".join(
+            f"{step.variable} replayed per {steps[d - 1].variable}"
+            for d, step in enumerate(steps)
+            if step.replay
+        )
+        route = " · ".join(step.variable for step in steps)
+        return f"{route} ({replays})" if replays else route
 
     def _lookup_route(self) -> str:
         """How :meth:`lookup` answers: its probes, or why it walks."""

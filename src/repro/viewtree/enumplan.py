@@ -42,6 +42,18 @@ the generated kernel's output is bit-identical to an engine built with
 ``tests/test_enum_kernel.py`` and ``benchmarks/bench_enum_kernel.py``
 pin this) and the constant-delay asymptotics are untouched.
 
+**Replayed suffixes.**  Once a node's ancestors are bound, the subtrees
+under its children are independent (§4.1): on ``Q(Y,X,Z) = R(Y,X) *
+S(Y,Z)`` the ``Z`` candidates and their ``S`` payloads are the same for
+every ``X`` of one ``Y``.  :func:`compile_enum_plan` marks step *d*
+(:attr:`EnumStep.replay`) when no step from *d* on reads the slot step
+*d−1* binds — a function of the plan's positions alone.  The kernel then
+walks the suffix from *d* once per binding of the steps before *d−1*,
+recording each row it reaches, and replays the rows for every later
+candidate of step *d−1* (:mod:`repro.viewtree.codegen`).  Op counts: a
+replayed row is one ``enum`` and no ``lookup``, since it probes
+nothing; the walked pass counts as the generic walk does.
+
 Everything stored on a plan is positions, relation references, group
 indexes, and the ring singleton, so plans pickle — a generated kernel
 pickles as "regenerate from my plan", and the pickle memo keeps plan
@@ -71,6 +83,7 @@ class EnumStep:
         "probe_positions",
         "leaf_probes",
         "post_probes",
+        "replay",
     )
 
     def __init__(
@@ -101,6 +114,9 @@ class EnumStep:
         self.leaf_probes = leaf_probes
         #: Bound-subtree views probed after this step, before the next one.
         self.post_probes = post_probes
+        #: Whether the walk from this step on replays per candidate of the
+        #: step before (set by :func:`compile_enum_plan`).
+        self.replay = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -216,6 +232,9 @@ def compile_enum_plan(engine) -> Optional[EnumPlan]:
     if not steps:
         return None
     steps[-1].post_probes = tuple(pending_posts)
+    for d in range(1, len(steps)):
+        bound = steps[d - 1].var_slot
+        steps[d].replay = all(bound not in _reads(step) for step in steps[d:])
     lookup = None
     if set(engine.head) == set(query.head):
         at = {slot_of[v]: i for i, v in enumerate(engine.head)}
@@ -236,6 +255,12 @@ def compile_enum_plan(engine) -> Optional[EnumPlan]:
         tuple(steps),
         lookup,
     )
+
+
+def _reads(step: EnumStep) -> set[int]:
+    """The slots a step's probes read (its own slot included)."""
+    probes = step.leaf_probes + step.post_probes
+    return {*step.probe_positions, *(s for _, slots in probes for s in slots)}
 
 
 def key_projector(positions: tuple[int, ...]) -> itemgetter:

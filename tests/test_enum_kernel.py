@@ -13,18 +13,23 @@ obs counters must record what actually ran.
 
 from __future__ import annotations
 
+import itertools
 import json
 import pickle
 import random
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.core.engine import IVMEngine
-from repro.data import Update
+from repro.data import Database, Update, counting
 from repro.naive import evaluate
 from repro.obs import MaintenanceStats
 from repro.query import parse_query, search_order
-from repro.rings import B, MIN_PLUS, PROVENANCE, R, Z
+from repro.rings import B, MIN_PLUS, PROVENANCE, Polynomial, R, Ring, Z
+from repro.rings.standard import FloatRing
 from repro.shard import ShardedEngine
 from repro.viewtree import EnumPlan, ViewTreeEngine, make_strategy
 from repro.viewtree.strategies import STRATEGIES
@@ -440,3 +445,238 @@ class TestPlannerAndCLI:
         assert payload["meta"]["generated"] is True
         assert payload["stats"]["enumeration"]["compiled"] > 0
         assert payload["stats"]["codegen"]["kernels_generated"] > 0
+
+
+# ----------------------------------------------------------------------
+# Replayed suffixes: a step that reads no slot of the step before it is
+# walked once per binding of its parent, then replayed from rows.
+# ----------------------------------------------------------------------
+
+LIST = "Q(Y, X, Z) = R(Y, X) * S(Y, Z)"
+STAR = "Q(Y, X, Z, W) = R(Y, X) * S(Y, Z) * T(Y, W)"
+TWO_DEPTH = "Q(A, B, C, D) = R(A, B) * S(A, C) * T(A, C, D)"
+
+REPLAY_RINGS = {
+    "int": (Z, lambda rng, name, key: rng.randint(1, 3)),
+    "float": (R, lambda rng, name, key: rng.choice((0.1, 0.3, 1.7, 2.5))),
+    "provenance": (
+        PROVENANCE, lambda rng, name, key: Polynomial.variable(f"{name}{key}")
+    ),
+    "min-plus": (MIN_PLUS, lambda rng, name, key: rng.uniform(0.0, 5.0)),
+}
+
+
+def replay_twins(text, ring):
+    """``(generated, oracle)`` engines over empty databases of ``ring``."""
+    query = parse_query(text)
+
+    def make_db():
+        db = Database(ring=ring)
+        for atom in query.atoms:
+            db.create(atom.relation, atom.variables)
+        return db
+
+    return (
+        ViewTreeEngine(query, make_db()),
+        ViewTreeEngine(query, make_db(), generated=False),
+    )
+
+
+def random_updates(query, ring, make, rng, count, domain=5):
+    updates = []
+    for _ in range(count):
+        atom = rng.choice(query.atoms)
+        key = tuple(rng.randrange(domain) for _ in atom.variables)
+        updates.append(Update(atom.relation, key, make(rng, atom.relation, key)))
+    if isinstance(ring, Ring):
+        # Deletes: retract a quarter of what went in, exactly.
+        updates += [
+            Update(u.relation, u.key, ring.neg(u.payload))
+            for u in rng.sample(updates, count // 4)
+        ]
+    return updates
+
+
+def apply_both(engines, updates):
+    for engine in engines:
+        engine.apply_batch(list(updates))
+
+
+class TestReplay:
+    def test_plan_marks_each_step_that_skips_its_predecessor(self):
+        for text, marks, route in (
+            (LIST, [False, False, True], "Y · X · Z (Z replayed per X)"),
+            (STAR, [False, False, True, True],
+             "Y · X · Z · W (Z replayed per X, W replayed per Z)"),
+            (TWO_DEPTH, [False, False, True, False],
+             "A · B · C · D (C replayed per B)"),
+        ):
+            engine, oracle = replay_twins(text, Z)
+            assert [s.replay for s in engine._enum_kernel.plan.steps] == marks
+            assert engine.describe().splitlines()[-2] == f"enum: {route}"
+            assert oracle.describe().splitlines()[-2] == "enum: walk"
+        query = parse_query("Q(A, C) = R(A, B) * S(B, C)")
+        schemas = [("R", ("A", "B")), ("S", ("B", "C"))]
+        engine = ViewTreeEngine(
+            query, seeded_db(schemas, random.Random(1)),
+            search_order(query, require_free_top=True),
+        )
+        assert engine.describe().splitlines()[-2] == "enum: A · C"
+
+    def test_exact_op_counts_on_a_hand_built_instance(self):
+        # Y=1: X in {1,2,3}, Z in {1,2}; Y=2: X in {1}, Z in {1,2,3}.
+        engine, oracle = replay_twins(LIST, Z)
+        updates = [Update("R", (1, x), 1) for x in (1, 2, 3)]
+        updates += [Update("S", (1, z), 1) for z in (1, 2)]
+        updates += [Update("R", (2, 1), 1)]
+        updates += [Update("S", (2, z), 1) for z in (1, 2, 3)]
+        apply_both((engine, oracle), updates)
+        # Generic: the Y bucket (1); per Y its X bucket (1), per X its
+        # leaf (1) and Z bucket (1), per Z its leaf (1):
+        # 1 + (1 + 3 + 3 * 3) + (1 + 1 + 1 * 4) = 20 lookups.
+        # Compiled: only the first X of each Y probes the Z side:
+        # 1 + (1 + 3 + 3) + (1 + 1 + 4) = 14.  Every candidate, replayed
+        # or probed, is one enum: 2 + (3 + 3 * 2) + (1 + 3) = 15.
+        with counting() as walked:
+            expected = list(oracle.enumerate())
+        with counting() as ran:
+            assert list(engine.enumerate()) == expected
+        assert len(expected) == 9
+        assert walked.counts == {"lookup": 20, "enum": 15}
+        assert ran.counts == {"lookup": 14, "enum": 15}
+
+    def test_op_counts_of_a_full_drain_at_scale(self):
+        from tests.test_enumeration_delay import build_engine
+
+        engine = build_engine(1000)
+        oracle = ViewTreeEngine(engine.query, engine.database, generated=False)
+        with counting() as ran:
+            assert sum(1 for _ in engine.enumerate()) == 7862
+        with counting() as walked:
+            assert sum(1 for _ in oracle.enumerate()) == 7862
+        assert ran.counts == {"lookup": 2245, "enum": 8986}
+        assert walked.counts == {"lookup": 9986, "enum": 8986}
+
+    @pytest.mark.parametrize("ring_name", sorted(REPLAY_RINGS))
+    @pytest.mark.parametrize("text", [LIST, STAR, TWO_DEPTH])
+    def test_live_and_epoch_drains_match_the_walk(self, text, ring_name):
+        ring, make = REPLAY_RINGS[ring_name]
+        engine, oracle = replay_twins(text, ring)
+        rng = random.Random(f"{text}/{ring_name}")
+        apply_both((engine, oracle), random_updates(engine.query, ring, make, rng, 240))
+        expected = list(oracle.enumerate())
+        assert expected and list(engine.enumerate()) == expected
+        with counting() as ran:
+            list(engine.enumerate())
+        with counting() as walked:
+            list(oracle.enumerate())
+        assert ran["lookup"] < walked["lookup"]
+        # The epoch walk reads the published state under later writes.
+        engine.publish_epoch()
+        oracle.publish_epoch()
+        later = random_updates(engine.query, ring, make, rng, 60)
+        apply_both((engine, oracle), later)
+        assert list(engine.enumerate_snapshot()) == expected
+        assert list(oracle.enumerate_snapshot()) == expected
+        assert list(engine.enumerate()) == list(oracle.enumerate())
+
+    @pytest.mark.parametrize("text,pins", [
+        (LIST, ("Z",)), (LIST, ("Y", "Z")), (STAR, ("Z",)), (STAR, ("Y", "W")),
+        (TWO_DEPTH, ("C",)), (TWO_DEPTH, ("A", "C")),
+    ])
+    def test_prebound_value_at_a_replayed_depth(self, text, pins):
+        ring, make = REPLAY_RINGS["float"]
+        engine, oracle = replay_twins(text, ring)
+        rng = random.Random(9)
+        apply_both((engine, oracle), random_updates(engine.query, ring, make, rng, 240))
+        engine.publish_epoch()
+        oracle.publish_epoch()
+        for values in itertools.product(range(-1, 5), repeat=len(pins)):
+            prebound = dict(zip(pins, values))
+            expected = list(oracle.enumerate(prebound))
+            assert list(engine.enumerate(prebound)) == expected
+            assert list(engine.enumerate_snapshot(prebound)) == expected
+
+    def test_rows_outlive_a_first_pass_that_underflows(self):
+        # X=1's products all underflow to zero; X=2's are 1e-200.
+        engine, oracle = replay_twins(LIST, FloatRing(tolerance=0.0))
+        updates = [Update("R", (1, 1), 1e-200), Update("R", (1, 2), 1.0)]
+        updates += [Update("S", (1, z), 1e-200) for z in range(4)]
+        apply_both((engine, oracle), updates)
+        expected = [((1, 2, z), 1e-200) for z in range(4)]
+        assert list(oracle.enumerate()) == expected
+        with counting() as ops:
+            assert list(engine.enumerate()) == expected
+        # X=2 replays the rows X=1 filled: no second Z-side probe.
+        assert ops.counts == {"lookup": 1 + 1 + 2 + (1 + 4), "enum": 1 + 2 + 8}
+        engine.publish_epoch()
+        assert list(engine.enumerate_snapshot()) == expected
+
+    def test_a_pass_pruned_inside_the_suffix_records_afresh(self):
+        # B=1 prunes at C (1e-200 * 1e-200), before D is probed: its rows
+        # are incomplete, so B=2 walks the suffix again.
+        engine, oracle = replay_twins(TWO_DEPTH, FloatRing(tolerance=0.0))
+        updates = [Update("R", (1, 1), 1e-200), Update("R", (1, 2), 1.0)]
+        updates += [Update("S", (1, c), 1e-200) for c in range(2)]
+        updates += [Update("T", (1, c, d), 1.0) for c in range(2) for d in range(2)]
+        apply_both((engine, oracle), updates)
+        expected = list(oracle.enumerate())
+        assert [key for key, _ in expected] == [
+            (1, 2, c, d) for c in range(2) for d in range(2)
+        ]
+        assert list(engine.enumerate()) == expected
+        engine.publish_epoch()
+        assert list(engine.enumerate_snapshot()) == expected
+
+    def test_epoch_drain_racing_a_writer_equals_the_published_epoch(self):
+        engine, oracle = replay_twins(STAR, Z)
+        rng = random.Random(3)
+        make = REPLAY_RINGS["int"][1]
+        apply_both((engine, oracle), random_updates(engine.query, Z, make, rng, 300, domain=4))
+        expected = list(oracle.enumerate())
+        engine.publish_epoch()
+        writes = [
+            random_updates(engine.query, Z, make, random.Random(seed), 8, domain=4)
+            for seed in range(400)
+        ]
+        progress = []
+
+        def write():
+            for batch in writes:
+                engine.apply_batch(batch)
+                progress.append(len(batch))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writer = threading.Thread(target=write, daemon=True)
+            drained = []
+            iterator = engine.enumerate_snapshot()
+            writer.start()
+            for item in iterator:
+                drained.append(item)
+                # Park the walk mid-drain until the writer has committed.
+                deadline = time.monotonic() + 10.0
+                while not progress and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            during = len(progress)
+            writer.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive()
+        assert drained == expected
+        assert during > 0  # the writer really ran under the drain
+        assert list(engine.enumerate_snapshot()) == expected
+
+    def test_no_pass_through_frame_without_a_recorder(self):
+        engine, _ = replay_twins(LIST, Z)
+        assert engine.enumerate().gi_code.co_name == "iterate"
+        engine.publish_epoch()
+        assert engine.enumerate_snapshot().gi_code.co_name == "iterate_epoch"
+        db = Database()
+        db.create("R", ("Y", "X"))
+        db.create("S", ("Y", "Z"))
+        facade = IVMEngine(parse_query(LIST), db)
+        assert facade.enumerate().gi_code.co_name == "iterate"
+        facade.attach_stats()
+        assert facade.enumerate().gi_code.co_name == "_observed"

@@ -42,6 +42,18 @@ def build_engine(n, seed=0):
     return ViewTreeEngine(parse_query("Q(Y,X,Z) = R(Y,X) * S(Y,Z)"), db)
 
 
+def build_star(n, seed=0):
+    """Three siblings under Y: the walk replays Z·W per X and W per Z."""
+    rng = random.Random(seed)
+    db = Database()
+    for name, child in (("R", "X"), ("S", "Z"), ("T", "W")):
+        relation = db.create(name, ("Y", child))
+        for _ in range(n):
+            relation.insert(rng.randrange(max(2, n // 6)), rng.randrange(n))
+    query = parse_query("Q(Y,X,Z,W) = R(Y,X) * S(Y,Z) * T(Y,W)")
+    return ViewTreeEngine(query, db)
+
+
 class TestConstantDelay:
     def test_max_gap_flat_for_q_hierarchical(self):
         maxima = []
@@ -72,6 +84,30 @@ class TestConstantDelay:
         some_y = next(iter(engine.enumerate()))[0][0]
         gaps = delay_profile(engine.enumerate(prebound={"Y": some_y}))
         assert max(gaps) <= 15
+
+
+class TestReplayedSiblingsKeepConstantDelay:
+    """Rows are filled while the first pass yields, never prefetched."""
+
+    def test_max_gap_flat_for_a_three_sibling_star(self):
+        maxima = []
+        for n in (200, 800, 3200):
+            engine = build_star(n)
+            assert engine.describe().splitlines()[-2].endswith(
+                "(Z replayed per X, W replayed per Z)"
+            )
+            gaps = delay_profile(engine.enumerate())
+            assert len(gaps) > 10
+            maxima.append(max(gaps))
+        assert maxima[-1] <= maxima[0] * 2 + 5
+
+    def test_first_tuple_gap_constant_for_a_three_sibling_star(self):
+        firsts = []
+        for n in (200, 3200):
+            engine = build_star(n)
+            gaps = delay_profile(engine.enumerate())
+            firsts.append(gaps[0])
+        assert firsts[-1] <= firsts[0] * 2 + 5
 
 
 class TestDelayAfterUpdates:
