@@ -15,6 +15,7 @@ from ..insertonly.engine import InsertOnlyEngine
 from ..ivme.triangle import TriangleCounter
 from ..obs import share_stats
 from ..query.ast import Query
+from ..rings.base import negate
 from ..rings.lifting import LiftingMap
 from ..shard.engine import ShardedEngine
 from ..viewtree.engine import ViewTreeEngine
@@ -106,7 +107,7 @@ class IVMEngine(Backend):
         self.apply(Update(relation, tuple(key), payload))
 
     def delete(self, relation: str, *key, payload: Any = 1) -> None:
-        self.apply(Update(relation, tuple(key), self.database.ring.neg(payload)))
+        self.apply(Update(relation, tuple(key), negate(self.database.ring, payload)))
 
     def enumerate(self) -> Iterator[tuple[tuple, Any]]:
         """Enumerate the output (full enumeration request)."""

@@ -43,7 +43,7 @@ from __future__ import annotations
 import weakref
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..rings.base import Semiring
+from ..rings.base import Semiring, negate
 from ..rings.standard import Z
 from .opcounter import COUNTER
 from .schema import Schema
@@ -421,7 +421,7 @@ class Relation:
         for the whole delta and the write accounting is one bulk
         ``COUNTER`` bump.  Every batched leaf and base write goes
         through here; generated kernels write views and guards inline
-        (``codegen._emit_sink``).
+        (``codegen._emit_write``).
 
         Rings declaring ``exact_zero`` with ``add_operator == "+"`` — the
         two flags the generated kernels inline too — take a loop with
@@ -561,9 +561,10 @@ class Relation:
         self.add(tuple(key), self.ring.one if payload is None else payload)
 
     def delete(self, *key, payload: Any = None) -> None:
-        """Delete one tuple: add the negated payload (requires a ring)."""
+        """Delete one tuple: add the negated payload (a :class:`TypeError`
+        under a ring without negation, before any write)."""
         value = self.ring.one if payload is None else payload
-        self.add(tuple(key), self.ring.neg(value))
+        self.add(tuple(key), negate(self.ring, value))
 
     def apply(self, delta: "Relation | Mapping[tuple, Any]") -> None:
         """Apply a delta relation: ``self := self (+) delta``.

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from ..rings.base import Ring, Semiring
+from ..rings.base import Ring, Semiring, negate
 from ..rings.standard import Z
 from .database import Database
 from .relation import Relation
@@ -40,7 +40,7 @@ class Update:
 
     def inverted(self, ring: Ring) -> "Update":
         """The update that undoes this one."""
-        return Update(self.relation, self.key, ring.neg(self.payload))
+        return Update(self.relation, self.key, negate(ring, self.payload))
 
 
 def insert(relation: str, *key, payload: Any = 1) -> Update:
@@ -50,7 +50,7 @@ def insert(relation: str, *key, payload: Any = 1) -> Update:
 
 def delete(relation: str, *key, payload: Any = 1, ring: Ring = Z) -> Update:
     """Convenience constructor for a delete update (negated payload)."""
-    return Update(relation, tuple(key), ring.neg(payload))
+    return Update(relation, tuple(key), negate(ring, payload))
 
 
 def apply_update(database: Database, update: Update) -> None:

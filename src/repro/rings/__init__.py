@@ -1,7 +1,7 @@
 """Payload rings and lifting functions (Section 2 of the paper)."""
 
 from .analytics import CovarianceRing, Moments, moment_lifting
-from .base import Ring, Semiring, check_ring_axioms
+from .base import Ring, Semiring, check_ring_axioms, negate
 from .lifting import Lifting, LiftingMap, count_lifting, identity_lifting
 from .provenance import PROVENANCE, Polynomial, ProvenanceSemiring
 from .standard import (
@@ -39,4 +39,5 @@ __all__ = [
     "count_lifting",
     "identity_lifting",
     "moment_lifting",
+    "negate",
 ]

@@ -132,6 +132,21 @@ class Ring(Semiring):
         return True
 
 
+def negate(ring: Semiring, payload: Any) -> Any:
+    """``ring.neg(payload)``: the payload that deletes ``payload``.
+
+    Raises :class:`TypeError` naming ``ring`` when it has no additive
+    inverses (:attr:`Semiring.has_negation`): a semiring cannot express a
+    delete, so a caller checks here before it writes anything.
+    """
+    if not ring.has_negation:
+        raise TypeError(
+            f"cannot delete under {type(ring).__name__} ({ring.name!r}): "
+            "it has no additive inverses; deletes need a ring"
+        )
+    return ring.neg(payload)
+
+
 def check_ring_axioms(ring: Semiring, samples: list[Any]) -> None:
     """Assert the (semi)ring axioms on a list of sample values.
 

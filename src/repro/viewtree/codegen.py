@@ -36,13 +36,15 @@ the walk shares no code with them but
 oracle: an engine built with ``generated=False`` must agree bit for bit
 (``tests/test_codegen.py``).
 
-Single-tuple fan-out
---------------------
-A plan whose sibling joins are all DIRECT keeps one ``(key, payload)``
-pair from leaf to root: its ``push`` is straight-line code.  A plan that
-fans out (an INDEXED or CROSS sibling) gets a ``push`` that writes each
-view entry as it joins it, shaped by where each position of the delta
-key comes from — the input key, or a fan-out.  Three rules, each exact:
+One delta emitter
+-----------------
+A single tuple is a one-entry delta, so ``push`` and ``push_batch``
+come from one emitter (:func:`_emit_body`).  A plan whose sibling joins
+are all DIRECT keeps one ``(key, payload)`` pair from leaf to root: its
+``push`` is straight-line code.  A plan that fans out (an INDEXED or
+CROSS sibling) gets a ``push`` that writes each view entry as it joins
+it, shaped by where each position of the delta key comes from — the
+input key, or a fan-out.  Three rules, each exact:
 
 1. **No aggregation dict when output keys are distinct.**  A step whose
    view keeps every position that varies over its delta writes each
@@ -338,21 +340,22 @@ def _delta_getters(plan: DeltaPlan) -> dict[str, tuple[int, ...]]:
     """Positions for the ``itemgetter`` closures the batch body maps.
 
     ``map(itemgetter(...), keys)`` runs a projection at C speed; the
-    batch emitter uses one per non-trivial probe (``PG_{s}_{j}``) and per
-    non-identity marginalization (``OG_{s}``, lift-free only — lifting
-    needs the full key in the loop).  Computed once here so the env
-    builder and the emitter agree exactly on which getters exist.
+    batch emitter uses one per cached probe (``PG_{s}_{j}``) and per
+    plain aggregation pass (``OG_{s}``: :attr:`_Marginalize.og`, the
+    test the emitter makes; the one-key body makes that pass at a subset
+    of those steps).  Computed once here so the env builder and the
+    emitter agree exactly on which getters exist.
     """
     getters: dict[str, tuple[int, ...]] = {}
     arity = len(plan.leaf.schema.variables)
     for s, step in enumerate(plan.steps):
+        joined = arity
         for j, join in enumerate(step.siblings):
-            full_key = len(join.probe_positions) == arity
+            full_key = len(join.probe_positions) == joined
             if join.mode != CROSS and join.probe_positions and not full_key:
                 getters[f"PG_{s}_{j}"] = join.probe_positions
-            arity += len(join.extend_positions)
-        identity = step.out_positions == tuple(range(arity))
-        if step.out_positions and not identity and step.lift is None:
+            joined += len(join.extend_positions)
+        if _Marginalize(None, None, plan, s, [None] * arity, arity, False).og:
             getters[f"OG_{s}"] = step.out_positions
         arity = len(step.out_positions)
     return getters
@@ -411,14 +414,6 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
     return env
 
 
-def _fans_out(plan: DeltaPlan) -> bool:
-    """Whether some sibling join of ``plan`` can turn one delta tuple
-    into several (an INDEXED or CROSS probe)."""
-    return any(
-        join.mode != DIRECT for step in plan.steps for join in step.siblings
-    )
-
-
 def _emit_direct_probe(
     w: _Writer, s: int, j: int, join, ops: _Ops, arity: int
 ) -> None:
@@ -471,42 +466,12 @@ def _emit_one_step(w: _Writer, s: int, step, ops: _Ops, arity: int) -> None:
     _emit_one_write(w, s, ops)
 
 
-def _emit_push(w: _Writer, plan: DeltaPlan, ops: _Ops) -> None:
-    """The single-tuple ``push(key, payload, stats)`` body.
-
-    A plan whose sibling joins are all DIRECT keeps the delta one
-    ``(dk, dp)`` pair from leaf to root: straight-line code, one
-    ``dict.get`` per sibling, one ``Relation.add`` per guard/view write.
-    Sibling order, early exits, per-view ``stats.record_delta`` calls,
-    and ring-operation order follow the generic
-    :meth:`ViewTreeEngine._propagate`; probes are counted in bulk — one
-    ``COUNTER.bump`` per push instead of one call per probe.
-
-    A plan with a fan-out step (an INDEXED or CROSS sibling) gets the
-    one-pass single-key body of :func:`_emit_body` instead.
-    """
-    if _fans_out(plan):
-        _emit_body(w, plan, ops, single=True)
-        return
-    w.emit("def push(key, payload, stats=None):")
-    with w.block():
-        w.emit(f"if {ops.is_zero('payload')}:")
-        with w.block():
-            w.emit("return")
-        w.emit("lookups = 0")
-        w.emit("try:")
-        with w.block():
-            w.emit("dk = key")
-            w.emit("dp = payload")
-            arity = len(plan.leaf.schema.variables)
-            for s, step in enumerate(plan.steps):
-                _emit_one_step(w, s, step, ops, arity)
-                arity = len(step.out_positions)
-        w.emit("finally:")
-        with w.block():
-            w.emit("if COUNTER.enabled and lookups:")
-            with w.block():
-                w.emit('COUNTER.bump("lookup", lookups)')
+def _emit_lists(w: _Writer) -> None:
+    """Start a stage's outgoing list delta ``out_k`` / ``out_p``."""
+    w.emit("out_k = []")
+    w.emit("out_p = []")
+    w.emit("ka = out_k.append")
+    w.emit("pa = out_p.append")
 
 
 def _emit_binding(w: _Writer, p: str, s: int, relation, origin: list) -> list:
@@ -622,23 +587,6 @@ def _emit_write(
             w.emit(f"{p}data[{key}] = new")
 
 
-def _emit_sink(w: _Writer, ops: _Ops, s: int, relation, origin: list) -> None:
-    """Inline one fused view write pass over ``zip(dks, dps)``.
-
-    This is :meth:`Relation.add_delta` unrolled in place — same
-    ``old -> ring_add -> cancel-or-write`` sequence, same index
-    postings, same pre-image recording, same one-bulk-``write``
-    accounting — minus the per-entry zero test (every payload reaching a
-    sink is already non-zero) and the per-entry ring/method calls
-    (:func:`_emit_write`).
-    """
-    posts = _emit_binding(w, "v", s, relation, origin)
-    w.emit("for dk, dp in zip(dks, dps):")
-    with w.block():
-        _emit_write(w, ops, "v", "dk", "dp", posts, cont=True)
-    w.emit('COUNTER.bump("write", len(dks))')
-
-
 def _emit_agg_sink(
     w: _Writer, ops: _Ops, s: int, relation, origin: list, wrap: bool = False
 ) -> None:
@@ -692,7 +640,8 @@ def _emit_stale_check(w: _Writer, plan: DeltaPlan, call: str) -> None:
 class _Marginalize:
     """One step's guard write and marginalization around a survivor loop:
     :meth:`prologue` before it, :meth:`survivor` per joined entry (its
-    payload in ``prod``), :meth:`epilogue` after.
+    payload in ``prod``), :meth:`epilogue` after — or all three over a
+    list delta, :meth:`list_pass`.
 
     ``kind`` is how the step's delta leaves it: one running sum
     (``const``, rule 2; a batch's scalar marginalization), one view
@@ -722,10 +671,25 @@ class _Marginalize:
             self.kind = "distinct"
         else:
             self.kind = "agg"
+        # The step's last sibling stage absorbs the guard write and the
+        # marginalization accumulate: each survivor is written or
+        # aggregated on the spot instead of appended to a list, re-zipped
+        # for the guard and traversed again to aggregate.  The guard and
+        # the probed sibling views are distinct relations (one per
+        # view-tree node), so interleaving the writes with the probes
+        # observes nothing a stage-then-sink order wouldn't; write order
+        # and accumulation order per relation are unchanged.  A CROSS
+        # stage (rare, unbounded fan-out) leaves a list (:meth:`list_pass`).
+        self.fused = bool(step.siblings) and step.siblings[-1].mode != CROSS
+        # A plain aggregation pass over the list counts nothing: the list
+        # is non-empty and the agg sink counts what lands.  Lift-free, it
+        # projects through ``OG_s`` (lifting needs the full key).
+        plain = head and not self.fused and self.kind == "agg" and step.guard is None
+        self.og = plain and step.lift is None
         # A step riding a lift-free one counts its entries with it.
         self.p = "v" if head else f"v{s}"
         self.n = shared or ("n" if head else f"n{s}")
-        self.counts = shared is None
+        self.counts = shared is None and not plain
         self.posts: dict[str, list] = {}
         self.then = None
         nxt = plan.steps[s + 1] if s + 1 < len(plan.steps) else None
@@ -757,10 +721,7 @@ class _Marginalize:
         if self.kind in ("identity", "distinct"):
             self.posts["v"] = _emit_binding(w, self.p, s, step.view, self.origin)
             if self.then is None:
-                w.emit("out_k = []")
-                w.emit("out_p = []")
-                w.emit("ka = out_k.append")
-                w.emit("pa = out_p.append")
+                _emit_lists(w)
         elif self.kind == "const":
             # The ZERO seed is additively inert under Python ``+``.
             w.emit("tot = ZERO" if self.ops.add_op == "+" else "tot = None")
@@ -769,6 +730,24 @@ class _Marginalize:
             w.emit("aget = agg.get")
         if self.then is not None:
             self.then.prologue()
+
+    def list_pass(self) -> None:
+        """The whole marginalization as one pass over the list delta
+        ``dks`` / ``dps``, for a step no sibling stage fused.  A plain
+        aggregation (:attr:`og`) maps ``OG_s`` over the keys — the batch's
+        step-0 hot loop — and a single-position getter yields bare values,
+        boxed by the agg sink."""
+        w = self.w
+        self.prologue()
+        if self.og:
+            w.emit(f"for okey, prod in zip(map(OG_{self.s}, dks), dps):")
+            with w.block():
+                self.accumulate()
+        else:
+            w.emit("for dk, prod in zip(dks, dps):")
+            with w.block():
+                self.survivor("dk", _items("dk", self.arity))
+        self.epilogue()
 
     def survivor(self, full: Optional[str], items: list[str]) -> None:
         """The loop body for one joined entry: ``items`` are its key's
@@ -811,11 +790,20 @@ class _Marginalize:
         else:
             okey = items[out[0]] if len(out) == 1 else _tuple([items[q] for q in out])
             w.emit(f"okey = {okey}")
-            if ops.add_op == "+":
-                w.emit("agg[okey] = aget(okey, ZERO) + prod")
-            else:
-                w.emit("prev = aget(okey)")
-                w.emit("agg[okey] = prod if prev is None else " + ops.add("prev", "prod"))
+            self.accumulate()
+
+    def accumulate(self) -> None:
+        """``prod`` into ``agg[okey]``.  ``add_operator = "+"`` asserts
+        ring addition is Python ``+`` on numeric payloads: a branch-free
+        ``aget(okey, ZERO) + prod`` (the ZERO seed is additively inert)
+        saves a None test per entry."""
+        if self.ops.add_op == "+":
+            self.w.emit("agg[okey] = aget(okey, ZERO) + prod")
+        else:
+            self.w.emit("prev = aget(okey)")
+            self.w.emit(
+                "agg[okey] = prod if prev is None else " + self.ops.add("prev", "prod")
+            )
 
     def epilogue(self) -> None:
         # The "no survivors" early return, then the deferred write
@@ -878,7 +866,9 @@ class _Marginalize:
         with w.block():
             w.emit("dks = [()]")
             w.emit("dps = [tot]")
-            _emit_sink(w, ops, s, self.step.view, self.origin)
+            posts = _emit_binding(w, "v", s, self.step.view, self.origin)
+            _emit_write(w, ops, "v", "()", "tot", posts)
+            w.emit('COUNTER.bump("write", 1)')
         w.emit("else:")
         with w.block():
             w.emit("dks = []")
@@ -886,10 +876,149 @@ class _Marginalize:
         self.delta_tail()
 
 
+def _emit_probe_stage(
+    w: _Writer, s: int, j: int, join, ops: _Ops, arity: int, one: bool,
+    m: Optional[_Marginalize],
+) -> None:
+    """One DIRECT or INDEXED sibling stage: each delta entry probes the
+    sibling's table (``val``) or group index (``bucket``), and each
+    joined entry goes to the step's marginalization ``m`` (the fused last
+    stage) or to ``out_k`` / ``out_p``.
+
+    The probe is cached per distinct probe key.  A probe that covers the
+    full delta key is not: coalesced keys are distinct, so every probe
+    would miss, and one bulk ``lookups += len(dks)`` counts them.
+    Non-trivial probe keys come out of a C-level ``map(PG_s_j, ...)``; a
+    single-position getter yields the bare value, so the cache is keyed
+    by value and the probe tuple is built only on a miss.  With ``one``
+    the stage is the INDEXED fan-out of the one pair ``(dk, dp)``: one
+    bucket probe.
+    """
+    indexed = join.mode == INDEXED
+    hit, table = ("bucket", "groups") if indexed else ("val", "data")
+    probe = _proj("dk", join.probe_positions, arity)
+    full_key = len(join.probe_positions) == arity
+    mapped = join.probe_positions and not full_key
+    # An identity DIRECT probe runs its dict lookups inside ``map`` at C
+    # speed, consumed by the zip.
+    in_map = full_key and probe == "dk" and not indexed
+
+    def land(items: list[str], joined: str) -> None:
+        if m is not None:
+            m.survivor(None if indexed else "dk", items)
+        else:
+            w.emit(f"ka({joined})")
+            w.emit("pa(prod)")
+
+    if m is not None:
+        m.prologue()
+    if one:
+        w.emit("lookups += 1")
+        w.emit(f"bucket = IDX_{s}_{j}.groups.get({probe})")
+        w.emit("if not bucket:")
+        with w.block():
+            w.emit("return")
+    elif indexed:
+        w.emit(f"groups = IDX_{s}_{j}.groups")
+    w.emit(f"data = REL_{s}_{j}.data")
+    if m is None:
+        _emit_lists(w)
+    loop = nullcontext()
+    if not one:
+        if full_key:
+            w.emit("lookups += len(dks)")
+        else:
+            w.emit("cache = {}")
+            w.emit("cget = cache.get")
+        if in_map:
+            w.emit("for dk, dp, val in zip(dks, dps, map(data.get, dks)):")
+        elif mapped:
+            w.emit(f"for dk, dp, pk in zip(dks, dps, map(PG_{s}_{j}, dks)):")
+        else:
+            w.emit("for dk, dp in zip(dks, dps):")
+        loop = w.block()
+    with loop:
+        if one or in_map:
+            pass
+        elif full_key:
+            w.emit(f"{hit} = {table}.get({probe})")
+        else:
+            if not mapped:
+                w.emit(f"pk = {probe}")
+            w.emit(f"{hit} = cget(pk, MISS)")
+            w.emit(f"if {hit} is MISS:")
+            with w.block():
+                w.emit("lookups += 1")
+                scalar = mapped and len(join.probe_positions) == 1
+                w.emit(f"{hit} = {table}.get({'(pk,)' if scalar else 'pk'})")
+                w.emit(f"cache[pk] = {hit}")
+            w.emit("else:")
+            with w.block():
+                w.emit("shared += 1")
+        if not indexed:
+            w.emit("if val is None:")
+            with w.block():
+                w.emit("continue")
+            w.emit(f"prod = {ops.mul('dp', 'val')}")
+            w.emit(f"if {ops.nonzero('prod')}:")
+            with w.block():
+                land(_items("dk", arity), "dk")
+        else:
+            if not one:
+                w.emit("if not bucket:")
+                with w.block():
+                    w.emit("continue")
+            w.emit("matches += len(bucket)")
+            w.emit("for sk in bucket:")
+            with w.block():
+                w.emit(f"prod = {ops.mul('dp', 'data[sk]')}")
+                w.emit(f"if {ops.is_zero('prod')}:")
+                with w.block():
+                    w.emit("continue")
+                land(
+                    _items("dk", arity) + _items("sk", join.extend_positions),
+                    f"dk + {_proj('sk', join.extend_positions)}",
+                )
+
+
+def _emit_cross_stage(w: _Writer, s: int, j: int, join, ops: _Ops, one: bool) -> None:
+    """One CROSS sibling stage: every delta entry (with ``one``, the pair
+    ``(dk, dp)``) times every sibling entry, into ``out_k`` / ``out_p``."""
+    w.emit(f"data = REL_{s}_{j}.data")
+    w.emit("matches += len(data)" if one else "matches += len(data) * len(dks)")
+    w.emit("entries = list(data.items())")
+    _emit_lists(w)
+    if not one:
+        w.emit("for dk, dp in zip(dks, dps):")
+    with nullcontext() if one else w.block():
+        w.emit("for sk, sp in entries:")
+        with w.block():
+            w.emit(f"prod = {ops.mul('dp', 'sp')}")
+            w.emit(f"if {ops.is_zero('prod')}:")
+            with w.block():
+                w.emit("continue")
+            w.emit(f"ka(dk + {_proj('sk', join.extend_positions)})")
+            w.emit("pa(prod)")
+
+
 def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
-    """The columnar ``push_batch(keys, pays, stats)`` body or, with
-    ``single``, the one-pass ``push(key, payload, stats)`` of a plan
-    that fans out.
+    """The single-tuple ``push(key, payload, stats)`` body or, without
+    ``single``, the columnar ``push_batch(keys, pays, stats)``: one
+    emitter, since a tuple is a one-entry delta.
+
+    The single-key body tracks the input key position by position
+    (``origin``).  The delta stays the pair ``(dk, dp)`` through
+    straight-line DIRECT probes (one ``dict.get`` each) and one
+    ``Relation.add`` per guard/view write, which records and posts
+    itself; sibling order, early exits, per-view ``stats.record_delta``
+    calls and ring-operation order follow the generic
+    :meth:`ViewTreeEngine._propagate`, and probes count in bulk.  A
+    fan-out probe writes its survivors as they are joined, and a step
+    whose output key the input binds folds its delta into one running
+    sum, after which the delta is one pair again (module docstring,
+    rules 1-3).  Only a body that writes inline — every batch, and every
+    push that fans out — checks for stale indexes and counts ``matches``
+    and ``shared``.
 
     ``push_batch`` is ``push`` lifted to one *coalesced* per-relation
     delta, flowing as parallel key/payload lists (the columnar batch
@@ -902,45 +1031,30 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
     telescoped sum of its per-tuple pushes, with two fusions on top:
 
     * **shared sibling probes** — each sibling is probed once per
-      *distinct* join key across the whole delta: a per-join probe cache
-      memoizes the payload (DIRECT) or the index bucket (INDEXED), and
-      repeated join keys — the common case under skew — hit the cache
-      instead of the relation.  Cache hits are *not* counted as
+      *distinct* join key across the whole delta
+      (:func:`_emit_probe_stage`).  Cache hits are *not* counted as
       elementary lookups (``COUNTER`` sees only the probes actually
       issued; the saved ones are reported to
-      ``stats.record_probe_sharing``).  When the probe covers the *full*
-      delta key the cache is dropped: coalesced keys are distinct, so
-      every probe would miss, and one bulk ``lookups += len(...)``
-      counts them.
+      ``stats.record_probe_sharing``; one key shares nothing).
     * **fused view writes** — each step's delta lands on its guard/view
       inline (:func:`_emit_write`) instead of one ``Relation.add`` per
       entry.
-
-    The single-key body walks the same steps for one input key, which
-    the emitter tracks position by position (``origin``): the delta
-    stays a ``(dk, dp)`` pair through straight-line DIRECT probes, a
-    fan-out probe is one bucket (or table) probe whose survivors are
-    written as they are joined, and a step whose output key the input
-    binds folds its delta into one running sum, after which the delta
-    is one pair again (module docstring, rules 1-3).  It records no
-    probe sharing: one key shares nothing.
     """
-    if single:
-        w.emit("def push(key, payload, stats=None):")
-    else:
-        w.emit("def push_batch(keys, pays, stats=None):")
+    inline = not single or any(
+        join.mode != DIRECT for step in plan.steps for join in step.siblings
+    )
+    name, args = ("push", "key, payload") if single else ("push_batch", "keys, pays")
+    w.emit(f"def {name}({args}, stats=None):")
     with w.block():
         w.emit(f"if {ops.is_zero('payload')}:" if single else "if not keys:")
         with w.block():
             w.emit("return")
-        _emit_stale_check(
-            w,
-            plan,
-            "push(key, payload, stats)" if single else "push_batch(keys, pays, stats)",
-        )
+        if inline:
+            _emit_stale_check(w, plan, f"{name}({args}, stats)")
         w.emit("lookups = 0")
-        w.emit("matches = 0")
-        w.emit("shared = 0")
+        if inline:
+            w.emit("matches = 0")
+            w.emit("shared = 0")
         w.emit("try:")
         with w.block():
             arity = len(plan.leaf.schema.variables)
@@ -966,197 +1080,19 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
                     continue
                 w.emit(f"# step {s} ({step.variable})")
                 m = _Marginalize(w, ops, plan, s, origin, arity, single)
-                # When the step joins siblings, its *last* stage loop can
-                # absorb the guard write and the marginalization
-                # accumulate: each survivor is written/aggregated on the
-                # spot instead of appended to out_k/out_p, re-zipped for
-                # the guard sink, and traversed again to aggregate.  The
-                # guard and the probed sibling views are distinct
-                # relations (one per view-tree node), so interleaving the
-                # writes with the probes observes nothing a
-                # stage-then-sink order wouldn't; write order and
-                # accumulation order per relation are unchanged.  CROSS
-                # stages (rare, unbounded fan-out) keep the simple path.
-                fuse = bool(step.siblings) and step.siblings[-1].mode in (
-                    DIRECT,
-                    INDEXED,
-                )
                 for j, join in enumerate(step.siblings):
                     if one and join.mode == DIRECT:
                         # Before the fan-out: still one pair.
                         _emit_direct_probe(w, s, j, join, ops, arity)
                         continue
-                    fused_stage = fuse and j == len(step.siblings) - 1
-                    probe = _proj("dk", join.probe_positions, arity)
-                    full_key = len(join.probe_positions) == arity
-                    # Non-trivial probe keys come out of a C-level
-                    # ``map(itemgetter, ...)``; a single-position getter
-                    # yields the bare value, so the probe cache is keyed
-                    # by value and the probe tuple is built only on a
-                    # cache miss.
-                    mapped = join.probe_positions and not full_key
-                    scalar = len(join.probe_positions) == 1
-                    miss_key = "(pk,)" if scalar else "pk"
-                    if join.mode == DIRECT:
-                        if fused_stage:
-                            m.prologue()
-                        w.emit(f"data = REL_{s}_{j}.data")
-                        if not fused_stage:
-                            w.emit("out_k = []")
-                            w.emit("out_p = []")
-                            w.emit("ka = out_k.append")
-                            w.emit("pa = out_p.append")
-                        if full_key:
-                            w.emit("lookups += len(dks)")
-                        else:
-                            w.emit("cache = {}")
-                            w.emit("cget = cache.get")
-                        if full_key and probe == "dk":
-                            # Identity probe: the dict lookups run inside
-                            # ``map`` at C speed, consumed by the zip.
-                            w.emit(
-                                "for dk, dp, val in "
-                                "zip(dks, dps, map(data.get, dks)):"
-                            )
-                        elif mapped:
-                            w.emit(
-                                "for dk, dp, pk in "
-                                f"zip(dks, dps, map(PG_{s}_{j}, dks)):"
-                            )
-                        else:
-                            w.emit("for dk, dp in zip(dks, dps):")
-                        with w.block():
-                            if full_key and probe == "dk":
-                                pass
-                            elif full_key:
-                                w.emit(f"val = data.get({probe})")
-                            else:
-                                if not mapped:
-                                    w.emit(f"pk = {probe}")
-                                w.emit("val = cget(pk, MISS)")
-                                w.emit("if val is MISS:")
-                                with w.block():
-                                    w.emit("lookups += 1")
-                                    w.emit(
-                                        "val = data.get("
-                                        + (miss_key if mapped else "pk")
-                                        + ")"
-                                    )
-                                    w.emit("cache[pk] = val")
-                                w.emit("else:")
-                                with w.block():
-                                    w.emit("shared += 1")
-                            w.emit("if val is None:")
-                            with w.block():
-                                w.emit("continue")
-                            w.emit(f"prod = {ops.mul('dp', 'val')}")
-                            w.emit(f"if {ops.nonzero('prod')}:")
-                            with w.block():
-                                if fused_stage:
-                                    m.survivor("dk", _items("dk", arity))
-                                else:
-                                    w.emit("ka(dk)")
-                                    w.emit("pa(prod)")
-                    elif join.mode == INDEXED:
-                        extend = _proj("sk", join.extend_positions)
-                        if fused_stage:
-                            m.prologue()
-                        if one:
-                            # The fan-out of one key: one bucket probe.
-                            w.emit("lookups += 1")
-                            w.emit(f"bucket = IDX_{s}_{j}.groups.get({probe})")
-                            w.emit("if not bucket:")
-                            with w.block():
-                                w.emit("return")
-                        else:
-                            w.emit(f"groups = IDX_{s}_{j}.groups")
-                        w.emit(f"data = REL_{s}_{j}.data")
-                        if not fused_stage:
-                            w.emit("out_k = []")
-                            w.emit("out_p = []")
-                            w.emit("ka = out_k.append")
-                            w.emit("pa = out_p.append")
-                        if one:
-                            outer = nullcontext()
-                        else:
-                            if full_key:
-                                w.emit("lookups += len(dks)")
-                            else:
-                                w.emit("cache = {}")
-                                w.emit("cget = cache.get")
-                            if mapped:
-                                w.emit(
-                                    "for dk, dp, pk in "
-                                    f"zip(dks, dps, map(PG_{s}_{j}, dks)):"
-                                )
-                            else:
-                                w.emit("for dk, dp in zip(dks, dps):")
-                            outer = w.block()
-                        with outer:
-                            if one:
-                                pass
-                            elif full_key:
-                                w.emit(f"bucket = groups.get({probe})")
-                            else:
-                                if not mapped:
-                                    w.emit(f"pk = {probe}")
-                                w.emit("bucket = cget(pk, MISS)")
-                                w.emit("if bucket is MISS:")
-                                with w.block():
-                                    w.emit("lookups += 1")
-                                    w.emit(
-                                        "bucket = groups.get("
-                                        + (miss_key if mapped else "pk")
-                                        + ")"
-                                    )
-                                    w.emit("cache[pk] = bucket")
-                                w.emit("else:")
-                                with w.block():
-                                    w.emit("shared += 1")
-                            if not one:
-                                w.emit("if not bucket:")
-                                with w.block():
-                                    w.emit("continue")
-                            w.emit("matches += len(bucket)")
-                            w.emit("for sk in bucket:")
-                            with w.block():
-                                w.emit(f"prod = {ops.mul('dp', 'data[sk]')}")
-                                w.emit(f"if {ops.is_zero('prod')}:")
-                                with w.block():
-                                    w.emit("continue")
-                                if fused_stage:
-                                    m.survivor(
-                                        None,
-                                        _items("dk", arity)
-                                        + _items("sk", join.extend_positions),
-                                    )
-                                else:
-                                    w.emit(f"ka(dk + {extend})")
-                                    w.emit("pa(prod)")
-                    else:  # CROSS
-                        extend = _proj("sk", join.extend_positions)
-                        w.emit(f"data = REL_{s}_{j}.data")
-                        if one:
-                            w.emit("matches += len(data)")
-                        else:
-                            w.emit("matches += len(data) * len(dks)")
-                        w.emit("entries = list(data.items())")
-                        w.emit("out_k = []")
-                        w.emit("out_p = []")
-                        w.emit("ka = out_k.append")
-                        w.emit("pa = out_p.append")
-                        if not one:
-                            w.emit("for dk, dp in zip(dks, dps):")
-                        with nullcontext() if one else w.block():
-                            w.emit("for sk, sp in entries:")
-                            with w.block():
-                                w.emit(f"prod = {ops.mul('dp', 'sp')}")
-                                w.emit(f"if {ops.is_zero('prod')}:")
-                                with w.block():
-                                    w.emit("continue")
-                                w.emit(f"ka(dk + {extend})")
-                                w.emit("pa(prod)")
-                    if fused_stage:
+                    fused = m.fused and j == len(step.siblings) - 1
+                    if join.mode == CROSS:
+                        _emit_cross_stage(w, s, j, join, ops, one)
+                    else:
+                        _emit_probe_stage(
+                            w, s, j, join, ops, arity, one, m if fused else None
+                        )
+                    if fused:
                         m.epilogue()
                     else:
                         w.emit("dks = out_k")
@@ -1166,66 +1102,8 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
                             w.emit("return")
                     arity += len(join.extend_positions)
                     one = False
-
-                if not fuse and (m.kind != "agg" or step.guard is not None):
-                    # The marginalization as one fused pass over the list.
-                    m.prologue()
-                    w.emit("for dk, prod in zip(dks, dps):")
-                    with w.block():
-                        m.survivor("dk", _items("dk", arity))
-                    m.epilogue()
-                elif not fuse:
-                    oproj = _proj("dk", step.out_positions, arity)
-                    use_og = step.lift is None and oproj != "dk"
-                    # ``add_operator = "+"`` asserts ring addition is
-                    # Python ``+`` on numeric payloads: a branch-free
-                    # ``get(okey, ZERO) + dp`` (the ZERO seed is
-                    # additively inert) saves a None test per entry.
-                    if ops.add_op == "+":
-                        accumulate = "agg[okey] = aget(okey, ZERO) + dp"
-                    else:
-                        accumulate = None
-                    w.emit("agg = {}")
-                    w.emit("aget = agg.get")
-                    if use_og:
-                        # Projection via a mapped itemgetter; a single
-                        # position yields bare values, so the agg dict
-                        # is value-keyed and the sink boxes survivors.
-                        w.emit(
-                            f"for okey, dp in zip(map(OG_{s}, dks), dps):"
-                        )
-                        with w.block():
-                            if accumulate is not None:
-                                w.emit(accumulate)
-                            else:
-                                w.emit("prev = aget(okey)")
-                                w.emit(
-                                    "agg[okey] = dp if prev is None else "
-                                    + ops.add("prev", "dp")
-                                )
-                    else:
-                        w.emit("for dk, dp in zip(dks, dps):")
-                        with w.block():
-                            w.emit(f"okey = {oproj}")
-                            if step.lift is not None:
-                                lifted = ops.mul(
-                                    "dp",
-                                    f"LIFT_{s}(dk[{step.lift_position}])",
-                                )
-                                w.emit(f"dp = {lifted}")
-                            if accumulate is not None:
-                                w.emit(accumulate)
-                            else:
-                                w.emit("prev = agg.get(okey)")
-                                w.emit(
-                                    "agg[okey] = dp if prev is None else "
-                                    + ops.add("prev", "dp")
-                                )
-                    _emit_agg_sink(
-                        w, ops, s, step.view, m.origin,
-                        wrap=use_og and len(step.out_positions) == 1,
-                    )
-                    m.delta_tail()
+                if not m.fused:
+                    m.list_pass()
                 last = m.last()
                 resume = last.s + 1
                 origin = last.origin
@@ -1233,6 +1111,11 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
                 one = single and last.kind == "const"
         w.emit("finally:")
         with w.block():
+            if not inline:
+                w.emit("if COUNTER.enabled and lookups:")
+                with w.block():
+                    w.emit('COUNTER.bump("lookup", lookups)')
+                return
             w.emit("if COUNTER.enabled:")
             with w.block():
                 w.emit("if lookups:")
@@ -1250,7 +1133,7 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
 def _delta_source(plan: DeltaPlan) -> str:
     ops = _Ops(plan.ring)
     body = _Writer(indent=1)
-    _emit_push(body, plan, ops)
+    _emit_body(body, plan, ops, single=True)
     body.emit()
     _emit_body(body, plan, ops, single=False)
     return _wrap_factory(body, _delta_env_names(plan), "push, push_batch")
@@ -1666,7 +1549,7 @@ class DeltaKernel:
         return self
 
     def __reduce__(self):
-        return (_rebuild_delta_kernel, (self.plan,))
+        return (compile_delta_kernel, (self.plan,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -1689,10 +1572,19 @@ class EnumKernel:
         self.iterate_epoch = iterate_epoch
 
     def __reduce__(self):
-        return (_rebuild_enum_kernel, (self.plan,))
+        return (compile_enum_kernel, (self.plan,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnumKernel(steps={len(self.plan.steps)})"
+
+
+def _count(info: Optional[dict], start: float, hit: bool) -> None:
+    """Book one kernel built since ``start`` into an engine's
+    :func:`new_codegen_info` counters (``None``: none kept)."""
+    if info is not None:
+        info["kernels"] += 1
+        info["cache_hits"] += hit
+        info["time_ms"] += (perf_counter() - start) * 1000.0
 
 
 def compile_delta_kernel(
@@ -1701,12 +1593,7 @@ def compile_delta_kernel(
     """Generate (or fetch from the shape cache) the kernel for ``plan``."""
     start = perf_counter()
     kernel = DeltaKernel(plan)
-    hit = kernel.generate()
-    if info is not None:
-        info["kernels"] += 1
-        if hit:
-            info["cache_hits"] += 1
-        info["time_ms"] += (perf_counter() - start) * 1000.0
+    _count(info, start, kernel.generate())
     return kernel
 
 
@@ -1715,20 +1602,7 @@ def compile_enum_kernel(
 ) -> EnumKernel:
     """Generate (or fetch from the shape cache) the kernel for ``plan``."""
     start = perf_counter()
-    shape = _enum_shape(plan)
-    (source, make), hit = _factory_for(shape, lambda: _enum_source(plan))
+    (source, make), hit = _factory_for(_enum_shape(plan), lambda: _enum_source(plan))
     kernel = EnumKernel(plan, source, *make(_enum_env(plan)))
-    if info is not None:
-        info["kernels"] += 1
-        if hit:
-            info["cache_hits"] += 1
-        info["time_ms"] += (perf_counter() - start) * 1000.0
+    _count(info, start, hit)
     return kernel
-
-
-def _rebuild_delta_kernel(plan: DeltaPlan) -> DeltaKernel:
-    return compile_delta_kernel(plan)
-
-
-def _rebuild_enum_kernel(plan: EnumPlan) -> EnumKernel:
-    return compile_enum_kernel(plan)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import re
 
 import pytest
 
@@ -80,7 +81,8 @@ def assert_twins_agree(generated, oracle, query):
 
 
 QUERIES = [
-    # q-hierarchical: scalar straight-line push + compiled enumeration.
+    # q-hierarchical, DIRECT probes only: a straight-line push, and an
+    # enumeration that replays Z per X.
     ("Q(Y, X, Z) = R(Y, X) * S(Y, Z)",
      [("R", ("Y", "X")), ("S", ("Y", "Z"))]),
     # Three-relation chain with a non-leading anchor variable.
@@ -445,6 +447,23 @@ class TestExplainCLI:
         assert "def push(" in first
         assert "def push_batch(" in first
         assert "def iterate(" in first
+
+    @pytest.mark.parametrize(
+        "text",
+        ["Q(A, C) = R(A, B) * S(B, C)", "Q(A) = R(A, B) * S(B)",
+         "Q(Y, X, Z) = R(Y, X) * S(Y, Z)", "Q(A) = R(A, B) * S(B, C) * T(C, D)",
+         "Q() = R(A, B) * S(B, C) * T(C, A)"],
+        ids=["hier", "scalar-hier", "list", "chain", "triangle"],
+    )
+    def test_every_bound_getter_is_read(self, capsys, text):
+        """A delta kernel's env binds an itemgetter (``PG_s_j``, ``OG_s``)
+        only where a generated body maps it over the delta keys."""
+        assert cli_main(["explain", text, "--kernel-source"]) == 0
+        out = capsys.readouterr().out
+        for block in out.split("-- delta kernel ")[1:]:
+            bindings, body = block.split("\n\n", 1)
+            for name in re.findall(r"^    ([OP]G_\w+) = env\[", bindings, re.M):
+                assert f"map({name}, dks)" in body, (text, name)
 
     def test_cqap_dumps_the_one_tree(self, capsys):
         """A CQAP's fracture components are roots of one tree: every

@@ -21,7 +21,7 @@ from repro.data import (
     measure_ops,
     permuted,
 )
-from repro.rings import Z, ProductRing
+from repro.rings import B, MIN_PLUS, Z, ProductRing
 
 
 class TestSchema:
@@ -503,6 +503,35 @@ class TestUpdates:
     def test_inverted(self):
         up = Update("R", (1,), 3)
         assert up.inverted(Z) == Update("R", (1,), -3)
+
+    @pytest.mark.parametrize("ring", [B, MIN_PLUS], ids=["boolean", "min-plus"])
+    def test_delete_without_negation_is_a_type_error(self, ring):
+        """A semiring has no additive inverses: every delete entry point
+        raises a TypeError naming the ring, before it writes anything."""
+        from repro import IVMEngine, parse_query
+        from repro.data import delete
+
+        db = Database(ring=ring)
+        db.create("R", ("A", "B"))
+        db.create("S", ("B",))
+        engine = IVMEngine(parse_query("Q(A) = R(A, B) * S(B)"), db)
+        engine.insert("R", 1, 2, payload=ring.one)
+        engine.insert("S", 2, payload=ring.one)
+
+        def state():
+            return db["R"].to_dict(), db["S"].to_dict(), list(engine.enumerate())
+
+        before = state()
+        assert before[2] == [((1,), ring.one)]
+        for attempt in (
+            lambda: engine.delete("R", 1, 2, payload=ring.one),
+            lambda: db["R"].delete(1, 2),
+            lambda: delete("R", 1, 2, payload=ring.one, ring=ring),
+            lambda: Update("R", (1, 2), ring.one).inverted(ring),
+        ):
+            with pytest.raises(TypeError, match=type(ring).__name__):
+                attempt()
+        assert state() == before
 
     def test_value_semantics_survive_slots(self):
         up = Update("R", (1, 2), 3)

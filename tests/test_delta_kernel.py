@@ -285,6 +285,7 @@ CHAIN = (
     "Q(A) = R(A, B) * S(B, C) * T(C, D)",
     [("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))],
 )
+LIST = ("Q(Y, X, Z) = R(Y, X) * S(Y, Z)", [("R", ("Y", "X")), ("S", ("Y", "Z"))])
 
 
 class TestSingleTupleFanOut:
@@ -351,7 +352,10 @@ class TestSingleTupleFanOut:
         """Q(A, C), with V_B over (A, C) or (C, A): no push forwards to
         ``push_batch`` or aggregates through a dict, and the R anchor
         hoists V_B's (A,) bucket key from its input key.  The chain keeps
-        an agg dict where a step drops a fanned-out position."""
+        an agg dict where a step drops a fanned-out position.  Q(Y, X, Z)
+        never fans out: its straight-line push writes through
+        ``Relation.add`` and has no stale-index check and no enumeration
+        or sharing count."""
         query = parse_query(HIER[0])
         for rows, schema in (((10, 40), ("A", "C")), ((40, 10), ("C", "A"))):
             engine, _ = twin_engines(
@@ -370,6 +374,11 @@ class TestSingleTupleFanOut:
             query, CHAIN[1], seed=1, order=search_order(query, require_free_top=True)
         )
         assert "agg = {}" in _push_source(engine._kernels["T"][0])
+        engine, _ = twin_engines(parse_query(LIST[0]), LIST[1], seed=1)
+        for name in ("R", "S"):
+            source = _push_source(engine._kernels[name][0])
+            assert "KERNEL.regenerate" not in source and "VADD_" in source
+            assert "matches" not in source and "shared" not in source
 
     @pytest.mark.parametrize(
         "text,schemas,lifted",
