@@ -716,9 +716,11 @@ class ShardedEngine(Backend):
 
         Views over partitioned subtrees ring-add their disjoint shard
         slices; views over broadcast-only subtrees are replicas, so shard
-        0's copy stands for all.  The result is keyed ``V_<variable>`` /
-        ``G_<variable>`` and equals the corresponding relations of an
-        unsharded engine fed the same stream.
+        0's copy stands for all.  A guard is a support (``one`` per
+        member), so its slices merge as a union.  A derived view answers
+        from its shard's index like a written one.  The result is keyed
+        ``V_<variable>`` / ``G_<variable>`` and equals the corresponding
+        relations of an unsharded engine fed the same stream.
         """
         merged: dict[str, Relation] = {}
         for reply in self._broadcast(("views",)):
@@ -727,8 +729,12 @@ class ShardedEngine(Backend):
                     merged[name] = Relation(name, Schema(list(schema_vars)), self.ring)
                 elif variable not in self._partitioned_variables:
                     continue
+                target = merged[name]
                 for key, payload in items:
-                    merged[name].add(key, payload)
+                    if not name.startswith("G_"):
+                        target.add(key, payload)
+                    elif key not in target.data:
+                        target.data[key] = payload
         return merged
 
     def total_view_size(self) -> int:

@@ -13,7 +13,8 @@ OpenIVM's compile-to-code design in PAPERS.md):
 
 * for each :class:`~repro.viewtree.compile.DeltaPlan` it generates
   Python source with the step loop fully unrolled — one straight-line
-  block per sibling join and per marginalization, projections as literal
+  block per sibling join, per marginalization and per support step,
+  projections as literal
   index tuples (``(dkey[0], dkey[2])``), ring operations inlined to
   ``a * b`` / ``a + b`` when the ring declares
   :attr:`~repro.rings.base.Semiring.mul_operator`, and
@@ -61,6 +62,25 @@ input key, or a fan-out.  Three rules, each exact:
    bucket preservation included, through the one emitter ``push`` and
    ``push_batch`` share: :meth:`GroupIndex.add` / ``remove`` written out.
 
+A guard holds supports, not sums: each joined key is a member (payload
+``ONE``) while the changed source holds its part, and is written only
+when that flips (:func:`_emit_flip`).
+
+Support steps
+-------------
+A plan step whose view is derived (:attr:`PlanStep.support`, see
+:mod:`repro.viewtree.compile`) writes no view; the steps above the last
+written one are emitted by :func:`_emit_support`, for ``push`` and
+``push_batch`` alike.  Its input is the changed keys — the input keys,
+or the keys the last payload step wrote — and each step passes on only
+the keys whose support may have moved: a step without a guard projects
+them onto its view (its support is a bucket of its enumeration index),
+and a step with a guard joins each with its siblings' supports, re-tests
+the joined keys' membership and passes on the view keys of the members
+that flipped.  Each test is O(1) per key, so Theorem 4.1's bound holds;
+on ``Q(Y, X, Z) = R(Y, X) * S(Y, Z)`` a batch writes its base and the
+``G_Y`` flips, nothing else.
+
 A next step without siblings rides the same loop: an entry one view
 takes is at once the next step's survivor.  Postings are specialised to
 the group indexes the written relations carry at generation (part of the
@@ -103,15 +123,15 @@ to the view tree's own), and unpickling hits the shape cache.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
+from contextlib import ExitStack, nullcontext
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Optional
 
 from ..data.opcounter import COUNTER
 from ..rings.base import Semiring
-from .compile import CROSS, DIRECT, INDEXED, DeltaPlan
-from .enumplan import EnumPlan
+from .compile import CROSS, DIRECT, INDEXED, DeltaPlan, DerivedView
+from .enumplan import EnumPlan, key_projector
 
 #: Sentinel the generated code tests with ``is``: a probe-cache miss in
 #: ``push_batch`` (``None`` is a legitimate cached result — an absent
@@ -189,9 +209,15 @@ def _delta_shape(plan: DeltaPlan) -> tuple:
         tuple(
             (
                 tuple(
-                    (join.mode, join.probe_positions, join.extend_positions)
+                    (
+                        join.mode,
+                        join.probe_positions,
+                        join.extend_positions,
+                        isinstance(join.relation, DerivedView),
+                    )
                     for join in step.siblings
                 ),
+                step.support,
                 step.guard is not None,
                 step.guard_positions,
                 step.out_positions,
@@ -340,7 +366,8 @@ def _delta_getters(plan: DeltaPlan) -> dict[str, tuple[int, ...]]:
     """Positions for the ``itemgetter`` closures the batch body maps.
 
     ``map(itemgetter(...), keys)`` runs a projection at C speed; the
-    batch emitter uses one per cached probe (``PG_{s}_{j}``) and per
+    batch emitter uses one per cached probe (``PG_{s}_{j}``), per
+    support step passing keys on (``PJ_{s}``, tuple-valued) and per
     plain aggregation pass (``OG_{s}``: :attr:`_Marginalize.og`, the
     test the emitter makes; the one-key body makes that pass at a subset
     of those steps).  Computed once here so the env builder and the
@@ -349,6 +376,10 @@ def _delta_getters(plan: DeltaPlan) -> dict[str, tuple[int, ...]]:
     getters: dict[str, tuple[int, ...]] = {}
     arity = len(plan.leaf.schema.variables)
     for s, step in enumerate(plan.steps):
+        if step.support:
+            if step.guard is None and s + 1 < len(plan.steps):
+                getters[f"PJ_{s}"] = step.out_positions
+            continue
         joined = arity
         for j, join in enumerate(step.siblings):
             full_key = len(join.probe_positions) == joined
@@ -361,56 +392,57 @@ def _delta_getters(plan: DeltaPlan) -> dict[str, tuple[int, ...]]:
     return getters
 
 
-def _delta_env_names(plan: DeltaPlan) -> list[str]:
-    names = ["MUL", "ADD", "IS_ZERO", "ZERO", "COUNTER", "MISS", "KERNEL"]
-    for s, step in enumerate(plan.steps):
-        names.append(f"LBL_{s}")
-        names.append(f"VADD_{s}")
-        names.append(f"VREL_{s}")
-        names.extend(f"VIX_{s}_{i}" for i in range(len(step.view._indexes)))
-        if step.guard is not None:
-            names.append(f"GADD_{s}")
-            names.append(f"GREL_{s}")
-            names.extend(f"GIX_{s}_{i}" for i in range(len(step.guard._indexes)))
-        if step.lift is not None:
-            names.append(f"LIFT_{s}")
-        for j, join in enumerate(step.siblings):
-            names.append(f"REL_{s}_{j}")
-            if join.index is not None:
-                names.append(f"IDX_{s}_{j}")
-    names.extend(_delta_getters(plan))
-    return names
+def _changed(plan: DeltaPlan, s: int):
+    """The source of step ``s`` whose change the delta describes: the
+    leaf, or the step below's view."""
+    return plan.leaf if s == 0 else plan.steps[s - 1].view
 
 
 def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
+    """The names a kernel binds, in a shape-determined order.  A support
+    step binds no view: its view is derived, and its guard, sibling
+    supports and changed source (``CHG_s``: a relation, or a derived
+    view's index) are all it reads or writes."""
     ring = plan.ring
     env: dict[str, Any] = {
         "MUL": ring.mul,
         "ADD": ring.add,
         "IS_ZERO": ring.is_zero,
         "ZERO": ring.zero,
+        "ONE": ring.one,
         "COUNTER": COUNTER,
         "MISS": _MISS,
+        "KERNEL": None,
     }
     for s, step in enumerate(plan.steps):
-        env[f"LBL_{s}"] = step.view_label
-        env[f"VADD_{s}"] = step.view.add
-        env[f"VREL_{s}"] = step.view
-        for i, index in enumerate(step.view._indexes.values()):
-            env[f"VIX_{s}_{i}"] = index
+        if not step.support:
+            env[f"LBL_{s}"] = step.view_label
+            env[f"VADD_{s}"] = step.view.add
+            env[f"VREL_{s}"] = step.view
+            for i, index in enumerate(step.view._indexes.values()):
+                env[f"VIX_{s}_{i}"] = index
         if step.guard is not None:
-            env[f"GADD_{s}"] = step.guard.add
+            changed = _changed(plan, s)
+            derived = isinstance(changed, DerivedView)
+            env[f"CHG_{s}"] = changed.index if derived else changed
             env[f"GREL_{s}"] = step.guard
+            if step.support:
+                env[f"GLBL_{s}"] = step.guard.name
             for i, index in enumerate(step.guard._indexes.values()):
                 env[f"GIX_{s}_{i}"] = index
         if step.lift is not None:
             env[f"LIFT_{s}"] = step.lift
         for j, join in enumerate(step.siblings):
-            env[f"REL_{s}_{j}"] = join.relation
+            if isinstance(join.relation, DerivedView):
+                env[f"SUP_{s}_{j}"] = join.relation.index
+            else:
+                env[f"REL_{s}_{j}"] = join.relation
             if join.index is not None:
                 env[f"IDX_{s}_{j}"] = join.index
     for name, positions in _delta_getters(plan).items():
-        env[name] = itemgetter(*positions)
+        # A support pass keeps tuples: its keys are probed, not summed.
+        support = name.startswith("PJ_")
+        env[name] = key_projector(positions) if support else itemgetter(*positions)
     return env
 
 
@@ -449,13 +481,16 @@ def _emit_one_write(w: _Writer, s: int, ops: _Ops) -> None:
 
 def _emit_one_step(w: _Writer, s: int, step, ops: _Ops, arity: int) -> None:
     """Step ``s`` on a one-key delta whose sibling joins are all DIRECT:
-    straight-line probes, then one ``Relation.add`` per guard/view write."""
+    straight-line probes, the guard's membership re-tested, then one
+    ``Relation.add`` for the view."""
     w.emit(f"# step {s} ({step.variable})")
     for j, join in enumerate(step.siblings):
         _emit_direct_probe(w, s, j, join, ops, arity)
     if step.guard is not None:
-        gproj = _proj("dk", step.guard_positions, arity)
-        w.emit(f"GADD_{s}({gproj}, dp)")
+        w.emit(f"gdata = GREL_{s}.data")
+        w.emit("lookups += 1")
+        w.emit(f"gk = {_proj('dk', step.guard_positions, arity)}")
+        _emit_flip(w, "gk", f"dk in CHG_{s}.data", f"GREL_{s}")
     # Marginalize the node variable onto the view schema.
     if step.lift is not None:
         lifted = ops.mul("dp", f"LIFT_{s}(dk[{step.lift_position}])")
@@ -587,6 +622,44 @@ def _emit_write(
             w.emit(f"{p}data[{key}] = new")
 
 
+def _emit_flip(
+    w: _Writer, key: str, now: str, posts, count: str = "", skip: str | None = None
+) -> None:
+    """Make ``key`` a member of guard ``g`` (payload ``ONE``) exactly when
+    ``now`` holds: an insert or a delete when its membership flips.  The
+    write keeps its pre-image and posts its indexes inline (``posts``,
+    then ``count`` runs), or goes through ``Relation.set`` on the guard
+    ``posts`` names, which does both itself.  With ``skip``, a key whose
+    membership stands runs ``skip``, so the code after this block runs
+    on flips only."""
+    for test, stands, add in ((now, "in", True), ("", "not in", False)):
+        w.emit(f"if {test}:" if test else "else:")
+        with w.block():
+            if skip:
+                w.emit(f"if {key} {stands} gdata:")
+                with w.block():
+                    w.emit(skip)
+                _emit_member(w, key, posts, count, add)
+                continue
+            w.emit(f"if {key} {'not in' if add else 'in'} gdata:")
+            with w.block():
+                _emit_member(w, key, posts, count, add)
+
+
+def _emit_member(w: _Writer, key: str, posts, count: str, add: bool) -> None:
+    """Insert ``key`` into guard ``g`` (``add``) or delete it."""
+    if isinstance(posts, str):
+        w.emit(f"{posts}.set({key}, {'ONE' if add else 'ZERO'})")
+        return
+    w.emit(f"if gnew is not None and {key} not in gnew:")
+    with w.block():
+        w.emit(f"grec({key}, {'None' if add else 'ONE'})")
+    w.emit(f"gdata[{key}] = ONE" if add else f"del gdata[{key}]")
+    for post in posts:
+        _emit_post(w, "g", post, key, add=add)
+    w.emit(count)
+
+
 def _emit_agg_sink(
     w: _Writer, ops: _Ops, s: int, relation, origin: list, wrap: bool = False
 ) -> None:
@@ -631,7 +704,8 @@ def _emit_stale_check(w: _Writer, plan: DeltaPlan, call: str) -> None:
     for s, step in enumerate(plan.steps):
         if step.guard is not None:
             tests.append(f"len(GREL_{s}._indexes) != {len(step.guard._indexes)}")
-        tests.append(f"len(VREL_{s}._indexes) != {len(step.view._indexes)}")
+        if not step.support:
+            tests.append(f"len(VREL_{s}._indexes) != {len(step.view._indexes)}")
     w.emit(f"if {' or '.join(tests)}:")
     with w.block():
         w.emit(f"return KERNEL.regenerate().{call}")
@@ -659,6 +733,7 @@ class _Marginalize:
         step = plan.steps[s]
         self.w, self.ops, self.plan, self.s, self.step = w, ops, plan, s, step
         self.single = single
+        self.arity_in = arity
         self.arity = arity + sum(len(j.extend_positions) for j in step.siblings)
         self.joined = origin + [None] * (self.arity - arity)
         out = step.out_positions
@@ -699,6 +774,7 @@ class _Marginalize:
             and nxt is not None
             and not nxt.siblings
             and nxt.guard is None
+            and not nxt.support
         ):
             self.then = _Marginalize(
                 w, ops, plan, s + 1, self.origin, len(out), single,
@@ -718,6 +794,8 @@ class _Marginalize:
             self.posts["g"] = _emit_binding(
                 w, "g", s, step.guard, [self.joined[q] for q in step.guard_positions]
             )
+            w.emit("gw = 0")
+            w.emit(f"chg = CHG_{s}.data")
         if self.kind in ("identity", "distinct"):
             self.posts["v"] = _emit_binding(w, self.p, s, step.view, self.origin)
             if self.then is None:
@@ -764,8 +842,12 @@ class _Marginalize:
         if self.counts:
             w.emit(f"{self.n} += 1")
         if step.guard is not None:
+            # The guard key is a member while its changed-source key is:
+            # every other source holds the entry it was joined with.
             gk = key(step.guard_positions, "gk")
-            _emit_write(w, ops, "g", gk, "prod", self.posts["g"])
+            ck = key(tuple(range(self.arity_in)), "ck")
+            w.emit("lookups += 1")
+            _emit_flip(w, gk, f"{ck} in chg", self.posts["g"], "gw += 1")
         if step.lift is not None:
             lift = f"LIFT_{s}({items[step.lift_position]})"
             w.emit(f"prod = {ops.mul('prod', lift)}")
@@ -814,7 +896,9 @@ class _Marginalize:
             with w.block():
                 w.emit("return")
         if step.guard is not None:
-            w.emit(f'COUNTER.bump("write", {self.n})')
+            w.emit("if gw:")
+            with w.block():
+                w.emit('COUNTER.bump("write", gw)')
         if self.kind in ("identity", "distinct"):
             # What landed: a lifted payload may have cancelled.
             if self.then is not None:
@@ -1001,6 +1085,136 @@ def _emit_cross_stage(w: _Writer, s: int, j: int, join, ops: _Ops, one: bool) ->
             w.emit("pa(prod)")
 
 
+def _support_table(s: int, j: int, join) -> str:
+    """The dict a support step probes for sibling ``j``: entries of a
+    relation, a derived view's index buckets (its support), or the group
+    index an INDEXED probe reads (over a derived view's base)."""
+    if join.mode == INDEXED:
+        return f"IDX_{s}_{j}.groups"
+    if isinstance(join.relation, DerivedView):
+        return f"SUP_{s}_{j}.groups"
+    return f"REL_{s}_{j}.data"
+
+
+def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool) -> None:
+    """Steps ``start`` on, whose views are derived: supports, not sums.
+
+    The changed keys of step ``start``'s changed source are ``ck`` (with
+    ``one``) or the keys of ``cks``.  A step without a guard passes them
+    on, projected onto its view.  A step with a guard joins each with
+    its siblings' supports (a relation's keys, a derived view's index
+    buckets) and re-tests the joined keys: a member while the changed
+    source holds its key (:func:`_emit_flip`).  Only the view keys of
+    flipped members go on.  With ``one`` and DIRECT siblings the step is
+    straight-line and a standing membership ends the push.
+    """
+    steps = plan.steps
+    arity = len(_changed(plan, start).schema.variables)
+    size = "len(cks)"
+    for s in range(start, len(steps)):
+        step = steps[s]
+        top = s == len(steps) - 1
+        if step.guard is None:
+            if top:
+                return  # nothing reads the root's support but its index
+            w.emit(f"# step {s} ({step.variable}): its view's support")
+            if one:
+                w.emit(f"ck = {_proj('ck', step.out_positions, arity)}")
+            else:
+                # Not deduplicated: a repeated key re-tests to no flip.
+                w.emit("nc = len(cks)")
+                w.emit(f"cks = map(PJ_{s}, cks)")
+                size = "nc"
+            arity = len(step.out_positions)
+            continue
+        w.emit(f"# step {s} ({step.variable}): guard membership")
+        looped = not one or any(join.mode != DIRECT for join in step.siblings)
+        if looped:
+            posts = _emit_binding(w, "g", s, step.guard, [None] * len(step.guard_positions))
+        else:
+            posts = f"GREL_{s}"
+            w.emit(f"gdata = {posts}.data")
+        derived = isinstance(_changed(plan, s), DerivedView)
+        w.emit(f"chg = CHG_{s}.{'groups' if derived else 'data'}")
+        for j, join in enumerate(step.siblings):
+            w.emit(f"sup_{j} = {_support_table(s, j, join)}")
+        if looped:
+            w.emit("flips = 0")
+            if not top:
+                w.emit("nks = {}")
+        items = _items("ck", arity)
+
+        def probe(join) -> str:
+            whole = join.probe_positions == tuple(range(arity))
+            return "ck" if whole else _tuple([items[p] for p in join.probe_positions])
+
+        fans = any(join.mode != DIRECT for join in step.siblings)
+        if not fans:
+            # One membership test per changed key: its source and every
+            # sibling hold the key's projections.
+            now = " and ".join(
+                ["ck in chg"]
+                + [f"{probe(join)} in sup_{j}" for j, join in enumerate(step.siblings)]
+            )
+            count = 1 + len(step.siblings)
+            w.emit(f"lookups += {count}" if one else f"lookups += {count} * {size}")
+        with ExitStack() as loops:
+            if not one:
+                w.emit("for ck in cks:")
+                loops.enter_context(w.block())
+            if fans:
+                # The joined keys are members while the changed source
+                # holds ``ck``: every sibling holds what it was joined on.
+                now = "now"
+                w.emit("lookups += 1")
+                w.emit("now = ck in chg")
+                inloop = not one
+                for j, join in enumerate(step.siblings):
+                    if join.mode != CROSS:
+                        w.emit("lookups += 1")
+                    if join.mode == DIRECT:
+                        w.emit(f"if {probe(join)} not in sup_{j}:")
+                        with w.block():
+                            w.emit("continue" if inloop else "return")
+                        continue
+                    table = f"sup_{j}"
+                    if join.mode == INDEXED:
+                        w.emit(f"bucket = sup_{j}.get({probe(join)})")
+                        w.emit("if not bucket:")
+                        with w.block():
+                            w.emit("continue" if inloop else "return")
+                        table = "bucket"
+                    w.emit(f"matches += len({table})")
+                    w.emit(f"for sk{j} in {table}:")
+                    loops.enter_context(w.block())
+                    inloop = True
+                    items = items + _items(f"sk{j}", join.extend_positions)
+            gk = "ck" if step.guard_positions == tuple(range(arity)) and len(items) == arity else "gk"
+            if gk == "gk":
+                w.emit(f"gk = {_tuple([items[q] for q in step.guard_positions])}")
+            skip = "continue" if looped else "return"
+            _emit_flip(w, gk, now, posts, "flips += 1", skip)
+            if not looped:
+                w.emit("if stats is not None:")
+                with w.block():
+                    w.emit(f"stats.record_delta(GLBL_{s}, 1)")
+            if not top:
+                vk = _tuple([items[q] for q in step.out_positions])
+                w.emit(f"nks[{vk}] = None" if looped else f"ck = {vk}")
+        if looped:
+            w.emit("if flips:")
+            with w.block():
+                w.emit('COUNTER.bump("write", flips)')
+            w.emit("if stats is not None:")
+            with w.block():
+                w.emit(f"stats.record_delta(GLBL_{s}, flips)")
+            if not top:
+                w.emit("cks = nks")
+                size = "len(cks)"
+            one = False
+        arity = len(step.out_positions)
+
+
 def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
     """The single-tuple ``push(key, payload, stats)`` body or, without
     ``single``, the columnar ``push_batch(keys, pays, stats)``: one
@@ -1008,9 +1222,11 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
 
     The single-key body tracks the input key position by position
     (``origin``).  The delta stays the pair ``(dk, dp)`` through
-    straight-line DIRECT probes (one ``dict.get`` each) and one
-    ``Relation.add`` per guard/view write, which records and posts
-    itself; sibling order, early exits, per-view ``stats.record_delta``
+    straight-line DIRECT probes (one ``dict.get`` each), one
+    ``Relation.set`` per guard flip and one ``Relation.add`` per view
+    write, which record and post themselves; from the first support step
+    on, :func:`_emit_support` takes the changed keys.  Sibling order,
+    early exits, per-view ``stats.record_delta``
     calls and ring-operation order follow the generic
     :meth:`ViewTreeEngine._propagate`, and probes count in bulk.  A
     fan-out probe writes its survivors as they are joined, and a step
@@ -1036,9 +1252,9 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
       elementary lookups (``COUNTER`` sees only the probes actually
       issued; the saved ones are reported to
       ``stats.record_probe_sharing``; one key shares nothing).
-    * **fused view writes** — each step's delta lands on its guard/view
-      inline (:func:`_emit_write`) instead of one ``Relation.add`` per
-      entry.
+    * **fused view writes** — each step's delta lands on its view, and
+      its guard's flips, inline (:func:`_emit_write`, :func:`_emit_flip`)
+      instead of one ``Relation.add`` per entry.
     """
     inline = not single or any(
         join.mode != DIRECT for step in plan.steps for join in step.siblings
@@ -1073,6 +1289,10 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
             for s, step in enumerate(plan.steps):
                 if s < resume:
                     continue  # it rode an earlier step's loop
+                if step.support:
+                    w.emit("ck = dk" if one else "cks = dks")
+                    _emit_support(w, plan, s, one)
+                    break
                 if one and all(jn.mode == DIRECT for jn in step.siblings):
                     _emit_one_step(w, s, step, ops, arity)
                     origin = [origin[q] for q in step.out_positions]
@@ -1136,7 +1356,7 @@ def _delta_source(plan: DeltaPlan) -> str:
     _emit_body(body, plan, ops, single=True)
     body.emit()
     _emit_body(body, plan, ops, single=False)
-    return _wrap_factory(body, _delta_env_names(plan), "push, push_batch")
+    return _wrap_factory(body, list(_delta_env(plan)), "push, push_batch")
 
 
 # ----------------------------------------------------------------------

@@ -22,9 +22,26 @@ leaf-to-root path once and records, per node:
   key, and (when the sibling is probed through a group index) the
   resolved :class:`~repro.data.relation.GroupIndex` itself,
 * the position plans projecting the joined delta onto the node's guard
-  and view schemas,
+  and view schemas (a derived sibling's keys come from its base's index),
 * the resolved lifting callable (or ``None`` for trivial COUNT lifting)
   and the position of the marginalized variable.
+
+**Supports, not sums, in the free part.**  Under a free-top order with
+a non-empty head, enumeration multiplies only leaf and bound-view
+payloads (Theorem 4.1; F-IVM likewise keeps free variables as group-by
+keys and aggregates only the bound ones), so above the leaves it needs
+*supports* only.  :func:`derive_views` therefore replaces every free
+view no read multiplies — the free root views, and a free view whose
+parent has a guard and a derived view — with a :class:`DerivedView`,
+read from the group index the enumeration plan keeps for its node, and
+a plan step whose view is derived is a *support step*
+(:attr:`PlanStep.support`): it writes no view, and its guard, which
+holds ``one`` per member, is re-tested only for the keys whose source
+changed.  A free view that is its parent's only source stays written
+(the enumeration iterates its keys), and so does everything below it.
+On a valid state (§2: every tuple has a positive multiplicity) a key is
+in a view's support exactly when its sum is non-zero, so every output,
+lookup, guard and derived value equals the summed walk's.
 
 A :class:`DeltaPlan` is data only — it executes nothing.  Its one
 consumer is :mod:`repro.viewtree.codegen`, which emits each plan as a
@@ -51,8 +68,9 @@ when an engine is pickled whole.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
+from ..data.opcounter import COUNTER
 from ..data.relation import GroupIndex, Relation
 from ..rings.base import Semiring
 
@@ -60,6 +78,124 @@ from ..rings.base import Semiring
 DIRECT = 0  #: sibling schema is contained in the delta schema: one dict.get
 INDEXED = 1  #: probe the sibling's group index on the shared variables
 CROSS = 2  #: no shared variables: cross product with every sibling entry
+
+
+class DerivedView(Relation):
+    """A free view no read multiplies, derived on read instead of written.
+
+    ``index`` is the group index on ``dep(X)`` that the enumeration
+    plan keeps for step ``X`` over ``base``, the node's guard relation
+    (its guard, or its one source): a bucket is non-empty exactly when
+    the view's key is in the support.  A value is the sum, over the
+    bucket, of the product of ``factors`` — ``(relation, projector)``
+    pairs taking a ``base`` key to each source's key (one identity pair
+    when ``base`` is the one source).  So ``get``, ``items``, ``data`` and
+    ``to_dict`` answer what a maintained view would hold on valid states
+    (§2), ``len`` is the bucket count in O(1), and nothing writes it.
+    """
+
+    __slots__ = ("base", "index", "factors")
+
+    def __init__(self, view: Relation, base: Relation, index: GroupIndex, factors):
+        self.name, self.schema, self.ring = view.name, view.schema, view.ring
+        self._indexes: dict = {}
+        self._maps: list = []
+        self._writer = None
+        self.base = base
+        self.index = index
+        self.factors = factors
+
+    def __getstate__(self):
+        return self.name, self.schema, self.ring, self.base, self.index, self.factors
+
+    def __setstate__(self, state) -> None:
+        self.name, self.schema, self.ring, self.base, self.index, self.factors = state
+        self._indexes, self._maps, self._writer = {}, [], None
+
+    def value(self, key: tuple) -> Any:
+        """The payload at ``key`` (``None``: zero or absent)."""
+        bucket = self.index.groups.get(key)
+        if not bucket:
+            return None
+        ring = self.ring
+        total = None
+        for base_key in bucket:
+            product = None
+            for relation, project in self.factors:
+                part = (
+                    relation.value(project(base_key))
+                    if isinstance(relation, DerivedView)
+                    else relation.data.get(project(base_key))
+                )
+                if part is None:
+                    break
+                product = part if product is None else ring.mul(product, part)
+            else:
+                total = product if total is None else ring.add(total, product)
+        return None if total is None or ring.is_zero(total) else total
+
+    @property
+    def data(self) -> dict:
+        values = ((key, self.value(key)) for key in self.index.groups)
+        return {key: value for key, value in values if value is not None}
+
+    def get(self, key: tuple) -> Any:
+        COUNTER.bump("lookup")
+        found = self.value(key)
+        return self.ring.zero if found is None else found
+
+    def __len__(self) -> int:
+        return len(self.index.groups)
+
+    def support(self) -> Relation:
+        """A plain relation holding ``one`` per supported key (what a
+        guard above joins)."""
+        out = Relation(self.name, self.schema, self.ring)
+        out.data = dict.fromkeys(self.index.groups, self.ring.one)
+        return out
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{self.name} is derived on read; nothing writes it")
+
+    add = add_delta = set = apply = clear = index_on = _read_only
+
+
+def derive_views(engine, enum_plan) -> dict:
+    """Install a :class:`DerivedView` for every free view no read
+    multiplies; return ``{node: materialized view}`` of the replaced ones.
+
+    A free root view is derived, and so is a free view whose parent has
+    a guard and a derived view.  A free view that is its parent's only
+    source stays written — the enumeration iterates its keys — and so
+    does everything below a written free view, whose sums need its
+    sources' values.  Derived nodes are installed children first, so a
+    guard's factors reference its children's derived views.
+    """
+    steps = {step.variable: step for step in enum_plan.steps}
+    derived = []
+
+    def visit(node, derive: bool) -> None:
+        if derive:
+            derived.append(node)
+        for child in node.children:
+            visit(child, derive and child.is_free and node.guard is not None)
+
+    for root in engine.roots:
+        visit(root, root.is_free)
+    replaced = {}
+    for node in reversed(derived):
+        # The index groups on the guard relation's variables but X, in
+        # its order: the view's schema, marginalized from the same join.
+        # Without a guard, that relation is the node's one source.
+        step = steps[node.variable]
+        base = step.guard
+        factors = tuple(
+            (source, base.schema.projector(source.schema.variables))
+            for source in node.sources()
+        )
+        replaced[node] = node.view
+        node.view = DerivedView(node.view, base, step.index, factors)
+    return replaced
 
 
 class SiblingJoin:
@@ -103,6 +239,7 @@ class PlanStep:
         "out_positions",
         "lift",
         "lift_position",
+        "support",
     )
 
     def __init__(
@@ -126,6 +263,9 @@ class PlanStep:
         self.out_positions = out_positions
         self.lift = lift
         self.lift_position = lift_position
+        #: A support step: the view is derived (nothing writes it) and
+        #: the guard, if any, is re-tested for membership.
+        self.support = isinstance(view, DerivedView)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -177,8 +317,12 @@ def _compile_sibling(
     probe_positions = tuple(in_positions[v] for v in shared)
     if not new_vars:
         return SiblingJoin(sibling, DIRECT, probe_positions, (), None), in_vars
-    index = sibling.index_on(shared)
-    extend = sibling.schema.positions(new_vars)
+    # A derived view has no entries to index: its base relation's keys
+    # project onto the view's support, so their index on the shared
+    # variables enumerates it (a support once per base key).
+    owner = sibling.base if isinstance(sibling, DerivedView) else sibling
+    index = owner.index_on(shared)
+    extend = owner.schema.positions(new_vars)
     return (
         SiblingJoin(sibling, INDEXED, probe_positions, extend, index),
         out_vars,

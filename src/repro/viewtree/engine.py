@@ -13,8 +13,9 @@ of the join of everything below the node.  Following F-IVM:
   set — and aggregates away ``X`` from the join of the node's children
   views and anchored leaves;
 * when ``X`` is free and more than one source constrains it, the node
-  additionally materializes the pre-marginalization join (the *guard*),
-  which is what enumeration iterates over.  A guard exists only where
+  additionally materializes the support of the pre-marginalization join
+  (the *guard*, ``one`` per member), which is what enumeration iterates
+  over.  A guard exists only where
   enumeration reads it: the walk treats a bound node as a leaf its view
   summarizes (:func:`~repro.viewtree.enumplan._flatten`), so a guard at
   a bound node — on ``Q(A,C) = R(A,B) * S(B,C)`` the whole ``R ⋈ S`` —
@@ -28,12 +29,20 @@ of hash lookups, so updates take O(1) — Theorem 4.1's upper bound.
 Enumeration walks the free-variable prefix of the order top-down and emits
 output tuples with constant delay (Example 4.4).
 
-Like the paper (end of Section 2), enumeration assumes *valid* update
-batches: between enumeration requests, multiplicities may transiently go
-negative, but at enumeration time all input tuples must have positive
-multiplicities.  Otherwise an aggregate view entry can cancel to zero
-while individual output tuples below it are non-zero, and the factorized
-walk would skip them.
+Enumeration under a free-top order reads only the *supports* of the
+relations above the leaves: an output tuple's payload is the product of
+its leaf (and bound-view) payloads.  So a guard holds ``one`` for each
+member — a key every source of the node holds — and is written only when
+a member appears or disappears, and in a generated engine a free view no
+read multiplies is not written at all but derived on read
+(:class:`~repro.viewtree.compile.DerivedView`, see
+:func:`~repro.viewtree.compile.derive_views`).  On *valid* states (end of
+Section 2: at read time every input tuple has a positive multiplicity) a
+key is in a view's support exactly when its sum is non-zero, so this is
+exact.  Between reads multiplicities may transiently go negative; on an
+invalid state the generated engine still enumerates what ``repro.naive``
+returns, while the oracle's summed views can cancel to zero above
+non-zero tuples, and its walk skips them.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from .codegen import (
     new_codegen_info,
 )
 from .changes import ChangeTracker, MaterializedView, OutputDelta
-from .compile import compile_delta_plans
+from .compile import DerivedView, compile_delta_plans, derive_views
 from .enumplan import _flatten, compile_enum_plan
 from .epoch import EpochSnapshot, SnapshotRegistry
 
@@ -123,11 +132,13 @@ class ViewNode:
         self.parent: Optional[ViewNode] = None
         #: (atom, leaf relation) pairs anchored at this node.
         self.leaves: list[tuple[Atom, Relation]] = []
-        #: The node view V_X over dep(X) (X marginalized away).
+        #: The node view V_X over dep(X) (X marginalized away); a
+        #: DerivedView, written by nothing, where no read multiplies it.
         self.view: Relation | None = None
-        #: Materialized pre-marginalization join, kept only where
-        #: enumeration iterates it: at a free node with more than one
-        #: source.  A bound node is summarized by its view (the walk never
+        #: Support of the pre-marginalization join (``one`` per member),
+        #: kept only where enumeration iterates it: at a free node with
+        #: more than one source.  A bound node is summarized by its view
+        #: (the walk never
         #: descends into it), so a guard there would be written on every
         #: update below and never read.
         self.guard: Relation | None = None
@@ -245,10 +256,14 @@ class ViewTreeEngine(Backend):
         empty-head queries and non-free-top orders use the generic code
         either way.
 
-        A plan whose generation raises is never silent: the relation
-        (or the enumeration) runs the generic walk, ``fallbacks`` in the
-        ``codegen`` obs block counts it, and a :class:`RuntimeWarning`
-        names it and the exception.
+        A generated engine with a free-top order and a non-empty head
+        derives the free views no read multiplies instead of writing
+        them (:func:`~repro.viewtree.compile.derive_views`).  A plan
+        whose generation raises is never silent: the relation (or the
+        enumeration) runs the generic walk, ``fallbacks`` in the
+        ``codegen`` obs block counts it, a :class:`RuntimeWarning` names
+        it and the exception, and every view stays written, since the
+        walk writes them all.
         """
         self.query = query
         self.database = database
@@ -315,16 +330,23 @@ class ViewTreeEngine(Backend):
         if generated:
             self._codegen_info = info = new_codegen_info()
             # Both plans create the group indexes they probe; the delta
-            # kernels are generated after, for the final index sets.
-            delta_plans = compile_delta_plans(self)
+            # kernels are generated after, for the final index sets.  The
+            # enumeration plan comes first: its guard indexes are what a
+            # derived view reads.
             enum_plan = compile_enum_plan(self)
-            for name, plans in delta_plans.items():
-                try:
-                    self._kernels[name] = [
-                        compile_delta_kernel(plan, info) for plan in plans
-                    ]
-                except Exception as exc:
-                    self._generation_failed(f"relation {name!r}", exc)
+            replaced = derive_views(self, enum_plan) if enum_plan else {}
+            self._fill_guards(replaced)
+            failed = self._generate_delta_kernels(info)
+            if failed and replaced:
+                # The generic walk writes every view: keep them maintained.
+                for node, view in replaced.items():
+                    node.view = view
+                self._fill_guards(replaced)
+                self._kernels.clear()
+                info.update(new_codegen_info())
+                failed = self._generate_delta_kernels(info)
+            for name, exc in failed:
+                self._generation_failed(f"relation {name!r}", exc)
             if enum_plan is not None:
                 self._lookup_plan = enum_plan.lookup
                 try:
@@ -346,6 +368,26 @@ class ViewTreeEngine(Backend):
         self._updates_since_sample = 0
         if stats is not None:
             self.attach_stats(stats)
+
+    def _fill_guards(self, nodes) -> None:
+        """Refill the guards of ``nodes`` (children first) from their
+        sources as they now stand: summed views, or derived supports."""
+        for node in nodes:
+            if node.guard is not None:
+                self._fill_guard(node, self._join_sources(node))
+
+    def _generate_delta_kernels(self, info: dict) -> list[tuple[str, Exception]]:
+        """Plan and generate every relation's kernels; return the
+        ``(relation, exception)`` pairs whose generation raised."""
+        failed = []
+        for name, plans in compile_delta_plans(self).items():
+            try:
+                self._kernels[name] = [
+                    compile_delta_kernel(plan, info) for plan in plans
+                ]
+            except Exception as exc:
+                failed.append((name, exc))
+        return failed
 
     def _generation_failed(self, what: str, exc: Exception) -> None:
         """Count and report one plan the generic walk now serves."""
@@ -416,6 +458,8 @@ class ViewTreeEngine(Backend):
         node.view = marginalize(
             joined, node.variable, self.ring, lift, name=f"V_{node.variable}"
         )
+        if node.guard is not None:
+            node.guard.data = dict.fromkeys(joined.data, self.ring.one)
         return node
 
     def _make_leaf(self, atom: Atom) -> Relation:
@@ -736,19 +780,23 @@ class ViewTreeEngine(Backend):
             self._maybe_sample_views(raw)
 
     def rebuild(self) -> None:
-        """Recompute every guard and view from the current leaves (a
-        bound node has no guard: only its view is rebuilt)."""
+        """Recompute every guard and written view from the current leaves
+        (a bound node has no guard: only its view is rebuilt; a derived
+        view reads the rebuilt indexes)."""
         for root in self.roots:
             self._rebuild_node(root)
 
     def _rebuild_node(self, node: ViewNode) -> None:
         for child in node.children:
             self._rebuild_node(child)
-        sources = node.sources()
-        joined = join_all(sources, self.ring, name=f"G_{node.variable}")
+        derived = isinstance(node.view, DerivedView)
+        if derived and node.guard is None:
+            return  # its one source is its enumeration index's relation
+        joined = self._join_sources(node)
         if node.guard is not None:
-            node.guard.clear()
-            union_into(node.guard, joined)
+            self._fill_guard(node, joined)
+        if derived:
+            return
         lift = None
         if not node.is_free and not self.lifting.is_trivial(node.variable):
             lift = self.lifting.for_variable(node.variable)
@@ -757,6 +805,21 @@ class ViewTreeEngine(Backend):
         )
         node.view.clear()
         union_into(node.view, fresh)
+
+    def _join_sources(self, node: ViewNode) -> Relation:
+        """The join of ``node``'s sources, a derived view as its support."""
+        sources = [
+            s.support() if isinstance(s, DerivedView) else s for s in node.sources()
+        ]
+        return join_all(sources, self.ring, name=f"G_{node.variable}")
+
+    def _fill_guard(self, node: ViewNode, joined: Relation) -> None:
+        """Refill ``node``'s guard with the keys of ``joined``, each ``one``."""
+        guard = node.guard
+        guard.clear()
+        order = joined.schema.projector(guard.schema.variables)
+        for key in joined.data:
+            guard.set(order(key), self.ring.one)
 
     def _propagate(self, node: ViewNode, delta: Relation, exclude: Relation) -> None:
         """Propagate a delta from ``node`` to the root.
@@ -775,7 +838,8 @@ class ViewTreeEngine(Backend):
             if len(delta_guard) == 0:
                 return  # the change is absorbed; nothing above moves
             if node.guard is not None:
-                union_into(node.guard, delta_guard)
+                order = delta_guard.schema.projector(node.guard.schema.variables)
+                self._retest_guard(node, map(order, delta_guard.data))
             lift = None
             if not node.is_free and not self.lifting.is_trivial(node.variable):
                 lift = self.lifting.for_variable(node.variable)
@@ -788,6 +852,20 @@ class ViewTreeEngine(Backend):
             exclude = node.view
             node = node.parent
 
+    def _retest_guard(self, node: ViewNode, keys) -> None:
+        """Make each guard key a member (payload ``one``) exactly when
+        every source of ``node`` holds its projection."""
+        guard = node.guard
+        ring = self.ring
+        probes = [
+            (source.data, guard.schema.projector(source.schema.variables))
+            for source in node.sources()
+        ]
+        for key in keys:
+            member = all(project(key) in data for data, project in probes)
+            if member != (key in guard.data):
+                guard.set(key, ring.one if member else ring.zero)
+
     # ------------------------------------------------------------------
     # Epoch snapshots
     # ------------------------------------------------------------------
@@ -799,7 +877,8 @@ class ViewTreeEngine(Backend):
         coordinator (``leaf_filter``), which writes them."""
         for root in self.roots:
             for node in root.walk():
-                yield node.view
+                if not isinstance(node.view, DerivedView):
+                    yield node.view
                 if node.guard is not None:
                     yield node.guard
                 for _, leaf in node.leaves:
@@ -984,8 +1063,9 @@ class ViewTreeEngine(Backend):
         oracle and FD plans (output head ⊂ maintained head) walk the
         enumeration with the key prebound.  The two agree on valid states
         (§2).  Where a view cancels to zero above non-zero tuples, the
-        product still returns ``repro.naive``'s payload, while the walk —
-        like factorized enumeration — may skip the tuple.
+        product still returns ``repro.naive``'s payload, as a generated
+        engine's enumeration does (its free part keeps supports), while
+        the oracle's summed walk may skip the tuple.
         """
         return self._lookup(key, None)
 
@@ -1198,7 +1278,8 @@ class ViewTreeEngine(Backend):
     # ------------------------------------------------------------------
 
     def total_view_size(self) -> int:
-        """Number of entries across all views, guards and leaves."""
+        """Number of entries across all views, guards and leaves (a
+        derived view counts its index's groups, in O(1))."""
         total = 0
         for root in self.roots:
             for node in root.walk():
@@ -1214,7 +1295,9 @@ class ViewTreeEngine(Backend):
 
         Samples :meth:`total_view_size` plus the size of every node view
         and guard — the space side of the IVM trade-off, exported under
-        ``memory`` in the ``repro.obs/1`` payload.
+        ``memory`` in the ``repro.obs/1`` payload.  A derived view's size
+        is its index's group count, read in O(1), so a recorder keeps
+        the batch path O(|batch|).
         """
         stats = stats if stats is not None else self._maintenance_stats
         if stats is None:
@@ -1254,19 +1337,27 @@ class ViewTreeEngine(Backend):
         Each leaf line says whether the leaf is its base relation
         (``= base``) or a private copy, and why (``copy (filter)``,
         ``copy (renamed)``, ``copy (self-join)``): how many copies of
-        each input tuple this engine holds.  The last two lines are the
-        enumeration walk (``enum: Y · X · Z (Z replayed per X)``, or
-        ``walk``) and the lookup plan (``lookup: R(Y, X) · S(Y, Z)``, or
-        ``walk``).
+        each input tuple this engine holds.  A derived view names the
+        index it is read from (``V_X*(Y) = index R(Y)``).  The last two
+        lines are the enumeration walk (``enum: Y · X · Z (Z replayed per
+        X)``, or ``walk``) and the lookup plan (``lookup: R(Y, X) · S(Y,
+        Z)``, or ``walk``).
         """
         lines: list[str] = []
+        atoms = self._leaf_atoms()
 
         def visit(node: ViewNode, depth: int) -> None:
             pad = "  " * depth
-            dep = ", ".join(node.view.schema.variables)
+            view = node.view
+            dep = ", ".join(view.schema.variables)
             marker = "*" if node.is_free else ""
+            derived = ""
+            if isinstance(view, DerivedView):
+                atom = atoms.get(id(view.base))
+                base = view.base.name if atom is None else atom.relation
+                derived = f" = index {base}({', '.join(view.index.group_vars)})"
             lines.append(
-                f"{pad}V_{node.variable}{marker}({dep}) size={len(node.view)}"
+                f"{pad}V_{node.variable}{marker}({dep}){derived} size={len(view)}"
                 + (f" guard={len(node.guard)}" if node.guard is not None else "")
             )
             for atom, leaf in node.leaves:
@@ -1281,6 +1372,14 @@ class ViewTreeEngine(Backend):
         lines.append(f"enum: {self._enum_route()}")
         lines.append(f"lookup: {self._lookup_route()}")
         return "\n".join(lines)
+
+    def _leaf_atoms(self) -> dict:
+        """``{id(leaf): atom}`` over every anchored leaf."""
+        return {
+            id(leaf): atom
+            for anchors in self._anchors.values()
+            for atom, _, leaf in anchors
+        }
 
     def _enum_route(self) -> str:
         """The generated walk's free variables in visit order, and the
@@ -1301,7 +1400,7 @@ class ViewTreeEngine(Backend):
         if self._lookup_plan is None:
             narrow = len(self.head) < len(self.query.head)
             return "walk (output head ⊂ maintained head)" if narrow else "walk"
-        atoms = {id(leaf): atom for anchors in self._anchors.values() for atom, _, leaf in anchors}
+        atoms = self._leaf_atoms()
         return " · ".join(
             str(atoms.get(id(rel), f"{rel.name}({', '.join(rel.schema.variables)})"))
             for factor in self._lookup_plan

@@ -101,6 +101,37 @@ def twin_engines(
     return generated, oracle
 
 
+def assert_views_agree(compiled, generic) -> None:
+    """Every node of two engines over one tree agrees: guard membership
+    (every guard holds ``one`` per member) and each view's value, written
+    or derived."""
+    one = compiled.ring.one
+    pairs = zip(
+        (n for root in compiled.roots for n in root.walk()),
+        (n for root in generic.roots for n in root.walk()),
+    )
+    for mine, theirs in pairs:
+        assert mine.variable == theirs.variable
+        assert mine.view.to_dict() == theirs.view.to_dict(), mine.variable
+        assert len(mine.view) == len(theirs.view)
+        assert (mine.guard is None) == (theirs.guard is None)
+        if mine.guard is not None:
+            assert mine.guard.data.keys() == theirs.guard.data.keys()
+            assert set(mine.guard.data.values()) <= {one}
+            assert set(theirs.guard.data.values()) <= {one}
+
+
+def assert_twins_agree(compiled, generic, probes=()) -> None:
+    """The generated engine and the oracle agree exactly on a valid
+    state: outputs, lookups of the output keys and of ``probes``, and
+    every node (:func:`assert_views_agree`)."""
+    output = dict(compiled.enumerate())
+    assert output == dict(generic.enumerate())
+    for key in [*output, *probes]:
+        assert compiled.lookup(key) == generic.lookup(key)
+    assert_views_agree(compiled, generic)
+
+
 def fd_satisfying_db(rng, x_domain=12, w_domain=20):
     """Data for Example 4.12 satisfying X -> Y and Y -> Z."""
     db = Database()

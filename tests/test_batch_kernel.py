@@ -20,6 +20,7 @@ import random
 
 import pytest
 
+from repro.cascade import MultiQueryEngine
 from repro.data import Database, Update
 from repro.data.update import coalesce, coalesce_grouped
 from repro.naive import evaluate
@@ -27,9 +28,20 @@ from repro.query import parse_query, search_order
 from repro.rings import B, CovarianceRing, LiftingMap, Z, moment_lifting
 from repro.shard import ShardedEngine
 from repro.viewtree import ViewTreeEngine
+from repro.viewtree.compile import DerivedView
 from repro.viewtree.strategies import STRATEGIES, make_strategy
 
-from tests.conftest import seeded_db, valid_stream
+from tests.conftest import assert_twins_agree, assert_views_agree, seeded_db, valid_stream
+from tests.test_delta_kernel import (
+    SUPPORT_RING_IDS,
+    SUPPORT_RINGS,
+    SUPPORT_SHAPE_IDS,
+    SUPPORT_SHAPES,
+    TWO_GUARDS,
+    publish_and_diff,
+    ring_stream,
+    support_twins,
+)
 
 
 def batched(engine, stream, batch_size, **kwargs):
@@ -468,3 +480,87 @@ class TestShardedBatch:
             batched(sharded, stream, 50)
             assert sharded.output_relation().to_dict() == expected
             assert sharded.output_relation() == evaluate(query, db)
+
+
+class TestSupportBatches:
+    """Supports, not sums, under batches: ``apply_batch`` (with and
+    without ``rebuild_factor``) and the ``update_base=False`` callers —
+    shard workers and a query set over one database — agree exactly
+    with the oracle on valid streams: outputs, lookups, change-feed
+    deltas, guard memberships and every node's view value."""
+
+    @pytest.mark.parametrize("rebuild_factor", [None, 0.5], ids=["kernels", "rebuild"])
+    @pytest.mark.parametrize("ring,deletes", SUPPORT_RINGS, ids=SUPPORT_RING_IDS)
+    @pytest.mark.parametrize(
+        "text,schemas,order", SUPPORT_SHAPES, ids=SUPPORT_SHAPE_IDS
+    )
+    def test_batches_and_change_feed(
+        self, text, schemas, order, ring, deletes, rebuild_factor
+    ):
+        twins = support_twins(text, schemas, order, ring)
+        for engine in twins:
+            engine.track_changes()
+        stream = ring_stream(ring, deletes, schemas, 240, 37)
+        miss = (99,) * len(twins[0].head)
+        # 60 updates against 25 rows per relation cross rebuild_factor=0.5;
+        # the smaller slices propagate.
+        for start, stop in ((0, 60), (60, 67), (67, 140), (140, 147), (147, 240)):
+            for engine in twins:
+                engine.apply_batch(stream[start:stop], rebuild_factor=rebuild_factor)
+            publish_and_diff(twins)
+            assert_twins_agree(*twins, probes=[miss])
+
+    @pytest.mark.parametrize(
+        "text,schemas,order",
+        [SUPPORT_SHAPES[0], TWO_GUARDS],
+        ids=["list", "two-guards"],
+    )
+    def test_shard_workers(self, text, schemas, order):
+        query = parse_query(text)
+        generic = ViewTreeEngine(
+            query, seeded_db(schemas, random.Random(5), rows=25), generated=False
+        )
+        db = seeded_db(schemas, random.Random(5), rows=25)
+        stream = ring_stream(Z, True, schemas, 200, 41)
+        with ShardedEngine(query, db, shards=2, executor="serial") as sharded:
+            assert any(
+                isinstance(node.view, DerivedView)
+                for shard in sharded.engines
+                for root in shard.roots
+                for node in root.walk()
+            )
+            for start in range(0, 200, 40):
+                batch = stream[start : start + 40]
+                sharded.apply_batch(batch)
+                generic.apply_batch(batch)
+                assert dict(sharded.enumerate()) == dict(generic.enumerate())
+                merged = sharded.merged_views()
+                for node in (n for root in generic.roots for n in root.walk()):
+                    assert merged[f"V_{node.variable}"].to_dict() == node.view.to_dict()
+                    if node.guard is not None:
+                        assert merged[f"G_{node.variable}"].to_dict() == node.guard.to_dict()
+
+    def test_query_set_over_one_database(self):
+        """``MultiQueryEngine`` writes each base once and pushes it into
+        every tree with ``update_base=False``."""
+        queries = [parse_query(SUPPORT_SHAPES[0][0]), parse_query("P(Y, X) = R(Y, X) * T(Y)")]
+        schemas = [("R", ("Y", "X")), ("S", ("Y", "Z")), ("T", ("Y",))]
+        engine = MultiQueryEngine(queries, seeded_db(schemas, random.Random(7), rows=20))
+        generics = {
+            query.name: ViewTreeEngine(
+                query, seeded_db(schemas, random.Random(7), rows=20), generated=False
+            )
+            for query in queries
+        }
+        trees = {tree.query.name: tree for trees in engine._trees.values() for tree in trees}
+        assert set(trees) == set(generics)
+        stream = ring_stream(Z, True, schemas, 240, 43)
+        for start in range(0, 240, 30):
+            batch = stream[start : start + 30]
+            engine.apply_batch(batch)
+            for generic in generics.values():
+                reads = {atom.relation for atom in generic.query.atoms}
+                generic.apply_batch([u for u in batch if u.relation in reads])
+            for name, generic in generics.items():
+                assert dict(engine.enumerate(name)) == dict(generic.enumerate())
+                assert_views_agree(trees[name], generic)

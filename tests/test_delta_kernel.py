@@ -25,6 +25,7 @@ from repro.bench.diff import benchdiff, column_direction, parse_number
 from repro.data import Database, Update, counting
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query, search_order
+from repro.query.variable_order import VarOrderNode, validate_order
 from repro.rings import (
     B,
     MIN_PLUS,
@@ -40,9 +41,16 @@ from repro.rings import (
 from repro.rings.standard import FloatRing, IntegerRing
 from repro.shard import ShardedEngine
 from repro.viewtree import DeltaPlan, ViewTreeEngine, compile_delta_plans
-from repro.viewtree.compile import DIRECT
+from repro.viewtree import engine as engine_module
+from repro.viewtree.compile import DIRECT, DerivedView
 
-from tests.conftest import seeded_db, twin_engines, valid_stream
+from tests.conftest import (
+    assert_twins_agree,
+    assert_views_agree,
+    seeded_db,
+    twin_engines,
+    valid_stream,
+)
 
 
 def tree_nodes(engine):
@@ -353,8 +361,9 @@ class TestSingleTupleFanOut:
         ``push_batch`` or aggregates through a dict, and the R anchor
         hoists V_B's (A,) bucket key from its input key.  The chain keeps
         an agg dict where a step drops a fanned-out position.  Q(Y, X, Z)
-        never fans out: its straight-line push writes through
-        ``Relation.add`` and has no stale-index check and no enumeration
+        never fans out: its straight-line push writes no view (V_X, V_Z
+        and V_Y are derived), re-tests G_Y's membership through
+        ``Relation.set``, and has no stale-index check and no enumeration
         or sharing count."""
         query = parse_query(HIER[0])
         for rows, schema in (((10, 40), ("A", "C")), ((40, 10), ("C", "A"))):
@@ -377,7 +386,8 @@ class TestSingleTupleFanOut:
         engine, _ = twin_engines(parse_query(LIST[0]), LIST[1], seed=1)
         for name in ("R", "S"):
             source = _push_source(engine._kernels[name][0])
-            assert "KERNEL.regenerate" not in source and "VADD_" in source
+            assert "KERNEL.regenerate" not in source and "VADD_" not in source
+            assert "GREL_1.set(ck, ONE)" in source
             assert "matches" not in source and "shared" not in source
 
     @pytest.mark.parametrize(
@@ -420,9 +430,9 @@ class TestSingleTupleFanOut:
 
     @pytest.mark.parametrize("text,schemas", [HIER, STAR], ids=["hier", "star"])
     def test_pre_images_equal_what_relation_add_records(self, text, schemas):
-        """Under a live snapshot, every view's and index's pre-image map
-        after single-tuple pushes equals the generic walk's, which writes
-        through ``Relation``."""
+        """Under a live snapshot, every written view's and index's
+        pre-image map after single-tuple pushes equals the generic walk's,
+        which writes through ``Relation``; a derived view keeps none."""
         query = parse_query(text)
         compiled, generic = twin_engines(
             query, schemas, seed=5, order=search_order(query, require_free_top=True),
@@ -435,10 +445,20 @@ class TestSingleTupleFanOut:
             compiled.apply(update)
             generic.apply(update)
 
+        derived = {
+            node.variable
+            for node in tree_nodes(compiled)
+            if isinstance(node.view, DerivedView)
+        }
+        assert derived and all(not n.view._maps for n in tree_nodes(compiled)
+                               if n.variable in derived)
+
         def maps(engine):
             out = {}
             for node in tree_nodes(engine):
                 view = node.view
+                if node.variable in derived:
+                    continue
                 out[node.variable] = dict(view._maps[-1])
                 for group_vars, index in view._indexes.items():
                     out[node.variable, group_vars] = {
@@ -486,13 +506,173 @@ class TestSingleTupleFanOut:
         )
         with counting() as ops:
             engine.apply(Update("R", (1, 7), 1))
-        # One base write, k entries of V_B(A, C), one each of V_C(A) and
-        # V_A(): no write of an R ⋈ S guard.
-        assert ops["write"] == 1 + k + 1 + 1
+        # One base write, k entries of V_B(A, C), one of V_C(A): no write
+        # of an R ⋈ S guard, and none of V_A(), which is derived.
+        assert ops["write"] == 1 + k + 1
         assert ops["enum"] == k
         # One probe: S's B bucket.
         assert ops["lookup"] == 1
         assert dict(engine.enumerate()) == {(1, c): 1 for c in range(k)}
+
+
+#: ``Q(A, B, C)`` under ``A · B · C``: guards at B and A, views V_C and
+#: V_B derived, so a new ``R`` bucket ``(a, b)`` flips ``G_B(a, b)`` and,
+#: through V_B's support, ``G_A(a)``.
+TWO_GUARDS = (
+    "Q(A, B, C) = R(A, B, C) * S(A, B) * T(A)",
+    [("R", ("A", "B", "C")), ("S", ("A", "B")), ("T", ("A",))],
+    False,
+)
+#: The generated-vs-generic shapes: the equivalence suite's, the
+#: self-join (searched order), the two-guard chain, and two explicit
+#: orders — ``(variable, anchored relations, children)`` — under which a
+#: support step joins a derived sibling through its base's index
+#: (INDEXED on N) or crosses it (CROSS at B).
+SUPPORT_SHAPES = [
+    *TestCompiledGenericEquivalence.QUERIES,
+    ("Q(A, B, C) = E(A, B) * E(B, C)", [("E", ("A", "B"))], True),
+    TWO_GUARDS,
+    (
+        "Q(A, B, N, C, D) = U(A) * T(A, B) * R(A, N, C) * S(B, N, D)",
+        [("U", ("A",)), ("T", ("A", "B")), ("R", ("A", "N", "C")),
+         ("S", ("B", "N", "D"))],
+        ("A", ["U"], [("B", ["T"], [("N", [], [("C", ["R"], []), ("D", ["S"], [])])])]),
+    ),
+    (
+        "Q(A, B, C, D) = U(A) * R(A, C) * S(B, D)",
+        [("U", ("A",)), ("R", ("A", "C")), ("S", ("B", "D"))],
+        ("A", ["U"], [("B", [], [("C", ["R"], []), ("D", ["S"], [])])]),
+    ),
+]
+SUPPORT_SHAPE_IDS = [
+    "list", "hier", "chain", "self-join", "two-guards", "derived-indexed",
+    "derived-cross",
+]
+#: Rings with negation get deletes; the others insert only.
+SUPPORT_RINGS = [(Z, True), (R, True), (PROVENANCE, False), (MIN_PLUS, False)]
+SUPPORT_RING_IDS = ["int", "float", "provenance", "min-plus"]
+
+
+def ring_stream(ring, deletes, schemas, count, seed):
+    """A valid stream of ``ring.one`` inserts and (with ``deletes``) its
+    negated retractions."""
+    arities = {name: len(schema) for name, schema in schemas}
+    stream = valid_stream(
+        random.Random(seed), arities, count, domain=5,
+        delete_prob=0.3 if deletes else 0.0,
+    )
+    return [
+        Update(u.relation, u.key, ring.one if u.payload > 0 else ring.neg(ring.one))
+        for u in stream
+    ]
+
+
+def _order_node(query, spec) -> VarOrderNode:
+    variable, relations, children = spec
+    node = VarOrderNode(variable, atoms=[query.atom_for_relation(r) for r in relations])
+    node.children.extend(_order_node(query, child) for child in children)
+    return node
+
+
+def support_twins(text, schemas, order, ring, seed=29):
+    """Twins under ``order``: an explicit spec, searched (``True``) or
+    canonical (``False``)."""
+    query = parse_query(text)
+    if isinstance(order, tuple):
+        order = validate_order(query, [_order_node(query, order)])
+    else:
+        order = search_order(query, require_free_top=True) if order else None
+    twins = twin_engines(query, schemas, seed, order=order, ring=ring, rows=25)
+    assert any(isinstance(n.view, DerivedView) for n in tree_nodes(twins[0]))
+    assert not any(isinstance(n.view, DerivedView) for n in tree_nodes(twins[1]))
+    return twins
+
+
+def publish_and_diff(twins) -> None:
+    """Publish both twins and compare the epoch's output deltas."""
+    deltas = []
+    for engine in twins:
+        engine.publish_epoch()
+        delta = engine.changes_since(engine.epoch - 1)
+        deltas.append({key: (old, new) for key, old, new in delta})
+    assert deltas[0] == deltas[1]
+
+
+class TestSupportDifferential:
+    """Supports, not sums: on valid streams the generated engine (guards
+    of members, derived free views) and the oracle agree exactly on
+    outputs, lookups, change-feed deltas, guard memberships and every
+    node's view value."""
+
+    @pytest.mark.parametrize("ring,deletes", SUPPORT_RINGS, ids=SUPPORT_RING_IDS)
+    @pytest.mark.parametrize(
+        "text,schemas,order", SUPPORT_SHAPES, ids=SUPPORT_SHAPE_IDS
+    )
+    def test_single_tuples_and_change_feed(self, text, schemas, order, ring, deletes):
+        twins = support_twins(text, schemas, order, ring)
+        for engine in twins:
+            engine.track_changes()
+        miss = (99,) * len(twins[0].head)
+        for step, update in enumerate(ring_stream(ring, deletes, schemas, 240, 31)):
+            for engine in twins:
+                engine.apply(update)
+            if step % 40 == 39:
+                publish_and_diff(twins)
+                assert_twins_agree(*twins, probes=[miss])
+        assert_twins_agree(*twins, probes=[miss])
+
+    def test_a_failed_kernel_keeps_every_view_written(self, monkeypatch):
+        """A relation whose kernel fails to generate runs the generic
+        walk, which writes every view: the engine keeps them all written,
+        and the other relation's kernel re-tests ``G_Y`` on its payload
+        steps."""
+        compile_kernel = engine_module.compile_delta_kernel
+
+        def compile_or_fail(plan, info=None):
+            if plan.relation_name == "S":
+                raise RuntimeError("injected")
+            return compile_kernel(plan, info)
+
+        monkeypatch.setattr(engine_module, "compile_delta_kernel", compile_or_fail)
+        with pytest.warns(RuntimeWarning, match="injected"):
+            compiled, generic = twin_engines(parse_query(LIST[0]), LIST[1], seed=3)
+        assert set(compiled._kernels) == {"R"}
+        assert not any(isinstance(n.view, DerivedView) for n in tree_nodes(compiled))
+        stream = ring_stream(Z, True, LIST[1], 240, 47)
+        for engine in (compiled, generic):
+            engine.apply_batch(stream[:120])
+            for update in stream[120:]:
+                engine.apply(update)
+        assert_twins_agree(compiled, generic)
+
+    def test_one_bucket_flip_crosses_two_guards(self):
+        text, schemas, _ = TWO_GUARDS
+        query = parse_query(text)
+
+        def make_db():
+            db = Database()
+            for name, schema in schemas:
+                db.create(name, schema)
+            db["T"].insert(1)
+            db["S"].insert(1, 2)
+            db["R"].insert(4, 4, 4)
+            return db
+
+        compiled = ViewTreeEngine(query, make_db())
+        generic = ViewTreeEngine(query, make_db(), generated=False)
+        nodes = {node.variable: node for node in tree_nodes(compiled)}
+        assert isinstance(nodes["B"].view, DerivedView)
+        assert isinstance(nodes["C"].view, DerivedView)
+        guards = (nodes["A"].guard.data, nodes["B"].guard.data)
+        assert guards == ({}, {})
+        # R(1, 2, ·) appears, stays, stays, vanishes: both guards follow.
+        for payload, members in ((1, True), (1, True), (-1, True), (-1, False)):
+            for engine in (compiled, generic):
+                engine.apply(Update("R", (1, 2, 3), payload))
+            expected = ({(1,)}, {(1, 2)}) if members else (set(), set())
+            assert tuple(set(guard) for guard in guards) == expected
+            assert_twins_agree(compiled, generic)
+        assert dict(compiled.enumerate()) == {}
 
 
 class TestCompiledPlans:

@@ -3,6 +3,7 @@
 import multiprocessing
 import pickle
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.shard import (
     stable_hash,
 )
 from repro.viewtree import ViewTreeEngine
+from repro.viewtree import engine as engine_module
 from tests.conftest import valid_stream
 
 QUERY = parse_query("Q(B, A) = R(B, A) * S(B)")
@@ -233,12 +235,22 @@ class TestCoalescedBatchEntryPoint:
     """``apply_coalesced_batch(coalesce(batch))`` ≡ ``apply_batch(batch)``."""
 
     def engine(self, ring, drop=None, **kwargs):
-        engine = ViewTreeEngine(STAR_QUERY, star_db(ring), **kwargs)
-        if drop is not None:
-            # What a reported generation failure leaves behind: no kernel
-            # row, so the generic walk interprets this relation's deltas
-            # inside an otherwise generated engine.
-            del engine._kernels[drop]
+        if drop is None:
+            return ViewTreeEngine(STAR_QUERY, star_db(ring), **kwargs)
+        # A reported generation failure: no kernel row, so the generic
+        # walk interprets this relation's deltas inside an otherwise
+        # generated engine, whose views therefore stay maintained.
+        compile_kernel = engine_module.compile_delta_kernel
+
+        def compile_or_fail(plan, info=None):
+            if plan.relation_name == drop:
+                raise RuntimeError("injected")
+            return compile_kernel(plan, info)
+
+        with mock.patch.object(engine_module, "compile_delta_kernel", compile_or_fail):
+            with pytest.warns(RuntimeWarning, match="injected"):
+                engine = ViewTreeEngine(STAR_QUERY, star_db(ring), **kwargs)
+        assert drop not in engine._kernels and engine._kernels
         return engine
 
     @pytest.mark.parametrize("ring,deletes", RINGS, ids=RING_IDS)

@@ -7,10 +7,12 @@ multiplicities.  These tests pin down exactly what the library promises:
 * mid-batch negative multiplicities are fine — engines stay correct once
   the batch completes (commutativity);
 * scalar/aggregate results are correct even for invalid final states;
-* factorized *enumeration* over an invalid final state may legitimately
-  skip cancelled branches — the documented limitation;
-* a point lookup multiplies the tuple's own probes, so it returns the
-  naive payload even there, while the enumeration walk may not.
+* a generated engine keeps supports, not sums, in the free part of its
+  tree: a guard holds a key while every source has one under it, so its
+  enumeration and its lookups return the naive answer even over an
+  invalid final state;
+* the oracle's walk (``generated=False``) keeps summed views, so there a
+  cancelled branch is skipped — the documented limitation.
 """
 
 from repro.data import Database, Update, permuted
@@ -78,27 +80,37 @@ class TestInvalidFinalStates:
         assert engine.scalar() == -6 == evaluate_scalar(q, db)
 
     def test_factorized_enumeration_documented_limitation(self):
-        """With cancel-to-zero aggregates, the factorized walk skips
-        branches whose individual outputs are non-zero.  This is the
-        documented boundary of the Section 2 validity assumption — the
-        test asserts the behaviour so a future change is noticed."""
-        db = fresh_db()
+        """With cancel-to-zero aggregates, the oracle's summed walk skips
+        branches whose individual outputs are non-zero: the documented
+        boundary of the Section 2 validity assumption.  A generated
+        engine's guard holds supports, so it enumerates what the naive
+        evaluator returns.  Both are asserted so a future change is
+        noticed."""
+        updates = [
+            Update("S", (1, 7), 1),
+            Update("S", (1, 8), -1),  # invalid: negative tuple
+            Update("R", (1, 2), 1),
+        ]
+        db, walk_db = fresh_db(), fresh_db()
         engine = ViewTreeEngine(FIG3, db)
-        engine.apply(Update("S", (1, 7), 1))
-        engine.apply(Update("S", (1, 8), -1))  # invalid: negative tuple
-        engine.apply(Update("R", (1, 2), 1))
-        # V_Z(1) = 1 + (-1) = 0, so the y=1 branch is pruned ...
-        assert dict(engine.enumerate()) == {}
-        # ... although the naive evaluator sees two non-zero outputs.
+        walker = ViewTreeEngine(FIG3, walk_db, generated=False)
+        for update in updates:
+            engine.apply(update)
+            walker.apply(update)
         naive = evaluate(FIG3, db).to_dict()
         assert naive == {(1, 2, 7): 1, (1, 2, 8): -1}
+        # S(1, ·) is non-empty, so y=1 is in G_Y's support ...
+        assert dict(engine.enumerate()) == naive
+        # ... while the walk's V_Z(1) = 1 + (-1) = 0 prunes the branch.
+        assert dict(walker.enumerate()) == {}
 
     def test_point_lookup_returns_the_naive_payload(self):
         """A generated engine's lookup is the product of the tuple's own
         leaf probes (``R(1, 2) * S(1, 7)``): the cancelled ``V_Z(1)`` is
         never read, so on the invalid state above the lookup equals
-        ``repro.naive`` — live and at a snapshot — while enumeration and
-        the oracle's walk (``generated=False``) skip the tuple."""
+        ``repro.naive`` — live and at a snapshot — as its enumeration
+        does, while the oracle's walk (``generated=False``) skips the
+        tuple."""
         updates = [
             Update("S", (1, 7), 1),
             Update("S", (1, 8), -1),  # invalid: negative tuple
@@ -115,7 +127,7 @@ class TestInvalidFinalStates:
         assert {key: engine.lookup(key) for key in naive} == naive
         snap = engine.publish_epoch()
         assert {key: engine.lookup_snapshot(key, snap) for key in naive} == naive
-        assert dict(engine.enumerate()) == {}
+        assert dict(engine.enumerate()) == naive
         assert {key: walker.lookup(key) for key in naive} == {
             (1, 2, 7): 0, (1, 2, 8): 0
         }
