@@ -94,10 +94,6 @@ class Schema:
         dropped = set(variables)
         return Schema(v for v in self.variables if v not in dropped)
 
-    def restrict(self, variables: Iterable[str]) -> "Schema":
-        """Schema over ``variables`` kept in this schema's order."""
-        return self.intersect(variables)
-
     def covers(self, variables: Iterable[str]) -> bool:
         return all(v in self._positions for v in variables)
 

@@ -190,13 +190,3 @@ class PartitionedRelation:
             self.set_threshold(threshold)
         else:
             self._enforce_threshold()
-
-    # ------------------------------------------------------------------
-    # Group access helpers (delegate to the parts)
-    # ------------------------------------------------------------------
-
-    def light_group(self, variables: Iterable[str], key: tuple) -> Iterator[tuple]:
-        return self.light.group(variables, key)
-
-    def heavy_group(self, variables: Iterable[str], key: tuple) -> Iterator[tuple]:
-        return self.heavy.group(variables, key)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Sequence
 
-from ..data.opcounter import COUNTER
 from ..data.relation import Relation
 from ..data.schema import Schema
 from ..rings.base import Semiring
@@ -116,25 +115,3 @@ def union_into(target: Relation, source: Relation) -> None:
     for key, payload in source.items():
         target.add(project(key), payload)
 
-
-def rename_to(relation: Relation, schema: Schema, name: str) -> Relation:
-    """View ``relation`` under different variable names (same positions).
-
-    Follows the accounting contract of :meth:`Relation.copy`: copying the
-    entries is one counted write per tuple, and the group indexes carry
-    over (re-keyed to the renamed variables — positions are unchanged)
-    with one counted write per (index, tuple) posting, so a rename never
-    silently repays index builds the original already performed.
-    """
-    if len(schema) != len(relation.schema):
-        raise ValueError("rename must preserve arity")
-    out = Relation(name, schema, relation.ring)
-    COUNTER.bump("write", len(relation.data))
-    out.data = dict(relation.data)
-    mapping = dict(zip(relation.schema.variables, schema.variables))
-    for group_vars, index in relation._indexes.items():
-        COUNTER.bump("write", len(relation.data))
-        clone = index.copy()
-        clone.group_vars = tuple(mapping[v] for v in group_vars)
-        out._indexes[clone.group_vars] = clone
-    return out

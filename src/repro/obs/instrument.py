@@ -125,10 +125,3 @@ def share_stats(child: Any, stats: MaintenanceStats | None) -> None:
     if isinstance(child, Observable):
         child._maintenance_stats = stats
         child._propagate_stats(stats)
-
-
-def attach_to_all(engines: Iterable[Any], stats: MaintenanceStats) -> None:
-    """Share one recorder across several :class:`Observable` engines."""
-    for engine in engines:
-        if isinstance(engine, Observable):
-            engine.attach_stats(stats)

@@ -144,9 +144,6 @@ class Query:
     def with_head(self, head: Sequence[str], name: str | None = None) -> "Query":
         return Query(name or self.name, tuple(head), self.atoms, self.input_variables)
 
-    def with_inputs(self, inputs: Sequence[str], name: str | None = None) -> "Query":
-        return Query(name or self.name, self.head, self.atoms, tuple(inputs))
-
     def boolean_version(self, name: str | None = None) -> "Query":
         """The Boolean (empty-head) version of this query."""
         return Query(name or f"{self.name}_bool", (), self.atoms)

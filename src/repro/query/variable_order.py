@@ -36,12 +36,6 @@ class VarOrderNode:
         for child in self.children:
             yield from child.walk()
 
-    def subtree_atoms(self) -> list[Atom]:
-        result = []
-        for node in self.walk():
-            result.extend(node.atoms)
-        return result
-
     def __repr__(self) -> str:
         return (
             f"VarOrderNode({self.variable!r}, dep={self.dependency!r}, "
@@ -116,22 +110,6 @@ class VariableOrder:
                     return False
                 for child in node.children:
                     stack.append((child, ancestors_free and node_free))
-        return True
-
-    def is_input_top(self) -> bool:
-        """Input variables precede output variables on every path (CQAPs)."""
-        inputs = set(self.query.input_variables)
-        if not inputs:
-            return True
-        for root in self.roots:
-            stack = [(root, True)]
-            while stack:
-                node, ancestors_input = stack.pop()
-                node_input = node.variable in inputs
-                if node_input and not ancestors_input:
-                    return False
-                for child in node.children:
-                    stack.append((child, ancestors_input and node_input))
         return True
 
     def render(self) -> str:

@@ -48,12 +48,6 @@ class Semiring(ABC):
     add_operator: str | None = None
     mul_operator: str | None = None
 
-    #: numpy dtype name that losslessly represents this ring's payloads
-    #: (e.g. ``"float64"``), or ``None``.  The columnar batch path uses
-    #: it to coalesce numeric payload arrays with vectorized numpy ops;
-    #: accumulation must stay bit-identical to sequential :meth:`add`.
-    numeric_dtype: str | None = None
-
     @property
     @abstractmethod
     def zero(self) -> Any:

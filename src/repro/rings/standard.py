@@ -49,7 +49,6 @@ class FloatRing(Ring):
     exact_zero = False  # tolerance band, not plain equality
     add_operator = "+"
     mul_operator = "*"
-    numeric_dtype = "float64"
 
     def __init__(self, tolerance: float = 1e-12):
         self.tolerance = tolerance

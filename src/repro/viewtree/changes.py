@@ -61,6 +61,10 @@ queries shortcut to an O(1) scalar comparison.
 :data:`RETAIN_EPOCHS` (matching the shard workers' snapshot window);
 ``changes_since`` composes them and raises :class:`EpochGapError` for
 anything older — never a silent partial delta.
+
+**Wire.** A shard worker ships its delta as plain key/old/new columns
+(:func:`encode_delta`), the same for every ring: payloads cross the pipe
+as the objects the shard holds, never converted.
 """
 
 from __future__ import annotations
@@ -71,11 +75,6 @@ from collections import deque
 from typing import Any, Iterator
 
 from ..data.relation import ABSENT
-
-try:  # pragma: no cover - exercised indirectly via the encoders
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is optional
-    _np = None
 
 #: How many per-epoch deltas stay addressable.  Deliberately equal to
 #: the shard workers' snapshot window (`repro.shard.worker` imports
@@ -169,63 +168,31 @@ def compose_deltas(
 
 
 # ----------------------------------------------------------------------
-# Ring-aware wire encoding (shard worker CHANGES command, feeds)
+# Wire encoding (shard worker ``changes`` command)
 # ----------------------------------------------------------------------
 
 
-def encode_delta(delta: OutputDelta, ring) -> tuple:
-    """Encode a delta for the pipe, columnar like ``encode_batch``.
+def encode_delta(delta: OutputDelta) -> tuple:
+    """Encode a delta for the pipe as parallel key/old/new columns.
 
-    For rings with a ``numeric_dtype`` the old/new payload columns ship
-    as raw numpy bytes with ``0`` as the *absent* sentinel — sound
-    because stored payloads are never ring-zero (``Relation`` removes
-    cancelled entries), so ``0`` can't collide with a real payload.
-    Everything else ships plain Python columns.
+    Three flat lists pickle smaller and faster than the list of entry
+    triples; payloads (``None`` for absent) cross unconverted, so the
+    coordinator sees exactly the objects the shard enumerated.
     """
     entries = delta.entries
-    keys = [entry[0] for entry in entries]
-    if _np is not None and ring.numeric_dtype is not None:
-        dtype = ring.numeric_dtype
-        olds = _np.asarray(
-            [0 if entry[1] is None else entry[1] for entry in entries],
-            dtype=dtype,
-        ).tobytes()
-        news = _np.asarray(
-            [0 if entry[2] is None else entry[2] for entry in entries],
-            dtype=dtype,
-        ).tobytes()
-        return (delta.epoch_from, delta.epoch_to, "np", keys, olds, news)
-    olds_py = [entry[1] for entry in entries]
-    news_py = [entry[2] for entry in entries]
-    return (delta.epoch_from, delta.epoch_to, "py", keys, olds_py, news_py)
+    return (
+        delta.epoch_from,
+        delta.epoch_to,
+        [entry[0] for entry in entries],
+        [entry[1] for entry in entries],
+        [entry[2] for entry in entries],
+    )
 
 
-def decode_delta(wire: tuple, ring) -> OutputDelta:
-    """Decode :func:`encode_delta` output (bit-identical payloads)."""
-    epoch_from, epoch_to, tag, keys, olds, news = wire
-    if tag == "np":
-        if _np is None:  # pragma: no cover - symmetric container
-            raise RuntimeError(
-                "numpy-encoded delta received without numpy available"
-            )
-        dtype = ring.numeric_dtype
-        old_col = _np.frombuffer(olds, dtype=dtype).tolist()
-        new_col = _np.frombuffer(news, dtype=dtype).tolist()
-        entries = [
-            (key, old if old else None, new if new else None)
-            for key, old, new in zip(keys, old_col, new_col)
-        ]
-    else:
-        entries = list(zip(keys, olds, news))
-    return OutputDelta(epoch_from, epoch_to, entries)
-
-
-def wire_size(wire: tuple) -> int:
-    """Approximate payload bytes of an encoded delta (obs accounting)."""
-    _f, _t, tag, keys, olds, news = wire
-    if tag == "np":
-        return len(olds) + len(news) + 16 * len(keys)
-    return 48 * len(keys)
+def decode_delta(wire: tuple) -> OutputDelta:
+    """Decode :func:`encode_delta` output."""
+    epoch_from, epoch_to, keys, olds, news = wire
+    return OutputDelta(epoch_from, epoch_to, list(zip(keys, olds, news)))
 
 
 # ----------------------------------------------------------------------

@@ -631,7 +631,7 @@ class ViewTreeEngine(Backend):
         else:
             # The generic walk is the generated kernels' differential
             # oracle: it keeps the dict coalescer, so the two sides
-            # share no coalescing code (the numpy path least of all).
+            # share no coalescing code.
             columns = {
                 name: (list(deltas), list(deltas.values()))
                 for name, deltas in coalesce_grouped(batch, self.ring).items()

@@ -107,10 +107,6 @@ class FDImpact:
         hard = self.total - self.q_hierarchical_plain
         return self.flipped / hard if hard else 0.0
 
-    @property
-    def with_fds_fraction(self) -> float:
-        return self.q_hierarchical_with_fds / self.total if self.total else 0.0
-
 
 def fd_impact(workload: list[WorkloadQuery]) -> FDImpact:
     """Measure how many workload queries FDs turn q-hierarchical."""

@@ -645,6 +645,48 @@ class TestSharded:
         finally:
             engine.close()
 
+    def test_merged_delta_order_ignores_the_hash_seed(self):
+        """Merged keys come in first-seen order (shard order, then entry
+        order), so string keys give one delta and one subscriber dict
+        order under every ``PYTHONHASHSEED``."""
+        import ast
+        import subprocess
+        import sys
+
+        script = (
+            "import sys; sys.path.insert(0, 'src')\n"
+            "from repro.data import Database, Update\n"
+            "from repro.query import parse_query\n"
+            "from repro.shard import ShardedEngine\n"
+            "db = Database()\n"
+            "db.create('R', ('Y', 'X')); db.create('S', ('Y', 'Z'))\n"
+            "query = parse_query('Q(Y, X, Z) = R(Y, X) * S(Y, Z)')\n"
+            "engine = ShardedEngine(query, db, shards=2)\n"
+            "view = engine.subscribe()\n"
+            "engine.apply_batch(\n"
+            "    [Update('R', (f'y{i}', f'x{i}'), 1) for i in range(16)]\n"
+            "    + [Update('S', (f'y{i}', f'z{i}'), 1) for i in range(16)])\n"
+            "engine.publish_epoch()\n"
+            "view.refresh()\n"
+            "print([key for key, _, _ in engine.changes_since(engine.epoch - 1)])\n"
+            "print([key for key, _ in view.items()])\n"
+        )
+        outputs = []
+        for seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                cwd=__file__.rsplit("/tests/", 1)[0],
+                env={"PYTHONHASHSEED": seed},
+            )
+            assert out.returncode == 0, out.stderr
+            outputs.append(
+                [ast.literal_eval(line) for line in out.stdout.splitlines()]
+            )
+        assert [len(keys) for keys in outputs[0]] == [16, 16]
+        assert outputs[0] == outputs[1]
+
 
 class TestFuzzInterleavings:
     @given(

@@ -12,7 +12,7 @@ the same results.  Plus the satellites:
 the plan-shape cache must key on ring identity (never on relation or
 anchor names), kernels must survive pickling through process-pool
 shards, `explain --kernel-source` must be deterministic, the columnar
-coalescer must match `coalesce_grouped` exactly (numpy path included),
+coalescer must match `coalesce_grouped` exactly (float ring included),
 and the `repro.obs/1` payload must carry the codegen block.
 """
 
@@ -26,7 +26,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.data import Database, Update
-from repro.data.columnar import NUMPY_MIN_BATCH, coalesce_columnar
+from repro.data.columnar import coalesce_columnar
 from repro.data.update import coalesce_grouped
 from repro.obs import MaintenanceStats
 from repro.query import parse_query
@@ -577,47 +577,20 @@ class TestColumnarCoalesce:
         batch = self.make_batch(rng, 40, lambda r: r.choice([1, 2, -1]))
         self.assert_matches_grouped(batch, Z)
 
-    @staticmethod
-    def numpy_calls(monkeypatch) -> list:
-        """Skip without numpy; else record each numpy-path coalesce."""
-        pytest.importorskip("numpy")
-        import repro.data.columnar as columnar
-
-        calls = []
-        numeric = columnar._coalesce_numeric
-        monkeypatch.setattr(
-            columnar,
-            "_coalesce_numeric",
-            lambda *args: calls.append(args) or numeric(*args),
-        )
-        return calls
-
-    def test_numpy_path_matches_grouped(self, monkeypatch):
-        calls = self.numpy_calls(monkeypatch)
+    @pytest.mark.parametrize("count", [63, 64, 300])
+    def test_float_ring_matches_grouped(self, count):
+        # Sizes either side of 64: the coalescer has no size threshold.
         rng = random.Random(131)
         batch = self.make_batch(
-            rng, max(NUMPY_MIN_BATCH * 4, 300),
-            lambda r: r.choice([0.5, 1.25, -0.5, -1.25, 3.0]),
+            rng, count, lambda r: r.choice([0.5, 1.25, -0.5, -1.25, 3.0])
         )
-        assert len(batch) >= NUMPY_MIN_BATCH
         self.assert_matches_grouped(batch, R)
-        assert len(calls) == 1
 
-    def test_numpy_path_cancellation_filtered(self, monkeypatch):
-        calls = self.numpy_calls(monkeypatch)
-        # Keys whose payloads sum to (tolerance-band) zero must be
-        # dropped by both paths.
+    def test_float_cancellation_filtered(self):
+        # Keys whose payloads sum to (tolerance-band) zero are dropped.
         batch = []
-        for i in range(NUMPY_MIN_BATCH):
+        for i in range(64):
             batch.append(Update("R", (i % 4, 0), 1.5))
             batch.append(Update("R", (i % 4, 0), -1.5))
         batch.append(Update("R", (9, 9), 2.0))
-        columnar = coalesce_columnar(batch, R)
-        assert columnar == {"R": ([(9, 9)], [2.0])}
-        assert len(calls) == 1
-
-    def test_small_numeric_batch_uses_python_path(self):
-        batch = [Update("R", (1, 2), 0.5)] * (NUMPY_MIN_BATCH - 1)
-        assert coalesce_columnar(batch, R) == {
-            "R": ([(1, 2)], [0.5 * (NUMPY_MIN_BATCH - 1)])
-        }
+        assert coalesce_columnar(batch, R) == {"R": ([(9, 9)], [2.0])}

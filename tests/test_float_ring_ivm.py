@@ -1,13 +1,17 @@
 """IVM over the float ring: SUM aggregates with rounding tolerance."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.data import Database, Update
+from repro.data.update import coalesce_grouped
 from repro.naive import evaluate
 from repro.query import parse_query
 from repro.rings import MIN_PLUS, FloatRing, LiftingMap, identity_lifting
+from repro.shard import ShardedEngine
 from repro.viewtree import ViewTreeEngine
 
 
@@ -56,6 +60,81 @@ class TestFloatRingMaintenance:
         assert set(got) == set(expected)
         for key, value in got.items():
             assert value == pytest.approx(expected[key])
+
+
+class TestPayloadsKeepTheirType:
+    """Only the ring's own ``+`` and ``*`` touch a payload: ``int`` payloads
+    fed to a ``FloatRing`` engine stay ``int`` whatever the batch size and
+    whichever shard holds them."""
+
+    @staticmethod
+    def fresh_db():
+        db = Database(ring=FloatRing())
+        db.create("R", ("Y", "X"))
+        db.create("S", ("Y", "Z"))
+        return db
+
+    @staticmethod
+    def int_batch(count, relations=("R", "S")):
+        return [
+            Update(relations[i % len(relations)], (i % 5, i % 7), 1 + i % 3)
+            for i in range(count)
+        ]
+
+    @pytest.mark.parametrize("count", [63, 64, 200])
+    @pytest.mark.parametrize(
+        "query, relations",
+        [
+            ("Q(Y, X, Z) = R(Y, X) * S(Y, Z)", ("R", "S")),
+            ("Q(Y, X, Z) = R(Y, X) * R(Y, Z)", ("R",)),
+        ],
+        ids=["base-leaves", "copied-leaves"],
+    )
+    def test_base_and_leaves(self, query, relations, count):
+        db = self.fresh_db()
+        engine = ViewTreeEngine(parse_query(query), db)
+        batch = self.int_batch(count, relations)
+        engine.apply_batch(batch)
+        expected = coalesce_grouped(batch, db.ring)
+        leaves = [
+            (atom.relation, leaf) for root in engine.roots
+            for node in root.walk() for atom, leaf in node.leaves
+        ]
+        for name, relation in [(name, db[name]) for name in relations] + leaves:
+            assert relation.data == expected[name]
+            assert {type(p) for p in relation.data.values()} == {int}
+
+    def test_worker_shard_holds_what_shard_zero_holds(self):
+        query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
+        engine = ShardedEngine(query, self.fresh_db(), shards=2, executor="process")
+        try:
+            engine.apply_batch(self.int_batch(40))
+            types = [
+                {name: {type(p) for _k, p in items}
+                 for name, _var, _schema, items in reply.payload}
+                for reply in engine._broadcast(("views",))
+            ]
+        finally:
+            engine.close()
+        assert types[0] == types[1]
+        assert all(types[0][name] == {int} for name in ("V_X", "V_Z", "V_Y"))
+
+
+def test_the_program_does_not_load_numpy():
+    script = (
+        "import sys; sys.path.insert(0, 'src'); "
+        "import repro, repro.shard.worker, repro.viewtree.changes, "
+        "repro.data.columnar; "
+        "print('numpy' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=__file__.rsplit("/tests/", 1)[0],
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 class TestMinPlusStatic:
