@@ -419,8 +419,9 @@ class Relation:
         index buckets and pre-image maps end up as :meth:`add` leaves
         them, insertion order included — but the hot locals bind once
         for the whole delta and the write accounting is one bulk
-        ``COUNTER`` bump.  Every batched leaf and base write goes
-        through here; generated kernels write views and guards inline
+        ``COUNTER`` bump.  Batched base writes, and the leaf writes of
+        a batch rebuild, go through here; a generated batch kernel
+        writes its leaf, views and guards inline
         (``codegen._emit_write``).
 
         Rings declaring ``exact_zero`` with ``add_operator == "+"`` — the

@@ -139,15 +139,26 @@ class CovarianceRing(Ring):
         return a.count == 0 and not _clean(a.sums) and not _clean(a.quads)
 
 
-def moment_lifting(variable: str):
+class MomentLifting:
     """Lifting for a numeric ``variable`` into the covariance ring.
 
     ``g_X(x) = (count=1, sums={X: x}, quads={(X, X): x * x})`` — the degree-2
-    moments of the single value ``x``.
+    moments of the single value ``x``.  A named class (not a closure), as
+    :class:`~repro.rings.lifting.ConstantLifting` is, so engines holding
+    it pickle — the process-pool shard executor ships engines whole.
     """
 
-    def lift(value) -> Moments:
+    __slots__ = ("variable",)
+
+    def __init__(self, variable: str):
+        self.variable = variable
+
+    def __call__(self, value) -> Moments:
         x = float(value)
+        variable = self.variable
         return Moments(1.0, {variable: x}, {(variable, variable): x * x})
 
-    return lift
+
+def moment_lifting(variable: str) -> MomentLifting:
+    """The covariance-ring lifting of ``variable`` (:class:`MomentLifting`)."""
+    return MomentLifting(variable)

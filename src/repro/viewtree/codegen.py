@@ -57,10 +57,10 @@ input key, or a fan-out.  Three rules, each exact:
    once per push: one bucket probe and one preserve check, and a running
    sum with one view write instead of a dict.  Every entry has that one
    key, and the sum folds in the order the dict would.
-3. **Index postings inline.**  Every generated sink posts the written
-   relation's group indexes as :meth:`Relation._add_numeric` does,
-   bucket preservation included, through the one emitter ``push`` and
-   ``push_batch`` share: :meth:`GroupIndex.add` / ``remove`` written out.
+3. **Index postings inline.**  Every generated sink, and the leaf write
+   ``push_batch`` opens with, posts the written relation's group indexes
+   as :meth:`Relation._add_numeric` does, bucket preservation included,
+   through one emitter: :meth:`GroupIndex.add` / ``remove`` written out.
 
 A guard holds supports, not sums: each joined key is a member (payload
 ``ONE``) while the changed source holds its part, and is written only
@@ -70,16 +70,19 @@ Support steps
 -------------
 A plan step whose view is derived (:attr:`PlanStep.support`, see
 :mod:`repro.viewtree.compile`) writes no view; the steps above the last
-written one are emitted by :func:`_emit_support`, for ``push`` and
-``push_batch`` alike.  Its input is the changed keys — the input keys,
-or the keys the last payload step wrote — and each step passes on only
-the keys whose support may have moved: a step without a guard projects
-them onto its view (its support is a bucket of its enumeration index),
-and a step with a guard joins each with its siblings' supports, re-tests
-the joined keys' membership and passes on the view keys of the members
-that flipped.  Each test is O(1) per key, so Theorem 4.1's bound holds;
-on ``Q(Y, X, Z) = R(Y, X) * S(Y, Z)`` a batch writes its base and the
-``G_Y`` flips, nothing else.
+written one are emitted by :func:`_emit_support`.  Its input is the
+changed keys — the input keys, or the keys the last payload step wrote —
+and each step passes on only the keys whose support may have moved: a
+step without a guard projects them onto its view (its support is a
+bucket of its enumeration index), and a step with a guard joins each
+with its siblings' supports, re-tests the joined keys' membership and
+passes on the view keys of the members that flipped.  Each test is O(1)
+per key, so Theorem 4.1's bound holds.  ``push_batch`` writes its own
+leaf, and when its first step is a support step, the first guard rides
+that write loop (:func:`_emit_leaf_write`): it re-tests only a leaf key
+that appeared or a bucket created or emptied, so on ``Q(Y, X, Z) = R(Y,
+X) * S(Y, Z)`` a batch key landing in an existing ``R(Y)`` bucket costs
+its leaf write and nothing else.
 
 A next step without siblings rides the same loop: an entry one view
 takes is at once the next step's survivor.  Postings are specialised to
@@ -206,6 +209,7 @@ def _delta_shape(plan: DeltaPlan) -> tuple:
         "delta",
         ring_identity(plan.ring),
         len(plan.leaf.schema.variables),
+        _index_positions(plan.leaf),
         tuple(
             (
                 tuple(
@@ -413,7 +417,10 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
         "COUNTER": COUNTER,
         "MISS": _MISS,
         "KERNEL": None,
+        "LREL_0": plan.leaf,
     }
+    for i, index in enumerate(plan.leaf._indexes.values()):
+        env[f"LIX_0_{i}"] = index
     for s, step in enumerate(plan.steps):
         if not step.support:
             env[f"LBL_{s}"] = step.view_label
@@ -550,15 +557,17 @@ def _emit_record(w: _Writer, p: str, key: str) -> None:
         w.emit(f"{p}rec({key}, old)")
 
 
-def _emit_post(w: _Writer, p: str, post: tuple, key: str, add: bool) -> None:
+def _emit_post(w: _Writer, p: str, post: tuple, key: str, add: bool, event=None) -> None:
     """Post ``key`` into (``add``) or out of one group index of relation
     ``p``, written out as :meth:`Relation._add_numeric` does (rule 3): a
     bucket a live snapshot shares is copied by
     :meth:`GroupIndex._preserve` before its first write, and an emptied
     bucket leaves the index.  A hoisted group key probes its bucket at
     the first posting only and keeps it in ``{p}b{i}``: nothing else
-    writes that index during the pass."""
+    writes that index during the pass.  An ``event`` ``(i, body)`` runs
+    ``body(True)`` on the group key ``ck`` of a bucket it creates."""
     index, i, positions, hoisted = post
+    on = event is not None and event[0] == i
     groups, fresh = f"{p}g{i}", f"{p}f{i}"
     if hoisted:
         gk, bucket = f"{p}k{i}", f"{p}b{i}"
@@ -578,6 +587,10 @@ def _emit_post(w: _Writer, p: str, post: tuple, key: str, add: bool) -> None:
         with w.block():
             target = f"{bucket} = {groups}[{gk}]" if hoisted else f"{groups}[{gk}]"
             w.emit(f"{target} = {{{key}: None}}")
+            if on:
+                w.emit(f"ck = {gk}")
+                w.emit("gone.pop(ck, None)")
+                event[1](True)
         w.emit("else:")
         with w.block():
             w.emit(f"{bucket}[{key}] = None")
@@ -588,24 +601,31 @@ def _emit_post(w: _Writer, p: str, post: tuple, key: str, add: bool) -> None:
             w.emit(f"del {groups}[{gk}]")
             if hoisted:
                 w.emit(f"{bucket} = None")
+            if on:
+                w.emit(f"gone[{gk}] = None")
 
 
 def _emit_write(
     w: _Writer, ops: _Ops, p: str, key: str, pay: str, posts: list,
-    cont: bool = False,
+    cont: bool = False, event=None,
 ) -> None:
     """``Relation.add(key, pay)`` inline on relation ``p``, for a non-zero
     ``pay``: keep the pre-image, then insert, update or cancel, with the
     postings of an insert or a cancel written out (:func:`_emit_post`).
     ``cont`` ends the insert branch with ``continue`` (a sink loop)
-    instead of an ``else``."""
+    instead of an ``else``.  An ``event`` ``(None, body)`` runs
+    ``body(True)`` on a key ``ck`` that appears (:func:`_emit_leaf_write`)."""
+    on = event is not None and event[0] is None
     w.emit(f"old = {p}get({key})")
     _emit_record(w, p, key)
     w.emit("if old is None:")
     with w.block():
         w.emit(f"{p}data[{key}] = {pay}")
         for post in posts:
-            _emit_post(w, p, post, key, add=True)
+            _emit_post(w, p, post, key, True, event)
+        if on:
+            w.emit(f"ck = {key}")
+            event[1](True)
         if cont:
             w.emit("continue")
     if not cont:
@@ -616,14 +636,16 @@ def _emit_write(
         with w.block():
             w.emit(f"del {p}data[{key}]")
             for post in posts:
-                _emit_post(w, p, post, key, add=False)
+                _emit_post(w, p, post, key, False, event)
+            if on:
+                w.emit(f"gone[{key}] = None")
         w.emit("else:")
         with w.block():
             w.emit(f"{p}data[{key}] = new")
 
 
 def _emit_flip(
-    w: _Writer, key: str, now: str, posts, count: str = "", skip: str | None = None
+    w: _Writer, key: str, now, posts, count: str = "", skip: str | None = None
 ) -> None:
     """Make ``key`` a member of guard ``g`` (payload ``ONE``) exactly when
     ``now`` holds: an insert or a delete when its membership flips.  The
@@ -631,10 +653,15 @@ def _emit_flip(
     then ``count`` runs), or goes through ``Relation.set`` on the guard
     ``posts`` names, which does both itself.  With ``skip``, a key whose
     membership stands runs ``skip``, so the code after this block runs
-    on flips only."""
+    on flips only.  A ``now`` of ``True`` or ``False`` (a write that just
+    decided it) emits that half alone."""
+    fixed = isinstance(now, bool)
     for test, stands, add in ((now, "in", True), ("", "not in", False)):
-        w.emit(f"if {test}:" if test else "else:")
-        with w.block():
+        if now is (not add):
+            continue
+        if not fixed:
+            w.emit(f"if {test}:" if test else "else:")
+        with nullcontext() if fixed else w.block():
             if skip:
                 w.emit(f"if {key} {stands} gdata:")
                 with w.block():
@@ -696,11 +723,12 @@ def _emit_agg_sink(
         w.emit('COUNTER.bump("write", len(dks))')
 
 
-def _emit_stale_check(w: _Writer, plan: DeltaPlan, call: str) -> None:
-    """Re-emit the kernel first when a relation it writes has gained a
-    group index since generation: postings are specialised to the
-    indexes there were then, and indexes are only ever added."""
-    tests = []
+def _emit_stale_check(w: _Writer, plan: DeltaPlan, call: str, leaf: bool) -> None:
+    """Re-emit the kernel first when a relation it writes (the ``leaf``
+    too, if it writes it) has gained a group index since generation:
+    postings are specialised to the indexes there were then, and indexes
+    are only ever added."""
+    tests = [f"len(LREL_0._indexes) != {len(plan.leaf._indexes)}"] if leaf else []
     for s, step in enumerate(plan.steps):
         if step.guard is not None:
             tests.append(f"len(GREL_{s}._indexes) != {len(step.guard._indexes)}")
@@ -1096,7 +1124,7 @@ def _support_table(s: int, j: int, join) -> str:
     return f"REL_{s}_{j}.data"
 
 
-def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool) -> None:
+def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, ops=None) -> None:
     """Steps ``start`` on, whose views are derived: supports, not sums.
 
     The changed keys of step ``start``'s changed source are ``ck`` (with
@@ -1107,6 +1135,9 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool) -> None:
     source holds its key (:func:`_emit_flip`).  Only the view keys of
     flipped members go on.  With ``one`` and DIRECT siblings the step is
     straight-line and a standing membership ends the push.
+
+    With ``ops`` the batch kernel writes its leaf here (``start`` 0), and
+    the first guard step rides that loop (:func:`_emit_leaf_write`).
     """
     steps = plan.steps
     arity = len(_changed(plan, start).schema.variables)
@@ -1116,11 +1147,13 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool) -> None:
         top = s == len(steps) - 1
         if step.guard is None:
             if top:
+                if ops is not None:
+                    _emit_leaf_write(w, plan, ops)
                 return  # nothing reads the root's support but its index
             w.emit(f"# step {s} ({step.variable}): its view's support")
             if one:
                 w.emit(f"ck = {_proj('ck', step.out_positions, arity)}")
-            else:
+            elif ops is None:
                 # Not deduplicated: a repeated key re-tests to no flip.
                 w.emit("nc = len(cks)")
                 w.emit(f"cks = map(PJ_{s}, cks)")
@@ -1134,73 +1167,91 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool) -> None:
         else:
             posts = f"GREL_{s}"
             w.emit(f"gdata = {posts}.data")
-        derived = isinstance(_changed(plan, s), DerivedView)
-        w.emit(f"chg = CHG_{s}.{'groups' if derived else 'data'}")
+        if ops is None:
+            derived = isinstance(_changed(plan, s), DerivedView)
+            w.emit(f"chg = CHG_{s}.{'groups' if derived else 'data'}")
         for j, join in enumerate(step.siblings):
             w.emit(f"sup_{j} = {_support_table(s, j, join)}")
         if looped:
             w.emit("flips = 0")
             if not top:
                 w.emit("nks = {}")
-        items = _items("ck", arity)
+        held = _items("ck", arity)
 
         def probe(join) -> str:
             whole = join.probe_positions == tuple(range(arity))
-            return "ck" if whole else _tuple([items[p] for p in join.probe_positions])
+            return "ck" if whole else _tuple([held[p] for p in join.probe_positions])
 
         fans = any(join.mode != DIRECT for join in step.siblings)
-        if not fans:
-            # One membership test per changed key: its source and every
-            # sibling hold the key's projections.
-            now = " and ".join(
-                ["ck in chg"]
-                + [f"{probe(join)} in sup_{j}" for j, join in enumerate(step.siblings)]
-            )
+        tests = [f"{probe(join)} in sup_{j}" for j, join in enumerate(step.siblings)]
+
+        def body(now) -> None:
+            """Re-test the guard keys ``ck`` joins; ``now``: the changed
+            source holds ``ck`` (a test, or a bool the leaf write decided)."""
+            items = held
+            with ExitStack() as loops:
+                if not fans and now is True:
+                    w.emit(f"lookups += {len(tests)}")
+                    w.emit(f"if {' and '.join(tests)}:")
+                    loops.enter_context(w.block())
+                elif not fans and now is not False:
+                    # One membership test per changed key: its source and
+                    # every sibling hold the key's projections.
+                    now = " and ".join([now] + tests)
+                elif fans:
+                    # The joined keys are members while the changed source
+                    # holds ``ck``: every sibling holds what it was joined on.
+                    if not isinstance(now, bool):
+                        w.emit("lookups += 1")
+                        w.emit(f"now = {now}")
+                        now = "now"
+                    inloop = not one
+                    for j, join in enumerate(step.siblings):
+                        if join.mode != CROSS:
+                            w.emit("lookups += 1")
+                        if join.mode == DIRECT:
+                            w.emit(f"if {probe(join)} not in sup_{j}:")
+                            with w.block():
+                                w.emit("continue" if inloop else "return")
+                            continue
+                        table = f"sup_{j}"
+                        if join.mode == INDEXED:
+                            w.emit(f"bucket = sup_{j}.get({probe(join)})")
+                            w.emit("if not bucket:")
+                            with w.block():
+                                w.emit("continue" if inloop else "return")
+                            table = "bucket"
+                        w.emit(f"matches += len({table})")
+                        w.emit(f"for sk{j} in {table}:")
+                        loops.enter_context(w.block())
+                        inloop = True
+                        items = items + _items(f"sk{j}", join.extend_positions)
+                gk = "ck" if step.guard_positions == tuple(range(arity)) and len(items) == arity else "gk"
+                if gk == "gk":
+                    w.emit(f"gk = {_tuple([items[q] for q in step.guard_positions])}")
+                _emit_flip(w, gk, now, posts, "flips += 1", "continue" if looped else "return")
+                if not looped:
+                    w.emit("if stats is not None:")
+                    with w.block():
+                        w.emit(f"stats.record_delta(GLBL_{s}, 1)")
+                if not top:
+                    vk = _tuple([items[q] for q in step.out_positions])
+                    w.emit(f"nks[{vk}] = None" if looped else f"ck = {vk}")
+
+        changed, now = "cks", "ck in chg"
+        if ops is not None:
+            w.emit("gone = {}")
+            _emit_leaf_write(w, plan, ops, s, body)
+            ops, changed, now = None, "gone", False
+        elif not fans:
             count = 1 + len(step.siblings)
             w.emit(f"lookups += {count}" if one else f"lookups += {count} * {size}")
-        with ExitStack() as loops:
-            if not one:
-                w.emit("for ck in cks:")
-                loops.enter_context(w.block())
-            if fans:
-                # The joined keys are members while the changed source
-                # holds ``ck``: every sibling holds what it was joined on.
-                now = "now"
-                w.emit("lookups += 1")
-                w.emit("now = ck in chg")
-                inloop = not one
-                for j, join in enumerate(step.siblings):
-                    if join.mode != CROSS:
-                        w.emit("lookups += 1")
-                    if join.mode == DIRECT:
-                        w.emit(f"if {probe(join)} not in sup_{j}:")
-                        with w.block():
-                            w.emit("continue" if inloop else "return")
-                        continue
-                    table = f"sup_{j}"
-                    if join.mode == INDEXED:
-                        w.emit(f"bucket = sup_{j}.get({probe(join)})")
-                        w.emit("if not bucket:")
-                        with w.block():
-                            w.emit("continue" if inloop else "return")
-                        table = "bucket"
-                    w.emit(f"matches += len({table})")
-                    w.emit(f"for sk{j} in {table}:")
-                    loops.enter_context(w.block())
-                    inloop = True
-                    items = items + _items(f"sk{j}", join.extend_positions)
-            gk = "ck" if step.guard_positions == tuple(range(arity)) and len(items) == arity else "gk"
-            if gk == "gk":
-                w.emit(f"gk = {_tuple([items[q] for q in step.guard_positions])}")
-            skip = "continue" if looped else "return"
-            _emit_flip(w, gk, now, posts, "flips += 1", skip)
-            if not looped:
-                w.emit("if stats is not None:")
-                with w.block():
-                    w.emit(f"stats.record_delta(GLBL_{s}, 1)")
-            if not top:
-                vk = _tuple([items[q] for q in step.out_positions])
-                w.emit(f"nks[{vk}] = None" if looped else f"ck = {vk}")
+        if one:
+            body(now)
+        else:
+            w.emit(f"for ck in {changed}:")
+            with w.block():
+                body(now)
         if looped:
             w.emit("if flips:")
             with w.block():
@@ -1215,10 +1266,32 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool) -> None:
         arity = len(step.out_positions)
 
 
-def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
-    """The single-tuple ``push(key, payload, stats)`` body or, without
-    ``single``, the columnar ``push_batch(keys, pays, stats)``: one
-    emitter, since a tuple is a one-entry delta.
+def _emit_leaf_write(w: _Writer, plan: DeltaPlan, ops: _Ops, s=0, body=None) -> None:
+    """The batch onto the kernel's leaf: :meth:`Relation.add_delta` inline
+    (:func:`_emit_write`).  With ``body``, support step ``s`` rides the
+    loop, re-testing only a leaf key that appears (``s`` 0: its guard
+    reads the leaf) or the group key of a bucket created in the leaf index
+    step 0's view is derived from.  A cancelled key or emptied bucket goes
+    to ``gone``, whose members leave the guard after the loop, unless a
+    later key creates the bucket anew.  A key landing in a bucket that
+    stays costs no probe at all."""
+    posts = _emit_binding(w, "l", 0, plan.leaf, [None] * len(plan.leaf.schema))
+    event = None if body is None else (None, body)
+    if body is not None and s:
+        i = list(plan.leaf._indexes.values()).index(plan.steps[0].view.index)
+        posts.append(posts.pop(i))  # last: the step's code may end the iteration
+        event = (i, body)
+    w.emit("for key, pay in zip(keys, pays):")
+    with w.block():
+        _emit_write(w, ops, "l", "key", "pay", posts, cont=True, event=event)
+    w.emit('COUNTER.bump("write", len(keys))')
+
+
+def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
+    """The single-tuple ``push(key, payload, stats)`` body, or the columnar
+    ``push_batch(keys, pays, stats)`` (which writes the leaf first,
+    :func:`_emit_leaf_write`) or ``push_written`` (for a written leaf):
+    one emitter, since a tuple is a one-entry delta.
 
     The single-key body tracks the input key position by position
     (``origin``).  The delta stays the pair ``(dk, dp)`` through
@@ -1226,15 +1299,14 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
     ``Relation.set`` per guard flip and one ``Relation.add`` per view
     write, which record and post themselves; from the first support step
     on, :func:`_emit_support` takes the changed keys.  Sibling order,
-    early exits, per-view ``stats.record_delta``
-    calls and ring-operation order follow the generic
-    :meth:`ViewTreeEngine._propagate`, and probes count in bulk.  A
-    fan-out probe writes its survivors as they are joined, and a step
-    whose output key the input binds folds its delta into one running
-    sum, after which the delta is one pair again (module docstring,
-    rules 1-3).  Only a body that writes inline — every batch, and every
-    push that fans out — checks for stale indexes and counts ``matches``
-    and ``shared``.
+    early exits, per-view ``stats.record_delta`` calls and ring-operation
+    order follow the generic :meth:`ViewTreeEngine._propagate`, and
+    probes count in bulk.  A fan-out probe writes its survivors as they
+    are joined, and a step whose output key the input binds folds its
+    delta into one running sum, after which the delta is one pair again
+    (module docstring, rules 1-3).  Only a body that writes inline —
+    every batch, and every push that fans out — checks for stale indexes
+    and counts ``matches`` and ``shared``.
 
     ``push_batch`` is ``push`` lifted to one *coalesced* per-relation
     delta, flowing as parallel key/payload lists (the columnar batch
@@ -1256,17 +1328,19 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
       its guard's flips, inline (:func:`_emit_write`, :func:`_emit_flip`)
       instead of one ``Relation.add`` per entry.
     """
+    single, write = name == "push", name == "push_batch"
+    one_loop = write and plan.steps[0].support
     inline = not single or any(
         join.mode != DIRECT for step in plan.steps for join in step.siblings
     )
-    name, args = ("push", "key, payload") if single else ("push_batch", "keys, pays")
+    args = "key, payload" if single else "keys, pays"
     w.emit(f"def {name}({args}, stats=None):")
     with w.block():
         w.emit(f"if {ops.is_zero('payload')}:" if single else "if not keys:")
         with w.block():
             w.emit("return")
         if inline:
-            _emit_stale_check(w, plan, f"{name}({args}, stats)")
+            _emit_stale_check(w, plan, f"{name}({args}, stats)", write)
         w.emit("lookups = 0")
         if inline:
             w.emit("matches = 0")
@@ -1277,7 +1351,11 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
             if single:
                 w.emit("dk = key")
                 w.emit("dp = payload")
+            elif one_loop:
+                _emit_support(w, plan, 0, False, ops)
             else:
+                if write:
+                    _emit_leaf_write(w, plan, ops)
                 w.emit("dks = keys")
                 w.emit("dps = pays")
             # origin[q]: the input-key position that position q of every
@@ -1285,7 +1363,7 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
             # single pair (dk, dp).
             origin = list(range(arity)) if single else [None] * arity
             one = single
-            resume = 0
+            resume = len(plan.steps) if one_loop else 0
             for s, step in enumerate(plan.steps):
                 if s < resume:
                     continue  # it rode an earlier step's loop
@@ -1353,10 +1431,10 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, single: bool) -> None:
 def _delta_source(plan: DeltaPlan) -> str:
     ops = _Ops(plan.ring)
     body = _Writer(indent=1)
-    _emit_body(body, plan, ops, single=True)
-    body.emit()
-    _emit_body(body, plan, ops, single=False)
-    return _wrap_factory(body, list(_delta_env(plan)), "push, push_batch")
+    for name in ("push", "push_batch", "push_written"):
+        _emit_body(body, plan, ops, name)
+        body.emit()
+    return _wrap_factory(body, list(_delta_env(plan)), "push, push_batch, push_written")
 
 
 # ----------------------------------------------------------------------
@@ -1737,15 +1815,16 @@ def clear_shape_cache() -> None:
 class DeltaKernel:
     """A source-generated write-path kernel for one :class:`DeltaPlan`.
 
-    ``push(key, payload, stats)`` and ``push_batch(keys, pays, stats)``
-    are the exec-compiled functions; ``source`` is the generated factory
-    source (shared across every plan of the same shape; dumped by
+    ``push(key, payload, stats)``, ``push_batch(keys, pays, stats)`` (it
+    writes the leaf too) and ``push_written`` (for a written leaf) are the
+    exec-compiled functions; ``source`` is the generated factory source
+    (shared across every plan of the same shape; dumped by
     ``python -m repro explain --kernel-source``).  The code posts the
     group indexes its written relations carry at generation; a call that
     finds one more first re-emits it (:meth:`regenerate`).
     """
 
-    __slots__ = ("plan", "source", "push", "push_batch")
+    __slots__ = ("plan", "source", "push", "push_batch", "push_written")
 
     def __init__(self, plan: DeltaPlan):
         self.plan = plan
@@ -1759,7 +1838,7 @@ class DeltaKernel:
         )
         env = _delta_env(plan)
         env["KERNEL"] = self
-        self.push, self.push_batch = make(env)
+        self.push, self.push_batch, self.push_written = make(env)
         return hit
 
     def regenerate(self) -> "DeltaKernel":

@@ -683,14 +683,14 @@ class ViewTreeEngine(Backend):
         2. **batch kernels** — a ``generated`` engine with at least
            ``batch_compile_threshold`` updates feeds each relation's
            columns to the generated ``push_batch`` kernel of every
-           anchor — bulk leaf writes, sibling probes shared across the
-           group;
+           anchor, which writes its leaf and pushes the delta in one
+           pass, sibling probes shared across the group;
         3. **per-tuple** — otherwise, and for a relation whose kernels
            failed to generate, one :meth:`apply` per tuple.
 
         Correctness of step 2 rests on the anchor loop mirroring the
-        per-tuple path at batch granularity — bulk leaf insert, then one
-        ``push_batch`` — so by the telescoping identity ``Δ(L1·L2) =
+        per-tuple path at batch granularity — the kernel writes its leaf,
+        then pushes — so by the telescoping identity ``Δ(L1·L2) =
         Δ·L2_old + L1_new·Δ`` the grouped pushes land exactly the summed
         per-tuple deltas (self-joins included: the anchor's own leaf is
         updated before its push and excluded from its first sibling
@@ -770,12 +770,13 @@ class ViewTreeEngine(Backend):
             write_base, write_leaves = self._writes(name, update_base)
             if write_base:
                 database[name].add_delta(zip(keys, pays))
-            for (_atom, _node, leaf), kernel in zip(
-                self._anchors[name], kernels
-            ):
+            for kernel in kernels:
+                # Each kernel writes its own leaf, unless the caller wrote
+                # it: an aliased leaf under update_base=False.
                 if write_leaves:
-                    leaf.add_delta(zip(keys, pays))
-                kernel.push_batch(keys, pays, stats)
+                    kernel.push_batch(keys, pays, stats)
+                else:
+                    kernel.push_written(keys, pays, stats)
         if stats is not None:
             self._maybe_sample_views(raw)
 

@@ -87,8 +87,9 @@ class TestPayloadsKeepTheirType:
         [
             ("Q(Y, X, Z) = R(Y, X) * S(Y, Z)", ("R", "S")),
             ("Q(Y, X, Z) = R(Y, X) * R(Y, Z)", ("R",)),
+            ("Q(A, C) = R(A, B) * S(B, C)", ("R", "S")),
         ],
-        ids=["base-leaves", "copied-leaves"],
+        ids=["base-leaves", "copied-leaves", "payload-plan"],
     )
     def test_base_and_leaves(self, query, relations, count):
         db = self.fresh_db()

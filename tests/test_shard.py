@@ -12,7 +12,7 @@ from repro.data.columnar import coalesce_columnar
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
 from repro.query.variable_order import search_order
-from repro.rings import B, MIN_PLUS, PROVENANCE, R, Z
+from repro.rings import B, MIN_PLUS, PROVENANCE, R, Z, CovarianceRing, LiftingMap, moment_lifting
 from repro.shard import (
     ShardLeafFilter,
     ShardRouter,
@@ -502,3 +502,33 @@ class TestExecutorMatrix:
             finally:
                 for engine in sharded.values():
                     engine.close()
+
+
+class TestCovarianceShards:
+    def test_streaming_regression_join_on_process_shards(self):
+        """``examples/streaming_regression.py``'s join over the covariance
+        ring: its ``moment_lifting`` pickles, so a 2-shard ``process``
+        engine maintains it and matches ``repro.naive``."""
+        ring = CovarianceRing()
+        query = parse_query("Q() = Sales(store, day, p) * Footfall(store, day, v)")
+        lifting = LiftingMap(ring, {"p": moment_lifting("p"), "v": moment_lifting("v")})
+        db = Database(ring=ring)
+        db.create("Sales", ("store", "day", "p"))
+        db.create("Footfall", ("store", "day", "v"))
+        rng = random.Random(0)
+        stream = []
+        for day in range(80):
+            store = rng.randrange(6)
+            stream.append(Update("Footfall", (store, day, rng.randrange(10, 100)), ring.one))
+            stream.append(Update("Sales", (store, day, rng.randrange(10, 300)), ring.one))
+        stream += [Update(u.relation, u.key, ring.neg(ring.one)) for u in stream[:30]]
+        with ShardedEngine(query, db, shards=2, executor="process", lifting=lifting) as engine:
+            for start in range(0, len(stream), 40):
+                engine.apply_batch(stream[start : start + 40])
+            got = engine.scalar()
+        want = evaluate_scalar(query, db, lifting)
+        assert got.count == want.count == 65
+        for var in ("p", "v"):
+            assert got.sum_of(var) == pytest.approx(want.sum_of(var))
+            assert got.quad_of(var, var) == pytest.approx(want.quad_of(var, var))
+        assert got.quad_of("p", "v") == pytest.approx(want.quad_of("p", "v"))
