@@ -191,8 +191,7 @@ def _kernel_table():
             )
 
     # The batch kernel against the per-tuple compiled path, on the same
-    # uniform streams.  rebuild_factor=None keeps the crossover heuristic
-    # out of the timing; the coalesce + group-push win is what's measured.
+    # uniform streams: the coalesce + group-push win is what's measured.
     batch_speedups = {}
     for label, text in QUERIES:
         query = parse_query(text)
@@ -208,9 +207,7 @@ def _kernel_table():
             )
             start = time.perf_counter()
             for at in range(0, len(stream), batch_size):
-                batched.apply_batch(
-                    stream[at : at + batch_size], rebuild_factor=None
-                )
+                batched.apply_batch(stream[at : at + batch_size])
             seconds = time.perf_counter() - start
             for _ in batched.enumerate():
                 pass

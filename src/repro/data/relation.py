@@ -176,18 +176,13 @@ class GroupIndex:
             del groups[group_key]
 
     def clear(self) -> None:
-        """Empty the index.  Under a live snapshot the bucket dict is
-        swapped for a fresh one and the maps detach: the snapshots keep
-        reading the old dict, which nothing writes again."""
-        if self._maps:
-            self.groups = {}
-            self._maps = []
-        else:
-            self.groups.clear()
+        """Empty the index in place (its relation has no live map: see
+        :meth:`Relation.clear`)."""
+        self.groups.clear()
 
     def rebuild(self, keys: Iterable[tuple]) -> None:
         """Re-derive every bucket from ``keys`` in a fresh dict (rollback
-        of an index its snapshot does not describe)."""
+        of an index created after the version being restored)."""
         self.groups = {}
         self._maps = []
         for key in keys:
@@ -315,13 +310,12 @@ class Relation:
     def restore(self, data: dict, undo: dict, groups: dict) -> None:
         """Roll back to the version :meth:`share_version` returned.
 
-        When ``data`` is still the live dict the pre-images are written
-        back in place and each index bucket is restored from its own map
-        (:meth:`GroupIndex.restore`).  When :meth:`clear` swapped the dict
-        out since, the live dict becomes a restored copy of ``data`` and
-        the indexes are rebuilt from it, as is an index created after
-        the version was opened.  The maps keep their entries: each now
-        equals the live value it overrides.
+        ``data`` is the live dict (it is never replaced while a map is
+        live): the pre-images are written back in place and each index
+        bucket is restored from its own map (:meth:`GroupIndex.restore`).
+        An index created after the version was opened has no map in it
+        and is rebuilt from the restored data.  The maps keep their
+        entries: each now equals the live value it overrides.
 
         Contents come back exactly; insertion order need not.  A key
         deleted since the version was opened is re-inserted at the end of
@@ -332,9 +326,6 @@ class Relation:
         sums may differ in the last bits.  Snapshots published before
         the failure are unaffected: they read frozen buckets.
         """
-        swapped = self.data is not data
-        if swapped:
-            data = self.data = dict(data)
         for key, payload in undo.items():
             if payload is ABSENT:
                 data.pop(key, None)
@@ -342,7 +333,7 @@ class Relation:
                 data[key] = payload
         for group_vars, index in self._indexes.items():
             version = groups.get(group_vars)
-            if swapped or version is None or index.groups is not version[0]:
+            if version is None:
                 index.rebuild(data)
             else:
                 index.restore(version[1])
@@ -419,9 +410,8 @@ class Relation:
         index buckets and pre-image maps end up as :meth:`add` leaves
         them, insertion order included — but the hot locals bind once
         for the whole delta and the write accounting is one bulk
-        ``COUNTER`` bump.  Batched base writes, and the leaf writes of
-        a batch rebuild, go through here; a generated batch kernel
-        writes its leaf, views and guards inline
+        ``COUNTER`` bump.  Batched base writes go through here; a
+        generated batch kernel writes its leaf, views and guards inline
         (``codegen._emit_write``).
 
         Rings declaring ``exact_zero`` with ``add_operator == "+"`` — the
@@ -579,15 +569,16 @@ class Relation:
             self.add(key, payload)
 
     def clear(self) -> None:
-        """Remove every entry.  Under a live snapshot the payload dict
-        (and each index's bucket dict) is swapped for a fresh one and the
-        maps detach: the snapshots keep reading the old dicts, which
-        nothing writes again, so a clear costs no pre-image per key."""
+        """Remove every entry.  Under a live snapshot each key is deleted
+        through :meth:`set`, so the maps record it like any other write
+        and the dicts are never replaced; otherwise the payload dict and
+        the index buckets are emptied in place."""
         if self._maps:
-            self.data = {}
-            self._maps = []
-        else:
-            self.data.clear()
+            zero = self.ring.zero
+            for key in list(self.data):
+                self.set(key, zero)
+            return
+        self.data.clear()
         for index in self._indexes.values():
             index.clear()
 

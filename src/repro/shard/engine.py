@@ -81,7 +81,7 @@ from ..backend import Backend, NotSupported
 # write path (benchmarks/e2e wraps it by that dotted name).
 from ..data.columnar import coalesce_columnar as coalesce
 from ..data.database import Database
-from ..data.relation import Relation
+from ..data.relation import Relation, claim_writer
 from ..data.schema import Schema
 from ..data.update import Update
 from ..obs import MaintenanceStats, observed, observed_enumeration
@@ -89,7 +89,7 @@ from ..query.ast import Query
 from ..query.variable_order import VariableOrder, order_for
 from ..rings.lifting import LiftingMap
 from ..viewtree.changes import EpochGapError, MaterializedView, OutputDelta
-from ..viewtree.engine import ViewTreeEngine, probe_product
+from ..viewtree.engine import ViewTreeEngine, probe_product, rejected
 from ..viewtree.enumplan import key_projector
 from .changes import ShardChangeTracker
 from .router import ShardRouter, choose_shard_variable, stable_hash
@@ -144,6 +144,10 @@ class ShardedEngine(Backend):
         self.order = order if order is not None else order_for(query)
         self.executor = executor
         self._lifting = lifting
+        #: Relations that take updates, and those this engine claimed as
+        #: their one writer (:meth:`_admit`).
+        self._dynamic = frozenset(a.relation for a in query.dynamic_atoms)
+        self._written: set[str] = set()
         #: Whether the shard engines run generated kernels (shards share
         #: plan shapes, so each shape compiles once per process) or the
         #: generic walk (the oracle).
@@ -381,6 +385,9 @@ class ShardedEngine(Backend):
         # epochs; a restored copy re-enables on demand and stale
         # subscribers full-drain.
         state["_change_tracker"] = None
+        # A claim is a weak reference and does not pickle: the restored
+        # engine claims its bases again on first write.
+        state["_written"] = set()
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -397,15 +404,27 @@ class ShardedEngine(Backend):
     # Maintenance
     # ------------------------------------------------------------------
 
+    def _admit(self, names) -> None:
+        """Reject what :class:`ViewTreeEngine` rejects, and claim the base
+        relations about to be written, before any write: an update to a
+        static relation or one outside the query, and a relation another
+        live engine writes (:class:`~repro.data.relation.SharedBaseError`)."""
+        for name in names:
+            if name not in self._dynamic:
+                raise rejected(self.query, name)
+        if not self._written.issuperset(names):
+            claim_writer((self.database[name] for name in names), self)
+            self._written.update(names)
+
     @observed
-    def apply(self, update: Update, update_base: bool = True) -> None:
+    def apply(self, update: Update) -> None:
         """Route one single-tuple update to its owning shard(s)."""
+        self._admit((update.relation,))
         # Build (or rebuild) the shards before the base write: a shard
         # builds its leaves from the base database as of build time, so
         # the update must not be in it yet.
         self._ensure()
-        if update_base and update.relation in self.database:
-            self.database[update.relation].add(update.key, update.payload)
+        self.database[update.relation].add(update.key, update.payload)
         owner = self.router.shard_of(update)
         # A worker-owned tuple costs one pipe round-trip: correct but
         # slow — batch through apply_batch when throughput matters.
@@ -415,12 +434,7 @@ class ShardedEngine(Backend):
             self._round([("apply", update)] * self.shards, commit=True)
 
     @observed
-    def apply_batch(
-        self,
-        batch,
-        update_base: bool = True,
-        rebuild_factor: float | None = None,
-    ) -> None:
+    def apply_batch(self, batch) -> None:
         """Coalesce once, split the columns by owner, run the shards.
 
         Ring updates commute, so the batch is summed per key *before*
@@ -437,6 +451,7 @@ class ShardedEngine(Backend):
         """
         batch = list(batch)
         columns = coalesce(batch, self.ring)
+        self._admit(columns)
         stats = self._maintenance_stats
         if stats is not None:
             stats.record_batch_coalesce(
@@ -444,25 +459,16 @@ class ShardedEngine(Backend):
             )
         subs = self.router.split(columns)
         local = self._local
-        commands = [
-            ("apply_batch", sub.columns, rebuild_factor) for sub in subs[:local]
-        ] + [
-            ("apply_batch", encode_batch(sub.columns), rebuild_factor)
-            for sub in subs[local:]
+        commands = [("apply_batch", sub.columns) for sub in subs[:local]] + [
+            ("apply_batch", encode_batch(sub.columns)) for sub in subs[local:]
         ]
-        write_base = functools.partial(self._write_base, columns)
-        self._round(commands, True, write_base if update_base else None)
+        self._round(commands, True, functools.partial(self._write_base, columns))
 
     def _write_base(self, columns: dict[str, tuple[list, list]]) -> None:
         """One ``add_delta`` per relation of a coalesced batch."""
         database = self.database
         for name, (keys, payloads) in columns.items():
-            if name in database:
-                database[name].add_delta(zip(keys, payloads))
-
-    def rebuild(self) -> None:
-        """Rebuild every shard's views from its leaves."""
-        self._broadcast(("rebuild",))
+            database[name].add_delta(zip(keys, payloads))
 
     # ------------------------------------------------------------------
     # Merged output access

@@ -191,14 +191,8 @@ class ShardRuntime:
         self.engine.apply(update, update_base=False)
         return None, None
 
-    def _cmd_apply_batch(self, columns, rebuild_factor):
-        self.engine.apply_coalesced_batch(
-            columns, update_base=False, rebuild_factor=rebuild_factor
-        )
-        return None, None
-
-    def _cmd_rebuild(self):
-        self.engine.rebuild()
+    def _cmd_apply_batch(self, columns):
+        self.engine.apply_coalesced_batch(columns, update_base=False)
         return None, None
 
     def _cmd_publish_epoch(self, number: int):

@@ -39,9 +39,9 @@ snapshot only if its key was in that relation there, and on the new one
 only if it is there: an insert never walks the old side, a delete never
 the new one, and a key written but absent from both costs one map entry
 and one ``in`` test.  The old side is the live state read through the
-previous snapshot's maps, so no table is copied to keep it.  A relation
-cleared during the epoch (``clear()``, as a batch rebuild does) has
-detached its maps; every key it held on either side is then a candidate.
+previous snapshot's maps, so no table is copied to keep it.  Every write
+records its key, ``clear()`` included (it deletes key by key under a
+live map), so the previous snapshot's map names every written key.
 
 *Why this is exact.*  An output tuple ``t`` is produced on a side iff the
 projection of ``t`` onto every tracked relation is present on that side,
@@ -384,11 +384,8 @@ class ChangeTracker:
 
 def _written(snap, rel) -> list[tuple[tuple, bool]]:
     """``(key, present at snap's publish)`` per key of ``rel`` written since."""
-    data, undo = snap.data_of(rel)
-    if rel.data is data:
-        return [(key, old is not ABSENT) for key, old in undo.items()]
-    before = snap.view(rel)
-    return [(key, key in before) for key in {*data, *undo, *rel.data}]
+    _, undo = snap.data_of(rel)
+    return [(key, old is not ABSENT) for key, old in undo.items()]
 
 
 # ----------------------------------------------------------------------

@@ -109,8 +109,8 @@ kernel.
 Snapshot safety: environments bind :class:`Relation` /
 :class:`GroupIndex` **objects** (and bound methods), never their
 ``data``/``groups`` dicts — the generated code re-reads ``.data`` and
-``.groups`` at call time, so a ``clear()`` that swaps them under a live
-snapshot keeps working.  Writes under a live snapshot must record
+``.groups`` at call time, so a rollback that rebuilds an index in a
+fresh dict (``GroupIndex.rebuild``) keeps working.  Writes under a live snapshot must record
 pre-images (:mod:`repro.viewtree.epoch`): a generated sink binds each
 written relation's newest map once and tests it per key (a ``None``
 test when no snapshot is live); a one-key write goes through

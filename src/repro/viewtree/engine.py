@@ -176,6 +176,14 @@ class StaticRelationUpdateError(RuntimeError):
     """An update targeted a relation adorned as static (Section 4.5)."""
 
 
+def rejected(query: Query, relation: str) -> Exception:
+    """Why ``relation`` takes no updates under ``query`` (raised before
+    any write): it is adorned static, or not in the query."""
+    if any(atom.relation == relation for atom in query.static_atoms):
+        return StaticRelationUpdateError(f"relation {relation!r} is adorned static")
+    return KeyError(f"relation {relation!r} not in the query")
+
+
 class ViewTreeEngine(Backend):
     """Eager factorized IVM over a variable order (the F-IVM engine).
 
@@ -252,9 +260,9 @@ class ViewTreeEngine(Backend):
         maintenance and enumeration run the generic walk
         (:meth:`_propagate`, :meth:`_enumerate_generic`) — the
         differential-testing oracle, which shares no coalescing,
-        planning or execution code with the kernels.  Batch rebuilds,
-        empty-head queries and non-free-top orders use the generic code
-        either way.
+        planning or execution code with the kernels.  Empty-head
+        queries and non-free-top orders use the generic code either
+        way.
 
         A generated engine with a free-top order and a non-empty head
         derives the free views no read multiplies instead of writing
@@ -371,10 +379,21 @@ class ViewTreeEngine(Backend):
 
     def _fill_guards(self, nodes) -> None:
         """Refill the guards of ``nodes`` (children first) from their
-        sources as they now stand: summed views, or derived supports."""
+        sources as they now stand — summed views, or derived supports —
+        with ``one`` per member."""
         for node in nodes:
-            if node.guard is not None:
-                self._fill_guard(node, self._join_sources(node))
+            guard = node.guard
+            if guard is None:
+                continue
+            sources = [
+                s.support() if isinstance(s, DerivedView) else s
+                for s in node.sources()
+            ]
+            joined = join_all(sources, self.ring, name=f"G_{node.variable}")
+            guard.clear()
+            order = joined.schema.projector(guard.schema.variables)
+            for key in joined.data:
+                guard.set(order(key), self.ring.one)
 
     def _generate_delta_kernels(self, info: dict) -> list[tuple[str, Exception]]:
         """Plan and generate every relation's kernels; return the
@@ -531,7 +550,7 @@ class ViewTreeEngine(Backend):
         """
         anchors = self._anchors.get(update.relation)
         if anchors is None or update.relation in self._static:
-            raise self._rejected(update.relation)
+            raise rejected(self.query, update.relation)
         if update_base and update.relation not in self._written:
             self._claim((update.relation,))
         self._atomically(self._apply_one, update, anchors, update_base)
@@ -588,14 +607,6 @@ class ViewTreeEngine(Backend):
             if checkpoint is not None:
                 self._versions.release(checkpoint)
 
-    def _rejected(self, relation: str) -> Exception:
-        """Why ``relation`` takes no updates (raised before any write)."""
-        if relation in self._static:
-            return StaticRelationUpdateError(
-                f"relation {relation!r} is adorned static"
-            )
-        return KeyError(f"relation {relation!r} not in the query")
-
     def _claim(self, names) -> None:
         """Claim the base relations an ``update_base`` write is about to
         touch (``SharedBaseError`` when another live engine writes one)."""
@@ -612,12 +623,7 @@ class ViewTreeEngine(Backend):
         return update_base and relation in self.database, True
 
     @observed
-    def apply_batch(
-        self,
-        batch,
-        update_base: bool = True,
-        rebuild_factor: float | None = None,
-    ) -> None:
+    def apply_batch(self, batch, update_base: bool = True) -> None:
         """Coalesce a batch of single-tuple updates and apply it.
 
         Update batches over a ring commute, so ring-summing same-key
@@ -636,16 +642,13 @@ class ViewTreeEngine(Backend):
                 name: (list(deltas), list(deltas.values()))
                 for name, deltas in coalesce_grouped(batch, self.ring).items()
             }
-        self.apply_coalesced_batch(
-            columns, update_base, rebuild_factor, raw=len(batch)
-        )
+        self.apply_coalesced_batch(columns, update_base, raw=len(batch))
 
     @observed
     def apply_coalesced_batch(
         self,
         columns: dict[str, tuple[list, list]],
         update_base: bool = True,
-        rebuild_factor: float | None = None,
         raw: int | None = None,
     ) -> None:
         """Apply an already coalesced ``{relation: (keys, payloads)}`` batch.
@@ -655,8 +658,8 @@ class ViewTreeEngine(Backend):
         the columns.  Keys are distinct per relation and no payload is
         the ring zero; the lists are read, never mutated.  ``raw`` is
         the number of updates the columns were coalesced from (default:
-        their own size): the heuristic and the recorder size the batch
-        as its sender did.  A batch naming a static relation, one
+        their own size): the threshold below and the recorder size the
+        batch as its sender did.  A batch naming a static relation, one
         outside the query or, with ``update_base``, one another live
         engine writes is rejected before anything is written.
 
@@ -671,38 +674,33 @@ class ViewTreeEngine(Backend):
         A one-relation batch is exact — a relation with a base leaf has
         one atom, and its push never reads its own leaf.
 
-        The paper's opening observation cuts both ways: small changes are
-        worth propagating, but a batch comparable to the database size is
-        cheaper to *recompute*.  The heuristic, in order:
+        A ``generated`` engine given at least ``batch_compile_threshold``
+        updates feeds each relation's columns to the generated
+        ``push_batch`` kernel of every anchor, which writes its leaf and
+        pushes the delta in one pass, sibling probes shared across the
+        group.  Otherwise, and for a relation whose kernels failed to
+        generate, each tuple takes the body of :meth:`apply`.  The
+        paper's opening trade-off — a batch comparable to the database
+        is cheaper to recompute — is measured, not configured: the
+        batch-rebuild ablation bench compares this path with a fresh
+        engine over the post-batch database.
 
-        1. **rebuild** — with ``rebuild_factor`` set, a batch larger than
-           ``rebuild_factor * |leaves|`` skips propagation: the deltas
-           land on the leaves directly and all views are rebuilt
-           bottom-up in one pass (see the batch-rebuild ablation bench
-           for the crossover);
-        2. **batch kernels** — a ``generated`` engine with at least
-           ``batch_compile_threshold`` updates feeds each relation's
-           columns to the generated ``push_batch`` kernel of every
-           anchor, which writes its leaf and pushes the delta in one
-           pass, sibling probes shared across the group;
-        3. **per-tuple** — otherwise, and for a relation whose kernels
-           failed to generate, one :meth:`apply` per tuple.
-
-        Correctness of step 2 rests on the anchor loop mirroring the
-        per-tuple path at batch granularity — the kernel writes its leaf,
-        then pushes — so by the telescoping identity ``Δ(L1·L2) =
-        Δ·L2_old + L1_new·Δ`` the grouped pushes land exactly the summed
-        per-tuple deltas (self-joins included: the anchor's own leaf is
-        updated before its push and excluded from its first sibling
-        join, while later anchors of the same relation see the earlier
-        leaves' post-batch state, matching the per-tuple interleaving's
-        sum).  A leaf that is its base relation is written at most once,
-        in both branches, exactly as in :meth:`apply`.  A batch that
-        raises midway is rolled back as in :meth:`apply`.
+        Correctness of the kernel path rests on the anchor loop
+        mirroring the per-tuple path at batch granularity — the kernel
+        writes its leaf, then pushes — so by the telescoping identity
+        ``Δ(L1·L2) = Δ·L2_old + L1_new·Δ`` the grouped pushes land
+        exactly the summed per-tuple deltas (self-joins included: the
+        anchor's own leaf is updated before its push and excluded from
+        its first sibling join, while later anchors of the same relation
+        see the earlier leaves' post-batch state, matching the per-tuple
+        interleaving's sum).  A leaf that is its base relation is
+        written at most once, on both paths, exactly as in
+        :meth:`apply`.  A batch that raises midway is rolled back as in
+        :meth:`apply`.
         """
         for name in columns:
             if name not in self._anchors or name in self._static:
-                raise self._rejected(name)
+                raise rejected(self.query, name)
         if not update_base and len(columns) > 1:
             written = sorted(self._aliased.intersection(columns))
             if written:
@@ -713,42 +711,17 @@ class ViewTreeEngine(Backend):
                 )
         if update_base and not self._written.issuperset(columns):
             self._claim(columns)
-        self._atomically(
-            self._apply_columns, columns, update_base, rebuild_factor, raw
-        )
+        self._atomically(self._apply_columns, columns, update_base, raw)
 
     def _apply_columns(
         self,
         columns: dict[str, tuple[list, list]],
         update_base: bool,
-        rebuild_factor: float | None,
         raw: int | None,
     ) -> None:
         size = sum(len(keys) for keys, _ in columns.values())
         if raw is None:
             raw = size
-        stats = self._maintenance_stats
-        database = self.database
-        if rebuild_factor is not None:
-            # Count each base relation once: a relation anchored at
-            # several atoms contributes one leaf copy per atom, and
-            # summing every copy inflated the crossover against batches
-            # measured in distinct database tuples.
-            leaf_size = sum(
-                len(anchors[0][2]) for anchors in self._anchors.values()
-            )
-            if raw >= rebuild_factor * max(leaf_size, 1):
-                for name, (keys, pays) in columns.items():
-                    write_base, write_leaves = self._writes(name, update_base)
-                    if write_base:
-                        database[name].add_delta(zip(keys, pays))
-                    if write_leaves:
-                        for _atom, _node, leaf in self._anchors[name]:
-                            leaf.add_delta(zip(keys, pays))
-                self.rebuild()
-                if stats is not None:
-                    self.sample_view_sizes()
-                return
         if not self.generated or raw < self.batch_compile_threshold:
             # Checked and claimed above, and inside this commit's undo
             # scope: each tuple is the body of apply().
@@ -757,8 +730,10 @@ class ViewTreeEngine(Backend):
                 for key, payload in zip(keys, pays):
                     self._apply_one(Update(name, key, payload), anchors, update_base)
             return
+        stats = self._maintenance_stats
         if stats is not None:
             stats.record_batch_coalesce(raw, size)
+        database = self.database
         for name, (keys, pays) in columns.items():
             kernels = self._kernels.get(name)
             if kernels is None:
@@ -779,48 +754,6 @@ class ViewTreeEngine(Backend):
                     kernel.push_written(keys, pays, stats)
         if stats is not None:
             self._maybe_sample_views(raw)
-
-    def rebuild(self) -> None:
-        """Recompute every guard and written view from the current leaves
-        (a bound node has no guard: only its view is rebuilt; a derived
-        view reads the rebuilt indexes)."""
-        for root in self.roots:
-            self._rebuild_node(root)
-
-    def _rebuild_node(self, node: ViewNode) -> None:
-        for child in node.children:
-            self._rebuild_node(child)
-        derived = isinstance(node.view, DerivedView)
-        if derived and node.guard is None:
-            return  # its one source is its enumeration index's relation
-        joined = self._join_sources(node)
-        if node.guard is not None:
-            self._fill_guard(node, joined)
-        if derived:
-            return
-        lift = None
-        if not node.is_free and not self.lifting.is_trivial(node.variable):
-            lift = self.lifting.for_variable(node.variable)
-        fresh = marginalize(
-            joined, node.variable, self.ring, lift, name=f"V_{node.variable}"
-        )
-        node.view.clear()
-        union_into(node.view, fresh)
-
-    def _join_sources(self, node: ViewNode) -> Relation:
-        """The join of ``node``'s sources, a derived view as its support."""
-        sources = [
-            s.support() if isinstance(s, DerivedView) else s for s in node.sources()
-        ]
-        return join_all(sources, self.ring, name=f"G_{node.variable}")
-
-    def _fill_guard(self, node: ViewNode, joined: Relation) -> None:
-        """Refill ``node``'s guard with the keys of ``joined``, each ``one``."""
-        guard = node.guard
-        guard.clear()
-        order = joined.schema.projector(guard.schema.variables)
-        for key in joined.data:
-            guard.set(order(key), self.ring.one)
 
     def _propagate(self, node: ViewNode, delta: Relation, exclude: Relation) -> None:
         """Propagate a delta from ``node`` to the root.

@@ -25,9 +25,9 @@ enumeration kernel emits the same expression).  The order is what makes
 a read racing a commit exact: the writer records the pre-image *before*
 it writes the live dict, so a reader that saw the new live value finds
 the old one in the map, and one that saw the old live value gets the
-same from either.  A ``clear()`` under a live snapshot swaps in fresh
-dicts and detaches the maps instead of recording every key; the
-snapshot keeps reading the old dicts, which nothing writes again.
+same from either.  No write replaces a live dict while a map is open —
+a ``clear()`` under a live snapshot deletes key by key, recording each —
+so a snapshot's dicts stay the relation's own.
 
 **Release.**  A map lives as long as its snapshot.  The
 :class:`SnapshotRegistry` of each writer holds weak references and
@@ -129,10 +129,7 @@ class EpochSnapshot:
 
     def written(self) -> bool:
         """Whether any covered relation was written since the publish."""
-        return any(
-            undo or relation.data is not data
-            for relation, data, undo, _ in self.versions.values()
-        )
+        return any(undo for _, _, undo, _ in self.versions.values())
 
     def work(self) -> tuple[int, int]:
         """``(buckets copied, pre-images recorded)`` since the publish,

@@ -100,8 +100,8 @@ class EagerFact(MaintenanceStrategy):
 
     @observed
     def apply_batch(self, batch) -> None:
-        """Batch maintenance through the engine's three-way heuristic
-        (batch kernels / per-tuple / rebuild)."""
+        """Batch maintenance through the engine's batch path (batch
+        kernels, or per-tuple below ``batch_compile_threshold``)."""
         self.engine.apply_batch(list(batch))
 
     def enumerate(self) -> Iterator[tuple[tuple, Any]]:

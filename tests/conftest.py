@@ -132,6 +132,43 @@ def assert_twins_agree(compiled, generic, probes=()) -> None:
     assert_views_agree(compiled, generic)
 
 
+def _by_variable(relation) -> dict:
+    """``relation``'s entries keyed by ``{variable: value}`` pairs."""
+    variables = relation.schema.variables
+    return {
+        frozenset(zip(variables, key)): payload
+        for key, payload in relation.to_dict().items()
+    }
+
+
+def assert_matches_rebuild(engine, probes=()) -> None:
+    """A tree built from scratch over ``engine``'s database holds the
+    same output, lookups, guard members and view values (compared by
+    variable: a rebuilt view may lay its key out in another order)."""
+    fresh = ViewTreeEngine(
+        engine.query,
+        engine.database.copy(),
+        engine.order,
+        engine.lifting,
+        generated=engine.generated,
+        head=engine.head,
+    )
+    output = dict(engine.enumerate())
+    assert dict(fresh.enumerate()) == output
+    for key in [*output, *probes]:
+        assert fresh.lookup(key) == engine.lookup(key)
+    pairs = zip(
+        (n for root in fresh.roots for n in root.walk()),
+        (n for root in engine.roots for n in root.walk()),
+    )
+    for mine, theirs in pairs:
+        assert mine.variable == theirs.variable
+        assert _by_variable(mine.view) == _by_variable(theirs.view), mine.variable
+        assert (mine.guard is None) == (theirs.guard is None)
+        if mine.guard is not None:
+            assert _by_variable(mine.guard) == _by_variable(theirs.guard)
+
+
 def fd_satisfying_db(rng, x_domain=12, w_domain=20):
     """Data for Example 4.12 satisfying X -> Y and Y -> Z."""
     db = Database()

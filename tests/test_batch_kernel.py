@@ -31,7 +31,13 @@ from repro.viewtree import ViewTreeEngine
 from repro.viewtree.compile import DerivedView
 from repro.viewtree.strategies import STRATEGIES, make_strategy
 
-from tests.conftest import assert_twins_agree, assert_views_agree, seeded_db, valid_stream
+from tests.conftest import (
+    assert_matches_rebuild,
+    assert_twins_agree,
+    assert_views_agree,
+    seeded_db,
+    valid_stream,
+)
 from tests.test_delta_kernel import (
     SUPPORT_RING_IDS,
     SUPPORT_RINGS,
@@ -483,32 +489,36 @@ class TestShardedBatch:
 
 
 class TestSupportBatches:
-    """Supports, not sums, under batches: ``apply_batch`` (with and
-    without ``rebuild_factor``) and the ``update_base=False`` callers —
-    shard workers and a query set over one database — agree exactly
-    with the oracle on valid streams: outputs, lookups, change-feed
-    deltas, guard memberships and every node's view value."""
+    """Supports, not sums, under batches: ``apply_batch`` and the
+    ``update_base=False`` callers — shard workers and a query set over
+    one database — agree exactly with the oracle on valid streams:
+    outputs, lookups, change-feed deltas, guard memberships and every
+    node's view value."""
 
-    @pytest.mark.parametrize("rebuild_factor", [None, 0.5], ids=["kernels", "rebuild"])
+    @pytest.mark.parametrize("rebuild", [False, True], ids=["kernels", "rebuild"])
     @pytest.mark.parametrize("ring,deletes", SUPPORT_RINGS, ids=SUPPORT_RING_IDS)
     @pytest.mark.parametrize(
         "text,schemas,order", SUPPORT_SHAPES, ids=SUPPORT_SHAPE_IDS
     )
     def test_batches_and_change_feed(
-        self, text, schemas, order, ring, deletes, rebuild_factor
+        self, text, schemas, order, ring, deletes, rebuild
     ):
+        """With ``rebuild``, a tree built from scratch over each
+        post-batch database (the recompute the paper's opening trades
+        propagation against) agrees with the maintained twins too."""
         twins = support_twins(text, schemas, order, ring)
         for engine in twins:
             engine.track_changes()
         stream = ring_stream(ring, deletes, schemas, 240, 37)
         miss = (99,) * len(twins[0].head)
-        # 60 updates against 25 rows per relation cross rebuild_factor=0.5;
-        # the smaller slices propagate.
+        # Slices of 60+ updates against 25 rows per relation, and 7.
         for start, stop in ((0, 60), (60, 67), (67, 140), (140, 147), (147, 240)):
             for engine in twins:
-                engine.apply_batch(stream[start:stop], rebuild_factor=rebuild_factor)
+                engine.apply_batch(stream[start:stop])
             publish_and_diff(twins)
             assert_twins_agree(*twins, probes=[miss])
+            if rebuild:
+                assert_matches_rebuild(twins[0], probes=[miss])
 
     @pytest.mark.parametrize(
         "text,schemas,order",

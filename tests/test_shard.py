@@ -9,6 +9,7 @@ import pytest
 
 from repro.data import Database, Update
 from repro.data.columnar import coalesce_columnar
+from repro.data.relation import SharedBaseError
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
 from repro.query.variable_order import search_order
@@ -22,6 +23,7 @@ from repro.shard import (
 )
 from repro.viewtree import ViewTreeEngine
 from repro.viewtree import engine as engine_module
+from repro.viewtree.engine import StaticRelationUpdateError
 from tests.conftest import valid_stream
 
 QUERY = parse_query("Q(B, A) = R(B, A) * S(B)")
@@ -259,21 +261,22 @@ class TestCoalescedBatchEntryPoint:
         [{}, {"drop": "S"}, {"generated": False}],
         ids=["generated", "interpreted", "generic"],
     )
-    @pytest.mark.parametrize("rebuild_factor", [None, 0.5])
-    def test_matches_apply_batch(self, ring, deletes, kwargs, rebuild_factor):
+    @pytest.mark.parametrize("threshold", [None, 1000])
+    def test_matches_apply_batch(self, ring, deletes, kwargs, threshold):
+        """On the batch kernels (the default threshold) and per tuple
+        (every slice below a threshold of 1000)."""
         stream = star_stream(ring, deletes)
         whole = self.engine(ring, **kwargs)
         columnar = self.engine(ring, **kwargs)
+        if threshold is not None:
+            whole.batch_compile_threshold = threshold
+            columnar.batch_compile_threshold = threshold
         s_whole, s_columnar = whole.attach_stats(), columnar.attach_stats()
-        # 100 updates on empty leaves cross rebuild_factor=0.5; the
-        # later 30-update slices fall below it and propagate.
         for start, stop in ((0, 100), (100, 130), (130, 160), (160, 160)):
             batch = stream[start:stop]
-            whole.apply_batch(batch, rebuild_factor=rebuild_factor)
+            whole.apply_batch(batch)
             columnar.apply_coalesced_batch(
-                coalesce_columnar(batch, ring),
-                rebuild_factor=rebuild_factor,
-                raw=len(batch),
+                coalesce_columnar(batch, ring), raw=len(batch)
             )
         assert list(columnar.enumerate()) == list(whole.enumerate())
         assert columnar.database["R"] == whole.database["R"]
@@ -457,18 +460,15 @@ class TestExecutorMatrix:
     """process ≡ serial ≡ unsharded ≡ ``repro.naive``: every ring, shard
     count and write path, on one stream."""
 
-    WRITE_PATHS = ("apply", "apply_batch", "rebuild_factor")
+    WRITE_PATHS = ("apply", "apply_batch")
 
     def feed(self, engine, stream, path):
         if path == "apply":
             for update in stream:
                 engine.apply(update)
             return
-        # 80 updates on empty leaves cross rebuild_factor=0.5; the
-        # 20-update slices after them fall below it and propagate.
-        factor = 0.5 if path == "rebuild_factor" else None
         for start, stop in ((0, 80), (80, 100), (100, 120)):
-            engine.apply_batch(stream[start:stop], rebuild_factor=factor)
+            engine.apply_batch(stream[start:stop])
 
     @pytest.mark.parametrize("ring,deletes", RINGS, ids=RING_IDS)
     @pytest.mark.parametrize("shards", [1, 2, 3])
@@ -532,3 +532,77 @@ class TestCovarianceShards:
             assert got.sum_of(var) == pytest.approx(want.sum_of(var))
             assert got.quad_of(var, var) == pytest.approx(want.quad_of(var, var))
         assert got.quad_of("p", "v") == pytest.approx(want.quad_of("p", "v"))
+
+
+EXECUTORS = ["serial", "process"]
+STATIC_QUERY = parse_query("Q(Y, X, Z) = R(Y, X) * S@s(Y, Z)")
+
+
+def static_db():
+    db = Database()
+    db.create("R", ("Y", "X"))
+    db.create("S", ("Y", "Z"))
+    db.create("T", ("Y",))  # in the database, not in the query
+    db["S"].insert(1, 4)
+    return db
+
+
+def base_state(db):
+    return {rel.name: dict(rel.data) for rel in db}
+
+
+class TestRejectedWrites:
+    """The coordinator rejects what a view tree rejects and claims the
+    bases it writes, before any write, on either executor."""
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    @pytest.mark.parametrize(
+        "relation,error",
+        [("S", StaticRelationUpdateError), ("T", KeyError)],
+        ids=["static", "outside-the-query"],
+    )
+    def test_rejected_update_writes_nothing(self, executor, relation, error):
+        db = static_db()
+        before = base_state(db)
+        key = (1, 3) if relation == "S" else (1,)
+        with ShardedEngine(STATIC_QUERY, db, shards=2, executor=executor) as engine:
+            with pytest.raises(error):
+                engine.apply(Update(relation, key, 1))
+            with pytest.raises(error):
+                engine.apply_batch([Update(relation, key, 1), Update("R", (1, 2), 1)])
+            assert base_state(db) == before
+            engine.apply_batch([Update("R", (1, 2), 1)])
+            assert dict(engine.enumerate()) == {(1, 2, 4): 1}
+            assert engine.output_relation() == evaluate(STATIC_QUERY, db)
+
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_claims_the_bases_it_writes(self, executor):
+        db = fresh_db(random.Random(3), rows=10)
+        tree = ViewTreeEngine(QUERY, db)
+        assert tree._aliased == {"R", "S"}
+        tree.apply_batch([Update("R", (0, 0), 1), Update("S", (0,), 1)])
+        before = base_state(db)
+        with ShardedEngine(QUERY, db, shards=2, executor=executor) as engine:
+            with pytest.raises(SharedBaseError):
+                engine.apply(Update("R", (1, 2), 1))
+            with pytest.raises(SharedBaseError):
+                engine.apply_batch([Update("S", (1,), 1)])
+            assert base_state(db) == before
+            del tree  # the claim lapses with its engine
+            engine.apply_batch([Update("R", (1, 2), 1), Update("S", (1,), 1)])
+            with pytest.raises(SharedBaseError):
+                ViewTreeEngine(QUERY, db).apply(Update("R", (1, 2), 1))
+            assert engine.output_relation() == evaluate(QUERY, db)
+
+    def test_a_restored_engine_claims_again(self):
+        db = fresh_db(random.Random(4), rows=10)
+        with ShardedEngine(QUERY, db, shards=2) as engine:
+            engine.apply(Update("R", (1, 2), 1))
+            clone = pickle.loads(pickle.dumps(engine))
+        try:
+            clone.apply(Update("R", (2, 3), 1))
+            with pytest.raises(SharedBaseError):
+                ViewTreeEngine(QUERY, clone.database).apply(Update("R", (1, 2), 1))
+            assert clone.output_relation() == evaluate(QUERY, clone.database)
+        finally:
+            clone.close()

@@ -537,15 +537,6 @@ class TestWorkerCrash:
             assert not pool.broken
             assert engine.lookup((1, 2)) == 0  # S(1) is absent: no output
 
-    def test_update_base_false_skips_the_base_writes(self):
-        batch = valid_stream(random.Random(3), {"R": 2, "S": 1}, 40)
-        for executor in ("serial", "process"):
-            db = fresh_db()
-            with ShardedEngine(QUERY, db, shards=2, executor=executor) as engine:
-                engine.apply_batch(batch, update_base=False)
-                assert len(db["R"]) == 0 and len(db["S"]) == 0
-                assert engine.total_view_size() > 0
-
     def test_remote_error_does_not_break_the_pool(self):
         """An application-level error inside a worker (bad command)
         raises in the parent but leaves the pool healthy — only

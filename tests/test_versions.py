@@ -25,6 +25,7 @@ from repro.query import search_order
 from repro.query.parser import parse_query
 from repro.rings import FloatRing, Z
 from repro.serve import AsyncIVMServer, update_stream
+from repro.viewtree.compile import DerivedView
 from repro.viewtree.engine import ViewTreeEngine
 from repro.viewtree.epoch import SnapshotRegistry
 
@@ -43,6 +44,7 @@ _ops = st.lists(
         st.tuples(st.just("delta"), st.lists(st.tuples(_key, _pay), max_size=6)),
         st.tuples(st.just("set"), _key, _pay),
         st.tuples(st.just("clear")),
+        st.tuples(st.just("restore")),
         st.tuples(st.just("publish")),
         st.tuples(st.just("drop"), st.integers(0, 7)),
     ),
@@ -53,6 +55,15 @@ _ops = st.lists(
 def _groups(rel, variables):
     project = rel.schema.projector(variables)
     return dict.fromkeys(project(key) for key in UNIVERSE)
+
+
+def _buckets(rel, variables):
+    """``rel``'s index on ``variables`` as sets: a rollback restores
+    contents, not member order."""
+    return {
+        group_key: set(bucket)
+        for group_key, bucket in rel._indexes[variables].groups.items()
+    }
 
 
 def _assert_reads(snap, rel, frozen):
@@ -94,12 +105,19 @@ class TestSnapshotsReadTheirPublishState:
                 rel.set(op[1], ring.add(ring.zero, op[2]))
             elif kind == "clear":
                 rel.clear()
+            elif kind == "restore":
+                if held:
+                    snap, frozen = held[-1]
+                    snap.restore()
+                    assert rel.data == frozen.data
+                    for variables in INDEXES:
+                        assert _buckets(rel, variables) == _buckets(frozen, variables)
             elif kind == "publish":
                 snap = registry.capture(number, [rel])
                 registry.prune()
                 held.append((snap, copy.deepcopy(rel)))
                 # Every map belongs to a held snapshot (dropped ones are
-                # pruned; a clear detaches).
+                # pruned).
                 assert len(rel._maps) <= len(held)
             elif held:
                 del held[op[1] % len(held)]
@@ -298,7 +316,7 @@ class TestBounds:
         engine.apply_batch(updates[:300])
         for update in updates[300:400]:
             engine.apply(update)
-        engine.apply_batch(updates[400:], rebuild_factor=0.01)
+        engine.apply_batch(updates[400:])
         assert calls == []
         assert max(_maps_per_relation(engine)) == 0
 
@@ -565,26 +583,30 @@ class TestRollback:
         assert dict(engine.enumerate_snapshot()) == evaluate(query, db).to_dict()
 
     def test_failed_rebuild_restores_cleared_views(self, monkeypatch):
-        """A batch rebuild clears views under the live snapshot (fresh
-        dicts, maps detached); a fault midway still restores them."""
+        """A commit that clears views under the live snapshot, as a
+        recompute would before refilling them, and faults midway is
+        restored: ``clear()`` deletes key by key and records each."""
         query, engine = _engine()
         prefix, failing, _ = _batches(query, 13)
         engine.apply_batch(prefix)
         engine.publish_epoch()
         before = _state(engine)
         expected = dict(engine.enumerate())
-        original = engine._rebuild_node
+        original = engine._apply_columns
 
-        def rebuild_node(node):
-            if node.parent is None:
-                for child in node.children:
-                    original(child)
-                raise RuntimeError("injected fault")
-            original(node)
+        def clear_then_fail(*args):
+            original(*args)
+            for root in engine.roots:
+                for node in root.walk():
+                    if not isinstance(node.view, DerivedView):
+                        node.view.clear()
+                    if node.guard is not None:
+                        node.guard.clear()
+            raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(engine, "_rebuild_node", rebuild_node)
+        monkeypatch.setattr(engine, "_apply_columns", clear_then_fail)
         with pytest.raises(RuntimeError, match="injected"):
-            engine.apply_batch(failing, rebuild_factor=0.0)
+            engine.apply_batch(failing)
         monkeypatch.undo()
         assert _state(engine) == before
         assert dict(engine.enumerate()) == expected
