@@ -6,8 +6,10 @@ to ``benchmarks/results/<name>.txt``; EXPERIMENTS.md points there.  Run
 
 Alongside each text table, :func:`report` emits a machine-readable
 ``benchmarks/results/BENCH_<name>.json`` following the ``repro.bench/1``
-schema (see EXPERIMENTS.md, "JSON output contract"), so benchmark
-trajectories can be diffed and plotted across commits.
+schema (see EXPERIMENTS.md, "JSON output contract"), for tools that
+read the tables without parsing text.  Each bench gates itself with
+same-run ratio assertions; wall-clock regressions across commits are
+judged by the paired runs of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations

@@ -167,11 +167,9 @@ def _changes_table():
         summary, stats = _drive(query, prefill)
         results[prefill] = summary
         gated_stats = stats
-        # The ratio and raw per-epoch latency cells are informational
-        # (the "<=" prefix keeps them out of benchdiff's numeric
-        # comparison, and "latency" column names keep them out of the
-        # row label); the per-read costs and the speedup are the gated
-        # trajectory.
+        # The ratio and raw per-epoch latency cells are informational,
+        # printed as "<=" upper bounds; the gates are the per-read cost
+        # ratios asserted below.
         table.add(
             f"{summary['entries']:,}",
             f"<={summary['delta_ratio']:.2%}",

@@ -28,10 +28,11 @@ batches of 64 and 256 and replayed through ``apply_batch``, which
 coalesces same-key deltas and shares sibling probes per group push
 (the generated ``push_batch``), against per-tuple compiled ``apply``.
 
-Acceptance gates: compiled >= 2x generic on the q-hierarchical
-single-tuple apply path, and batch-compiled ``apply_batch`` >= 2x
-per-tuple compiled ``apply`` at batch size >= 64 on the q-hierarchical
-kernel (both asserted below).
+Acceptance gates, all same-run ratios (asserted below): compiled >= 2x
+generic on every single-tuple row, and batch-compiled ``apply_batch``
+>= 2x per-tuple compiled ``apply`` at batch size >= 64 on the
+q-hierarchical kernel.  No compiled engine may fall back to the generic
+walk.  The hierarchical batch rows carry no bound.
 """
 
 from __future__ import annotations
@@ -118,6 +119,16 @@ def _order_for(query):
     return search_order(query, require_free_top=True)
 
 
+def _compiled(engine):
+    """``engine``, after asserting that no kernel of it fell back to the
+    generic walk.  The recorder is detached again before any update, so
+    the timed runs record nothing."""
+    fallbacks = engine.attach_stats().codegen_fallbacks
+    engine.detach_stats()
+    assert fallbacks == 0, f"{fallbacks} kernel plan(s) fell back"
+    return engine
+
+
 def _replay(engine, stream):
     """Single-tuple apply throughput (updates/s) plus one final drain."""
     apply = engine.apply
@@ -171,8 +182,8 @@ def _kernel_table():
                 query, _fresh_db(query, workload), order, generated=False
             )
             generic_rate = _replay(generic, stream)
-            compiled = ViewTreeEngine(
-                query, _fresh_db(query, workload), order
+            compiled = _compiled(
+                ViewTreeEngine(query, _fresh_db(query, workload), order)
             )
             compiled_rate = _replay(compiled, stream)
             # differential gate: the kernels must be invisible semantically
@@ -197,13 +208,13 @@ def _kernel_table():
         query = parse_query(text)
         order = _order_for(query)
         stream = _stream(query, "uniform", 7)
-        per_tuple = ViewTreeEngine(
-            query, _fresh_db(query, "uniform"), order
+        per_tuple = _compiled(
+            ViewTreeEngine(query, _fresh_db(query, "uniform"), order)
         )
         per_tuple_rate = _replay(per_tuple, stream)
         for batch_size in BATCH_SIZES:
-            batched = ViewTreeEngine(
-                query, _fresh_db(query, "uniform"), order
+            batched = _compiled(
+                ViewTreeEngine(query, _fresh_db(query, "uniform"), order)
             )
             start = time.perf_counter()
             for at in range(0, len(stream), batch_size):
@@ -239,6 +250,8 @@ def _kernel_table():
         strategy = make_strategy(
             name.split(" ")[0], query, _fresh_db(query, "uniform"), **kwargs
         )
+        if name == "eager-fact (compiled)":
+            _compiled(strategy.engine)
         rates[name] = _replay(strategy, stream)
     baseline = rates["eager-fact (generic)"]
     for name, rate in rates.items():
@@ -259,10 +272,10 @@ def _kernel_table():
         },
     )
 
-    # Acceptance gates: >=2x on the q-hierarchical single-tuple hot path
-    # (bare engine and eager-fact strategy), and >=2x again from batching
-    # that compiled path at batch sizes >= 64.
-    assert speedups[("q-hierarchical", "uniform")] >= 2.0, speedups
+    # Acceptance gates: >=2x on every single-tuple row (bare engine) and
+    # on the eager-fact strategy, and >=2x again from batching the
+    # q-hierarchical compiled path at batch sizes >= 64.
+    assert min(speedups.values()) >= 2.0, speedups
     assert rates["eager-fact (compiled)"] >= 2.0 * baseline, rates
     for batch_size in BATCH_SIZES:
         assert (

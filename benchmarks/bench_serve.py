@@ -15,12 +15,12 @@ per-update row commits with ``max_batch=1`` and no deadline — the
 group-commit machinery degenerated to one engine call per update, which
 is exactly what a naive serving loop would do.
 
-Acceptance gate (asserted below): the adaptive group-commit
-configuration sustains >= 2x the upd/s of per-update submission.
+Acceptance gates (asserted below): each group-commit configuration
+sustains >= 2x the upd/s of per-update submission in the same run, and
+no configuration's engine fell back to the generic walk.
 
-Latency columns are informational (bucketed upper bounds, formatted
-``<=…s`` so benchdiff does not gate on scheduler noise); the ``upd/s``
-and ``speedup`` columns are the benchdiff-gated metrics.
+Latency columns are informational: bucketed upper bounds, formatted
+``<=…s``, since they mostly measure scheduler noise.
 """
 
 from __future__ import annotations
@@ -112,12 +112,11 @@ def _serve_table():
     )
 
     results = {}
-    gated_stats = None
+    fallbacks = {}
     for label, max_batch, max_delay in CONFIGS:
         summary, stats = _serve(query, max_batch, max_delay)
         results[label] = summary
-        if label == CONFIGS[-1][0]:
-            gated_stats = stats
+        fallbacks[label] = stats.codegen_fallbacks
 
     # Differential gate: every configuration commits the same stream, so
     # the final views must be bit-identical.
@@ -137,11 +136,10 @@ def _serve_table():
             f"<={summary['staleness_p50']:.2g}s",
         )
 
-    adaptive = results[CONFIGS[-1][0]]
     report(
         table,
         "serve.txt",
-        stats=gated_stats,
+        stats=stats,  # the last configuration's recorder
         meta={
             "query": QUERY,
             "updates": UPDATES,
@@ -168,10 +166,12 @@ def _serve_table():
         },
     )
 
-    # Acceptance gate: adaptive group commit sustains >= 2x per-update
-    # submission under the same concurrent reader load.
-    speedup = adaptive["rate_end_to_end"] / baseline
-    assert speedup >= 2.0, {
-        label: summary["rate_end_to_end"]
-        for label, summary in results.items()
+    # Acceptance gates: every group-commit configuration sustains >= 2x
+    # per-update submission under the same concurrent reader load, and
+    # every configuration ran its generated kernels.
+    assert not any(fallbacks.values()), fallbacks
+    speedups = {
+        label: results[label]["rate_end_to_end"] / baseline
+        for label, _, _ in CONFIGS[1:]
     }
+    assert min(speedups.values()) >= 2.0, speedups

@@ -10,7 +10,6 @@ Usage::
         --json stats.json
     python -m repro stats "Q(A) = R(A,B) * S(B)" \
         --workload sliding-window --window 128 --batch-size 64
-    python -m repro benchdiff OLD.json NEW.json --band 0.2
 
 ``classify`` runs every syntactic classifier from the paper on the query
 and prints the planner's chosen strategy with its complexity guarantees —
@@ -28,11 +27,6 @@ no plans, no generated kernels) for A/B runs against the kernels.
 the generated Python source of every delta/enumeration kernel the
 plan's engine runs — the ground truth for what the codegen layer
 executes.
-
-``benchdiff`` compares two ``repro.bench/1`` JSON records (the
-``benchmarks/results/BENCH_*.json`` files) and exits non-zero when a
-throughput or ops metric regresses beyond the noise band — the CI
-regression gate.
 """
 
 from __future__ import annotations
@@ -304,8 +298,8 @@ def run_stats(args: argparse.Namespace) -> int:
     print(stats.render())
     print()
     # ``seconds`` includes the periodic drain() enumerations, so the
-    # end-to-end rate undersells pure maintenance throughput; report
-    # both so benchdiff compares like with like.
+    # end-to-end rate undersells pure maintenance throughput: report
+    # both.
     maintenance_seconds = max(seconds - enum_seconds, 0.0)
     rate_maintenance = (
         updates / maintenance_seconds if maintenance_seconds > 0 else 0.0
@@ -701,18 +695,6 @@ def main(argv: list[str] | None = None) -> int:
         "against a fresh drain (exit 1 on mismatch)",
     )
 
-    diff_parser = subparsers.add_parser(
-        "benchdiff",
-        help="diff two repro.bench/1 JSON records; exit 1 on regressions",
-    )
-    diff_parser.add_argument("old", help="baseline BENCH_*.json")
-    diff_parser.add_argument("new", help="candidate BENCH_*.json")
-    diff_parser.add_argument(
-        "--band", type=float, default=0.2,
-        help="relative noise band before a bad move counts as a "
-        "regression (default 0.2 = ±20%%)",
-    )
-
     args = parser.parse_args(argv)
     if args.command == "classify":
         return classify(args.query, args.fd, args.insert_only)
@@ -726,10 +708,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     if args.command == "serve":
         return run_serve(args)
-    if args.command == "benchdiff":
-        from .bench.diff import benchdiff
-
-        return benchdiff(args.old, args.new, band=args.band)
     return 1  # pragma: no cover
 
 

@@ -92,7 +92,7 @@ class ShardChangeTracker:
             return None
         prev = self.window.epoch
         try:
-            replies = owner._broadcast(("changes", prev, number))
+            replies = owner._broadcast(("changes", prev))
         except (ShardWorkerError, EpochGapError):
             # A shard could not answer mid-stream: the publish itself
             # already succeeded, so resync at the next one.

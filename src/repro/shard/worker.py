@@ -221,8 +221,9 @@ class ShardRuntime:
             self._change_epochs = {number: self.engine.epoch}
         return None, None
 
-    def _cmd_changes(self, from_number: int, to_number: int):
-        """Ship this shard's output delta between two coordinator epochs."""
+    def _cmd_changes(self, from_number: int):
+        """Ship this shard's output delta since coordinator epoch
+        ``from_number`` (up to its last publish)."""
         epochs = self._change_epochs
         if epochs is None or from_number not in epochs:
             raise EpochGapError(
@@ -397,18 +398,17 @@ class ShardWorkerPool:
     for broadcasts).
     """
 
-    def __init__(self, specs: list[ShardWorkerSpec], start_method: str | None = None):
+    def __init__(self, specs: list[ShardWorkerSpec]):
         import multiprocessing
 
-        context = multiprocessing.get_context(start_method)
         self.workers: list[_Worker] = []
         self.broken = False
         self.spawn_bytes = 0
         for spec in specs:
-            parent_conn, child_conn = context.Pipe(duplex=True)
+            parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
             blob = pickle.dumps(spec, _PROTOCOL)
             self.spawn_bytes += len(blob)
-            process = context.Process(
+            process = multiprocessing.Process(
                 target=_worker_main,
                 args=(child_conn, blob),
                 name=f"repro-shard-{spec.shard}",

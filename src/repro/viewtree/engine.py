@@ -623,13 +623,16 @@ class ViewTreeEngine(Backend):
         return update_base and relation in self.database, True
 
     @observed
-    def apply_batch(self, batch, update_base: bool = True) -> None:
+    def apply_batch(self, batch) -> None:
         """Coalesce a batch of single-tuple updates and apply it.
 
         Update batches over a ring commute, so ring-summing same-key
         deltas (cancellations vanish) and regrouping by relation keeps
         the batch's cumulative effect while shrinking the work below;
-        :meth:`apply_coalesced_batch` does the rest.
+        :meth:`apply_coalesced_batch` does the rest.  The batch is
+        written to the base here; a caller that writes the base itself
+        coalesces and passes ``update_base=False`` to
+        :meth:`apply_coalesced_batch`.
         """
         batch = list(batch)
         if self.generated:
@@ -642,7 +645,7 @@ class ViewTreeEngine(Backend):
                 name: (list(deltas), list(deltas.values()))
                 for name, deltas in coalesce_grouped(batch, self.ring).items()
             }
-        self.apply_coalesced_batch(columns, update_base, raw=len(batch))
+        self.apply_coalesced_batch(columns, raw=len(batch))
 
     @observed
     def apply_coalesced_batch(

@@ -598,7 +598,7 @@ class TestSharded:
                 engine.publish_epoch()
             with pytest.raises(EpochGapError):
                 engine.changes_since(evicted)
-            stale = ("changes", evicted, engine.epoch)
+            stale = ("changes", evicted)
             with pytest.raises(EpochGapError):
                 engine._call(0, stale)
             with pytest.raises(ShardWorkerError, match="EpochGapError"):

@@ -248,9 +248,11 @@ class TestSharedOptions:
         assert meta["shards"] == 2 and meta["shard_executor"] == "serial"
         assert meta["zipf_s"] == 1.5 and meta["window"] is None
 
-    def test_benchplot_is_gone(self):
-        with pytest.raises(SystemExit):
-            main(["benchplot", "x.json"])
+    @pytest.mark.parametrize("command", ["benchplot", "benchdiff"])
+    def test_benchplot_is_gone(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "x.json", "y.json"])
+        assert exc.value.code == 2
 
 
 class TestErrors:

@@ -5,23 +5,20 @@ stream, any ring, and any supported query shape, the generated engine's
 views, scalars, and enumerations are bit-identical to the generic walk's
 (``generated=False``, the oracle) — which in turn is differential-tested
 against naive recomputation.  Plus: generated engines must survive
-pickling (the process-pool shard executor ships them whole), the memory
-accounting satellite, and the benchdiff regression gate.
+pickling (the process-pool shard executor ships them whole), and the
+memory accounting satellite.  Wall-clock speed-ups are asserted by
+``benchmarks/bench_delta_kernel.py`` as same-run ratios, not here.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import pickle
 import random
 
 import pytest
 
-from repro.bench import Table, diff_records
-from repro.bench import bench_record as _bench_record
-from repro.bench.diff import benchdiff, column_direction, parse_number
 from repro.data import Database, Update, counting
 from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query, search_order
@@ -814,106 +811,3 @@ class TestMemoryAccounting:
     def test_render_mentions_view_size(self):
         _, stats = self._run()
         assert "view size" in stats.render()
-
-
-def _record(rows, columns=("configuration", "uniform upd/s"), name="t"):
-    table = Table("throughput", list(columns))
-    for row in rows:
-        table.add(*row)
-    return _bench_record(name, table)
-
-
-class TestBenchdiff:
-    def test_identity_has_no_regressions(self):
-        record = _record([("plain", "35,156"), ("sharded", "29,628")])
-        findings = diff_records(record, record)
-        assert len(findings) == 2
-        assert not any(f.regressed for f in findings)
-
-    def test_throughput_drop_beyond_band_regresses(self):
-        old = _record([("plain", "40,000")])
-        new = _record([("plain", "30,000")])
-        findings = diff_records(old, new, band=0.2)
-        assert [f.regressed for f in findings] == [True]
-        # a generous band tolerates the same drop
-        assert not diff_records(old, new, band=0.3)[0].regressed
-
-    def test_improvement_never_regresses(self):
-        old = _record([("plain", "10,000")])
-        new = _record([("plain", "90,000")])
-        assert not diff_records(old, new)[0].regressed
-
-    def test_lower_is_better_columns(self):
-        columns = ("case", "total ops")
-        old = _record([("x", 100)], columns=columns)
-        new = _record([("x", 150)], columns=columns)
-        assert diff_records(old, new, band=0.2)[0].regressed
-        assert not diff_records(new, old, band=0.2)[0].regressed
-
-    def test_row_and_table_matching_is_by_label(self):
-        old = _record([("a", "10"), ("b", "20")])
-        new = _record([("b", "20"), ("a", "10"), ("c", "5")])
-        findings = diff_records(old, new)
-        assert {f.row for f in findings} == {"a", "b"}
-        assert not any(f.regressed for f in findings)
-
-    def test_compound_row_labels(self):
-        """Rows sharing a first cell (query × workload tables) must match
-        on the full non-metric label tuple, not just column 0."""
-        columns = ("query", "workload", "generic upd/s")
-        old = _record(
-            [("q-hier", "uniform", "10,000"), ("q-hier", "zipf", "2,000")],
-            columns=columns,
-        )
-        # Same data, rows reordered: nothing regresses.
-        new = _record(
-            [("q-hier", "zipf", "2,000"), ("q-hier", "uniform", "10,000")],
-            columns=columns,
-        )
-        findings = diff_records(old, new)
-        assert len(findings) == 2
-        assert not any(f.regressed for f in findings)
-        # Only the zipf row drops: exactly one regression, on that row.
-        new = _record(
-            [("q-hier", "uniform", "10,000"), ("q-hier", "zipf", "1,000")],
-            columns=columns,
-        )
-        regressed = [f for f in diff_records(old, new) if f.regressed]
-        assert [f.row for f in regressed] == ["q-hier / zipf"]
-
-    def test_parse_number_formats(self):
-        assert parse_number("12,345") == 12345
-        assert parse_number("3.2x") == 3.2
-        assert parse_number("+15%") == 15
-        assert parse_number(7) == 7.0
-        assert parse_number("n/a") is None
-        assert parse_number(None) is None
-
-    def test_column_directions(self):
-        assert column_direction("uniform upd/s") == "higher"
-        assert column_direction("speedup") == "higher"
-        assert column_direction("total ops") == "lower"
-        assert column_direction("seconds") == "lower"
-        assert column_direction("configuration") is None
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        old_path = tmp_path / "old.json"
-        new_path = tmp_path / "new.json"
-        old_path.write_text(json.dumps(_record([("plain", "40,000")])))
-        new_path.write_text(json.dumps(_record([("plain", "10,000")])))
-        from repro.cli import main
-
-        assert main(["benchdiff", str(old_path), str(old_path)]) == 0
-        assert main(["benchdiff", str(old_path), str(new_path)]) == 1
-        assert (
-            main(["benchdiff", str(old_path), str(new_path), "--band", "0.9"])
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-
-    def test_rejects_wrong_schema(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": "something/else"}))
-        with pytest.raises(ValueError):
-            benchdiff(str(bad), str(bad))

@@ -305,8 +305,6 @@ class TestMaintenance:
             engine.apply_coalesced_batch(
                 coalesce_columnar(batch, Z), update_base=False
             )
-        with pytest.raises(ValueError, match="one relation per batch"):
-            engine.apply_batch(batch, update_base=False)
         assert engine.output_relation().to_dict() == {}
 
     def test_self_join_within_one_tree(self, rng):
