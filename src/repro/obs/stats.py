@@ -19,12 +19,13 @@ looks nothing up) and ``render`` name a metric again.  Adding a metric
 is one row plus its ``record_*``.
 
 Thread safety: one recorder may be shared across threads — the serving
-front-end commits on an executor thread while the event loop records
-reads, and a sharded coordinator merges shard 0's live recorder.  Every
-``record_*`` holds the recorder's lock (unattached engines never pay for
-it), ``merge`` holds both recorders' locks and ``to_dict`` / ``render``
-their own, so a merge never iterates a growing dict and an exported
-document is never torn.  The :func:`~repro.obs.instrument.observed`
+front-end commits size-sealed batches on an executor thread while the
+event loop records reads (deadline- and drain-sealed batches commit on
+the loop itself), and a sharded coordinator merges shard 0's live
+recorder.  Every ``record_*`` holds the recorder's lock (unattached
+engines never pay for it), ``merge`` holds both recorders' locks and
+``to_dict`` / ``render`` their own, so a merge never iterates a growing
+dict and an exported document is never torn.  The :func:`~repro.obs.instrument.observed`
 reentrancy depth is per *thread*.  Lock and thread-local are dropped on
 pickling (shard workers ship recorders) and rebuilt on unpickling.
 """

@@ -8,11 +8,17 @@ signal); the committer calls :meth:`GroupCommitQueue.collect`, which
 seals a batch when it reaches ``max_batch`` updates **or** when the
 oldest queued update has waited ``max_delay`` seconds, whichever fires
 first.  The size trigger bounds per-commit work; the deadline trigger
-bounds read staleness under a trickle of writers.
+bounds read staleness under a trickle of writers.  A deadline or drain
+seal means the loop sat idle, so the server commits inline; a size seal
+means it is saturated, so it commits on a worker thread.
 
-All coordination runs on one event loop, so the check-then-wait
-sequences below are race-free: no ``await`` sits between testing the
-deque and clearing the event that guards it.
+Items stay queued until their batch seals, so ``len`` and
+``oldest_arrival`` cover every update not yet committed, and the
+committer sleeps once per commit: ``put`` wakes it at the seal length,
+a timer armed with the oldest item at its deadline.  All coordination
+runs on one event loop, so the check-then-wait sequences below are
+race-free: no ``await`` sits between testing the deque and clearing the
+event that guards it.
 """
 
 from __future__ import annotations
@@ -41,9 +47,13 @@ class GroupCommitQueue:
         self.high_water = high_water
         self.closed = False
         self._items: deque[tuple[float, Any]] = deque()
-        self._not_empty = asyncio.Event()
+        self._wake = asyncio.Event()
         self._not_full = asyncio.Event()
         self._not_full.set()
+        #: Set by ``collect``: the length and delay that seal a batch.
+        self._seal_at = high_water
+        self._max_delay = 0.0
+        self._timer: asyncio.TimerHandle | None = None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -61,7 +71,7 @@ class GroupCommitQueue:
         return ``None``.
         """
         self.closed = True
-        self._not_empty.set()
+        self._wake.set()
         self._not_full.set()
 
     async def put(self, item: Any) -> float:
@@ -75,8 +85,20 @@ class GroupCommitQueue:
         if self.closed:
             raise QueueClosed("queue is closed")
         self._items.append((time.perf_counter(), item))
-        self._not_empty.set()
+        if len(self._items) >= self._seal_at:
+            self._wake.set()
+        elif len(self._items) == 1:
+            self._arm(self._max_delay)
         return waited
+
+    def _arm(self, delay: float) -> None:
+        self._timer = asyncio.get_running_loop().call_later(
+            delay, self._expire
+        )
+
+    def _expire(self) -> None:
+        self._timer = None
+        self._wake.set()
 
     async def collect(
         self, max_batch: int, max_delay: float
@@ -87,37 +109,33 @@ class GroupCommitQueue:
         ``trigger`` is ``"size"`` / ``"deadline"`` / ``"drain"`` and
         ``depth`` is the queue depth at seal time (the sealed batch plus
         whatever is still waiting behind it) — or ``None`` once the
-        queue is closed and empty.
+        queue is closed and empty.  A full queue seals by size.
         """
-        max_batch = max(max_batch, 1)
-        while not self._items:
-            if self.closed:
-                return None
-            self._not_empty.clear()
-            await self._not_empty.wait()
-        oldest = self._items[0][0]
-        deadline = oldest + max_delay
-        batch: list = []
+        self._seal_at = min(max(max_batch, 1), self.high_water)
+        self._max_delay = max_delay
         while True:
-            while self._items and len(batch) < max_batch:
-                batch.append(self._items.popleft()[1])
-            if len(batch) >= max_batch:
+            if len(self._items) >= self._seal_at:
                 trigger = "size"
                 break
             if self.closed:
+                if not self._items:
+                    return None
                 trigger = "drain"
                 break
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                trigger = "deadline"
-                break
-            self._not_empty.clear()
-            try:
-                await asyncio.wait_for(self._not_empty.wait(), remaining)
-            except asyncio.TimeoutError:
-                trigger = "deadline"
-                break
-        depth = len(batch) + len(self._items)
-        if len(self._items) < self.high_water:
-            self._not_full.set()
+            if self._items:
+                remaining = self._items[0][0] + max_delay - time.perf_counter()
+                if remaining <= 0:
+                    trigger = "deadline"
+                    break
+                if self._timer is None:
+                    self._arm(remaining)
+            self._wake.clear()
+            await self._wake.wait()
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        depth, oldest = len(self._items), self._items[0][0]
+        pop = self._items.popleft
+        batch = [pop()[1] for _ in range(min(depth, self._seal_at))]
+        self._not_full.set()
         return batch, trigger, depth, oldest

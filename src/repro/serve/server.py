@@ -4,9 +4,12 @@
 :class:`~repro.core.engine.IVMEngine` facade or a backend directly).
 Concurrent writer tasks ``await server.submit(update)``; a single
 committer task seals adaptive group commits off a
-:class:`~repro.serve.batcher.GroupCommitQueue` and applies each batch on
-a worker thread so the event loop keeps accepting submissions and
-answering reads while maintenance runs.
+:class:`~repro.serve.batcher.GroupCommitQueue`.  A batch sealed by its
+deadline or at shutdown commits inline, on the event loop that sat idle
+waiting for it.  A size-sealed batch means the server is saturated: it
+commits on a worker thread so the loop keeps accepting submissions and
+answering reads.  Behind a process-sharded engine an inline commit
+holds the loop for a worker round trip.
 
 Two read models are offered.  With **snapshot reads** (the default on
 engines that support epoch snapshots), each commit publishes a new
@@ -94,7 +97,8 @@ class AsyncIVMServer(Observable):
         the engine advertises ``supports_snapshots``.
 
     Use as an async context manager, or call :meth:`start` /
-    :meth:`stop` explicitly.  An exception raised by a commit is
+    :meth:`stop` explicitly.  Size-sealed commits run on a worker
+    thread, the others on the loop.  An exception raised by a commit is
     captured and re-raised from the next ``submit`` / ``drain`` /
     ``lookup`` / ``stop`` call.
     """
@@ -138,7 +142,6 @@ class AsyncIVMServer(Observable):
         self._change_source = None
         self._feed_epoch = 0
         self._feeds: set[ChangeFeed] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
         #: Lock-serialized fallback: committed-state enumerations are
         #: cached per commit sequence number, so repeated reads between
         #: commits stop re-materializing an unchanged output.
@@ -159,7 +162,6 @@ class AsyncIVMServer(Observable):
         if self._closed:
             raise RuntimeError("server already stopped")
         if self._committer is None:
-            self._loop = asyncio.get_running_loop()
             if self.snapshot_reads:
                 # Publish the pre-ingestion state so reads served before
                 # the first commit already see a consistent epoch.
@@ -173,7 +175,7 @@ class AsyncIVMServer(Observable):
                         self.engine, "backend", self.engine
                     )
                     self._feed_epoch = self._change_source.epoch
-            self._committer = self._loop.create_task(self._commit_loop())
+            self._committer = asyncio.create_task(self._commit_loop())
         return self
 
     async def stop(self) -> None:
@@ -379,8 +381,8 @@ class AsyncIVMServer(Observable):
             return 0.0
         return max(0.0, time.perf_counter() - oldest)
 
-    def _commit_batch(self, batch: list) -> None:
-        """Apply one sealed batch (runs on the committer's worker thread).
+    def _commit_batch(self, batch: list) -> OutputDelta | EpochGapError | None:
+        """Apply one sealed batch; return its feed delta or gap error.
 
         Under snapshot reads the new epoch is published right after the
         batch lands; a failed batch publishes nothing, so readers keep
@@ -396,12 +398,9 @@ class AsyncIVMServer(Observable):
                 self._feed_epoch = source.epoch
                 if self._feeds:
                     try:
-                        item = source.changes_since(prev)
+                        return source.changes_since(prev)
                     except EpochGapError as exc:
-                        item = exc
-                    loop = self._loop
-                    if loop is not None:
-                        loop.call_soon_threadsafe(self._fanout_changes, item)
+                        return exc
 
     async def _commit_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -410,18 +409,19 @@ class AsyncIVMServer(Observable):
             if sealed is None:
                 return
             batch, trigger, depth, oldest = sealed
-            if not batch:
-                continue
             async with self._commit_lock:
                 self._inflight_oldest = oldest
                 start = time.perf_counter()
                 try:
-                    # A worker thread keeps the loop free for submits and
-                    # read scheduling — and exercises the recorder's
-                    # thread safety the same way executor shards do.
-                    await loop.run_in_executor(
-                        None, self._commit_batch, batch
-                    )
+                    # Size seal: writers wait, so a worker thread keeps
+                    # the loop free for them and for reads.  Otherwise
+                    # the loop was idle: commit here, without the hop.
+                    if trigger == "size":
+                        item = await loop.run_in_executor(
+                            None, self._commit_batch, batch
+                        )
+                    else:
+                        item = self._commit_batch(batch)
                 except BaseException as exc:  # surfaced on next call
                     self._error = exc
                     stats = self._maintenance_stats
@@ -438,6 +438,8 @@ class AsyncIVMServer(Observable):
                         stats.record_commit(
                             elapsed, len(batch), depth, trigger
                         )
+                    if item is not None:
+                        self._fanout_changes(item)
                 finally:
                     self._inflight_oldest = None
             if not len(self.queue):

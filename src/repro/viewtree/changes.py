@@ -204,8 +204,9 @@ class DeltaWindow:
     """A bounded, contiguous window of per-epoch output deltas.
 
     Mutations and reads may come from different threads (the serve
-    tier publishes on its commit worker thread while the event loop
-    composes catch-up deltas), so the deque is guarded by a lock.
+    tier publishes size-sealed commits on a worker thread while the
+    event loop composes catch-up deltas), so the deque is guarded by a
+    lock.
     Retained deltas are immutable: ``changes_since`` hands the same
     object to every caller that asks for exactly one epoch.
     """

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro.core.engine import IVMEngine
+from repro.data import Update
 from repro.data.database import Database
 from repro.obs import MaintenanceStats
 from repro.query.parser import parse_query
@@ -65,6 +66,19 @@ def close_backend(engine):
     engine.close()
 
 
+def record_threads(engine):
+    """Wrap ``engine.apply_batch`` to log the thread of every commit."""
+    threads = []
+    inner_apply = engine.apply_batch
+
+    def apply_batch(batch):
+        threads.append(threading.get_ident())
+        return inner_apply(batch)
+
+    engine.apply_batch = apply_batch
+    return threads
+
+
 # ----------------------------------------------------------------------
 # GroupCommitQueue
 # ----------------------------------------------------------------------
@@ -112,6 +126,66 @@ class TestGroupCommitQueue:
                 await queue.put("c")
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "high_water, max_batch, max_delay, script, batch, trigger",
+        [
+            # max_batch reached long before the one-minute deadline
+            (64, 4, 60.0, "put sleep put put sleep put", 4, "size"),
+            # close() seals what is pending without waiting it out
+            (64, 1000, 60.0, "put sleep put close", 2, "drain"),
+            # a full queue seals at once: its producers are blocked
+            (3, 1000, 60.0, "put put sleep put put", 3, "size"),
+            # a trickle below max_batch: one batch, at the deadline
+            (64, 1000, 0.05, "put sleep put sleep put", 3, "deadline"),
+        ],
+        ids=["size", "drain", "high-water", "trickle"],
+    )
+    def test_arrivals_during_collect_seal_one_batch(
+        self, high_water, max_batch, max_delay, script, batch, trigger
+    ):
+        """Items arriving while ``collect`` waits stay queued, and the
+        committer wakes once: at the seal length, the deadline or
+        ``close()`` — not once per arrival."""
+
+        async def run():
+            queue = GroupCommitQueue(high_water=high_water)
+            wakes = 0
+            inner_wait = queue._wake.wait
+
+            async def counting_wait():
+                nonlocal wakes
+                await inner_wait()
+                wakes += 1
+
+            queue._wake.wait = counting_wait
+
+            async def producer():
+                for i, step in enumerate(script.split()):
+                    if step == "put":
+                        await queue.put(i)
+                    elif step == "sleep":
+                        await asyncio.sleep(0.005)
+                    else:
+                        queue.close()
+
+            loop = asyncio.get_running_loop()
+            start = time.perf_counter()
+            task = loop.create_task(producer())
+            sealed = await queue.collect(max_batch, max_delay)
+            waited = time.perf_counter() - start
+            await task
+            return sealed, waited, wakes
+
+        (got, got_trigger, depth, _), waited, wakes = asyncio.run(run())
+        assert len(got) == batch and got == sorted(got)
+        assert got_trigger == trigger
+        assert depth == batch
+        assert wakes == 1
+        if trigger == "deadline":
+            assert waited >= max_delay
+        else:
+            assert waited < 5.0  # did not wait out the deadline
 
     def test_put_blocks_at_high_water(self):
         async def run():
@@ -354,7 +428,16 @@ class TestServerHeldView:
         for got in results:
             assert any(got == epoch for epoch in published)
 
-    def test_failed_commit_leaves_the_view_at_the_last_good_epoch(self):
+    @pytest.mark.parametrize(
+        "max_batch, max_delay, on_loop",
+        [(64, 0.0, True), (10, 60.0, False)],
+        ids=["loop", "worker"],
+    )
+    def test_failed_commit_leaves_the_view_at_the_last_good_epoch(
+        self, max_batch, max_delay, on_loop
+    ):
+        """Deadline seals commit on the loop, size seals (every batch
+        here is ten updates) on a worker thread; both fail cleanly."""
         query, engine = fresh_engine(self.TEXT)
         inner_apply = engine.apply_batch
         fail = {"next": False}
@@ -366,11 +449,12 @@ class TestServerHeldView:
             inner_apply(batch)
 
         engine.apply_batch = flaky_apply
+        threads = record_threads(engine)
         updates = list(update_stream(query, 60, domain=4, seed=2))
 
         async def run():
             async with AsyncIVMServer(
-                engine, max_batch=64, max_delay=0.0
+                engine, max_batch=max_batch, max_delay=max_delay
             ) as server:
                 await server.submit_many(updates[:30])
                 await server.drain()
@@ -392,6 +476,8 @@ class TestServerHeldView:
                 assert server._matview.epoch == engine.backend.epoch
 
         asyncio.run(run())
+        loop_thread = threading.get_ident()
+        assert threads and all((t == loop_thread) == on_loop for t in threads)
 
 
 class TestLoadGenerator:
@@ -507,23 +593,55 @@ class TestCommitTriggers:
         serial.apply_batch(updates)
         assert sorted(engine.enumerate()) == sorted(serial.enumerate())
 
-    def test_commit_error_surfaces_on_next_call(self):
+    @pytest.mark.parametrize(
+        "max_batch, on_loop", [(64, True), (1, False)], ids=["loop", "worker"]
+    )
+    def test_commit_error_surfaces_on_next_call(self, max_batch, on_loop):
         query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
 
         def boom(batch):
             raise RuntimeError("kaboom")
 
         engine.apply_batch = boom
+        threads = record_threads(engine)
 
         async def run():
             async with AsyncIVMServer(
-                engine, max_batch=1, max_delay=0.0
+                engine, max_batch=max_batch, max_delay=0.0
             ) as server:
                 await server.submit(next(iter(update_stream(query, 1))))
                 with pytest.raises(RuntimeError, match="kaboom"):
                     await server.drain()
 
         asyncio.run(run())
+        assert len(threads) == 1
+        assert (threads[0] == threading.get_ident()) == on_loop
+
+    def test_a_batch_waiting_for_its_deadline_is_queued_and_stale(self):
+        """Updates waiting out the deadline stay in the queue, so they
+        count toward its length and toward read staleness.  ``collect``
+        used to pop them into a private list while it waited: the queue
+        read 0 and reads recorded no staleness, yet the update was not
+        visible."""
+        _, engine = fresh_engine("Q(A,B) = R(A,B)")
+
+        async def run():
+            stats = MaintenanceStats()
+            async with AsyncIVMServer(
+                engine, max_batch=10_000, max_delay=0.05, stats=stats
+            ) as server:
+                await server.submit(Update("R", (1, 2)))
+                await asyncio.sleep(0.02)
+                depth = len(server.queue)
+                before = await server.lookup((1, 2))
+                await server.drain()
+                after = await server.lookup((1, 2))
+            return stats, depth, before, after
+
+        stats, depth, before, after = asyncio.run(run())
+        assert depth == 1
+        assert before == engine.database.ring.zero and after == 1
+        assert stats.read_staleness.stat.maximum >= 0.015
 
     def test_submit_after_stop_raises(self):
         query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
@@ -536,6 +654,43 @@ class TestCommitTriggers:
                 await server.submit(next(iter(update_stream(query, 1))))
 
         asyncio.run(run())
+
+
+class TestCommitPlacement:
+    @pytest.mark.parametrize(
+        "trigger, max_batch, max_delay, updates",
+        [
+            ("deadline", 10_000, 0.005, 1),
+            ("drain", 10_000, 60.0, 3),
+            ("size", 4, 60.0, 4),
+        ],
+        ids=["deadline", "drain", "size"],
+    )
+    def test_the_trigger_picks_the_commit_thread(
+        self, trigger, max_batch, max_delay, updates
+    ):
+        """Deadline and drain seals commit on the event loop, which sat
+        idle waiting for the batch; size seals commit on a worker
+        thread, so a saturated loop keeps serving reads."""
+        query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
+        threads = record_threads(engine)
+
+        async def run():
+            stats = MaintenanceStats()
+            server = AsyncIVMServer(
+                engine, max_batch=max_batch, max_delay=max_delay, stats=stats
+            )
+            await server.start()
+            await server.submit_many(update_stream(query, updates, seed=4))
+            if trigger != "drain":
+                await server.drain()
+            await server.stop()
+            return stats
+
+        stats = asyncio.run(run())
+        assert stats.commits == getattr(stats, f"{trigger}_commits") == 1
+        assert len(threads) == 1
+        assert (threads[0] == threading.get_ident()) == (trigger != "size")
 
 
 class TestServingObservability:
@@ -624,14 +779,16 @@ class TestRecorderThreadSafety:
         assert stats.point_lookups == expected
 
     def test_threaded_commits_through_server_are_exact(self):
-        """The committer applies batches on a worker thread while the
-        event loop records submits — totals must still be exact."""
+        """The committer applies size-sealed batches on a worker thread
+        while the event loop records submits — totals must still be
+        exact.  400 updates in batches of 8 with no reachable deadline:
+        every commit is size-sealed, so every one runs off the loop."""
         query, engine = fresh_engine("Q(B,A) = R(B,A) * S(B)", shards=2)
 
         async def run():
             stats = MaintenanceStats()
             async with AsyncIVMServer(
-                engine, max_batch=8, max_delay=0.0005, stats=stats
+                engine, max_batch=8, max_delay=60.0, stats=stats
             ) as server:
                 for update in update_stream(query, 400, domain=8, seed=11):
                     await server.submit(update)
@@ -644,6 +801,7 @@ class TestRecorderThreadSafety:
             close_backend(engine)
         assert stats.submits == 400
         assert stats.commit_batch_size.stat.total == 400
+        assert stats.size_commits == stats.commits == 50
 
     def test_recorder_pickles_without_lock(self):
         import pickle
