@@ -162,5 +162,14 @@ class IVMEngine(Backend):
         return self._engine
 
     def close(self) -> None:
-        """Release the backend's resources (shard worker processes)."""
+        """Release the backend's resources.
+
+        A view-tree backend empties the views, guards and leaf copies it
+        owns and releases its base relations to the next writer, which
+        may be another engine over the same database; every later call
+        then raises (:meth:`~repro.viewtree.engine.ViewTreeEngine.close`).
+        A sharded backend shuts its worker processes down
+        (:meth:`~repro.shard.engine.ShardedEngine.close`).  Base
+        relations keep their contents either way.
+        """
         self._engine.close()

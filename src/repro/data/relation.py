@@ -34,8 +34,8 @@ A view tree whose leaf is a base relation maintains its views from the
 writes it makes itself, so a second engine writing the same relation
 would change that leaf behind the first one's views.  The first engine
 to write a relation claims it (:func:`claim_writer`); a claim is a weak
-reference, so it lapses with its engine, and pickles and copies carry
-none.
+reference, so it lapses with its engine, or when the engine closes
+(:func:`release_writer`), and pickles and copies carry none.
 """
 
 from __future__ import annotations
@@ -78,6 +78,13 @@ def claim_writer(relations: Iterable["Relation"], writer: object) -> None:
     ref = weakref.ref(writer)
     for relation in relations:
         relation._writer = ref
+
+
+def release_writer(relations: Iterable["Relation"], writer: object) -> None:
+    """Drop ``writer``'s claim on each of ``relations`` that it holds."""
+    for relation in relations:
+        if relation._writer is not None and relation._writer() is writer:
+            relation._writer = None
 
 
 def _detach(maps: list[dict], undo: dict) -> list[dict]:

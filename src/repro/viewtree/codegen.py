@@ -26,7 +26,11 @@ OpenIVM's compile-to-code design in PAPERS.md):
   (``s0``, ``s1``, …), one block per depth with its guard probe, leaf
   probes, and bound-view probes unrolled in place; a step marked
   ``replay`` gets a second, probe-free loop over the rows its first
-  pass recorded (see :func:`_emit_iterate`).
+  pass recorded (see :func:`_emit_iterate`); a last step marked
+  ``drain`` makes ``iterate`` hand an unbound request each candidate
+  bucket whole — ``chain.from_iterable`` over one ``zip(bucket,
+  payloads)`` per bucket — while prebound requests walk
+  (:func:`_emit_drain`).
 
 The generated functions execute the **same probe sequence and the same
 ring-operation order** as the generic walk
@@ -127,6 +131,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import ExitStack, nullcontext
+from itertools import chain, repeat
 from operator import itemgetter
 from time import perf_counter
 from typing import Any, Optional
@@ -250,6 +255,7 @@ def _enum_shape(plan: EnumPlan) -> tuple:
                 step.probe_positions,
                 tuple(positions for _, positions in step.leaf_probes),
                 tuple(positions for _, positions in step.post_probes),
+                step.drain,
             )
             for step in plan.steps
         ),
@@ -1443,7 +1449,7 @@ def _delta_source(plan: DeltaPlan) -> str:
 
 
 def _enum_env_names(plan: EnumPlan) -> list[str]:
-    names = ["MUL", "IS_ZERO", "ZERO", "ONE", "COUNTER", "MISS"]
+    names = ["MUL", "IS_ZERO", "ZERO", "ONE", "COUNTER", "MISS", "chain", "repeat"]
     for i in range(len(plan.prefix_probes)):
         names.append(f"PRE_{i}")
     for d, step in enumerate(plan.steps):
@@ -1467,6 +1473,8 @@ def _enum_env(plan: EnumPlan) -> dict[str, Any]:
         "ONE": ring.one,
         "COUNTER": COUNTER,
         "MISS": _MISS,
+        "chain": chain,
+        "repeat": repeat,
     }
     for i, (view, _) in enumerate(plan.prefix_probes):
         env[f"PRE_{i}"] = view
@@ -1491,11 +1499,14 @@ def _slot_tuple(positions: tuple[int, ...]) -> str:
     return f"({inner})"
 
 
-def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None:
+def _emit_iterate(
+    w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool = False, drain: bool = False
+) -> None:
     """One generated enumeration walk: ``iterate(prebound, stats)`` over
     the live relations, or, with ``snapshot``, ``iterate_epoch(prebound,
     stats, epoch)`` over a published
-    :class:`~repro.viewtree.epoch.EpochSnapshot`.
+    :class:`~repro.viewtree.epoch.EpochSnapshot`, or, with ``drain``,
+    ``buckets(stats)`` (see :func:`_emit_drain`).
 
     Literal nested loops, one block per free variable: entering a depth
     issues the generic walk's guard probe (bucket iteration, or a single
@@ -1529,11 +1540,26 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
     ``u.get(k, d.get(k))`` — live first, map second — so it sees the
     published state while maintenance writes the live relations from
     another thread.
+
+    A plan whose last step is marked
+    :attr:`~repro.viewtree.enumplan.EnumStep.drain` gets a third
+    function, ``buckets(stats)``: the live walk with no prebound value,
+    whose last depth yields each candidate bucket as one ``zip(bucket,
+    payloads)`` instead of looping over it.  The bucket's ``enum`` and
+    ``lookup`` counts (one each per key) are added and flushed before
+    it is yielded.  The walk's last product is ``p * v`` with ``p`` a
+    product of ``ONE`` factors, so ``payloads`` maps that product over
+    the bucket's ``V`` values; for an integer ring, where ``p`` is ``1``,
+    it is the values bare.  Its zero test is not emitted: a stored ``v``
+    is non-zero, and so is ``ONE`` times it.
     """
     steps = plan.steps
     last = len(steps) - 1
     # ``1 * x`` and ``1.0 * x`` are exact: a product with ``ONE`` is not emitted.
     identity = ops.mul_op == "*"
+    # An integer ring's payloads are ints (or floats), for which ``1 * v``
+    # is ``v``, type included: a drained bucket's payloads are read bare.
+    bare = identity and type(plan.ring.one) is int
 
     def probe(target: str, table: str, key: str) -> None:
         # ``target = table.get(key)`` as of the walk's epoch: the live
@@ -1553,6 +1579,10 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
 
     if snapshot:
         w.emit("def iterate_epoch(prebound, stats, epoch):")
+    elif drain:
+        w.emit("def buckets(stats):")
+    elif steps[-1].drain:
+        w.emit("def walk(prebound, stats):")
     else:
         w.emit("def iterate(prebound=None, stats=None):")
     with w.block():
@@ -1596,8 +1626,9 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                 with w.block():
                     w.emit("return")
             if not snapshot:
-                for d in range(len(steps)):
-                    w.emit(f"gd_{d} = GUARD_{d}.data")
+                if not drain:  # guard data serves prebound checks only
+                    for d in range(len(steps)):
+                        w.emit(f"gd_{d} = GUARD_{d}.data")
                 for d in range(len(steps)):
                     w.emit(f"gr_{d} = IDX_{d}.groups")
                 for d, step in enumerate(steps):
@@ -1606,14 +1637,15 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                 for d, step in enumerate(steps):
                     for k in range(len(step.post_probes)):
                         w.emit(f"pd_{d}_{k} = POST_{d}_{k}.data")
-            w.emit("if prebound:")
-            with w.block():
-                for d in range(len(steps)):
-                    w.emit(f"pv_{d} = prebound.get(NAME_{d}, MISS)")
-            w.emit("else:")
-            with w.block():
-                for d in range(len(steps)):
-                    w.emit(f"pv_{d} = MISS")
+            if not drain:
+                w.emit("if prebound:")
+                with w.block():
+                    for d in range(len(steps)):
+                        w.emit(f"pv_{d} = prebound.get(NAME_{d}, MISS)")
+                w.emit("else:")
+                with w.block():
+                    for d in range(len(steps)):
+                        w.emit(f"pv_{d} = MISS")
 
             def key_for(d: int, positions: tuple[int, ...]) -> str:
                 # A probe keyed like the guard of a step it runs under
@@ -1671,7 +1703,7 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                         w.emit(f"rec_{m}.append({row(m)})")
                 return p
 
-            def emit_yield(p: str) -> None:
+            def emit_flush() -> None:
                 w.emit("if COUNTER.enabled:")
                 with w.block():
                     w.emit("if lookups:")
@@ -1682,7 +1714,28 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                     with w.block():
                         w.emit('COUNTER.bump("enum", enums)')
                         w.emit("enums = 0")
+
+            def emit_yield(p: str) -> None:
+                emit_flush()
                 w.emit(f"yield {_slot_tuple(plan.head_positions)}, {p}")
+
+            def emit_bucket(d: int, p: str, backtrack: str) -> None:
+                # The last depth of ``buckets``: its one post probe is its
+                # guard, keyed like the candidate (EnumStep.drain).
+                w.emit(f"n = len(cands_{d})")
+                w.emit("enums += n")
+                if not identity:
+                    w.emit(f"p_{d} = {ops.mul(p, 'ONE')}")
+                    p = f"p_{d}"
+                    w.emit(f"if {ops.is_zero(p)}:")
+                    with w.block():
+                        w.emit(backtrack)
+                w.emit("lookups += n")
+                emit_flush()
+                values = f"map(pd_{d}_0.__getitem__, cands_{d})"
+                if not bare:
+                    values = f"map(MUL, repeat({p}), {values})"
+                w.emit(f"yield zip(cands_{d}, {values})")
 
             def emit_depth(d: int, p: str, recording: list) -> None:
                 step = steps[d]
@@ -1706,6 +1759,20 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                 w.emit(f"# depth {d} ({step.variable})")
                 w.emit("guard_probes += 1")
                 w.emit("lookups += 1")
+                if drain:
+                    probe(f"cands_{d}", f"gr_{d}", key_for(d - 1, step.group_positions))
+                    w.emit(f"if not cands_{d}:")
+                    with w.block():
+                        w.emit(backtrack)
+                    if d == last:
+                        emit_bucket(d, p, backtrack)
+                        return
+                    w.emit(f"for key_{d} in cands_{d}:")
+                    with w.block():
+                        w.emit("enums += 1")
+                        w.emit(f"s{slot} = key_{d}[{step.var_pos}]")
+                        emit_depth(d + 1, emit_products(d, p, True, recording), recording)
+                    return
                 w.emit(f"if pv_{d} is MISS:")
                 with w.block():
                     probe(f"cands_{d}", f"gr_{d}", key_for(d - 1, step.group_positions))
@@ -1763,10 +1830,26 @@ def _emit_iterate(w: _Writer, plan: EnumPlan, ops: _Ops, snapshot: bool) -> None
                 w.emit("stats.record_enum_probes(guard_probes)")
 
 
+def _emit_drain(w: _Writer) -> None:
+    """``iterate`` of a plan whose last step drains: an unbound request
+    chains the buckets ``buckets`` yields, a prebound one walks."""
+    w.emit("def iterate(prebound=None, stats=None):")
+    with w.block():
+        w.emit("if prebound:")
+        with w.block():
+            w.emit("return walk(prebound, stats)")
+        w.emit("return chain.from_iterable(buckets(stats))")
+
+
 def _enum_source(plan: EnumPlan) -> str:
     ops = _Ops(plan.ring)
     body = _Writer(indent=1)
-    _emit_iterate(body, plan, ops, snapshot=False)
+    _emit_iterate(body, plan, ops)
+    if plan.steps[-1].drain:
+        body.emit()
+        _emit_iterate(body, plan, ops, drain=True)
+        body.emit()
+        _emit_drain(body)
     body.emit()
     _emit_iterate(body, plan, ops, snapshot=True)
     return _wrap_factory(body, _enum_env_names(plan), "iterate, iterate_epoch")

@@ -53,7 +53,7 @@ from typing import Any, Iterator, Optional
 from ..backend import Backend, NotSupported
 from ..data.database import Database
 from ..data.opcounter import COUNTER
-from ..data.relation import Relation, claim_writer
+from ..data.relation import Relation, claim_writer, release_writer
 from ..data.schema import Schema
 from ..data.update import Update, coalesce_grouped
 from ..naive.algebra import join_all, join_pair, marginalize, union_into
@@ -374,6 +374,8 @@ class ViewTreeEngine(Backend):
         #: Lazily-created per-epoch output change tracker (track_changes).
         self._change_tracker: ChangeTracker | None = None
         self._updates_since_sample = 0
+        #: Set by close(): every later call raises.
+        self._closed = False
         if stats is not None:
             self.attach_stats(stats)
 
@@ -550,6 +552,7 @@ class ViewTreeEngine(Backend):
         """
         anchors = self._anchors.get(update.relation)
         if anchors is None or update.relation in self._static:
+            self._check_open()  # a closed engine has no anchors
             raise rejected(self.query, update.relation)
         if update_base and update.relation not in self._written:
             self._claim((update.relation,))
@@ -701,6 +704,7 @@ class ViewTreeEngine(Backend):
         :meth:`apply`.  A batch that raises midway is rolled back as in
         :meth:`apply`.
         """
+        self._check_open()
         for name in columns:
             if name not in self._anchors or name in self._static:
                 raise rejected(self.query, name)
@@ -842,6 +846,7 @@ class ViewTreeEngine(Backend):
         ``cow_buckets_copied``, ``undo_entries``); a shard coordinator
         passes ``False`` and records one aggregate publish itself.
         """
+        self._check_open()
         if self._enum_kernel is None and self.query.head and self.order.is_free_top():
             # The generic walk builds guard group-indexes lazily on first
             # enumeration; force them into existence so the snapshot
@@ -905,6 +910,7 @@ class ViewTreeEngine(Backend):
         none exists): ``changes_since`` answers from the next publish
         on, and anything older than the baseline is an epoch gap.
         """
+        self._check_open()
         if self._change_tracker is None:
             if not self.supports_changes:
                 raise NotSupported(
@@ -935,6 +941,7 @@ class ViewTreeEngine(Backend):
 
     def scalar_snapshot(self, snap: EpochSnapshot | None = None) -> Any:
         """:meth:`scalar` against the published epoch."""
+        self._check_open()
         if self.query.head:
             raise ValueError("scalar() requires an empty-head query")
         if snap is None:
@@ -977,6 +984,7 @@ class ViewTreeEngine(Backend):
 
     def scalar(self) -> Any:
         """The payload of a Boolean (empty-head) query."""
+        self._check_open()
         if self.query.head:
             raise ValueError("scalar() requires an empty-head query")
         payload = self.ring.one
@@ -1007,6 +1015,7 @@ class ViewTreeEngine(Backend):
         return self._lookup(key, None)
 
     def _lookup(self, key: tuple, snap: EpochSnapshot | None) -> Any:
+        # A closed engine has no lookup plan: its walk raises.
         key = tuple(key)
         head = self.head
         if len(key) != len(head):
@@ -1045,6 +1054,7 @@ class ViewTreeEngine(Backend):
         :class:`EpochSnapshot` instead of the live relations (the
         snapshot-read path).
         """
+        self._check_open()
         kernel = self._enum_kernel
         if kernel is None:
             return self._enumerate_generic(prebound, epoch=epoch)
@@ -1211,6 +1221,43 @@ class ViewTreeEngine(Backend):
         return out
 
     # ------------------------------------------------------------------
+    # Lifetime
+    # ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Release the view tree (idempotent).
+
+        Empties every relation the engine owns — views, guards, and the
+        leaves that are private copies — with their group indexes, so
+        their memory is free for what runs next even while the engine
+        is still referenced.  Drops the kernels, the plans, the change
+        tracker and every snapshot (a snapshot still held raises when
+        read), and releases the engine's writer claims, so another
+        engine can write its base relations.  A base relation, an
+        aliased leaf included, keeps its contents and indexes.  Every
+        later call but ``close`` raises ``RuntimeError``.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._versions.close()
+        self._epoch_snapshot = self._change_tracker = None
+        bases = {id(self.database[name]) for name in self._anchors}
+        for relation in self._snapshot_relations():
+            if id(relation) not in bases:
+                relation.clear()
+        release_writer((self.database[name] for name in self._written), self)
+        self._written = set()
+        self.roots, self._anchors, self._kernels = [], {}, {}
+        self._enum_kernel = self._lookup_plan = self._enum_schedule = None
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(
+                f"the view-tree engine of query {self.query.name!r} is closed"
+            )
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -1277,8 +1324,8 @@ class ViewTreeEngine(Backend):
         each input tuple this engine holds.  A derived view names the
         index it is read from (``V_X*(Y) = index R(Y)``).  The last two
         lines are the enumeration walk (``enum: Y · X · Z (Z replayed per
-        X)``, or ``walk``) and the lookup plan (``lookup: R(Y, X) · S(Y,
-        Z)``, or ``walk``).
+        X)``, ``enum: A · C (C drained per A bucket)``, or ``walk``) and
+        the lookup plan (``lookup: R(Y, X) · S(Y, Z)``, or ``walk``).
         """
         lines: list[str] = []
         atoms = self._leaf_atoms()
@@ -1319,18 +1366,23 @@ class ViewTreeEngine(Backend):
         }
 
     def _enum_route(self) -> str:
-        """The generated walk's free variables in visit order, and the
-        steps whose suffix replays per candidate of the step before."""
+        """The generated walk's free variables in visit order, the steps
+        whose suffix replays per candidate of the step before, and the
+        step an unbound drain hands over bucket by bucket."""
         if self._enum_kernel is None:
             return "walk"
         steps = self._enum_kernel.plan.steps
-        replays = ", ".join(
+        notes = [
             f"{step.variable} replayed per {steps[d - 1].variable}"
             for d, step in enumerate(steps)
             if step.replay
-        )
+        ]
+        last = steps[-1]
+        if last.drain:
+            per = f"per {steps[-2].variable} bucket" if len(steps) > 1 else "as one bucket"
+            notes.append(f"{last.variable} drained {per}")
         route = " · ".join(step.variable for step in steps)
-        return f"{route} ({replays})" if replays else route
+        return f"{route} ({', '.join(notes)})" if notes else route
 
     def _lookup_route(self) -> str:
         """How :meth:`lookup` answers: its probes, or why it walks."""

@@ -54,6 +54,18 @@ candidate of step *d−1* (:mod:`repro.viewtree.codegen`).  Op counts: a
 replayed row is one ``enum`` and no ``lookup``, since it probes
 nothing; the walked pass counts as the generic walk does.
 
+**Drained buckets.**  On ``Q(A, C) = R(A, B) * S(B, C)`` the last step's
+candidates are the keys of one ``V_B(A, ·)`` bucket, and ``V_B`` is the
+only factor that carries a value: each output tuple is a bucket key
+with its ``V_B`` payload.  :func:`compile_enum_plan` marks the last step
+(:attr:`EnumStep.drain`) when its guard is its one post probe, no other
+probe (prefix, leaf or post) multiplies, and the guard's keys are output
+tuples in head order.  An unbound enumeration then hands each bucket to
+the consumer whole, as one C-level iterator over its keys and payloads,
+instead of resuming a generator per tuple (:mod:`repro.viewtree.codegen`);
+prebound requests and epoch reads keep the walk.  Same tuples, same
+order, same op counts, summed per bucket.
+
 Everything stored on a plan is positions, relation references, group
 indexes, and the ring singleton, so plans pickle — a generated kernel
 pickles as "regenerate from my plan", and the pickle memo keeps plan
@@ -84,6 +96,7 @@ class EnumStep:
         "leaf_probes",
         "post_probes",
         "replay",
+        "drain",
     )
 
     def __init__(
@@ -117,6 +130,9 @@ class EnumStep:
         #: Whether the walk from this step on replays per candidate of the
         #: step before (set by :func:`compile_enum_plan`).
         self.replay = False
+        #: Whether an unbound walk hands this step's candidate buckets
+        #: over whole (last step only; set by :func:`compile_enum_plan`).
+        self.drain = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -235,6 +251,16 @@ def compile_enum_plan(engine) -> Optional[EnumPlan]:
     for d in range(1, len(steps)):
         bound = steps[d - 1].var_slot
         steps[d].replay = all(bound not in _reads(step) for step in steps[d:])
+    head_positions = tuple(slot_of[v] for v in engine.head)
+    last = steps[-1]
+    last.drain = (
+        not prefix_probes
+        and not any(step.leaf_probes or step.post_probes for step in steps[:-1])
+        and not last.leaf_probes
+        and len(last.post_probes) == 1
+        and last.post_probes[0][0] is last.guard
+        and last.probe_positions == head_positions
+    )
     lookup = None
     if set(engine.head) == set(query.head):
         at = {slot_of[v]: i for i, v in enumerate(engine.head)}
@@ -250,7 +276,7 @@ def compile_enum_plan(engine) -> Optional[EnumPlan]:
     return EnumPlan(
         engine.ring,
         len(slot_of),
-        tuple(slot_of[v] for v in engine.head),
+        head_positions,
         tuple(prefix_probes),
         tuple(steps),
         lookup,

@@ -194,6 +194,14 @@ class SnapshotRegistry:
         _release(snap.versions)
         self._live = [entry for entry in self._live if entry[0]() is not snap]
 
+    def close(self) -> None:
+        """Detach every snapshot's maps and uncover its relations, so a
+        read through a snapshot still held raises (the writer is closing)."""
+        for _, versions in self._live:
+            _release(versions)
+            versions.clear()
+        self._live = []
+
 
 def _release(versions: dict[int, tuple]) -> None:
     """Detach a snapshot's maps: later writes record nothing in them."""

@@ -508,7 +508,7 @@ class TestReplay:
             query, seeded_db(schemas, random.Random(1)),
             search_order(query, require_free_top=True),
         )
-        assert engine.describe().splitlines()[-2] == "enum: A · C"
+        assert engine.describe().splitlines()[-2] == "enum: A · C (C drained per A bucket)"
 
     def test_exact_op_counts_on_a_hand_built_instance(self):
         # Y=1: X in {1,2,3}, Z in {1,2}; Y=2: X in {1}, Z in {1,2,3}.
@@ -667,3 +667,131 @@ class TestReplay:
         assert facade.enumerate().gi_code.co_name == "iterate"
         facade.attach_stats()
         assert facade.enumerate().gi_code.co_name == "_observed"
+
+
+# ----------------------------------------------------------------------
+# Drained buckets: an unbound drain hands each last-step bucket over whole
+# ----------------------------------------------------------------------
+
+#: Shapes whose last step drains, and the route ``explain`` prints.
+DRAINED = {
+    "Q(A, C) = R(A, B) * S(B, C)": "A · C (C drained per A bucket)",
+    "Q(A, B, D) = R(A, B, C) * S(C, D)": "A · B · D (D drained per B bucket)",
+}
+#: Shapes whose last step must walk: a valued leaf at the free node above
+#: (``T(A)``), and a head order other than ``V_B``'s schema.
+WALKED = {
+    "Q(A, C) = T(A) * R(A, B) * S(A, B, C)": "A · C",
+    "Q(C, A) = R(A, B) * S(B, C)": "A · C",
+}
+
+
+def drain_twins(text, ring_name, count=240, make=None):
+    """``(generated, oracle)`` engines under a searched free-top order,
+    both fed the same random updates over ``ring_name`` (payloads from
+    ``make``, default the ring's own)."""
+    ring, default = REPLAY_RINGS[ring_name]
+    make = make or default
+    query = parse_query(text)
+    order = search_order(query, require_free_top=True)
+
+    def make_db():
+        db = Database(ring=ring)
+        for atom in query.atoms:
+            db.create(atom.relation, atom.variables)
+        return db
+
+    engines = (
+        ViewTreeEngine(query, make_db(), order),
+        ViewTreeEngine(query, make_db(), order, generated=False),
+    )
+    rng = random.Random(f"{text}/{ring_name}")
+    apply_both(engines, random_updates(query, ring, make, rng, count, domain=4))
+    return engines
+
+
+def typed(items):
+    return [(key, payload, type(payload)) for key, payload in items]
+
+
+class TestDrainedBuckets:
+    @pytest.mark.parametrize("text", sorted({**DRAINED, **WALKED}))
+    def test_plan_marks_the_last_step(self, text):
+        engine, oracle = drain_twins(text, "int", count=0)
+        steps = engine._enum_kernel.plan.steps
+        assert [step.drain for step in steps] == [False] * (len(steps) - 1) + [
+            text in DRAINED
+        ]
+        route = {**DRAINED, **WALKED}[text]
+        assert engine.describe().splitlines()[-2] == f"enum: {route}"
+        assert oracle.describe().splitlines()[-2] == "enum: walk"
+
+    @pytest.mark.parametrize("ring_name", sorted(REPLAY_RINGS))
+    @pytest.mark.parametrize("text", sorted({**DRAINED, **WALKED}))
+    def test_full_drain_equals_the_walk_and_naive(self, text, ring_name):
+        engine, oracle = drain_twins(text, ring_name)
+        expected = list(oracle.enumerate())
+        drained = engine.enumerate()
+        assert type(drained).__name__ == ("chain" if text in DRAINED else "generator")
+        got = list(drained)
+        assert expected and typed(got) == typed(expected)
+        naive = evaluate(engine.query, engine.database).to_dict()
+        assert dict(got).keys() == naive.keys()
+        # Float sums and min-plus products associate as each side's own
+        # join order does.
+        exact = ring_name in ("int", "provenance")
+        for key, payload in got:
+            assert payload == (naive[key] if exact else pytest.approx(naive[key]))
+
+    @pytest.mark.parametrize("ring_name", ["float", "min-plus"])
+    @pytest.mark.parametrize("text", sorted(DRAINED))
+    def test_int_payloads_come_back_as_the_walk_types_them(self, text, ring_name):
+        # The walk's last product is ``1.0 * v`` or ``0.0 + v``, a float
+        # even where a view holds an int: the drain multiplies too.
+        engine, oracle = drain_twins(
+            text, ring_name, make=lambda rng, name, key: rng.randint(1, 3)
+        )
+        expected = typed(oracle.enumerate())
+        assert expected and {kind for _, _, kind in expected} == {float}
+        assert typed(engine.enumerate()) == expected
+
+    @pytest.mark.parametrize("ring_name", sorted(REPLAY_RINGS))
+    @pytest.mark.parametrize("text", sorted(DRAINED))
+    def test_op_counts_and_probes_equal_the_walk(self, text, ring_name):
+        engine, oracle = drain_twins(text, ring_name)
+        # A prebound request naming no head variable walks every tuple.
+        unbound = {"unused": 0}
+        assert engine.enumerate(unbound).gi_code.co_name == "walk"
+
+        def drain(prebound):
+            stats = MaintenanceStats()
+            with counting() as ops:
+                items = list(engine._enumerate(prebound, stats))
+            return ops.counts, items, stats.enum_guard_probes
+
+        with counting() as ops:
+            expected = list(oracle.enumerate())
+        counts, items, probes = drain(None)
+        assert (counts, items, probes) == drain(unbound)
+        assert counts == ops.counts and counts["enum"] > len(items) > 0
+        assert items == expected and probes > 0
+
+    @pytest.mark.parametrize("ring_name", sorted(REPLAY_RINGS))
+    @pytest.mark.parametrize("text", sorted(DRAINED))
+    def test_prebound_and_epoch_reads_keep_the_walk(self, text, ring_name):
+        engine, oracle = drain_twins(text, ring_name)
+        head = engine.query.head
+        for value in range(-1, 4):
+            for prebound in ({head[0]: value}, {head[-1]: value}, dict.fromkeys(head, value)):
+                walked = engine.enumerate(prebound)
+                assert walked.gi_code.co_name == "walk"
+                assert typed(walked) == typed(oracle.enumerate(prebound))
+        expected = list(oracle.enumerate())
+        engine.publish_epoch()
+        later = random_updates(
+            engine.query, *REPLAY_RINGS[ring_name], random.Random(5), 40, domain=4
+        )
+        apply_both((engine,), later)
+        snapshot = engine.enumerate_snapshot()
+        assert snapshot.gi_code.co_name == "iterate_epoch"
+        assert typed(snapshot) == typed(expected)

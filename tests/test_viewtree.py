@@ -188,6 +188,65 @@ class TestOneWriter:
         assert db["R"].data == {(1, 2): 1}  # the original is untouched
 
 
+class TestClose:
+    """close() releases the view tree, never the base relations."""
+
+    Q = parse_query("Q(A, C) = R(A, B) * S(B, C)")
+
+    def test_close_releases_the_tree_and_the_claims(self):
+        from repro import IVMEngine
+        from repro.data.relation import Relation
+
+        db = Database()
+        db.create("R", ("A", "B"))  # aliased: the leaf is the base
+        db.create("S", ("X", "Y"))  # renamed: the leaf is a private copy
+        engine = IVMEngine(self.Q, db)
+        for a, b, c in [(1, 2, 3), (1, 2, 4), (5, 2, 3), (6, 7, 8)]:
+            engine.apply(Update("R", (a, b), 1))
+            engine.apply(Update("S", (b, c), 1))
+        tree = engine.backend
+        leaves = leaves_of(tree)
+        assert leaves["R(A, B)"] is db["R"] and leaves["S(B, C)"] is not db["S"]
+        owned = [leaves["S(B, C)"]] + [
+            relation
+            for root in tree.roots
+            for node in root.walk()
+            for relation in (node.view, node.guard)
+            if type(relation) is Relation
+        ]
+        assert all(len(relation) for relation in owned)
+        bases = {name: dict(db[name].data) for name in ("R", "S")}
+        indexed = {gv: dict(ix.groups) for gv, ix in db["R"]._indexes.items()}
+        snap = tree.publish_epoch()
+        engine.close()
+        engine.close()  # idempotent
+        for relation in owned:
+            assert not relation.data
+            assert all(not index.groups for index in relation._indexes.values())
+        assert {name: dict(db[name].data) for name in ("R", "S")} == bases
+        assert {gv: dict(ix.groups) for gv, ix in db["R"]._indexes.items()} == indexed
+        # The snapshot's maps are detached from the bases, and reading it raises.
+        assert not db["R"]._maps and not db["S"]._maps
+        with pytest.raises(RuntimeError, match="not covered"):
+            snap.data_of(db["R"])
+        # The claims lapse with close, not with the last reference.
+        assert db["R"]._writer is None and db["S"]._writer is None
+        second = IVMEngine(self.Q, db)
+        second.apply(Update("R", (9, 7), 1))
+        assert dict(second.enumerate()) == evaluate(self.Q, db).to_dict()
+        for call in (
+            lambda: engine.apply(Update("R", (1, 1), 1)),
+            lambda: engine.apply_batch([Update("R", (1, 1), 1)]),
+            lambda: list(engine.enumerate()),
+            lambda: engine.lookup((1, 3)),
+            lambda: engine.publish_epoch(),
+            lambda: list(engine.enumerate_snapshot()),
+            lambda: engine.changes_since(0),
+        ):
+            with pytest.raises(RuntimeError, match="is closed"):
+                call()
+
+
 class TestMaintenance:
     QUERIES = [
         ("Q(Y, X, Z) = R(Y, X) * S(Y, Z)", [("R", ("Y", "X")), ("S", ("Y", "Z"))]),
