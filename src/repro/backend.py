@@ -34,6 +34,12 @@ class Backend(Observable):
     #: Whether generated kernels run (engines without a view tree: never).
     generated: bool = False
 
+    @property
+    def backend(self) -> "Backend":
+        """The engine that runs the maintenance: this one (the facade
+        answers with the engine it wraps)."""
+        return self
+
     def _no(self, what: str) -> NotSupported:
         return NotSupported(f"{type(self).__name__} does not support {what}")
 

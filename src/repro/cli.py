@@ -124,17 +124,33 @@ def demo() -> int:
     return 0
 
 
-def _value_sampler(args, rng):
-    """A ``() -> int`` attribute-value sampler for ``--workload``.
+def _prefilled_database(query, args):
+    """The database ``stats`` and ``serve`` replay into.
 
-    Shared with the serving load generator — see
-    :func:`repro.serve.loadgen.value_sampler` for the shapes (a sliding
-    window draws its keys uniformly).
+    Every relation of the query holds ``--prefill`` random tuples, drawn
+    from an RNG of their own so the update stream, seeded ``--seed``
+    (:func:`repro.serve.loadgen.update_stream`), does not depend on
+    them.  ``None``, with a message, when no relation takes updates.
     """
+    import random
+
+    from .data.database import Database
     from .serve.loadgen import value_sampler
 
+    if not query.dynamic_atoms:
+        print("query has no dynamic relations; nothing to replay")
+        return None
     workload = "uniform" if args.workload == "sliding-window" else args.workload
-    return value_sampler(rng, args.domain, workload, args.zipf_s)
+    value = value_sampler(
+        random.Random(args.seed ^ 0xF111), args.domain, workload, args.zipf_s
+    )
+    db = Database()
+    for atom in query.atoms:
+        if atom.relation not in db:
+            db.create(atom.relation, atom.variables)
+            for _ in range(args.prefill):
+                db[atom.relation].add(tuple(value() for _ in atom.variables), 1)
+    return db
 
 
 def _print_header(args, query, plan) -> None:
@@ -161,56 +177,37 @@ def _workload_meta(args) -> dict:
 
 def run_stats(args: argparse.Namespace) -> int:
     """Replay a synthetic workload and print/dump the stats recorder."""
-    import random
     import time
-    from collections import deque
+    from itertools import islice
 
     from .core.engine import IVMEngine
-    from .data.database import Database
-    from .data.update import Update
+    from .data.opcounter import counting
     from .obs import write_stats_json
+    from .serve.loadgen import update_stream
 
     insert_only, updates, batch = args.insert_only, args.updates, args.batch
-    workload, window, shards = args.workload, args.window, args.shards
     query = parse_query(args.query)
     fds = tuple(FunctionalDependency.parse(t) for t in args.fd)
-    rng = random.Random(args.seed)
-    value = _value_sampler(args, rng)
-
-    db = Database()
-    static_names = {atom.relation for atom in getattr(query, "static_atoms", ())}
-    arities: dict[str, int] = {}
-    dynamic: list[str] = []
-    for atom in query.atoms:
-        if atom.relation not in arities:
-            db.create(atom.relation, atom.variables)
-            arities[atom.relation] = len(atom.variables)
-            if atom.relation not in static_names:
-                dynamic.append(atom.relation)
-    if not dynamic:
-        print("query has no dynamic relations; nothing to replay")
+    db = _prefilled_database(query, args)
+    if db is None:
+        return 1
+    plan = plan_maintenance(query, fds, insert_only, shards=args.shards)
+    deletes_ok = not insert_only and plan.strategy != "insert-only"
+    if args.workload == "sliding-window" and not deletes_ok:
+        print("--workload sliding-window needs deletes (drop --insert-only)")
         return 1
 
-    def random_key(relation: str) -> tuple:
-        return tuple(value() for _ in range(arities[relation]))
-
-    for name in arities:
-        for _ in range(args.prefill):
-            db[name].add(random_key(name), 1)
-
-    plan = plan_maintenance(query, fds, insert_only, shards=shards)
     engine = IVMEngine(
         query,
         db,
         fds,
         insert_only,
         plan=plan,
-        shards=shards,
+        shards=args.shards,
         shard_executor=args.shard_executor,
         generated=not args.oracle,
     )
     stats = engine.attach_stats()
-    deletes_ok = not insert_only and plan.strategy != "insert-only"
     # A CQAP plan is read through access requests, never enumerated whole.
     can_enumerate = plan.input_origin is None
     sharded = plan.strategy == "sharded-viewtree"
@@ -219,11 +216,19 @@ def run_stats(args: argparse.Namespace) -> int:
     # family coalesces and runs the generated batch kernels.  ``--batch 1``
     # forces the per-update path (except for sharded plans, where the
     # per-update path would serialize the coordinator).
-    batched = sharded or batch > 1
-
-    if workload == "sliding-window" and not deletes_ok:
-        print("--workload sliding-window needs deletes (drop --insert-only)")
-        return 1
+    step = max(batch, 1)
+    batched = sharded or step > 1
+    stream = update_stream(
+        query,
+        updates,
+        domain=args.domain,
+        seed=args.seed,
+        workload=args.workload,
+        zipf_s=args.zipf_s,
+        window=args.window,
+        deletes_ok=deletes_ok,
+    )
+    chunks = iter(lambda: list(islice(stream, step)), [])
 
     enum_seconds = 0.0
 
@@ -234,57 +239,23 @@ def run_stats(args: argparse.Namespace) -> int:
             pass
         enum_seconds += time.perf_counter() - begin
 
-    # A valid update stream: deletes only retract still-live insertions,
-    # so multiplicities stay non-negative and enumeration stays sound.
-    # ``sliding-window`` keeps a FIFO of the last ``--window`` insertions
-    # and emits the matching delete as each tuple falls out of the window
-    # — the paired insert/delayed-delete shape that rewards batch
-    # coalescing whenever the window wraps within one batch.
-    live: dict[str, list[tuple]] = {name: [] for name in dynamic}
-    fifo: deque[tuple[str, tuple]] = deque()
-    pending: list[Update] = []
     start = time.perf_counter()
     try:
-        for index in range(updates):
-            relation = dynamic[rng.randrange(len(dynamic))]
-            if workload == "sliding-window":
-                if len(fifo) >= max(window, 1):
-                    relation, key = fifo.popleft()
-                    update = Update(relation, key, -1)
+        # One op count over the whole replay; work done inside shard
+        # worker processes is not in it.
+        with counting() as ops:
+            for index, chunk in enumerate(chunks, 1):
+                if batched:
+                    engine.apply_batch(chunk)
                 else:
-                    key = random_key(relation)
-                    fifo.append((relation, key))
-                    update = Update(relation, key, 1)
-            else:
-                keys = live[relation]
-                if deletes_ok and keys and rng.random() < 0.25:
-                    key = keys.pop(rng.randrange(len(keys)))
-                    update = Update(relation, key, -1)
-                else:
-                    key = random_key(relation)
-                    keys.append(key)
-                    update = Update(relation, key, 1)
-            if batched:
-                pending.append(update)
-                if len(pending) >= max(batch, 1):
-                    engine.apply_batch(pending)
-                    pending.clear()
-            else:
-                engine.apply(update)
-            if (
-                can_enumerate
-                and args.enum_interval
-                and (index + 1) % (max(batch, 1) * args.enum_interval) == 0
-            ):
-                if pending:
-                    engine.apply_batch(pending)
-                    pending.clear()
+                    for update in chunk:
+                        engine.apply(update)
+                if can_enumerate and args.enum_interval and (
+                    index % args.enum_interval == 0
+                ):
+                    drain()
+            if can_enumerate:
                 drain()
-        if pending:
-            engine.apply_batch(pending)
-            pending.clear()
-        if can_enumerate:
-            drain()
         seconds = time.perf_counter() - start
         if sharded:
             stats = engine.backend.merged_stats()
@@ -292,6 +263,7 @@ def run_stats(args: argparse.Namespace) -> int:
         # Close unconditionally: an exception mid-replay must not leak
         # the sharded backend's worker processes.
         engine.close()
+    stats.record_ops(ops.counts)
 
     _print_header(args, query, plan)
     print()
@@ -393,10 +365,8 @@ def run_explain(
 def run_serve(args: argparse.Namespace) -> int:
     """Closed-loop load test against the async serving front-end."""
     import asyncio
-    import random
 
     from .core.engine import IVMEngine
-    from .data.database import Database
     from .obs import write_stats_json
     from .serve import AsyncIVMServer, run_load_test
 
@@ -406,25 +376,8 @@ def run_serve(args: argparse.Namespace) -> int:
         print("serve needs an enumerable query (no input variables)")
         return 1
     updates = min(args.updates, 500) if args.smoke else args.updates
-    max_batch, max_delay_ms = args.max_batch, args.max_delay
-    if args.per_update:
-        max_batch, max_delay_ms = 1, 0.0
-
-    value = _value_sampler(args, random.Random(args.seed ^ 0xF111))
-    db = Database()
-    static_names = {atom.relation for atom in getattr(query, "static_atoms", ())}
-    dynamic = []
-    for atom in query.atoms:
-        if atom.relation not in db:
-            db.create(atom.relation, atom.variables)
-            if atom.relation not in static_names:
-                dynamic.append(atom.relation)
-            for _ in range(args.prefill):
-                db[atom.relation].add(
-                    tuple(value() for _ in atom.variables), 1
-                )
-    if not dynamic:
-        print("query has no dynamic relations; nothing to serve")
+    db = _prefilled_database(query, args)
+    if db is None:
         return 1
 
     plan = plan_maintenance(query, fds, shards=args.shards)
@@ -438,8 +391,8 @@ def run_serve(args: argparse.Namespace) -> int:
     )
     server = AsyncIVMServer(
         engine,
-        max_batch=max_batch,
-        max_delay=max_delay_ms / 1000.0,
+        max_batch=args.max_batch,
+        max_delay=args.max_delay / 1000.0,
         high_water=args.high_water,
         snapshot_reads=False if args.no_snapshot_reads else None,
     )
@@ -473,7 +426,7 @@ def run_serve(args: argparse.Namespace) -> int:
     reads_mode = "epoch snapshots" if server.snapshot_reads else "commit lock"
     print(
         f"serving:  {args.writers} writers + {args.readers} readers, "
-        f"max_batch={max_batch} max_delay={max_delay_ms:g}ms "
+        f"max_batch={args.max_batch} max_delay={args.max_delay:g}ms "
         f"high_water={args.high_water} reads={reads_mode}"
     )
     print()
@@ -514,10 +467,10 @@ def run_serve(args: argparse.Namespace) -> int:
                 "prefill": args.prefill,
                 "domain": args.domain,
                 "seed": args.seed,
-                "max_batch": max_batch,
-                "max_delay_ms": max_delay_ms,
+                "max_batch": args.max_batch,
+                "max_delay_ms": args.max_delay,
                 "high_water": args.high_water,
-                "per_update": args.per_update,
+                "per_update": args.max_batch == 1,
                 "snapshot_reads": server.snapshot_reads,
                 "generated": engine.generated,
                 **summary,
@@ -673,11 +626,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument(
         "--high-water", type=int, default=4096,
         help="queue depth at which submit() blocks (default 4096)",
-    )
-    serve_parser.add_argument(
-        "--per-update", action="store_true",
-        help="commit every update individually (max_batch=1, no "
-        "deadline) — the group-commit A/B baseline",
     )
     serve_parser.add_argument(
         "--no-snapshot-reads", action="store_true",

@@ -168,7 +168,10 @@ class IVMEngine(Backend):
         owns and releases its base relations to the next writer, which
         may be another engine over the same database; every later call
         then raises (:meth:`~repro.viewtree.engine.ViewTreeEngine.close`).
-        A sharded backend shuts its worker processes down
+        A sharded backend shuts its worker processes down, closes the
+        shard engines it hosts the same way and releases its claims;
+        every later call that reaches a shard raises, while
+        ``merged_stats()`` keeps answering
         (:meth:`~repro.shard.engine.ShardedEngine.close`).  Base
         relations keep their contents either way.
         """

@@ -3,10 +3,11 @@
 Every maintenance engine in the library answers the same three questions
 through this package:
 
-* **how much work?** — :func:`op_scope` wraps the elementary-operation
-  accounting of :mod:`repro.data.opcounter` into scoped, nestable blocks
-  (inner scopes no longer clobber outer ones), and :class:`StopWatch`
-  gives nestable accumulating wall-clock timers;
+* **how much work?** — :func:`repro.data.counting` blocks count the
+  elementary operations of :mod:`repro.data.opcounter` (blocks nest:
+  an inner block's counts roll up into the outer one), and
+  :meth:`MaintenanceStats.record_ops` folds a block's counts into a
+  recorder;
 * **how is it distributed?** — :class:`MaintenanceStats` records every
   metric declared in :data:`repro.obs.stats.METRICS` (one row each: the
   recorder's state, its merges, the per-shard summary and the
@@ -15,14 +16,13 @@ through this package:
   engine through the :class:`Observable` mixin and the :func:`observed`
   hook on ``apply``/``apply_batch``;
 * **can a machine read it?** — :func:`write_stats_json` and the bench
-  record helpers in :mod:`repro.bench.harness` emit schema-stable JSON so
-  benchmark trajectories can be diffed across commits.
+  record helpers in :mod:`repro.bench.harness` emit schema-stable,
+  append-only JSON.
 
-The package deliberately depends only on the standard library and
-:mod:`repro.data.opcounter`, so every engine layer may import it freely.
+The package deliberately depends only on the standard library, so
+every engine layer may import it freely.
 """
 
-from .counter import OpScope, StopWatch, op_scope
 from .export import (
     STATS_SCHEMA,
     stats_record,
@@ -37,13 +37,10 @@ __all__ = [
     "LatencyHistogram",
     "MaintenanceStats",
     "Observable",
-    "OpScope",
     "RunningStat",
     "STATS_SCHEMA",
-    "StopWatch",
     "observed",
     "observed_enumeration",
-    "op_scope",
     "share_stats",
     "stats_record",
     "write_stats_json",

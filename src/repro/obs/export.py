@@ -2,9 +2,9 @@
 
 The stats payload is versioned (``repro.obs/1``); the benchmark-table
 payload (``repro.bench/1``) lives in :mod:`repro.bench.harness`, which
-builds on the helpers here.  Keep both schemas append-only: downstream
-tooling diffs these files across commits, so existing keys must not be
-renamed or change meaning.
+builds on the helpers here.  Keep both schemas append-only: a reader
+of an older file must find every key it knows, so existing keys must
+not be renamed or change meaning.
 """
 
 from __future__ import annotations

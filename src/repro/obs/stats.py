@@ -171,7 +171,8 @@ METRICS: tuple[Metric, ...] = (
     Metric("migrations", INT, "rebalance.migrations", SUMMARY),
     Metric("tuples_migrated", INT, "rebalance.tuples_migrated"),
     Metric("repartitions", INT, "rebalance.repartitions", SUMMARY),
-    # Elementary op totals folded in via record_ops / op_scope.
+    # Elementary op totals of a counting() block, folded in via
+    # record_ops (the stats CLI counts its whole replay).
     Metric("ops", COUNT_BY_KIND, "ops", ROLLUP),
     Metric("ops", TOTAL, None, SUMMARY, lambda s: sum(s.ops.values())),
     Metric("peak_view_size", GAUGE, None, SUMMARY, _peak_view_size),
@@ -743,8 +744,7 @@ class MaintenanceStats:
                 add(
                     f"  {label}: updates={cells.get('updates', 0)}  "
                     f"batches={cells.get('batches', 0)}  "
-                    f"mean={cells.get('update_mean_s', 0.0):.3g}s  "
-                    f"ops={cells.get('ops', 0)}"
+                    f"mean={cells.get('update_mean_s', 0.0):.3g}s"
                 )
         return lines
 

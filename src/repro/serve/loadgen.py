@@ -3,11 +3,11 @@
 Writers run closed-loop (each submits as fast as backpressure allows);
 readers run open-loop on a fixed schedule (:data:`READS_PER_S`).
 
-Reuses the ``stats`` CLI's stream shapes — uniform / zipf value
-distributions and the sliding-window insert+delayed-delete pairing —
-but packaged as reusable generators so ``python -m repro serve``,
-``benchmarks/bench_serve.py``, and the test suite all drive the
-:class:`~repro.serve.server.AsyncIVMServer` through the same streams.
+:func:`update_stream` is the one synthetic update generator — uniform
+/ zipf value distributions and the sliding-window insert+delayed-delete
+pairing: ``python -m repro stats`` replays it into an engine, and
+``python -m repro serve``, ``benchmarks/bench_serve.py`` and the test
+suite drive the :class:`~repro.serve.server.AsyncIVMServer` with it.
 
 Validity: each writer task draws from its **own** independent stream
 (seeded ``seed + writer_index``), so a delete always retracts a tuple
@@ -91,7 +91,7 @@ def update_stream(
         "uniform" if workload == "sliding-window" else workload,
         zipf_s,
     )
-    static_names = {atom.relation for atom in getattr(query, "static_atoms", ())}
+    static_names = {atom.relation for atom in query.static_atoms}
     arities: dict[str, int] = {}
     dynamic: list[str] = []
     for atom in query.atoms:
@@ -263,7 +263,7 @@ async def run_load_test(
         await feed_task
         maintained_ok = feed_state == dict(await server.enumerate())
 
-    stats = getattr(server, "stats", None)
+    stats = server.stats
     summary: dict[str, Any] = {
         "updates": updates,
         "writers": writers,

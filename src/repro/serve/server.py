@@ -1,6 +1,6 @@
 """The asyncio serving front-end: concurrent writers, group commits.
 
-:class:`AsyncIVMServer` wraps any engine exposing ``apply_batch`` (the
+:class:`AsyncIVMServer` wraps a :class:`~repro.backend.Backend` (the
 :class:`~repro.core.engine.IVMEngine` facade or a backend directly).
 Concurrent writer tasks ``await server.submit(update)``; a single
 committer task seals adaptive group commits off a
@@ -80,8 +80,11 @@ class AsyncIVMServer(Observable):
     Parameters
     ----------
     engine:
-        Anything with ``apply_batch(list[Update])``; ``lookup`` /
-        ``enumerate`` / ``scalar`` are used when present.
+        A :class:`~repro.backend.Backend` (the
+        :class:`~repro.core.engine.IVMEngine` facade or a backend
+        directly); the server reads its declared surface —
+        ``supports_snapshots``, ``supports_changes`` and ``backend`` —
+        instead of probing for methods.
     max_batch:
         Size trigger — a commit seals as soon as this many updates are
         pending.  ``1`` degenerates to per-update commits.
@@ -116,7 +119,7 @@ class AsyncIVMServer(Observable):
         self.engine = engine
         self.max_batch = max(int(max_batch), 1)
         self.max_delay = max(float(max_delay), 0.0)
-        supported = bool(getattr(engine, "supports_snapshots", False))
+        supported = engine.supports_snapshots
         if snapshot_reads and not supported:
             raise ValueError(
                 "snapshot_reads=True but the engine does not support "
@@ -166,14 +169,12 @@ class AsyncIVMServer(Observable):
                 # Publish the pre-ingestion state so reads served before
                 # the first commit already see a consistent epoch.
                 self.engine.publish_epoch()
-                if getattr(self.engine, "supports_changes", False):
+                if self.engine.supports_changes:
                     # Maintained read state + change-feed plumbing: the
                     # subscription publishes its tracking baseline now,
                     # before any commit is in flight.
                     self._matview = self.engine.subscribe()
-                    self._change_source = getattr(
-                        self.engine, "backend", self.engine
-                    )
+                    self._change_source = self.engine.backend
                     self._feed_epoch = self._change_source.epoch
             self._committer = asyncio.create_task(self._commit_loop())
         return self

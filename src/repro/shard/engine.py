@@ -81,7 +81,7 @@ from ..backend import Backend, NotSupported
 # write path (benchmarks/e2e wraps it by that dotted name).
 from ..data.columnar import coalesce_columnar as coalesce
 from ..data.database import Database
-from ..data.relation import Relation, claim_writer
+from ..data.relation import Relation, claim_writer, release_writer
 from ..data.schema import Schema
 from ..data.update import Update
 from ..obs import MaintenanceStats, observed, observed_enumeration
@@ -196,6 +196,8 @@ class ShardedEngine(Backend):
         #: folds per-shard output deltas into merged coordinator-epoch
         #: deltas so subscribers patch in O(δ) across all shards.
         self._change_tracker: ShardChangeTracker | None = None
+        #: Set by close(): every later call that reaches a shard raises.
+        self._closed = False
 
     # ------------------------------------------------------------------
     # Shard plumbing: local runtimes + a pool for the rest
@@ -203,6 +205,7 @@ class ShardedEngine(Backend):
 
     def _ensure(self) -> tuple[list[ShardRuntime], ShardWorkerPool | None]:
         """The local runtimes and the worker pool, (re)built on demand."""
+        self._check_open()
         runtimes, pool = self._runtimes, self._pool
         if runtimes is None or (
             self._local < self.shards and (pool is None or pool.broken)
@@ -364,14 +367,31 @@ class ShardedEngine(Backend):
             self.shard_stats[shard].merge(delta)
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent).
+        """Release every shard (idempotent).
 
+        Shuts the worker pool down, closes the coordinator-hosted shard
+        engines (:meth:`ViewTreeEngine.close`) and releases this
+        engine's writer claims; base relations keep their contents.
         Worker shutdown ships each worker's final stats delta, so
-        :meth:`merged_stats` stays complete after close.
+        :meth:`merged_stats` stays complete after close.  Every later
+        call that reaches a shard, or the base, raises ``RuntimeError``.
         """
+        self._closed = True
         pool, self._pool = self._pool, None
         if pool is not None:
             self._close_pool(pool)
+        runtimes, self._runtimes = self._runtimes, None
+        for runtime in runtimes or ():
+            runtime.engine.close()
+        self._change_tracker = None
+        release_writer((self.database[name] for name in self._written), self)
+        self._written = set()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(
+                f"the sharded engine of query {self.query.name!r} is closed"
+            )
 
     def __getstate__(self) -> dict:
         # Shards are derived state: a restored engine rebuilds all of
@@ -409,6 +429,7 @@ class ShardedEngine(Backend):
         relations about to be written, before any write: an update to a
         static relation or one outside the query, and a relation another
         live engine writes (:class:`~repro.data.relation.SharedBaseError`)."""
+        self._check_open()
         for name in names:
             if name not in self._dynamic:
                 raise rejected(self.query, name)
@@ -659,6 +680,7 @@ class ShardedEngine(Backend):
         if not head:
             return self._scalar(self._pin() if snapshot else None)
         if self._base_lookup is not None and not snapshot:
+            self._check_open()
             result = probe_product(self._base_lookup, key, self.ring)
             stats = self._maintenance_stats
             if stats is not None:

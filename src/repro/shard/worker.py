@@ -68,7 +68,7 @@ import selectors
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..data.database import Database
@@ -126,7 +126,6 @@ class ShardWorkerSpec:
     order: VariableOrder
     lifting: LiftingMap | None = None
     generated: bool = True
-    engine_kwargs: dict = field(default_factory=dict)
 
     def build(self, stats: MaintenanceStats | None = None):
         """Construct the shard's ``ViewTreeEngine``, recording into
@@ -135,16 +134,16 @@ class ShardWorkerSpec:
 
         if stats is None:
             stats = MaintenanceStats(engine=f"ViewTreeEngine/shard{self.shard}")
-        return ViewTreeEngine(
+        engine = ViewTreeEngine(
             self.query,
             self.database,
             self.order,
             lifting=self.lifting,
-            stats=stats,
             leaf_filter=ShardLeafFilter(self.router, self.shard),
             generated=self.generated,
-            **self.engine_kwargs,
         )
+        engine.attach_stats(stats)
+        return engine
 
 
 class ShardRuntime:

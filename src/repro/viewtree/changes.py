@@ -397,31 +397,23 @@ def _written(snap, rel) -> list[tuple[tuple, bool]]:
 class MaterializedView:
     """A dict materialization of the output, patched per epoch in O(δ).
 
-    ``source`` is any engine-like object exposing ``epoch`` (last
-    published epoch number), ``changes_since(epoch)`` and
-    ``enumerate_snapshot()`` — ``ViewTreeEngine``, ``ShardedEngine``
-    and the ``IVMEngine`` facade all qualify.  :meth:`refresh` patches
-    the state forward; it falls back to a full snapshot drain (counted
-    as ``full_refresh_fallbacks``) when the subscriber fell out of the
-    retained window or the delta/state ratio exceeds
+    ``source`` is a backend exposing ``epoch`` (last published epoch
+    number), ``changes_since(epoch)``, ``enumerate_snapshot()`` and
+    ``stats`` (the recorder patches and refreshes are counted in) —
+    ``ViewTreeEngine`` and ``ShardedEngine`` qualify.  :meth:`refresh`
+    patches the state forward; it falls back to a full snapshot drain
+    (counted as ``full_refresh_fallbacks``) when the subscriber fell out
+    of the retained window or the delta/state ratio exceeds
     ``ratio_threshold``.
     """
 
-    def __init__(self, source, ratio_threshold: float = 0.5, stats=None):
+    def __init__(self, source, ratio_threshold: float = 0.5):
         self.source = source
         self.ratio_threshold = ratio_threshold
-        self._stats = stats
         self.state: dict[tuple, Any] = {}
         self.epoch = 0
         self.full_refreshes = 0
         self._full_refresh(initial=True)
-
-    # -- stats plumbing -------------------------------------------------
-
-    def _recorder(self):
-        if self._stats is not None:
-            return self._stats
-        return getattr(self.source, "_maintenance_stats", None)
 
     # -- read surface ---------------------------------------------------
 
@@ -462,7 +454,7 @@ class MaterializedView:
         start = time.perf_counter()
         delta.apply_to(self.state)
         self.epoch = delta.epoch_to
-        stats = self._recorder()
+        stats = self.source.stats
         if stats is not None:
             stats.record_change_patch(
                 time.perf_counter() - start,
@@ -480,6 +472,6 @@ class MaterializedView:
         self.epoch = epoch
         if not initial:
             self.full_refreshes += 1
-            stats = self._recorder()
+            stats = self.source.stats
             if stats is not None:
                 stats.record_full_refresh()

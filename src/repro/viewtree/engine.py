@@ -216,7 +216,6 @@ class ViewTreeEngine(Backend):
         database: Database,
         order: VariableOrder | None = None,
         lifting: LiftingMap | None = None,
-        stats=None,
         leaf_filter=None,
         generated: bool = True,
         head: tuple[str, ...] | None = None,
@@ -230,11 +229,6 @@ class ViewTreeEngine(Backend):
         free.  Keys stay distinct as long as the dropped variables are
         determined by the kept ones (FDs) or arrive prebound (CQAP
         inputs).
-
-        ``stats`` injects a :class:`~repro.obs.MaintenanceStats` recorder
-        at construction time (equivalent to calling :meth:`attach_stats`
-        immediately) — shard coordinators use this to hand every shard
-        its own labelled recorder.
 
         ``leaf_filter`` is an optional ``(relation_name, key) -> bool``
         predicate; when given, leaves materialize only the base tuples it
@@ -376,8 +370,6 @@ class ViewTreeEngine(Backend):
         self._updates_since_sample = 0
         #: Set by close(): every later call raises.
         self._closed = False
-        if stats is not None:
-            self.attach_stats(stats)
 
     def _fill_guards(self, nodes) -> None:
         """Refill the guards of ``nodes`` (children first) from their

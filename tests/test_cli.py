@@ -207,6 +207,70 @@ class TestStats:
         capsys.readouterr()
 
 
+class TestStatsStream:
+    """``stats`` replays :func:`repro.serve.loadgen.update_stream`: the
+    one synthetic generator, seeded ``--seed``."""
+
+    QUERY = "Q(A, C) = R(A, B) * S(B, C)"
+
+    def _handed(self, monkeypatch, argv):
+        """The updates ``stats`` hands its engine, in order."""
+        from repro.core.engine import IVMEngine
+
+        handed = []
+        apply, apply_batch = IVMEngine.apply, IVMEngine.apply_batch
+
+        def one(self, update):
+            handed.append(update)
+            return apply(self, update)
+
+        def batch(self, updates):
+            handed.extend(updates)
+            return apply_batch(self, updates)
+
+        monkeypatch.setattr(IVMEngine, "apply", one)
+        monkeypatch.setattr(IVMEngine, "apply_batch", batch)
+        assert main(["stats", self.QUERY, *argv]) == 0
+        return handed
+
+    @pytest.mark.parametrize("workload", ["uniform", "zipf", "sliding-window"])
+    @pytest.mark.parametrize("batch", ["1", "32"])
+    def test_replays_update_stream(self, workload, batch, monkeypatch, capsys):
+        from repro.query.parser import parse_query
+        from repro.serve.loadgen import update_stream
+
+        handed = self._handed(monkeypatch, [
+            "--updates", "300", "--seed", "7", "--domain", "9",
+            "--workload", workload, "--zipf-s", "1.4", "--window", "40",
+            "--batch", batch,
+        ])
+        capsys.readouterr()
+        expected = update_stream(
+            parse_query(self.QUERY), 300, domain=9, seed=7,
+            workload=workload, zipf_s=1.4, window=40, deletes_ok=True,
+        )
+        assert handed == list(expected)
+
+    def test_insert_only_stream_has_no_deletes(self, monkeypatch, capsys):
+        handed = self._handed(
+            monkeypatch, ["--updates", "200", "--insert-only", "--batch", "1"]
+        )
+        capsys.readouterr()
+        assert len(handed) == 200
+        assert all(update.payload == 1 for update in handed)
+
+    def test_json_reports_the_replay_ops(self, tmp_path, capsys):
+        path = tmp_path / "ops.json"
+        code = main(
+            ["stats", "Q(A) = R(A,B) * S(B)", "--updates", "200", "--json", str(path)]
+        )
+        assert code == 0
+        assert "elementary ops:" in capsys.readouterr().out
+        with open(path) as handle:
+            ops = json.load(handle)["stats"]["ops"]
+        assert ops["lookup"] > 0 and ops["write"] > 0, ops
+
+
 class TestSharedOptions:
     """``stats`` and ``serve`` declare their common flags once; each
     keeps its own defaults and its ``meta`` block."""

@@ -9,57 +9,19 @@ import threading
 
 import pytest
 
-from repro.data import Database, Relation, Update
+from repro.data import Database, Update
 from repro.obs import (
     LatencyHistogram,
     MaintenanceStats,
     Observable,
     RunningStat,
     STATS_SCHEMA,
-    StopWatch,
     observed,
     observed_enumeration,
-    op_scope,
     stats_record,
     write_stats_json,
 )
 from repro.query.parser import parse_query
-
-
-class TestOpScope:
-    def test_measures_ops_and_time(self):
-        rel = Relation("R", ("A",), data={(1,): 1})
-        with op_scope("probe") as scope:
-            rel.get((1,))
-            rel.get((2,))
-        assert scope["lookup"] == 2
-        assert scope.total() == 2
-        assert scope.seconds >= 0
-        assert scope.to_dict()["ops_total"] == 2
-
-    def test_nesting_composes(self):
-        rel = Relation("R", ("A",), data={(1,): 1})
-        with op_scope("outer") as outer:
-            rel.get((1,))
-            with op_scope("inner") as inner:
-                rel.get((1,))
-        assert inner.total() == 1
-        assert outer.total() == 2
-
-
-class TestStopWatch:
-    def test_accumulates(self):
-        watch = StopWatch()
-        with watch.time("a"):
-            pass
-        with watch.time("a"):
-            pass
-        with watch.time("b"):
-            pass
-        assert watch.calls["a"] == 2
-        assert watch.calls["b"] == 1
-        assert watch.seconds("a") >= 0
-        assert set(watch.to_dict()) == {"a", "b"}
 
 
 class TestRunningStat:

@@ -5,9 +5,8 @@ import pytest
 from repro import Database, IVMEngine, parse_query, plan_maintenance
 from repro.backend import NotSupported
 from repro.constraints import parse_fds
-from repro.data import Update
+from repro.data import Update, counting
 from repro.naive import evaluate, evaluate_scalar
-from repro.obs.counter import op_scope
 from repro.shard import ShardedEngine
 from repro.viewtree import ViewTreeEngine
 from tests.conftest import fd_satisfying_db, valid_stream
@@ -155,10 +154,10 @@ class TestFacade:
             engine = IVMEngine(q, db, fds=fds)
             assert engine.plan.strategy == strategy
             expected = evaluate(q, db).to_dict()
-            with op_scope("lookups") as scope:
+            with counting() as ops:
                 found = [engine.lookup(key) for key in keys]
             assert found == [expected[key] for key in keys]
-            costs.append(scope.total())
+            costs.append(ops.total())
         assert costs[0] == costs[1] > 0
 
     def test_answer_rejected_for_non_cqap(self):

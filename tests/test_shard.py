@@ -606,3 +606,58 @@ class TestRejectedWrites:
             assert clone.output_relation() == evaluate(QUERY, clone.database)
         finally:
             clone.close()
+
+
+LIST_QUERY = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
+
+
+class TestClose:
+    """``close()`` releases every shard: the worker processes, the
+    coordinator-hosted shard engines and the writer claims.  Later calls
+    raise instead of rebuilding, and ``merged_stats()`` keeps answering
+    from what ``close()`` pulled."""
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_close_releases_every_shard(self, executor):
+        db = Database()
+        db.create("R", ("Y", "X"))
+        db.create("S", ("Y", "Z"))
+        stream = valid_stream(random.Random(4), {"R": 2, "S": 2}, 120, domain=6)
+        children = len(multiprocessing.active_children())
+        engine = ShardedEngine(LIST_QUERY, db, shards=2, executor=executor)
+        engine.attach_stats()
+        engine.apply_batch(stream[:100])
+        for update in stream[100:]:
+            engine.apply(update)
+        key = next(iter(dict(engine.enumerate())))
+        hosted = engine.engines
+        before = engine.merged_stats().to_dict()["shards"]
+        bases = base_state(db)
+
+        engine.close()
+        engine.close()  # idempotent
+        for shard in hosted:
+            with pytest.raises(RuntimeError, match="closed"):
+                list(shard.enumerate())
+        for call in (
+            lambda: list(engine.enumerate()),
+            lambda: engine.lookup(key),
+            lambda: engine.apply(Update("R", (0, 0), 1)),
+            lambda: engine.apply_batch([Update("S", (0, 0), 1)]),
+            engine.publish_epoch,
+            lambda: engine.engines,
+        ):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
+        # No later call respawned a worker.
+        assert len(multiprocessing.active_children()) == children
+        # The stats survive, worker shards' included.
+        after = engine.merged_stats().to_dict()["shards"]
+        assert after == before
+        assert set(after) == {"shard0", "shard1"}
+        assert all(cells["batches"] > 0 for cells in after.values()), after
+        # The bases keep their contents and take another writer.
+        assert base_state(db) == bases
+        fresh = ViewTreeEngine(LIST_QUERY, db)
+        fresh.apply(Update("R", (0, 0), 1))
+        assert fresh.output_relation() == evaluate(LIST_QUERY, db)
