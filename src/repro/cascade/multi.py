@@ -172,7 +172,14 @@ class MultiQueryEngine(Observable):
     @observed
     def apply_batch(self, batch) -> None:
         """Coalesce a batch once, then apply it relation by relation."""
-        self._apply_columns(coalesce_columnar(list(batch), self.ring))
+        batch = list(batch)
+        columns = coalesce_columnar(batch, self.ring)
+        stats = self._maintenance_stats
+        if stats is not None:
+            stats.record_batch_coalesce(
+                len(batch), sum(len(keys) for keys, _ in columns.values())
+            )
+        self._apply_columns(columns)
 
     def _apply_columns(self, columns: dict[str, tuple[list, list]]) -> None:
         database = self.database

@@ -394,7 +394,6 @@ def run_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         max_delay=args.max_delay / 1000.0,
         high_water=args.high_water,
-        snapshot_reads=False if args.no_snapshot_reads else None,
     )
     stats = server.attach_stats()
 
@@ -423,7 +422,7 @@ def run_serve(args: argparse.Namespace) -> int:
         engine.close()
 
     _print_header(args, query, plan)
-    reads_mode = "epoch snapshots" if server.snapshot_reads else "commit lock"
+    reads_mode = "epoch snapshots" if server.snapshot_reads else "live"
     print(
         f"serving:  {args.writers} writers + {args.readers} readers, "
         f"max_batch={args.max_batch} max_delay={args.max_delay:g}ms "
@@ -626,11 +625,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_parser.add_argument(
         "--high-water", type=int, default=4096,
         help="queue depth at which submit() blocks (default 4096)",
-    )
-    serve_parser.add_argument(
-        "--no-snapshot-reads", action="store_true",
-        help="serialize reads against commits instead of answering from "
-        "the last published epoch (the pre-epoch read model)",
     )
     serve_parser.add_argument(
         "--smoke", action="store_true",

@@ -11,9 +11,10 @@ view fresh **while it is being queried**.  Three pieces:
   fires first.  Producers get backpressure (``put`` awaits) at the
   high-water mark.
 * :class:`AsyncIVMServer` — accepts concurrent ``submit()`` writers,
-  group-commits sealed batches into ``engine.apply_batch`` on a worker
-  thread, and answers ``lookup()`` / ``enumerate()`` between commits
-  from committed state, recording commit latency, batch size, queue
+  group-commits sealed batches into ``engine.apply_batch``, and
+  answers ``lookup()`` / ``enumerate()`` / ``scalar()`` from committed
+  state (the last published epoch where the engine has snapshots),
+  recording commit latency, batch size, queue
   depth, and read staleness into an attached
   :class:`~repro.obs.MaintenanceStats` (the ``serving`` block of the
   ``repro.obs/1`` schema).

@@ -10,7 +10,8 @@ oldest queued update has waited ``max_delay`` seconds, whichever fires
 first.  The size trigger bounds per-commit work; the deadline trigger
 bounds read staleness under a trickle of writers.  A deadline or drain
 seal means the loop sat idle, so the server commits inline; a size seal
-means it is saturated, so it commits on a worker thread.
+means it is saturated, so an engine with epoch snapshots commits on a
+worker thread.
 
 Items stay queued until their batch seals, so ``len`` and
 ``oldest_arrival`` cover every update not yet committed, and the

@@ -4,24 +4,28 @@
 :class:`~repro.core.engine.IVMEngine` facade or a backend directly).
 Concurrent writer tasks ``await server.submit(update)``; a single
 committer task seals adaptive group commits off a
-:class:`~repro.serve.batcher.GroupCommitQueue`.  A batch sealed by its
-deadline or at shutdown commits inline, on the event loop that sat idle
-waiting for it.  A size-sealed batch means the server is saturated: it
-commits on a worker thread so the loop keeps accepting submissions and
-answering reads.  Behind a process-sharded engine an inline commit
-holds the loop for a worker round trip.
+:class:`~repro.serve.batcher.GroupCommitQueue`.
 
-Two read models are offered.  With **snapshot reads** (the default on
-engines that support epoch snapshots), each commit publishes a new
-epoch after it applies, and ``lookup`` / ``enumerate`` / ``scalar``
-answer from the last *published* epoch without ever touching the
-commit lock — readers never block commits and commits never block
-readers.  On engines without snapshot support, reads serialize against
-commits through an asyncio lock as before.  Either way each lookup
-records its *staleness*: the age of the oldest update that had been
-submitted but not yet visible to the read (under snapshot reads this
-is the age of the published epoch's missing suffix — queued updates
-plus the batch currently committing).
+The engine alone decides how reads see commits.  An engine with epoch
+snapshots (``supports_snapshots``) publishes a new epoch after each
+commit, and ``lookup`` / ``enumerate`` / ``scalar`` answer from the
+last *published* epoch, so readers never block commits and commits
+never block readers.  A size-sealed batch means the server is
+saturated: it commits on a worker thread so the loop keeps accepting
+submissions and answering reads.  A batch sealed by its deadline or at
+shutdown commits inline, on the event loop that sat idle waiting for
+it.  Behind a process-sharded engine an inline commit holds the loop
+for a worker round trip.
+
+An engine without snapshots commits every batch on the event loop, and
+reads answer from its live state.  Reads run on the same loop, so they
+always fall between two commits; the committer yields once between
+back-to-back commits so a waiting read gets in after the next one.
+
+Either way each ``lookup`` and ``scalar`` records its *staleness*: the
+age of the oldest update that had been submitted but not yet visible to
+the read (under snapshot reads this is the age of the published epoch's
+missing suffix — queued updates plus the batch currently committing).
 """
 
 from __future__ import annotations
@@ -93,17 +97,13 @@ class AsyncIVMServer(Observable):
         update has waited this long, even if the batch is short.
     high_water:
         Queue bound at which ``submit`` starts blocking (backpressure).
-    snapshot_reads:
-        ``True`` forces epoch snapshot reads (``ValueError`` if the
-        engine does not support them), ``False`` forces lock-serialized
-        reads, and ``None`` (default) auto-enables snapshot reads when
-        the engine advertises ``supports_snapshots``.
 
     Use as an async context manager, or call :meth:`start` /
-    :meth:`stop` explicitly.  Size-sealed commits run on a worker
-    thread, the others on the loop.  An exception raised by a commit is
-    captured and re-raised from the next ``submit`` / ``drain`` /
-    ``lookup`` / ``stop`` call.
+    :meth:`stop` explicitly.  On an engine with snapshots, size-sealed
+    commits run on a worker thread and the others on the loop; on an
+    engine without, every commit runs on the loop.  An exception raised
+    by a commit is captured and re-raised from the next ``submit`` /
+    ``drain`` / ``lookup`` / ``stop`` call.
     """
 
     def __init__(
@@ -113,23 +113,15 @@ class AsyncIVMServer(Observable):
         max_batch: int = 256,
         max_delay: float = 0.002,
         high_water: int = 4096,
-        snapshot_reads: bool | None = None,
         stats: MaintenanceStats | None = None,
     ):
         self.engine = engine
         self.max_batch = max(int(max_batch), 1)
         self.max_delay = max(float(max_delay), 0.0)
-        supported = engine.supports_snapshots
-        if snapshot_reads and not supported:
-            raise ValueError(
-                "snapshot_reads=True but the engine does not support "
-                "epoch snapshots"
-            )
-        self.snapshot_reads = supported if snapshot_reads is None else bool(
-            snapshot_reads
-        )
+        #: Reads answer from published epochs, not the live state: the
+        #: engine's ``supports_snapshots``, never a choice.
+        self.snapshot_reads = bool(engine.supports_snapshots)
         self.queue = GroupCommitQueue(high_water)
-        self._commit_lock = asyncio.Lock()
         self._inflight_oldest: float | None = None
         self._idle = asyncio.Event()
         self._idle.set()
@@ -145,11 +137,6 @@ class AsyncIVMServer(Observable):
         self._change_source = None
         self._feed_epoch = 0
         self._feeds: set[ChangeFeed] = set()
-        #: Lock-serialized fallback: committed-state enumerations are
-        #: cached per commit sequence number, so repeated reads between
-        #: commits stop re-materializing an unchanged output.
-        self._commit_seq = 0
-        self._enum_cache: tuple[int, list] | None = None
         if stats is not None:
             self.attach_stats(stats)
 
@@ -256,28 +243,15 @@ class AsyncIVMServer(Observable):
     async def lookup(self, key: tuple) -> Any:
         """Point lookup against committed state, recording staleness.
 
-        Under snapshot reads this answers from the last published epoch
-        without taking the commit lock, so it never waits for an
-        in-flight commit; staleness then measures the epoch's age (the
-        oldest update the epoch is missing).
+        Under snapshot reads this answers from the last published epoch,
+        so it never waits for an in-flight commit; staleness then
+        measures the epoch's age (the oldest update the epoch is
+        missing).
         """
-        self._reraise()
+        key = tuple(key)
         if self.snapshot_reads:
-            start = time.perf_counter()
-            staleness = self._staleness()
-            result = self.engine.lookup_snapshot(tuple(key))
-            stats = self._maintenance_stats
-            if stats is not None:
-                stats.record_serve_read(staleness)
-                stats.record_snapshot_read(time.perf_counter() - start)
-            return result
-        async with self._commit_lock:
-            staleness = self._staleness()
-            result = self.engine.lookup(tuple(key))
-        stats = self._maintenance_stats
-        if stats is not None:
-            stats.record_serve_read(staleness)
-        return result
+            return self._read(self.engine.lookup_snapshot, key)
+        return self._read(self.engine.lookup, key)
 
     async def enumerate(self) -> list[tuple[tuple, Any]]:
         """Materialize the committed output.
@@ -286,46 +260,24 @@ class AsyncIVMServer(Observable):
         patched in O(δ) per published epoch, so a steady-state call
         costs one catch-up patch plus the list build — not a full
         re-drain.  Plain snapshot reads enumerate the last published
-        epoch lock-free; the lock-serialized fallback caches the
-        result per commit so unchanged state is never re-materialized.
+        epoch; an engine without snapshots drains its live state.
         """
-        self._reraise()
+        return self._read(self._materialize, point=False)
+
+    def _materialize(self) -> list[tuple[tuple, Any]]:
         view = self._matview
         if view is not None:
-            start = time.perf_counter()
             view.refresh()
-            result = list(view.items())
-            stats = self._maintenance_stats
-            if stats is not None:
-                stats.record_snapshot_read(time.perf_counter() - start)
-            return result
+            return list(view.items())
         if self.snapshot_reads:
-            start = time.perf_counter()
-            result = list(self.engine.enumerate_snapshot())
-            stats = self._maintenance_stats
-            if stats is not None:
-                stats.record_snapshot_read(time.perf_counter() - start)
-            return result
-        async with self._commit_lock:
-            cached = self._enum_cache
-            if cached is not None and cached[0] == self._commit_seq:
-                return list(cached[1])
-            result = list(self.engine.enumerate())
-            self._enum_cache = (self._commit_seq, result)
-            return list(result)
+            return list(self.engine.enumerate_snapshot())
+        return list(self.engine.enumerate())
 
     async def scalar(self) -> Any:
         """Committed payload of a Boolean (empty-head) query."""
-        self._reraise()
         if self.snapshot_reads:
-            start = time.perf_counter()
-            result = self.engine.scalar_snapshot()
-            stats = self._maintenance_stats
-            if stats is not None:
-                stats.record_snapshot_read(time.perf_counter() - start)
-            return result
-        async with self._commit_lock:
-            return self.engine.scalar()
+            return self._read(self.engine.scalar_snapshot)
+        return self._read(self.engine.scalar)
 
     # ------------------------------------------------------------------
     # Change feeds
@@ -334,14 +286,16 @@ class AsyncIVMServer(Observable):
     def subscribe(self) -> ChangeFeed:
         """Subscribe to per-epoch output deltas (one per commit).
 
-        Requires an engine with change-stream support and snapshot
-        reads (the default when supported).  Seed an absolute state
-        with :meth:`enumerate` first; see :class:`ChangeFeed`.
+        Requires an engine with epoch snapshots and change streams
+        (``supports_snapshots`` and ``supports_changes``) and a started
+        server.  Seed an absolute state with :meth:`enumerate` first;
+        see :class:`ChangeFeed`.
         """
         if self._change_source is None:
             raise TypeError(
-                "change feeds need an engine with output change streams "
-                "(supports_changes) and snapshot reads enabled"
+                "change feeds need a started server over an engine with "
+                "epoch snapshots and output change streams "
+                "(supports_snapshots, supports_changes)"
             )
         feed = ChangeFeed(self)
         self._feeds.add(feed)
@@ -361,15 +315,34 @@ class AsyncIVMServer(Observable):
             error, self._error = self._error, None
             raise error
 
+    def _read(self, answer, *args, point: bool = True) -> Any:
+        """Answer one read and record it in the attached recorder, if any.
+
+        A point read (``lookup``, ``scalar``) records its staleness, and
+        under snapshot reads every read records its latency.
+        """
+        self._reraise()
+        stats = self._maintenance_stats
+        if stats is None:
+            return answer(*args)
+        start = time.perf_counter()
+        staleness = self._staleness() if point else 0.0
+        result = answer(*args)
+        if point:
+            stats.record_serve_read(staleness)
+        if self.snapshot_reads:
+            stats.record_snapshot_read(time.perf_counter() - start)
+        return result
+
     def _staleness(self) -> float:
         """Age of the oldest update not visible to a read now (seconds).
 
-        Under lock-serialized reads this is called with the commit lock
-        held, so no commit is in flight and the only invisible updates
-        are the queued ones.  Under snapshot reads it also counts the
-        batch currently committing (``_inflight_oldest``), which the
-        published epoch does not include yet — both fields only mutate
-        on the event-loop thread, so no lock is needed.
+        On an engine without snapshots reads and commits share the loop,
+        so no commit is in flight and the only invisible updates are the
+        queued ones.  Under snapshot reads it also counts the batch
+        currently committing (``_inflight_oldest``), which the published
+        epoch does not include yet — both fields only mutate on the
+        event-loop thread, so no lock is needed.
         """
         oldest = self.queue.oldest_arrival
         if self._inflight_oldest is not None:
@@ -390,7 +363,6 @@ class AsyncIVMServer(Observable):
         answering from the last good epoch.
         """
         self.engine.apply_batch(batch)
-        self._commit_seq += 1
         if self.snapshot_reads:
             self.engine.publish_epoch()
             source = self._change_source
@@ -410,38 +382,42 @@ class AsyncIVMServer(Observable):
             if sealed is None:
                 return
             batch, trigger, depth, oldest = sealed
-            async with self._commit_lock:
-                self._inflight_oldest = oldest
-                start = time.perf_counter()
-                try:
-                    # Size seal: writers wait, so a worker thread keeps
-                    # the loop free for them and for reads.  Otherwise
-                    # the loop was idle: commit here, without the hop.
-                    if trigger == "size":
-                        item = await loop.run_in_executor(
-                            None, self._commit_batch, batch
-                        )
-                    else:
-                        item = self._commit_batch(batch)
-                except BaseException as exc:  # surfaced on next call
-                    self._error = exc
-                    stats = self._maintenance_stats
-                    if stats is not None:
-                        # A failed commit applied nothing: count it
-                        # apart, and keep it out of the commit-latency
-                        # and batch-size distributions so the
-                        # percentiles only describe real commits.
-                        stats.record_commit_error()
+            # Size seal on a snapshot engine: writers wait, so a worker
+            # thread keeps the loop free for them and for reads, which
+            # answer from the last epoch.  Otherwise commit here: the
+            # loop was idle, or live reads must not overlap the commit.
+            on_loop = trigger != "size" or not self.snapshot_reads
+            self._inflight_oldest = oldest
+            start = time.perf_counter()
+            try:
+                if on_loop:
+                    item = self._commit_batch(batch)
                 else:
-                    elapsed = time.perf_counter() - start
-                    stats = self._maintenance_stats
-                    if stats is not None:
-                        stats.record_commit(
-                            elapsed, len(batch), depth, trigger
-                        )
-                    if item is not None:
-                        self._fanout_changes(item)
-                finally:
-                    self._inflight_oldest = None
+                    item = await loop.run_in_executor(
+                        None, self._commit_batch, batch
+                    )
+            except BaseException as exc:  # surfaced on next call
+                self._error = exc
+                stats = self._maintenance_stats
+                if stats is not None:
+                    # A failed commit applied nothing: count it apart,
+                    # and keep it out of the commit-latency and
+                    # batch-size distributions so the percentiles only
+                    # describe real commits.
+                    stats.record_commit_error()
+            else:
+                elapsed = time.perf_counter() - start
+                stats = self._maintenance_stats
+                if stats is not None:
+                    stats.record_commit(elapsed, len(batch), depth, trigger)
+                if item is not None:
+                    self._fanout_changes(item)
+            finally:
+                self._inflight_oldest = None
             if not len(self.queue):
                 self._idle.set()
+            elif on_loop:
+                # A full queue seals the next batch without suspending:
+                # yield once so waiting reads and writers run between
+                # back-to-back commits.
+                await asyncio.sleep(0)

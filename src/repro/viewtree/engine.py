@@ -655,9 +655,11 @@ class ViewTreeEngine(Backend):
         coordinator sums a batch once and ships each shard its slice of
         the columns.  Keys are distinct per relation and no payload is
         the ring zero; the lists are read, never mutated.  ``raw`` is
-        the number of updates the columns were coalesced from (default:
-        their own size): the threshold below and the recorder size the
-        batch as its sender did.  A batch naming a static relation, one
+        the number of updates the caller coalesced the columns from: the
+        threshold below sizes the batch by it (default: the columns' own
+        size), and only a call that passes it records the coalescing
+        pass, so a shard's slice of its coordinator's pass is not
+        counted again.  A batch naming a static relation, one
         outside the query or, with ``update_base``, one another live
         engine writes is rejected before anything is written.
 
@@ -719,9 +721,8 @@ class ViewTreeEngine(Backend):
         raw: int | None,
     ) -> None:
         size = sum(len(keys) for keys, _ in columns.values())
-        if raw is None:
-            raw = size
-        if not self.generated or raw < self.batch_compile_threshold:
+        sized = size if raw is None else raw
+        if not self.generated or sized < self.batch_compile_threshold:
             # Checked and claimed above, and inside this commit's undo
             # scope: each tuple is the body of apply().
             for name, (keys, pays) in columns.items():
@@ -730,7 +731,7 @@ class ViewTreeEngine(Backend):
                     self._apply_one(Update(name, key, payload), anchors, update_base)
             return
         stats = self._maintenance_stats
-        if stats is not None:
+        if stats is not None and raw is not None:
             stats.record_batch_coalesce(raw, size)
         database = self.database
         for name, (keys, pays) in columns.items():
@@ -752,7 +753,7 @@ class ViewTreeEngine(Backend):
                 else:
                     kernel.push_written(keys, pays, stats)
         if stats is not None:
-            self._maybe_sample_views(raw)
+            self._maybe_sample_views(sized)
 
     def _propagate(self, node: ViewNode, delta: Relation, exclude: Relation) -> None:
         """Propagate a delta from ``node`` to the root.

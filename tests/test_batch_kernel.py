@@ -364,6 +364,19 @@ class TestBatchObservability:
         assert payload["coalesced_updates"] == 2
         assert "batch kernel" in stats.render()
 
+    def test_query_set_counts_its_one_coalescing_pass(self):
+        """Two trees over the same relations share one coalescing pass."""
+        engine = MultiQueryEngine(
+            [parse_query(self.QUERY), parse_query("Q2(Y) = R(Y, X) * S(Y, Z)")],
+            seeded_db(self.SCHEMAS, random.Random(3)),
+        )
+        stats = engine.attach_stats()
+        batch = [Update("R", (1, 1), 1), Update("R", (1, 1), 1),
+                 Update("S", (1, 2), 1)]
+        engine.apply_batch(batch)
+        assert stats.batch_updates_raw == 3
+        assert stats.batch_updates_coalesced == 2
+
     def test_probe_sharing_recorded_on_repeated_join_keys(self):
         """Hierarchical query: delta keys are wider than the sibling
         probe key, so a batch hammering one join key shares probes."""
@@ -486,6 +499,30 @@ class TestShardedBatch:
             batched(sharded, stream, 50)
             assert sharded.output_relation().to_dict() == expected
             assert sharded.output_relation() == evaluate(query, db)
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_coalescing_is_counted_once(self, executor):
+        """The coordinator's coalescing pass is the one the recorder
+        counts: a shard applying its slice of the columns does not count
+        the slice again, so the merged ``batch`` block reads as the
+        unsharded engine's."""
+        query = parse_query(self.QUERY)
+        stream = valid_stream(random.Random(59), {"R": 2, "S": 1}, 800, domain=6)
+        batches = [stream[i : i + 100] for i in range(0, len(stream), 100)]
+        unsharded = ViewTreeEngine(query, seeded_db(self.SCHEMAS, random.Random(47)))
+        expected = unsharded.attach_stats()
+        for batch in batches:
+            unsharded.apply_batch(batch)
+        assert expected.batch_updates_raw == 800
+        db = seeded_db(self.SCHEMAS, random.Random(47))
+        with ShardedEngine(query, db, shards=4, executor=executor) as sharded:
+            sharded.attach_stats()
+            for batch in batches:
+                sharded.apply_batch(batch)
+            merged = sharded.merged_stats()
+        assert merged.batch_updates_raw == 800
+        assert merged.batch_updates_coalesced == expected.batch_updates_coalesced
+        assert merged.batch_updates_coalesced < 800
 
 
 class TestSupportBatches:

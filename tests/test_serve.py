@@ -656,23 +656,36 @@ class TestCommitTriggers:
         asyncio.run(run())
 
 
+#: An engine with epoch snapshots (the view tree) and one without (the
+#: delta-query plan of a cyclic join).
+SNAPSHOT_QUERY = "Q(A) = R(A,B) * S(B)"
+LIVE_QUERY = "Q(A,B,C) = R(A,B) * S(B,C) * T(C,A)"
+#: ``(trigger, max_batch, max_delay, updates)``: one commit sealed by it.
+TRIGGERS = [
+    ("deadline", 10_000, 0.005, 1),
+    ("drain", 10_000, 60.0, 3),
+    ("size", 4, 60.0, 4),
+]
+
+
 class TestCommitPlacement:
     @pytest.mark.parametrize(
-        "trigger, max_batch, max_delay, updates",
-        [
-            ("deadline", 10_000, 0.005, 1),
-            ("drain", 10_000, 60.0, 3),
-            ("size", 4, 60.0, 4),
-        ],
-        ids=["deadline", "drain", "size"],
+        "text, trigger, max_batch, max_delay, updates",
+        [(SNAPSHOT_QUERY, *row) for row in TRIGGERS]
+        + [(LIVE_QUERY, *row) for row in TRIGGERS],
+        ids=[row[0] for row in TRIGGERS]
+        + [f"{row[0]}-live" for row in TRIGGERS],
     )
     def test_the_trigger_picks_the_commit_thread(
-        self, trigger, max_batch, max_delay, updates
+        self, text, trigger, max_batch, max_delay, updates
     ):
         """Deadline and drain seals commit on the event loop, which sat
-        idle waiting for the batch; size seals commit on a worker
-        thread, so a saturated loop keeps serving reads."""
-        query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
+        idle waiting for the batch.  On a snapshot engine size seals
+        commit on a worker thread, so a saturated loop keeps serving
+        reads from the last epoch; on an engine without snapshots every
+        commit runs on the loop, between its live reads."""
+        query, engine = fresh_engine(text)
+        on_worker = trigger == "size" and engine.supports_snapshots
         threads = record_threads(engine)
 
         async def run():
@@ -690,7 +703,36 @@ class TestCommitPlacement:
         stats = asyncio.run(run())
         assert stats.commits == getattr(stats, f"{trigger}_commits") == 1
         assert len(threads) == 1
-        assert (threads[0] == threading.get_ident()) == (trigger != "size")
+        assert (threads[0] == threading.get_ident()) != on_worker
+
+    def test_a_read_waits_for_one_commit_not_the_backlog(self):
+        """Four size-sealed batches queued on an engine without
+        snapshots: a lookup issued behind them answers after the first
+        commit, because the committer yields between back-to-back
+        commits."""
+        query, engine = fresh_engine(LIVE_QUERY)
+        assert not engine.supports_snapshots
+        commits = record_threads(engine)
+        seen = []
+        inner_lookup = engine.lookup
+
+        def lookup(key):
+            seen.append(len(commits))
+            return inner_lookup(key)
+
+        engine.lookup = lookup
+
+        async def run():
+            async with AsyncIVMServer(
+                engine, max_batch=8, max_delay=60.0
+            ) as server:
+                await server.submit_many(update_stream(query, 32, seed=6))
+                await asyncio.create_task(server.lookup((0, 0, 0)))
+                await server.drain()
+
+        asyncio.run(run())
+        assert seen == [1]
+        assert len(commits) == 4
 
 
 class TestServingObservability:
@@ -724,6 +766,32 @@ class TestServingObservability:
         assert serving["lookups"] == 1
         assert "read_staleness" in serving
         assert "serving:" in stats.render()
+
+    @pytest.mark.parametrize(
+        "text", ["Q() = R(A,B) * S(B,C) * T(C,A)", "Q() = R(A,B) * S(B)"],
+        ids=["live", "snapshots"],
+    )
+    def test_scalar_reads_record_staleness(self, text):
+        """A Boolean query's reads are ``scalar`` calls: each one counts
+        as a served read with its staleness, like a lookup."""
+        query, engine = fresh_engine(text)
+
+        async def run():
+            stats = MaintenanceStats()
+            async with AsyncIVMServer(
+                engine, max_batch=16, max_delay=0.001, stats=stats
+            ) as server:
+                await server.submit_many(update_stream(query, 100, seed=8))
+                served = [await server.scalar() for _ in range(7)]
+                await server.drain()
+            return served, stats
+
+        served, stats = asyncio.run(run())
+        assert len(served) == 7
+        assert stats.serve_lookups == 7
+        assert stats.read_staleness.count == 7
+        # The updates were still queued: the reads aged with them.
+        assert stats.read_staleness.stat.maximum > 0.0
 
     def test_merge_accumulates_serving_metrics(self):
         a, b = MaintenanceStats(), MaintenanceStats()

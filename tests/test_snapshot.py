@@ -241,7 +241,7 @@ class TestConcurrentReaders:
     ):
         """While a commit is (artificially) stuck in flight, snapshot
         reads return the pre-commit epoch bit-identically and without
-        waiting on the commit lock."""
+        waiting for the commit."""
         text = "Q(B,A) = R(B,A) * S(B)" if shards > 1 else "Q(A) = R(A,B) * S(B)"
         query, engine = fresh_engine(
             text, shards=shards, shard_executor=executor
@@ -306,13 +306,11 @@ class TestConcurrentReaders:
 
 
 class TestServerFallback:
-    def test_lock_mode_on_unsupported_backend(self):
+    def test_live_reads_on_unsupported_backend(self):
         query, engine = fresh_engine("Q() = R(A,B) * S(B,C) * T(C,A)")
         assert not engine.supports_snapshots
 
         async def run():
-            with pytest.raises(ValueError, match="snapshot"):
-                AsyncIVMServer(engine, snapshot_reads=True)
             stats = MaintenanceStats()
             async with AsyncIVMServer(
                 engine, max_batch=16, max_delay=0.001, stats=stats
@@ -327,30 +325,6 @@ class TestServerFallback:
         served, stats = asyncio.run(run())
         assert served == engine.scalar()
         assert stats.snapshot_reads == 0
-
-    def test_explicit_opt_out_takes_the_lock_path(self):
-        query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
-
-        async def run():
-            stats = MaintenanceStats()
-            async with AsyncIVMServer(
-                engine,
-                max_batch=16,
-                max_delay=0.001,
-                snapshot_reads=False,
-                stats=stats,
-            ) as server:
-                assert not server.snapshot_reads
-                for update in update_stream(query, 150, domain=5, seed=43):
-                    await server.submit(update)
-                await server.drain()
-                served = sorted(await server.enumerate())
-            return served, stats
-
-        served, stats = asyncio.run(run())
-        assert served == sorted(engine.enumerate())
-        assert stats.snapshot_reads == 0
-        assert stats.epochs_published == 0
 
     def test_snapshot_mode_records_epoch_metrics(self):
         query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
