@@ -154,7 +154,10 @@ class GroupIndex:
             undo.setdefault(group_key, bucket)
         if bucket is None:
             return None
-        bucket = self.groups[group_key] = dict(bucket)
+        # dict.copy() clones a mostly-live table as is; dict() re-inserts
+        # every key once the bucket has a deleted slot, which a bucket
+        # churned by the previous epoch always has.
+        bucket = self.groups[group_key] = bucket.copy()
         return bucket
 
     def add(self, key: tuple) -> None:

@@ -176,8 +176,9 @@ METRICS: tuple[Metric, ...] = (
     Metric("ops", COUNT_BY_KIND, "ops", ROLLUP),
     Metric("ops", TOTAL, None, SUMMARY, lambda s: sum(s.ops.values())),
     Metric("peak_view_size", GAUGE, None, SUMMARY, _peak_view_size),
-    # Batch kernels: updates entering the batch path vs. distinct deltas
-    # surviving ring-coalescing; sibling probes issued vs. saved.
+    # Batches: updates entering a coalescing pass vs. distinct deltas
+    # surviving it (kernel or per-tuple path alike); the batch kernels'
+    # sibling probes issued vs. saved.
     Metric("batch_updates_raw", INT, "batch.raw_updates", ROLLUP),
     Metric("batch_updates_coalesced", INT, "batch.coalesced_updates", ROLLUP),
     Metric("sibling_probes", INT, "batch.sibling_probes", ROLLUP),

@@ -129,8 +129,9 @@ class AsyncIVMServer(Observable):
         self._error: BaseException | None = None
         self._closed = False
         #: Server-held MaterializedView: when the engine emits change
-        #: streams, ``enumerate`` answers from this O(δ)-maintained
-        #: state instead of re-draining the whole epoch per call.
+        #: streams, ``enumerate`` answers from this state, patched from
+        #: the deltas its cursor holds, instead of re-draining the whole
+        #: epoch per call.
         self._matview = None
         #: The engine object carrying ``epoch``/``changes_since`` (the
         #: facade's backend), feeding change feeds from commits.
@@ -257,10 +258,15 @@ class AsyncIVMServer(Observable):
         """Materialize the committed output.
 
         With change streams the server holds a ``MaterializedView``
-        patched in O(δ) per published epoch, so a steady-state call
-        costs one catch-up patch plus the list build — not a full
-        re-drain.  Plain snapshot reads enumerate the last published
-        epoch; an engine without snapshots drains its live state.
+        that the call catches up to the last published epoch.  It
+        patches in O(δ), δ the entries of every commit since the
+        previous call, as long as they sum to at most half the view's
+        size (its budget; the window holds the deltas that long), and
+        re-drains the epoch once they do: reads spaced closely enough
+        for the write rate cost one patch plus the list build, reads
+        behind a larger change cost a full drain.  Plain snapshot reads
+        enumerate the last published epoch; an engine without snapshots
+        drains its live state.
         """
         return self._read(self._materialize, point=False)
 

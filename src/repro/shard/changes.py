@@ -39,12 +39,16 @@ class ShardChangeTracker:
     Epoch addressing: per-shard deltas are pulled eagerly at every
     coordinator publish, so the window advances in lockstep with
     ``ShardedEngine.epoch`` and shards are only ever asked for the
-    one-epoch step ``(prev, number)`` — comfortably inside a shard's
-    ``RETAIN_EPOCHS`` change window.  A shard rebuild loses the
+    one-epoch step ``(prev, number)`` — inside the ``RETAIN_EPOCHS``
+    floor of a shard's change window, which holds no cursors.  The
+    merged deltas live in the coordinator's window, the same
+    :class:`~repro.viewtree.changes.DeltaWindow` a ``ViewTreeEngine``
+    keeps, so a coordinator subscriber's cursor holds them within its
+    budget exactly as it would unsharded.  A shard rebuild loses the
     shard-side tracking state; the tracker is marked stale,
-    resynchronizes at the next publish, and resets the window so stale
-    subscribers observe :class:`EpochGapError` and full-drain instead
-    of patching against a hole.
+    resynchronizes at the next publish, and resets the window (releasing
+    every cursor) so stale subscribers observe :class:`EpochGapError`
+    and full-drain instead of patching against a hole.
     """
 
     __slots__ = (

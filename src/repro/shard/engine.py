@@ -665,6 +665,13 @@ class ShardedEngine(Backend):
             )
         return tracker.window.changes_since(epoch)
 
+    def hold_changes(self, subscriber: Any, epoch: int, budget: float) -> None:
+        """Retain the merged deltas after coordinator ``epoch`` for
+        ``subscriber`` (held weakly) while their entries sum to at most
+        ``budget`` (:meth:`~repro.viewtree.changes.DeltaWindow.hold`)."""
+        self.track_changes()
+        self._change_tracker.window.hold(subscriber, epoch, budget)
+
     def subscribe(self, ratio_threshold: float = 0.5) -> MaterializedView:
         """A reader-side materialization patched in O(δ) per epoch."""
         self.track_changes()

@@ -82,8 +82,8 @@ from .router import ShardLeafFilter, ShardRouter
 
 # RETAIN_EPOCHS (how many published epochs each worker keeps
 # addressable) is imported from repro.viewtree.changes so the worker
-# snapshot window and the output change window always retain the same
-# span.  The serve tier reads the latest published epoch while the
+# snapshot window and the output change window's floor retain the same
+# span; no subscriber holds a cursor on a shard engine's window.  The serve tier reads the latest published epoch while the
 # next one is being published; anything older has no readers.
 
 #: Streamed enumeration chunk size (entries per ``("chunk", ...)``).

@@ -57,9 +57,17 @@ tuples drop out.  On ``Q(Y,X,Z) = R(Y,X) * S(Y,Z)`` an update to
 ``y`` group only when ``y`` itself appears or disappears.  Empty-head
 queries shortcut to an O(1) scalar comparison.
 
-**Retention.** Per-epoch deltas live in a window of
-:data:`RETAIN_EPOCHS` (matching the shard workers' snapshot window);
-``changes_since`` composes them and raises :class:`EpochGapError` for
+**Retention.** Per-epoch deltas live in a :class:`DeltaWindow` held by
+subscriber cursors.  After every refresh a :class:`MaterializedView`
+registers its epoch and a budget of ``ratio_threshold × max(len(state),
+1)`` entries; the window keeps what each cursor needs until the entries
+summed since it pass its budget, the point at which the view's own ratio
+check would choose a full drain anyway.  So a reader that lags many
+small commits still patches, and one that lags a large change drains
+without the window having kept that change for it.  Past the cursors the
+window keeps the newest :data:`RETAIN_EPOCHS` deltas (matching the shard
+workers' snapshot window) for callers without one.  ``changes_since``
+composes the retained deltas and raises :class:`EpochGapError` for
 anything older — never a silent partial delta.
 
 **Wire.** A shard worker ships its delta as plain key/old/new columns
@@ -71,15 +79,17 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import deque
 from typing import Any, Iterator
 
 from ..data.relation import ABSENT
 
-#: How many per-epoch deltas stay addressable.  Deliberately equal to
-#: the shard workers' snapshot window (`repro.shard.worker` imports
-#: this), so a subscriber that can catch up on a local engine can catch
-#: up on a sharded one too.
+#: How many of the newest per-epoch deltas stay addressable whatever
+#: the cursors hold: the window of a caller without a cursor.
+#: Deliberately equal to the shard workers' snapshot window
+#: (`repro.shard.worker` imports this), so a one-epoch request from the
+#: coordinator always finds its shard deltas.
 RETAIN_EPOCHS = 4
 
 
@@ -201,22 +211,37 @@ def decode_delta(wire: tuple) -> OutputDelta:
 
 
 class DeltaWindow:
-    """A bounded, contiguous window of per-epoch output deltas.
+    """A contiguous window of per-epoch output deltas, held by cursors.
+
+    Each subscriber that can patch holds a *cursor*: the epoch it is at
+    and a *budget*, the number of delta entries past which it would
+    rather re-drain than patch (``MaterializedView`` registers
+    ``ratio_threshold × max(len(state), 1)`` after every refresh).  The
+    window keeps every delta a live cursor still needs while the entries
+    summed since that cursor stay within its budget; a cursor that goes
+    over is released, and its deltas drop unless someone else needs
+    them.  Past the live cursors the window keeps the newest ``retain``
+    deltas, the floor every caller without a cursor can count on.
+    Cursors hold their subscriber weakly, so a collected subscriber
+    stops holding deltas at the next append.  Upkeep is O(live cursors)
+    per append: a cursor keeps the running entry total at its epoch, so
+    nothing rescans the deltas.
 
     Mutations and reads may come from different threads (the serve
     tier publishes size-sealed commits on a worker thread while the
-    event loop composes catch-up deltas), so the deque is guarded by a
-    lock.
-    Retained deltas are immutable: ``changes_since`` hands the same
-    object to every caller that asks for exactly one epoch.
+    event loop composes catch-up deltas), so all of it runs under a
+    lock.  Retained deltas are immutable: ``changes_since`` hands the
+    same object to every caller that asks for exactly one epoch.
     """
 
     def __init__(self, baseline_epoch: int, retain: int = RETAIN_EPOCHS):
-        #: Epoch the window starts at: ``changes_since(baseline)`` is
-        #: answerable (possibly empty), anything older is a gap.
-        self.baseline = baseline_epoch
         self.epoch = baseline_epoch
-        self._deltas: deque[OutputDelta] = deque(maxlen=retain)
+        self.retain = retain
+        self._deltas: deque[OutputDelta] = deque()
+        #: Entries appended since the window started.
+        self._total = 0
+        #: ``id(subscriber) -> [weakref, epoch, total at epoch, budget]``.
+        self._cursors: dict[int, list] = {}
         self._lock = threading.Lock()
 
     def append(self, delta: OutputDelta) -> None:
@@ -227,15 +252,57 @@ class DeltaWindow:
                     f"{delta.epoch_from}->{delta.epoch_to} "
                     f"appended at epoch {self.epoch}"
                 )
-            self._deltas.append(delta)
+            deltas = self._deltas
+            deltas.append(delta)
             self.epoch = delta.epoch_to
+            total = self._total = self._total + len(delta.entries)
+            cursors = self._cursors
+            keep_from = self.epoch
+            for ident, (ref, epoch, mark, budget) in list(cursors.items()):
+                if ref() is None or total - mark > budget:
+                    del cursors[ident]
+                elif epoch < keep_from:
+                    keep_from = epoch
+            while len(deltas) > self.retain and deltas[0].epoch_from < keep_from:
+                deltas.popleft()
+
+    def hold(self, subscriber: Any, epoch: int, budget: float) -> None:
+        """Keep the deltas after ``epoch`` for ``subscriber`` (held
+        weakly) while their entries sum to at most ``budget``.
+
+        Replaces the subscriber's previous cursor.  An epoch outside the
+        window, or a lag already over budget, holds nothing: the
+        subscriber's next ``changes_since`` then gaps or fails its ratio
+        check, and it drains.
+        """
+        with self._lock:
+            cursors = self._cursors
+            cursors.pop(id(subscriber), None)
+            deltas = self._deltas
+            oldest = deltas[0].epoch_from if deltas else self.epoch
+            if not oldest <= epoch <= self.epoch:
+                return
+            spent = 0
+            for delta in reversed(deltas):
+                if delta.epoch_from < epoch:
+                    break
+                spent += len(delta.entries)
+            if spent <= budget:
+                cursors[id(subscriber)] = [
+                    weakref.ref(subscriber), epoch, self._total - spent, budget,
+                ]
+
+    def __len__(self) -> int:
+        """Deltas retained."""
+        return len(self._deltas)
 
     def reset(self, baseline_epoch: int) -> None:
-        """Restart the window (pool rebuilds): older epochs become gaps."""
+        """Restart the window (pool rebuilds): older epochs become gaps
+        and every cursor is released."""
         with self._lock:
-            self.baseline = baseline_epoch
             self.epoch = baseline_epoch
             self._deltas.clear()
+            self._cursors.clear()
 
     def changes_since(self, epoch: int) -> OutputDelta:
         """One composed delta from ``epoch`` to the window's newest.
@@ -398,13 +465,22 @@ class MaterializedView:
     """A dict materialization of the output, patched per epoch in O(δ).
 
     ``source`` is a backend exposing ``epoch`` (last published epoch
-    number), ``changes_since(epoch)``, ``enumerate_snapshot()`` and
-    ``stats`` (the recorder patches and refreshes are counted in) —
+    number), ``changes_since(epoch)``, ``hold_changes(subscriber,
+    epoch, budget)``, ``enumerate_snapshot()`` and ``stats`` (the
+    recorder patches and refreshes are counted in) —
     ``ViewTreeEngine`` and ``ShardedEngine`` qualify.  :meth:`refresh`
     patches the state forward; it falls back to a full snapshot drain
     (counted as ``full_refresh_fallbacks``) when the subscriber fell out
     of the retained window or the delta/state ratio exceeds
     ``ratio_threshold``.
+
+    After every refresh the view holds a cursor on the source's window
+    with a budget of ``ratio_threshold ×
+    max(len(state), 1)`` entries, so its next refresh patches however
+    many epochs it lags, as long as their deltas sum to at most that;
+    past it the cursor is released and the refresh drains, which the
+    ratio check would have chosen anyway.  The window holds the view
+    weakly: a dropped view stops holding deltas.
     """
 
     def __init__(self, source, ratio_threshold: float = 0.5):
@@ -454,6 +530,7 @@ class MaterializedView:
         start = time.perf_counter()
         delta.apply_to(self.state)
         self.epoch = delta.epoch_to
+        self._hold()
         stats = self.source.stats
         if stats is not None:
             stats.record_change_patch(
@@ -463,6 +540,13 @@ class MaterializedView:
             )
         return True
 
+    def _hold(self) -> None:
+        """Hold the source's deltas from this epoch, within the budget
+        a patch is worth."""
+        self.source.hold_changes(
+            self, self.epoch, self.ratio_threshold * max(len(self.state), 1)
+        )
+
     def _full_refresh(self, initial: bool = False) -> None:
         # Epoch is read *before* the drain: if a publish lands mid-drain
         # the state may mix epochs, but the next patch (set-to-absolute)
@@ -470,6 +554,7 @@ class MaterializedView:
         epoch = self.source.epoch
         self.state = dict(self.source.enumerate_snapshot())
         self.epoch = epoch
+        self._hold()
         if not initial:
             self.full_refreshes += 1
             stats = self.source.stats

@@ -722,6 +722,9 @@ class ViewTreeEngine(Backend):
     ) -> None:
         size = sum(len(keys) for keys, _ in columns.values())
         sized = size if raw is None else raw
+        stats = self._maintenance_stats
+        if stats is not None and raw is not None:
+            stats.record_batch_coalesce(raw, size)
         if not self.generated or sized < self.batch_compile_threshold:
             # Checked and claimed above, and inside this commit's undo
             # scope: each tuple is the body of apply().
@@ -730,9 +733,6 @@ class ViewTreeEngine(Backend):
                 for key, payload in zip(keys, pays):
                     self._apply_one(Update(name, key, payload), anchors, update_base)
             return
-        stats = self._maintenance_stats
-        if stats is not None and raw is not None:
-            stats.record_batch_coalesce(raw, size)
         database = self.database
         for name, (keys, pays) in columns.items():
             kernels = self._kernels.get(name)
@@ -921,6 +921,13 @@ class ViewTreeEngine(Backend):
         """
         self.track_changes()
         return self._change_tracker.changes_since(epoch)
+
+    def hold_changes(self, subscriber: Any, epoch: int, budget: float) -> None:
+        """Retain the deltas after ``epoch`` for ``subscriber`` (held
+        weakly) while their entries sum to at most ``budget``
+        (:meth:`~repro.viewtree.changes.DeltaWindow.hold`)."""
+        self.track_changes()
+        self._change_tracker.window.hold(subscriber, epoch, budget)
 
     def subscribe(self, ratio_threshold: float = 0.5) -> MaterializedView:
         """Register a maintained dict materialization of the output.

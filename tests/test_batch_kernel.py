@@ -412,14 +412,19 @@ class TestBatchObservability:
         assert stats.to_dict()["batch"]["sibling_probes"] > 0
 
     def test_small_batches_skip_the_kernel(self):
-        """Below ``batch_compile_threshold`` the per-tuple path runs and
-        no batch counters are recorded."""
+        """Below ``batch_compile_threshold`` the per-tuple path runs: the
+        coalescing pass is counted, and no batch kernel ran."""
         engine = ViewTreeEngine(
             parse_query(self.QUERY), seeded_db(self.SCHEMAS, random.Random(3))
         )
         stats = engine.attach_stats()
+        pushed = []
+        for kernels in engine._kernels.values():
+            for kernel in kernels:
+                kernel.push_batch = lambda *args: pushed.append(args)
         engine.apply_batch([Update("R", (1, 1), 1)])
-        assert stats.batch_updates_raw == 0
+        assert (stats.batch_updates_raw, stats.batch_updates_coalesced) == (1, 1)
+        assert pushed == [] and stats.sibling_probes == 0
 
     def test_uncompiled_engine_still_correct(self):
         query = parse_query(self.QUERY)

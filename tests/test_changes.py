@@ -12,7 +12,10 @@ serving partial state.
 from __future__ import annotations
 
 import asyncio
+import gc
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,12 +38,14 @@ from repro.rings import (
 from repro.shard import ShardWorkerError, ShardedEngine
 from repro.viewtree import (
     RETAIN_EPOCHS,
+    OutputDelta,
     EpochGapError,
     ViewTreeEngine,
     make_strategy,
     STRATEGIES,
 )
 from repro.serve import AsyncIVMServer
+from repro.viewtree.changes import DeltaWindow
 from tests.conftest import REWRITES, rewrite_case, twin_engines, valid_stream
 
 QUERY = parse_query("Q(B, A) = R(B, A) * S(B)")
@@ -253,6 +258,161 @@ class TestEpochGaps:
         assert view.full_refreshes == 1
         assert stats.full_refresh_fallbacks == 1
         assert dict(view.items()) == dict(engine.enumerate_snapshot())
+
+
+def window_of(engine):
+    return engine._change_tracker.window
+
+
+def small_epochs(engine, count, start=100):
+    """``count`` publishes, each inserting one fresh ``R`` tuple whose
+    ``B`` joins: one output entry per epoch."""
+    for step in range(count):
+        engine.apply(Update("S", (start + step,), 1))
+        engine.apply(Update("R", (start + step, 0), 1))
+        engine.publish_epoch()
+
+
+class TestCursorRetention:
+    """A subscriber's cursor holds the window until its budget,
+    ``ratio_threshold × max(len(state), 1)`` entries, runs out."""
+
+    def test_a_view_many_epochs_behind_patches(self, rng):
+        engine = ViewTreeEngine(QUERY, fresh_db(rng=rng, rows=60, domain=10))
+        stats = engine.attach_stats()
+        view = engine.subscribe()
+        assert 0.5 * len(view) > 3 * RETAIN_EPOCHS  # the lag fits the budget
+        small_epochs(engine, 3 * RETAIN_EPOCHS)
+        view.refresh()
+        assert view.full_refreshes == 0
+        assert stats.full_refresh_fallbacks == 0
+        assert dict(view.items()) == dict(engine.enumerate_snapshot())
+
+    def test_an_over_budget_view_drains_once(self, rng):
+        engine = ViewTreeEngine(QUERY, fresh_db(rng=rng, rows=60, domain=10))
+        stats = engine.attach_stats()
+        view = engine.subscribe()
+        small_epochs(engine, int(0.5 * len(view)) + RETAIN_EPOCHS + 1)
+        # Released: the window is back to its floor, so the deltas since
+        # the view's epoch are gone.
+        assert len(window_of(engine)) == RETAIN_EPOCHS
+        with pytest.raises(EpochGapError):
+            engine.changes_since(view.epoch)
+        view.refresh()
+        assert view.full_refreshes == 1
+        assert stats.full_refresh_fallbacks == 1
+        assert dict(view.items()) == dict(engine.enumerate_snapshot())
+        small_epochs(engine, RETAIN_EPOCHS + 1, start=200)
+        view.refresh()  # held again after the drain: patched
+        assert view.full_refreshes == 1
+        assert dict(view.items()) == dict(engine.enumerate_snapshot())
+
+    def test_the_window_holds_the_floor_plus_what_cursors_need(self, rng):
+        """Random lags and delta sizes against a model of the rule: at
+        each publish the window keeps the newest RETAIN_EPOCHS deltas,
+        or back to the oldest cursor whose entries since stay within its
+        budget."""
+        engine = ViewTreeEngine(QUERY, fresh_db(rng=rng, rows=40, domain=8))
+        views = [engine.subscribe(ratio_threshold=t) for t in (0.1, 0.5, 2.0)]
+
+        def cursor(view):
+            return view.epoch, view.ratio_threshold * max(len(view), 1)
+
+        held = [cursor(view) for view in views]
+        sizes = {}  # epoch_from -> entries
+        for published in range(1, 61):
+            for update in valid_stream(rng, SCHEMAS, rng.randrange(1, 6), domain=8):
+                engine.apply(update)
+            engine.publish_epoch()
+            sizes[engine.epoch - 1] = len(engine.changes_since(engine.epoch - 1))
+            need = RETAIN_EPOCHS
+            for epoch, budget in held:
+                spent = sum(n for e, n in sizes.items() if e >= epoch)
+                if spent <= budget:
+                    need = max(need, engine.epoch - epoch)
+            assert len(window_of(engine)) == min(need, published)
+            for index, view in enumerate(views):
+                if rng.random() < 0.2:
+                    view.refresh()
+                    assert dict(view.items()) == dict(engine.enumerate_snapshot())
+                    held[index] = cursor(view)
+
+    def test_a_collected_view_stops_holding_deltas(self, rng):
+        engine = ViewTreeEngine(QUERY, fresh_db(rng=rng, rows=60, domain=10))
+        view = engine.subscribe()
+        small_epochs(engine, 2 * RETAIN_EPOCHS)
+        assert len(window_of(engine)) == 2 * RETAIN_EPOCHS
+        del view
+        gc.collect()
+        small_epochs(engine, 1, start=300)
+        assert len(window_of(engine)) == RETAIN_EPOCHS
+
+    def test_concurrent_publishes_never_gap_a_held_cursor(self):
+        """One thread appends while more subscriber threads than cores
+        patch and re-hold: a cursor with an unbounded budget must never
+        see a gap, and every patched state must equal its epoch's."""
+        window, keys, last = DeltaWindow(0), 7, 3000
+
+        def truth(epoch):
+            # Delta e-1 -> e sets key (e % keys,) to e.
+            return {
+                (k,): epoch - (epoch - k) % keys
+                for k in range(keys)
+                if epoch - (epoch - k) % keys >= 1
+            }
+
+        class Subscriber:
+            pass
+
+        subscribers = [Subscriber() for _ in range(4)]
+        for sub in subscribers:
+            window.hold(sub, 0, float("inf"))
+        errors = []
+
+        def publish():
+            for e in range(1, last + 1):
+                window.append(OutputDelta(e - 1, e, [((e % keys,), None, e)]))
+
+        def follow(sub):
+            state, epoch = {}, 0
+            try:
+                while epoch < last:
+                    delta = window.changes_since(epoch)
+                    delta.apply_to(state)
+                    epoch = delta.epoch_to
+                    window.hold(sub, epoch, float("inf"))
+                    assert state == truth(epoch)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=follow, args=(sub,)) for sub in subscribers]
+        threads.append(threading.Thread(target=publish))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert window.epoch == last
+
+    def test_a_sharded_subscriber_patches_past_the_floor(self, rng):
+        engine = ShardedEngine(
+            QUERY, fresh_db(rng=rng, rows=60, domain=10), shards=2,
+            executor="serial",
+        )
+        try:
+            view = engine.subscribe()
+            small_epochs(engine, 3 * RETAIN_EPOCHS)
+            view.refresh()
+            assert view.full_refreshes == 0
+            assert dict(view.items()) == dict(engine.enumerate_snapshot())
+        finally:
+            engine.close()
 
 
 class TestStrategies:
@@ -586,12 +746,13 @@ class TestSharded:
         epoch must surface the typed gap, never a partial delta — from
         the coordinator-hosted shard directly, from a worker over the
         pipe — and the coordinator-level ``changes_since`` guard
-        mirrors it.
+        mirrors it.  The subscriber's budget is zero, so its cursor holds
+        nothing past the RETAIN_EPOCHS floor.
         """
         db = fresh_db(rng=rng, rows=60, domain=10)
         engine = ShardedEngine(QUERY, db, shards=2, executor="process")
         try:
-            view = engine.subscribe()
+            view = engine.subscribe(ratio_threshold=0.0)
             evicted = engine.epoch  # the tracking-baseline publish
             for _ in range(RETAIN_EPOCHS + 2):
                 engine.apply(Update("R", (1, 1), 1))

@@ -21,6 +21,7 @@ from repro.serve import (
 )
 from repro.serve.batcher import QueueClosed
 from repro.serve.loadgen import READS_PER_S
+from repro.viewtree import RETAIN_EPOCHS
 
 TEST_TIMEOUT_SECONDS = 60.0
 
@@ -367,8 +368,10 @@ class TestServerHeldView:
                 for update in update_stream(query, 400, domain=6, seed=11):
                     await server.submit(update)
                 await server.drain()
-                # Far more commits than the change window retains, and
-                # not one read: the catch-up is one full drain.
+                # Many commits and not one read: their deltas outgrow
+                # the view's budget (ratio_threshold × its size), so the
+                # window released its cursor and the catch-up is one
+                # full drain.
                 assert stats.commits > 20
                 served = await server.enumerate()
                 assert dict(served) == dict(engine.enumerate_snapshot())
@@ -382,6 +385,37 @@ class TestServerHeldView:
                     engine.enumerate_snapshot()
                 )
                 assert server._matview.full_refreshes == 1
+
+        asyncio.run(run())
+
+    def test_reads_patch_across_many_small_commits(self):
+        """The view's cursor holds the window past RETAIN_EPOCHS: a read
+        after many small deadline commits patches, with no drain."""
+        query = parse_query(self.TEXT)
+        db = Database()
+        r, s = db.create("R", ("Y", "X")), db.create("S", ("Y", "Z"))
+        for y in range(4):
+            for v in range(10):
+                r.insert(y, v)
+                s.insert(y, v)
+        engine = IVMEngine(query, db)
+        commits = 3 * RETAIN_EPOCHS
+
+        async def run():
+            stats = MaintenanceStats()
+            async with AsyncIVMServer(
+                engine, max_batch=1000, max_delay=0.0005, stats=stats
+            ) as server:
+                for step in range(commits):
+                    # 10 output entries per commit; the budget is 200.
+                    await server.submit(Update("R", (0, 100 + step), 1))
+                    await server.drain()
+                assert stats.deadline_commits == commits
+                served = await server.enumerate()
+                assert dict(served) == dict(engine.enumerate_snapshot())
+                assert server._matview.epoch == engine.backend.epoch
+                assert server._matview.full_refreshes == 0
+                assert stats.full_refresh_fallbacks == 0
 
         asyncio.run(run())
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.engine import IVMEngine
 from repro.data import Database, Relation, Update
 from repro.data.relation import GroupIndex
+from repro.data.schema import Schema
 from repro.naive import evaluate
 from repro.query import search_order
 from repro.query.parser import parse_query
@@ -319,6 +320,25 @@ class TestBounds:
         engine.apply_batch(updates[400:])
         assert calls == []
         assert max(_maps_per_relation(engine)) == 0
+
+    def test_a_churned_bucket_is_copied_in_order_with_its_pre_image_kept(self):
+        """A bucket with deleted slots (churned before the publish) is
+        copied at its first write after it: the copy keeps insertion
+        order, and the pre-image map records the untouched original."""
+        index = GroupIndex(Schema(("A", "B")), ("A",))
+        for b in range(50):
+            index.add((0, b))
+        for b in range(0, 50, 3):
+            index.remove((0, b))
+        bucket = index.groups[(0,)]
+        before = list(bucket)
+        _, undo = index.share_version()
+        index.add((0, 999))
+        index.remove((0, 1))
+        assert undo[(0,)] is bucket and list(bucket) == before
+        copy_ = index.groups[(0,)]
+        assert copy_ is not bucket
+        assert list(copy_) == [key for key in before if key != (0, 1)] + [(0, 999)]
 
     @pytest.mark.parametrize("n", [2000, 20000])
     def test_small_commit_after_publish_copies_no_table(self, n):
