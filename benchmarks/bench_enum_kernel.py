@@ -27,9 +27,13 @@ each under uniform and Zipf value distributions; and
 
 A second table times
 prebound point lookups — the CQAP access-request shape of Section 4.3,
-where every step is one O(1) guard probe.  Every compiled run is
+where every step is one O(1) guard probe — and full-key ``lookup``
+calls, which the compiled engine answers with its generated probe
+kernel (one keyed read per leaf and bound view) and the generic twin by
+walking with the whole key prebound.  Every compiled run is
 differential-checked bit-identical against its generic twin (contents
-for the full drains, per-request tuple lists for the prebound probes).
+for the full drains, per-request tuple lists for the prebound probes,
+payloads for the full-key lookups).
 
 Acceptance gates, same-run ratios (asserted below): compiled >= 2x
 generic on every full-drain row and on every point-lookup row.
@@ -126,6 +130,18 @@ def _lookup_rate(engine, variable):
     return LOOKUPS / seconds if seconds > 0 else 0.0
 
 
+def _key_lookup_rate(engine, keys):
+    """Full-key ``lookup`` throughput (requests/s), best of ROUNDS."""
+    lookup, best = engine.lookup, 0.0
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        for key in keys:
+            lookup(key)
+        seconds = time.perf_counter() - start
+        best = max(best, len(keys) / seconds if seconds > 0 else 0.0)
+    return best
+
+
 def bench_enum_kernel(benchmark):
     benchmark.pedantic(_kernel_table, rounds=1, iterations=1)
 
@@ -137,7 +153,7 @@ def _kernel_table():
          "compiled tuples/s", "speedup"],
     )
     lookup_table = Table(
-        "compiled prebound point lookups -- access requests (req/s)",
+        "compiled point lookups -- prebound access requests and full keys (req/s)",
         ["query", "variable", "generic req/s", "compiled req/s", "speedup"],
     )
 
@@ -196,6 +212,23 @@ def _kernel_table():
         lookup_table.add(
             label,
             top,
+            f"{generic_rate:,.0f}",
+            f"{compiled_rate:,.0f}",
+            f"{speedup:.2f}x",
+        )
+        # Full-key lookups: every output tuple of the first LOOKUPS, and
+        # as many misses (the last head value out of the domain).
+        hits = list(itertools.islice(dict(compiled.enumerate()), LOOKUPS))
+        keys = hits + [key[:-1] + (-1,) for key in hits]
+        assert compiled._lookup_plan is not None and generic._lookup_plan is None
+        assert [compiled.lookup(k) for k in keys] == [generic.lookup(k) for k in keys]
+        generic_rate = _key_lookup_rate(generic, keys)
+        compiled_rate = _key_lookup_rate(compiled, keys)
+        speedup = compiled_rate / generic_rate
+        lookup_speedups[(label, "full key")] = speedup
+        lookup_table.add(
+            label,
+            "full key",
             f"{generic_rate:,.0f}",
             f"{compiled_rate:,.0f}",
             f"{speedup:.2f}x",

@@ -724,13 +724,11 @@ class MaintenanceStats:
                 f"mean={self.view_size.mean:.3g}  peak={self.view_size.maximum:g}"
             )
         if self.batch_updates_raw:
-            cancelled = self.batch_updates_raw - self.batch_updates_coalesced
-            add(
-                f"batch kernel: {self.batch_updates_raw} updates -> "
-                f"{self.batch_updates_coalesced} coalesced deltas "
-                f"({cancelled} cancelled); sibling probes "
-                f"{self.sibling_probes} issued, {self.sibling_probes_shared} shared"
-            )
+            raw, kept = self.batch_updates_raw, self.batch_updates_coalesced
+            add(f"coalescing: {raw} updates -> {kept} deltas ({raw - kept} cancelled)")
+        if self.sibling_probes:
+            shared = self.sibling_probes_shared
+            add(f"sibling probes: {self.sibling_probes} issued, {shared} shared")
         if self.migrations or self.repartitions:
             add(
                 f"rebalancing: {self.migrations} migrations "

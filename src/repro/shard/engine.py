@@ -89,8 +89,8 @@ from ..query.ast import Query
 from ..query.variable_order import VariableOrder, order_for
 from ..rings.lifting import LiftingMap
 from ..viewtree.changes import EpochGapError, MaterializedView, OutputDelta
-from ..viewtree.engine import ViewTreeEngine, probe_product, rejected
-from ..viewtree.enumplan import key_projector
+from ..viewtree.codegen import LookupKernel
+from ..viewtree.engine import ViewTreeEngine, rejected
 from .changes import ShardChangeTracker
 from .router import ShardRouter, choose_shard_variable, stable_hash
 from .worker import (
@@ -180,18 +180,19 @@ class ShardedEngine(Backend):
         #: after every shard acked, so readers never pin an epoch some
         #: shard has not published.
         self.epoch = 0
-        #: Lookup probes over the base (see :meth:`lookup`), grouped and
-        #: ordered as the shard engines' own plans; None: lookups route.
+        #: Generated lookup over the base (see :meth:`lookup`), probing as
+        #: the shard engines' own plans do; None: lookups route.
         self._base_lookup = None
         if generated and query.head and not query.bound_variables:
-            self._base_lookup = tuple(
+            factors = tuple(
                 tuple(
-                    (database[a.relation], key_projector(tuple(map(query.head.index, a.variables))))
+                    (database[a.relation], tuple(map(query.head.index, a.variables)))
                     for a in node.atoms
                 )
                 for node in self.order.walk()
                 if node.atoms
             )
+            self._base_lookup = LookupKernel(factors, self.ring, len(query.head))
         #: Coordinator-side change tracker (see :meth:`track_changes`):
         #: folds per-shard output deltas into merged coordinator-epoch
         #: deltas so subscribers patch in O(δ) across all shards.
@@ -688,7 +689,7 @@ class ShardedEngine(Backend):
             return self._scalar(self._pin() if snapshot else None)
         if self._base_lookup is not None and not snapshot:
             self._check_open()
-            result = probe_product(self._base_lookup, key, self.ring)
+            result = self._base_lookup.lookup(key)
             stats = self._maintenance_stats
             if stats is not None:
                 stats.record_point_lookup(0)

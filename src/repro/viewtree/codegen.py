@@ -30,7 +30,9 @@ OpenIVM's compile-to-code design in PAPERS.md):
   ``drain`` makes ``iterate`` hand an unbound request each candidate
   bucket whole — ``chain.from_iterable`` over one ``zip(bucket,
   payloads)`` per bucket — while prebound requests walk
-  (:func:`_emit_drain`).
+  (:func:`_emit_drain`); beside the walk, the plan's lookup probes
+  become straight-line ``lookup`` / ``lookup_epoch`` functions, one
+  literal keyed read per probe (:func:`_emit_lookup`).
 
 The generated functions execute the **same probe sequence and the same
 ring-operation order** as the generic walk
@@ -139,7 +141,7 @@ from typing import Any, Optional
 from ..data.opcounter import COUNTER
 from ..rings.base import Semiring
 from .compile import CROSS, DIRECT, INDEXED, DeltaPlan, DerivedView
-from .enumplan import EnumPlan, key_projector
+from .enumplan import EnumPlan
 
 #: Sentinel the generated code tests with ``is``: a probe-cache miss in
 #: ``push_batch`` (``None`` is a legitimate cached result — an absent
@@ -149,6 +151,7 @@ _MISS = object()
 __all__ = [
     "DeltaKernel",
     "EnumKernel",
+    "LookupKernel",
     "compile_delta_kernel",
     "compile_enum_kernel",
     "new_codegen_info",
@@ -259,7 +262,13 @@ def _enum_shape(plan: EnumPlan) -> tuple:
             )
             for step in plan.steps
         ),
+        _lookup_positions(plan.lookup),
     )
+
+
+def _lookup_positions(factors) -> tuple | None:
+    """A lookup plan's key positions, factor by factor (its shape)."""
+    return None if factors is None else tuple(tuple(p for _, p in f) for f in factors)
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +415,14 @@ def _changed(plan: DeltaPlan, s: int):
     """The source of step ``s`` whose change the delta describes: the
     leaf, or the step below's view."""
     return plan.leaf if s == 0 else plan.steps[s - 1].view
+
+
+def key_projector(positions: tuple[int, ...]) -> itemgetter:
+    """``key -> tuple(key[p] for p in positions)``, picklable; a run is a slice."""
+    start = positions[0] if positions else 0
+    if positions == tuple(range(start, start + len(positions))):
+        return itemgetter(slice(start, start + len(positions)))
+    return itemgetter(*positions)
 
 
 def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
@@ -1461,7 +1478,7 @@ def _enum_env_names(plan: EnumPlan) -> list[str]:
             names.append(f"LEAF_{d}_{k}")
         for k in range(len(step.post_probes)):
             names.append(f"POST_{d}_{k}")
-    return names
+    return names + list(_lookup_env(plan.lookup or ()))
 
 
 def _enum_env(plan: EnumPlan) -> dict[str, Any]:
@@ -1487,7 +1504,12 @@ def _enum_env(plan: EnumPlan) -> dict[str, Any]:
             env[f"LEAF_{d}_{k}"] = leaf
         for k, (view, _) in enumerate(step.post_probes):
             env[f"POST_{d}_{k}"] = view
-    return env
+    return env | _lookup_env(plan.lookup or ())
+
+
+def _lookup_env(factors) -> dict[str, Any]:
+    """``LK_i_j``: the relation of factor ``i``'s probe ``j``."""
+    return {f"LK_{i}_{j}": r for i, factor in enumerate(factors) for j, (r, _) in enumerate(factor)}
 
 
 def _slot_tuple(positions: tuple[int, ...]) -> str:
@@ -1841,6 +1863,40 @@ def _emit_drain(w: _Writer) -> None:
         w.emit("return chain.from_iterable(buckets(stats))")
 
 
+def _emit_lookup(w: _Writer, factors, ops: _Ops, arity: int, snapshot=False) -> _Writer:
+    """``lookup(key)`` over a lookup plan's ``factors`` or, with
+    ``snapshot``, ``lookup_epoch(key, epoch)``: reads such as
+    ``LK_0_0.data.get((key[0], key[1]))`` (an epoch read takes the
+    pre-image map over the live dict), ``ZERO`` at the first miss, the
+    product folded left to right as the walk multiplies, and one
+    ``lookup`` op per probe issued."""
+    w.emit("def lookup_epoch(key, epoch):" if snapshot else "def lookup(key):")
+    with w.block():
+        bump = 'if COUNTER.enabled: COUNTER.bump("lookup", {})'.format
+        probes, product = 0, None
+        for i, factor in enumerate(factors):
+            value = None
+            for j, (_, positions) in enumerate(factor):
+                probes += 1
+                found, key = f"v{probes}", _proj("key", positions, arity)
+                if snapshot:
+                    w.emit(f"d, u = epoch.data_of(LK_{i}_{j})")
+                    w.emit(f"k = {key}")
+                    w.emit(f"{found} = u.get(k, d.get(k))")
+                else:
+                    w.emit(f"{found} = LK_{i}_{j}.data.get({key})")
+                w.emit(f"if {found} is None:")
+                with w.block():
+                    w.emit(bump(probes))
+                    w.emit("return ZERO")
+                value = found if value is None else ops.mul(value, found)
+            product = value if product is None else ops.mul(product, value)
+        w.emit(bump(probes))
+        w.emit(f"p = {product}")
+        w.emit(f"return ZERO if {ops.is_zero('p')} else p")
+    return w
+
+
 def _enum_source(plan: EnumPlan) -> str:
     ops = _Ops(plan.ring)
     body = _Writer(indent=1)
@@ -1852,7 +1908,13 @@ def _enum_source(plan: EnumPlan) -> str:
         _emit_drain(body)
     body.emit()
     _emit_iterate(body, plan, ops, snapshot=True)
-    return _wrap_factory(body, _enum_env_names(plan), "iterate, iterate_epoch")
+    returns = "iterate, iterate_epoch, None, None"
+    if plan.lookup is not None:
+        for snapshot in (False, True):
+            body.emit()
+            _emit_lookup(body, plan.lookup, ops, len(plan.head_positions), snapshot)
+        returns = "iterate, iterate_epoch, lookup, lookup_epoch"
+    return _wrap_factory(body, _enum_env_names(plan), returns)
 
 
 # ----------------------------------------------------------------------
@@ -1943,21 +2005,40 @@ class DeltaKernel:
 class EnumKernel:
     """A source-generated read-path kernel for one :class:`EnumPlan`:
     ``iterate`` walks the live relations, ``iterate_epoch`` a published
-    epoch."""
+    epoch; ``lookup`` / ``lookup_epoch`` multiply the plan's lookup
+    probes (``None`` when the plan has none)."""
 
-    __slots__ = ("plan", "source", "iterate", "iterate_epoch")
+    __slots__ = ("plan", "source", "iterate", "iterate_epoch", "lookup", "lookup_epoch")
 
-    def __init__(self, plan: EnumPlan, source: str, iterate, iterate_epoch):
+    def __init__(self, plan: EnumPlan, source: str, *functions):
         self.plan = plan
         self.source = source
-        self.iterate = iterate
-        self.iterate_epoch = iterate_epoch
+        self.iterate, self.iterate_epoch, self.lookup, self.lookup_epoch = functions
 
     def __reduce__(self):
         return (compile_enum_kernel, (self.plan,))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EnumKernel(steps={len(self.plan.steps)})"
+
+
+class LookupKernel:
+    """``lookup(key)`` generated from lookup ``factors`` alone (a sharded
+    coordinator's base probes); pickles as its arguments."""
+
+    __slots__ = ("args", "source", "lookup")
+
+    def __init__(self, factors: tuple, ring: Semiring, arity: int):
+        self.args = (factors, ring, arity)
+        env = {"MUL": ring.mul, "IS_ZERO": ring.is_zero, "ZERO": ring.zero, "COUNTER": COUNTER}
+        env |= _lookup_env(factors)
+        shape = ("lookup", ring_identity(ring), arity, _lookup_positions(factors))
+        (self.source, make), _ = _factory_for(shape, lambda: _wrap_factory(
+            _emit_lookup(_Writer(indent=1), factors, _Ops(ring), arity), list(env), "lookup"))
+        self.lookup = make(env)
+
+    def __reduce__(self):
+        return (LookupKernel, self.args)
 
 
 def _count(info: Optional[dict], start: float, hit: bool) -> None:

@@ -52,7 +52,6 @@ from typing import Any, Iterator, Optional
 
 from ..backend import Backend, NotSupported
 from ..data.database import Database
-from ..data.opcounter import COUNTER
 from ..data.relation import Relation, claim_writer, release_writer
 from ..data.schema import Schema
 from ..data.update import Update, coalesce_grouped
@@ -73,41 +72,6 @@ from .changes import ChangeTracker, MaterializedView, OutputDelta
 from .compile import DerivedView, compile_delta_plans, derive_views
 from .enumplan import _flatten, compile_enum_plan
 from .epoch import EpochSnapshot, SnapshotRegistry
-
-
-def probe_product(
-    factors: tuple,
-    key: tuple,
-    ring,
-    epoch: EpochSnapshot | None = None,
-) -> Any:
-    """Output tuple ``key``'s payload: the product of the lookup plan
-    ``factors`` (:attr:`~repro.viewtree.enumplan.EnumPlan.lookup`) probed
-    at the key, or the ring zero at the first miss; one ``lookup`` op per
-    probe.  With ``epoch`` a probe reads live first, then the pre-image
-    map, as :class:`~repro.viewtree.epoch.VersionView` does."""
-    mul = ring.mul
-    payload = None  # ``one``, whose product with x is x exactly
-    probes = 0
-    try:
-        for factor in factors:
-            value = None
-            for relation, project in factor:
-                probes += 1
-                probe = project(key)
-                if epoch is None:
-                    found = relation.data.get(probe)
-                else:
-                    live, undo = epoch.data_of(relation)
-                    found = undo.get(probe, live.get(probe))
-                if found is None:
-                    return ring.zero
-                value = found if value is None else mul(value, found)
-            payload = value if payload is None else mul(payload, value)
-    finally:
-        if COUNTER.enabled:
-            COUNTER.bump("lookup", probes)
-    return ring.zero if ring.is_zero(payload) else payload
 
 
 class ViewNode:
@@ -350,11 +314,12 @@ class ViewTreeEngine(Backend):
             for name, exc in failed:
                 self._generation_failed(f"relation {name!r}", exc)
             if enum_plan is not None:
-                self._lookup_plan = enum_plan.lookup
                 try:
                     self._enum_kernel = compile_enum_kernel(enum_plan, info)
                 except Exception as exc:
                     self._generation_failed("enumeration", exc)
+                else:
+                    self._lookup_plan = enum_plan.lookup
         #: Lazily-built flat schedule for the generic enumeration walk.
         self._enum_schedule: list | None = None
         #: Last published epoch number and its snapshot.
@@ -1004,13 +969,15 @@ class ViewTreeEngine(Backend):
         """Payload of one output tuple (ring zero when absent).
 
         A generated engine whose key binds every maintained head variable
-        multiplies its lookup plan's probes (:func:`probe_product`); the
-        oracle and FD plans (output head ⊂ maintained head) walk the
-        enumeration with the key prebound.  The two agree on valid states
-        (§2).  Where a view cancels to zero above non-zero tuples, the
-        product still returns ``repro.naive``'s payload, as a generated
-        engine's enumeration does (its free part keeps supports), while
-        the oracle's summed walk may skip the tuple.
+        runs its enumeration kernel's generated ``lookup``: one
+        straight-line keyed read per probe of its lookup plan, multiplied
+        in the walk's order, zero at the first miss.  The oracle and FD
+        plans (output head ⊂ maintained head) walk the enumeration with
+        the key prebound.  The two agree on valid states (§2).  Where a
+        view cancels to zero above non-zero tuples, the product still
+        returns ``repro.naive``'s payload, as a generated engine's
+        enumeration does (its free part keeps supports), while the
+        oracle's summed walk may skip the tuple.
         """
         return self._lookup(key, None)
 
@@ -1026,7 +993,8 @@ class ViewTreeEngine(Backend):
             return self.scalar() if snap is None else self.scalar_snapshot(snap)
         stats = self._maintenance_stats
         if self._lookup_plan is not None:
-            result = probe_product(self._lookup_plan, key, self.ring, snap)
+            kernel = self._enum_kernel
+            result = kernel.lookup(key) if snap is None else kernel.lookup_epoch(key, snap)
         else:
             result = self.ring.zero
             prebound = dict(zip(head, key))

@@ -29,8 +29,9 @@ at engine construction:
 
 An :class:`EnumPlan` is data only — it executes nothing.
 :mod:`repro.viewtree.codegen` emits it as one generator of nested
-literal loops over named slot locals; its ``lookup`` probes answer
-point lookups without the walk.  Access-pattern
+literal loops over named slot locals, and its ``lookup`` probes as one
+straight-line ``lookup(key)`` beside it, which answers a point lookup
+without the walk.  Access-pattern
 requests (``enumerate(prebound=...)``, the CQAP engine of Section 4.3)
 run through the same plan: a prebound variable's step swaps its
 candidate iteration for one O(1) guard probe.
@@ -75,7 +76,6 @@ shipped whole.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Optional
 
 from ..data.relation import GroupIndex, Relation
@@ -166,7 +166,7 @@ class EnumPlan:
         self.steps = steps
         #: Point-lookup plan when a key binds the whole maintained head:
         #: the walk's probes minus guards, as factors of ``(relation, key
-        #: projector)`` pairs — a step's leaves are one factor, any other
+        #: positions)`` pairs — a step's leaves are one factor, any other
         #: probe its own — so the product associates as the walk's (§4.1).
         self.lookup = lookup
 
@@ -266,7 +266,7 @@ def compile_enum_plan(engine) -> Optional[EnumPlan]:
         at = {slot_of[v]: i for i, v in enumerate(engine.head)}
 
         def factor(probes) -> tuple:
-            return tuple((r, key_projector(tuple(at[s] for s in slots))) for r, slots in probes)
+            return tuple((r, tuple(at[s] for s in slots)) for r, slots in probes)
 
         lookup = [factor([p]) for p in prefix_probes]
         for step in steps:
@@ -287,11 +287,3 @@ def _reads(step: EnumStep) -> set[int]:
     """The slots a step's probes read (its own slot included)."""
     probes = step.leaf_probes + step.post_probes
     return {*step.probe_positions, *(s for _, slots in probes for s in slots)}
-
-
-def key_projector(positions: tuple[int, ...]) -> itemgetter:
-    """``key -> tuple(key[p] for p in positions)``, picklable; a run is a slice."""
-    start = positions[0] if positions else 0
-    if positions == tuple(range(start, start + len(positions))):
-        return itemgetter(slice(start, start + len(positions)))
-    return itemgetter(*positions)

@@ -362,7 +362,7 @@ class TestBatchObservability:
         payload = stats.to_dict()["batch"]
         assert payload["raw_updates"] == 3
         assert payload["coalesced_updates"] == 2
-        assert "batch kernel" in stats.render()
+        assert "coalescing: 3 updates -> 2 deltas (1 cancelled)" in stats.render()
 
     def test_query_set_counts_its_one_coalescing_pass(self):
         """Two trees over the same relations share one coalescing pass."""

@@ -147,6 +147,18 @@ class TestStats:
         out = capsys.readouterr().out
         assert "no dynamic relations" in out
 
+    def test_oracle_coalescing_line_names_no_kernel(self, capsys):
+        """No kernel runs under ``--oracle``: the coalescing pass is
+        reported as such, and no sibling-probe line is printed."""
+        code = main(
+            ["stats", "Q(B,A) = R(B,A) * S(B)", "--updates", "800", "--prefill", "20", "--oracle"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "coalescing: 800 updates -> 345 deltas (455 cancelled)" in out.splitlines()
+        assert "batch kernel" not in out
+        assert "sibling probes" not in out
+
     def test_sliding_window_batched_replay(self, tmp_path, capsys):
         path = tmp_path / "window.json"
         code = main(
@@ -168,8 +180,10 @@ class TestStats:
         assert code == 0
         out = capsys.readouterr().out
         assert "workload: sliding-window (window=64)" in out
-        # The batch kernel engaged: coalescing counters are non-zero.
-        assert "batch kernel:" in out
+        # The batch kernel engaged: coalescing counters are non-zero and
+        # its sibling probes have their own line.
+        assert "coalescing: 600 updates -> " in out
+        assert "sibling probes: " in out
         with open(path) as handle:
             data = json.load(handle)
         assert data["meta"]["workload"] == "sliding-window"

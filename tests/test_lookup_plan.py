@@ -1,8 +1,9 @@
 """Point lookups as a product of probes (``EnumPlan.lookup``).
 
 A generated engine whose key binds every maintained head variable
-answers ``lookup`` / ``lookup_snapshot`` by multiplying one dict probe
-per anchored leaf and bound view, in the enumeration walk's order.  On
+answers ``lookup`` / ``lookup_snapshot`` with its enumeration kernel's
+generated ``lookup`` / ``lookup_epoch``: one dict probe per anchored
+leaf and bound view, multiplied in the enumeration walk's order.  On
 valid states that must equal the oracle's prebound walk bit for bit —
 floats included, so the product must associate as the walk does — over
 the ring matrix and every probe kind: leaf probes, post probes, prefix
@@ -14,7 +15,10 @@ relations must agree with the owner shard the same way.
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -34,7 +38,8 @@ from repro.rings import (
 )
 from repro.rings.analytics import Moments
 from repro.shard import ShardedEngine
-from repro.viewtree import ViewTreeEngine
+from repro.viewtree import EnumPlan, ViewTreeEngine, compile_enum_kernel
+from repro.viewtree.codegen import LookupKernel, _enum_shape
 
 from tests.conftest import rewrite_case, twin_engines, valid_stream
 
@@ -218,6 +223,109 @@ class TestProbeProduct:
             assert ops.counts == {"lookup": probes}
 
 
+def list_query_engines(ring=Z):
+    """Generated and oracle engines over ``Q(Y, X, Z)``, empty at first."""
+    query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
+    schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
+    return twin_engines(query, schemas, seed=1, ring=ring, rows=0)
+
+
+class TestLookupKernel:
+    """The generated ``lookup`` / ``lookup_epoch`` entry points."""
+
+    def test_list_keys(self):
+        generated, oracle = list_query_engines()
+        for engine in (generated, oracle):
+            engine.apply(Update("R", (1, 2), 1))
+            engine.apply(Update("S", (1, 3), 2))
+            snap = engine.publish_epoch()
+            assert engine.lookup([1, 2, 3]) == engine.lookup((1, 2, 3)) == 2
+            assert engine.lookup_snapshot([1, 2, 3], snap) == 2
+            assert engine.lookup_snapshot([1, 2, 9]) == 0
+
+    @pytest.mark.parametrize("key", [(1, 2), (1, 2, 3, 4), ()], ids=["short", "long", "empty"])
+    def test_wrong_arity_raises_before_any_probe(self, key):
+        generated, oracle = list_query_engines()
+        assert generated._lookup_plan is not None and oracle._lookup_plan is None
+        for engine in (generated, oracle):
+            engine.apply(Update("R", (1, 2), 1))
+            engine.apply(Update("S", (1, 3), 1))
+            snap = engine.publish_epoch()
+            with counting() as ops:
+                with pytest.raises(ValueError, match="does not match head"):
+                    engine.lookup(key)
+                with pytest.raises(ValueError, match="does not match head"):
+                    engine.lookup_snapshot(list(key), snap)
+            assert ops.counts == {}
+
+    def test_lookup_epoch_exact_while_a_commit_thread_writes(self):
+        """A reader pins the last published epoch and looks up a key grid
+        while the commit thread writes and publishes on: every answer
+        equals the pinned epoch's output."""
+        engine, _ = list_query_engines()
+        keys = list(itertools.product(range(5), repeat=3))
+        stream = valid_stream(random.Random(23), {"R": 2, "S": 2}, 3000, domain=5)
+        truth = {engine.publish_epoch().number: {}}
+        reads, errors = [], []
+        done = threading.Event()
+
+        def commit():
+            try:
+                for start in range(0, len(stream), 12):
+                    engine.apply_batch(stream[start:start + 12])
+                    number = engine.publish_epoch().number
+                    truth[number] = dict(engine.enumerate())
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def read():
+            try:
+                while not done.is_set():
+                    snap = engine.snapshot()
+                    reads.append((snap.number, [engine.lookup_snapshot(k, snap) for k in keys]))
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=commit), threading.Thread(target=read)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len({number for number, _ in reads}) > 2
+        for number, answers in reads:
+            assert answers == [truth[number].get(k, 0) for k in keys], number
+
+    def test_shape_key_includes_the_lookup_positions(self):
+        """Two plans with one walk but different lookup projections get
+        different factories: the positions are literals in the source."""
+        query = parse_query("Q(A, B, C) = R(A, B) * R(B, C)")
+        db = Database()
+        db.create("R", ("A", "B"))
+        engine = ViewTreeEngine(query, db)
+        plan = engine._enum_kernel.plan
+        swapped = tuple(tuple((r, p[::-1]) for r, p in factor) for factor in plan.lookup)
+        assert swapped != plan.lookup
+        twin = EnumPlan(
+            plan.ring, plan.nslots, plan.head_positions, plan.prefix_probes, plan.steps, swapped
+        )
+        assert _enum_shape(twin) != _enum_shape(plan)
+        kernel = compile_enum_kernel(twin)
+        assert kernel.source != engine._enum_kernel.source
+        engine.apply(Update("R", (1, 2), 1))
+        engine.apply(Update("R", (2, 3), 1))
+        assert engine.lookup((1, 2, 3)) == 1 and kernel.lookup((1, 2, 3)) == 0
+        assert engine.lookup((3, 2, 1)) == 0 and kernel.lookup((3, 2, 1)) == 1
+
+
 class TestShardedCoordinator:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_coordinator_answers_equal_the_owner_shard(self, executor):
@@ -244,6 +352,40 @@ class TestShardedCoordinator:
                 routed = engine._call(owner, ("lookup", key, None)).payload
                 assert bits(engine.lookup(key)) == bits(routed)
                 assert bits(engine.lookup(key)) == bits(outputs.get(key, 0.0))
+
+    def test_process_coordinator_runs_a_generated_base_lookup(self):
+        """The process coordinator's base lookup is a generated kernel:
+        one ``lookup`` op per probe, zero at the first miss, bit-equal to
+        the owner shard, and rebuilt from its factors when pickled."""
+        query = parse_query("Q(A, B, C) = R(A, B) * S(A, B) * T(A, C)")
+        db = Database(ring=R)
+        for name, schema in (("R", ("A", "B")), ("S", ("A", "B")), ("T", ("A", "C"))):
+            db.create(name, schema)
+        with ShardedEngine(query, db, shards=2, executor="process") as engine:
+            assert isinstance(engine._base_lookup, LookupKernel)
+            assert "def lookup(key):" in engine._base_lookup.source
+            rng = random.Random(29)
+            engine.apply_batch(
+                [
+                    Update(name, (rng.randrange(5), rng.randrange(4)), rng.uniform(0.1, 3.0))
+                    for _ in range(200)
+                    for name in ("R", "S", "T")
+                ]
+            )
+            hits = sorted(dict(engine.enumerate()))
+            assert hits
+            a, b, c = hits[0]
+            cases = [(hits[0], 3), ((a, 9, c), 1), ((a, b, 9), 3)]
+            for key, probes in cases:
+                owner = engine.router.shard_of(Update("R", key[:2], 1))
+                routed = engine._call(owner, ("lookup", key, None)).payload
+                with counting() as ops:
+                    found = engine.lookup(key)
+                assert ops.counts == {"lookup": probes}
+                assert bits(found) == bits(routed)
+            clone = pickle.loads(pickle.dumps(engine._base_lookup))
+            assert clone.source == engine._base_lookup.source
+            assert bits(clone.lookup(hits[-1])) == bits(engine.lookup(hits[-1]))
 
     @pytest.mark.parametrize(
         "text,generated",
