@@ -20,11 +20,14 @@ map** per live snapshot: key -> the payload it had at the snapshot's
 publish, or :data:`ABSENT`.  Every write path fills the maps of the live
 snapshots before it writes, first write wins, so a map holds exactly
 the keys written since its publish; a relation no snapshot covers has
-no map and its writes pay one empty-list test.  A group index keeps the
-same maps over its buckets (group key -> the bucket object at publish),
-and copies a bucket once, before its first write after a publish, so
-published buckets are never mutated and a snapshot iterates them in
-their publish-time order.  A snapshot reads a key from the live dict
+no map and its writes pay one empty-list test.  A group index keeps
+one map per live snapshot over its buckets (group key -> the bucket
+object at publish), and copies a bucket once, before its first write
+after a publish, so published buckets are never mutated and a snapshot
+iterates them in their publish-time order.  Bucket maps serve readers
+only: an index is derived from the key set, so a rollback writes the
+data pre-images back by key and the postings follow
+(:meth:`Relation.restore`).  A snapshot reads a key from the live dict
 first and from its map second; see :class:`~repro.viewtree.epoch.VersionView`
 for why that order is exact against a concurrent writer.
 
@@ -190,27 +193,6 @@ class GroupIndex:
         :meth:`Relation.clear`)."""
         self.groups.clear()
 
-    def rebuild(self, keys: Iterable[tuple]) -> None:
-        """Re-derive every bucket from ``keys`` in a fresh dict (rollback
-        of an index created after the version being restored)."""
-        self.groups = {}
-        self._maps = []
-        for key in keys:
-            self.add(key)
-
-    def restore(self, undo: dict) -> None:
-        """Put every bucket named in ``undo`` back to its pre-image.
-
-        Restored buckets are copies: the pre-image objects stay frozen
-        for the snapshot that recorded them.
-        """
-        groups = self.groups
-        for group_key, bucket in undo.items():
-            if bucket is ABSENT:
-                groups.pop(group_key, None)
-            else:
-                groups[group_key] = dict(bucket)
-
     def copy(self) -> "GroupIndex":
         """Structural copy sharing no mutable state with the original."""
         clone = object.__new__(GroupIndex)
@@ -307,7 +289,8 @@ class Relation:
         return self.data, undo, groups
 
     def drop_version(self, undo: dict) -> None:
-        """Stop recording into ``undo`` (its snapshot is gone)."""
+        """Stop recording into ``undo`` (its snapshot or checkpoint is
+        gone)."""
         self._maps = _detach(self._maps, undo)
 
     def _record(self, key: tuple, old: Any) -> None:
@@ -317,36 +300,26 @@ class Relation:
         for undo in self._maps:
             undo.setdefault(key, old)
 
-    def restore(self, data: dict, undo: dict, groups: dict) -> None:
-        """Roll back to the version :meth:`share_version` returned.
+    def restore(self, undo: dict) -> None:
+        """Roll back the writes recorded in ``undo``, one of this
+        relation's pre-image maps.
 
-        ``data`` is the live dict (it is never replaced while a map is
-        live): the pre-images are written back in place and each index
-        bucket is restored from its own map (:meth:`GroupIndex.restore`).
-        An index created after the version was opened has no map in it
-        and is rebuilt from the restored data.  The maps keep their
-        entries: each now equals the live value it overrides.
+        Each pre-image goes back by key through :meth:`_put`, the step
+        :meth:`set` writes with, so every index present ends consistent
+        with the data, one created after ``undo`` opened included.  No
+        write is counted and nothing is recorded: the maps keep their
+        entries, each now equal to the live value it overrides.
 
-        Contents come back exactly; insertion order need not.  A key
-        deleted since the version was opened is re-inserted at the end of
-        ``data``, and a rebuilt index follows that order, and nothing
-        records where the key stood.  Iteration after a rollback may
-        therefore visit entries in another order than a twin that never
-        failed — for a ring whose addition rounds (``FloatRing``), later
-        sums may differ in the last bits.  Snapshots published before
-        the failure are unaffected: they read frozen buckets.
+        Contents come back exactly; order need not.  A key deleted since
+        ``undo`` opened is re-inserted at the end of ``data`` and of its
+        buckets, so iteration after a rollback may visit entries and
+        bucket members in another order than a twin that never failed
+        (with ``FloatRing``, later sums may differ in the last bits).
+        Snapshots published before the failure read frozen buckets.
         """
+        get = self.data.get
         for key, payload in undo.items():
-            if payload is ABSENT:
-                data.pop(key, None)
-            else:
-                data[key] = payload
-        for group_vars, index in self._indexes.items():
-            version = groups.get(group_vars)
-            if version is None:
-                index.rebuild(data)
-            else:
-                index.restore(version[1])
+            self._put(key, get(key), payload)
 
     # ------------------------------------------------------------------
     # Lookups and enumeration
@@ -547,10 +520,18 @@ class Relation:
         maps = self._maps
         if maps and key not in maps[-1]:
             self._record(key, old)
-        if zero:
-            del data[key]
-            for index in self._indexes.values():
-                index.remove(key)
+        self._put(key, old, None if zero else payload)
+
+    def _put(self, key: tuple, old: Any, payload: Any) -> None:
+        """Write ``payload`` (``None``: delete) over ``old``, ``key``'s
+        current payload (``None``: absent), with the index postings of an
+        insert or a delete.  Counts nothing and records no pre-image."""
+        data = self.data
+        if payload is None:
+            if old is not None:
+                del data[key]
+                for index in self._indexes.values():
+                    index.remove(key)
             return
         data[key] = payload
         if old is None:

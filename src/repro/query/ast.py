@@ -19,7 +19,7 @@ The same AST also carries the paper's orthogonal annotations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from ..data.schema import Schema
 
@@ -161,28 +161,14 @@ class Query:
 
         The head and input annotations are restricted component-wise.
         """
-        remaining = list(self.atoms)
-        components: list[Query] = []
-        index = 0
-        while remaining:
-            frontier = [remaining.pop(0)]
-            component = [frontier[0]]
-            vars_seen = set(frontier[0].variables)
-            changed = True
-            while changed:
-                changed = False
-                for atom in list(remaining):
-                    if vars_seen & set(atom.variables):
-                        remaining.remove(atom)
-                        component.append(atom)
-                        vars_seen.update(atom.variables)
-                        changed = True
-            head = tuple(v for v in self.head if v in vars_seen)
-            inputs = tuple(v for v in self.input_variables if v in vars_seen)
+        components = []
+        parts = atom_components(self.atoms, self.variables())
+        for index, (atoms, variables) in enumerate(parts):
+            head = tuple(v for v in self.head if v in variables)
+            inputs = tuple(v for v in self.input_variables if v in variables)
             components.append(
-                Query(f"{self.name}_c{index}", head, tuple(component), inputs)
+                Query(f"{self.name}_c{index}", head, tuple(atoms), inputs)
             )
-            index += 1
         return components
 
     def __str__(self) -> str:
@@ -195,6 +181,29 @@ class Query:
             head = ", ".join(self.head)
         body = " * ".join(str(a) for a in self.atoms)
         return f"{self.name}({head}) = {body}"
+
+
+def atom_components(
+    atoms: Iterable[Atom], variables: AbstractSet[str]
+) -> Iterator[tuple[list[Atom], set[str]]]:
+    """Connected components of ``atoms``, two atoms linked when they
+    share a variable of ``variables``: each component's atoms in the
+    order they join it, with the linking variables they hold."""
+    remaining = list(atoms)
+    while remaining:
+        seed = remaining.pop(0)
+        component = [seed]
+        vars_seen = set(seed.variables) & variables
+        changed = True
+        while changed:
+            changed = False
+            for atom in list(remaining):
+                if vars_seen & set(atom.variables):
+                    remaining.remove(atom)
+                    component.append(atom)
+                    vars_seen |= set(atom.variables) & variables
+                    changed = True
+        yield component, vars_seen
 
 
 def query(name: str, head: Iterable[str], *atoms: tuple | Atom, inputs: Iterable[str] = ()) -> Query:

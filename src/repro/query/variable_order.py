@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
-from .ast import Atom, Query
+from .ast import Atom, Query, atom_components
 from .properties import is_hierarchical
 
 
@@ -247,7 +247,7 @@ def canonical_order(query: Query) -> VariableOrder:
         exhausted = [a for a in atoms if not (set(a.variables) & remaining)]
         bottom.atoms.extend(exhausted)
         open_atoms = [a for a in atoms if set(a.variables) & remaining]
-        for component_atoms, component_vars in _components(open_atoms, remaining):
+        for component_atoms, component_vars in atom_components(open_atoms, remaining):
             bottom.children.append(build(component_atoms, component_vars))
         return top
 
@@ -259,27 +259,6 @@ def canonical_order(query: Query) -> VariableOrder:
             local_vars.update(atom.variables)
         roots.append(build(atoms, local_vars))
     return validate_order(query, roots)
-
-
-def _components(
-    atoms: list[Atom], variables: set[str]
-) -> Iterator[tuple[list[Atom], set[str]]]:
-    """Connected components of ``atoms`` linked through ``variables``."""
-    remaining = list(atoms)
-    while remaining:
-        seed = remaining.pop(0)
-        component = [seed]
-        vars_seen = set(seed.variables) & variables
-        changed = True
-        while changed:
-            changed = False
-            for atom in list(remaining):
-                if vars_seen & set(atom.variables):
-                    remaining.remove(atom)
-                    component.append(atom)
-                    vars_seen |= set(atom.variables) & variables
-                    changed = True
-        yield component, vars_seen
 
 
 def search_order(
@@ -352,7 +331,7 @@ def search_order(
             cost_max = 0
             cost_sum = 0
             feasible = True
-            for component_atoms, _ in _components(list(open_atoms), remaining_vars):
+            for component_atoms, _ in atom_components(open_atoms, remaining_vars):
                 sub_cost, child = best_subtree(tuple(component_atoms), new_bound)
                 if child is None:
                     feasible = False

@@ -18,10 +18,10 @@ out of scope for view trees.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, product
 from typing import Iterator, Optional
 
-from ..query.ast import Atom, Query
+from ..query.ast import Atom, Query, atom_components
 from ..query.variable_order import (
     VariableOrder,
     VarOrderNode,
@@ -67,7 +67,7 @@ def _all_orders(
         if dangling:
             continue
         open_atoms = [a for a in atoms if set(a.variables) & remaining]
-        components = _split_components(open_atoms, remaining)
+        components = atom_components(open_atoms, remaining)
         child_choices = [
             list(
                 _all_orders(
@@ -83,20 +83,11 @@ def _all_orders(
         ]
         if any(not choices for choices in child_choices):
             continue
-        for combo in _product(child_choices):
+        for combo in product(*child_choices):
             node = VarOrderNode(variable)
             node.atoms.extend(anchored)
-            node.children.extend(combo)
+            node.children.extend(map(_clone, combo))
             yield node
-
-
-def _product(choices: list[list[VarOrderNode]]) -> Iterator[list[VarOrderNode]]:
-    if not choices:
-        yield []
-        return
-    for head in choices[0]:
-        for tail in _product(choices[1:]):
-            yield [_clone(head)] + tail
 
 
 def _clone(node: VarOrderNode) -> VarOrderNode:
@@ -104,26 +95,6 @@ def _clone(node: VarOrderNode) -> VarOrderNode:
     copy.atoms.extend(node.atoms)
     copy.children.extend(_clone(c) for c in node.children)
     return copy
-
-
-def _split_components(atoms, variables):
-    remaining = list(atoms)
-    result = []
-    while remaining:
-        seed = remaining.pop(0)
-        component = [seed]
-        vars_seen = set(seed.variables) & variables
-        changed = True
-        while changed:
-            changed = False
-            for atom in list(remaining):
-                if vars_seen & set(atom.variables):
-                    remaining.remove(atom)
-                    component.append(atom)
-                    vars_seen |= set(atom.variables) & variables
-                    changed = True
-        result.append((component, vars_seen))
-    return result
 
 
 def enumerate_orders(
@@ -146,16 +117,8 @@ def enumerate_orders(
         for component in component_queries
     ]
 
-    def combos(index: int) -> Iterator[list[VarOrderNode]]:
-        if index == len(per_component):
-            yield []
-            return
-        for root in per_component[index]:
-            for rest in combos(index + 1):
-                yield [_clone(root)] + rest
-
-    for roots in islice(combos(0), limit):
-        yield validate_order(query, roots)
+    for roots in islice(product(*per_component), limit):
+        yield validate_order(query, list(map(_clone, roots)))
 
 
 def find_static_dynamic_order(

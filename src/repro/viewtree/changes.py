@@ -220,12 +220,12 @@ class DeltaWindow:
     window keeps every delta a live cursor still needs while the entries
     summed since that cursor stay within its budget; a cursor that goes
     over is released, and its deltas drop unless someone else needs
-    them.  Past the live cursors the window keeps the newest ``retain``
-    deltas, the floor every caller without a cursor can count on.
-    Cursors hold their subscriber weakly, so a collected subscriber
-    stops holding deltas at the next append.  Upkeep is O(live cursors)
-    per append: a cursor keeps the running entry total at its epoch, so
-    nothing rescans the deltas.
+    them.  Past the live cursors the window keeps the newest
+    :data:`RETAIN_EPOCHS` deltas, the floor every caller without a
+    cursor can count on.  Cursors hold their subscriber weakly, so a
+    collected subscriber stops holding deltas at the next append.
+    Upkeep is O(live cursors) per append: a cursor keeps the running
+    entry total at its epoch, so nothing rescans the deltas.
 
     Mutations and reads may come from different threads (the serve
     tier publishes size-sealed commits on a worker thread while the
@@ -234,9 +234,8 @@ class DeltaWindow:
     same object to every caller that asks for exactly one epoch.
     """
 
-    def __init__(self, baseline_epoch: int, retain: int = RETAIN_EPOCHS):
+    def __init__(self, baseline_epoch: int):
         self.epoch = baseline_epoch
-        self.retain = retain
         self._deltas: deque[OutputDelta] = deque()
         #: Entries appended since the window started.
         self._total = 0
@@ -263,7 +262,7 @@ class DeltaWindow:
                     del cursors[ident]
                 elif epoch < keep_from:
                     keep_from = epoch
-            while len(deltas) > self.retain and deltas[0].epoch_from < keep_from:
+            while len(deltas) > RETAIN_EPOCHS and deltas[0].epoch_from < keep_from:
                 deltas.popleft()
 
     def hold(self, subscriber: Any, epoch: int, budget: float) -> None:
@@ -363,14 +362,9 @@ class ChangeTracker:
         #: relation, in enumeration order.
         self.tracked: list[tuple[Any, tuple[str, ...], bool]] = []
         if head:
-            schedule = engine._enum_schedule
-            if schedule is None:
-                schedule = engine._enum_schedule = (
-                    engine._enum_schedule_specs()
-                )
             seen: dict[int, Any] = {}
             valued: set[int] = set()
-            for spec in schedule:
+            for spec in engine._enum_schedule_specs():
                 if spec[0]:
                     seen[id(spec[2])] = spec[2]
                     leaves = [leaf for leaf, _ in spec[6]]

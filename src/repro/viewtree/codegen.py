@@ -115,12 +115,12 @@ kernel.
 Snapshot safety: environments bind :class:`Relation` /
 :class:`GroupIndex` **objects** (and bound methods), never their
 ``data``/``groups`` dicts — the generated code re-reads ``.data`` and
-``.groups`` at call time, so a rollback that rebuilds an index in a
-fresh dict (``GroupIndex.rebuild``) keeps working.  Writes under a live snapshot must record
-pre-images (:mod:`repro.viewtree.epoch`): a generated sink binds each
-written relation's newest map once and tests it per key (a ``None``
-test when no snapshot is live); a one-key write goes through
-``Relation.add``, which records itself.
+``.groups`` at call time, never a dict captured at generation.  Writes
+under a live snapshot must record pre-images
+(:mod:`repro.viewtree.epoch`): a generated sink binds each written
+relation's newest map once and tests it per key (a ``None`` test when
+no snapshot is live); a one-key write goes through ``Relation.add``,
+which records itself.
 
 Pickling: a kernel's functions are closures over live objects and cannot
 pickle, so :class:`DeltaKernel`/:class:`EnumKernel` implement
@@ -1465,22 +1465,6 @@ def _delta_source(plan: DeltaPlan) -> str:
 # ----------------------------------------------------------------------
 
 
-def _enum_env_names(plan: EnumPlan) -> list[str]:
-    names = ["MUL", "IS_ZERO", "ZERO", "ONE", "COUNTER", "MISS", "chain", "repeat"]
-    for i in range(len(plan.prefix_probes)):
-        names.append(f"PRE_{i}")
-    for d, step in enumerate(plan.steps):
-        names.append(f"GUARD_{d}")
-        names.append(f"IDX_{d}")
-        names.append(f"GVARS_{d}")
-        names.append(f"NAME_{d}")
-        for k in range(len(step.leaf_probes)):
-            names.append(f"LEAF_{d}_{k}")
-        for k in range(len(step.post_probes)):
-            names.append(f"POST_{d}_{k}")
-    return names + list(_lookup_env(plan.lookup or ()))
-
-
 def _enum_env(plan: EnumPlan) -> dict[str, Any]:
     ring = plan.ring
     env: dict[str, Any] = {
@@ -1914,7 +1898,7 @@ def _enum_source(plan: EnumPlan) -> str:
             body.emit()
             _emit_lookup(body, plan.lookup, ops, len(plan.head_positions), snapshot)
         returns = "iterate, iterate_epoch, lookup, lookup_epoch"
-    return _wrap_factory(body, _enum_env_names(plan), returns)
+    return _wrap_factory(body, list(_enum_env(plan)), returns)
 
 
 # ----------------------------------------------------------------------

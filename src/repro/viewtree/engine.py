@@ -320,8 +320,16 @@ class ViewTreeEngine(Backend):
                     self._generation_failed("enumeration", exc)
                 else:
                     self._lookup_plan = enum_plan.lookup
-        #: Lazily-built flat schedule for the generic enumeration walk.
+        #: The generic enumeration walk's flat schedule, built here with
+        #: the guard indexes it reads, so every relation and index a read
+        #: touches exists before the first publish (None: the kernel
+        #: enumerates, or the query has no walk).
         self._enum_schedule: list | None = None
+        if self._enum_kernel is None and query.head and self.order.is_free_top():
+            self._enum_schedule = self._enum_schedule_specs()
+            for spec in self._enum_schedule:
+                if spec[0]:
+                    spec[2].index_on(spec[3])
         #: Last published epoch number and its snapshot.
         self.epoch = 0
         self._epoch_snapshot: EpochSnapshot | None = None
@@ -540,12 +548,16 @@ class ViewTreeEngine(Backend):
         """Run one commit so that it lands whole or not at all.
 
         With a snapshot live, a ``write(*args)`` that raises is undone
-        from pre-image maps before the exception propagates: the newest
-        published snapshot's maps when nothing was written since that
-        publish (the serve tier commits, then publishes), else a
-        checkpoint's, captured here and released after.  Without a
-        snapshot the write runs bare, so an engine that never publishes
-        keeps no maps and pays for no undo.
+        from payload pre-images before the exception propagates
+        (:meth:`~repro.data.relation.Relation.restore`; index buckets
+        follow the keys).  When nothing was written since the newest
+        publish (the serve tier commits, then publishes), those are the
+        published snapshot's own maps.  Otherwise the commit appends one
+        plain map, its checkpoint, to each relation the snapshot covers,
+        rolls back from it, and detaches it after: no bucket map is
+        opened, so a bucket the snapshot already preserved is not copied
+        again.  Without a snapshot the write runs bare, so an engine that
+        never publishes keeps no maps and pays for no undo.
         """
         snap = self._epoch_snapshot
         if snap is None or self._committing:
@@ -553,19 +565,24 @@ class ViewTreeEngine(Backend):
             return
         checkpoint = None
         if snap.written():
-            checkpoint = snap = self._versions.capture(
-                self.epoch, self._snapshot_relations()
-            )
+            checkpoint = [(rel, {}) for rel, _, _, _ in snap.versions.values()]
+            for rel, undo in checkpoint:
+                rel._maps.append(undo)
         self._committing = True
         try:
             write(*args)
         except BaseException:
-            snap.restore()
+            if checkpoint is None:
+                snap.restore()
+            else:
+                for rel, undo in checkpoint:
+                    rel.restore(undo)
             raise
         finally:
             self._committing = False
             if checkpoint is not None:
-                self._versions.release(checkpoint)
+                for rel, undo in checkpoint:
+                    rel.drop_version(undo)
 
     def _claim(self, names) -> None:
         """Claim the base relations an ``update_base`` write is about to
@@ -805,16 +822,6 @@ class ViewTreeEngine(Backend):
         passes ``False`` and records one aggregate publish itself.
         """
         self._check_open()
-        if self._enum_kernel is None and self.query.head and self.order.is_free_top():
-            # The generic walk builds guard group-indexes lazily on first
-            # enumeration; force them into existence so the snapshot
-            # captures them (the snapshot path never mutates the engine).
-            schedule = self._enum_schedule
-            if schedule is None:
-                schedule = self._enum_schedule = self._enum_schedule_specs()
-            for spec in schedule:
-                if spec[0]:
-                    spec[2].index_on(spec[3])
         closed = self._epoch_snapshot
         self.epoch += 1
         snap = self._versions.capture(self.epoch, self._snapshot_relations())
@@ -1086,13 +1093,18 @@ class ViewTreeEngine(Backend):
                 "factorized enumeration is unavailable"
             )
         ring = self.ring
+        if not self.query.head:
+            payload = (
+                self.scalar() if epoch is None else self.scalar_snapshot(epoch)
+            )
+            if not ring.is_zero(payload):
+                yield (), payload
+            return
         zero = ring.zero
         head = self.head
         prebound = prebound or {}
         binding: dict[str, Any] = {}
         schedule = self._enum_schedule
-        if schedule is None:
-            schedule = self._enum_schedule = self._enum_schedule_specs()
         nsteps = len(schedule)
         # Per-step epoch views when reading an epoch, resolved up front
         # so a publish racing with this generator cannot mix epochs.
@@ -1167,13 +1179,6 @@ class ViewTreeEngine(Backend):
                 if ok:
                     yield from rec(i + 1, ring.mul(payload, factor))
 
-        if not self.query.head:
-            payload = (
-                self.scalar() if epoch is None else self.scalar_snapshot(epoch)
-            )
-            if not ring.is_zero(payload):
-                yield (), payload
-            return
         yield from rec(0, ring.one)
 
     def output_relation(self, name: str | None = None) -> Relation:
@@ -1232,15 +1237,7 @@ class ViewTreeEngine(Backend):
     def total_view_size(self) -> int:
         """Number of entries across all views, guards and leaves (a
         derived view counts its index's groups, in O(1))."""
-        total = 0
-        for root in self.roots:
-            for node in root.walk():
-                total += len(node.view)
-                if node.guard is not None:
-                    total += len(node.guard)
-                for _, leaf in node.leaves:
-                    total += len(leaf)
-        return total
+        return self._view_sizes()[0]
 
     def sample_view_sizes(self, stats=None) -> None:
         """Record one memory sample into ``stats`` (default: attached).
@@ -1252,8 +1249,12 @@ class ViewTreeEngine(Backend):
         the batch path O(|batch|).
         """
         stats = stats if stats is not None else self._maintenance_stats
-        if stats is None:
-            return
+        if stats is not None:
+            stats.record_view_sizes(*self._view_sizes())
+
+    def _view_sizes(self) -> tuple[int, dict[str, int]]:
+        """``(total, {"V_X" / "G_X": size})`` in one walk of the tree:
+        the total counts every view, guard and leaf."""
         per_view: dict[str, int] = {}
         total = 0
         for root in self.roots:
@@ -1267,7 +1268,7 @@ class ViewTreeEngine(Backend):
                     total += size
                 for _, leaf in node.leaves:
                     total += len(leaf)
-        stats.record_view_sizes(total, per_view)
+        return total, per_view
 
     def _maybe_sample_views(self, count: int = 1) -> None:
         """Periodic memory sampling: every ``view_sample_interval`` updates.

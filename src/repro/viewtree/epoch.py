@@ -35,9 +35,16 @@ detaches the maps of unreachable snapshots at each publish, on the
 writing thread — readers never mutate a relation.  Hold a snapshot while
 reading through it: its maps are only kept current while it is alive.
 
-**Rollback.**  The maps are also an undo log: :meth:`EpochSnapshot.restore`
-writes every pre-image back, which is how a commit that raises returns
-the engine to its pre-commit state.
+**Rollback.**  The payload maps are also an undo log.  A group index is
+a function of its relation's key set, so undo needs the payload
+pre-images alone: :meth:`~repro.data.relation.Relation.restore` writes
+each back by key and the postings follow.  A commit that raises is
+undone from the newest published snapshot's maps when nothing was
+written since that publish (:meth:`EpochSnapshot.restore`), else from a
+checkpoint: one plain payload map per relation, opened for the commit
+and detached after it, with no bucket map and no snapshot
+(``ViewTreeEngine._atomically``).  Bucket maps serve snapshot readers
+only.
 
 Publication is a single attribute assignment (atomic under the GIL), so
 readers see either the whole previous epoch or the whole new one.
@@ -146,18 +153,21 @@ class EpochSnapshot:
     def restore(self) -> None:
         """Put every covered relation back to this epoch's state.
 
-        Writer thread only.  Readers of this snapshot stay exact
-        throughout: every restored key is in its map, which is read
-        last and keeps its entries.  (Emptying the maps afterwards would
-        race a reader that fetched a torn live value just before the
-        restore and then misses in the map.)  So the rolled-back
-        writes still count in the next publish's :meth:`work`, and the
-        change tracker re-reads their keys, whose diff comes out empty.
-        Restored contents are exact; insertion order is not:
-        see :meth:`~repro.data.relation.Relation.restore`.
+        Writer thread only, and on the newest snapshot still held: the
+        restore records nothing, so a newer one would read the restored
+        payload of a key its map lacks.  Readers of this snapshot, and
+        of older ones, stay exact throughout: every restored key is in
+        their maps, which are read last and keep their entries.
+        (Emptying the maps afterwards would race a reader that fetched a
+        torn live value just before the restore and then misses in the
+        map.)  So the rolled-back writes still count in the next
+        publish's :meth:`work`, and the change tracker re-reads their
+        keys, whose diff comes out empty.  Payload maps alone are read:
+        buckets follow the restored keys, with contents exact and member
+        order not (:meth:`~repro.data.relation.Relation.restore`).
         """
-        for relation, data, undo, groups in self.versions.values():
-            relation.restore(data, undo, groups)
+        for relation, _, undo, _ in self.versions.values():
+            relation.restore(undo)
 
 
 class SnapshotRegistry:
@@ -188,11 +198,6 @@ class SnapshotRegistry:
             else:
                 live.append((ref, versions))
         self._live = live
-
-    def release(self, snap: EpochSnapshot) -> None:
-        """Detach ``snap``'s maps now (a checkpoint that was not published)."""
-        _release(snap.versions)
-        self._live = [entry for entry in self._live if entry[0]() is not snap]
 
     def close(self) -> None:
         """Detach every snapshot's maps and uncover its relations, so a

@@ -637,6 +637,101 @@ class TestRollback:
             query, engine.database
         ).to_dict()
 
+    @pytest.mark.parametrize("generated", [True, False], ids=["kernels", "oracle"])
+    def test_checkpoint_copies_no_preserved_bucket_and_detaches(
+        self, generated, monkeypatch
+    ):
+        """Under a written snapshot, a commit that writes only index groups
+        the snapshot already preserved copies no bucket (the checkpoint
+        holds payload pre-images alone), and every relation's and index's
+        maps end as the commit found them, on success and on a fault."""
+        query, engine = _engine(generated=generated)
+        prefix, failing, _ = _batches(query, 18)
+        engine.apply_batch(prefix)
+        engine.publish_epoch()
+        y, x = next(iter(engine.database["R"].keys()))
+        insert = Update("R", (y, 999), 1)
+        engine.apply(insert)  # the snapshot preserves every group it writes
+        copies = []
+        preserve = GroupIndex._preserve
+
+        def counted(index, group_key, bucket):
+            copies.append(bucket is not None)
+            return preserve(index, group_key, bucket)
+
+        monkeypatch.setattr(GroupIndex, "_preserve", counted)
+
+        def maps():
+            return [
+                [id(m) for m in rel._maps]
+                + [[id(m) for m in index._maps] for index in rel._indexes.values()]
+                for rel in engine._snapshot_relations()
+            ]
+
+        opened = maps()
+        engine.apply(Update("R", insert.key, -1))  # the same groups again
+        assert copies == [] and maps() == opened
+        before = _state(engine)
+        with monkeypatch.context() as patch:
+            _fail_second_relation(engine, patch)
+            with pytest.raises(RuntimeError, match="injected"):
+                engine.apply_batch(failing)
+        assert maps() == opened
+        assert _state(engine) == before
+
+    @pytest.mark.parametrize("written", [False, True], ids=["published", "checkpoint"])
+    def test_index_created_mid_commit_rolls_back_with_its_data(
+        self, written, monkeypatch
+    ):
+        """The oracle's ``join_pair`` indexes ``V_X`` on ``Y`` the first time
+        an ``S`` delta probes it (the tree was built with the smaller
+        ``V_X`` probing ``V_Z``).  When that happens inside a commit that
+        then raises, the rollback's postings leave the new index agreeing
+        with ``V_X``'s restored keys."""
+        query = parse_query(LIST)
+        db = Database()
+        rng = random.Random(19)
+        for atom in query.atoms:
+            rel = db.create(atom.relation, atom.variables)
+            ys = 4 if atom.relation == "R" else 8
+            for _ in range(40):
+                rel.add((rng.randrange(ys), rng.randrange(8)), 1)
+        engine = ViewTreeEngine(query, db, generated=False)
+        view_x = next(n.view for n in engine.roots[0].walk() if n.variable == "X")
+        engine.publish_epoch()
+        if written:
+            engine.apply(Update("R", (0, 99), 1))
+        assert ("Y",) not in view_x._indexes
+        before = _state(engine)
+        seen = []
+        original = engine._propagate
+
+        def propagate(node, delta, exclude):
+            if len(seen) == 2:
+                seen.append(dict(view_x._indexes[("Y",)].groups))
+                raise RuntimeError("injected fault")
+            seen.append(None)
+            return original(node, delta, exclude)
+
+        monkeypatch.setattr(engine, "_propagate", propagate)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.apply_batch([
+                Update("R", (50, 1), 1),
+                Update("S", (50, 1), 1),
+                Update("S", (0, 98), 1),
+            ])
+        monkeypatch.undo()
+        assert (50,) in seen[-1]  # indexed mid-commit, after R wrote Y = 50
+        assert _state(engine) == before
+        for rel in engine._snapshot_relations():
+            for group_vars, index in rel._indexes.items():
+                project = rel.schema.projector(group_vars)
+                expected = {}
+                for key in rel.data:
+                    expected.setdefault(project(key), set()).add(key)
+                assert {g: set(b) for g, b in index.groups.items()} == expected
+        assert dict(engine.enumerate()) == evaluate(query, db).to_dict()
+
     def test_server_serves_the_restored_state_after_a_failed_commit(
         self, monkeypatch
     ):
