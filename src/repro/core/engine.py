@@ -3,7 +3,8 @@ names, delegate to it (quickstart: :mod:`repro`)."""
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from functools import partial
+from typing import Any, Iterator, Sequence
 
 from ..backend import Backend, NotSupported
 from ..constraints.fds import FunctionalDependency
@@ -20,6 +21,15 @@ from ..rings.lifting import LiftingMap
 from ..shard.engine import ShardedEngine
 from ..viewtree.engine import ViewTreeEngine
 from .planner import Plan, plan_maintenance
+
+
+def _whole_output_only(plan: Plan, *_) -> None:
+    """Refuse a read of a CQAP's whole output, which is only defined per
+    access request."""
+    raise NotSupported(
+        f"plan {plan.strategy!r} reads through access requests "
+        "only: bind the input variables with answer()"
+    )
 
 
 class IVMEngine(Backend):
@@ -75,6 +85,10 @@ class IVMEngine(Backend):
         self.supports_changes = (
             plan.input_origin is None and self._engine.supports_changes
         )
+        whole = plan.input_origin is None
+        refuse = partial(_whole_output_only, plan)
+        self._lookup = self._engine.lookup if whole else refuse
+        self._lookup_snapshot = self._engine.lookup_snapshot if whole else refuse
 
     def _propagate_stats(self, stats) -> None:
         share_stats(self._engine, stats)
@@ -82,10 +96,7 @@ class IVMEngine(Backend):
     def _output(self) -> Backend:
         """The backend, for reads of the whole output (not a CQAP's)."""
         if self.plan.input_origin is not None:
-            raise NotSupported(
-                f"plan {self.plan.strategy!r} reads through access requests "
-                "only: bind the input variables with answer()"
-            )
+            _whole_output_only(self.plan)
         return self._engine
 
     def _prebound(self, inputs) -> dict[str, Any]:
@@ -122,9 +133,9 @@ class IVMEngine(Backend):
         """The payload of a Boolean query's output."""
         return self._engine.scalar()
 
-    def lookup(self, key: tuple) -> Any:
-        """Payload of one output tuple (ring zero when absent)."""
-        return self._output().lookup(key)
+    def lookup(self, key: Sequence) -> Any:
+        """Payload of one output tuple (zero when absent): the backend's ``lookup``."""
+        return self._lookup(key)
 
     def publish_epoch(self):
         """Publish the current committed state as the readable epoch."""
@@ -141,8 +152,8 @@ class IVMEngine(Backend):
     def scalar_snapshot(self) -> Any:
         return self._engine.scalar_snapshot()
 
-    def lookup_snapshot(self, key: tuple) -> Any:
-        return self._output().lookup_snapshot(key)
+    def lookup_snapshot(self, key: Sequence) -> Any:
+        return self._lookup_snapshot(key)
 
     def track_changes(self) -> None:
         """Start emitting per-epoch output deltas (idempotent)."""

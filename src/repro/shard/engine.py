@@ -192,7 +192,7 @@ class ShardedEngine(Backend):
                 for node in self.order.walk()
                 if node.atoms
             )
-            self._base_lookup = LookupKernel(factors, self.ring, len(query.head))
+            self._base_lookup = LookupKernel(factors, self.ring, query.head)
         #: Coordinator-side change tracker (see :meth:`track_changes`):
         #: folds per-shard output deltas into merged coordinator-epoch
         #: deltas so subscribers patch in O(δ) across all shards.
@@ -679,6 +679,13 @@ class ShardedEngine(Backend):
         return MaterializedView(self, ratio_threshold=ratio_threshold)
 
     def _lookup(self, key: tuple, snapshot: bool) -> Any:
+        if self._base_lookup is not None and not snapshot:
+            self._check_open()
+            result = self._base_lookup.lookup(key)  # it checks the arity
+            stats = self._maintenance_stats
+            if stats is not None:
+                stats.record_point_lookup(0)
+            return result
         key = tuple(key)
         head = self.query.head
         if len(key) != len(head):
@@ -687,13 +694,6 @@ class ShardedEngine(Backend):
             )
         if not head:
             return self._scalar(self._pin() if snapshot else None)
-        if self._base_lookup is not None and not snapshot:
-            self._check_open()
-            result = self._base_lookup.lookup(key)
-            stats = self._maintenance_stats
-            if stats is not None:
-                stats.record_point_lookup(0)
-            return result
         command = ("lookup", key, self._pin() if snapshot else None)
         if self._disjoint_outputs and self.shards > 1:
             # The key's shard-variable value pins the one shard that can

@@ -1488,12 +1488,15 @@ def _enum_env(plan: EnumPlan) -> dict[str, Any]:
             env[f"LEAF_{d}_{k}"] = leaf
         for k, (view, _) in enumerate(step.post_probes):
             env[f"POST_{d}_{k}"] = view
-    return env | _lookup_env(plan.lookup or ())
+    names = {step.var_slot: step.variable for step in plan.steps}
+    head = tuple(names[p] for p in plan.head_positions)
+    return env if plan.lookup is None else env | _lookup_env(plan.lookup, head)
 
 
-def _lookup_env(factors) -> dict[str, Any]:
-    """``LK_i_j``: the relation of factor ``i``'s probe ``j``."""
-    return {f"LK_{i}_{j}": r for i, factor in enumerate(factors) for j, (r, _) in enumerate(factor)}
+def _lookup_env(factors, head: tuple[str, ...]) -> dict[str, Any]:
+    """``LK_i_j``: factor ``i``'s probe ``j``'s relation; ``HEAD``: the key's variables."""
+    env = {f"LK_{i}_{j}": r for i, factor in enumerate(factors) for j, (r, _) in enumerate(factor)}
+    return env | {"HEAD": head}
 
 
 def _slot_tuple(positions: tuple[int, ...]) -> str:
@@ -1849,13 +1852,18 @@ def _emit_drain(w: _Writer) -> None:
 
 def _emit_lookup(w: _Writer, factors, ops: _Ops, arity: int, snapshot=False) -> _Writer:
     """``lookup(key)`` over a lookup plan's ``factors`` or, with
-    ``snapshot``, ``lookup_epoch(key, epoch)``: reads such as
+    ``snapshot``, ``lookup_epoch(key, epoch)``: the key's arity check
+    (a key some probe reads whole is made a tuple), then reads such as
     ``LK_0_0.data.get((key[0], key[1]))`` (an epoch read takes the
     pre-image map over the live dict), ``ZERO`` at the first miss, the
     product folded left to right as the walk multiplies, and one
     ``lookup`` op per probe issued."""
     w.emit("def lookup_epoch(key, epoch):" if snapshot else "def lookup(key):")
     with w.block():
+        w.emit(f"if len(key) != {arity}: raise ValueError("
+               'f"lookup key {tuple(key)!r} does not match head {HEAD!r}")')
+        if any(p == tuple(range(arity)) for factor in factors for _, p in factor):
+            w.emit("if key.__class__ is not tuple: key = tuple(key)")
         bump = 'if COUNTER.enabled: COUNTER.bump("lookup", {})'.format
         probes, product = 0, None
         for i, factor in enumerate(factors):
@@ -1936,7 +1944,8 @@ def shape_cache_size() -> int:
 
 
 def clear_shape_cache() -> None:
-    """Drop all cached factories (tests only)."""
+    """Drop all cached factories (tests, and ``benchmarks/e2e/stacks.py``
+    before every set-up, so it pays generation as a fresh process does)."""
     with _CACHE_LOCK:
         _FACTORY_CACHE.clear()
 
@@ -2007,18 +2016,18 @@ class EnumKernel:
 
 
 class LookupKernel:
-    """``lookup(key)`` generated from lookup ``factors`` alone (a sharded
-    coordinator's base probes); pickles as its arguments."""
+    """``lookup(key)`` over ``head`` generated from lookup ``factors``
+    alone (a sharded coordinator's base probes); pickles as its arguments."""
 
     __slots__ = ("args", "source", "lookup")
 
-    def __init__(self, factors: tuple, ring: Semiring, arity: int):
-        self.args = (factors, ring, arity)
+    def __init__(self, factors: tuple, ring: Semiring, head: tuple[str, ...]):
+        self.args = (factors, ring, head)
         env = {"MUL": ring.mul, "IS_ZERO": ring.is_zero, "ZERO": ring.zero, "COUNTER": COUNTER}
-        env |= _lookup_env(factors)
-        shape = ("lookup", ring_identity(ring), arity, _lookup_positions(factors))
+        env |= _lookup_env(factors, head)
+        shape = ("lookup", ring_identity(ring), len(head), _lookup_positions(factors))
         (self.source, make), _ = _factory_for(shape, lambda: _wrap_factory(
-            _emit_lookup(_Writer(indent=1), factors, _Ops(ring), arity), list(env), "lookup"))
+            _emit_lookup(_Writer(indent=1), factors, _Ops(ring), len(head)), list(env), "lookup"))
         self.lookup = make(env)
 
     def __reduce__(self):

@@ -48,7 +48,9 @@ non-zero tuples, and its walk skips them.
 from __future__ import annotations
 
 import warnings
-from typing import Any, Iterator, Optional
+import weakref
+from functools import partial
+from typing import Any, Iterator, Optional, Sequence
 
 from ..backend import Backend, NotSupported
 from ..data.database import Database
@@ -343,6 +345,7 @@ class ViewTreeEngine(Backend):
         self._updates_since_sample = 0
         #: Set by close(): every later call raises.
         self._closed = False
+        self._bind_reads()
 
     def _fill_guards(self, nodes) -> None:
         """Refill the guards of ``nodes`` (children first) from their
@@ -398,7 +401,21 @@ class ViewTreeEngine(Backend):
         state["_change_tracker"] = None
         state["_versions"] = SnapshotRegistry()
         state["_written"] = set()
+        del state["_probe"], state["_probe_epoch"]  # rebound on arrival
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind_reads()
+
+    def _bind_reads(self) -> None:
+        # The generated probes, or _lookup (recorder, walk, scalar, closed)
+        # bound to a proxy: a bound method would make the engine a cycle,
+        # which keeps a dropped engine's tree until a full collection.
+        fast = self._lookup_plan is not None and self._maintenance_stats is None
+        general = partial(type(self)._lookup, weakref.proxy(self))
+        self._probe = self._enum_kernel.lookup if fast else general
+        self._probe_epoch = self._enum_kernel.lookup_epoch if fast else general
 
     def _propagate_stats(self, stats) -> None:
         # Report kernel-generation counters to the first recorder that
@@ -414,6 +431,7 @@ class ViewTreeEngine(Backend):
                 info["fallbacks"],
             )
             self._codegen_info = None
+        self._bind_reads()
 
     # ------------------------------------------------------------------
     # Construction
@@ -942,13 +960,10 @@ class ViewTreeEngine(Backend):
             stats, self._enumerate(prebound, stats, epoch=snap)
         )
 
-    def lookup_snapshot(
-        self, key: tuple, snap: EpochSnapshot | None = None
-    ) -> Any:
-        """:meth:`lookup` against the published epoch."""
-        if snap is None:
-            snap = self.snapshot()
-        return self._lookup(key, snap)
+    def lookup_snapshot(self, key: Sequence, snap: EpochSnapshot | None = None) -> Any:
+        """:meth:`lookup` against the published epoch ``snap`` (default: :meth:`snapshot`)."""
+        probe = self._probe_epoch
+        return probe(key, self.snapshot() if snap is None else snap)
 
     # ------------------------------------------------------------------
     # Enumeration
@@ -972,13 +987,14 @@ class ViewTreeEngine(Backend):
         stats = self._maintenance_stats
         return observed_enumeration(stats, self._enumerate(prebound, stats))
 
-    def lookup(self, key: tuple) -> Any:
-        """Payload of one output tuple (ring zero when absent).
+    def lookup(self, key: Sequence) -> Any:
+        """Payload of one output tuple (ring zero when absent); ``key`` is a sequence.
 
         A generated engine whose key binds every maintained head variable
-        runs its enumeration kernel's generated ``lookup``: one
-        straight-line keyed read per probe of its lookup plan, multiplied
-        in the walk's order, zero at the first miss.  The oracle and FD
+        runs its enumeration kernel's generated ``lookup`` (as the one frame
+        under this method, unless a recorder is attached): an arity check,
+        one straight-line keyed read per probe of its lookup plan,
+        multiplied in the walk's order, zero at the first miss.  The oracle and FD
         plans (output head ⊂ maintained head) walk the enumeration with
         the key prebound.  The two agree on valid states (§2).  Where a
         view cancels to zero above non-zero tuples, the product still
@@ -986,9 +1002,11 @@ class ViewTreeEngine(Backend):
         enumeration does (its free part keeps supports), while the
         oracle's summed walk may skip the tuple.
         """
-        return self._lookup(key, None)
+        # Load, then call: a method load does not specialise on instances.
+        probe = self._probe
+        return probe(key)
 
-    def _lookup(self, key: tuple, snap: EpochSnapshot | None) -> Any:
+    def _lookup(self, key: Sequence, snap: EpochSnapshot | None = None) -> Any:
         # A closed engine has no lookup plan: its walk raises.
         key = tuple(key)
         head = self.head
@@ -1223,6 +1241,7 @@ class ViewTreeEngine(Backend):
         self._written = set()
         self.roots, self._anchors, self._kernels = [], {}, {}
         self._enum_kernel = self._lookup_plan = self._enum_schedule = None
+        self._bind_reads()
 
     def _check_open(self) -> None:
         if self._closed:

@@ -14,11 +14,13 @@ relations must agree with the owner shard the same way.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import pickle
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -353,6 +355,24 @@ class TestShardedCoordinator:
                 assert bits(engine.lookup(key)) == bits(routed)
                 assert bits(engine.lookup(key)) == bits(outputs.get(key, 0.0))
 
+    @pytest.mark.parametrize("key", [(1, 2), [1, 2, 3, 4]], ids=["short", "long"])
+    def test_wrong_arity_keys_raise_before_any_probe(self, key):
+        """The base lookup leaves the check to its generated kernel; a
+        routed read checks in the coordinator."""
+        query = parse_query("Q(A, B, C) = R(A, B) * S(A, B) * T(A, C)")
+        db = Database()
+        for name, schema in (("R", ("A", "B")), ("S", ("A", "B")), ("T", ("A", "C"))):
+            db.create(name, schema)
+        with ShardedEngine(query, db, shards=2) as engine:
+            engine.apply_batch([Update(name, (1, 2), 1) for name in ("R", "S", "T")])
+            assert engine._base_lookup is not None
+            with counting() as ops:
+                for read in (engine.lookup, engine.lookup_snapshot):
+                    with pytest.raises(ValueError, match="does not match head"):
+                        read(key)
+            assert ops.counts == {}
+            assert engine.lookup([1, 2, 2]) == engine.lookup_snapshot((1, 2, 2)) == 1
+
     def test_process_coordinator_runs_a_generated_base_lookup(self):
         """The process coordinator's base lookup is a generated kernel:
         one ``lookup`` op per probe, zero at the first miss, bit-equal to
@@ -402,3 +422,258 @@ class TestShardedCoordinator:
         with ShardedEngine(query, db, shards=2, generated=generated) as engine:
             assert engine._base_lookup is None
             assert "lookups: routed to owner" in engine.describe().splitlines()
+
+
+
+def fill_list_engine(engine):
+    """Two live output tuples of ``Q(Y, X, Z)``, published."""
+    engine.apply(Update("R", (1, 2), 1))
+    engine.apply(Update("S", (1, 3), 2))
+    engine.apply(Update("S", (1, 4), 1))
+    engine.publish_epoch()
+    return engine
+
+
+#: Keys of :func:`fill_list_engine`: two hits and two misses, live and
+#: at the published epoch.
+LIST_KEYS = [(1, 2, 3), (1, 2, 4), (1, 2, 9), (0, 0, 0)]
+LIST_READS = ([2, 1, 0, 0], [2, 1, 0, 0])
+
+
+def reads(engine, keys=LIST_KEYS):
+    return [engine.lookup(k) for k in keys], [engine.lookup_snapshot(k) for k in keys]
+
+
+class TestClassLevelTracing:
+    """Tracers wrap the read methods on the class (as the end-to-end
+    benchmark's span recorder does): every read must reach them, so no
+    engine may shadow ``lookup`` / ``lookup_snapshot`` per instance."""
+
+    @pytest.mark.parametrize("recorder", [False, True], ids=["bare", "recorder"])
+    def test_every_read_goes_through_the_class_methods(self, monkeypatch, recorder):
+        from repro import IVMEngine
+
+        calls = {}
+
+        def trace(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[cls.__name__, name] = calls.get((cls.__name__, name), 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls in (ViewTreeEngine, IVMEngine):
+            trace(cls, "lookup")
+            trace(cls, "lookup_snapshot")
+        generated, oracle = list_query_engines()
+        db = Database()
+        db.create("R", ("Y", "X"))
+        db.create("S", ("Y", "Z"))
+        facade = IVMEngine(generated.query, db)
+        for engine in (generated, oracle, facade):
+            fill_list_engine(engine)
+            if recorder:
+                engine.attach_stats()
+        for engine in (generated, oracle):
+            calls.clear()
+            assert reads(engine) == LIST_READS
+            assert calls == {
+                ("ViewTreeEngine", "lookup"): 4,
+                ("ViewTreeEngine", "lookup_snapshot"): 4,
+            }
+        calls.clear()
+        assert reads(facade) == LIST_READS
+        assert calls == {
+            ("IVMEngine", "lookup"): 4,
+            ("IVMEngine", "lookup_snapshot"): 4,
+            ("ViewTreeEngine", "lookup"): 4,
+            ("ViewTreeEngine", "lookup_snapshot"): 4,
+        }
+        assert "lookup" not in vars(generated) and "lookup" not in vars(facade)
+
+
+def reads_generally(engine):
+    """Whether both read methods of ``engine`` run ``_lookup``."""
+    return all(
+        getattr(probe, "func", None) is ViewTreeEngine._lookup
+        for probe in (engine._probe, engine._probe_epoch)
+    )
+
+
+def failing_enum_kernel(monkeypatch):
+    """Make the next engines' enumeration-kernel generation raise."""
+    from repro.viewtree import engine as engine_module
+
+    def fail(plan, info=None):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(engine_module, "compile_enum_kernel", fail)
+
+
+class TestBoundProbe:
+    """``lookup`` / ``lookup_snapshot`` call the probe the engine bound
+    for its state: the generated functions while the plan has them and
+    no recorder is attached, else the general path."""
+
+    def test_the_read_methods_are_one_call_of_the_bound_probe(self):
+        engine = fill_list_engine(list_query_engines()[0])
+        snap, seen = engine.snapshot(), []
+        engine._probe = lambda key: seen.append(key) or 7
+        engine._probe_epoch = lambda key, epoch: seen.append((key, epoch)) or 8
+        assert engine.lookup([1, 2, 3]) == 7 and engine.lookup_snapshot((1, 2), snap) == 8
+        assert seen == [[1, 2, 3], ((1, 2), snap)]
+
+    def test_a_recorder_counts_both_read_kinds_until_detached(self):
+        engine = fill_list_engine(list_query_engines()[0])
+        kernel = engine._enum_kernel
+        assert engine._probe is kernel.lookup and engine._probe_epoch is kernel.lookup_epoch
+        stats = engine.attach_stats()
+        assert reads_generally(engine)
+        assert reads(engine) == LIST_READS
+        assert stats.point_lookups == 2 * len(LIST_KEYS)
+        assert engine.detach_stats() is stats
+        assert engine._probe is kernel.lookup and engine._probe_epoch is kernel.lookup_epoch
+        assert reads(engine) == LIST_READS
+        assert stats.point_lookups == 2 * len(LIST_KEYS)
+
+    @pytest.mark.parametrize(
+        "text", ["Q(Y, X, Z) = R(Y, X) * S(Y, Z)", "Q() = R(A, B) * S(B)"], ids=["probe", "scalar"]
+    )
+    @pytest.mark.parametrize("recorder", [False, True], ids=["bare", "recorder"])
+    def test_a_dropped_engine_is_freed_without_a_collection(self, text, recorder):
+        """The bound reads hold no strong reference back to the engine,
+        so dropping the last reference frees the engine and its tree."""
+        query = parse_query(text)
+        schemas = [(atom.relation, atom.variables) for atom in query.atoms]
+        engines = list(twin_engines(query, schemas, seed=4, rows=20))
+        while engines:
+            engine = engines.pop()
+            if recorder:
+                engine.attach_stats()
+            engine.publish_epoch()
+            alive = weakref.ref(engine)
+            gc.disable()
+            try:
+                del engine
+                assert alive() is None
+            finally:
+                gc.enable()
+
+    def test_a_closed_engine_raises(self):
+        engine = fill_list_engine(list_query_engines()[0])
+        snap = engine.snapshot()
+        engine.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.lookup((1, 2, 3))
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.lookup_snapshot((1, 2, 3), snap)
+        with pytest.raises(RuntimeError, match="closed"):
+            engine.lookup_snapshot((1, 2, 3))
+
+    @pytest.mark.parametrize("recorder", [False, True], ids=["bare", "recorder"])
+    def test_a_pickle_round_trip_binds_anew(self, recorder):
+        engine = fill_list_engine(list_query_engines()[0])
+        if recorder:
+            engine.attach_stats()
+        clone = pickle.loads(pickle.dumps(engine))
+        clone.publish_epoch()
+        assert reads(clone) == reads(engine) == LIST_READS
+        if recorder:
+            assert reads_generally(clone)
+            assert clone.stats.point_lookups == engine.stats.point_lookups
+        else:
+            assert clone._probe is clone._enum_kernel.lookup
+            assert clone._probe_epoch is clone._enum_kernel.lookup_epoch
+
+    def test_a_serial_sharded_engine_pickles(self):
+        """A bound variable routes lookups to the shard engines' own
+        ``lookup`` (the worker's ``_cmd_lookup``), also once restored."""
+        query = parse_query("Q(B, A) = R(B, A) * S(B, C)")
+        db = Database()
+        for atom in query.atoms:
+            db.create(atom.relation, atom.variables)
+        rng = random.Random(5)
+        batch = [
+            Update(name, (rng.randrange(6), rng.randrange(6)), 1)
+            for _ in range(60)
+            for name in ("R", "S")
+        ]
+        with ShardedEngine(query, db, shards=2) as engine:
+            assert engine._base_lookup is None
+            engine.apply_batch(batch)
+            keys = sorted(dict(engine.enumerate())) + [(9, 9)]
+            expected = [engine.lookup(k) for k in keys]
+            assert any(expected)
+            with pickle.loads(pickle.dumps(engine)) as clone:
+                assert [clone.lookup(k) for k in keys] == expected
+                assert [clone.lookup_snapshot(k) for k in keys] == expected
+
+    def test_paths_that_keep_the_general_read(self, monkeypatch):
+        """The oracle, an FD plan, an empty head and a failed enumeration
+        kernel keep the walk or the scalar, and answer as the oracle."""
+        generated, oracle = list_query_engines()
+        assert reads_generally(oracle)
+        query = parse_query("Q(A, C) = R(A, B) * S(B, C)")
+        plan = plan_maintenance(query, parse_fds("A -> B"))
+
+        def make_db():
+            db = Database()
+            r, s = db.create("R", ("A", "B")), db.create("S", ("B", "C"))
+            for a in range(6):
+                r.insert(a, a % 2)  # A -> B holds
+            for b, c in ((0, 1), (1, 2), (1, 3)):
+                s.insert(b, c)
+            return db
+
+        fd, fd_oracle = twin_engines(query, None, 0, plan=plan, make_db=make_db)
+        scalar, scalar_oracle = twin_engines(
+            parse_query("Q() = R(A, B) * S(B)"), [("R", ("A", "B")), ("S", ("B",))], seed=3
+        )
+        failing_enum_kernel(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="enumeration"):
+            failed, failed_oracle = list_query_engines()
+        fill_list_engine(failed)
+        fill_list_engine(failed_oracle)
+        assert failed._enum_kernel is None
+        for engine, twin in ((fd, fd_oracle), (scalar, scalar_oracle), (failed, failed_oracle)):
+            assert reads_generally(engine)
+            keys = list(dict(twin.enumerate())) + [(-1,) * len(engine.head)]
+            assert [engine.lookup(k) for k in keys] == [twin.lookup(k) for k in keys]
+            assert [engine.lookup_snapshot(k) for k in keys] == [twin.lookup(k) for k in keys]
+        assert scalar.lookup(()) == scalar.scalar() != 0
+
+    def test_list_keys_when_a_probe_reads_the_whole_key(self):
+        """``R(A, B)`` and ``S(A, B)`` are probed with the key itself: a
+        list key is made a tuple first, on the live and the epoch probe."""
+        text, schemas, _ = SHAPES["one-step"]
+        generated, oracle = twin_engines(parse_query(text), schemas, seed=2, rows=40)
+        assert ".data.get(key)" in generated._enum_kernel.source
+        keys = list(dict(oracle.enumerate()))
+        assert keys
+        for engine in (generated, oracle):
+            engine.publish_epoch()
+            assert [engine.lookup(list(k)) for k in keys] == [oracle.lookup(k) for k in keys]
+            assert [engine.lookup_snapshot(list(k)) for k in keys] == [
+                oracle.lookup(k) for k in keys
+            ]
+
+    @pytest.mark.parametrize("key", [(1, 2), [1, 2, 3, 4], ()], ids=["short", "long", "empty"])
+    def test_the_generated_probes_check_the_arity_first(self, key):
+        """The kernel's own ``lookup`` / ``lookup_epoch`` raise the
+        oracle's message before any probe."""
+        generated, oracle = list_query_engines()
+        kernel = fill_list_engine(generated)._enum_kernel
+        snap = generated.snapshot()
+        with pytest.raises(ValueError) as walked:
+            oracle.lookup(key)
+        for probe in (kernel.lookup, lambda k: kernel.lookup_epoch(k, snap)):
+            with counting() as ops:
+                with pytest.raises(ValueError) as raised:
+                    probe(key)
+            assert ops.counts == {}
+            assert str(raised.value) == str(walked.value)
+        assert str(walked.value) == (
+            f"lookup key {tuple(key)!r} does not match head ('Y', 'X', 'Z')"
+        )
