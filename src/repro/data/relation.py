@@ -95,15 +95,6 @@ def _detach(maps: list[dict], undo: dict) -> list[dict]:
     return [m for m in maps if m is not undo]
 
 
-def _postings(indexes: Iterable["GroupIndex"]) -> list[tuple]:
-    """What :meth:`Relation.add_delta` binds per index at a delta's first
-    posting: ``(groups, project, newest map or None, index)``."""
-    return [
-        (index.groups, index._project, index._maps[-1] if index._maps else None, index)
-        for index in indexes
-    ]
-
-
 class GroupIndex:
     """Secondary index grouping a relation's keys by a schema subset.
 
@@ -397,85 +388,14 @@ class Relation:
         generated batch kernel writes its leaf, views and guards inline
         (``codegen._emit_write``).
 
-        Rings declaring ``exact_zero`` with ``add_operator == "+"`` — the
-        two flags the generated kernels inline too — take a loop with
-        ``old + payload`` and the zero tests in place and with the group
-        index postings made in the loop; other rings call the ring's
-        ``add`` / ``is_zero`` and :meth:`GroupIndex.add` / ``remove``
-        per entry.
+        Exact-zero rings (see ``Semiring.exact_zero``) test for zero
+        with one comparison; other rings call the ring's ``is_zero``.
 
         Returns the number of entries written (the op count bumped).
         """
         ring = self.ring
-        if ring.exact_zero and ring.add_operator == "+":
-            writes = self._add_numeric(entries)
-        else:
-            writes = self._add_generic(entries)
-        if writes:
-            COUNTER.bump("write", writes)
-        return writes
-
-    def _add_numeric(self, entries: Iterable[tuple[tuple, Any]]) -> int:
-        """:meth:`add_delta` for numeric exact-zero rings.
-
-        ``add_operator == "+"`` asserts numeric payloads, whose
-        truthiness is exactly ``!= 0``.  Each posting is
-        :meth:`GroupIndex.add` / :meth:`GroupIndex.remove` written out,
-        bucket preservation included.
-        """
-        data = self.data
-        get = data.get
-        newest = self._maps[-1] if self._maps else None
-        indexes = self._indexes.values()
-        # Bound at the first posting, not before: most deltas to a big
-        # relation only change payloads.
-        posts = None
-        writes = 0
-        for key, payload in entries:
-            if not payload:
-                continue
-            writes += 1
-            old = get(key)
-            if newest is not None and key not in newest:
-                self._record(key, old)
-            if old is None:
-                data[key] = payload
-                if posts is None:
-                    posts = _postings(indexes)
-                for groups, project, fresh, index in posts:
-                    group_key = project(key)
-                    bucket = groups.get(group_key)
-                    if fresh is not None and group_key not in fresh:
-                        bucket = index._preserve(group_key, bucket)
-                    if bucket is None:
-                        groups[group_key] = {key: None}
-                    else:
-                        bucket[key] = None
-                continue
-            new = old + payload
-            if new:
-                data[key] = new
-                continue
-            del data[key]
-            if posts is None:
-                posts = _postings(indexes)
-            for groups, project, fresh, index in posts:
-                group_key = project(key)
-                bucket = groups[group_key]
-                if fresh is not None and group_key not in fresh:
-                    bucket = index._preserve(group_key, bucket)
-                del bucket[key]
-                if not bucket:
-                    del groups[group_key]
-        return writes
-
-    def _add_generic(self, entries: Iterable[tuple[tuple, Any]]) -> int:
-        """:meth:`add_delta` for any ring: ring calls per entry."""
-        ring = self.ring
         is_zero = ring.is_zero
         ring_add = ring.add
-        # Inline the zero test for exact-zero rings (see Semiring.exact_zero):
-        # one comparison instead of a Python call per entry.
         exact = ring.exact_zero
         zero = ring.zero
         data = self.data
@@ -503,6 +423,8 @@ class Relation:
                         index.remove(key)
             else:
                 data[key] = new
+        if writes:
+            COUNTER.bump("write", writes)
         return writes
 
     def set(self, key: tuple, payload: Any) -> None:

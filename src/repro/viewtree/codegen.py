@@ -65,8 +65,8 @@ input key, or a fan-out.  Three rules, each exact:
    key, and the sum folds in the order the dict would.
 3. **Index postings inline.**  Every generated sink, and the leaf write
    ``push_batch`` opens with, posts the written relation's group indexes
-   as :meth:`Relation._add_numeric` does, bucket preservation included,
-   through one emitter: :meth:`GroupIndex.add` / ``remove`` written out.
+   through one emitter: :meth:`GroupIndex.add` / ``remove`` written out,
+   bucket preservation included.
 
 A guard holds supports, not sums: each joined key is a member (payload
 ``ONE``) while the changed source holds its part, and is written only
@@ -582,7 +582,7 @@ def _emit_record(w: _Writer, p: str, key: str) -> None:
 
 def _emit_post(w: _Writer, p: str, post: tuple, key: str, add: bool, event=None) -> None:
     """Post ``key`` into (``add``) or out of one group index of relation
-    ``p``, written out as :meth:`Relation._add_numeric` does (rule 3): a
+    ``p``, :meth:`GroupIndex.add` / ``remove`` written out (rule 3): a
     bucket a live snapshot shares is copied by
     :meth:`GroupIndex._preserve` before its first write, and an emptied
     bucket leaves the index.  A hoisted group key probes its bucket at
@@ -750,13 +750,15 @@ def _emit_stale_check(w: _Writer, plan: DeltaPlan, call: str, leaf: bool) -> Non
     """Re-emit the kernel first when a relation it writes (the ``leaf``
     too, if it writes it) has gained a group index since generation:
     postings are specialised to the indexes there were then, and indexes
-    are only ever added."""
+    are only ever added.  A kernel that writes no relation checks none."""
     tests = [f"len(LREL_0._indexes) != {len(plan.leaf._indexes)}"] if leaf else []
     for s, step in enumerate(plan.steps):
         if step.guard is not None:
             tests.append(f"len(GREL_{s}._indexes) != {len(step.guard._indexes)}")
         if not step.support:
             tests.append(f"len(VREL_{s}._indexes) != {len(step.view._indexes)}")
+    if not tests:
+        return
     w.emit(f"if {' or '.join(tests)}:")
     with w.block():
         w.emit(f"return KERNEL.regenerate().{call}")

@@ -226,12 +226,12 @@ class ViewTreeEngine(Backend):
 
         A generated engine with a free-top order and a non-empty head
         derives the free views no read multiplies instead of writing
-        them (:func:`~repro.viewtree.compile.derive_views`).  A plan
-        whose generation raises is never silent: the relation (or the
-        enumeration) runs the generic walk, ``fallbacks`` in the
-        ``codegen`` obs block counts it, a :class:`RuntimeWarning` names
-        it and the exception, and every view stays written, since the
-        walk writes them all.
+        them (:func:`~repro.viewtree.compile.derive_views`).  Generation
+        is all or nothing: when any kernel raises, the engine puts the
+        derived views back, drops every kernel and is the oracle
+        (``generated`` reads ``False``); ``fallbacks`` in the ``codegen``
+        obs block reads 1 and a :class:`RuntimeWarning` carries the
+        exception.
         """
         self.query = query
         self.database = database
@@ -284,9 +284,7 @@ class ViewTreeEngine(Backend):
         #: path) or the generic walk (the oracle).
         self.generated = generated
         #: relation name -> generated kernels, parallel to _anchors (each
-        #: kernel carries its ``.plan``).  A relation absent from this
-        #: map — generation failed for one of its anchors — runs the
-        #: generic walk.
+        #: kernel carries its ``.plan``); empty in the oracle.
         self._kernels: dict[str, list[DeltaKernel]] = {}
         #: Generated read-path kernel (None -> generic recursive walk).
         self._enum_kernel: EnumKernel | None = None
@@ -304,24 +302,22 @@ class ViewTreeEngine(Backend):
             enum_plan = compile_enum_plan(self)
             replaced = derive_views(self, enum_plan) if enum_plan else {}
             self._fill_guards(replaced)
-            failed = self._generate_delta_kernels(info)
-            if failed and replaced:
-                # The generic walk writes every view: keep them maintained.
-                for node, view in replaced.items():
-                    node.view = view
-                self._fill_guards(replaced)
-                self._kernels.clear()
-                info.update(new_codegen_info())
-                failed = self._generate_delta_kernels(info)
-            for name, exc in failed:
-                self._generation_failed(f"relation {name!r}", exc)
-            if enum_plan is not None:
-                try:
+            plans = compile_delta_plans(self)
+            failure = None
+            try:
+                self._kernels = {
+                    name: [compile_delta_kernel(plan, info) for plan in group]
+                    for name, group in plans.items()
+                }
+                if enum_plan is not None:
                     self._enum_kernel = compile_enum_kernel(enum_plan, info)
-                except Exception as exc:
-                    self._generation_failed("enumeration", exc)
-                else:
                     self._lookup_plan = enum_plan.lookup
+            except Exception as exc:
+                # Only its repr leaves this block: the exception's
+                # traceback holds this frame, and so the engine.
+                failure = repr(exc)
+            if failure is not None:
+                self._generation_failed(replaced, failure)
         #: The generic enumeration walk's flat schedule, built here with
         #: the guard indexes it reads, so every relation and index a read
         #: touches exists before the first publish (None: the kernel
@@ -365,25 +361,21 @@ class ViewTreeEngine(Backend):
             for key in joined.data:
                 guard.set(order(key), self.ring.one)
 
-    def _generate_delta_kernels(self, info: dict) -> list[tuple[str, Exception]]:
-        """Plan and generate every relation's kernels; return the
-        ``(relation, exception)`` pairs whose generation raised."""
-        failed = []
-        for name, plans in compile_delta_plans(self).items():
-            try:
-                self._kernels[name] = [
-                    compile_delta_kernel(plan, info) for plan in plans
-                ]
-            except Exception as exc:
-                failed.append((name, exc))
-        return failed
-
-    def _generation_failed(self, what: str, exc: Exception) -> None:
-        """Count and report one plan the generic walk now serves."""
-        self._codegen_info["fallbacks"] += 1
+    def _generation_failed(self, replaced: dict, failure: str) -> None:
+        """Make this engine the oracle after a kernel raised: the views
+        :func:`derive_views` replaced are written again (their guards
+        refilled), every kernel is dropped, and the failure is counted
+        and reported once."""
+        for node, view in replaced.items():
+            node.view = view
+        self._fill_guards(replaced)
+        self._kernels = {}
+        self._enum_kernel = self._lookup_plan = None
+        self.generated = False
+        self._codegen_info["fallbacks"] = 1
         warnings.warn(
-            f"kernel generation failed for {what} of query "
-            f"{self.query.name!r} ({exc!r}); it runs the generic walk",
+            f"kernel generation failed for query {self.query.name!r} "
+            f"({failure}); it runs the generic walk",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -528,10 +520,10 @@ class ViewTreeEngine(Backend):
         before any write.
 
         The delta runs through the relation's generated ``push``
-        kernels; a relation without kernels (``generated=False``, or a
-        reported generation failure) takes the generic
-        :meth:`_propagate` walk.  With a snapshot published, an update
-        that raises midway is rolled back first (:meth:`_atomically`).
+        kernels; the oracle (``generated`` ``False``, by choice or after
+        a failed generation) takes the generic :meth:`_propagate` walk.
+        With a snapshot published, an update that raises midway is
+        rolled back first (:meth:`_atomically`).
         """
         anchors = self._anchors.get(update.relation)
         if anchors is None or update.relation in self._static:
@@ -545,9 +537,9 @@ class ViewTreeEngine(Backend):
         write_base, write_leaves = self._writes(update.relation, update_base)
         if write_base:
             self.database[update.relation].add(update.key, update.payload)
-        kernels = self._kernels.get(update.relation)
-        if kernels is not None:
+        if self.generated:
             stats = self._maintenance_stats
+            kernels = self._kernels[update.relation]
             for (_atom, _node, leaf), kernel in zip(anchors, kernels):
                 if write_leaves:
                     leaf.add(update.key, update.payload)
@@ -678,11 +670,10 @@ class ViewTreeEngine(Backend):
         updates feeds each relation's columns to the generated
         ``push_batch`` kernel of every anchor, which writes its leaf and
         pushes the delta in one pass, sibling probes shared across the
-        group.  Otherwise, and for a relation whose kernels failed to
-        generate, each tuple takes the body of :meth:`apply`.  The
-        paper's opening trade-off — a batch comparable to the database
-        is cheaper to recompute — is measured, not configured: the
-        batch-rebuild ablation bench compares this path with a fresh
+        group.  Otherwise each tuple takes the body of :meth:`apply`.
+        The paper's opening trade-off — a batch comparable to the
+        database is cheaper to recompute — is measured, not configured:
+        the batch-rebuild ablation bench compares this path with a fresh
         engine over the post-batch database.
 
         Correctness of the kernel path rests on the anchor loop
@@ -735,17 +726,10 @@ class ViewTreeEngine(Backend):
             return
         database = self.database
         for name, (keys, pays) in columns.items():
-            kernels = self._kernels.get(name)
-            if kernels is None:
-                # Generation failed for this relation: the generic walk.
-                anchors = self._anchors[name]
-                for key, payload in zip(keys, pays):
-                    self._apply_one(Update(name, key, payload), anchors, update_base)
-                continue
             write_base, write_leaves = self._writes(name, update_base)
             if write_base:
                 database[name].add_delta(zip(keys, pays))
-            for kernel in kernels:
+            for kernel in self._kernels[name]:
                 # Each kernel writes its own leaf, unless the caller wrote
                 # it: an aliased leaf under update_base=False.
                 if write_leaves:

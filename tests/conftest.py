@@ -9,6 +9,7 @@ import pytest
 from repro.data import Database
 from repro.rings import Z
 from repro.viewtree import ViewTreeEngine
+from repro.viewtree.compile import DerivedView
 
 
 @pytest.fixture
@@ -99,6 +100,23 @@ def twin_engines(
     assert not oracle.generated
     assert not oracle._kernels and oracle._enum_kernel is None
     return generated, oracle
+
+
+def assert_failed_to_oracle(engine) -> None:
+    """A generated engine whose kernel generation raised is the oracle:
+    ``generated`` is ``False``, no kernel is left, no view is derived,
+    and the ``codegen`` obs block counts one fallback."""
+    assert engine.generated is False
+    assert engine._kernels == {}
+    assert engine._enum_kernel is None and engine._lookup_plan is None
+    assert not any(
+        isinstance(node.view, DerivedView)
+        for root in engine.roots
+        for node in root.walk()
+    )
+    stats = engine.attach_stats()
+    assert stats.to_dict()["codegen"]["fallbacks"] == 1
+    engine.detach_stats()
 
 
 def assert_views_agree(compiled, generic) -> None:

@@ -6,8 +6,8 @@ strategy, and any shard executor, an engine running generated kernels
 produces bit-identical views and enumerations (contents AND order) to
 the oracle — the same engine built with ``generated=False``, which runs
 the generic walk and shares no coalescing, planning or execution code
-with the kernels.  A plan whose generation fails must be reported
-(warning + ``codegen.fallbacks``) and served by the generic walk with
+with the kernels.  An engine whose kernel generation fails must be
+reported once (warning + ``codegen.fallbacks``) and be the oracle, with
 the same results.  Plus the satellites:
 the plan-shape cache must key on ring identity (never on relation or
 anchor names), kernels must survive pickling through process-pool
@@ -18,16 +18,23 @@ and the `repro.obs/1` payload must carry the codegen block.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import pickle
 import random
 import re
+import warnings
+import weakref
 
 import pytest
 
+from repro import IVMEngine
 from repro.cli import main as cli_main
+from repro.constraints import parse_fds
 from repro.data import Database, Update
 from repro.data.columnar import coalesce_columnar
 from repro.data.update import coalesce_grouped
+from repro.naive import evaluate
 from repro.obs import MaintenanceStats
 from repro.query import parse_query
 from repro.rings import (
@@ -44,6 +51,7 @@ from repro.rings import (
 from repro.rings.standard import FloatRing, IntegerRing
 from repro.shard import ShardedEngine
 from repro.viewtree import ViewTreeEngine, make_strategy
+from repro.viewtree import engine as engine_module
 from repro.viewtree.codegen import (
     clear_shape_cache,
     compile_delta_kernel,
@@ -53,7 +61,13 @@ from repro.viewtree.codegen import (
     shape_cache_size,
 )
 
-from tests.conftest import seeded_db, twin_engines, valid_stream
+from tests.conftest import (
+    assert_failed_to_oracle,
+    assert_views_agree,
+    seeded_db,
+    twin_engines,
+    valid_stream,
+)
 
 
 def ring_stream(rng, schemas, ring, count, deletes, domain=8):
@@ -354,17 +368,16 @@ class TestShapeCache:
 
 
 class TestGenerationFailure:
-    """A plan whose generation raises is reported and served by the
-    generic walk — never silent, never wrong."""
+    """Generation is all or nothing: an engine one of whose kernels
+    raises reports it once and is the oracle — never silent, never
+    half generated, never wrong."""
 
     QUERY = "Q(Y, X, Z) = R(Y, X) * S(Y, Z)"
     SCHEMAS = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
 
-    def twins(self, monkeypatch, target, fails, match):
-        """``(degraded, oracle)``: a generated engine for which the
+    def twins(self, monkeypatch, target, fails):
+        """``(failed, oracle)``: a generated engine for which the
         ``target`` generator raises on plans ``fails`` selects."""
-        import repro.viewtree.engine as engine_module
-
         real = getattr(engine_module, target)
 
         def flaky(plan, info=None):
@@ -374,61 +387,230 @@ class TestGenerationFailure:
 
         monkeypatch.setattr(engine_module, target, flaky)
         query = parse_query(self.QUERY)
-        with pytest.warns(RuntimeWarning, match=match) as caught:
-            degraded = ViewTreeEngine(
+        with pytest.warns(RuntimeWarning, match="^kernel generation failed for") as caught:
+            failed = ViewTreeEngine(
                 query, seeded_db(self.SCHEMAS, random.Random(5))
             )
         assert len(caught) == 1
         assert "injected generation failure" in str(caught[0].message)
+        assert_failed_to_oracle(failed)
         oracle = ViewTreeEngine(
             query, seeded_db(self.SCHEMAS, random.Random(5)), generated=False
         )
-        return degraded, oracle
+        return failed, oracle
+
+    def assert_reads_agree(self, failed, oracle):
+        assert_views_agree(failed, oracle)
+        assert list(failed.enumerate()) == list(oracle.enumerate())
+        assert list(failed.enumerate(prebound={"Y": 3})) == list(
+            oracle.enumerate(prebound={"Y": 3})
+        )
+        keys = list(dict(oracle.enumerate())) + [(-1, -1, -1)]
+        for engine in (failed, oracle):
+            engine.publish_epoch()
+        assert [failed.lookup(k) for k in keys] == [oracle.lookup(k) for k in keys]
+        assert [failed.lookup_snapshot(k) for k in keys] == [
+            oracle.lookup_snapshot(k) for k in keys
+        ]
+        assert list(failed.enumerate_snapshot()) == list(
+            oracle.enumerate_snapshot()
+        )
 
     def test_delta_kernel_failure_runs_the_generic_walk(self, monkeypatch):
-        degraded, oracle = self.twins(
+        failed, oracle = self.twins(
             monkeypatch,
             "compile_delta_kernel",
             lambda plan: plan.relation_name == "S",
-            match="relation 'S'",
         )
-        assert set(degraded._kernels) == {"R"}
-        assert degraded._enum_kernel is not None
-        stats = degraded.attach_stats()
-        assert stats.to_dict()["codegen"]["fallbacks"] == 1
         stream = ring_stream(random.Random(7), self.SCHEMAS, Z, 300, True)
         for update in stream[:100]:
-            degraded.apply(update)
+            failed.apply(update)
             oracle.apply(update)
-        assert list(degraded.enumerate()) == list(oracle.enumerate())
+        self.assert_reads_agree(failed, oracle)
         for start in (100, 200):
-            degraded.apply_batch(stream[start:start + 100])
+            failed.apply_batch(stream[start:start + 100])
             oracle.apply_batch(stream[start:start + 100])
-        assert_twins_agree(degraded, oracle, degraded.query)
-        assert degraded.database["S"] == oracle.database["S"]
+        assert_twins_agree(failed, oracle, failed.query)
+        self.assert_reads_agree(failed, oracle)
+        assert failed.database["S"] == oracle.database["S"]
 
     def test_enum_kernel_failure_runs_the_generic_walk(self, monkeypatch):
-        degraded, oracle = self.twins(
+        failed, oracle = self.twins(
             monkeypatch,
             "compile_enum_kernel",
             lambda plan: True,
-            match="enumeration",
         )
-        assert set(degraded._kernels) == {"R", "S"}
-        assert degraded._enum_kernel is None
-        stats = degraded.attach_stats()
-        assert stats.to_dict()["codegen"]["fallbacks"] == 1
         stream = ring_stream(random.Random(11), self.SCHEMAS, Z, 200, True)
-        degraded.apply_batch(stream)
+        failed.apply_batch(stream)
         oracle.apply_batch(stream)
-        assert_twins_agree(degraded, oracle, degraded.query)
-        assert list(degraded.enumerate(prebound={"Y": 3})) == list(
-            oracle.enumerate(prebound={"Y": 3})
-        )
-        assert list(degraded.enumerate_snapshot()) == list(
-            oracle.enumerate_snapshot()
-        )
-        assert stats.to_dict()["enumeration"]["compiled"] == 0
+        assert_twins_agree(failed, oracle, failed.query)
+        self.assert_reads_agree(failed, oracle)
+
+
+class TestDroppedEngine:
+    """An engine holds no cycle through a kernel generation, succeeded
+    or failed: dropped with the collector off, it is freed at once."""
+
+    @pytest.mark.parametrize(
+        "text,fail",
+        [
+            ("Qab(A | B) = S(A, B) * T(B)", False),
+            ("Q(A) = R(A)", False),
+            ("Q(A, C) = R(A, B) * S(B, C)", True),
+        ],
+        ids=["cqap", "unary-root", "failed-generation"],
+    )
+    def test_is_freed_without_a_collection(self, monkeypatch, text, fail):
+        query = parse_query(text)
+        db = Database()
+        for atom in query.atoms:
+            db.create(atom.relation, atom.variables)
+
+        def fail_generation(plan, info=None):
+            raise ValueError("injected generation failure")
+
+        if fail:
+            monkeypatch.setattr(engine_module, "compile_delta_kernel", fail_generation)
+            with pytest.warns(RuntimeWarning, match="injected"):
+                engine = IVMEngine(query, db)
+        else:
+            engine = IVMEngine(query, db)
+        assert engine.generated is not fail
+        alive = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert alive() is None
+        finally:
+            gc.enable()
+
+
+#: ``(query, fds, insert_only)``: shapes with an atom alone under a free
+#: root, a CQAP whose fracture has one, and the 20 shapes EXPERIMENTS.md's
+#: byte-identity script compares.
+EVERY_SHAPE = [
+    ("Q(A) = R(A)", (), False),
+    ("Q(B) = T(B)", (), False),
+    ("Q(A, B) = R(A) * S(B)", (), False),
+    ("Q(A, B, C) = R(A, C) * S(B)", (), False),
+    ("Q(B, C) = R(B, A) * S(B) * T(C)", (), False),
+    ("Qab(A | B) = S(A, B) * T(B)", (), False),
+    ("Q(Y, X, Z) = R(Y, X) * S(Y, Z)", (), False),
+    ("Q(A, C) = R(A, B) * S(B, C)", (), False),
+    ("Q(A) = R(A, B) * S(B)", (), False),
+    ("Q(A) = R(A, B) * S(B, C) * T(C, D)", (), False),
+    ("Q(A, B) = R(A, B) * S(B, C) * T(B)", (), False),
+    ("Q(A, C, D) = R(A, B) * S(B, C) * T(B, D)", (), False),
+    ("Q() = R(A, B) * S(B, C) * T(C, A)", (), False),
+    ("Q(A, B, C) = R(A, B) * S(B, C) * T(C, A)", (), False),
+    ("Q(A, C) = E(A, B) * E(B, C)", (), False),
+    ("Q(A, B, C) = E(A, B) * E(B, C)", (), False),
+    ("Q(A, B) = R(A, B)", (), False),
+    ("Q(A) = R(A, B)", (), False),
+    ("Q() = R(A, B) * S(B)", (), False),
+    ("Q(Z, Y, X, W) = R(X, W) * S(X, Y) * T(Y, Z)", ("X -> Y", "Y -> Z"), False),
+    ("Q(A, C) = R(A, B) * S(B, C)", ("A -> B",), False),
+    ("Q(A, C) = R(A, B) * S(B, C) * T(C, D)", (), True),
+    ("Q(A, B) = R(A, B) * S@s(B)", (), False),
+    ("Q(A, C) = R(A, B) * S@s(B, C)", (), False),
+    ("Q(B, A) = R(B, A) * S(B)", (), False),
+]
+
+
+def shape_stream(query, fds, insert_only, rng, count=240, domain=4):
+    """A valid insert/delete stream over ``query``'s dynamic relations
+    (inserts only under ``insert_only``) whose keys keep ``fds``: each
+    dependent value is a function of its determinant's values."""
+    atoms = {atom.relation: atom for atom in query.dynamic_atoms}
+    live = {name: [] for name in atoms}
+    stream = []
+    for _ in range(count):
+        name = rng.choice(sorted(atoms))
+        if live[name] and not insert_only and rng.random() < 0.3:
+            key = live[name].pop(rng.randrange(len(live[name])))
+            stream.append(Update(name, key, -1))
+            continue
+        variables = atoms[name].variables
+        values = {v: rng.randrange(domain) for v in variables}
+        for fd in fds:
+            if fd.dependent in values and set(fd.determinant) <= set(values):
+                seed = sum(values[v] for v in fd.determinant)
+                values[fd.dependent] = (seed * 3 + 1) % domain
+        key = tuple(values[v] for v in variables)
+        live[name].append(key)
+        stream.append(Update(name, key, 1))
+    return stream
+
+
+class TestEveryShapeGenerates:
+    """Every planned shape generates all of its kernels — no warning, no
+    fallback — derives each free root's view, and maintains what the
+    oracle and ``repro.naive`` compute."""
+
+    @pytest.mark.parametrize(
+        "text,fd_texts,insert_only",
+        EVERY_SHAPE,
+        ids=[
+            text + "".join(f" fd {fd}" for fd in fds) + (" insert-only" if ins else "")
+            for text, fds, ins in EVERY_SHAPE
+        ],
+    )
+    def test_builds_derives_and_agrees(self, text, fd_texts, insert_only):
+        query, fds = parse_query(text), parse_fds(*fd_texts)
+        engines = []
+        for generated in (True, False):
+            db = Database()
+            for atom in query.atoms:
+                if atom.relation not in db:
+                    db.create(atom.relation, atom.variables)
+            for atom in query.static_atoms:
+                for key in itertools.product(range(3), repeat=len(atom.variables)):
+                    db[atom.relation].add(key, 1)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                engine = IVMEngine(query, db, fds, insert_only, generated=generated)
+            assert [str(w.message) for w in caught] == []
+            assert engine.attach_stats().codegen_fallbacks == 0
+            engines.append(engine)
+        engine, oracle = engines
+        backend = engine.backend
+        if isinstance(backend, ViewTreeEngine):
+            assert backend.generated
+            free_roots = [
+                line for line in backend.describe().splitlines()
+                if line.startswith("V_") and "*(" in line
+            ]
+            assert len(free_roots) == sum(root.is_free for root in backend.roots)
+            for line in free_roots:
+                assert " = index " in line, line
+        stream = shape_stream(query, fds, insert_only, random.Random(41))
+        for each in engines:
+            for update in stream[:60]:
+                each.apply(update)
+            each.apply_batch(stream[60:180])
+            for update in stream[180:]:
+                each.apply(update)
+        full = evaluate(query, engine.database).to_dict()
+        if query.input_variables:
+            head, inputs = query.head, query.input_variables
+            for values in itertools.product(range(4), repeat=len(inputs)):
+                request = dict(zip(inputs, values))
+                expected = {
+                    tuple(k for v, k in zip(head, key) if v not in request): payload
+                    for key, payload in full.items()
+                    if all(key[head.index(v)] == request[v] for v in inputs)
+                }
+                assert dict(engine.answer(request)) == expected
+                assert dict(oracle.answer(request)) == expected
+        elif insert_only:
+            # The insert-only engine enumerates the full join, set semantics.
+            order = list(dict.fromkeys(v for a in query.atoms for v in a.variables))
+            project = [order.index(v) for v in query.head]
+            for each in engines:
+                keys = {tuple(key[i] for i in project) for key, _ in each.enumerate()}
+                assert keys == full.keys()
+        else:
+            assert dict(engine.enumerate()) == dict(oracle.enumerate()) == full
 
 
 class TestExplainCLI:

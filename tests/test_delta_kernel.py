@@ -42,6 +42,7 @@ from repro.viewtree import engine as engine_module
 from repro.viewtree.compile import DIRECT, DerivedView
 
 from tests.conftest import (
+    assert_failed_to_oracle,
     assert_twins_agree,
     assert_views_agree,
     seeded_db,
@@ -619,10 +620,9 @@ class TestSupportDifferential:
         assert_twins_agree(*twins, probes=[miss])
 
     def test_a_failed_kernel_keeps_every_view_written(self, monkeypatch):
-        """A relation whose kernel fails to generate runs the generic
-        walk, which writes every view: the engine keeps them all written,
-        and the other relation's kernel re-tests ``G_Y`` on its payload
-        steps."""
+        """One relation's kernel failing to generate makes the whole
+        engine the oracle: the views ``derive_views`` replaced are
+        written again, guards refilled, and no kernel is left."""
         compile_kernel = engine_module.compile_delta_kernel
 
         def compile_or_fail(plan, info=None):
@@ -630,17 +630,22 @@ class TestSupportDifferential:
                 raise RuntimeError("injected")
             return compile_kernel(plan, info)
 
+        query, schemas = parse_query(LIST[0]), LIST[1]
         monkeypatch.setattr(engine_module, "compile_delta_kernel", compile_or_fail)
-        with pytest.warns(RuntimeWarning, match="injected"):
-            compiled, generic = twin_engines(parse_query(LIST[0]), LIST[1], seed=3)
-        assert set(compiled._kernels) == {"R"}
-        assert not any(isinstance(n.view, DerivedView) for n in tree_nodes(compiled))
-        stream = ring_stream(Z, True, LIST[1], 240, 47)
-        for engine in (compiled, generic):
+        with pytest.warns(RuntimeWarning, match="injected") as caught:
+            failed = ViewTreeEngine(query, seeded_db(schemas, random.Random(3)))
+        assert len(caught) == 1
+        assert_failed_to_oracle(failed)
+        generic = ViewTreeEngine(
+            query, seeded_db(schemas, random.Random(3)), generated=False
+        )
+        assert_twins_agree(failed, generic)
+        stream = ring_stream(Z, True, schemas, 240, 47)
+        for engine in (failed, generic):
             engine.apply_batch(stream[:120])
             for update in stream[120:]:
                 engine.apply(update)
-        assert_twins_agree(compiled, generic)
+        assert_twins_agree(failed, generic)
 
     def test_one_bucket_flip_crosses_two_guards(self):
         text, schemas, _ = TWO_GUARDS

@@ -43,7 +43,13 @@ from repro.shard import ShardedEngine
 from repro.viewtree import EnumPlan, ViewTreeEngine, compile_enum_kernel
 from repro.viewtree.codegen import LookupKernel, _enum_shape
 
-from tests.conftest import rewrite_case, twin_engines, valid_stream
+from tests.conftest import (
+    assert_failed_to_oracle,
+    rewrite_case,
+    seeded_db,
+    twin_engines,
+    valid_stream,
+)
 
 #: (query, relation schemas, searched free-top order?)
 SHAPES = {
@@ -225,11 +231,14 @@ class TestProbeProduct:
             assert ops.counts == {"lookup": probes}
 
 
+LIST_QUERY = "Q(Y, X, Z) = R(Y, X) * S(Y, Z)"
+LIST_SCHEMAS = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
+
+
 def list_query_engines(ring=Z):
     """Generated and oracle engines over ``Q(Y, X, Z)``, empty at first."""
-    query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
-    schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
-    return twin_engines(query, schemas, seed=1, ring=ring, rows=0)
+    query = parse_query(LIST_QUERY)
+    return twin_engines(query, LIST_SCHEMAS, seed=1, ring=ring, rows=0)
 
 
 class TestLookupKernel:
@@ -632,11 +641,16 @@ class TestBoundProbe:
             parse_query("Q() = R(A, B) * S(B)"), [("R", ("A", "B")), ("S", ("B",))], seed=3
         )
         failing_enum_kernel(monkeypatch)
-        with pytest.warns(RuntimeWarning, match="enumeration"):
-            failed, failed_oracle = list_query_engines()
+        query, schemas = parse_query(LIST_QUERY), LIST_SCHEMAS
+        with pytest.warns(RuntimeWarning, match="injected") as caught:
+            failed = ViewTreeEngine(query, seeded_db(schemas, random.Random(1), rows=0))
+        assert len(caught) == 1
+        assert_failed_to_oracle(failed)
+        failed_oracle = ViewTreeEngine(
+            query, seeded_db(schemas, random.Random(1), rows=0), generated=False
+        )
         fill_list_engine(failed)
         fill_list_engine(failed_oracle)
-        assert failed._enum_kernel is None
         for engine, twin in ((fd, fd_oracle), (scalar, scalar_oracle), (failed, failed_oracle)):
             assert reads_generally(engine)
             keys = list(dict(twin.enumerate())) + [(-1,) * len(engine.head)]

@@ -24,7 +24,7 @@ from repro.shard import (
 from repro.viewtree import ViewTreeEngine
 from repro.viewtree import engine as engine_module
 from repro.viewtree.engine import StaticRelationUpdateError
-from tests.conftest import valid_stream
+from tests.conftest import assert_failed_to_oracle, valid_stream
 
 QUERY = parse_query("Q(B, A) = R(B, A) * S(B)")
 
@@ -239,9 +239,8 @@ class TestCoalescedBatchEntryPoint:
     def engine(self, ring, drop=None, **kwargs):
         if drop is None:
             return ViewTreeEngine(STAR_QUERY, star_db(ring), **kwargs)
-        # A reported generation failure: no kernel row, so the generic
-        # walk interprets this relation's deltas inside an otherwise
-        # generated engine, whose views therefore stay maintained.
+        # A reported generation failure: the engine is the oracle, built
+        # through derive-then-restore, so every view is written again.
         compile_kernel = engine_module.compile_delta_kernel
 
         def compile_or_fail(plan, info=None):
@@ -252,7 +251,7 @@ class TestCoalescedBatchEntryPoint:
         with mock.patch.object(engine_module, "compile_delta_kernel", compile_or_fail):
             with pytest.warns(RuntimeWarning, match="injected"):
                 engine = ViewTreeEngine(STAR_QUERY, star_db(ring), **kwargs)
-        assert drop not in engine._kernels and engine._kernels
+        assert_failed_to_oracle(engine)
         return engine
 
     @pytest.mark.parametrize("ring,deletes", RINGS, ids=RING_IDS)
