@@ -32,18 +32,29 @@ Acceptance gates (asserted below):
 * the maintained per-read cost stays flat — <= 1.3x — as the state
   grows 10x, because patching scales with the delta while the drain
   reader's per-read cost grows ~10x with the state.
+
+Lagging reader (second table, same run): a view that refreshes once
+after ``LAG_COMMITS`` commits of ``LAG_BATCH`` updates each (a sliding
+window: half fresh inserts, half deletes of the oldest live tuples)
+applies the retained per-epoch deltas in order.  Gate: that refresh
+takes <= 0.8x the time of ``compose_deltas`` followed by one
+``apply_to`` over the same deltas, and both states are bit-identical to
+each other and to a fresh drain.
 """
 
 from __future__ import annotations
 
+import os
 import time
+from collections import deque
 
 from repro.bench import Table
 from repro.data import Database, Update
 from repro.query import parse_query
 from repro.viewtree import ViewTreeEngine
+from repro.viewtree.changes import compose_deltas
 
-from _util import report
+from _util import RESULTS_DIR, report
 
 QUERY = "Q(X, Y) = R(X, Y) * S(X)"
 DOMAIN = 64
@@ -52,6 +63,10 @@ READS = 8000
 EPOCHS = 20
 WARMUP_EPOCHS = 4
 STATE_SIZES = (12000, 40000, 120000)
+LAG_PREFILL = 40000
+LAG_COMMITS = 100
+LAG_BATCH = 12
+LAG_TRIALS = 21
 
 
 def _fresh_engine(query, prefill):
@@ -142,6 +157,59 @@ def _drive(query, prefill):
     }, stats
 
 
+def _lagging_reader(query):
+    """In-order refresh vs compose + apply, after the same lag."""
+    engine = _fresh_engine(query, LAG_PREFILL)
+    view = engine.subscribe()
+    live = deque((i % DOMAIN, i // DOMAIN) for i in range(LAG_PREFILL))
+    next_y = LAG_PREFILL // DOMAIN + 1
+    refresh_times: list[float] = []
+    compose_times: list[float] = []
+    summed = composed_entries = 0
+    for trial in range(WARMUP_EPOCHS + LAG_TRIALS):
+        for _ in range(LAG_COMMITS):
+            batch = []
+            for i in range(LAG_BATCH // 2):
+                key = (i, next_y)
+                live.append(key)
+                batch.append(Update("R", key, 1))
+                batch.append(Update("R", live.popleft(), -1))
+            next_y += 1
+            engine.apply_batch(batch)
+            engine.publish_epoch()
+        deltas = engine.deltas_since(view.epoch)
+        composed = dict(view.state)
+        # Alternate which side runs first.
+        for side in ((0, 1) if trial % 2 else (1, 0)):
+            start = time.perf_counter()
+            if side:
+                delta = compose_deltas(deltas, view.epoch, deltas[-1].epoch_to)
+                delta.apply_to(composed)
+                compose_time = time.perf_counter() - start
+            else:
+                view.refresh()
+                refresh_time = time.perf_counter() - start
+        assert view.full_refreshes == 0, "the lag tripped the ratio check"
+        assert view.state == composed, "in-order patch diverged from compose"
+        if trial >= WARMUP_EPOCHS:
+            refresh_times.append(refresh_time)
+            compose_times.append(compose_time)
+        summed = sum(map(len, deltas))
+        composed_entries = len(delta)
+    assert dict(view.items()) == dict(engine.enumerate_snapshot())
+    refresh, compose = _median(refresh_times), _median(compose_times)
+    return {
+        "entries": len(view),
+        "commits": LAG_COMMITS,
+        "batch": LAG_BATCH,
+        "summed_entries": summed,
+        "composed_entries": composed_entries,
+        "refresh_median": refresh,
+        "compose_apply_median": compose,
+        "ratio": refresh / compose,
+    }
+
+
 def bench_changes(benchmark):
     benchmark.pedantic(_changes_table, rounds=1, iterations=1)
 
@@ -180,10 +248,33 @@ def _changes_table():
             f"<={summary['drain_median'] * 1e3:.1f}ms",
         )
 
+    lag = _lagging_reader(query)
+    lag_table = Table(
+        f"lagging reader -- one refresh after {LAG_COMMITS} commits of "
+        f"{LAG_BATCH} updates",
+        [
+            "output entries",
+            "summed entries",
+            "composed entries",
+            "in-order refresh (us)",
+            "compose + apply (us)",
+            "ratio",
+        ],
+    )
+    lag_table.add(
+        f"{lag['entries']:,}",
+        f"{lag['summed_entries']:,}",
+        f"{lag['composed_entries']:,}",
+        f"{lag['refresh_median'] * 1e6:.0f}",
+        f"{lag['compose_apply_median'] * 1e6:.0f}",
+        f"{lag['ratio']:.2f}x",
+    )
+
     report(
         table,
         "changes.txt",
         stats=gated_stats,
+        extra_tables=[lag_table],
         meta={
             "query": QUERY,
             "domain": DOMAIN,
@@ -195,8 +286,12 @@ def _changes_table():
             "results": {
                 str(prefill): summary for prefill, summary in results.items()
             },
+            "lagging_reader": lag,
         },
     )
+    lag_table.show()
+    with open(os.path.join(RESULTS_DIR, "changes.txt"), "a") as handle:
+        handle.write("\n" + lag_table.render() + "\n")
 
     # Acceptance gate 1: at delta/state <= 1%, maintained reads beat
     # drain-backed reads by >= 5x (every configured size qualifies).
@@ -214,3 +309,7 @@ def _changes_table():
         "read_large": large,
         "ratio": large / small,
     }
+
+    # Acceptance gate 3: a lagging reader patches through the retained
+    # deltas in order for at most 0.8x what composing them costs.
+    assert lag["ratio"] <= 0.8, lag

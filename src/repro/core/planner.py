@@ -8,7 +8,7 @@ paper's decision ladder and picks the strongest applicable engine:
 2. Sigma-reduct q-hierarchical        -> FD-guided view tree (Thm 4.11)
 3. static/dynamic tractable            -> mixed view tree (Sec 4.5)
 4. tractable CQAP (input variables)    -> fracture view trees (Thm 4.8)
-5. insert-only + alpha-acyclic         -> monotone activation (Sec 4.6)
+5. insert-only + acyclic full join     -> monotone activation (Sec 4.6)
 6. triangle-shaped cyclic              -> IVM^eps, O(sqrt N) (Sec 3.3)
 7. otherwise                           -> first-order delta queries (Sec 3.1)
 
@@ -199,10 +199,13 @@ def _plan_unsharded(
                 order=order,
             )
 
-    if insert_only and is_alpha_acyclic(query):
+    # The insert-only engine enumerates the full join; a projection falls through.
+    full_join = set(query.head) == query.variables()
+    if insert_only and full_join and is_alpha_acyclic(query):
         return Plan(
             "insert-only",
-            "alpha-acyclic under an insert-only stream (Section 4.6)",
+            "alpha-acyclic full join under an insert-only stream "
+            "(Section 4.6)",
             "amortized O(1)",
             "O(1)",
             "O(N)",

@@ -259,14 +259,14 @@ class AsyncIVMServer(Observable):
 
         With change streams the server holds a ``MaterializedView``
         that the call catches up to the last published epoch.  It
-        patches in O(δ), δ the entries of every commit since the
-        previous call, as long as they sum to at most half the view's
-        size (its budget; the window holds the deltas that long), and
-        re-drains the epoch once they do: reads spaced closely enough
-        for the write rate cost one patch plus the list build, reads
-        behind a larger change cost a full drain.  Plain snapshot reads
-        enumerate the last published epoch; an engine without snapshots
-        drains its live state.
+        applies the deltas of every commit since the previous call in
+        order, in O(δ) with δ their summed entries, while δ is at most
+        half the view's size (its budget; the window holds the deltas
+        that long), and re-drains the epoch once it is not.  The list
+        holds a drain's items, not in its order: a key re-inserted since
+        the previous call comes last.  Plain snapshot reads enumerate
+        the last published epoch; an engine without snapshots drains
+        its live state.
         """
         return self._read(self._materialize, point=False)
 

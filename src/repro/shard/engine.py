@@ -656,6 +656,14 @@ class ShardedEngine(Backend):
         interrupted by a shard rebuild — callers must full-drain, never
         patch partially.
         """
+        return self._change_window().changes_since(epoch)
+
+    def deltas_since(self, epoch: int) -> list[OutputDelta]:
+        """:meth:`changes_since`'s per-epoch deltas, uncomposed, in order."""
+        return self._change_window().deltas_since(epoch)
+
+    def _change_window(self):
+        """The merged window; :class:`EpochGapError` while interrupted."""
         self.track_changes()
         tracker = self._change_tracker
         if tracker.stale or tracker.window.epoch != self.epoch:
@@ -664,7 +672,7 @@ class ShardedEngine(Backend):
                 "tracking enabled after the requested epoch); "
                 "a full drain is required"
             )
-        return tracker.window.changes_since(epoch)
+        return tracker.window
 
     def hold_changes(self, subscriber: Any, epoch: int, budget: float) -> None:
         """Retain the merged deltas after coordinator ``epoch`` for

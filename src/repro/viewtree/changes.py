@@ -66,9 +66,13 @@ check would choose a full drain anyway.  So a reader that lags many
 small commits still patches, and one that lags a large change drains
 without the window having kept that change for it.  Past the cursors the
 window keeps the newest :data:`RETAIN_EPOCHS` deltas (matching the shard
-workers' snapshot window) for callers without one.  ``changes_since``
-composes the retained deltas and raises :class:`EpochGapError` for
-anything older — never a silent partial delta.
+workers' snapshot window) for callers without one.  ``deltas_since``
+returns the retained deltas in order and raises :class:`EpochGapError`
+for anything older — never a silent partial delta.  A view applies them
+one after another (entries set absolute values, so nothing needs
+composing) and checks their summed entries, the count its budget uses;
+``changes_since`` composes them for lagging feeds, the shard wire and
+the public API.
 
 **Wire.** A shard worker ships its delta as plain key/old/new columns
 (:func:`encode_delta`), the same for every ring: payloads cross the pipe
@@ -229,9 +233,10 @@ class DeltaWindow:
 
     Mutations and reads may come from different threads (the serve
     tier publishes size-sealed commits on a worker thread while the
-    event loop composes catch-up deltas), so all of it runs under a
-    lock.  Retained deltas are immutable: ``changes_since`` hands the
-    same object to every caller that asks for exactly one epoch.
+    event loop reads catch-up deltas), so all of it runs under a lock.
+    Retained deltas are immutable: ``deltas_since`` hands the same
+    objects to every caller, and ``changes_since`` the one retained
+    delta to a caller that asks for exactly one epoch.
     """
 
     def __init__(self, baseline_epoch: int):
@@ -303,32 +308,37 @@ class DeltaWindow:
             self._deltas.clear()
             self._cursors.clear()
 
-    def changes_since(self, epoch: int) -> OutputDelta:
-        """One composed delta from ``epoch`` to the window's newest.
-
-        Raises :class:`EpochGapError` when ``epoch`` predates the
-        window, ``ValueError`` when it lies in the future.
-        """
+    def deltas_since(self, epoch: int) -> list[OutputDelta]:
+        """The retained per-epoch deltas from ``epoch`` to the newest, in
+        order.  Raises :class:`EpochGapError` when ``epoch`` predates
+        the window, ``ValueError`` when it lies in the future."""
         with self._lock:
             if epoch > self.epoch:
                 raise ValueError(
                     f"epoch {epoch} not published yet (at {self.epoch})"
                 )
-            if epoch == self.epoch:
-                return OutputDelta(epoch, epoch, [])
-            deltas = self._deltas
-            if deltas and deltas[-1].epoch_from == epoch:
-                # The steady state of a per-commit consumer: one epoch
-                # behind, nothing to compose.
-                return deltas[-1]
-            selected = [d for d in deltas if d.epoch_from >= epoch]
-            if not selected or selected[0].epoch_from != epoch:
+            selected = []
+            for delta in reversed(self._deltas):
+                if delta.epoch_from < epoch:
+                    break
+                selected.append(delta)
+            selected.reverse()
+            if epoch < self.epoch and not (selected and selected[0].epoch_from == epoch):
                 raise EpochGapError(
                     f"epoch {epoch} is outside the retained change window "
                     f"(oldest available: "
                     f"{selected[0].epoch_from if selected else self.epoch})"
                 )
-            return compose_deltas(selected, epoch, self.epoch)
+            return selected
+
+    def changes_since(self, epoch: int) -> OutputDelta:
+        """:meth:`deltas_since` composed into one delta (the one retained
+        delta itself for a one-epoch request, the steady state of a
+        per-commit consumer)."""
+        deltas = self.deltas_since(epoch)
+        if len(deltas) == 1:
+            return deltas[0]
+        return compose_deltas(deltas, epoch, deltas[-1].epoch_to if deltas else epoch)
 
 
 # ----------------------------------------------------------------------
@@ -440,9 +450,6 @@ class ChangeTracker:
                 entries.append((key, None, new))
         return entries
 
-    def changes_since(self, epoch: int) -> OutputDelta:
-        return self.window.changes_since(epoch)
-
 
 def _written(snap, rel) -> list[tuple[tuple, bool]]:
     """``(key, present at snap's publish)`` per key of ``rel`` written since."""
@@ -459,14 +466,15 @@ class MaterializedView:
     """A dict materialization of the output, patched per epoch in O(δ).
 
     ``source`` is a backend exposing ``epoch`` (last published epoch
-    number), ``changes_since(epoch)``, ``hold_changes(subscriber,
+    number), ``deltas_since(epoch)``, ``hold_changes(subscriber,
     epoch, budget)``, ``enumerate_snapshot()`` and ``stats`` (the
     recorder patches and refreshes are counted in) —
     ``ViewTreeEngine`` and ``ShardedEngine`` qualify.  :meth:`refresh`
-    patches the state forward; it falls back to a full snapshot drain
-    (counted as ``full_refresh_fallbacks``) when the subscriber fell out
-    of the retained window or the delta/state ratio exceeds
-    ``ratio_threshold``.
+    applies the retained per-epoch deltas in order; it falls back to a
+    full snapshot drain (counted as ``full_refresh_fallbacks``) when the
+    subscriber fell out of the retained window or their summed entries
+    over the state size exceed ``ratio_threshold``.  The state equals a
+    fresh drain bit for bit, though not in its order.
 
     After every refresh the view holds a cursor on the source's window
     with a budget of ``ratio_threshold ×
@@ -504,33 +512,33 @@ class MaterializedView:
     # -- maintenance ----------------------------------------------------
 
     def refresh(self) -> bool:
-        """Catch the materialization up to the last published epoch.
-
-        Returns ``True`` when anything changed (including a fallback
-        drain), ``False`` when already current.
+        """Catch the materialization up to the last published epoch by
+        applying each delta since in order, or by a drain (class
+        docstring).  Returns ``True`` when anything changed (including a
+        fallback drain), ``False`` when already current.
         """
         target = self.source.epoch
         if target == self.epoch:
             return False
         try:
-            delta = self.source.changes_since(self.epoch)
+            deltas = self.source.deltas_since(self.epoch)
         except EpochGapError:
             self._full_refresh()
             return True
         size = len(self.state)
-        if len(delta.entries) > self.ratio_threshold * max(size, 1):
+        entries = sum(map(len, deltas))
+        if entries > self.ratio_threshold * max(size, 1):
             self._full_refresh()
             return True
         start = time.perf_counter()
-        delta.apply_to(self.state)
-        self.epoch = delta.epoch_to
+        for delta in deltas:
+            delta.apply_to(self.state)
+            self.epoch = delta.epoch_to
         self._hold()
         stats = self.source.stats
         if stats is not None:
             stats.record_change_patch(
-                time.perf_counter() - start,
-                len(delta.entries),
-                len(delta.entries) / max(size, 1),
+                time.perf_counter() - start, entries, entries / max(size, 1)
             )
         return True
 

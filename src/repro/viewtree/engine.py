@@ -299,6 +299,7 @@ class ViewTreeEngine(Backend):
             # kernels are generated after, for the final index sets.  The
             # enumeration plan comes first: its guard indexes are what a
             # derived view reads.
+            indexed = [(r, set(r._indexes)) for r in self._snapshot_relations()]
             enum_plan = compile_enum_plan(self)
             replaced = derive_views(self, enum_plan) if enum_plan else {}
             self._fill_guards(replaced)
@@ -317,7 +318,7 @@ class ViewTreeEngine(Backend):
                 # traceback holds this frame, and so the engine.
                 failure = repr(exc)
             if failure is not None:
-                self._generation_failed(replaced, failure)
+                self._generation_failed(replaced, indexed, failure)
         #: The generic enumeration walk's flat schedule, built here with
         #: the guard indexes it reads, so every relation and index a read
         #: touches exists before the first publish (None: the kernel
@@ -361,14 +362,18 @@ class ViewTreeEngine(Backend):
             for key in joined.data:
                 guard.set(order(key), self.ring.one)
 
-    def _generation_failed(self, replaced: dict, failure: str) -> None:
+    def _generation_failed(self, replaced: dict, indexed: list, failure: str) -> None:
         """Make this engine the oracle after a kernel raised: the views
         :func:`derive_views` replaced are written again (their guards
-        refilled), every kernel is dropped, and the failure is counted
-        and reported once."""
+        refilled), every kernel and every group index the plans created
+        (not in ``indexed``) is dropped, and the failure is counted and
+        reported once."""
         for node, view in replaced.items():
             node.view = view
         self._fill_guards(replaced)
+        for relation, kept in indexed:
+            for group_vars in relation._indexes.keys() - kept:
+                del relation._indexes[group_vars]
         self._kernels = {}
         self._enum_kernel = self._lookup_plan = None
         self.generated = False
@@ -894,7 +899,12 @@ class ViewTreeEngine(Backend):
         — never a silent partial delta.
         """
         self.track_changes()
-        return self._change_tracker.changes_since(epoch)
+        return self._change_tracker.window.changes_since(epoch)
+
+    def deltas_since(self, epoch: int) -> list[OutputDelta]:
+        """:meth:`changes_since`'s per-epoch deltas, uncomposed, in order."""
+        self.track_changes()
+        return self._change_tracker.window.deltas_since(epoch)
 
     def hold_changes(self, subscriber: Any, epoch: int, budget: float) -> None:
         """Retain the deltas after ``epoch`` for ``subscriber`` (held

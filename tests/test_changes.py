@@ -45,6 +45,7 @@ from repro.viewtree import (
     STRATEGIES,
 )
 from repro.serve import AsyncIVMServer
+from repro.viewtree import changes as changes_module
 from repro.viewtree.changes import DeltaWindow
 from tests.conftest import REWRITES, rewrite_case, twin_engines, valid_stream
 
@@ -374,12 +375,18 @@ class TestCursorRetention:
                 window.append(OutputDelta(e - 1, e, [((e % keys,), None, e)]))
 
         def follow(sub):
-            state, epoch = {}, 0
+            # Alternates the composed delta with the in-order deltas.
+            state, epoch, step = {}, 0, 0
             try:
                 while epoch < last:
-                    delta = window.changes_since(epoch)
-                    delta.apply_to(state)
-                    epoch = delta.epoch_to
+                    step += 1
+                    if step % 2:
+                        deltas = [window.changes_since(epoch)]
+                    else:
+                        deltas = window.deltas_since(epoch)
+                    for delta in deltas:
+                        delta.apply_to(state)
+                        epoch = delta.epoch_to
                     window.hold(sub, epoch, float("inf"))
                     assert state == truth(epoch)
             except BaseException as exc:  # reported below
@@ -664,8 +671,177 @@ class TestDeltaWindow:
         assert len(engine.changes_since(engine.epoch - 2)) == 0
         assert len(one) == 3  # the retained delta was not touched
 
+    def test_deltas_since_hands_out_the_retained_deltas_in_order(self):
+        window = DeltaWindow(0)
+        deltas = [OutputDelta(e, e + 1, [((e,), None, e)]) for e in range(6)]
+        for delta in deltas:
+            window.append(delta)
+        # No cursor: the newest RETAIN_EPOCHS deltas stay.
+        oldest = 6 - RETAIN_EPOCHS
+        got = window.deltas_since(oldest)
+        assert len(got) == RETAIN_EPOCHS
+        assert all(a is b for a, b in zip(got, deltas[oldest:]))
+        assert window.deltas_since(5)[0] is window.changes_since(5) is deltas[5]
+        assert window.deltas_since(6) == []
+        composed = window.changes_since(oldest)
+        assert (composed.epoch_from, composed.epoch_to) == (oldest, 6)
+        for ask in (window.deltas_since, window.changes_since):
+            with pytest.raises(EpochGapError, match=f"oldest available: {oldest}"):
+                ask(oldest - 1)
+            with pytest.raises(ValueError, match="not published yet"):
+                ask(7)
+
 
 EXECUTORS = ("serial", "process")
+
+
+@pytest.fixture(params=["engine", "sharded"])
+def make_source(request):
+    """Builds a ``QUERY`` change source: a ``ViewTreeEngine`` or a serial
+    two-shard ``ShardedEngine`` (closed at teardown)."""
+    opened = []
+
+    def make(ring=Z, rng=None, rows=0, domain=8):
+        db = fresh_db(ring=ring, rng=rng, rows=rows, domain=domain)
+        if request.param == "engine":
+            return ViewTreeEngine(QUERY, db)
+        engine = ShardedEngine(QUERY, db, shards=2, executor="serial")
+        opened.append(engine)
+        return engine
+
+    yield make
+    for engine in opened:
+        engine.close()
+
+
+def churn_epoch(engine, rng, live, step, values):
+    """One commit: three random ``R`` / ``S`` keys inserted with a payload
+    from ``values``, or, when live, deleted by retracting that payload
+    (so groups empty), plus ``R(7, 7)`` inserted on even steps and
+    deleted on odd ones under a standing ``S(7)``: the output key
+    ``(7, 7)`` round-trips inside every lag of two epochs or more."""
+    ring = engine.ring
+    batch = []
+    for _ in range(3):
+        name = rng.choice("RS")
+        key = (rng.randrange(5),) + ((rng.randrange(5),) if name == "R" else ())
+        if (name, key) in live:
+            batch.append(Update(name, key, ring.neg(live.pop((name, key)))))
+        else:
+            live[name, key] = payload = rng.choice(values)
+            batch.append(Update(name, key, payload))
+    one = ring.one
+    batch.append(Update("R", (7, 7), one if step % 2 == 0 else ring.neg(one)))
+    engine.apply_batch(batch)
+    engine.publish_epoch()
+
+
+def exact(state):
+    """``state`` with floats as their bit patterns."""
+    return {
+        key: value.hex() if isinstance(value, float) else value
+        for key, value in state.items()
+    }
+
+
+class TestInOrderPatching:
+    """A lagging ``MaterializedView`` applies the retained per-epoch
+    deltas one after another (set-to-absolute, so no composing), checks
+    its ratio against their summed entries, and drains exactly once on
+    a gap — on an engine and on a serial sharded source alike (the
+    stale sharded stream: ``TestSharded``)."""
+
+    @pytest.mark.parametrize(
+        "ring,values", [(Z, (1, 2, 3)), (R, (0.1, 0.3, 0.7, 1.5))],
+        ids=["int", "float"],
+    )
+    def test_a_view_lagging_k_epochs_equals_a_fresh_drain(
+        self, make_source, ring, values
+    ):
+        engine = make_source(ring)
+        engine.apply(Update("S", (7,), ring.one))
+        engine.publish_epoch()
+        stats = engine.attach_stats()
+        view = engine.subscribe(ratio_threshold=1e9)  # always patch
+        rng, live, step = random.Random(0x1A6), {}, 0
+        for lag in range(1, 41):
+            for _ in range(lag):
+                churn_epoch(engine, rng, live, step, values)
+                step += 1
+            view.refresh()
+            assert view.epoch == engine.epoch
+            assert exact(view.state) == exact(dict(engine.enumerate_snapshot()))
+        assert view.full_refreshes == 0
+        assert stats.full_refresh_fallbacks == 0
+        assert stats.tuples_patched > 0
+
+    def test_the_ratio_check_trips_on_summed_entries(self, make_source):
+        """Three epochs toggle one output key: they compose to one entry
+        but sum to three, over a budget of 2.5, so the view drains; two
+        such epochs sum to two and patch."""
+        engine = make_source()
+        engine.apply_batch(
+            [Update("S", (7,), 1)] + [Update("R", (7, a), 1) for a in range(8)]
+        )
+        engine.publish_epoch()
+        stats = engine.attach_stats()
+        view = engine.subscribe()
+        toggles = 0
+
+        def lag(epochs):
+            nonlocal toggles
+            view.ratio_threshold = 2.5 / len(view)
+            for _ in range(epochs):
+                engine.apply(Update("R", (7, 99), -1 if toggles % 2 else 1))
+                engine.publish_epoch()
+                toggles += 1
+
+        lag(3)
+        assert len(engine.changes_since(view.epoch)) == 1
+        assert sum(map(len, engine.deltas_since(view.epoch))) == 3
+        view.refresh()
+        assert view.full_refreshes == stats.full_refresh_fallbacks == 1
+        assert stats.tuples_patched == 0
+        assert dict(view.items()) == dict(engine.enumerate_snapshot())
+        lag(2)
+        view.refresh()
+        assert view.full_refreshes == 1
+        assert stats.tuples_patched == 2  # the sum, not the composed 0
+        assert dict(view.items()) == dict(engine.enumerate_snapshot())
+
+    def test_a_gap_drains_exactly_once(self, make_source):
+        engine = make_source(rng=random.Random(3), rows=30)
+        stats = engine.attach_stats()
+        view = engine.subscribe()
+        small_epochs(engine, 3)
+        window_of(engine).reset(engine.epoch)  # older epochs are gaps now
+        small_epochs(engine, 2, start=200)
+        with pytest.raises(EpochGapError):
+            engine.deltas_since(view.epoch)
+        view.refresh()
+        assert view.full_refreshes == stats.full_refresh_fallbacks == 1
+        assert dict(view.items()) == dict(engine.enumerate_snapshot())
+        small_epochs(engine, 3, start=300)
+        view.refresh()
+        assert view.full_refreshes == stats.full_refresh_fallbacks == 1
+        assert dict(view.items()) == dict(engine.enumerate_snapshot())
+
+    def test_refresh_never_composes(self, make_source, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compose_deltas on the refresh path")
+
+        monkeypatch.setattr(changes_module, "compose_deltas", refuse)
+        engine = make_source(rng=random.Random(5), rows=30)
+        view = engine.subscribe(ratio_threshold=1e9)
+        rng, live = random.Random(6), {}
+        for step in range(12):
+            churn_epoch(engine, rng, live, step, (1, 2))
+            if step % 4 == 3:
+                view.refresh()
+                assert dict(view.items()) == dict(engine.enumerate_snapshot())
+        assert view.full_refreshes == 0
+        with pytest.raises(AssertionError, match="refresh path"):
+            engine.changes_since(engine.epoch - 2)
 
 
 class TestRewrittenPlans:
@@ -777,17 +953,21 @@ class TestSharded:
         db = fresh_db(rng=rng, rows=60, domain=10)
         engine = ShardedEngine(QUERY, db, shards=2, executor="serial")
         try:
+            stats = engine.attach_stats()
             view = engine.subscribe()
             engine._change_tracker.stale = True
+            for ask in (engine.deltas_since, engine.changes_since):
+                with pytest.raises(EpochGapError, match="interrupted"):
+                    ask(view.epoch)
             engine.apply(Update("R", (4, 4), 1))
             engine.publish_epoch()  # resync happens here
             view.refresh()
-            assert view.full_refreshes == 1
+            assert view.full_refreshes == stats.full_refresh_fallbacks == 1
             assert dict(view.items()) == dict(engine.enumerate_snapshot())
-            engine.apply(Update("R", (5, 5), 1))
-            engine.publish_epoch()
+            small_epochs(engine, 3)
             view.refresh()
-            assert view.full_refreshes == 1  # patched, no second drain
+            # patched across three epochs, no second drain
+            assert view.full_refreshes == stats.full_refresh_fallbacks == 1
             assert dict(view.items()) == dict(engine.enumerate_snapshot())
         finally:
             engine.close()

@@ -181,6 +181,22 @@ class TestFacade:
         got = sorted(key for key, _ in engine.enumerate())
         assert got == sorted(evaluate(q, db).keys())
 
+    def test_insert_only_projected_head_enumerates_the_head(self, rng):
+        """The insert-only engine enumerates the full join, so a projected
+        head takes the next rung and reads ``repro.naive``'s result."""
+        db = Database()
+        for name in ("R", "S", "T"):
+            db.create(name, ("X", "Y"))
+        q = parse_query("Q(A, C) = R(A, B) * S(B, C) * T(C, D)")
+        engine = IVMEngine(q, db, insert_only=True)
+        assert engine.plan.strategy != "insert-only"
+        for _ in range(120):
+            name = rng.choice("RST")
+            engine.insert(name, rng.randrange(5), rng.randrange(5))
+        expected = evaluate(q, db).to_dict()
+        assert expected
+        assert dict(engine.enumerate()) == expected
+
     def test_delta_fallback_path(self, rng):
         db = Database()
         for name in ("R", "S", "T"):
