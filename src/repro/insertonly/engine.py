@@ -19,7 +19,9 @@ calibration that only ever *grows*:
   shrink.  Total work is therefore O(#inserts), i.e. amortized O(1).
 
 Enumeration descends alive tuples from the root with constant delay,
-yielding the full join (set semantics: every tuple that joins).
+yielding the full join over the head's variables in head order, each
+tuple with the product of its base tuples' payloads (a repeated insert
+adds to its tuple's payload and touches nothing else).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ..data.update import Update
 from ..obs import observed
 from ..query.ast import Atom, Query
 from ..query.hypergraph import JoinTreeNode, build_join_tree
+from ..rings.standard import Z
 
 
 class _NodeState:
@@ -44,6 +47,7 @@ class _NodeState:
         "parent",
         "shared_with_parent",
         "tuples",
+        "payloads",
         "alive_groups",
         "parent_groups",
     )
@@ -55,6 +59,8 @@ class _NodeState:
         self.shared_with_parent: tuple[str, ...] = ()
         #: key -> number of children currently supporting it.
         self.tuples: dict[tuple, int] = {}
+        #: key -> its payload, summed over its inserts.
+        self.payloads: dict[tuple, Any] = {}
         #: alive keys grouped by the projection shared with the parent.
         self.alive_groups: dict[tuple, dict[tuple, None]] = {}
         #: my keys grouped by the projection shared with each child
@@ -78,16 +84,19 @@ class InsertOnlyEngine(Backend):
         forest = build_join_tree(query)
         if forest is None:
             raise ValueError(f"{query.name} is not alpha-acyclic")
+        if set(query.head) != {v for atom in query.atoms for v in atom.variables}:
+            raise ValueError(f"{query.name} is not a full join: its head must list every variable")
         self.query = query
         self.database = database
+        self.ring = Z if database is None else database.ring
         self.roots: list[_NodeState] = []
         self._by_relation: dict[str, _NodeState] = {}
         for root in forest:
             self.roots.append(self._build(root, None))
         if database is not None:
             for atom in query.atoms:
-                for key in database[atom.relation].keys():
-                    self.insert(atom.relation, key)
+                for key, payload in database[atom.relation].items():
+                    self.insert(atom.relation, key, payload)
 
     def _build(self, tree: JoinTreeNode, parent: Optional[_NodeState]) -> _NodeState:
         state = _NodeState(tree.atom)
@@ -107,13 +116,15 @@ class InsertOnlyEngine(Backend):
     # Inserts
     # ------------------------------------------------------------------
 
-    def insert(self, relation: str, key: tuple) -> None:
-        """Insert one tuple (multiplicities are ignored: set semantics)."""
+    def insert(self, relation: str, key: tuple, payload: Any = 1) -> None:
+        """Insert one tuple; a repeated insert only adds to its payload."""
         node = self._by_relation.get(relation)
         if node is None:
             raise KeyError(f"relation {relation!r} not in query {self.query.name}")
         if key in node.tuples:
+            node.payloads[key] = self.ring.add(node.payloads[key], payload)
             return
+        node.payloads[key] = payload
         supported = 0
         COUNTER.bump("write")
         for index, child in enumerate(node.children):
@@ -139,7 +150,7 @@ class InsertOnlyEngine(Backend):
                 "InsertOnlyEngine only supports inserts; for insert-delete "
                 "streams use the view-tree or delta engines"
             )
-        self.insert(update.relation, update.key)
+        self.insert(update.relation, update.key, update.payload)
         if self.database is not None:
             self.database[update.relation].add(update.key, update.payload)
 
@@ -180,14 +191,11 @@ class InsertOnlyEngine(Backend):
         )
 
     def enumerate(self) -> Iterator[tuple[tuple, int]]:
-        """Enumerate the full join as ``(key, 1)`` pairs (keys over all
-        variables, in the order the variables first appear across
-        atoms; set semantics) with constant delay per output tuple."""
-        variables: list[str] = []
-        for atom in self.query.atoms:
-            for var in atom.variables:
-                if var not in variables:
-                    variables.append(var)
+        """Enumerate the full join as ``(key, payload)`` pairs, keys in
+        head order and payloads the product of the joined tuples'
+        payloads, with constant delay per output tuple."""
+        head = self.query.head
+        mul = self.ring.mul
         binding: dict[str, Any] = {}
 
         def assign(node: _NodeState, key: tuple) -> list[str]:
@@ -198,7 +206,7 @@ class InsertOnlyEngine(Backend):
                     new_vars.append(var)
             return new_vars
 
-        def full(index: int, nodes: list[_NodeState]) -> Iterator[tuple]:
+        def full(index: int, nodes: list[_NodeState], product: Any) -> Iterator[tuple]:
             if nodes:
                 node = nodes[0]
                 rest = nodes[1:]
@@ -208,14 +216,19 @@ class InsertOnlyEngine(Backend):
                     return
                 for key in group:
                     new_vars = assign(node, key)
-                    yield from full(index, list(node.children) + rest)
+                    weight = node.payloads[key]
+                    yield from full(
+                        index,
+                        list(node.children) + rest,
+                        weight if product is None else mul(product, weight),
+                    )
                     for var in new_vars:
                         del binding[var]
                 return
             if index == len(self.roots):
-                yield tuple(binding[v] for v in variables), 1
+                yield tuple(binding[v] for v in head), product
                 return
             root = self.roots[index]
-            yield from full(index + 1, [root])
+            yield from full(index + 1, [root], product)
 
-        yield from full(0, [])
+        yield from full(0, [], None)

@@ -83,12 +83,13 @@ step without a guard projects them onto its view (its support is a
 bucket of its enumeration index), and a step with a guard joins each
 with its siblings' supports, re-tests the joined keys' membership and
 passes on the view keys of the members that flipped.  Each test is O(1)
-per key, so Theorem 4.1's bound holds.  ``push_batch`` writes its own
-leaf, and when its first step is a support step, the first guard rides
-that write loop (:func:`_emit_leaf_write`): it re-tests only a leaf key
-that appeared or a bucket created or emptied, so on ``Q(Y, X, Z) = R(Y,
-X) * S(Y, Z)`` a batch key landing in an existing ``R(Y)`` bucket costs
-its leaf write and nothing else.
+per key, so Theorem 4.1's bound holds.  The first guard rides the loop
+that writes its changed source, where that loop posts inline: the leaf
+write ``push_batch`` opens with (:func:`_emit_leaf_write`), or a written
+view's.  It re-tests only a key that appeared or a bucket created or
+emptied, so on ``Q(Y, X, Z) = R(Y, X) * S(Y, Z)`` a batch key landing in
+an existing ``R(Y)`` bucket costs its leaf write and nothing else, and
+on ``Q(A, C) = R(A, B) * S(B, C)`` a ``V_B`` entry costs no ``G_A`` test.
 
 A next step without siblings rides the same loop: an entry one view
 takes is at once the next step's survivor.  Postings are specialised to
@@ -539,7 +540,7 @@ def _emit_lists(w: _Writer) -> None:
     w.emit("pa = out_p.append")
 
 
-def _emit_binding(w: _Writer, p: str, s: int, relation, origin: list) -> list:
+def _emit_binding(w: _Writer, p: str, s: int, relation, origin: list, event=None) -> list:
     """Bind writes to step ``s``'s guard (``p`` = ``"g"``) or view
     (``"v"``): ``{p}rel`` / ``{p}data`` / ``{p}get``, the newest pre-image
     map ``{p}new`` (``None`` for a relation no snapshot covers), the
@@ -550,7 +551,8 @@ def _emit_binding(w: _Writer, p: str, s: int, relation, origin: list) -> list:
     written key equals, or ``None`` where the keys vary.  An index whose
     group positions all have one gets its group key here, once, as
     ``{p}k{i}`` (rule 2), and its bucket ``{p}b{i}`` at the first
-    posting.  Returns the postings each write makes (:func:`_emit_post`).
+    posting.  Returns the postings each write makes (:func:`_emit_post`),
+    an ``event``'s index last: the code it runs may end the iteration.
     """
     rel = f"{p[0].upper()}REL_{s}"
     w.emit(f"{p}rel = {rel}")
@@ -569,6 +571,8 @@ def _emit_binding(w: _Writer, p: str, s: int, relation, origin: list) -> list:
             w.emit(f"{p}k{i} = {_proj('key', bound)}")
             w.emit(f"{p}b{i} = MISS")
         posts.append((index, i, positions, hoisted))
+    if event is not None and event[0] is not None:
+        posts.append(posts.pop(event[0]))
     return posts
 
 
@@ -711,7 +715,7 @@ def _emit_member(w: _Writer, key: str, posts, count: str, add: bool) -> None:
 
 
 def _emit_agg_sink(
-    w: _Writer, ops: _Ops, s: int, relation, origin: list, wrap: bool = False
+    w: _Writer, ops: _Ops, s: int, relation, origin: list, wrap: bool = False, event=None
 ) -> None:
     """Fused filter + view write over a marginalization's ``agg`` dict.
 
@@ -724,8 +728,9 @@ def _emit_agg_sink(
     keyed by bare values (a single-position projection aggregated via
     ``itemgetter``) and each surviving key is boxed back into the view's
     1-tuple here, once per distinct key instead of once per delta entry.
+    The postings run ``event`` (:func:`_emit_support`).
     """
-    posts = _emit_binding(w, "v", s, relation, origin)
+    posts = _emit_binding(w, "v", s, relation, origin, event)
     w.emit("dks = []")
     w.emit("dps = []")
     w.emit("ka = dks.append")
@@ -740,7 +745,7 @@ def _emit_agg_sink(
             w.emit("vk = (okey,)")
         w.emit(f"ka({vk})")
         w.emit("pa(dp)")
-        _emit_write(w, ops, "v", vk, "dp", posts, cont=True)
+        _emit_write(w, ops, "v", vk, "dp", posts, cont=True, event=event)
     w.emit("if dks:")
     with w.block():
         w.emit('COUNTER.bump("write", len(dks))')
@@ -819,6 +824,8 @@ class _Marginalize:
         self.n = shared or ("n" if head else f"n{s}")
         self.counts = shared is None and not plain
         self.posts: dict[str, list] = {}
+        #: A support step riding the postings; whether a step reads the list.
+        self.event, self.lists = None, True
         self.then = None
         nxt = plan.steps[s + 1] if s + 1 < len(plan.steps) else None
         if (
@@ -850,8 +857,8 @@ class _Marginalize:
             w.emit("gw = 0")
             w.emit(f"chg = CHG_{s}.data")
         if self.kind in ("identity", "distinct"):
-            self.posts["v"] = _emit_binding(w, self.p, s, step.view, self.origin)
-            if self.then is None:
+            self.posts["v"] = _emit_binding(w, self.p, s, step.view, self.origin, self.event)
+            if self.then is None and self.lists:
                 _emit_lists(w)
         elif self.kind == "const":
             # The ZERO seed is additively inert under Python ``+``.
@@ -911,10 +918,10 @@ class _Marginalize:
                 with w.block():
                     w.emit("continue")
             vk = key(out, f"{self.p}k")
-            if self.then is None:
+            if self.then is None and self.lists:
                 w.emit(f"ka({vk})")
                 w.emit("pa(prod)")
-            _emit_write(w, ops, self.p, vk, "prod", self.posts["v"])
+            _emit_write(w, ops, self.p, vk, "prod", self.posts["v"], event=self.event)
             if self.then is not None:
                 self.then.survivor(vk, [f"{vk}[{i}]" for i in range(len(out))])
         elif self.kind == "const":
@@ -959,7 +966,7 @@ class _Marginalize:
             else:
                 count = self.n if step.lift is None else "len(out_k)"
             w.emit(f'COUNTER.bump("write", {count})')
-            if self.then is None:
+            if self.then is None and self.lists:
                 w.emit("dks = out_k")
                 w.emit("dps = out_p")
             w.emit("if stats is not None:")
@@ -975,7 +982,8 @@ class _Marginalize:
             self.const_tail()
         else:
             _emit_agg_sink(
-                w, self.ops, s, step.view, self.origin, wrap=len(step.out_positions) == 1
+                w, self.ops, s, step.view, self.origin, len(step.out_positions) == 1,
+                self.event,
             )
             self.delta_tail()
 
@@ -1149,7 +1157,7 @@ def _support_table(s: int, j: int, join) -> str:
     return f"REL_{s}_{j}.data"
 
 
-def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, ops=None) -> None:
+def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, host=None) -> None:
     """Steps ``start`` on, whose views are derived: supports, not sums.
 
     The changed keys of step ``start``'s changed source are ``ck`` (with
@@ -1161,8 +1169,13 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, ops=None) 
     flipped members go on.  With ``one`` and DIRECT siblings the step is
     straight-line and a standing membership ends the push.
 
-    With ``ops`` the batch kernel writes its leaf here (``start`` 0), and
-    the first guard step rides that loop (:func:`_emit_leaf_write`).
+    With ``host``, the first guard step rides the loop ``host(event)``
+    emits, which writes step ``start``'s changed source (a batch's leaf,
+    or the view below): it re-tests a key that appears, or the group key
+    of a bucket created in the index step ``start``'s view reads.  A
+    cancelled key or emptied bucket goes to ``gone``, whose members leave
+    the guard after the loop unless a later key creates the bucket anew.
+    A key landing in a bucket that stays costs no probe at all.
     """
     steps = plan.steps
     arity = len(_changed(plan, start).schema.variables)
@@ -1172,13 +1185,13 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, ops=None) 
         top = s == len(steps) - 1
         if step.guard is None:
             if top:
-                if ops is not None:
-                    _emit_leaf_write(w, plan, ops)
+                if host is not None:
+                    host(None)
                 return  # nothing reads the root's support but its index
             w.emit(f"# step {s} ({step.variable}): its view's support")
             if one:
                 w.emit(f"ck = {_proj('ck', step.out_positions, arity)}")
-            elif ops is None:
+            elif host is None:
                 # Not deduplicated: a repeated key re-tests to no flip.
                 w.emit("nc = len(cks)")
                 w.emit(f"cks = map(PJ_{s}, cks)")
@@ -1192,7 +1205,7 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, ops=None) 
         else:
             posts = f"GREL_{s}"
             w.emit(f"gdata = {posts}.data")
-        if ops is None:
+        if host is None:
             derived = isinstance(_changed(plan, s), DerivedView)
             w.emit(f"chg = CHG_{s}.{'groups' if derived else 'data'}")
         for j, join in enumerate(step.siblings):
@@ -1216,9 +1229,10 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, ops=None) 
             items = held
             with ExitStack() as loops:
                 if not fans and now is True:
-                    w.emit(f"lookups += {len(tests)}")
-                    w.emit(f"if {' and '.join(tests)}:")
-                    loops.enter_context(w.block())
+                    if tests:  # a members-only guard has none
+                        w.emit(f"lookups += {len(tests)}")
+                        w.emit(f"if {' and '.join(tests)}:")
+                        loops.enter_context(w.block())
                 elif not fans and now is not False:
                     # One membership test per changed key: its source and
                     # every sibling hold the key's projections.
@@ -1264,10 +1278,11 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, ops=None) 
                     w.emit(f"nks[{vk}] = None" if looped else f"ck = {vk}")
 
         changed, now = "cks", "ck in chg"
-        if ops is not None:
+        if host is not None:
             w.emit("gone = {}")
-            _emit_leaf_write(w, plan, ops, s, body)
-            ops, changed, now = None, "gone", False
+            written = list(_changed(plan, start)._indexes.values())
+            host((written.index(steps[start].view.index) if s > start else None, body))
+            host, changed, now = None, "gone", False
         elif not fans:
             count = 1 + len(step.siblings)
             w.emit(f"lookups += {count}" if one else f"lookups += {count} * {size}")
@@ -1291,21 +1306,10 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, ops=None) 
         arity = len(step.out_positions)
 
 
-def _emit_leaf_write(w: _Writer, plan: DeltaPlan, ops: _Ops, s=0, body=None) -> None:
+def _emit_leaf_write(w: _Writer, plan: DeltaPlan, ops: _Ops, event=None) -> None:
     """The batch onto the kernel's leaf: :meth:`Relation.add_delta` inline
-    (:func:`_emit_write`).  With ``body``, support step ``s`` rides the
-    loop, re-testing only a leaf key that appears (``s`` 0: its guard
-    reads the leaf) or the group key of a bucket created in the leaf index
-    step 0's view is derived from.  A cancelled key or emptied bucket goes
-    to ``gone``, whose members leave the guard after the loop, unless a
-    later key creates the bucket anew.  A key landing in a bucket that
-    stays costs no probe at all."""
-    posts = _emit_binding(w, "l", 0, plan.leaf, [None] * len(plan.leaf.schema))
-    event = None if body is None else (None, body)
-    if body is not None and s:
-        i = list(plan.leaf._indexes.values()).index(plan.steps[0].view.index)
-        posts.append(posts.pop(i))  # last: the step's code may end the iteration
-        event = (i, body)
+    (:func:`_emit_write`), hosting ``event`` (:func:`_emit_support`)."""
+    posts = _emit_binding(w, "l", 0, plan.leaf, [None] * len(plan.leaf.schema), event)
     w.emit("for key, pay in zip(keys, pays):")
     with w.block():
         _emit_write(w, ops, "l", "key", "pay", posts, cont=True, event=event)
@@ -1377,7 +1381,7 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
                 w.emit("dk = key")
                 w.emit("dp = payload")
             elif one_loop:
-                _emit_support(w, plan, 0, False, ops)
+                _emit_support(w, plan, 0, False, lambda e: _emit_leaf_write(w, plan, ops, e))
             else:
                 if write:
                     _emit_leaf_write(w, plan, ops)
@@ -1389,45 +1393,63 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
             origin = list(range(arity)) if single else [None] * arity
             one = single
             resume = len(plan.steps) if one_loop else 0
+
+            def guarded(s: int) -> bool:  # a support step from s on reads keys
+                return any(st.guard is not None for st in plan.steps[s:])
             for s, step in enumerate(plan.steps):
                 if s < resume:
                     continue  # it rode an earlier step's loop
                 if step.support:
-                    w.emit("ck = dk" if one else "cks = dks")
-                    _emit_support(w, plan, s, one)
+                    if guarded(s):
+                        w.emit("ck = dk" if one else "cks = dks")
+                        _emit_support(w, plan, s, one)
                     break
                 if one and all(jn.mode == DIRECT for jn in step.siblings):
                     _emit_one_step(w, s, step, ops, arity)
                     origin = [origin[q] for q in step.out_positions]
                     arity = len(origin)
                     continue
-                w.emit(f"# step {s} ({step.variable})")
                 m = _Marginalize(w, ops, plan, s, origin, arity, single)
-                for j, join in enumerate(step.siblings):
-                    if one and join.mode == DIRECT:
-                        # Before the fan-out: still one pair.
-                        _emit_direct_probe(w, s, j, join, ops, arity)
-                        continue
-                    fused = m.fused and j == len(step.siblings) - 1
-                    if join.mode == CROSS:
-                        _emit_cross_stage(w, s, j, join, ops, one)
-                    else:
-                        _emit_probe_stage(
-                            w, s, j, join, ops, arity, one, m if fused else None
-                        )
-                    if fused:
-                        m.epilogue()
-                    else:
-                        w.emit("dks = out_k")
-                        w.emit("dps = out_p")
-                        w.emit("if not dks:")
-                        with w.block():
-                            w.emit("return")
-                    arity += len(join.extend_positions)
-                    one = False
-                if not m.fused:
-                    m.list_pass()
                 last = m.last()
+                after = plan.steps[last.s + 1:]
+                # Support steps above a step that writes each entry inline
+                # ride its postings; otherwise they re-test its list.
+                reads = bool(after) and (not after[0].support or guarded(last.s + 1))
+                ride = reads and after[0].support and last.kind != "const" and (
+                    last.step.lift is None and last.step.guard is None)
+                last.lists = last.step.lift is not None or (reads and not ride)
+
+                def run(event=None, arity=arity, one=one) -> None:
+                    last.event = event
+                    w.emit(f"# step {s} ({step.variable})")
+                    for j, join in enumerate(step.siblings):
+                        if one and join.mode == DIRECT:
+                            # Before the fan-out: still one pair.
+                            _emit_direct_probe(w, s, j, join, ops, arity)
+                            continue
+                        fused = m.fused and j == len(step.siblings) - 1
+                        if join.mode == CROSS:
+                            _emit_cross_stage(w, s, j, join, ops, one)
+                        else:
+                            _emit_probe_stage(
+                                w, s, j, join, ops, arity, one, m if fused else None
+                            )
+                        if fused:
+                            m.epilogue()
+                        else:
+                            w.emit("dks = out_k")
+                            w.emit("dps = out_p")
+                            w.emit("if not dks:")
+                            with w.block():
+                                w.emit("return")
+                        arity += len(join.extend_positions)
+                        one = False
+                    if not m.fused:
+                        m.list_pass()
+                if ride:
+                    _emit_support(w, plan, last.s + 1, False, run)
+                    break
+                run()
                 resume = last.s + 1
                 origin = last.origin
                 arity = len(origin)

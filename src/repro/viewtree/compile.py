@@ -30,18 +30,19 @@ leaf-to-root path once and records, per node:
 a non-empty head, enumeration multiplies only leaf and bound-view
 payloads (Theorem 4.1; F-IVM likewise keeps free variables as group-by
 keys and aggregates only the bound ones), so above the leaves it needs
-*supports* only.  :func:`derive_views` therefore replaces every free
-view no read multiplies — the free root views, and a free view whose
-parent has a guard and a derived view — with a :class:`DerivedView`,
-read from the group index the enumeration plan keeps for its node, and
-a plan step whose view is derived is a *support step*
-(:attr:`PlanStep.support`): it writes no view, and its guard, which
-holds ``one`` per member, is re-tested only for the keys whose source
-changed.  A free view that is its parent's only source stays written
-(the enumeration iterates its keys), and so does everything below it.
-On a valid state (§2: every tuple has a positive multiplicity) a key is
-in a view's support exactly when its sum is non-zero, so every output,
-lookup, guard and derived value equals the summed walk's.
+*supports* only.  :func:`derive_views` derives every free view no read
+multiplies (no probe of the enumeration or lookup plan, and a derived
+parent) whose keys a kept group index holds (its enumeration step's):
+a :class:`DerivedView`, and a plan step whose view is derived is a
+*support step* (:attr:`PlanStep.support`) that writes no view and
+re-tests its guard, ``one`` per member, only for the keys whose source
+changed.  A parent's only source is derived too, the parent's
+candidates then a members-only guard: on ``Q(A, C) = R(A, B) * S(B,
+C)`` no kernel writes ``V_C(A)``, read from ``V_B``'s ``(A,)`` index.
+Left open: such a source whose keys are a guard's stays written, with
+everything below it.  On a valid state (§2: positive multiplicities) a
+key is in a view's support exactly when its sum is non-zero, so every
+output, lookup, guard and derived value equals the summed walk's.
 
 A :class:`DeltaPlan` is data only — it executes nothing.  Its one
 consumer is :mod:`repro.viewtree.codegen`, which emits each plan as a
@@ -73,6 +74,7 @@ from typing import Any, Optional
 from ..data.opcounter import COUNTER
 from ..data.relation import GroupIndex, Relation
 from ..rings.base import Semiring
+from .enumplan import EnumPlan, compile_enum_plan
 
 #: Sibling probe modes.
 DIRECT = 0  #: sibling schema is contained in the delta schema: one dict.get
@@ -160,28 +162,42 @@ class DerivedView(Relation):
     add = add_delta = set = apply = clear = index_on = _read_only
 
 
-def derive_views(engine, enum_plan) -> dict:
+def derive_views(engine) -> tuple[dict, Optional[EnumPlan]]:
     """Install a :class:`DerivedView` for every free view no read
-    multiplies; return ``{node: materialized view}`` of the replaced ones.
+    multiplies whose keys a kept index holds; return ``({node:
+    materialized view}, enumeration plan)``.
 
-    A free root view is derived, and so is a free view whose parent has
-    a guard and a derived view.  A free view that is its parent's only
-    source stays written — the enumeration iterates its keys — and so
-    does everything below a written free view, whose sums need its
-    sources' values.  Derived nodes are installed children first, so a
-    guard's factors reference its children's derived views.
+    A node's keys are its guard's, or its one source's.  A free child
+    view that is its node's one source is derived too, and the node
+    gets a members-only guard, unless the child has a guard (the open
+    case) or the node is such a source itself (``pinned``).  Nothing
+    below a written view, whose sums read it, is derived.  Children are
+    installed first: a guard's factors are their derived views.
     """
-    steps = {step.variable: step for step in enum_plan.steps}
+    plan = compile_enum_plan(engine)
+    if plan is None:
+        return {}, None
+    # The read set: the relations a probe of either plan multiplies.
+    probes = [*plan.prefix_probes, *(p for f in plan.lookup or () for p in f)]
+    probes += [p for step in plan.steps for p in step.leaf_probes + step.post_probes]
+    multiplied = {id(relation) for relation, _ in probes}
     derived = []
 
-    def visit(node, derive: bool) -> None:
+    def visit(node, derive: bool, pinned: bool) -> None:
         if derive:
             derived.append(node)
         for child in node.children:
-            visit(child, derive and child.is_free and node.guard is not None)
+            free = derive and child.is_free and id(child.view) not in multiplied
+            own = node.guard is None and free and child.guard is None and not pinned
+            visit(child, free and (own or node.guard is not None), own)
 
     for root in engine.roots:
-        visit(root, root.is_free)
+        visit(root, root.is_free and id(root.view) not in multiplied, False)
+    members = [n for n in derived if n.guard is None and n.children and n.children[0] in derived]
+    for node in members:
+        node.guard = Relation(f"G_{node.variable}", node.children[0].view.schema, engine.ring)
+    plan = compile_enum_plan(engine) if members else plan
+    steps = {step.variable: step for step in plan.steps}
     replaced = {}
     for node in reversed(derived):
         # The index groups on the guard relation's variables but X, in
@@ -195,7 +211,7 @@ def derive_views(engine, enum_plan) -> dict:
         )
         replaced[node] = node.view
         node.view = DerivedView(node.view, base, step.index, factors)
-    return replaced
+    return replaced, plan
 
 
 class SiblingJoin:

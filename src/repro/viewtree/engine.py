@@ -12,9 +12,10 @@ of the join of everything below the node.  Following F-IVM:
 * the view at node ``X`` has schema ``dep(X)`` — the node's dependency
   set — and aggregates away ``X`` from the join of the node's children
   views and anchored leaves;
-* when ``X`` is free and more than one source constrains it, the node
-  additionally materializes the support of the pre-marginalization join
-  (the *guard*, ``one`` per member), which is what enumeration iterates
+* when ``X`` is free and more than one source constrains it (or, in a
+  generated engine, its one source is derived), the node additionally
+  materializes the support of the pre-marginalization join (the
+  *guard*, ``one`` per member), which is what enumeration iterates
   over.  A guard exists only where
   enumeration reads it: the walk treats a bound node as a leaf its view
   summarizes (:func:`~repro.viewtree.enumplan._flatten`), so a guard at
@@ -72,7 +73,7 @@ from .codegen import (
 )
 from .changes import ChangeTracker, MaterializedView, OutputDelta
 from .compile import DerivedView, compile_delta_plans, derive_views
-from .enumplan import _flatten, compile_enum_plan
+from .enumplan import _flatten
 from .epoch import EpochSnapshot, SnapshotRegistry
 
 
@@ -103,10 +104,10 @@ class ViewNode:
         self.view: Relation | None = None
         #: Support of the pre-marginalization join (``one`` per member),
         #: kept only where enumeration iterates it: at a free node with
-        #: more than one source.  A bound node is summarized by its view
-        #: (the walk never
-        #: descends into it), so a guard there would be written on every
-        #: update below and never read.
+        #: more than one source, or with one derived source (see
+        #: derive_views).  A bound node is summarized by its view (the
+        #: walk never descends into it), so a guard there would be
+        #: written on every update below and never read.
         self.guard: Relation | None = None
 
     def sources(self) -> list[Relation]:
@@ -300,8 +301,7 @@ class ViewTreeEngine(Backend):
             # enumeration plan comes first: its guard indexes are what a
             # derived view reads.
             indexed = [(r, set(r._indexes)) for r in self._snapshot_relations()]
-            enum_plan = compile_enum_plan(self)
-            replaced = derive_views(self, enum_plan) if enum_plan else {}
+            replaced, enum_plan = derive_views(self)
             self._fill_guards(replaced)
             plans = compile_delta_plans(self)
             failure = None
@@ -365,11 +365,12 @@ class ViewTreeEngine(Backend):
     def _generation_failed(self, replaced: dict, indexed: list, failure: str) -> None:
         """Make this engine the oracle after a kernel raised: the views
         :func:`derive_views` replaced are written again (their guards
-        refilled), every kernel and every group index the plans created
-        (not in ``indexed``) is dropped, and the failure is counted and
-        reported once."""
+        refilled, a members-only guard dropped), every kernel and every
+        group index the plans created (not in ``indexed``) is dropped, and
+        the failure is counted and reported once."""
         for node, view in replaced.items():
             node.view = view
+            node.guard = node.guard if len(node.sources()) > 1 else None
         self._fill_guards(replaced)
         for relation, kept in indexed:
             for group_vars in relation._indexes.keys() - kept:

@@ -122,7 +122,8 @@ def assert_failed_to_oracle(engine) -> None:
 def assert_views_agree(compiled, generic) -> None:
     """Every node of two engines over one tree agrees: guard membership
     (every guard holds ``one`` per member) and each view's value, written
-    or derived."""
+    or derived.  A members-only guard, which only ``compiled`` keeps,
+    holds the keys of its node's one source in ``generic``."""
     one = compiled.ring.one
     pairs = zip(
         (n for root in compiled.roots for n in root.walk()),
@@ -132,11 +133,12 @@ def assert_views_agree(compiled, generic) -> None:
         assert mine.variable == theirs.variable
         assert mine.view.to_dict() == theirs.view.to_dict(), mine.variable
         assert len(mine.view) == len(theirs.view)
-        assert (mine.guard is None) == (theirs.guard is None)
+        assert theirs.guard is None or mine.guard is not None
         if mine.guard is not None:
-            assert mine.guard.data.keys() == theirs.guard.data.keys()
+            members = theirs.sources()[0] if theirs.guard is None else theirs.guard
+            assert mine.guard.data.keys() == members.data.keys()
             assert set(mine.guard.data.values()) <= {one}
-            assert set(theirs.guard.data.values()) <= {one}
+            assert theirs.guard is None or set(theirs.guard.data.values()) <= {one}
 
 
 def assert_twins_agree(compiled, generic, probes=()) -> None:

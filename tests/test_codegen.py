@@ -641,6 +641,28 @@ class TestEveryShapeGenerates:
             assert dict(engine.enumerate()) == dict(oracle.enumerate()) == full
 
 
+class TestNoUnreadState:
+    """A kernel builds no state no later line reads: no ``ck = dk`` after
+    an unguarded support step (the only step of ``Q(A) = R(A)``), and no
+    ``out_k`` / ``out_p`` lists or ``cks = dks`` tail after the last
+    written step (``V_B`` on ``Q(A, C)``, whose ``G_A`` flips ride its
+    postings)."""
+
+    @pytest.mark.parametrize(
+        "text,relation",
+        [("Q(A) = R(A)", "R"), ("Q(A, C) = R(A, B) * S(B, C)", "R"),
+         ("Q(A, C) = R(A, B) * S(B, C)", "S")],
+    )
+    def test_generated_source(self, text, relation):
+        query = parse_query(text)
+        db = Database()
+        for atom in query.atoms:
+            db.create(atom.relation, atom.variables)
+        source = IVMEngine(query, db).backend._kernels[relation][0].source
+        for line in ("ck = dk", "cks = dks", "out_k", "out_p"):
+            assert line not in source, line
+
+
 class TestExplainCLI:
     def test_kernel_source_deterministic(self, capsys):
         args = [

@@ -504,8 +504,9 @@ class TestSingleTupleFanOut:
         )
         with counting() as ops:
             engine.apply(Update("R", (1, 7), 1))
-        # One base write, k entries of V_B(A, C), one of V_C(A): no write
-        # of an R ⋈ S guard, and none of V_A(), which is derived.
+        # One base write, k entries of V_B(A, C) and one flip of G_A, as
+        # V_B's (A,) bucket appears: no write of an R ⋈ S guard, and none
+        # of V_C(A) or V_A(), which are derived.
         assert ops["write"] == 1 + k + 1
         assert ops["enum"] == k
         # One probe: S's B bucket.

@@ -26,6 +26,7 @@ from repro.query import parse_query, search_order
 from repro.rings import PROVENANCE, R, Z
 from repro.shard import ShardedEngine
 from repro.viewtree import ViewTreeEngine
+from repro.viewtree.compile import DerivedView
 
 from tests.conftest import assert_matches_rebuild, seeded_db, twin_engines, valid_stream
 
@@ -43,9 +44,13 @@ def nodes(engine):
 
 
 def assert_guard_contract(engine):
-    """A guard at exactly the free nodes with more than one source."""
+    """A guard at exactly the free nodes with more than one source, or
+    with one derived source (a members-only guard)."""
     for node in nodes(engine).values():
-        expected = node.is_free and len(node.sources()) > 1
+        sources = node.sources()
+        expected = node.is_free and (
+            len(sources) > 1 or isinstance(sources[0], DerivedView)
+        )
         assert (node.guard is not None) == expected, node
 
 
@@ -141,7 +146,11 @@ class TestGuardContract:
         views = sum(len(node.view) for node in nodes(tree).values())
         leaves = len(engine.database["R"]) + len(engine.database["S"])
         assert views and leaves
-        assert tree.total_view_size() == views + leaves
+        # No guard joins R and S; the root's members-only guard holds
+        # one entry per key of V_C, its one (derived) source.
+        members = len(nodes(tree)["A"].guard)
+        assert members == len(nodes(tree)["C"].view)
+        assert tree.total_view_size() == views + members + leaves
 
 
 def hier_twins(ring, seed):
@@ -228,6 +237,7 @@ class TestDifferentials:
             assert dict(sharded.enumerate()) == evaluate(query, db).to_dict()
             merged = sharded.merged_views()
             assert "V_B" in merged and "G_B" not in merged
-            assert not any(name.startswith("G_") for name in merged)
+            # The one guard is the root's members-only G_A.
+            assert [name for name in merged if name.startswith("G_")] == ["G_A"]
             for engine in sharded.engines:
                 assert_guard_contract(engine)

@@ -118,6 +118,24 @@ class TestDifferential:
         assert sorted(engine_a.enumerate()) == sorted(engine_b.enumerate())
 
 
+    def test_permuted_head_with_repeated_inserts_matches_naive(self, rng):
+        """Keys come in head order and payloads multiply the joined
+        tuples' summed inserts, as ``repro.naive`` computes them."""
+        q = parse_query("Q(D, C, B, A) = R(A, B) * S(B, C) * T(C, D)")
+        db = Database()
+        for name, schema in (("R", ("A", "B")), ("S", ("B", "C")), ("T", ("C", "D"))):
+            db.create(name, schema)
+        engine = InsertOnlyEngine(q)
+        for _ in range(120):
+            name, key = rng.choice("RST"), (rng.randrange(3), rng.randrange(3))
+            engine.apply(Update(name, key, 1))
+            db[name].add(key, 1)
+        assert dict(engine.enumerate()) == evaluate(q, db).to_dict()
+        assert max(dict(engine.enumerate()).values()) > 1
+        with pytest.raises(ValueError, match="full join"):
+            InsertOnlyEngine(parse_query("Q(A) = R(A, B) * S(B, C)"))
+
+
 class TestAmortizedConstant:
     def test_total_work_linear_in_inserts(self):
         """Section 4.6: amortized O(1) per insert — total ops stay within

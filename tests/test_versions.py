@@ -516,8 +516,9 @@ class TestRollback:
     @pytest.mark.parametrize("generated", [True, False], ids=["kernels", "oracle"])
     def test_single_tuple_fan_out_push_rolls_back(self, generated, monkeypatch):
         """A single-tuple ``apply`` on ``Q(A,C)`` whose push raises midway —
-        its fan-out already on ``V_B``, ``V_A`` not yet written — under a
-        live snapshot restores base, views and the epoch exactly."""
+        its fan-out already on ``V_B``, and the kernels' ``G_A`` flipped,
+        the oracle's ``V_A`` not yet written — under a live snapshot
+        restores base, views, guards and the epoch exactly."""
         query = parse_query(HIER)
         db = Database()
         for atom in query.atoms:
@@ -542,7 +543,8 @@ class TestRollback:
         reached = []
 
         def record_delta(view, size):
-            if view == "V_C":
+            # The kernels derive V_C: the guard flips are their next record.
+            if view in ("V_C", "G_A"):
                 reached.append(dict(view_b.data) != before["V_B"])
                 raise RuntimeError("injected fault")
 
