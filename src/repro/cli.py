@@ -319,10 +319,10 @@ def run_explain(
 
     The tree is built over empty relations, each with the schema of its
     first atom; its rendering marks every leaf ``= base`` or
-    ``copy (why)``.  Kernel source is a pure function of the plan
-    *shape* (step structure plus ring identity), so the dump is exactly
-    the code a populated engine of the same shape executes —
-    deterministic output that tests pin.
+    ``copy (why)``.  Each kernel's source is what its own plan emits, a
+    pure function of the plan's shape and its ring's operator
+    declarations, so the dump is exactly the code a populated engine of
+    the same shape executes — deterministic output that tests pin.
     """
     from .core.engine import IVMEngine
     from .data.database import Database

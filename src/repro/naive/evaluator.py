@@ -37,8 +37,9 @@ def evaluate(
     ``overrides`` substitutes relations by name — the delta-query engine
     uses this to evaluate a rule body with one atom replaced by a delta
     relation.  ``variable_order`` optionally fixes the global elimination
-    order (head variables must still come first for aggregation to be a
-    simple projection; the default order places them first).
+    order.  The default binds the non-head variables first, then the
+    head: a join through a bound variable is then walked once per
+    joining pair instead of once per pair of head values.
     """
     ring = database.ring
     if lifting is None:
@@ -67,8 +68,7 @@ def evaluate(
 
     head = list(query.head)
     if variable_order is None:
-        rest = sorted(query.variables() - set(head))
-        order = head + rest
+        order = sorted(query.variables() - set(head)) + head
     else:
         order = list(variable_order)
         if set(order) != set(query.variables()):
@@ -110,7 +110,7 @@ def evaluate(
             if ring.is_zero(value):
                 return ring.zero
             payload = ring.mul(payload, value)
-        for var in order[len(head) :] if variable_order is None else order:
+        for var in order:
             if var not in query.free_variables:
                 payload = ring.mul(payload, lifting.for_variable(var)(binding[var]))
         return payload

@@ -11,7 +11,6 @@ from .codegen import (
     EnumKernel,
     compile_delta_kernel,
     compile_enum_kernel,
-    ring_identity,
     shape_cache_size,
 )
 from .compile import DeltaPlan, compile_delta_plans
@@ -49,6 +48,5 @@ __all__ = [
     "ViewNode",
     "ViewTreeEngine",
     "make_strategy",
-    "ring_identity",
     "shape_cache_size",
 ]

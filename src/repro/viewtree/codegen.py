@@ -94,24 +94,22 @@ on ``Q(A, C) = R(A, B) * S(B, C)`` a ``V_B`` entry costs no ``G_A`` test.
 A next step without siblings rides the same loop: an entry one view
 takes is at once the next step's survivor.  Postings are specialised to
 the group indexes the written relations carry at generation (part of the
-shape); a call that finds one more re-emits the kernel first
+emitted code); a call that finds one more re-emits the kernel first
 (:meth:`DeltaKernel.regenerate`).
 
-Shape cache
+Shared code
 -----------
-Generated source depends only on the plan's *shape* — step/sibling
-structure, position tuples, and the **ring identity** (type plus
-instance state such as a :class:`~repro.rings.standard.FloatRing`
-tolerance, recursively for :class:`~repro.rings.standard.ProductRing`
-factors) — never on relation or anchor *names*.  Identical shapes across
-anchors, engines, and shards therefore compile once per process: the
-module-level cache maps a structural shape key to the exec'd factory,
-and instantiating a kernel for a concrete plan just calls the factory
-with that plan's environment (relation/index objects, bound
-``add``/``add_delta`` methods, ring callables, labels).  Keying on the
-ring identity and schema positions — not names — is what keeps two views
-over same-named relations with *different* rings from ever sharing a
-kernel.
+Code is shared when the emitted code is equal.  Every kernel emits its
+function bodies, which name steps by index and read everything else —
+relations, indexes, labels, ring callables and constants — through
+environment names, so the bodies depend only on the plan's shape and on
+the ring's operator declarations.  The process-wide cache maps the
+bodies to their exec'd ``_make(env)`` factory: a hit calls it with the
+plan's environment, and a miss first wraps the bodies in a factory that
+binds exactly the names they read (:func:`_factory_for`).  Plans across
+anchors, engines and shards thus compile once per distinct code, and
+ring state such as a :class:`~repro.rings.standard.FloatRing` tolerance
+lives in the environment (``IS_ZERO``), not in the code.
 
 Snapshot safety: environments bind :class:`Relation` /
 :class:`GroupIndex` **objects** (and bound methods), never their
@@ -127,11 +125,12 @@ Pickling: a kernel's functions are closures over live objects and cannot
 pickle, so :class:`DeltaKernel`/:class:`EnumKernel` implement
 ``__reduce__`` as "regenerate from the plan" — the plan itself pickles
 with the engine (the pickle memo keeps its relation references identical
-to the view tree's own), and unpickling hits the shape cache.
+to the view tree's own), and unpickling hits the factory cache.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from contextlib import ExitStack, nullcontext
 from itertools import chain, repeat
@@ -149,6 +148,8 @@ from .enumplan import EnumPlan
 #: sibling entry/bucket) and "no prebound value" in ``iterate``.
 _MISS = object()
 
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
 __all__ = [
     "DeltaKernel",
     "EnumKernel",
@@ -156,120 +157,12 @@ __all__ = [
     "compile_delta_kernel",
     "compile_enum_kernel",
     "new_codegen_info",
-    "ring_identity",
 ]
 
 
 def new_codegen_info() -> dict[str, Any]:
     """A fresh mutable counter bag for one engine's kernel generation."""
     return {"kernels": 0, "cache_hits": 0, "time_ms": 0.0, "fallbacks": 0}
-
-
-# ----------------------------------------------------------------------
-# Ring identity and shape keys
-# ----------------------------------------------------------------------
-
-
-def ring_identity(ring: Semiring) -> tuple:
-    """A hashable structural identity for a ring instance.
-
-    Two rings share generated code only when this key matches: same
-    type, same ``exact_zero``/operator declarations, and same instance
-    state (e.g. ``FloatRing.tolerance``; ``ProductRing.factors``
-    recurse).  Unhashable state degrades to its ``repr``.
-    """
-    state = []
-    attrs = getattr(ring, "__dict__", None)
-    if attrs:
-        for name in sorted(attrs):
-            value = attrs[name]
-            if isinstance(value, Semiring):
-                value = ring_identity(value)
-            elif isinstance(value, tuple):
-                value = tuple(
-                    ring_identity(v) if isinstance(v, Semiring) else v
-                    for v in value
-                )
-            try:
-                hash(value)
-            except TypeError:
-                value = repr(value)
-            state.append((name, value))
-    return (
-        type(ring).__module__,
-        type(ring).__qualname__,
-        ring.exact_zero,
-        ring.add_operator,
-        ring.mul_operator,
-        tuple(state),
-    )
-
-
-def _index_positions(relation) -> tuple[tuple[int, ...], ...]:
-    """Key positions of each group index of ``relation`` (``None``: no
-    relation), in ``_indexes`` order — the order the env binds them."""
-    if relation is None:
-        return ()
-    return tuple(relation.schema.positions(gv) for gv in relation._indexes)
-
-
-def _delta_shape(plan: DeltaPlan) -> tuple:
-    return (
-        "delta",
-        ring_identity(plan.ring),
-        len(plan.leaf.schema.variables),
-        _index_positions(plan.leaf),
-        tuple(
-            (
-                tuple(
-                    (
-                        join.mode,
-                        join.probe_positions,
-                        join.extend_positions,
-                        isinstance(join.relation, DerivedView),
-                    )
-                    for join in step.siblings
-                ),
-                step.support,
-                step.guard is not None,
-                step.guard_positions,
-                step.out_positions,
-                step.lift is not None,
-                step.lift_position,
-                _index_positions(step.guard),
-                _index_positions(step.view),
-            )
-            for step in plan.steps
-        ),
-    )
-
-
-def _enum_shape(plan: EnumPlan) -> tuple:
-    return (
-        "enum",
-        ring_identity(plan.ring),
-        plan.nslots,
-        plan.head_positions,
-        tuple(positions for _, positions in plan.prefix_probes),
-        tuple(
-            (
-                step.var_slot,
-                step.var_pos,
-                step.group_positions,
-                step.probe_positions,
-                tuple(positions for _, positions in step.leaf_probes),
-                tuple(positions for _, positions in step.post_probes),
-                step.drain,
-            )
-            for step in plan.steps
-        ),
-        _lookup_positions(plan.lookup),
-    )
-
-
-def _lookup_positions(factors) -> tuple | None:
-    """A lookup plan's key positions, factor by factor (its shape)."""
-    return None if factors is None else tuple(tuple(p for _, p in f) for f in factors)
 
 
 # ----------------------------------------------------------------------
@@ -358,58 +251,28 @@ def _proj(var: str, positions: tuple[int, ...], arity: int | None = None) -> str
     return _tuple(_items(var, positions))
 
 
-def _wrap_factory(body: _Writer, env_names: list[str], returns: str) -> str:
-    """Wrap generated function bodies in the shared ``_make(env)`` factory.
+def _reads(body: str) -> list[str]:
+    """The env names the generated functions in ``body`` read, sorted:
+    what ``_make`` binds.  Env names are upper case (``MUL``,
+    ``LREL_0``), bar the enumeration's ``chain`` and ``repeat``; every
+    name the emitters bind locally is lower case.  An upper-case word
+    the env lacks fails the factory call, and with it generation."""
+    words = set(_WORD.findall(body))
+    return sorted(name for name in words if name.isupper() or name in ("chain", "repeat"))
 
-    The factory is exec'd once per *shape*; calling it with a concrete
-    plan's environment binds every name as a closure local (fast
-    ``LOAD_DEREF``, no globals lookups in the hot path).
-    """
-    w = _Writer()
-    w.emit("def _make(env):")
-    with w.block():
-        for name in env_names:
-            w.emit(f"{name} = env[{name!r}]")
-        w.emit()
-    w.lines.extend(body.lines)
-    with w.block():
-        w.emit(f"return {returns}")
-    return w.source()
+
+def _wrap_factory(body: str) -> str:
+    """Wrap generated function bodies (their ``return`` included) in the
+    ``_make(env)`` factory: a kernel calls it with its plan's environment,
+    which binds each name the bodies read as a closure local (fast
+    ``LOAD_DEREF``, no globals lookups in the hot path)."""
+    header = "".join(f"    {name} = env[{name!r}]\n" for name in _reads(body))
+    return f"def _make(env):\n{header}\n{body}"
 
 
 # ----------------------------------------------------------------------
 # Delta-kernel source
 # ----------------------------------------------------------------------
-
-
-def _delta_getters(plan: DeltaPlan) -> dict[str, tuple[int, ...]]:
-    """Positions for the ``itemgetter`` closures the batch body maps.
-
-    ``map(itemgetter(...), keys)`` runs a projection at C speed; the
-    batch emitter uses one per cached probe (``PG_{s}_{j}``), per
-    support step passing keys on (``PJ_{s}``, tuple-valued) and per
-    plain aggregation pass (``OG_{s}``: :attr:`_Marginalize.og`, the
-    test the emitter makes; the one-key body makes that pass at a subset
-    of those steps).  Computed once here so the env builder and the
-    emitter agree exactly on which getters exist.
-    """
-    getters: dict[str, tuple[int, ...]] = {}
-    arity = len(plan.leaf.schema.variables)
-    for s, step in enumerate(plan.steps):
-        if step.support:
-            if step.guard is None and s + 1 < len(plan.steps):
-                getters[f"PJ_{s}"] = step.out_positions
-            continue
-        joined = arity
-        for j, join in enumerate(step.siblings):
-            full_key = len(join.probe_positions) == joined
-            if join.mode != CROSS and join.probe_positions and not full_key:
-                getters[f"PG_{s}_{j}"] = join.probe_positions
-            joined += len(join.extend_positions)
-        if _Marginalize(None, None, plan, s, [None] * arity, arity, False).og:
-            getters[f"OG_{s}"] = step.out_positions
-        arity = len(step.out_positions)
-    return getters
 
 
 def _changed(plan: DeltaPlan, s: int):
@@ -427,10 +290,14 @@ def key_projector(positions: tuple[int, ...]) -> itemgetter:
 
 
 def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
-    """The names a kernel binds, in a shape-determined order.  A support
-    step binds no view: its view is derived, and its guard, sibling
-    supports and changed source (``CHG_s``: a relation, or a derived
-    view's index) are all it reads or writes."""
+    """The names a kernel may read; its factory binds those its bodies
+    do.  ``map(itemgetter(...), keys)`` runs a projection at C speed: a
+    batch maps one per cached probe (``PG_s_j``), per support step
+    passing keys on (``PJ_s``, tuple-valued) and per plain aggregation
+    pass (``OG_s``, :attr:`_Marginalize.og`).  A support step offers no
+    view: its view is derived, and its guard, sibling supports and
+    changed source (``CHG_s``: a relation, or a derived view's index)
+    are all it reads or writes."""
     ring = plan.ring
     env: dict[str, Any] = {
         "MUL": ring.mul,
@@ -440,7 +307,6 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
         "ONE": ring.one,
         "COUNTER": COUNTER,
         "MISS": _MISS,
-        "KERNEL": None,
         "LREL_0": plan.leaf,
     }
     for i, index in enumerate(plan.leaf._indexes.values()):
@@ -463,6 +329,11 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
                 env[f"GIX_{s}_{i}"] = index
         if step.lift is not None:
             env[f"LIFT_{s}"] = step.lift
+        if step.support:
+            # A support pass keeps tuples: its keys are probed, not summed.
+            env[f"PJ_{s}"] = key_projector(step.out_positions)
+        elif step.out_positions:
+            env[f"OG_{s}"] = itemgetter(*step.out_positions)
         for j, join in enumerate(step.siblings):
             if isinstance(join.relation, DerivedView):
                 env[f"SUP_{s}_{j}"] = join.relation.index
@@ -470,10 +341,8 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
                 env[f"REL_{s}_{j}"] = join.relation
             if join.index is not None:
                 env[f"IDX_{s}_{j}"] = join.index
-    for name, positions in _delta_getters(plan).items():
-        # A support pass keeps tuples: its keys are probed, not summed.
-        support = name.startswith("PJ_")
-        env[name] = key_projector(positions) if support else itemgetter(*positions)
+            if join.probe_positions:
+                env[f"PG_{s}_{j}"] = itemgetter(*join.probe_positions)
     return env
 
 
@@ -514,7 +383,7 @@ def _emit_one_step(w: _Writer, s: int, step, ops: _Ops, arity: int) -> None:
     """Step ``s`` on a one-key delta whose sibling joins are all DIRECT:
     straight-line probes, the guard's membership re-tested, then one
     ``Relation.add`` for the view."""
-    w.emit(f"# step {s} ({step.variable})")
+    w.emit(f"# step {s}")
     for j, join in enumerate(step.siblings):
         _emit_direct_probe(w, s, j, join, ops, arity)
     if step.guard is not None:
@@ -542,10 +411,11 @@ def _emit_lists(w: _Writer) -> None:
 
 def _emit_binding(w: _Writer, p: str, s: int, relation, origin: list, event=None) -> list:
     """Bind writes to step ``s``'s guard (``p`` = ``"g"``) or view
-    (``"v"``): ``{p}rel`` / ``{p}data`` / ``{p}get``, the newest pre-image
-    map ``{p}new`` (``None`` for a relation no snapshot covers), the
-    ``{p}rec`` recorder and, per group index ``i``, its bucket dict
-    ``{p}g{i}`` and newest bucket map ``{p}f{i}``.
+    (``"v"``): ``{p}rel`` / ``{p}data`` / ``{p}get`` (not for a guard,
+    whose writes are flips), the newest pre-image map ``{p}new``
+    (``None`` for a relation no snapshot covers), the ``{p}rec``
+    recorder and, per group index ``i``, its bucket dict ``{p}g{i}``
+    and newest bucket map ``{p}f{i}``.
 
     ``origin[q]`` is the input-key position that position ``q`` of every
     written key equals, or ``None`` where the keys vary.  An index whose
@@ -557,11 +427,13 @@ def _emit_binding(w: _Writer, p: str, s: int, relation, origin: list, event=None
     rel = f"{p[0].upper()}REL_{s}"
     w.emit(f"{p}rel = {rel}")
     w.emit(f"{p}data = {p}rel.data")
-    w.emit(f"{p}get = {p}data.get")
+    if p != "g":
+        w.emit(f"{p}get = {p}data.get")
     w.emit(f"{p}new = {p}rel._maps[-1] if {p}rel._maps else None")
     w.emit(f"{p}rec = {p}rel._record")
     posts = []
-    for i, positions in enumerate(_index_positions(relation)):
+    for i, group_vars in enumerate(relation._indexes):
+        positions = relation.schema.positions(group_vars)
         index = f"{p[0].upper()}IX_{s}_{i}"
         w.emit(f"{p}g{i} = {index}.groups")
         w.emit(f"{p}f{i} = {index}._maps[-1] if {index}._maps else None")
@@ -715,15 +587,18 @@ def _emit_member(w: _Writer, key: str, posts, count: str, add: bool) -> None:
 
 
 def _emit_agg_sink(
-    w: _Writer, ops: _Ops, s: int, relation, origin: list, wrap: bool = False, event=None
-) -> None:
-    """Fused filter + view write over a marginalization's ``agg`` dict.
+    w: _Writer, ops: _Ops, s: int, relation, origin: list, wrap: bool = False, event=None,
+    lists: bool = True,
+) -> str:
+    """Fused filter + view write over a marginalization's ``agg`` dict;
+    returns the expression that counts the entries written.
 
     One pass per aggregated key replaces a filtered-dict copy plus bulk
-    :meth:`Relation.add_delta`: survivors land on the view and in the
-    ``dks``/``dps`` lists (the step's outgoing delta) in ``agg``
-    insertion order — the order ``marginalize`` accumulates in on the
-    generic path — so payload-combination order, and therefore every
+    :meth:`Relation.add_delta`: survivors land on the view and, with
+    ``lists`` (a later step reads them), in the ``dks``/``dps`` lists
+    (the step's outgoing delta) in ``agg`` insertion order — the order
+    ``marginalize`` accumulates in on the generic path — so
+    payload-combination order, and therefore every
     non-commutative-rounding ring, matches it.  With ``wrap``, ``agg`` is
     keyed by bare values (a single-position projection aggregated via
     ``itemgetter``) and each surviving key is boxed back into the view's
@@ -731,10 +606,13 @@ def _emit_agg_sink(
     The postings run ``event`` (:func:`_emit_support`).
     """
     posts = _emit_binding(w, "v", s, relation, origin, event)
-    w.emit("dks = []")
-    w.emit("dps = []")
-    w.emit("ka = dks.append")
-    w.emit("pa = dps.append")
+    if lists:
+        w.emit("dks = []")
+        w.emit("dps = []")
+        w.emit("ka = dks.append")
+        w.emit("pa = dps.append")
+    else:
+        w.emit("nw = 0")
     vk = "vk" if wrap else "okey"
     w.emit("for okey, dp in agg.items():")
     with w.block():
@@ -743,12 +621,17 @@ def _emit_agg_sink(
             w.emit("continue")
         if wrap:
             w.emit("vk = (okey,)")
-        w.emit(f"ka({vk})")
-        w.emit("pa(dp)")
+        if lists:
+            w.emit(f"ka({vk})")
+            w.emit("pa(dp)")
+        else:
+            w.emit("nw += 1")
         _emit_write(w, ops, "v", vk, "dp", posts, cont=True, event=event)
-    w.emit("if dks:")
+    count = "len(dks)" if lists else "nw"
+    w.emit(f"if {count}:")
     with w.block():
-        w.emit('COUNTER.bump("write", len(dks))')
+        w.emit(f'COUNTER.bump("write", {count})')
+    return count
 
 
 def _emit_stale_check(w: _Writer, plan: DeltaPlan, call: str, leaf: bool) -> None:
@@ -777,12 +660,11 @@ class _Marginalize:
 
     ``kind`` is how the step's delta leaves it: one running sum
     (``const``, rule 2; a batch's scalar marginalization), one view
-    write per entry (``identity``, or ``distinct`` by rule 1) or an
-    ``agg`` dict.  ``origin`` maps the output key's positions to the
-    input key's, as in :func:`_emit_body`.  In ``push``, a following
-    step without siblings rides the same loop (``then``): each entry
-    this step writes is that step's survivor at once, instead of a list
-    entry walked again.
+    write per entry (``distinct``, rule 1) or an ``agg`` dict.
+    ``origin`` maps the output key's positions to the input key's, as in
+    :func:`_emit_body`.  In ``push``, a following step without siblings
+    rides the same loop (``then``): each entry this step writes is that
+    step's survivor at once, instead of a list entry walked again.
     """
 
     def __init__(
@@ -798,8 +680,6 @@ class _Marginalize:
         self.origin = [self.joined[q] for q in out]
         if None not in self.origin:
             self.kind = "const"
-        elif out == tuple(range(self.arity)) and step.lift is None:
-            self.kind = "identity"
         elif all(q in out for q, o in enumerate(self.joined) if o is None):
             self.kind = "distinct"
         else:
@@ -824,13 +704,14 @@ class _Marginalize:
         self.n = shared or ("n" if head else f"n{s}")
         self.counts = shared is None and not plain
         self.posts: dict[str, list] = {}
-        #: A support step riding the postings; whether a step reads the list.
+        #: A support step riding the postings; whether a later step reads
+        #: this step's delta.
         self.event, self.lists = None, True
         self.then = None
         nxt = plan.steps[s + 1] if s + 1 < len(plan.steps) else None
         if (
             single
-            and self.kind in ("identity", "distinct")
+            and self.kind == "distinct"
             and nxt is not None
             and not nxt.siblings
             and nxt.guard is None
@@ -844,10 +725,16 @@ class _Marginalize:
     def last(self) -> "_Marginalize":
         return self if self.then is None else self.then.last()
 
+    @property
+    def listed(self) -> bool:
+        """Whether each entry written goes to ``out_k`` / ``out_p``: a
+        later step reads them, or counts what a lifted payload landed."""
+        return self.then is None and (self.lists or self.step.lift is not None)
+
     def prologue(self) -> None:
         w, step, s = self.w, self.step, self.s
         if self.p != "v":
-            w.emit(f"# step {s} ({step.variable}) rides the loop below")
+            w.emit(f"# step {s} rides the loop below")
         if self.counts:
             w.emit(f"{self.n} = 0")
         if step.guard is not None:
@@ -856,9 +743,9 @@ class _Marginalize:
             )
             w.emit("gw = 0")
             w.emit(f"chg = CHG_{s}.data")
-        if self.kind in ("identity", "distinct"):
+        if self.kind == "distinct":
             self.posts["v"] = _emit_binding(w, self.p, s, step.view, self.origin, self.event)
-            if self.then is None and self.lists:
+            if self.listed:
                 _emit_lists(w)
         elif self.kind == "const":
             # The ZERO seed is additively inert under Python ``+``.
@@ -912,13 +799,13 @@ class _Marginalize:
             lift = f"LIFT_{s}({items[step.lift_position]})"
             w.emit(f"prod = {ops.mul('prod', lift)}")
         out = step.out_positions
-        if self.kind in ("identity", "distinct"):
+        if self.kind == "distinct":
             if step.lift is not None:
                 w.emit(f"if {ops.is_zero('prod')}:")
                 with w.block():
                     w.emit("continue")
             vk = key(out, f"{self.p}k")
-            if self.then is None and self.lists:
+            if self.listed:
                 w.emit(f"ka({vk})")
                 w.emit("pa(prod)")
             _emit_write(w, ops, self.p, vk, "prod", self.posts["v"], event=self.event)
@@ -959,7 +846,7 @@ class _Marginalize:
             w.emit("if gw:")
             with w.block():
                 w.emit('COUNTER.bump("write", gw)')
-        if self.kind in ("identity", "distinct"):
+        if self.kind == "distinct":
             # What landed: a lifted payload may have cancelled.
             if self.then is not None:
                 count = self.then.n
@@ -974,26 +861,25 @@ class _Marginalize:
                 w.emit(f"stats.record_delta(LBL_{s}, {count})")
             if self.then is not None:
                 self.then.epilogue()
-            elif step.lift is not None and s + 1 < len(self.plan.steps):
+            elif self.lists and step.lift is not None:
                 w.emit("if not dks:")
                 with w.block():
                     w.emit("return")
         elif self.kind == "const":
             self.const_tail()
         else:
-            _emit_agg_sink(
+            self.delta_tail(_emit_agg_sink(
                 w, self.ops, s, step.view, self.origin, len(step.out_positions) == 1,
-                self.event,
-            )
-            self.delta_tail()
+                self.event, self.lists,
+            ))
 
-    def delta_tail(self) -> None:
+    def delta_tail(self, count: str = "len(dks)") -> None:
         w = self.w
         w.emit("if stats is not None:")
         with w.block():
-            w.emit(f"stats.record_delta(LBL_{self.s}, len(dks))")
+            w.emit(f"stats.record_delta(LBL_{self.s}, {count})")
         if self.s + 1 < len(self.plan.steps):
-            w.emit("if not dks:")
+            w.emit(f"if not {count}:")
             with w.block():
                 w.emit("return")
 
@@ -1007,23 +893,26 @@ class _Marginalize:
             w.emit("dp = tot")
             _emit_one_write(w, s, ops)
             return
+        lists = self.lists
         w.emit(f"if {ops.nonzero('tot')}:")
         with w.block():
-            w.emit("dks = [()]")
-            w.emit("dps = [tot]")
+            w.emit("dks = [()]" if lists else "nw = 1")
+            if lists:
+                w.emit("dps = [tot]")
             posts = _emit_binding(w, "v", s, self.step.view, self.origin)
             _emit_write(w, ops, "v", "()", "tot", posts)
             w.emit('COUNTER.bump("write", 1)')
         w.emit("else:")
         with w.block():
-            w.emit("dks = []")
-            w.emit("dps = []")
-        self.delta_tail()
+            w.emit("dks = []" if lists else "nw = 0")
+            if lists:
+                w.emit("dps = []")
+        self.delta_tail("len(dks)" if lists else "nw")
 
 
 def _emit_probe_stage(
     w: _Writer, s: int, j: int, join, ops: _Ops, arity: int, one: bool,
-    m: Optional[_Marginalize],
+    m: Optional[_Marginalize], single: bool,
 ) -> None:
     """One DIRECT or INDEXED sibling stage: each delta entry probes the
     sibling's table (``val``) or group index (``bucket``), and each
@@ -1033,17 +922,17 @@ def _emit_probe_stage(
     The probe is cached per distinct probe key.  A probe that covers the
     full delta key is not: coalesced keys are distinct, so every probe
     would miss, and one bulk ``lookups += len(dks)`` counts them.
-    Non-trivial probe keys come out of a C-level ``map(PG_s_j, ...)``; a
-    single-position getter yields the bare value, so the cache is keyed
-    by value and the probe tuple is built only on a miss.  With ``one``
-    the stage is the INDEXED fan-out of the one pair ``(dk, dp)``: one
-    bucket probe.
+    Other probe keys (a non-CROSS probe always has positions) come out
+    of a C-level ``map(PG_s_j, ...)``; a single-position getter yields
+    the bare value, so the cache is keyed by value and the probe tuple
+    is built only on a miss.  With ``one`` the stage is the INDEXED
+    fan-out of the one pair ``(dk, dp)``: one bucket probe.  Only a
+    batch (not ``single``) counts the probes its cache shared.
     """
     indexed = join.mode == INDEXED
     hit, table = ("bucket", "groups") if indexed else ("val", "data")
     probe = _proj("dk", join.probe_positions, arity)
     full_key = len(join.probe_positions) == arity
-    mapped = join.probe_positions and not full_key
     # An identity DIRECT probe runs its dict lookups inside ``map`` at C
     # speed, consumed by the zip.
     in_map = full_key and probe == "dk" and not indexed
@@ -1077,7 +966,7 @@ def _emit_probe_stage(
             w.emit("cget = cache.get")
         if in_map:
             w.emit("for dk, dp, val in zip(dks, dps, map(data.get, dks)):")
-        elif mapped:
+        elif not full_key:
             w.emit(f"for dk, dp, pk in zip(dks, dps, map(PG_{s}_{j}, dks)):")
         else:
             w.emit("for dk, dp in zip(dks, dps):")
@@ -1088,18 +977,17 @@ def _emit_probe_stage(
         elif full_key:
             w.emit(f"{hit} = {table}.get({probe})")
         else:
-            if not mapped:
-                w.emit(f"pk = {probe}")
             w.emit(f"{hit} = cget(pk, MISS)")
             w.emit(f"if {hit} is MISS:")
             with w.block():
                 w.emit("lookups += 1")
-                scalar = mapped and len(join.probe_positions) == 1
+                scalar = len(join.probe_positions) == 1
                 w.emit(f"{hit} = {table}.get({'(pk,)' if scalar else 'pk'})")
                 w.emit(f"cache[pk] = {hit}")
-            w.emit("else:")
-            with w.block():
-                w.emit("shared += 1")
+            if not single:  # only a batch reports its shared probes
+                w.emit("else:")
+                with w.block():
+                    w.emit("shared += 1")
         if not indexed:
             w.emit("if val is None:")
             with w.block():
@@ -1188,7 +1076,7 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, host=None)
                 if host is not None:
                     host(None)
                 return  # nothing reads the root's support but its index
-            w.emit(f"# step {s} ({step.variable}): its view's support")
+            w.emit(f"# step {s}: its view's support")
             if one:
                 w.emit(f"ck = {_proj('ck', step.out_positions, arity)}")
             elif host is None:
@@ -1198,7 +1086,7 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, host=None)
                 size = "nc"
             arity = len(step.out_positions)
             continue
-        w.emit(f"# step {s} ({step.variable}): guard membership")
+        w.emit(f"# step {s}: guard membership")
         looped = not one or any(join.mode != DIRECT for join in step.siblings)
         if looped:
             posts = _emit_binding(w, "g", s, step.guard, [None] * len(step.guard_positions))
@@ -1363,8 +1251,15 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
         join.mode != DIRECT for step in plan.steps for join in step.siblings
     )
     args = "key, payload" if single else "keys, pays"
+
+    def guarded(s: int) -> bool:  # a support step from s on reads keys
+        return any(st.guard is not None for st in plan.steps[s:])
+
     w.emit(f"def {name}({args}, stats=None):")
     with w.block():
+        if not write and plan.steps[0].support and not guarded(0):
+            w.emit("pass  # every view above the leaf is derived")
+            return
         w.emit(f"if {ops.is_zero('payload')}:" if single else "if not keys:")
         with w.block():
             w.emit("return")
@@ -1373,35 +1268,37 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
         w.emit("lookups = 0")
         if inline:
             w.emit("matches = 0")
+        if not single:
             w.emit("shared = 0")
         w.emit("try:")
         with w.block():
             arity = len(plan.leaf.schema.variables)
-            if single:
+            # A support step first takes the input keys as they are.
+            delta = not plan.steps[0].support
+            if single and delta:
                 w.emit("dk = key")
                 w.emit("dp = payload")
             elif one_loop:
                 _emit_support(w, plan, 0, False, lambda e: _emit_leaf_write(w, plan, ops, e))
-            else:
+            elif not single:
                 if write:
                     _emit_leaf_write(w, plan, ops)
-                w.emit("dks = keys")
-                w.emit("dps = pays")
+                if delta:
+                    w.emit("dks = keys")
+                    w.emit("dps = pays")
             # origin[q]: the input-key position that position q of every
             # delta key equals (None: it varies); one: the delta is the
             # single pair (dk, dp).
             origin = list(range(arity)) if single else [None] * arity
             one = single
             resume = len(plan.steps) if one_loop else 0
-
-            def guarded(s: int) -> bool:  # a support step from s on reads keys
-                return any(st.guard is not None for st in plan.steps[s:])
             for s, step in enumerate(plan.steps):
                 if s < resume:
                     continue  # it rode an earlier step's loop
                 if step.support:
                     if guarded(s):
-                        w.emit("ck = dk" if one else "cks = dks")
+                        keys = ("dk" if one else "dks") if s else ("key" if one else "keys")
+                        w.emit(f"ck = {keys}" if one else f"cks = {keys}")
                         _emit_support(w, plan, s, one)
                     break
                 if one and all(jn.mode == DIRECT for jn in step.siblings):
@@ -1417,11 +1314,11 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
                 reads = bool(after) and (not after[0].support or guarded(last.s + 1))
                 ride = reads and after[0].support and last.kind != "const" and (
                     last.step.lift is None and last.step.guard is None)
-                last.lists = last.step.lift is not None or (reads and not ride)
+                last.lists = reads and not ride
 
                 def run(event=None, arity=arity, one=one) -> None:
                     last.event = event
-                    w.emit(f"# step {s} ({step.variable})")
+                    w.emit(f"# step {s}")
                     for j, join in enumerate(step.siblings):
                         if one and join.mode == DIRECT:
                             # Before the fan-out: still one pair.
@@ -1432,7 +1329,7 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
                             _emit_cross_stage(w, s, j, join, ops, one)
                         else:
                             _emit_probe_stage(
-                                w, s, j, join, ops, arity, one, m if fused else None
+                                w, s, j, join, ops, arity, one, m if fused else None, single
                             )
                         if fused:
                             m.epilogue()
@@ -1475,13 +1372,14 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
                     w.emit("stats.record_probe_sharing(lookups, shared)")
 
 
-def _delta_source(plan: DeltaPlan) -> str:
+def _delta_body(plan: DeltaPlan) -> str:
     ops = _Ops(plan.ring)
     body = _Writer(indent=1)
     for name in ("push", "push_batch", "push_written"):
         _emit_body(body, plan, ops, name)
         body.emit()
-    return _wrap_factory(body, list(_delta_env(plan)), "push, push_batch, push_written")
+    body.emit("return push, push_batch, push_written")
+    return body.source()
 
 
 # ----------------------------------------------------------------------
@@ -1789,7 +1687,7 @@ def _emit_iterate(
                     recording = recording + [d]
                 slot = step.var_slot
                 backtrack = "return" if d == 0 else "continue"
-                w.emit(f"# depth {d} ({step.variable})")
+                w.emit(f"# depth {d}")
                 w.emit("guard_probes += 1")
                 w.emit("lookups += 1")
                 if drain:
@@ -1913,7 +1811,7 @@ def _emit_lookup(w: _Writer, factors, ops: _Ops, arity: int, snapshot=False) -> 
     return w
 
 
-def _enum_source(plan: EnumPlan) -> str:
+def _enum_body(plan: EnumPlan) -> str:
     ops = _Ops(plan.ring)
     body = _Writer(indent=1)
     _emit_iterate(body, plan, ops)
@@ -1930,39 +1828,38 @@ def _enum_source(plan: EnumPlan) -> str:
             body.emit()
             _emit_lookup(body, plan.lookup, ops, len(plan.head_positions), snapshot)
         returns = "iterate, iterate_epoch, lookup, lookup_epoch"
-    return _wrap_factory(body, list(_enum_env(plan)), returns)
+    body.emit(f"return {returns}")
+    return body.source()
 
 
 # ----------------------------------------------------------------------
-# Shape cache and kernel objects
+# Factory cache and kernel objects
 # ----------------------------------------------------------------------
 
-#: shape key -> (source, exec'd ``_make`` factory).  Process-global so
-#: identical shapes across engines and shards compile exactly once.
-_FACTORY_CACHE: dict[tuple, tuple[str, Any]] = {}
+#: function bodies -> (source, exec'd ``_make`` factory).  Process-global
+#: so equal bodies across plans, engines and shards compile exactly once.
+_FACTORY_CACHE: dict[str, tuple[str, Any]] = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def _factory_for(shape: tuple, build_source) -> tuple[tuple[str, Any], bool]:
-    """``((source, factory), cache_hit)`` for a plan shape."""
+def _factory_for(kind: str, body: str) -> tuple[tuple[str, Any], bool]:
+    """``((source, factory), cache_hit)`` for generated function bodies:
+    a miss wraps them (:func:`_wrap_factory`) and compiles."""
     with _CACHE_LOCK:
-        entry = _FACTORY_CACHE.get(shape)
+        entry = _FACTORY_CACHE.get(body)
     if entry is not None:
         return entry, True
-    source = build_source()
+    source = _wrap_factory(body)
     namespace: dict[str, Any] = {}
-    exec(compile(source, f"<repro-codegen:{shape[0]}>", "exec"), namespace)
+    exec(compile(source, f"<repro-codegen:{kind}>", "exec"), namespace)
     entry = (source, namespace["_make"])
     with _CACHE_LOCK:
-        existing = _FACTORY_CACHE.get(shape)
-        if existing is not None:
-            return existing, True
-        _FACTORY_CACHE[shape] = entry
-    return entry, False
+        existing = _FACTORY_CACHE.setdefault(body, entry)
+    return existing, existing is not entry
 
 
 def shape_cache_size() -> int:
-    """Number of distinct plan shapes compiled in this process."""
+    """Number of distinct factories compiled in this process."""
     with _CACHE_LOCK:
         return len(_FACTORY_CACHE)
 
@@ -1980,7 +1877,7 @@ class DeltaKernel:
     ``push(key, payload, stats)``, ``push_batch(keys, pays, stats)`` (it
     writes the leaf too) and ``push_written`` (for a written leaf) are the
     exec-compiled functions; ``source`` is the generated factory source
-    (shared across every plan of the same shape; dumped by
+    (shared by every plan that emits the same code; dumped by
     ``python -m repro explain --kernel-source``).  The code posts the
     group indexes its written relations carry at generation; a call that
     finds one more first re-emits it (:meth:`regenerate`).
@@ -1993,11 +1890,9 @@ class DeltaKernel:
 
     def generate(self) -> bool:
         """Bind ``push`` / ``push_batch`` for the plan's current index
-        sets; returns whether the shape cache already had the source."""
+        sets; returns whether an equal body was compiled before."""
         plan = self.plan
-        (self.source, make), hit = _factory_for(
-            _delta_shape(plan), lambda: _delta_source(plan)
-        )
+        (self.source, make), hit = _factory_for("delta", _delta_body(plan))
         env = _delta_env(plan)
         env["KERNEL"] = self
         self.push, self.push_batch, self.push_written = make(env)
@@ -2048,11 +1943,10 @@ class LookupKernel:
     def __init__(self, factors: tuple, ring: Semiring, head: tuple[str, ...]):
         self.args = (factors, ring, head)
         env = {"MUL": ring.mul, "IS_ZERO": ring.is_zero, "ZERO": ring.zero, "COUNTER": COUNTER}
-        env |= _lookup_env(factors, head)
-        shape = ("lookup", ring_identity(ring), len(head), _lookup_positions(factors))
-        (self.source, make), _ = _factory_for(shape, lambda: _wrap_factory(
-            _emit_lookup(_Writer(indent=1), factors, _Ops(ring), len(head)), list(env), "lookup"))
-        self.lookup = make(env)
+        body = _emit_lookup(_Writer(indent=1), factors, _Ops(ring), len(head))
+        body.emit("return lookup")
+        (self.source, make), _ = _factory_for("lookup", body.source())
+        self.lookup = make(env | _lookup_env(factors, head))
 
     def __reduce__(self):
         return (LookupKernel, self.args)
@@ -2070,7 +1964,8 @@ def _count(info: Optional[dict], start: float, hit: bool) -> None:
 def compile_delta_kernel(
     plan: DeltaPlan, info: Optional[dict] = None
 ) -> DeltaKernel:
-    """Generate (or fetch from the shape cache) the kernel for ``plan``."""
+    """Generate the kernel for ``plan``, reusing the factory of an equal
+    body (:func:`_factory_for`)."""
     start = perf_counter()
     kernel = DeltaKernel(plan)
     _count(info, start, kernel.generate())
@@ -2080,9 +1975,10 @@ def compile_delta_kernel(
 def compile_enum_kernel(
     plan: EnumPlan, info: Optional[dict] = None
 ) -> EnumKernel:
-    """Generate (or fetch from the shape cache) the kernel for ``plan``."""
+    """Generate the kernel for ``plan``, reusing the factory of an equal
+    body (:func:`_factory_for`)."""
     start = perf_counter()
-    (source, make), hit = _factory_for(_enum_shape(plan), lambda: _enum_source(plan))
+    (source, make), hit = _factory_for("enum", _enum_body(plan))
     kernel = EnumKernel(plan, source, *make(_enum_env(plan)))
     _count(info, start, hit)
     return kernel

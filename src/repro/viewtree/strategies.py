@@ -187,10 +187,10 @@ class LazyFact(MaintenanceStrategy):
         self.order = order
         self.lifting = lifting
         self.generated = generated
-        # Rebuilds hit the process-wide kernel shape cache, so only the
-        # first one pays generation time; the delta kernels a lazy
-        # rebuild never runs ride along for tens of microseconds against
-        # the O(N) rebuild itself.
+        # Rebuilds reuse the process-wide compiled factories, so only the
+        # first one compiles; every rebuild still emits each kernel's
+        # source (0.2-0.7 ms per delta kernel), small against the
+        # O(N) rebuild itself.
         self._engine = ViewTreeEngine(
             query, database, order, lifting, generated=generated
         )

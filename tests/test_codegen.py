@@ -8,16 +8,17 @@ the oracle — the same engine built with ``generated=False``, which runs
 the generic walk and shares no coalescing, planning or execution code
 with the kernels.  An engine whose kernel generation fails must be
 reported once (warning + ``codegen.fallbacks``) and be the oracle, with
-the same results.  Plus the satellites:
-the plan-shape cache must key on ring identity (never on relation or
-anchor names), kernels must survive pickling through process-pool
-shards, `explain --kernel-source` must be deterministic, the columnar
-coalescer must match `coalesce_grouped` exactly (float ring included),
-and the `repro.obs/1` payload must carry the codegen block.
+the same results.  Plus the satellites: kernels share a compiled
+factory exactly when they emit equal code (never by relation or anchor
+names), kernels must survive pickling through process-pool shards,
+`explain --kernel-source` must be deterministic, the columnar coalescer
+must match `coalesce_grouped` exactly (float ring included), and the
+`repro.obs/1` payload must carry the codegen block.
 """
 
 from __future__ import annotations
 
+import ast
 import gc
 import itertools
 import pickle
@@ -36,7 +37,7 @@ from repro.data.columnar import coalesce_columnar
 from repro.data.update import coalesce_grouped
 from repro.naive import evaluate
 from repro.obs import MaintenanceStats
-from repro.query import parse_query
+from repro.query import parse_query, search_order
 from repro.rings import (
     B,
     MIN_PLUS,
@@ -53,11 +54,11 @@ from repro.shard import ShardedEngine
 from repro.viewtree import ViewTreeEngine, make_strategy
 from repro.viewtree import engine as engine_module
 from repro.viewtree.codegen import (
+    EnumKernel,
     clear_shape_cache,
     compile_delta_kernel,
     compile_enum_kernel,
     new_codegen_info,
-    ring_identity,
     shape_cache_size,
 )
 
@@ -325,6 +326,8 @@ class TestShapeCache:
         query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
         schemas = [("R", ("Y", "X")), ("S", ("Y", "Z"))]
         first, _ = twin_engines(query, schemas, seed=97)
+        r, s = first._kernels["R"][0], first._kernels["S"][0]
+        assert r.push.__code__ is s.push.__code__  # one factory
         size_after_first = shape_cache_size()
         second, _ = twin_engines(query, schemas, seed=101)
         assert shape_cache_size() == size_after_first
@@ -348,14 +351,46 @@ class TestShapeCache:
             != with_float._kernels["R"][0].source
         )
 
-    def test_ring_identity_separates_instance_state(self):
-        assert ring_identity(Z) == ring_identity(IntegerRing())
-        assert ring_identity(FloatRing()) == ring_identity(R)
-        assert ring_identity(FloatRing(1e-6)) != ring_identity(R)
-        assert ring_identity(Z) != ring_identity(R)
-        assert ring_identity(
-            ProductRing(IntegerRing(), IntegerRing())
-        ) != ring_identity(ProductRing(IntegerRing(), FloatRing()))
+    def test_float_tolerances_share_a_factory_yet_zero_test_their_own(self):
+        # A tolerance is instance state the env binds (``IS_ZERO``), not
+        # emitted code: two FloatRings share every factory, and each
+        # engine cancels within its own tolerance, as its oracle does.
+        clear_shape_cache()
+        query = parse_query("Q(A) = R(A, B) * S(B)")
+        schemas = [("R", ("A", "B")), ("S", ("B",))]
+        order = search_order(query, require_free_top=True)
+        stream = [Update("S", (2,), 1.0), Update("R", (1, 2), 1.0), Update("R", (1, 2), -0.7)]
+        engines, outputs = [], []
+        for tolerance in (1e-12, 0.5):
+            twins = twin_engines(query, schemas, 107, order, ring=FloatRing(tolerance), rows=0)
+            if not engines:
+                size = shape_cache_size()
+            for update in stream:
+                for engine in twins:
+                    engine.apply(update)
+            assert dict(twins[0].enumerate()) == dict(twins[1].enumerate())
+            engines.append(twins[0])
+            outputs.append(set(dict(twins[0].enumerate())))
+        assert shape_cache_size() == size
+        info = engines[1]._codegen_info
+        assert info["cache_hits"] == info["kernels"] > 0
+        assert engines[0]._kernels["R"][0].source == engines[1]._kernels["R"][0].source
+        assert outputs == [{(1,)}, set()]
+
+    def test_every_kernel_carries_its_own_plans_source(self):
+        """Equal code compiles once (the shapes' 62 kernels to 42
+        factories), yet a kernel's ``source`` is what its own plan
+        emits: no comment names another plan's variable (``Q(Y, X,
+        Z)``'s S kernel shows no ``# step 0 (X)``)."""
+        clear_shape_cache()
+        kernels = every_shape_kernels()
+        assert (len(kernels), shape_cache_size()) == (62, 42)
+        for kernel in kernels:
+            clear_shape_cache()
+            compile_kernel = (
+                compile_enum_kernel if isinstance(kernel, EnumKernel) else compile_delta_kernel
+            )
+            assert compile_kernel(kernel.plan).source == kernel.source
 
     def test_fallback_counter_on_uncompilable_plan(self):
         # Generation of a malformed plan raises; the engine constructor
@@ -550,6 +585,44 @@ EVERY_SHAPE = [
     ("Q(A, C) = R(A, B) * S@s(B, C)", (), False),
     ("Q(B, A) = R(B, A) * S(B)", (), False),
 ]
+EVERY_SHAPE_IDS = [
+    text + "".join(f" fd {fd}" for fd in fds) + (" insert-only" if ins else "")
+    for text, fds, ins in EVERY_SHAPE
+]
+
+
+def shape_engine(query, fds, insert_only, generated=True):
+    """An ``IVMEngine`` over ``query`` on fresh tables, its static ones
+    filled."""
+    db = Database()
+    for atom in query.atoms:
+        if atom.relation not in db:
+            db.create(atom.relation, atom.variables)
+    for atom in query.static_atoms:
+        for key in itertools.product(range(3), repeat=len(atom.variables)):
+            db[atom.relation].add(key, 1)
+    return IVMEngine(query, db, fds, insert_only, generated=generated)
+
+
+def shape_kernels(engine) -> list:
+    """Every generated kernel of ``engine``: delta kernels, then the
+    enumeration kernel (none for a backend that generates none)."""
+    backend = engine.backend
+    kernels = [k for each in getattr(backend, "_kernels", {}).values() for k in each]
+    enum = getattr(backend, "_enum_kernel", None)
+    return kernels + ([enum] if enum is not None else [])
+
+
+def every_shape_kernels() -> list:
+    """The kernels of one generated engine per :data:`EVERY_SHAPE` row,
+    built in order (later ones hit the factory cache)."""
+    return [
+        kernel
+        for text, fd_texts, insert_only in EVERY_SHAPE
+        for kernel in shape_kernels(
+            shape_engine(parse_query(text), parse_fds(*fd_texts), insert_only)
+        )
+    ]
 
 
 def shape_stream(query, fds, insert_only, rng, count=240, domain=4):
@@ -585,25 +658,15 @@ class TestEveryShapeGenerates:
     @pytest.mark.parametrize(
         "text,fd_texts,insert_only",
         EVERY_SHAPE,
-        ids=[
-            text + "".join(f" fd {fd}" for fd in fds) + (" insert-only" if ins else "")
-            for text, fds, ins in EVERY_SHAPE
-        ],
+        ids=EVERY_SHAPE_IDS,
     )
     def test_builds_derives_and_agrees(self, text, fd_texts, insert_only):
         query, fds = parse_query(text), parse_fds(*fd_texts)
         engines = []
         for generated in (True, False):
-            db = Database()
-            for atom in query.atoms:
-                if atom.relation not in db:
-                    db.create(atom.relation, atom.variables)
-            for atom in query.static_atoms:
-                for key in itertools.product(range(3), repeat=len(atom.variables)):
-                    db[atom.relation].add(key, 1)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                engine = IVMEngine(query, db, fds, insert_only, generated=generated)
+                engine = shape_engine(query, fds, insert_only, generated)
             assert [str(w.message) for w in caught] == []
             assert engine.attach_stats().codegen_fallbacks == 0
             engines.append(engine)
@@ -641,17 +704,39 @@ class TestEveryShapeGenerates:
             assert dict(engine.enumerate()) == dict(oracle.enumerate()) == full
 
 
+def unread_names(source: str, locals_too: bool = True) -> set[str]:
+    """Names a factory ``source`` binds from its env that no function
+    loads and, with ``locals_too``, names a function assigns (``=`` or
+    ``+=``; loop targets aside) that none of its lines loads."""
+    make = ast.parse(source).body[0]
+    functions = [node for node in make.body if isinstance(node, ast.FunctionDef)]
+
+    def names(tree, ctx) -> set[str]:
+        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+
+    loaded = [names(function, ast.Load) for function in functions]
+    bound = {t.id for node in make.body if isinstance(node, ast.Assign) for t in node.targets}
+    unread = bound - set().union(*loaded)
+    for function, loads in zip(functions, loaded) if locals_too else ():
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unread |= {n for t in targets for n in names(t, ast.Store)} - loads
+    return unread
+
+
 class TestNoUnreadState:
     """A kernel builds no state no later line reads: no ``ck = dk`` after
-    an unguarded support step (the only step of ``Q(A) = R(A)``), and no
+    an unguarded support step (the only step of ``Q(A) = R(A)``); no
     ``out_k`` / ``out_p`` lists or ``cks = dks`` tail after the last
     written step (``V_B`` on ``Q(A, C)``, whose ``G_A`` flips ride its
-    postings)."""
+    postings), and no ``dks`` / ``dps`` lists there when only their
+    length is read; no ``gget`` for a guard, whose writes are flips."""
 
     @pytest.mark.parametrize(
         "text,relation",
         [("Q(A) = R(A)", "R"), ("Q(A, C) = R(A, B) * S(B, C)", "R"),
-         ("Q(A, C) = R(A, B) * S(B, C)", "S")],
+         ("Q(A, C) = R(A, B) * S(B, C)", "S"), ("Q(Y, X, Z) = R(Y, X) * S(Y, Z)", "R")],
     )
     def test_generated_source(self, text, relation):
         query = parse_query(text)
@@ -659,8 +744,17 @@ class TestNoUnreadState:
         for atom in query.atoms:
             db.create(atom.relation, atom.variables)
         source = IVMEngine(query, db).backend._kernels[relation][0].source
-        for line in ("ck = dk", "cks = dks", "out_k", "out_p"):
+        for line in ("ck = dk", "cks = dks", "out_k", "out_p", "dks = []", "gget"):
             assert line not in source, line
+
+    @pytest.mark.parametrize("text,fd_texts,insert_only", EVERY_SHAPE, ids=EVERY_SHAPE_IDS)
+    def test_every_binding_and_delta_local_is_read(self, text, fd_texts, insert_only):
+        """Every env name a factory binds is read; every local a delta
+        kernel assigns is read (``Q(Y, X, Z)``'s ``gget`` and ``MUL``
+        included)."""
+        engine = shape_engine(parse_query(text), parse_fds(*fd_texts), insert_only)
+        for kernel in shape_kernels(engine):
+            assert unread_names(kernel.source, not isinstance(kernel, EnumKernel)) == set()
 
 
 class TestExplainCLI:

@@ -678,6 +678,55 @@ class TestSupportDifferential:
         assert dict(compiled.enumerate()) == {}
 
 
+#: Written steps no other suite reaches, under explicit orders: ``Q()``
+#: under A → B crosses the independent subtree ``V_B()`` (a CROSS stage,
+#: in U's kernel and, one level up, in S's), and under A → B{R, S} →
+#: C{T} an R or S push probes its DIRECT sibling with the one pair
+#: before it fans out over ``V_C``'s index.
+RARE_PATHS = [
+    (
+        "Q() = U(A) * S(B)",
+        [("U", ("A",)), ("S", ("B",))],
+        ("A", ["U"], [("B", ["S"], [])]),
+        ("U", "entries = list(data.items())"),
+    ),
+    (
+        "Q(A) = U(A) * R(B) * S(B) * T(A, B, C)",
+        [("U", ("A",)), ("R", ("B",)), ("S", ("B",)), ("T", ("A", "B", "C"))],
+        ("A", ["U"], [("B", ["R", "S"], [("C", ["T"], [])])]),
+        ("R", "val = REL_0_0.data.get(dk)\n            if val is None:\n                return"),
+    ),
+]
+
+
+class TestRareEmitterPaths:
+    """The generated engine, the oracle and ``repro.naive`` agree on the
+    shapes of :data:`RARE_PATHS`, over single applies and batches."""
+
+    @pytest.mark.parametrize("ring,deletes", SUPPORT_RINGS, ids=SUPPORT_RING_IDS)
+    @pytest.mark.parametrize(
+        "text,schemas,spec,emitted", RARE_PATHS, ids=["cross", "direct-then-fan-out"]
+    )
+    def test_generated_oracle_and_naive_agree(self, text, schemas, spec, emitted, ring, deletes):
+        query = parse_query(text)
+        order = validate_order(query, [_order_node(query, spec)])
+        twins = twin_engines(query, schemas, 53, order=order, ring=ring, rows=25)
+        relation, line = emitted
+        assert line in twins[0]._kernels[relation][0].source
+        stream = ring_stream(ring, deletes, schemas, 240, 59)
+        for start in range(0, len(stream), 60):
+            chunk = stream[start:start + 60]
+            for engine in twins:
+                if start % 120:  # every other chunk is one batch
+                    engine.apply_batch(chunk)
+                else:
+                    for update in chunk:
+                        engine.apply(update)
+            assert_twins_agree(*twins)
+            naive = evaluate(query, twins[0].database).to_dict()
+            assert dict(twins[0].enumerate()) == naive
+
+
 class TestCompiledPlans:
     def test_plans_cover_all_anchors(self):
         query = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")

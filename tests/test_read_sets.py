@@ -96,8 +96,7 @@ class TestWriteCount:
         assert tree["C"].view.to_dict() == walked["C"].view.to_dict()
         output = dict(engine.enumerate())
         assert output == dict(oracle.enumerate())
-        # B before C: the naive join walks S(b, ·) per R(a, b), not every C per A.
-        naive = evaluate(parse_query(HIER), db, variable_order=("A", "B", "C"))
+        naive = evaluate(parse_query(HIER), db)
         assert output == naive.to_dict()
 
 
