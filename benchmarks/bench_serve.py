@@ -42,7 +42,6 @@ WRITERS = 4
 READERS = 2
 PREFILL = 200
 DOMAIN = 64
-HIGH_WATER = 2048
 SEED = 23
 
 CONFIGS = (
@@ -68,12 +67,7 @@ def _fresh_engine(query):
 
 def _serve(query, max_batch, max_delay):
     engine = _fresh_engine(query)
-    server = AsyncIVMServer(
-        engine,
-        max_batch=max_batch,
-        max_delay=max_delay,
-        high_water=HIGH_WATER,
-    )
+    server = AsyncIVMServer(engine, max_batch=max_batch, max_delay=max_delay)
     stats = server.attach_stats()
 
     async def run():
@@ -147,7 +141,6 @@ def _serve_table():
             "readers": READERS,
             "prefill": PREFILL,
             "domain": DOMAIN,
-            "high_water": HIGH_WATER,
             "seed": SEED,
             "configs": [
                 {"label": label, "max_batch": batch, "max_delay": delay}

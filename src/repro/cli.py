@@ -389,13 +389,6 @@ def run_serve(args: argparse.Namespace) -> int:
         shards=args.shards,
         shard_executor=args.shard_executor,
     )
-    server = AsyncIVMServer(
-        engine,
-        max_batch=args.max_batch,
-        max_delay=args.max_delay / 1000.0,
-        high_water=args.high_water,
-    )
-    stats = server.attach_stats()
 
     async def run() -> dict:
         async with server:
@@ -415,6 +408,12 @@ def run_serve(args: argparse.Namespace) -> int:
             )
 
     try:
+        server = AsyncIVMServer(
+            engine,
+            max_batch=args.max_batch,
+            max_delay=args.max_delay / 1000.0,
+        )
+        stats = server.attach_stats()
         summary = asyncio.run(run())
         if plan.strategy == "sharded-viewtree":
             stats = engine.backend.merged_stats()
@@ -426,7 +425,7 @@ def run_serve(args: argparse.Namespace) -> int:
     print(
         f"serving:  {args.writers} writers + {args.readers} readers, "
         f"max_batch={args.max_batch} max_delay={args.max_delay:g}ms "
-        f"high_water={args.high_water} reads={reads_mode}"
+        f"reads={reads_mode}"
     )
     print()
     print(stats.render())
@@ -468,7 +467,6 @@ def run_serve(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "max_batch": args.max_batch,
                 "max_delay_ms": args.max_delay,
-                "high_water": args.high_water,
                 "per_update": args.max_batch == 1,
                 "snapshot_reads": server.snapshot_reads,
                 "generated": engine.generated,
@@ -616,15 +614,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_parser.add_argument(
         "--max-batch", type=int, default=256,
-        help="group-commit size trigger (default 256)",
+        help="group-commit size trigger and queue bound: submit() blocks "
+        "while a full batch waits to be sealed (default 256)",
     )
     serve_parser.add_argument(
         "--max-delay", type=float, default=2.0, metavar="MS",
         help="group-commit latency trigger in milliseconds (default 2)",
-    )
-    serve_parser.add_argument(
-        "--high-water", type=int, default=4096,
-        help="queue depth at which submit() blocks (default 4096)",
     )
     serve_parser.add_argument(
         "--smoke", action="store_true",

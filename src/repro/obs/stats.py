@@ -408,7 +408,7 @@ class MaintenanceStats:
             self.submits += count
 
     def record_backpressure(self, seconds: float) -> None:
-        """One submit blocked at the high-water mark for ``seconds``."""
+        """One submit blocked behind a full batch for ``seconds``."""
         with self._lock:
             self.backpressure_waits += 1
             self.backpressure_wait.record(seconds)

@@ -5,11 +5,11 @@ answer "how fast can one batch be maintained?"; this package answers the
 production question the paper frames in its introduction — keeping a
 view fresh **while it is being queried**.  Three pieces:
 
-* :class:`GroupCommitQueue` — a bounded asyncio queue whose consumer
-  side seals adaptive group commits: a batch closes when it reaches the
-  size cap **or** its oldest update hits the latency deadline, whichever
-  fires first.  Producers get backpressure (``put`` awaits) at the
-  high-water mark.
+* :class:`GroupCommitQueue` — a queue of at most one batch, enough to
+  keep the committer busy, whose consumer side seals adaptive group
+  commits: a batch closes when it reaches the size cap **or** its oldest
+  update hits the latency deadline, whichever fires first.  Producers
+  get backpressure (``put`` awaits) while a full batch waits to seal.
 * :class:`AsyncIVMServer` — accepts concurrent ``submit()`` writers,
   group-commits sealed batches into ``engine.apply_batch``, and
   answers ``lookup()`` / ``enumerate()`` / ``scalar()`` from committed

@@ -3,15 +3,21 @@
 :class:`GroupCommitQueue` is the ingestion buffer between concurrent
 asyncio writers and the single committer task of
 :class:`~repro.serve.server.AsyncIVMServer`.  Writers ``put`` updates
-(awaiting at the high-water mark — that wait *is* the backpressure
-signal); the committer calls :meth:`GroupCommitQueue.collect`, which
-seals a batch when it reaches ``max_batch`` updates **or** when the
-oldest queued update has waited ``max_delay`` seconds, whichever fires
-first.  The size trigger bounds per-commit work; the deadline trigger
-bounds read staleness under a trickle of writers.  A deadline or drain
-seal means the loop sat idle, so the server commits inline; a size seal
-means it is saturated, so an engine with epoch snapshots commits on a
-worker thread.
+(awaiting while a full batch waits to be sealed — that wait *is* the
+backpressure signal); the committer calls
+:meth:`GroupCommitQueue.collect`, which seals a batch when it reaches
+``max_batch`` updates **or** when the oldest queued update has waited
+``max_delay`` seconds, whichever fires first.  The size trigger bounds
+per-commit work; the deadline trigger bounds read staleness under a
+trickle of writers.  A deadline or drain seal means the loop sat idle,
+so the server commits inline; a size seal means it is saturated, so an
+engine with epoch snapshots commits on a worker thread.
+
+One batch committing plus one queued keeps the committer busy: writers
+and commits share one interpreter lock, so a deeper queue would only
+hold updates longer before they become visible.  A blocked ``put``
+waits in line, and each seal admits the waiting items, oldest first,
+into the room the sealed batch left.
 
 Items stay queued until their batch seals, so ``len`` and
 ``oldest_arrival`` cover every update not yet committed, and the
@@ -37,22 +43,21 @@ class QueueClosed(RuntimeError):
 class GroupCommitQueue:
     """Bounded FIFO of ``(arrival, item)`` pairs with batch sealing.
 
-    ``high_water`` bounds the number of queued items; producers block in
-    :meth:`put` (and are told how long they waited) while the queue sits
-    at the mark.  :meth:`collect` is single-consumer.
+    ``max_batch`` is both the seal length and the bound: producers block
+    in :meth:`put` (and are told how long they waited) while a full
+    batch waits to be sealed.  :meth:`collect` is single-consumer.
     """
 
-    def __init__(self, high_water: int = 4096):
-        if high_water < 1:
-            raise ValueError("high_water must be at least 1")
-        self.high_water = high_water
+    def __init__(self, max_batch: int):
+        if max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
+        self.max_batch = max_batch
         self.closed = False
         self._items: deque[tuple[float, Any]] = deque()
+        #: Blocked ``put`` calls in arrival order: ``(admitted, item)``.
+        self._waiting: deque[tuple[asyncio.Future, Any]] = deque()
         self._wake = asyncio.Event()
-        self._not_full = asyncio.Event()
-        self._not_full.set()
-        #: Set by ``collect``: the length and delay that seal a batch.
-        self._seal_at = high_water
+        #: Set by ``collect``: the delay that seals a short batch.
         self._max_delay = 0.0
         self._timer: asyncio.TimerHandle | None = None
 
@@ -65,7 +70,7 @@ class GroupCommitQueue:
         return self._items[0][0] if self._items else None
 
     def close(self) -> None:
-        """Refuse further ``put``s and wake every waiter.
+        """Refuse further ``put``s (blocked ones raise) and wake the committer.
 
         Items already queued stay collectable: subsequent
         :meth:`collect` calls drain them (trigger ``"drain"``) and then
@@ -73,24 +78,29 @@ class GroupCommitQueue:
         """
         self.closed = True
         self._wake.set()
-        self._not_full.set()
+        while self._waiting:
+            admitted, _ = self._waiting.popleft()
+            if not admitted.done():
+                admitted.set_exception(QueueClosed("queue is closed"))
 
     async def put(self, item: Any) -> float:
         """Enqueue ``item``; return seconds spent blocked on backpressure."""
-        waited = 0.0
-        while len(self._items) >= self.high_water and not self.closed:
-            self._not_full.clear()
-            start = time.perf_counter()
-            await self._not_full.wait()
-            waited += time.perf_counter() - start
         if self.closed:
             raise QueueClosed("queue is closed")
+        if len(self._items) >= self.max_batch:
+            # Waiters exist only while the queue is full (``collect``
+            # admits them into every free slot), so this is the line.
+            admitted = asyncio.get_running_loop().create_future()
+            self._waiting.append((admitted, item))
+            start = time.perf_counter()
+            await admitted
+            return time.perf_counter() - start
         self._items.append((time.perf_counter(), item))
-        if len(self._items) >= self._seal_at:
+        if len(self._items) >= self.max_batch:
             self._wake.set()
         elif len(self._items) == 1:
             self._arm(self._max_delay)
-        return waited
+        return 0.0
 
     def _arm(self, delay: float) -> None:
         self._timer = asyncio.get_running_loop().call_later(
@@ -102,29 +112,29 @@ class GroupCommitQueue:
         self._wake.set()
 
     async def collect(
-        self, max_batch: int, max_delay: float
+        self, max_delay: float
     ) -> tuple[list, str, int, float] | None:
         """Seal and return the next group commit.
 
         Returns ``(batch, trigger, depth, oldest_arrival)`` where
         ``trigger`` is ``"size"`` / ``"deadline"`` / ``"drain"`` and
-        ``depth`` is the queue depth at seal time (the sealed batch plus
-        whatever is still waiting behind it) — or ``None`` once the
-        queue is closed and empty.  A full queue seals by size.
+        ``depth`` is the queue depth at seal time (the whole queue) — or
+        ``None`` once the queue is closed and empty.  Blocked ``put``
+        calls then fill the room the batch left, oldest first.
         """
-        self._seal_at = min(max(max_batch, 1), self.high_water)
         self._max_delay = max_delay
+        items = self._items
         while True:
-            if len(self._items) >= self._seal_at:
+            if len(items) >= self.max_batch:
                 trigger = "size"
                 break
             if self.closed:
-                if not self._items:
+                if not items:
                     return None
                 trigger = "drain"
                 break
-            if self._items:
-                remaining = self._items[0][0] + max_delay - time.perf_counter()
+            if items:
+                remaining = items[0][0] + max_delay - time.perf_counter()
                 if remaining <= 0:
                     trigger = "deadline"
                     break
@@ -135,8 +145,14 @@ class GroupCommitQueue:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        depth, oldest = len(self._items), self._items[0][0]
-        pop = self._items.popleft
-        batch = [pop()[1] for _ in range(min(depth, self._seal_at))]
-        self._not_full.set()
+        depth, oldest = len(items), items[0][0]
+        batch = [item for _, item in items]
+        items.clear()
+        now = time.perf_counter()
+        waiting = self._waiting
+        while waiting and len(items) < self.max_batch:
+            admitted, item = waiting.popleft()
+            if not admitted.cancelled():
+                items.append((now, item))
+                admitted.set_result(None)
         return batch, trigger, depth, oldest

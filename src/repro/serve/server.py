@@ -4,7 +4,10 @@
 :class:`~repro.core.engine.IVMEngine` facade or a backend directly).
 Concurrent writer tasks ``await server.submit(update)``; a single
 committer task seals adaptive group commits off a
-:class:`~repro.serve.batcher.GroupCommitQueue`.
+:class:`~repro.serve.batcher.GroupCommitQueue`, which holds at most the
+next batch while one commits: writers and commits share one interpreter
+lock, so a deeper queue adds no throughput, only delay before an update
+is visible.
 
 The engine alone decides how reads see commits.  An engine with epoch
 snapshots (``supports_snapshots``) publishes a new epoch after each
@@ -91,12 +94,12 @@ class AsyncIVMServer(Observable):
         instead of probing for methods.
     max_batch:
         Size trigger — a commit seals as soon as this many updates are
-        pending.  ``1`` degenerates to per-update commits.
+        pending — and the queue bound: ``submit`` awaits while a full
+        batch waits to be sealed (backpressure).  ``1`` degenerates to
+        per-update commits.
     max_delay:
         Latency trigger in seconds — a commit seals once its oldest
         update has waited this long, even if the batch is short.
-    high_water:
-        Queue bound at which ``submit`` starts blocking (backpressure).
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly.  On an engine with snapshots, size-sealed
@@ -112,16 +115,16 @@ class AsyncIVMServer(Observable):
         *,
         max_batch: int = 256,
         max_delay: float = 0.002,
-        high_water: int = 4096,
         stats: MaintenanceStats | None = None,
     ):
+        if max_delay < 0:
+            raise ValueError("max_delay must be non-negative")
         self.engine = engine
-        self.max_batch = max(int(max_batch), 1)
-        self.max_delay = max(float(max_delay), 0.0)
+        self.queue = GroupCommitQueue(max_batch)
+        self.max_delay = max_delay
         #: Reads answer from published epochs, not the live state: the
         #: engine's ``supports_snapshots``, never a choice.
         self.snapshot_reads = bool(engine.supports_snapshots)
-        self.queue = GroupCommitQueue(high_water)
         self._inflight_oldest: float | None = None
         self._idle = asyncio.Event()
         self._idle.set()
@@ -194,7 +197,7 @@ class AsyncIVMServer(Observable):
     # ------------------------------------------------------------------
 
     async def submit(self, update: Any) -> None:
-        """Enqueue one update; awaits while the queue is at high water."""
+        """Enqueue one update; awaits while a full batch waits to seal."""
         self._reraise()
         if self._closed:
             raise RuntimeError("server is stopped")
@@ -384,7 +387,7 @@ class AsyncIVMServer(Observable):
     async def _commit_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            sealed = await self.queue.collect(self.max_batch, self.max_delay)
+            sealed = await self.queue.collect(self.max_delay)
             if sealed is None:
                 return
             batch, trigger, depth, oldest = sealed

@@ -1481,8 +1481,9 @@ def _emit_iterate(
     it is yielded.  The walk's last product is ``p * v`` with ``p`` a
     product of ``ONE`` factors, so ``payloads`` maps that product over
     the bucket's ``V`` values; for an integer ring, where ``p`` is ``1``,
-    it is the values bare.  Its zero test is not emitted: a stored ``v``
-    is non-zero, and so is ``ONE`` times it.
+    it is the values bare, and ``payload`` is not bound.  Its zero test
+    is not emitted: a stored ``v`` is non-zero, and so is ``ONE`` times
+    it.
     """
     steps = plan.steps
     last = len(steps) - 1
@@ -1542,7 +1543,8 @@ def _emit_iterate(
                         w.emit(f"ld_{d}_{k}, ld_{d}_{k}u = data_of(LEAF_{d}_{k})")
                     for k in range(len(step.post_probes)):
                         w.emit(f"pd_{d}_{k}, pd_{d}_{k}u = data_of(POST_{d}_{k})")
-            w.emit("payload = ONE")
+            if not (drain and bare):  # a bare drain multiplies nothing
+                w.emit("payload = ONE")
             for i in range(len(plan.prefix_probes)):
                 # Prefix probes precede every free step, so no slot is
                 # bound yet and the probe key is always the empty tuple.
@@ -1585,6 +1587,14 @@ def _emit_iterate(
                     if positions == steps[j].probe_positions:
                         return f"key_{j}"
                 return _slot_tuple(positions)
+
+            # ``buckets`` yields no head tuple and probes nothing but
+            # groups, so it binds a slot only for a group key it spells.
+            drained_slots = set()
+            for d in range(1, len(steps)):
+                positions = steps[d].group_positions
+                if key_for(d - 1, positions) == _slot_tuple(positions):
+                    drained_slots.update(positions)
 
             def row(d: int) -> str:
                 # What a replay needs of depths d..last: each slot value,
@@ -1701,7 +1711,8 @@ def _emit_iterate(
                     w.emit(f"for key_{d} in cands_{d}:")
                     with w.block():
                         w.emit("enums += 1")
-                        w.emit(f"s{slot} = key_{d}[{step.var_pos}]")
+                        if slot in drained_slots:
+                            w.emit(f"s{slot} = key_{d}[{step.var_pos}]")
                         emit_depth(d + 1, emit_products(d, p, True, recording), recording)
                     return
                 w.emit(f"if pv_{d} is MISS:")

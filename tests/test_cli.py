@@ -341,3 +341,7 @@ class TestErrors:
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_serve_rejects_an_empty_batch(self):
+        with pytest.raises(ValueError, match="max_batch must be at least 1"):
+            main(["serve", "Q(A) = R(A,B) * S(B)", "--max-batch", "0"])

@@ -704,10 +704,10 @@ class TestEveryShapeGenerates:
             assert dict(engine.enumerate()) == dict(oracle.enumerate()) == full
 
 
-def unread_names(source: str, locals_too: bool = True) -> set[str]:
+def unread_names(source: str) -> set[str]:
     """Names a factory ``source`` binds from its env that no function
-    loads and, with ``locals_too``, names a function assigns (``=`` or
-    ``+=``; loop targets aside) that none of its lines loads."""
+    loads, and names a function assigns (``=`` or ``+=``; loop targets
+    aside) that none of its lines loads."""
     make = ast.parse(source).body[0]
     functions = [node for node in make.body if isinstance(node, ast.FunctionDef)]
 
@@ -717,7 +717,7 @@ def unread_names(source: str, locals_too: bool = True) -> set[str]:
     loaded = [names(function, ast.Load) for function in functions]
     bound = {t.id for node in make.body if isinstance(node, ast.Assign) for t in node.targets}
     unread = bound - set().union(*loaded)
-    for function, loads in zip(functions, loaded) if locals_too else ():
+    for function, loads in zip(functions, loaded):
         for node in ast.walk(function):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -731,7 +731,9 @@ class TestNoUnreadState:
     ``out_k`` / ``out_p`` lists or ``cks = dks`` tail after the last
     written step (``V_B`` on ``Q(A, C)``, whose ``G_A`` flips ride its
     postings), and no ``dks`` / ``dps`` lists there when only their
-    length is read; no ``gget`` for a guard, whose writes are flips."""
+    length is read; no ``gget`` for a guard, whose writes are flips; no
+    ``payload`` or slot local in a drained-bucket walk that reads
+    neither (``Q(A, C)``'s ``buckets``)."""
 
     @pytest.mark.parametrize(
         "text,relation",
@@ -750,11 +752,11 @@ class TestNoUnreadState:
     @pytest.mark.parametrize("text,fd_texts,insert_only", EVERY_SHAPE, ids=EVERY_SHAPE_IDS)
     def test_every_binding_and_delta_local_is_read(self, text, fd_texts, insert_only):
         """Every env name a factory binds is read; every local a delta
-        kernel assigns is read (``Q(Y, X, Z)``'s ``gget`` and ``MUL``
-        included)."""
+        or enumeration kernel assigns is read (``Q(Y, X, Z)``'s ``gget``
+        and ``MUL`` included)."""
         engine = shape_engine(parse_query(text), parse_fds(*fd_texts), insert_only)
         for kernel in shape_kernels(engine):
-            assert unread_names(kernel.source, not isinstance(kernel, EnumKernel)) == set()
+            assert unread_names(kernel.source) == set()
 
 
 class TestExplainCLI:

@@ -88,23 +88,23 @@ def record_threads(engine):
 class TestGroupCommitQueue:
     def test_size_trigger(self):
         async def run():
-            queue = GroupCommitQueue(high_water=64)
-            for i in range(10):
+            queue = GroupCommitQueue(4)
+            for i in range(4):
                 await queue.put(i)
-            batch, trigger, depth, _ = await queue.collect(4, 60.0)
+            batch, trigger, depth, _ = await queue.collect(60.0)
             assert batch == [0, 1, 2, 3]
             assert trigger == "size"
-            assert depth == 10
+            assert depth == 4
             return len(queue)
 
-        assert asyncio.run(run()) == 6
+        assert asyncio.run(run()) == 0
 
     def test_deadline_trigger_flushes_partial_batch(self):
         async def run():
-            queue = GroupCommitQueue(high_water=64)
+            queue = GroupCommitQueue(1000)
             await queue.put("only")
             start = time.perf_counter()
-            batch, trigger, depth, _ = await queue.collect(1000, 0.01)
+            batch, trigger, depth, _ = await queue.collect(0.01)
             waited = time.perf_counter() - start
             assert batch == ["only"]
             assert trigger == "deadline"
@@ -115,42 +115,43 @@ class TestGroupCommitQueue:
 
     def test_close_drains_then_signals_done(self):
         async def run():
-            queue = GroupCommitQueue(high_water=64)
+            queue = GroupCommitQueue(1000)
             await queue.put("a")
             await queue.put("b")
             queue.close()
-            batch, trigger, _, _ = await queue.collect(1000, 60.0)
+            batch, trigger, _, _ = await queue.collect(60.0)
             assert batch == ["a", "b"]
             assert trigger == "drain"
-            assert await queue.collect(1000, 60.0) is None
+            assert await queue.collect(60.0) is None
             with pytest.raises(QueueClosed):
                 await queue.put("c")
 
         asyncio.run(run())
 
     @pytest.mark.parametrize(
-        "high_water, max_batch, max_delay, script, batch, trigger",
+        "max_batch, max_delay, script, batch, trigger",
         [
             # max_batch reached long before the one-minute deadline
-            (64, 4, 60.0, "put sleep put put sleep put", 4, "size"),
+            (4, 60.0, "put sleep put put sleep put", 4, "size"),
             # close() seals what is pending without waiting it out
-            (64, 1000, 60.0, "put sleep put close", 2, "drain"),
-            # a full queue seals at once: its producers are blocked
-            (3, 1000, 60.0, "put put sleep put put", 3, "size"),
+            (1000, 60.0, "put sleep put close", 2, "drain"),
+            # a full queue seals at once; the put behind it waits for
+            # the seal and fills the room the batch left
+            (3, 60.0, "put put sleep put put", 3, "size"),
             # a trickle below max_batch: one batch, at the deadline
-            (64, 1000, 0.05, "put sleep put sleep put", 3, "deadline"),
+            (1000, 0.05, "put sleep put sleep put", 3, "deadline"),
         ],
-        ids=["size", "drain", "high-water", "trickle"],
+        ids=["size", "drain", "full", "trickle"],
     )
     def test_arrivals_during_collect_seal_one_batch(
-        self, high_water, max_batch, max_delay, script, batch, trigger
+        self, max_batch, max_delay, script, batch, trigger
     ):
         """Items arriving while ``collect`` waits stay queued, and the
         committer wakes once: at the seal length, the deadline or
         ``close()`` — not once per arrival."""
 
         async def run():
-            queue = GroupCommitQueue(high_water=high_water)
+            queue = GroupCommitQueue(max_batch)
             wakes = 0
             inner_wait = queue._wake.wait
 
@@ -173,7 +174,7 @@ class TestGroupCommitQueue:
             loop = asyncio.get_running_loop()
             start = time.perf_counter()
             task = loop.create_task(producer())
-            sealed = await queue.collect(max_batch, max_delay)
+            sealed = await queue.collect(max_delay)
             waited = time.perf_counter() - start
             await task
             return sealed, waited, wakes
@@ -188,9 +189,9 @@ class TestGroupCommitQueue:
         else:
             assert waited < 5.0  # did not wait out the deadline
 
-    def test_put_blocks_at_high_water(self):
+    def test_put_blocks_at_one_batch(self):
         async def run():
-            queue = GroupCommitQueue(high_water=2)
+            queue = GroupCommitQueue(2)
             await queue.put(1)
             await queue.put(2)
 
@@ -199,12 +200,38 @@ class TestGroupCommitQueue:
 
             task = asyncio.get_running_loop().create_task(producer())
             await asyncio.sleep(0.01)
-            assert not task.done()  # blocked at the mark
+            assert not task.done()  # blocked behind a full batch
             assert len(queue) == 2
-            await queue.collect(2, 0.0)
+            await queue.collect(0.0)
             waited = await task
             assert waited > 0.0
             assert len(queue) == 1
+
+        asyncio.run(run())
+
+    def test_blocked_puts_are_admitted_in_arrival_order(self):
+        """At a seal the waiting puts fill the freed room oldest first
+        (a cancelled one is skipped); the rest keep waiting, and
+        ``close()`` refuses them."""
+
+        async def run():
+            queue = GroupCommitQueue(2)
+            await queue.put("a")
+            await queue.put("b")
+            loop = asyncio.get_running_loop()
+            tasks = {name: loop.create_task(queue.put(name)) for name in "cdef"}
+            await asyncio.sleep(0.01)
+            tasks["d"].cancel()
+            batch, _, depth, _ = await queue.collect(60.0)
+            assert (batch, depth) == (["a", "b"], 2)
+            await asyncio.sleep(0)
+            assert tasks["c"].done() and tasks["e"].done()
+            assert not tasks["f"].done()  # no room left for it
+            queue.close()
+            with pytest.raises(QueueClosed):
+                await tasks["f"]
+            batch, trigger, _, _ = await queue.collect(60.0)
+            assert (batch, trigger) == (["c", "e"], "size")
 
         asyncio.run(run())
 
@@ -232,7 +259,7 @@ class TestGroupCommitEquivalence:
 
         async def run():
             async with AsyncIVMServer(
-                engine, max_batch=32, max_delay=0.001, high_water=128
+                engine, max_batch=32, max_delay=0.001
             ) as server:
                 server.attach_stats()
 
@@ -533,28 +560,50 @@ class TestLoadGenerator:
         assert summary["read_rate"] == summary["reads"] / summary["seconds"]
 
 
+def slow_engine(text):
+    """A fresh engine whose ``apply_batch`` sleeps 2 ms first, with the
+    list of committed batch lengths."""
+    query, engine = fresh_engine(text)
+    sizes = []
+    inner_apply = engine.apply_batch
+
+    def slow_apply(batch):
+        time.sleep(0.002)
+        sizes.append(len(batch))
+        inner_apply(batch)
+
+    engine.apply_batch = slow_apply
+    return query, engine, sizes
+
+
+def record_seals(server):
+    """Wrap ``server.queue.collect`` to log every seal's
+    ``(trigger, depth, batch length)``."""
+    seals = []
+    inner_collect = server.queue.collect
+
+    async def collect(*args):
+        sealed = await inner_collect(*args)
+        if sealed is not None:
+            batch, trigger, depth, _ = sealed
+            seals.append((trigger, depth, len(batch)))
+        return sealed
+
+    server.queue.collect = collect
+    return seals
+
+
 class TestBackpressure:
-    def test_submit_blocks_at_high_water(self):
-        """With a deliberately slow engine, the queue caps at the
-        high-water mark and submitters spend time blocked."""
-        query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
-        inner_apply = engine.apply_batch
-
-        def slow_apply(batch):
-            time.sleep(0.002)
-            inner_apply(batch)
-
-        engine.apply_batch = slow_apply
-        high_water = 8
+    def test_submit_blocks_at_one_batch(self):
+        """With a deliberately slow engine, the queue caps at one batch
+        and submitters spend time blocked."""
+        query, engine, _ = slow_engine("Q(A) = R(A,B) * S(B)")
+        max_batch = 4
 
         async def run():
             stats = MaintenanceStats()
             async with AsyncIVMServer(
-                engine,
-                max_batch=4,
-                max_delay=0.0,
-                high_water=high_water,
-                stats=stats,
+                engine, max_batch=max_batch, max_delay=0.0, stats=stats
             ) as server:
                 for update in update_stream(query, 120, domain=6, seed=1):
                     await server.submit(update)
@@ -564,26 +613,120 @@ class TestBackpressure:
         stats = asyncio.run(run())
         assert stats.backpressure_waits > 0
         assert stats.backpressure_wait.stat.total > 0.0
-        # Depth at seal time never exceeds the mark.
-        assert stats.commit_queue_depth.stat.maximum <= high_water
+        # Depth at seal time never exceeds one batch.
+        assert stats.commit_queue_depth.stat.maximum <= max_batch
 
-    def test_unthrottled_run_has_no_backpressure(self):
+    def test_batches_stay_full_under_a_slow_engine(self):
+        """Several closed-loop writers against a slow engine: no seal
+        finds more than one batch queued, and every commit but the last
+        is a full size seal — the writers refill the next batch while
+        one commits."""
+        query, engine, sizes = slow_engine("Q(A) = R(A,B) * S(B)")
+        max_batch, writers, per_writer = 8, 3, 50
+
+        async def run():
+            async with AsyncIVMServer(
+                engine, max_batch=max_batch, max_delay=0.05
+            ) as server:
+                seals = record_seals(server)
+
+                async def write(index):
+                    for update in update_stream(
+                        query, per_writer, domain=6, seed=20 + index
+                    ):
+                        await server.submit(update)
+
+                await asyncio.gather(*(write(i) for i in range(writers)))
+                await server.drain()
+            return seals
+
+        seals = asyncio.run(run())
+        assert sum(sizes) == writers * per_writer
+        assert len(seals) == len(sizes)
+        assert max(depth for _, depth, _ in seals) <= max_batch
+        assert seals[:-1] == [("size", max_batch, max_batch)] * (len(seals) - 1)
+
+    def test_update_to_a_saturated_server_commits_within_two_commits(self):
+        """With the committer parked inside a commit and the writers
+        blocked behind a full queue, an update submitted now lands in
+        one of the next two commits: it waits for the queued batch, not
+        for a backlog."""
         query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
+        release = threading.Event()
+        batches = []
+        inner_apply = engine.apply_batch
+
+        def gated_apply(batch):
+            release.wait(TEST_TIMEOUT_SECONDS / 2)
+            batches.append(batch)
+            inner_apply(batch)
+
+        engine.apply_batch = gated_apply
+        max_batch = 8
+        marker = Update("R", (100, 100), 1)
+
+        async def run():
+            async with AsyncIVMServer(
+                engine, max_batch=max_batch, max_delay=60.0
+            ) as server:
+
+                async def write(index):
+                    for update in update_stream(
+                        query, 2000, domain=6, seed=30 + index
+                    ):
+                        await server.submit(update)
+
+                loop = asyncio.get_running_loop()
+                writers = [loop.create_task(write(i)) for i in range(3)]
+                try:
+                    await asyncio.sleep(0.05)  # first commit parked
+                    assert len(server.queue) == max_batch
+                    submitted = loop.create_task(server.submit(marker))
+                    await asyncio.sleep(0.01)
+                finally:
+                    release.set()
+                await asyncio.gather(submitted, *writers)
+
+        asyncio.run(run())
+        landed = [i for i, batch in enumerate(batches) if marker in batch]
+        # batches[0] was committing when the marker was submitted.
+        assert landed and landed[0] in (1, 2), landed
+
+    def test_writers_below_one_batch_never_block(self):
+        """Rounds of submissions that never fill a batch before the
+        server drains them wait on nothing."""
+        query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
+        stream = list(update_stream(query, 180, domain=6, seed=2))
 
         async def run():
             stats = MaintenanceStats()
             async with AsyncIVMServer(
-                engine, max_batch=64, high_water=100_000, stats=stats
+                engine, max_batch=64, stats=stats
             ) as server:
-                for update in update_stream(query, 100, domain=6, seed=2):
-                    await server.submit(update)
-                await server.drain()
+                for start in range(0, len(stream), 60):
+                    await asyncio.gather(
+                        server.submit_many(stream[start : start + 30]),
+                        server.submit_many(stream[start + 30 : start + 60]),
+                    )
+                    await server.drain()
             return stats
 
-        assert asyncio.run(run()).backpressure_waits == 0
+        stats = asyncio.run(run())
+        assert stats.submits == len(stream)
+        assert stats.backpressure_waits == 0
 
 
 class TestCommitTriggers:
+    def test_max_batch_below_one_is_rejected(self):
+        _, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
+        with pytest.raises(ValueError, match="max_batch must be at least 1"):
+            AsyncIVMServer(engine, max_batch=0)
+
+    def test_negative_max_delay_is_rejected(self):
+        _, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
+        with pytest.raises(ValueError, match="max_delay must be non-negative"):
+            AsyncIVMServer(engine, max_delay=-0.001)
+
     def test_deadline_commits_flush_partial_batches(self):
         query, engine = fresh_engine("Q(A) = R(A,B) * S(B)")
 
@@ -740,10 +883,10 @@ class TestCommitPlacement:
         assert (threads[0] == threading.get_ident()) != on_worker
 
     def test_a_read_waits_for_one_commit_not_the_backlog(self):
-        """Four size-sealed batches queued on an engine without
-        snapshots: a lookup issued behind them answers after the first
-        commit, because the committer yields between back-to-back
-        commits."""
+        """A writer with four batches to submit on an engine without
+        snapshots, blocked behind the full queue: a lookup issued now
+        answers after the first commit, because the committer yields
+        between back-to-back commits."""
         query, engine = fresh_engine(LIVE_QUERY)
         assert not engine.supports_snapshots
         commits = record_threads(engine)
@@ -760,8 +903,13 @@ class TestCommitPlacement:
             async with AsyncIVMServer(
                 engine, max_batch=8, max_delay=60.0
             ) as server:
-                await server.submit_many(update_stream(query, 32, seed=6))
+                writer = asyncio.create_task(
+                    server.submit_many(update_stream(query, 32, seed=6))
+                )
+                while len(server.queue) < 8:
+                    await asyncio.sleep(0)
                 await asyncio.create_task(server.lookup((0, 0, 0)))
+                await writer
                 await server.drain()
 
         asyncio.run(run())
@@ -987,13 +1135,11 @@ class TestConcurrencyRegressions:
         updates = list(update_stream(query, 3, domain=4, seed=11))
 
         async def run():
-            server = AsyncIVMServer(
-                engine, max_batch=1, max_delay=0.0, high_water=1
-            )
+            server = AsyncIVMServer(engine, max_batch=1, max_delay=0.0)
             await server.start()
             await server.submit(updates[0])
             await asyncio.sleep(0.05)  # committer takes it, parks in apply
-            await server.submit(updates[1])  # queue back at high water
+            await server.submit(updates[1])  # the queue holds one batch again
             loop = asyncio.get_running_loop()
             blocked = loop.create_task(server.submit(updates[2]))
             await asyncio.sleep(0.05)
