@@ -224,9 +224,11 @@ class Relation:
     (module docstring); it is empty when none does, and pickles and
     copies carry none.  ``_writer`` is the weak reference of the engine
     that claimed the relation (:func:`claim_writer`), or ``None``.
+    ``_watchers`` holds weak callbacks run when an index is added
+    (:meth:`watch`); pickles and copies carry none either.
     """
 
-    __slots__ = ("name", "schema", "ring", "data", "_indexes", "_maps", "_writer")
+    __slots__ = ("name", "schema", "ring", "data", "_indexes", "_maps", "_writer", "_watchers")
 
     def __init__(
         self,
@@ -244,6 +246,7 @@ class Relation:
         self._indexes: dict[tuple[str, ...], GroupIndex] = {}
         self._maps: list[dict] = []
         self._writer: weakref.ref | None = None
+        self._watchers: list[weakref.WeakMethod] = []
         if data:
             for key, payload in data.items():
                 self.add(key, payload)
@@ -255,6 +258,7 @@ class Relation:
         self.name, self.schema, self.ring, self.data, self._indexes = state
         self._maps = []
         self._writer = None
+        self._watchers = []
 
     # ------------------------------------------------------------------
     # Versions (epoch snapshots, rollback)
@@ -517,7 +521,19 @@ class Relation:
             for key in self.data:
                 index.add(key)
             self._indexes[group_vars] = index
+            for ref in self._watchers:
+                callback = ref()
+                if callback is not None:
+                    callback()
         return index
+
+    def watch(self, callback) -> None:
+        """Call the bound method ``callback``, held weakly, whenever an
+        index is added: a generated kernel posts the indexes there were
+        when it was emitted, and re-emits itself here (indexes are only
+        ever added)."""
+        live = [ref for ref in self._watchers if ref() is not None]
+        self._watchers = live + [weakref.WeakMethod(callback)]
 
     def group(self, variables: Iterable[str], group_key: tuple) -> Iterator[tuple]:
         """Enumerate keys agreeing with ``group_key`` on ``variables``."""

@@ -200,7 +200,6 @@ METRICS: tuple[Metric, ...] = (
     Metric("drain_commits", INT, "serving.drain_commits"),
     Metric("commit_latency", LATENCY, "serving.commit_latency"),
     Metric("commit_batch_size", COUNTS, "serving.batch_size"),
-    Metric("commit_queue_depth", COUNTS, "serving.queue_depth"),
     Metric("backpressure_waits", INT, "serving.backpressure_waits"),
     Metric("backpressure_wait", LATENCY, "serving.backpressure_wait"),
     Metric("serve_lookups", INT, "serving.lookups"),
@@ -413,10 +412,9 @@ class MaintenanceStats:
             self.backpressure_waits += 1
             self.backpressure_wait.record(seconds)
 
-    def record_commit(
-        self, seconds: float, batch_size: int, queue_depth: int, trigger: str = "size"
-    ) -> None:
-        """One group commit: latency, batch size, queue depth at commit.
+    def record_commit(self, seconds: float, batch_size: int, trigger: str = "size") -> None:
+        """One group commit: latency and batch size (the queue depth at
+        its seal: a commit takes the whole queue).
 
         ``trigger`` names what fired the commit — ``"size"`` (the batch
         reached the maximum size), ``"deadline"`` (the latency deadline
@@ -433,7 +431,6 @@ class MaintenanceStats:
                 self.size_commits += 1
             self.commit_latency.record(seconds)
             self.commit_batch_size.record(batch_size)
-            self.commit_queue_depth.record(queue_depth)
 
     def record_serve_read(self, staleness_seconds: float) -> None:
         """One lookup served between commits, with its read staleness.
@@ -452,7 +449,7 @@ class MaintenanceStats:
         """One group commit that raised out of the engine.
 
         Failed commits are excluded from ``commits`` and from the
-        latency/batch-size/queue-depth histograms so serving percentiles
+        latency/batch-size histograms so serving percentiles
         describe successful work only.
         """
         with self._lock:
@@ -652,12 +649,7 @@ class MaintenanceStats:
             )
             add(_latency_line("commit latency", self.commit_latency))
             if self.commit_batch_size.count:
-                depth = self.commit_queue_depth
-                add(
-                    _count_line("batch size", self.commit_batch_size)
-                    + f"  queue depth p50<={depth.percentile(0.5):g}"
-                    f"  max={depth.stat.maximum:g}"
-                )
+                add(_count_line("batch size", self.commit_batch_size))
             if self.backpressure_waits:
                 add(
                     f"  backpressure: {self.backpressure_waits} blocked submits, "

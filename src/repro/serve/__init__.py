@@ -14,8 +14,8 @@ view fresh **while it is being queried**.  Three pieces:
   group-commits sealed batches into ``engine.apply_batch``, and
   answers ``lookup()`` / ``enumerate()`` / ``scalar()`` from committed
   state (the last published epoch where the engine has snapshots),
-  recording commit latency, batch size, queue
-  depth, and read staleness into an attached
+  recording commit latency, batch size (the queue depth at the seal)
+  and read staleness into an attached
   :class:`~repro.obs.MaintenanceStats` (the ``serving`` block of the
   ``repro.obs/1`` schema).
 * :mod:`repro.serve.loadgen` — closed-loop load generator (N writer

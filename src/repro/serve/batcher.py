@@ -113,14 +113,14 @@ class GroupCommitQueue:
 
     async def collect(
         self, max_delay: float
-    ) -> tuple[list, str, int, float] | None:
+    ) -> tuple[list, str, float] | None:
         """Seal and return the next group commit.
 
-        Returns ``(batch, trigger, depth, oldest_arrival)`` where
-        ``trigger`` is ``"size"`` / ``"deadline"`` / ``"drain"`` and
-        ``depth`` is the queue depth at seal time (the whole queue) — or
-        ``None`` once the queue is closed and empty.  Blocked ``put``
-        calls then fill the room the batch left, oldest first.
+        Returns ``(batch, trigger, oldest_arrival)`` where ``trigger`` is
+        ``"size"`` / ``"deadline"`` / ``"drain"`` — or ``None`` once the
+        queue is closed and empty.  The batch is the whole queue, so its
+        length is the queue depth at seal time.  Blocked ``put`` calls
+        then fill the room the batch left, oldest first.
         """
         self._max_delay = max_delay
         items = self._items
@@ -145,7 +145,7 @@ class GroupCommitQueue:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-        depth, oldest = len(items), items[0][0]
+        oldest = items[0][0]
         batch = [item for _, item in items]
         items.clear()
         now = time.perf_counter()
@@ -155,4 +155,4 @@ class GroupCommitQueue:
             if not admitted.cancelled():
                 items.append((now, item))
                 admitted.set_result(None)
-        return batch, trigger, depth, oldest
+        return batch, trigger, oldest

@@ -390,7 +390,7 @@ class AsyncIVMServer(Observable):
             sealed = await self.queue.collect(self.max_delay)
             if sealed is None:
                 return
-            batch, trigger, depth, oldest = sealed
+            batch, trigger, oldest = sealed
             # Size seal on a snapshot engine: writers wait, so a worker
             # thread keeps the loop free for them and for reads, which
             # answer from the last epoch.  Otherwise commit here: the
@@ -418,7 +418,7 @@ class AsyncIVMServer(Observable):
                 elapsed = time.perf_counter() - start
                 stats = self._maintenance_stats
                 if stats is not None:
-                    stats.record_commit(elapsed, len(batch), depth, trigger)
+                    stats.record_commit(elapsed, len(batch), trigger)
                 if item is not None:
                     self._fanout_changes(item)
             finally:

@@ -63,10 +63,12 @@ input key, or a fan-out.  Three rules, each exact:
    once per push: one bucket probe and one preserve check, and a running
    sum with one view write instead of a dict.  Every entry has that one
    key, and the sum folds in the order the dict would.
-3. **Index postings inline.**  Every generated sink, and the leaf write
-   ``push_batch`` opens with, posts the written relation's group indexes
-   through one emitter: :meth:`GroupIndex.add` / ``remove`` written out,
-   bucket preservation included.
+3. **Writes inline.**  Every write a kernel makes — the leaf write
+   ``push`` and ``push_batch`` open with, each view entry and each guard
+   flip — is :meth:`Relation.add` written out (:func:`_emit_write`): the
+   pre-image kept, the relation's group indexes posted through one
+   emitter, :meth:`GroupIndex.add` / ``remove`` with bucket preservation
+   included.  No kernel calls a write method of a relation.
 
 A guard holds supports, not sums: each joined key is a member (payload
 ``ONE``) while the changed source holds its part, and is written only
@@ -94,8 +96,9 @@ on ``Q(A, C) = R(A, B) * S(B, C)`` a ``V_B`` entry costs no ``G_A`` test.
 A next step without siblings rides the same loop: an entry one view
 takes is at once the next step's survivor.  Postings are specialised to
 the group indexes the written relations carry at generation (part of the
-emitted code); a call that finds one more re-emits the kernel first
-(:meth:`DeltaKernel.regenerate`).
+emitted code); a relation that gains one re-emits every kernel that
+writes it (:meth:`Relation.watch`, :meth:`DeltaKernel.regenerate`), so
+no call pays a staleness test.
 
 Shared code
 -----------
@@ -118,8 +121,7 @@ Snapshot safety: environments bind :class:`Relation` /
 under a live snapshot must record pre-images
 (:mod:`repro.viewtree.epoch`): a generated sink binds each written
 relation's newest map once and tests it per key (a ``None`` test when
-no snapshot is live); a one-key write goes through ``Relation.add``,
-which records itself.
+no snapshot is live), a one-key write included.
 
 Pickling: a kernel's functions are closures over live objects and cannot
 pickle, so :class:`DeltaKernel`/:class:`EnumKernel` implement
@@ -133,6 +135,7 @@ from __future__ import annotations
 import re
 import threading
 from contextlib import ExitStack, nullcontext
+from functools import partial
 from itertools import chain, repeat
 from operator import itemgetter
 from time import perf_counter
@@ -314,7 +317,6 @@ def _delta_env(plan: DeltaPlan) -> dict[str, Any]:
     for s, step in enumerate(plan.steps):
         if not step.support:
             env[f"LBL_{s}"] = step.view_label
-            env[f"VADD_{s}"] = step.view.add
             env[f"VREL_{s}"] = step.view
             for i, index in enumerate(step.view._indexes.values()):
                 env[f"VIX_{s}_{i}"] = index
@@ -363,26 +365,16 @@ def _emit_direct_probe(
         w.emit("return")
 
 
-def _emit_one_write(w: _Writer, s: int, ops: _Ops) -> None:
-    """Write the one-key delta ``(dk, dp)`` to step ``s``'s view through
-    ``Relation.add`` (which records the pre-image and posts the indexes),
-    unless it cancelled to zero."""
-    w.emit(f"if {ops.is_zero('dp')}:")
-    with w.block():
-        w.emit("if stats is not None:")
-        with w.block():
-            w.emit(f"stats.record_delta(LBL_{s}, 0)")
-        w.emit("return")
-    w.emit(f"VADD_{s}(dk, dp)")
-    w.emit("if stats is not None:")
-    with w.block():
-        w.emit(f"stats.record_delta(LBL_{s}, 1)")
+def _guard_binder(w: _Writer, s: int, guard) -> partial:
+    """Step ``s``'s guard bound where a single push flips a member
+    (:func:`_emit_member`): only a flip pays for the binding."""
+    return partial(_emit_binding, w, "g", s, guard, [None] * len(guard.schema))
 
 
 def _emit_one_step(w: _Writer, s: int, step, ops: _Ops, arity: int) -> None:
     """Step ``s`` on a one-key delta whose sibling joins are all DIRECT:
-    straight-line probes, the guard's membership re-tested, then one
-    ``Relation.add`` for the view."""
+    straight-line probes, the guard's membership re-tested, then the
+    view's one write."""
     w.emit(f"# step {s}")
     for j, join in enumerate(step.siblings):
         _emit_direct_probe(w, s, j, join, ops, arity)
@@ -390,7 +382,7 @@ def _emit_one_step(w: _Writer, s: int, step, ops: _Ops, arity: int) -> None:
         w.emit(f"gdata = GREL_{s}.data")
         w.emit("lookups += 1")
         w.emit(f"gk = {_proj('dk', step.guard_positions, arity)}")
-        _emit_flip(w, "gk", f"dk in CHG_{s}.data", f"GREL_{s}")
+        _emit_flip(w, "gk", f"dk in CHG_{s}.data", _guard_binder(w, s, step.guard), "writes += 1")
     # Marginalize the node variable onto the view schema.
     if step.lift is not None:
         lifted = ops.mul("dp", f"LIFT_{s}(dk[{step.lift_position}])")
@@ -398,7 +390,8 @@ def _emit_one_step(w: _Writer, s: int, step, ops: _Ops, arity: int) -> None:
     oproj = _proj("dk", step.out_positions, arity)
     if oproj != "dk":
         w.emit(f"dk = {oproj}")
-    _emit_one_write(w, s, ops)
+    posts = _emit_binding(w, "v", s, step.view, [None] * len(step.out_positions))
+    _emit_write(w, ops, "v", "dk", "dp", posts, step=s)
 
 
 def _emit_lists(w: _Writer) -> None:
@@ -506,14 +499,24 @@ def _emit_post(w: _Writer, p: str, post: tuple, key: str, add: bool, event=None)
 
 def _emit_write(
     w: _Writer, ops: _Ops, p: str, key: str, pay: str, posts: list,
-    cont: bool = False, event=None,
+    cont: bool = False, event=None, step: int | None = None,
 ) -> None:
     """``Relation.add(key, pay)`` inline on relation ``p``, for a non-zero
     ``pay``: keep the pre-image, then insert, update or cancel, with the
     postings of an insert or a cancel written out (:func:`_emit_post`).
     ``cont`` ends the insert branch with ``continue`` (a sink loop)
     instead of an ``else``.  An ``event`` ``(None, body)`` runs
-    ``body(True)`` on a key ``ck`` that appears (:func:`_emit_leaf_write`)."""
+    ``body(True)`` on a key ``ck`` that appears (:func:`_emit_leaf_write`).
+    With ``step``, the write is a single push's one pair for that step's
+    view: a ``pay`` that cancelled to zero ends the push, and each write
+    counts in ``writes`` and is reported to ``stats``."""
+    if step is not None:
+        w.emit(f"if {ops.is_zero(pay)}:")
+        with w.block():
+            w.emit("if stats is not None:")
+            with w.block():
+                w.emit(f"stats.record_delta(LBL_{step}, 0)")
+            w.emit("return")
     on = event is not None and event[0] is None
     w.emit(f"old = {p}get({key})")
     _emit_record(w, p, key)
@@ -541,6 +544,11 @@ def _emit_write(
         w.emit("else:")
         with w.block():
             w.emit(f"{p}data[{key}] = new")
+    if step is not None:
+        w.emit("writes += 1")
+        w.emit("if stats is not None:")
+        with w.block():
+            w.emit(f"stats.record_delta(LBL_{step}, 1)")
 
 
 def _emit_flip(
@@ -548,9 +556,9 @@ def _emit_flip(
 ) -> None:
     """Make ``key`` a member of guard ``g`` (payload ``ONE``) exactly when
     ``now`` holds: an insert or a delete when its membership flips.  The
-    write keeps its pre-image and posts its indexes inline (``posts``,
-    then ``count`` runs), or goes through ``Relation.set`` on the guard
-    ``posts`` names, which does both itself.  With ``skip``, a key whose
+    write keeps its pre-image and posts its indexes inline (``posts``, or
+    the postings a :func:`_guard_binder` binds at the flip), then
+    ``count`` runs.  With ``skip``, a key whose
     membership stands runs ``skip``, so the code after this block runs
     on flips only.  A ``now`` of ``True`` or ``False`` (a write that just
     decided it) emits that half alone."""
@@ -574,9 +582,8 @@ def _emit_flip(
 
 def _emit_member(w: _Writer, key: str, posts, count: str, add: bool) -> None:
     """Insert ``key`` into guard ``g`` (``add``) or delete it."""
-    if isinstance(posts, str):
-        w.emit(f"{posts}.set({key}, {'ONE' if add else 'ZERO'})")
-        return
+    if callable(posts):
+        posts = posts()
     w.emit(f"if gnew is not None and {key} not in gnew:")
     with w.block():
         w.emit(f"grec({key}, {'None' if add else 'ONE'})")
@@ -628,28 +635,8 @@ def _emit_agg_sink(
             w.emit("nw += 1")
         _emit_write(w, ops, "v", vk, "dp", posts, cont=True, event=event)
     count = "len(dks)" if lists else "nw"
-    w.emit(f"if {count}:")
-    with w.block():
-        w.emit(f'COUNTER.bump("write", {count})')
+    w.emit(f"writes += {count}")
     return count
-
-
-def _emit_stale_check(w: _Writer, plan: DeltaPlan, call: str, leaf: bool) -> None:
-    """Re-emit the kernel first when a relation it writes (the ``leaf``
-    too, if it writes it) has gained a group index since generation:
-    postings are specialised to the indexes there were then, and indexes
-    are only ever added.  A kernel that writes no relation checks none."""
-    tests = [f"len(LREL_0._indexes) != {len(plan.leaf._indexes)}"] if leaf else []
-    for s, step in enumerate(plan.steps):
-        if step.guard is not None:
-            tests.append(f"len(GREL_{s}._indexes) != {len(step.guard._indexes)}")
-        if not step.support:
-            tests.append(f"len(VREL_{s}._indexes) != {len(step.view._indexes)}")
-    if not tests:
-        return
-    w.emit(f"if {' or '.join(tests)}:")
-    with w.block():
-        w.emit(f"return KERNEL.regenerate().{call}")
 
 
 class _Marginalize:
@@ -741,7 +728,6 @@ class _Marginalize:
             self.posts["g"] = _emit_binding(
                 w, "g", s, step.guard, [self.joined[q] for q in step.guard_positions]
             )
-            w.emit("gw = 0")
             w.emit(f"chg = CHG_{s}.data")
         if self.kind == "distinct":
             self.posts["v"] = _emit_binding(w, self.p, s, step.view, self.origin, self.event)
@@ -794,7 +780,7 @@ class _Marginalize:
             gk = key(step.guard_positions, "gk")
             ck = key(tuple(range(self.arity_in)), "ck")
             w.emit("lookups += 1")
-            _emit_flip(w, gk, f"{ck} in chg", self.posts["g"], "gw += 1")
+            _emit_flip(w, gk, f"{ck} in chg", self.posts["g"], "writes += 1")
         if step.lift is not None:
             lift = f"LIFT_{s}({items[step.lift_position]})"
             w.emit(f"prod = {ops.mul('prod', lift)}")
@@ -842,17 +828,13 @@ class _Marginalize:
             w.emit(f"if not {self.n}:")
             with w.block():
                 w.emit("return")
-        if step.guard is not None:
-            w.emit("if gw:")
-            with w.block():
-                w.emit('COUNTER.bump("write", gw)')
         if self.kind == "distinct":
             # What landed: a lifted payload may have cancelled.
             if self.then is not None:
                 count = self.then.n
             else:
                 count = self.n if step.lift is None else "len(out_k)"
-            w.emit(f'COUNTER.bump("write", {count})')
+            w.emit(f"writes += {count}")
             if self.then is None and self.lists:
                 w.emit("dks = out_k")
                 w.emit("dps = out_p")
@@ -891,7 +873,8 @@ class _Marginalize:
         if self.single:
             w.emit(f"dk = {_proj('key', tuple(self.origin))}")
             w.emit("dp = tot")
-            _emit_one_write(w, s, ops)
+            posts = _emit_binding(w, self.p, s, self.step.view, [None] * len(self.origin))
+            _emit_write(w, ops, self.p, "dk", "dp", posts, step=s)
             return
         lists = self.lists
         w.emit(f"if {ops.nonzero('tot')}:")
@@ -901,7 +884,7 @@ class _Marginalize:
                 w.emit("dps = [tot]")
             posts = _emit_binding(w, "v", s, self.step.view, self.origin)
             _emit_write(w, ops, "v", "()", "tot", posts)
-            w.emit('COUNTER.bump("write", 1)')
+            w.emit("writes += 1")
         w.emit("else:")
         with w.block():
             w.emit("dks = []" if lists else "nw = 0")
@@ -1091,8 +1074,8 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, host=None)
         if looped:
             posts = _emit_binding(w, "g", s, step.guard, [None] * len(step.guard_positions))
         else:
-            posts = f"GREL_{s}"
-            w.emit(f"gdata = {posts}.data")
+            posts = _guard_binder(w, s, step.guard)
+            w.emit(f"gdata = GREL_{s}.data")
         if host is None:
             derived = isinstance(_changed(plan, s), DerivedView)
             w.emit(f"chg = CHG_{s}.{'groups' if derived else 'data'}")
@@ -1156,7 +1139,8 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, host=None)
                 gk = "ck" if step.guard_positions == tuple(range(arity)) and len(items) == arity else "gk"
                 if gk == "gk":
                     w.emit(f"gk = {_tuple([items[q] for q in step.guard_positions])}")
-                _emit_flip(w, gk, now, posts, "flips += 1", "continue" if looped else "return")
+                count = "flips += 1" if looped else "writes += 1"
+                _emit_flip(w, gk, now, posts, count, "continue" if looped else "return")
                 if not looped:
                     w.emit("if stats is not None:")
                     with w.block():
@@ -1181,9 +1165,7 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, host=None)
             with w.block():
                 body(now)
         if looped:
-            w.emit("if flips:")
-            with w.block():
-                w.emit('COUNTER.bump("write", flips)')
+            w.emit("writes += flips")
             w.emit("if stats is not None:")
             with w.block():
                 w.emit(f"stats.record_delta(GLBL_{s}, flips)")
@@ -1194,14 +1176,21 @@ def _emit_support(w: _Writer, plan: DeltaPlan, start: int, one: bool, host=None)
         arity = len(step.out_positions)
 
 
-def _emit_leaf_write(w: _Writer, plan: DeltaPlan, ops: _Ops, event=None) -> None:
+def _emit_leaf_write(
+    w: _Writer, plan: DeltaPlan, ops: _Ops, event=None, single: bool = False
+) -> None:
     """The batch onto the kernel's leaf: :meth:`Relation.add_delta` inline
-    (:func:`_emit_write`), hosting ``event`` (:func:`_emit_support`)."""
+    (:func:`_emit_write`), hosting ``event`` (:func:`_emit_support`); with
+    ``single``, :meth:`Relation.add` of the one pair, counted by the
+    caller."""
     posts = _emit_binding(w, "l", 0, plan.leaf, [None] * len(plan.leaf.schema), event)
+    if single:
+        _emit_write(w, ops, "l", "key", "payload", posts)
+        return
     w.emit("for key, pay in zip(keys, pays):")
     with w.block():
         _emit_write(w, ops, "l", "key", "pay", posts, cont=True, event=event)
-    w.emit('COUNTER.bump("write", len(keys))')
+    w.emit("writes += len(keys)")
 
 
 def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
@@ -1210,20 +1199,22 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
     :func:`_emit_leaf_write`) or ``push_written`` (for a written leaf):
     one emitter, since a tuple is a one-entry delta.
 
-    The single-key body tracks the input key position by position
-    (``origin``).  The delta stays the pair ``(dk, dp)`` through
-    straight-line DIRECT probes (one ``dict.get`` each), one
-    ``Relation.set`` per guard flip and one ``Relation.add`` per view
-    write, which record and post themselves; from the first support step
-    on, :func:`_emit_support` takes the changed keys.  Sibling order,
-    early exits, per-view ``stats.record_delta`` calls and ring-operation
-    order follow the generic :meth:`ViewTreeEngine._propagate`, and
-    probes count in bulk.  A fan-out probe writes its survivors as they
-    are joined, and a step whose output key the input binds folds its
-    delta into one running sum, after which the delta is one pair again
-    (module docstring, rules 1-3).  Only a body that writes inline —
-    every batch, and every push that fans out — checks for stale indexes
-    and counts ``matches`` and ``shared``.
+    ``push`` writes its leaf first, like ``push_batch``, so one call is
+    the whole single-tuple update.  Its body tracks the input key
+    position by position (``origin``).  The delta stays the pair
+    ``(dk, dp)`` through straight-line DIRECT probes (one ``dict.get``
+    each), guard flips and one inline write per view (:func:`_emit_write`,
+    which binds the written relation only where a flip writes a guard);
+    from the first support step on, :func:`_emit_support` takes the
+    changed keys.  Sibling order, early exits, per-view
+    ``stats.record_delta`` calls and ring-operation order follow the
+    generic :meth:`ViewTreeEngine._propagate`, and probes and the
+    straight-line writes count in bulk (``writes``), as
+    :meth:`Relation.add` would.  A fan-out probe writes its survivors as
+    they are joined, and a step whose output key the input binds folds
+    its delta into one running sum, after which the delta is one pair
+    again (module docstring, rules 1-3).  Only a batch, or a push that
+    fans out, counts ``matches``; only a batch ``shared``.
 
     ``push_batch`` is ``push`` lifted to one *coalesced* per-relation
     delta, flowing as parallel key/payload lists (the columnar batch
@@ -1245,8 +1236,8 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
       its guard's flips, inline (:func:`_emit_write`, :func:`_emit_flip`)
       instead of one ``Relation.add`` per entry.
     """
-    single, write = name == "push", name == "push_batch"
-    one_loop = write and plan.steps[0].support
+    single, write = name == "push", name != "push_written"
+    one_loop = write and not single and plan.steps[0].support
     inline = not single or any(
         join.mode != DIRECT for step in plan.steps for join in step.siblings
     )
@@ -1257,15 +1248,19 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
 
     w.emit(f"def {name}({args}, stats=None):")
     with w.block():
-        if not write and plan.steps[0].support and not guarded(0):
+        derived = plan.steps[0].support and not guarded(0) and not one_loop
+        if derived and not single:
             w.emit("pass  # every view above the leaf is derived")
             return
         w.emit(f"if {ops.is_zero('payload')}:" if single else "if not keys:")
         with w.block():
             w.emit("return")
-        if inline:
-            _emit_stale_check(w, plan, f"{name}({args}, stats)", write)
+        if derived:  # a push that writes its leaf and nothing else
+            _emit_leaf_write(w, plan, ops, single=True)
+            w.emit('if COUNTER.enabled: COUNTER.bump("write")')
+            return
         w.emit("lookups = 0")
+        w.emit("writes = 1  # the leaf's" if single else "writes = 0")
         if inline:
             w.emit("matches = 0")
         if not single:
@@ -1275,6 +1270,8 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
             arity = len(plan.leaf.schema.variables)
             # A support step first takes the input keys as they are.
             delta = not plan.steps[0].support
+            if single:
+                _emit_leaf_write(w, plan, ops, single=True)
             if single and delta:
                 w.emit("dk = key")
                 w.emit("dp = payload")
@@ -1353,19 +1350,18 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
                 one = single and last.kind == "const"
         w.emit("finally:")
         with w.block():
-            if not inline:
-                w.emit("if COUNTER.enabled and lookups:")
-                with w.block():
-                    w.emit('COUNTER.bump("lookup", lookups)')
-                return
             w.emit("if COUNTER.enabled:")
             with w.block():
+                w.emit("if writes:")
+                with w.block():
+                    w.emit('COUNTER.bump("write", writes)')
                 w.emit("if lookups:")
                 with w.block():
                     w.emit('COUNTER.bump("lookup", lookups)')
-                w.emit("if matches:")
-                with w.block():
-                    w.emit('COUNTER.bump("enum", matches)')
+                if inline:
+                    w.emit("if matches:")
+                    with w.block():
+                        w.emit('COUNTER.bump("enum", matches)')
             if not single:
                 w.emit("if stats is not None and (lookups or shared):")
                 with w.block():
@@ -1890,30 +1886,29 @@ class DeltaKernel:
     exec-compiled functions; ``source`` is the generated factory source
     (shared by every plan that emits the same code; dumped by
     ``python -m repro explain --kernel-source``).  The code posts the
-    group indexes its written relations carry at generation; a call that
-    finds one more first re-emits it (:meth:`regenerate`).
+    group indexes its written relations carry at generation; each of
+    them re-emits it when it gains one (:meth:`regenerate`).
     """
 
-    __slots__ = ("plan", "source", "push", "push_batch", "push_written")
+    __slots__ = ("plan", "source", "push", "push_batch", "push_written", "__weakref__")
 
     def __init__(self, plan: DeltaPlan):
         self.plan = plan
+        written = [plan.leaf] + [step.view for step in plan.steps if not step.support]
+        for relation in written + [step.guard for step in plan.steps if step.guard is not None]:
+            relation.watch(self.regenerate)
 
     def generate(self) -> bool:
         """Bind ``push`` / ``push_batch`` for the plan's current index
         sets; returns whether an equal body was compiled before."""
-        plan = self.plan
-        (self.source, make), hit = _factory_for("delta", _delta_body(plan))
-        env = _delta_env(plan)
-        env["KERNEL"] = self
-        self.push, self.push_batch, self.push_written = make(env)
+        (self.source, make), hit = _factory_for("delta", _delta_body(self.plan))
+        self.push, self.push_batch, self.push_written = make(_delta_env(self.plan))
         return hit
 
-    def regenerate(self) -> "DeltaKernel":
-        """Re-emit for the indexes there are now; the generated code calls
-        it when a written relation gained one since generation."""
+    def regenerate(self) -> None:
+        """Re-emit for the indexes there are now: a relation the kernel
+        writes calls it when it gains one (:meth:`Relation.watch`)."""
         self.generate()
-        return self
 
     def __reduce__(self):
         return (compile_delta_kernel, (self.plan,))

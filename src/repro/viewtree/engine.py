@@ -281,6 +281,9 @@ class ViewTreeEngine(Backend):
         #: Base relations this engine has claimed as their one writer
         #: (:func:`~repro.data.relation.claim_writer`, on first write).
         self._written: set[str] = set()
+        #: relation name -> (base ``add`` or None, kernels): the claimed
+        #: relations :meth:`apply` hands straight to their kernels.
+        self._pushes: dict[str, tuple] = {}
         #: Whether this engine runs generated kernels (the production
         #: path) or the generic walk (the oracle).
         self.generated = generated
@@ -399,6 +402,7 @@ class ViewTreeEngine(Backend):
         state["_change_tracker"] = None
         state["_versions"] = SnapshotRegistry()
         state["_written"] = set()
+        state["_pushes"] = {}
         del state["_probe"], state["_probe_epoch"]  # rebound on arrival
         return state
 
@@ -430,6 +434,7 @@ class ViewTreeEngine(Backend):
             )
             self._codegen_info = None
         self._bind_reads()
+        self._bind_pushes()
 
     # ------------------------------------------------------------------
     # Construction
@@ -507,7 +512,6 @@ class ViewTreeEngine(Backend):
     # Maintenance
     # ------------------------------------------------------------------
 
-    @observed
     def apply(self, update: Update, update_base: bool = True) -> None:
         """Process one single-tuple update.
 
@@ -526,11 +530,32 @@ class ViewTreeEngine(Backend):
         before any write.
 
         The delta runs through the relation's generated ``push``
-        kernels; the oracle (``generated`` ``False``, by choice or after
-        a failed generation) takes the generic :meth:`_propagate` walk.
-        With a snapshot published, an update that raises midway is
-        rolled back first (:meth:`_atomically`).
+        kernels, each of which writes its own leaf first; the oracle
+        (``generated`` ``False``, by choice or after a failed generation)
+        takes the generic :meth:`_propagate` walk.  With a snapshot
+        published, an update that raises midway is rolled back first
+        (:meth:`_atomically`).
+
+        A relation this engine has claimed goes straight to its kernels
+        while no snapshot is published and no recorder is attached
+        (:meth:`_bind_pushes`): this frame and each ``push`` are the
+        whole update, bar a base write where the leaf is a copy.  Every
+        other update, the first one to a relation included, takes
+        :meth:`_apply`, which checks, claims and records.
         """
+        entry = self._pushes.get(update.relation) if update_base else None
+        if entry is None:
+            return self._apply(update, update_base)
+        add, kernels = entry
+        key, payload = update.key, update.payload
+        if add is not None:
+            add(key, payload)
+        for kernel in kernels:
+            kernel.push(key, payload)
+
+    @observed
+    def _apply(self, update: Update, update_base: bool) -> None:
+        """:meth:`apply`'s checked path: reject, claim, then commit."""
         anchors = self._anchors.get(update.relation)
         if anchors is None or update.relation in self._static:
             self._check_open()  # a closed engine has no anchors
@@ -540,16 +565,21 @@ class ViewTreeEngine(Backend):
         self._atomically(self._apply_one, update, anchors, update_base)
 
     def _apply_one(self, update: Update, anchors: list, update_base: bool) -> None:
+        """One update under :meth:`_apply_columns`' leaf rule: an aliased
+        leaf is written once, by its kernel (not at all under
+        ``update_base=False``: the kernel pushes the written leaf); a
+        base whose leaves are copies is written here."""
+        key, payload = update.key, update.payload
         write_base, write_leaves = self._writes(update.relation, update_base)
         if write_base:
-            self.database[update.relation].add(update.key, update.payload)
+            self.database[update.relation].add(key, payload)
         if self.generated:
             stats = self._maintenance_stats
-            kernels = self._kernels[update.relation]
-            for (_atom, _node, leaf), kernel in zip(anchors, kernels):
+            for kernel in self._kernels[update.relation]:
                 if write_leaves:
-                    leaf.add(update.key, update.payload)
-                kernel.push(update.key, update.payload, stats)
+                    kernel.push(key, payload, stats)
+                else:
+                    kernel.push_written([key], [payload], stats)
         else:
             for atom, node, leaf in anchors:
                 delta = Relation(f"d_{atom}", leaf.schema, self.ring)
@@ -605,6 +635,23 @@ class ViewTreeEngine(Backend):
         touch (``SharedBaseError`` when another live engine writes one)."""
         claim_writer((self.database[name] for name in names), self)
         self._written.update(names)
+        self._bind_pushes()
+
+    def _bind_pushes(self) -> None:
+        """Fill :meth:`apply`'s dispatch table: each claimed relation's
+        base ``add`` (``None`` where a kernel writes the base as its
+        leaf) and kernels.  Empty for the oracle, under a published
+        snapshot, whose commits :meth:`_atomically` undoes, and with a
+        recorder attached, which :meth:`_apply` feeds."""
+        fast = self._maintenance_stats is None and self._epoch_snapshot is None
+        self._pushes = {
+            name: (
+                None if not self._writes(name, True)[0] else self.database[name].add,
+                self._kernels[name],
+            )
+            for name in self._written
+            if fast and name in self._kernels
+        }
 
     def _writes(self, relation: str, update_base: bool) -> tuple[bool, bool]:
         """``(base, leaves)``: which relations an update to ``relation``
@@ -836,6 +883,7 @@ class ViewTreeEngine(Backend):
         if closed is not None:
             snap.cow_buckets, snap.undo_entries = closed.work()
         self._epoch_snapshot = snap
+        self._pushes = {}
         # The change tracker diffs against the previous snapshot on every
         # publish regardless of ``record`` — shard workers publish with
         # record=False but their subscribers still need the delta stream.
@@ -1234,6 +1282,7 @@ class ViewTreeEngine(Backend):
                 relation.clear()
         release_writer((self.database[name] for name in self._written), self)
         self._written = set()
+        self._pushes = {}
         self.roots, self._anchors, self._kernels = [], {}, {}
         self._enum_kernel = self._lookup_plan = self._enum_schedule = None
         self._bind_reads()

@@ -591,16 +591,16 @@ EVERY_SHAPE_IDS = [
 ]
 
 
-def shape_engine(query, fds, insert_only, generated=True):
-    """An ``IVMEngine`` over ``query`` on fresh tables, its static ones
-    filled."""
-    db = Database()
+def shape_engine(query, fds, insert_only, generated=True, ring=Z):
+    """An ``IVMEngine`` over ``query`` on fresh ``ring`` tables, its
+    static ones filled."""
+    db = Database(ring=ring)
     for atom in query.atoms:
         if atom.relation not in db:
             db.create(atom.relation, atom.variables)
     for atom in query.static_atoms:
         for key in itertools.product(range(3), repeat=len(atom.variables)):
-            db[atom.relation].add(key, 1)
+            db[atom.relation].add(key, ring.one)
     return IVMEngine(query, db, fds, insert_only, generated=generated)
 
 

@@ -359,10 +359,10 @@ class TestSingleTupleFanOut:
         ``push_batch`` or aggregates through a dict, and the R anchor
         hoists V_B's (A,) bucket key from its input key.  The chain keeps
         an agg dict where a step drops a fanned-out position.  Q(Y, X, Z)
-        never fans out: its straight-line push writes no view (V_X, V_Z
-        and V_Y are derived), re-tests G_Y's membership through
-        ``Relation.set``, and has no stale-index check and no enumeration
-        or sharing count."""
+        never fans out: its straight-line push writes its leaf and no
+        view (V_X, V_Z and V_Y are derived), flips G_Y's membership
+        inline, and has no stale-index check and no enumeration or
+        sharing count."""
         query = parse_query(HIER[0])
         for rows, schema in (((10, 40), ("A", "C")), ((40, 10), ("C", "A"))):
             engine, _ = twin_engines(
@@ -384,8 +384,9 @@ class TestSingleTupleFanOut:
         engine, _ = twin_engines(parse_query(LIST[0]), LIST[1], seed=1)
         for name in ("R", "S"):
             source = _push_source(engine._kernels[name][0])
-            assert "KERNEL.regenerate" not in source and "VADD_" not in source
-            assert "GREL_1.set(ck, ONE)" in source
+            assert "KERNEL" not in source and "VADD_" not in source
+            assert "ldata[key] = payload" in source
+            assert ".set(" not in source and "gdata[ck] = ONE" in source
             assert "matches" not in source and "shared" not in source
 
     @pytest.mark.parametrize(

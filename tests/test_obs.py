@@ -339,9 +339,9 @@ def _recorded(engine: str, k: int = 1) -> MaintenanceStats:
     s.record_submit()
     s.record_submit(4 * k)
     s.record_backpressure(0.003)
-    s.record_commit(0.002, 64, 10)  # every commit trigger
-    s.record_commit(0.005, 3 * k, 0, trigger="deadline")
-    s.record_commit(0.001, 1, 2, trigger="drain")
+    s.record_commit(0.002, 64)  # every commit trigger
+    s.record_commit(0.005, 3 * k, trigger="deadline")
+    s.record_commit(0.001, 1, trigger="drain")
     s.record_serve_read(0.0)
     s.record_serve_read(0.0007 * k)
     s.record_commit_error()
@@ -478,7 +478,7 @@ class TestLiveRecorderReads:
                 stats.record_view_sizes(n, {f"V{n}": n})
                 stats.record_update(1e-7 * 2.0 ** (n % 40))
                 stats.record_ops({f"op{n}": 1})
-                stats.record_commit(1e-6, n, 0, ("size", "deadline", "drain")[n % 3])
+                stats.record_commit(1e-6, n, ("size", "deadline", "drain")[n % 3])
 
         errors = []
         interval = sys.getswitchinterval()

@@ -91,10 +91,9 @@ class TestGroupCommitQueue:
             queue = GroupCommitQueue(4)
             for i in range(4):
                 await queue.put(i)
-            batch, trigger, depth, _ = await queue.collect(60.0)
+            batch, trigger, _ = await queue.collect(60.0)
             assert batch == [0, 1, 2, 3]
             assert trigger == "size"
-            assert depth == 4
             return len(queue)
 
         assert asyncio.run(run()) == 0
@@ -104,11 +103,10 @@ class TestGroupCommitQueue:
             queue = GroupCommitQueue(1000)
             await queue.put("only")
             start = time.perf_counter()
-            batch, trigger, depth, _ = await queue.collect(0.01)
+            batch, trigger, _ = await queue.collect(0.01)
             waited = time.perf_counter() - start
             assert batch == ["only"]
             assert trigger == "deadline"
-            assert depth == 1
             assert waited < 5.0  # did not wait for 1000 items
 
         asyncio.run(run())
@@ -119,7 +117,7 @@ class TestGroupCommitQueue:
             await queue.put("a")
             await queue.put("b")
             queue.close()
-            batch, trigger, _, _ = await queue.collect(60.0)
+            batch, trigger, _ = await queue.collect(60.0)
             assert batch == ["a", "b"]
             assert trigger == "drain"
             assert await queue.collect(60.0) is None
@@ -179,10 +177,9 @@ class TestGroupCommitQueue:
             await task
             return sealed, waited, wakes
 
-        (got, got_trigger, depth, _), waited, wakes = asyncio.run(run())
+        (got, got_trigger, _), waited, wakes = asyncio.run(run())
         assert len(got) == batch and got == sorted(got)
         assert got_trigger == trigger
-        assert depth == batch
         assert wakes == 1
         if trigger == "deadline":
             assert waited >= max_delay
@@ -222,15 +219,15 @@ class TestGroupCommitQueue:
             tasks = {name: loop.create_task(queue.put(name)) for name in "cdef"}
             await asyncio.sleep(0.01)
             tasks["d"].cancel()
-            batch, _, depth, _ = await queue.collect(60.0)
-            assert (batch, depth) == (["a", "b"], 2)
+            batch, _, _ = await queue.collect(60.0)
+            assert batch == ["a", "b"]
             await asyncio.sleep(0)
             assert tasks["c"].done() and tasks["e"].done()
             assert not tasks["f"].done()  # no room left for it
             queue.close()
             with pytest.raises(QueueClosed):
                 await tasks["f"]
-            batch, trigger, _, _ = await queue.collect(60.0)
+            batch, trigger, _ = await queue.collect(60.0)
             assert (batch, trigger) == (["c", "e"], "size")
 
         asyncio.run(run())
@@ -376,7 +373,6 @@ class TestGroupCommitEquivalence:
         assert stats.submits == 200
         assert stats.commits > 0
         assert stats.commit_batch_size.count == stats.commits
-        assert stats.commit_queue_depth.count == stats.commits
 
 
 class TestServerHeldView:
@@ -578,15 +574,15 @@ def slow_engine(text):
 
 def record_seals(server):
     """Wrap ``server.queue.collect`` to log every seal's
-    ``(trigger, depth, batch length)``."""
+    ``(trigger, batch length)``."""
     seals = []
     inner_collect = server.queue.collect
 
     async def collect(*args):
         sealed = await inner_collect(*args)
         if sealed is not None:
-            batch, trigger, depth, _ = sealed
-            seals.append((trigger, depth, len(batch)))
+            batch, trigger, _ = sealed
+            seals.append((trigger, len(batch)))
         return sealed
 
     server.queue.collect = collect
@@ -613,8 +609,8 @@ class TestBackpressure:
         stats = asyncio.run(run())
         assert stats.backpressure_waits > 0
         assert stats.backpressure_wait.stat.total > 0.0
-        # Depth at seal time never exceeds one batch.
-        assert stats.commit_queue_depth.stat.maximum <= max_batch
+        # A seal takes the whole queue, which never exceeds one batch.
+        assert stats.commit_batch_size.stat.maximum <= max_batch
 
     def test_batches_stay_full_under_a_slow_engine(self):
         """Several closed-loop writers against a slow engine: no seal
@@ -643,8 +639,8 @@ class TestBackpressure:
         seals = asyncio.run(run())
         assert sum(sizes) == writers * per_writer
         assert len(seals) == len(sizes)
-        assert max(depth for _, depth, _ in seals) <= max_batch
-        assert seals[:-1] == [("size", max_batch, max_batch)] * (len(seals) - 1)
+        assert max(size for _, size in seals) <= max_batch
+        assert seals[:-1] == [("size", max_batch)] * (len(seals) - 1)
 
     def test_update_to_a_saturated_server_commits_within_two_commits(self):
         """With the committer parked inside a commit and the writers
@@ -944,7 +940,7 @@ class TestServingObservability:
         )
         assert serving["commit_latency"]["count"] == serving["commits"]
         assert serving["batch_size"]["buckets"]
-        assert serving["queue_depth"]["count"] == serving["commits"]
+        assert serving["batch_size"]["count"] == serving["commits"]
         assert serving["lookups"] == 1
         assert "read_staleness" in serving
         assert "serving:" in stats.render()
@@ -979,7 +975,7 @@ class TestServingObservability:
         a, b = MaintenanceStats(), MaintenanceStats()
         for stats in (a, b):
             stats.record_submit(10)
-            stats.record_commit(0.001, 10, 12, "size")
+            stats.record_commit(0.001, 10, "size")
             stats.record_serve_read(0.0005)
         a.merge(b)
         assert a.submits == 20

@@ -430,6 +430,39 @@ def _batches(query, seed):
     return prefix, failing, rest[60:]
 
 
+def _indexed(engine):
+    """:func:`_state` with each relation's index buckets, as sets: a
+    rollback restores contents, not order."""
+    relations = {}
+    for root in engine.roots:
+        for node in root.walk():
+            relations[f"V_{node.variable}"] = node.view
+            if node.guard is not None:
+                relations[f"G_{node.variable}"] = node.guard
+            for atom, leaf in node.leaves:
+                relations[f"leaf {atom}"] = leaf
+    for rel in engine.database:
+        relations[f"base {rel.name}"] = rel
+    return {
+        role: (
+            dict(rel.data),
+            {gv: {gk: set(b) for gk, b in ix.groups.items()} for gv, ix in rel._indexes.items()},
+        )
+        for role, rel in relations.items()
+    }
+
+
+class _SecondProductFails(int):
+    """A payload whose second product raises, after its first landed."""
+
+    def __mul__(self, other):
+        self.products = getattr(self, "products", 0) + 1
+        if self.products == 2:
+            self.hook()
+            raise RuntimeError("injected fault")
+        return int(self) * other
+
+
 class TestRollback:
     @pytest.mark.parametrize("text,schemas", ROLLBACK_CASES)
     @pytest.mark.parametrize("generated", [True, False], ids=["kernels", "oracle"])
@@ -512,6 +545,57 @@ class TestRollback:
         assert dict(engine.enumerate_snapshot()) == published
         # The checkpoints' maps are released again.
         assert max(_maps_per_relation(engine)) == 1
+
+    @pytest.mark.parametrize("text", [HIER, LIST], ids=["fan-out", "guard-flip"])
+    def test_fault_after_the_inline_leaf_write_rolls_back(self, text, monkeypatch):
+        """A single-tuple ``apply`` whose generated push raises after its
+        inline leaf write — and after a ``V_B`` entry (``Q(A, C)``) or a
+        ``G_Y`` flip (``Q(Y, X, Z)``) landed — under a live snapshot
+        leaves the leaf, the base, the views and every index bucket at
+        their pre-commit state."""
+        query = parse_query(text)
+        db = Database()
+        for atom in query.atoms:
+            db.create(atom.relation, atom.variables)
+        order = search_order(query, require_free_top=True) if text == HIER else None
+        engine = ViewTreeEngine(query, db, order)
+        prefix, _, _ = _batches(query, 17)
+        engine.apply_batch(prefix + [Update("S", (77, 1), 1)])
+        engine.publish_epoch()
+        expected = evaluate(query, db).to_dict()  # indexes the bases first
+        before = _indexed(engine)
+        leaf = engine._anchors["R"][0][2]
+        assert leaf is db["R"]
+        reached = []
+        if text == HIER:
+            partners = {}
+            for b, _c in db["S"].keys():
+                partners[b] = partners.get(b, 0) + 1
+            key = (99, max(partners, key=partners.get))
+            payload = _SecondProductFails(1)
+            view_b = next(n.view for n in engine.roots[0].walk() if n.variable == "B")
+            payload.hook = lambda: reached.append(
+                (key in leaf.data, view_b.data != before["V_B"][0])
+            )
+        else:
+            key, payload = (77, 99), 1
+            stats = engine.attach_stats()
+            guard = next(n.guard for n in engine.roots[0].walk() if n.guard is not None)
+
+            def record_delta(view, size):
+                if view == "G_Y":
+                    reached.append((key in leaf.data, (77,) in guard.data))
+                    raise RuntimeError("injected fault")
+
+            monkeypatch.setattr(stats, "record_delta", record_delta)
+        with pytest.raises(RuntimeError, match="injected"):
+            engine.apply(Update("R", key, payload))
+        monkeypatch.undo()
+        assert reached == [(True, True)]
+        assert _indexed(engine) == before
+        assert dict(engine.enumerate()) == dict(engine.enumerate_snapshot()) == expected
+        engine.apply(Update("R", key, 1))
+        assert dict(engine.enumerate()) == evaluate(query, db).to_dict() != expected
 
     @pytest.mark.parametrize("generated", [True, False], ids=["kernels", "oracle"])
     def test_single_tuple_fan_out_push_rolls_back(self, generated, monkeypatch):
