@@ -646,7 +646,7 @@ class ViewTreeEngine(Backend):
         fast = self._maintenance_stats is None and self._epoch_snapshot is None
         self._pushes = {
             name: (
-                None if not self._writes(name, True)[0] else self.database[name].add,
+                self.database[name].add if self._writes(name, True)[0] else None,
                 self._kernels[name],
             )
             for name in self._written
