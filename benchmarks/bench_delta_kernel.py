@@ -39,11 +39,11 @@ both sides of a ratio alike.  Their ratio is what the facade's and the
 engine's frames cost per update.
 
 Acceptance gates, all same-run ratios (asserted below): compiled >= 2x
-generic on every single-tuple row, batch-compiled ``apply_batch``
->= ``BATCH_BOUND`` x per-tuple compiled ``apply`` at batch size >= 64
-on the q-hierarchical kernel, and ``IVMEngine.apply`` >= ``DISPATCH_BOUND`` of
-the bare push's throughput (median per-round ratio) on each dispatch
-row.  No compiled engine may fall back to the generic walk.  The
+generic on every single-tuple row, ``IVMEngine.apply`` >=
+``DISPATCH_BOUND`` of the bare push's throughput (median per-round
+ratio) on each dispatch row, and batch-compiled ``apply_batch`` >= 2x
+per-tuple compiled ``apply`` at batch size >= 64 on the q-hierarchical
+kernel.  No compiled engine may fall back to the generic walk.  The
 hierarchical batch rows carry no bound.
 """
 
@@ -71,13 +71,6 @@ DOMAIN = 400
 DELETE_FRACTION = 0.25
 ZIPF_S = 1.2
 BATCH_SIZES = (64, 256)
-#: The least q-hierarchical ``apply_batch`` / per-tuple ``apply`` rate
-#: ratio.  It was 2.0 while ``apply`` paid its engine frames and a
-#: ``Relation.add`` leaf write per tuple; since ``push`` writes its own
-#: leaf behind one engine frame, per-tuple ``apply`` runs 4x faster, and
-#: six runs on a 2-vCPU host read 1.43-1.64 (batch 64) and 1.60-2.01
-#: (batch 256).
-BATCH_BOUND = 1.2
 #: Inserts per closed dispatch stream (each is deleted again after).
 DISPATCH_KEYS = 1000
 #: Alternating rounds of the dispatch table (an odd count: its median
@@ -86,8 +79,10 @@ DISPATCH_ROUNDS = 21
 #: Per row, the least ``IVMEngine.apply`` / bare ``push`` throughput
 #: ratio.  Six runs on a 2-vCPU host read 0.73-0.76 (``Q(Y, X, Z)``)
 #: and 0.93-0.97 (``Q(A, C)``); with ``@observed`` put back around
-#: ``ViewTreeEngine.apply``, one wrapper frame, ``Q(Y, X, Z)`` read
-#: 0.55-0.57 and the gate fails.
+#: ``ViewTreeEngine.apply`` ``Q(Y, X, Z)`` read 0.55-0.57 and the gate
+#: fails, but one bare forwarding frame (0.71-0.73) passes it: a timing
+#: cannot tell one frame from noise, so ``tests/test_fused_leaf_write.py``
+#: counts the frames.
 DISPATCH_BOUND = {"q-hierarchical": 0.65, "hierarchical": 0.85}
 
 QUERIES = (
@@ -380,21 +375,20 @@ def _kernel_table():
             "batch_sizes": list(BATCH_SIZES),
             "dispatch_keys": DISPATCH_KEYS,
             "dispatch_rounds": DISPATCH_ROUNDS,
-            "batch_bound": BATCH_BOUND,
             "dispatch_bound": DISPATCH_BOUND,
         },
     )
 
     # Acceptance gates: >=2x on every single-tuple row (bare engine) and
-    # on the eager-fact strategy, and >=BATCH_BOUND from batching the
-    # q-hierarchical compiled path at batch sizes >= 64.
+    # on the eager-fact strategy, DISPATCH_BOUND of the bare push's rate
+    # for the dispatch (median of the alternating rounds' ratios), and
+    # >=2x from batching the q-hierarchical compiled path at batch sizes
+    # >= 64.
     assert min(speedups.values()) >= 2.0, speedups
     assert rates["eager-fact (compiled)"] >= 2.0 * baseline, rates
-    for batch_size in BATCH_SIZES:
-        assert (
-            batch_speedups[("q-hierarchical", batch_size)] >= BATCH_BOUND
-        ), batch_speedups
-    # The dispatch keeps DISPATCH_BOUND of its bare push's rate (median
-    # of the alternating rounds' ratios).
     for label, bound in DISPATCH_BOUND.items():
         assert dispatch[label] >= bound, dispatch
+    for batch_size in BATCH_SIZES:
+        assert (
+            batch_speedups[("q-hierarchical", batch_size)] >= 2.0
+        ), batch_speedups

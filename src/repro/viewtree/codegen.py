@@ -1195,9 +1195,10 @@ def _emit_leaf_write(
 
 def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
     """The single-tuple ``push(key, payload, stats)`` body, or the columnar
-    ``push_batch(keys, pays, stats)`` (which writes the leaf first,
-    :func:`_emit_leaf_write`) or ``push_written`` (for a written leaf):
-    one emitter, since a tuple is a one-entry delta.
+    ``push_batch(keys, pays, stats)`` (each writes the leaf first,
+    :func:`_emit_leaf_write`), or their twins for a leaf the caller has
+    written, ``push_written_one`` and ``push_written``: one emitter,
+    since a tuple is a one-entry delta.
 
     ``push`` writes its leaf first, like ``push_batch``, so one call is
     the whole single-tuple update.  Its body tracks the input key
@@ -1236,7 +1237,8 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
       its guard's flips, inline (:func:`_emit_write`, :func:`_emit_flip`)
       instead of one ``Relation.add`` per entry.
     """
-    single, write = name == "push", name != "push_written"
+    single = name in ("push", "push_written_one")
+    write = name in ("push", "push_batch")
     one_loop = write and not single and plan.steps[0].support
     inline = not single or any(
         join.mode != DIRECT for step in plan.steps for join in step.siblings
@@ -1249,7 +1251,7 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
     w.emit(f"def {name}({args}, stats=None):")
     with w.block():
         derived = plan.steps[0].support and not guarded(0) and not one_loop
-        if derived and not single:
+        if derived and not (single and write):
             w.emit("pass  # every view above the leaf is derived")
             return
         w.emit(f"if {ops.is_zero('payload')}:" if single else "if not keys:")
@@ -1260,7 +1262,7 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
             w.emit('if COUNTER.enabled: COUNTER.bump("write")')
             return
         w.emit("lookups = 0")
-        w.emit("writes = 1  # the leaf's" if single else "writes = 0")
+        w.emit("writes = 1  # the leaf's" if single and write else "writes = 0")
         if inline:
             w.emit("matches = 0")
         if not single:
@@ -1270,7 +1272,7 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
             arity = len(plan.leaf.schema.variables)
             # A support step first takes the input keys as they are.
             delta = not plan.steps[0].support
-            if single:
+            if single and write:
                 _emit_leaf_write(w, plan, ops, single=True)
             if single and delta:
                 w.emit("dk = key")
@@ -1371,10 +1373,11 @@ def _emit_body(w: _Writer, plan: DeltaPlan, ops: _Ops, name: str) -> None:
 def _delta_body(plan: DeltaPlan) -> str:
     ops = _Ops(plan.ring)
     body = _Writer(indent=1)
-    for name in ("push", "push_batch", "push_written"):
+    names = ("push", "push_batch", "push_written", "push_written_one")
+    for name in names:
         _emit_body(body, plan, ops, name)
         body.emit()
-    body.emit("return push, push_batch, push_written")
+    body.emit(f"return {', '.join(names)}")
     return body.source()
 
 
@@ -1881,8 +1884,9 @@ def clear_shape_cache() -> None:
 class DeltaKernel:
     """A source-generated write-path kernel for one :class:`DeltaPlan`.
 
-    ``push(key, payload, stats)``, ``push_batch(keys, pays, stats)`` (it
-    writes the leaf too) and ``push_written`` (for a written leaf) are the
+    ``push(key, payload, stats)`` and ``push_batch(keys, pays, stats)``
+    (each writes the leaf too), and ``push_written_one`` /
+    ``push_written``, their twins for a written leaf, are the
     exec-compiled functions; ``source`` is the generated factory source
     (shared by every plan that emits the same code; dumped by
     ``python -m repro explain --kernel-source``).  The code posts the
@@ -1890,7 +1894,10 @@ class DeltaKernel:
     them re-emits it when it gains one (:meth:`regenerate`).
     """
 
-    __slots__ = ("plan", "source", "push", "push_batch", "push_written", "__weakref__")
+    __slots__ = (
+        "plan", "source", "push", "push_batch", "push_written", "push_written_one",
+        "__weakref__",
+    )
 
     def __init__(self, plan: DeltaPlan):
         self.plan = plan
@@ -1899,10 +1906,12 @@ class DeltaKernel:
             relation.watch(self.regenerate)
 
     def generate(self) -> bool:
-        """Bind ``push`` / ``push_batch`` for the plan's current index
-        sets; returns whether an equal body was compiled before."""
+        """Bind the four pushes for the plan's current index sets;
+        returns whether an equal body was compiled before."""
         (self.source, make), hit = _factory_for("delta", _delta_body(self.plan))
-        self.push, self.push_batch, self.push_written = make(_delta_env(self.plan))
+        (self.push, self.push_batch, self.push_written, self.push_written_one) = make(
+            _delta_env(self.plan)
+        )
         return hit
 
     def regenerate(self) -> None:

@@ -281,9 +281,6 @@ class ViewTreeEngine(Backend):
         #: Base relations this engine has claimed as their one writer
         #: (:func:`~repro.data.relation.claim_writer`, on first write).
         self._written: set[str] = set()
-        #: relation name -> (base ``add`` or None, kernels): the claimed
-        #: relations :meth:`apply` hands straight to their kernels.
-        self._pushes: dict[str, tuple] = {}
         #: Whether this engine runs generated kernels (the production
         #: path) or the generic walk (the oracle).
         self.generated = generated
@@ -322,6 +319,13 @@ class ViewTreeEngine(Backend):
                 failure = repr(exc)
             if failure is not None:
                 self._generation_failed(replaced, indexed, failure)
+        #: relation name -> (base ``add`` or None where a kernel writes the
+        #: base as its leaf, kernels): what :meth:`apply` runs on its
+        #: direct path; empty in the oracle.
+        self._pushes = {
+            name: (database[name].add if self._writes(name, True)[0] else None, kernels)
+            for name, kernels in self._kernels.items()
+        }
         #: The generic enumeration walk's flat schedule, built here with
         #: the guard indexes it reads, so every relation and index a read
         #: touches exists before the first publish (None: the kernel
@@ -402,7 +406,6 @@ class ViewTreeEngine(Backend):
         state["_change_tracker"] = None
         state["_versions"] = SnapshotRegistry()
         state["_written"] = set()
-        state["_pushes"] = {}
         del state["_probe"], state["_probe_epoch"]  # rebound on arrival
         return state
 
@@ -434,7 +437,6 @@ class ViewTreeEngine(Backend):
             )
             self._codegen_info = None
         self._bind_reads()
-        self._bind_pushes()
 
     # ------------------------------------------------------------------
     # Construction
@@ -537,14 +539,20 @@ class ViewTreeEngine(Backend):
         (:meth:`_atomically`).
 
         A relation this engine has claimed goes straight to its kernels
-        while no snapshot is published and no recorder is attached
-        (:meth:`_bind_pushes`): this frame and each ``push`` are the
-        whole update, bar a base write where the leaf is a copy.  Every
-        other update, the first one to a relation included, takes
+        while no snapshot is published and no recorder is attached: this
+        frame and each ``push`` are the whole update, bar a base write
+        where the leaf is a copy.  Every other update, the first one to
+        a relation and every ``update_base=False`` one included, takes
         :meth:`_apply`, which checks, claims and records.
         """
-        entry = self._pushes.get(update.relation) if update_base else None
-        if entry is None:
+        entry = self._pushes.get(update.relation)
+        if (
+            entry is None
+            or not update_base
+            or self._maintenance_stats is not None
+            or self._epoch_snapshot is not None
+            or update.relation not in self._written
+        ):
             return self._apply(update, update_base)
         add, kernels = entry
         key, payload = update.key, update.payload
@@ -567,7 +575,7 @@ class ViewTreeEngine(Backend):
     def _apply_one(self, update: Update, anchors: list, update_base: bool) -> None:
         """One update under :meth:`_apply_columns`' leaf rule: an aliased
         leaf is written once, by its kernel (not at all under
-        ``update_base=False``: the kernel pushes the written leaf); a
+        ``update_base=False``, where ``push_written_one`` pushes it); a
         base whose leaves are copies is written here."""
         key, payload = update.key, update.payload
         write_base, write_leaves = self._writes(update.relation, update_base)
@@ -579,7 +587,7 @@ class ViewTreeEngine(Backend):
                 if write_leaves:
                     kernel.push(key, payload, stats)
                 else:
-                    kernel.push_written([key], [payload], stats)
+                    kernel.push_written_one(key, payload, stats)
         else:
             for atom, node, leaf in anchors:
                 delta = Relation(f"d_{atom}", leaf.schema, self.ring)
@@ -635,23 +643,6 @@ class ViewTreeEngine(Backend):
         touch (``SharedBaseError`` when another live engine writes one)."""
         claim_writer((self.database[name] for name in names), self)
         self._written.update(names)
-        self._bind_pushes()
-
-    def _bind_pushes(self) -> None:
-        """Fill :meth:`apply`'s dispatch table: each claimed relation's
-        base ``add`` (``None`` where a kernel writes the base as its
-        leaf) and kernels.  Empty for the oracle, under a published
-        snapshot, whose commits :meth:`_atomically` undoes, and with a
-        recorder attached, which :meth:`_apply` feeds."""
-        fast = self._maintenance_stats is None and self._epoch_snapshot is None
-        self._pushes = {
-            name: (
-                self.database[name].add if self._writes(name, True)[0] else None,
-                self._kernels[name],
-            )
-            for name in self._written
-            if fast and name in self._kernels
-        }
 
     def _writes(self, relation: str, update_base: bool) -> tuple[bool, bool]:
         """``(base, leaves)``: which relations an update to ``relation``
@@ -883,7 +874,6 @@ class ViewTreeEngine(Backend):
         if closed is not None:
             snap.cow_buckets, snap.undo_entries = closed.work()
         self._epoch_snapshot = snap
-        self._pushes = {}
         # The change tracker diffs against the previous snapshot on every
         # publish regardless of ``record`` — shard workers publish with
         # record=False but their subscribers still need the delta stream.
@@ -1282,8 +1272,7 @@ class ViewTreeEngine(Backend):
                 relation.clear()
         release_writer((self.database[name] for name in self._written), self)
         self._written = set()
-        self._pushes = {}
-        self.roots, self._anchors, self._kernels = [], {}, {}
+        self.roots, self._anchors, self._kernels, self._pushes = [], {}, {}, {}
         self._enum_kernel = self._lookup_plan = self._enum_schedule = None
         self._bind_reads()
 

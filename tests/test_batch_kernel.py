@@ -395,8 +395,9 @@ class TestBatchObservability:
         assert payload["probes_shared"] == stats.sibling_probes_shared
 
     def test_single_tuple_pushes_are_not_batch_probes(self):
-        """A fan-out ``apply`` runs no batch kernel: the ``batch`` block
-        stays zero until a batch runs, which still reports its probes."""
+        """A fan-out ``apply`` runs no batch kernel, with or without
+        ``update_base``: the ``batch`` block stays zero until a batch
+        runs, which still reports its probes."""
         query = parse_query("Q(A, C) = R(A, B) * S(B, C)")
         schemas = [("R", ("A", "B")), ("S", ("B", "C"))]
         engine = ViewTreeEngine(
@@ -407,6 +408,9 @@ class TestBatchObservability:
         stats = engine.attach_stats()
         for a in range(8):
             engine.apply(Update("R", (a, a % 3), 1))
+        for a in range(8, 16):
+            engine.database["R"].add((a, a % 3), 1)
+            engine.apply(Update("R", (a, a % 3), 1), update_base=False)
         assert set(stats.to_dict()["batch"].values()) == {0}
         engine.apply_batch([Update("R", (a, 0), 1) for a in range(30)])
         assert stats.to_dict()["batch"]["sibling_probes"] > 0
