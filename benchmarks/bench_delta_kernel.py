@@ -77,10 +77,10 @@ DISPATCH_KEYS = 1000
 #: ratio is one round's).
 DISPATCH_ROUNDS = 21
 #: Per row, the least ``IVMEngine.apply`` / bare ``push`` throughput
-#: ratio.  Six runs on a 2-vCPU host read 0.73-0.76 (``Q(Y, X, Z)``)
-#: and 0.93-0.97 (``Q(A, C)``); with ``@observed`` put back around
-#: ``ViewTreeEngine.apply`` ``Q(Y, X, Z)`` read 0.55-0.57 and the gate
-#: fails, but one bare forwarding frame (0.71-0.73) passes it: a timing
+#: ratio.  Six runs on a 2-vCPU host read 0.72-0.73 (``Q(Y, X, Z)``)
+#: and 0.94-0.96 (``Q(A, C)``); with ``@observed`` put back around
+#: ``ViewTreeEngine.apply`` ``Q(Y, X, Z)`` read 0.53-0.55 and the gate
+#: fails, but one bare forwarding frame (0.69-0.70) passes it: a timing
 #: cannot tell one frame from noise, so ``tests/test_fused_leaf_write.py``
 #: counts the frames.
 DISPATCH_BOUND = {"q-hierarchical": 0.65, "hierarchical": 0.85}

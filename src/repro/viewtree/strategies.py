@@ -30,7 +30,7 @@ from ..data.database import Database
 from ..data.update import Update
 from ..delta.engine import DeltaQueryEngine
 from ..naive.evaluator import evaluate
-from ..obs import Observable, observed, observed_enumeration, share_stats
+from ..obs import Observable, observed, observed_enumeration
 from ..query.ast import Query
 from ..query.variable_order import VariableOrder
 from ..rings.lifting import LiftingMap
@@ -92,7 +92,7 @@ class EagerFact(MaintenanceStrategy):
         )
 
     def _propagate_stats(self, stats) -> None:
-        share_stats(self.engine, stats)
+        self.engine._maintenance_stats = stats
 
     @observed
     def apply(self, update: Update) -> None:
@@ -128,7 +128,7 @@ class EagerList(MaintenanceStrategy):
         self.engine = DeltaQueryEngine(query, database, lifting, eager=True)
 
     def _propagate_stats(self, stats) -> None:
-        share_stats(self.engine, stats)
+        self.engine._maintenance_stats = stats
 
     @observed
     def apply(self, update: Update) -> None:
@@ -197,7 +197,7 @@ class LazyFact(MaintenanceStrategy):
         self._dirty = False
 
     def _propagate_stats(self, stats) -> None:
-        share_stats(self._engine, stats)
+        self._engine._maintenance_stats = stats
 
     @observed
     def apply(self, update: Update) -> None:
@@ -216,7 +216,7 @@ class LazyFact(MaintenanceStrategy):
                 generated=self.generated,
             )
             # The rebuilt tree inherits the attached recorder, if any.
-            share_stats(self._engine, self._maintenance_stats)
+            self._engine._maintenance_stats = self._maintenance_stats
             self._dirty = False
         return self._engine.enumerate()
 
