@@ -142,7 +142,7 @@ class MultiQueryEngine(Observable):
                     self._hosts_of.setdefault(relation, []).append(host)
                 mode = "cascade-host"
             else:
-                plan = plan_maintenance(query)
+                plan = plan_maintenance(query, ring=ring)
                 if plan.query is None:  # not a view tree: a private copy
                     own = Database((database[r].copy() for r in reads), ring=ring)
                     engine = reader = IVMEngine(query, own, lifting=lifting, plan=plan)

@@ -62,7 +62,7 @@ class IVMEngine(Backend):
         self.query = query
         self.database = database
         self.plan = plan = plan or plan_maintenance(
-            query, fds, insert_only, shards=shards
+            query, fds, insert_only, shards=shards, ring=database.ring
         )
         tree = dict(order=plan.order, lifting=lifting, generated=generated)
         if plan.strategy == "sharded-viewtree":

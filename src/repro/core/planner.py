@@ -9,7 +9,7 @@ paper's decision ladder and picks the strongest applicable engine:
 3. static/dynamic tractable            -> mixed view tree (Sec 4.5)
 4. tractable CQAP (input variables)    -> fracture view trees (Thm 4.8)
 5. insert-only + acyclic full join     -> monotone activation (Sec 4.6)
-6. triangle-shaped cyclic              -> IVM^eps, O(sqrt N) (Sec 3.3)
+6. triangle-shaped cyclic, over Z      -> IVM^eps, O(sqrt N) (Sec 3.3)
 7. otherwise                           -> first-order delta queries (Sec 3.1)
 
 Every decision is returned as a :class:`Plan` with the guarantee it
@@ -41,6 +41,8 @@ from ..query.variable_order import (
     canonical_order,
     search_order,
 )
+from ..rings.base import Semiring
+from ..rings.standard import Z
 from ..staticdyn.analysis import find_static_dynamic_order
 
 
@@ -106,8 +108,12 @@ def plan_maintenance(
     fds: Iterable[FunctionalDependency] = (),
     insert_only: bool = False,
     shards: int = 1,
+    ring: Semiring = Z,
 ) -> Plan:
     """Choose a maintenance plan following the Section 6 decision ladder.
+
+    ``ring`` is the database's: the ``ivm-eps-triangle`` rung counts in
+    ``Z``, so over any other ring a triangle takes the ``delta`` rung.
 
     With ``shards > 1`` the planner upgrades a (plain) view-tree plan to
     ``sharded-viewtree``: view-tree maintenance is key-partitioned group
@@ -115,7 +121,7 @@ def plan_maintenance(
     in parallel.  Strategies with cross-shard state (IVM^eps partitions,
     CQAP fractures, delta materializations) keep their unsharded plan.
     """
-    plan = _plan_unsharded(query, tuple(fds), insert_only)
+    plan = _plan_unsharded(query, tuple(fds), insert_only, ring)
     if shards > 1 and plan.strategy in _SHARDABLE_STRATEGIES:
         plan = replace(
             plan,
@@ -130,6 +136,7 @@ def _plan_unsharded(
     query: Query,
     fds: tuple[FunctionalDependency, ...],
     insert_only: bool,
+    ring: Semiring,
 ) -> Plan:
 
     if query.input_variables:
@@ -211,7 +218,7 @@ def _plan_unsharded(
             "O(N)",
         )
 
-    if _is_triangle_shaped(query):
+    if ring == Z and _is_triangle_shaped(query):
         return Plan(
             "ivm-eps-triangle",
             "cyclic triangle count: worst-case optimal IVM^eps "

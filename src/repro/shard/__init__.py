@@ -2,8 +2,8 @@
 
 View trees maintain every view by key-partitioned group updates, so hash
 shards of a join variable maintain disjoint view slices independently.
-This package provides the router that partitions base relations and
-update streams (:class:`ShardRouter`), the shard runtime every shard
+This package provides the router that cuts each shard's slice of the
+base and partitions update streams (:class:`ShardRouter`), the shard runtime every shard
 runs wherever it lives (:class:`ShardRuntime`), the coordinator that
 hosts shard 0 itself and merges outputs and statistics
 (:class:`ShardedEngine`), and — for ``executor="process"`` — the
@@ -14,12 +14,7 @@ increments with the coordinator.
 """
 
 from .engine import ShardedEngine
-from .router import (
-    ShardLeafFilter,
-    ShardRouter,
-    choose_shard_variable,
-    stable_hash,
-)
+from .router import ShardRouter, choose_shard_variable, stable_hash
 from .worker import (
     ShardRuntime,
     ShardWorkerError,
@@ -28,7 +23,6 @@ from .worker import (
 )
 
 __all__ = [
-    "ShardLeafFilter",
     "ShardRouter",
     "ShardRuntime",
     "ShardWorkerError",

@@ -3,10 +3,10 @@
 :class:`ShardedEngine` runs one :class:`~repro.shard.worker.ShardRuntime`
 (a :class:`~repro.viewtree.engine.ViewTreeEngine` plus numbered epoch
 snapshots) per hash shard of a chosen shard variable, all over the same
-variable order.  Each shard's leaves materialize only the tuples its
-:class:`~repro.shard.router.ShardLeafFilter` accepts, and updates route
-through the :class:`~repro.shard.router.ShardRouter` (owned updates to
-one shard, broadcast updates to all).
+variable order.  Each shard's engine runs over its own slice of the
+base and writes it; the :class:`~repro.shard.router.ShardRouter` cuts
+the slices and routes updates (owned updates to one shard, broadcast
+updates to all).
 
 Why merging is exact (not approximate): the shard variable lives in one
 connected component of the query, and every atom binding it partitions
@@ -43,14 +43,14 @@ to end (see :meth:`ShardedEngine.apply_batch`): IPC cost scales with
 the batch, never with accumulated view state.
 
 What the base copy is for: the coordinator's ``database`` is the one
-authoritative copy of every input tuple; shards are *derived* state.
-They are built from it on first use, rebuilt from it after a worker
+authoritative copy of every input tuple; shards and their slices are
+*derived* state.  They are cut from it on first use, again after a worker
 crash (the pool only — shard 0 keeps its state) or after a commit that
 failed inside the coordinator (every shard: nobody can vouch for a
-half-applied batch), and rebuilt from it when a pickled engine is
-restored.  An epoch published before a rebuild is re-published under
-the same number, so pinned snapshot readers keep getting answers.  It
-also answers live lookups on queries without bound variables.
+half-applied batch), and again when a pickled engine is restored.  An
+epoch published before a rebuild is re-published under the same
+number, so pinned snapshot readers keep getting answers.  It also
+answers live lookups on queries without bound variables.
 
 When to shard: README.md ("Sharded execution") has the measured row
 against the unsharded engine.  A 2-shard ``process`` engine is two
@@ -215,12 +215,11 @@ class ShardedEngine(Backend):
                 return self._build()
         return runtimes, pool
 
-    def _spec(self, index: int) -> ShardWorkerSpec:
+    def _spec(self, index: int, slices: list[Database]) -> ShardWorkerSpec:
         return ShardWorkerSpec(
             query=self.query,
-            database=self.database,
+            database=slices[index],
             shard=index,
-            router=self.router,
             order=self.order,
             lifting=self._lifting,
             generated=self.generated,
@@ -239,13 +238,14 @@ class ShardedEngine(Backend):
         runtimes, pool = self._runtimes, self._pool
         republish = ("publish_epoch", self.epoch) if self.epoch else None
         rebuilt = False
+        slices = self.router.slices(self.database)
         # Workers fork before the local engines exist, so a first build
-        # hands them none of shard 0's pages.
+        # hands them none of shard 0's views.
         if self._local < self.shards and (pool is None or pool.broken):
             if pool is not None:
                 self._close_pool(pool)
             pool = self._pool = ShardWorkerPool(
-                [self._spec(index) for index in range(self._local, self.shards)]
+                [self._spec(index, slices) for index in range(self._local, self.shards)]
             )
             stats = self._maintenance_stats
             if stats is not None:
@@ -261,7 +261,7 @@ class ShardedEngine(Backend):
             rebuilt = True
         if runtimes is None:
             runtimes = [
-                ShardRuntime(self._spec(index), self.shard_stats[index])
+                ShardRuntime(self._spec(index, slices), self.shard_stats[index])
                 for index in range(self._local)
             ]
             if republish is not None:
@@ -370,9 +370,9 @@ class ShardedEngine(Backend):
     def close(self) -> None:
         """Release every shard (idempotent).
 
-        Shuts the worker pool down, closes the coordinator-hosted shard
-        engines (:meth:`ViewTreeEngine.close`) and releases this
-        engine's writer claims; base relations keep their contents.
+        Shuts the worker pool down, closes the coordinator-hosted shards
+        (engine and slice, :meth:`ShardRuntime.close`) and releases this
+        engine's writer claims; the base keeps its contents.
         Worker shutdown ships each worker's final stats delta, so
         :meth:`merged_stats` stays complete after close.  Every later
         call that reaches a shard, or the base, raises ``RuntimeError``.
@@ -383,7 +383,7 @@ class ShardedEngine(Backend):
             self._close_pool(pool)
         runtimes, self._runtimes = self._runtimes, None
         for runtime in runtimes or ():
-            runtime.engine.close()
+            runtime.close()
         self._change_tracker = None
         release_writer((self.database[name] for name in self._written), self)
         self._written = set()
@@ -442,9 +442,9 @@ class ShardedEngine(Backend):
     def apply(self, update: Update) -> None:
         """Route one single-tuple update to its owning shard(s)."""
         self._admit((update.relation,))
-        # Build (or rebuild) the shards before the base write: a shard
-        # builds its leaves from the base database as of build time, so
-        # the update must not be in it yet.
+        # Build (or rebuild) the shards before the base write: a shard's
+        # slice is cut from the base as of build time, so the update
+        # must not be in it yet.
         self._ensure()
         self.database[update.relation].add(update.key, update.payload)
         owner = self.router.shard_of(update)

@@ -7,7 +7,7 @@ shards of the join key therefore maintain *disjoint* slices of every
 view, which makes view-tree maintenance embarrassingly parallel — the
 F-IVM execution model run once per shard.
 
-The router decides, per relation, where an update goes:
+The router decides, per relation, where a base tuple or an update goes:
 
 * if every atom over the relation binds the shard variable at the same
   column, the relation is **partitioned**: a tuple belongs to the shard
@@ -28,6 +28,7 @@ import hashlib
 import zlib
 from typing import Any, Optional
 
+from ..data.database import Database
 from ..data.update import Update
 from ..query.ast import Query
 
@@ -47,8 +48,8 @@ def stable_hash(value: Any) -> int:
     its ``repr`` through blake2b.  Equal values of the same type hash
     identically, which is all routing needs; ``1``, ``1.0`` and ``True``
     are one dict key but three hashes, so the result is never memoised
-    by value — a warm coordinator and a freshly spawned worker's
-    :class:`ShardLeafFilter` would disagree about the owner.
+    by value — a warm coordinator's :meth:`ShardRouter.split` and a
+    rebuild's :meth:`ShardRouter.slices` would disagree about the owner.
     """
     kind = type(value)
     if kind is int:
@@ -176,26 +177,24 @@ class ShardRouter:
                     sub.add(relation, owned, owned_payloads)
         return subs
 
+    def slices(self, database: Database) -> list[Database]:
+        """Every shard's slice of the query's relations, in fresh relations:
+        a partitioned relation's tuples each in their owner's slice
+        (:meth:`shard_of_key`), a broadcast relation whole in every one."""
+        slices = [Database(ring=database.ring) for _ in range(self.shards)]
+        for name, position in self.positions.items():
+            base = database[name]
+            parts = [part.create(name, base.schema).data for part in slices]
+            if position is None:
+                for data in parts:
+                    data.update(base.data)
+            else:
+                for key, payload in base.data.items():
+                    parts[stable_hash(key[position]) % self.shards][key] = payload
+        return slices
+
     def __repr__(self) -> str:
         return (
             f"ShardRouter(variable={self.shard_variable!r}, "
             f"shards={self.shards}, positions={self.positions!r})"
         )
-
-
-class ShardLeafFilter:
-    """``(relation, key) -> bool`` predicate selecting one shard's slice.
-
-    Passed to :class:`~repro.viewtree.engine.ViewTreeEngine` as
-    ``leaf_filter``; a named class so an engine holding one pickles.
-    """
-
-    __slots__ = ("router", "shard")
-
-    def __init__(self, router: ShardRouter, shard: int):
-        self.router = router
-        self.shard = shard
-
-    def __call__(self, relation: str, key: tuple) -> bool:
-        owner = self.router.shard_of_key(relation, key)
-        return owner is None or owner == self.shard

@@ -13,9 +13,9 @@ behind a pipe.  One implementation per command, two transports.
 The remote transport:
 
 * each worker process is spawned **once** from a small pickled
-  :class:`ShardWorkerSpec` (query + database + order + router + shard
-  id), builds its runtime locally, and keeps all view state resident
-  for the life of the pool;
+  :class:`ShardWorkerSpec` (query + the shard's slice of the base +
+  order + shard id), builds its runtime over the slice, and keeps the
+  slice and all view state resident for the life of the pool;
 * the parent speaks the command protocol over a duplex pipe —
   ``apply_batch`` ships only the shard's slice of the coalesced batch,
   as the same ``{relation: (keys, payloads)}`` columns shard 0
@@ -78,7 +78,6 @@ from ..query.ast import Query
 from ..query.variable_order import VariableOrder
 from ..rings.lifting import LiftingMap
 from ..viewtree.changes import RETAIN_EPOCHS, EpochGapError, encode_delta
-from .router import ShardLeafFilter, ShardRouter
 
 # RETAIN_EPOCHS (how many published epochs each worker keeps
 # addressable) is imported from repro.viewtree.changes so the worker
@@ -114,15 +113,14 @@ class ShardWorkerError(RuntimeError):
 class ShardWorkerSpec:
     """Everything needed to build one shard's engine where it will live.
 
-    Small and picklable: the plan inputs plus the base database — the
-    one-time spawn cost of a worker.  After construction the engine
-    (views, guards, generated kernels) lives only in its host.
+    Small and picklable: the plan inputs plus the shard's slice of the
+    base, which the engine's leaves alias — the one-time spawn cost of a
+    worker.  After construction the engine lives only in its host.
     """
 
     query: Query
     database: Database
     shard: int
-    router: ShardRouter
     order: VariableOrder
     lifting: LiftingMap | None = None
     generated: bool = True
@@ -139,7 +137,6 @@ class ShardWorkerSpec:
             self.database,
             self.order,
             lifting=self.lifting,
-            leaf_filter=ShardLeafFilter(self.router, self.shard),
             generated=self.generated,
         )
         engine.attach_stats(stats)
@@ -159,6 +156,12 @@ class ShardRuntime:
         #: ``changes`` command can translate the coordinator's epoch
         #: addressing into the engine's own delta window.
         self._change_epochs: dict[int, int] | None = None
+
+    def close(self) -> None:
+        """Close the engine and empty its slice, which a closed engine keeps."""
+        self.engine.close()
+        for relation in self.spec.database:
+            relation.clear()
 
     def take_stats(self) -> MaintenanceStats:
         """Swap in a fresh recorder and return the accumulated delta."""
@@ -187,11 +190,11 @@ class ShardRuntime:
         return _Reply(payload, items, None, 0.0, 0, 0)
 
     def _cmd_apply(self, update: Update):
-        self.engine.apply(update, update_base=False)
+        self.engine.apply(update)
         return None, None
 
     def _cmd_apply_batch(self, columns):
-        self.engine.apply_coalesced_batch(columns, update_base=False)
+        self.engine.apply_coalesced_batch(columns)
         return None, None
 
     def _cmd_publish_epoch(self, number: int):

@@ -183,7 +183,6 @@ class ViewTreeEngine(Backend):
         database: Database,
         order: VariableOrder | None = None,
         lifting: LiftingMap | None = None,
-        leaf_filter=None,
         generated: bool = True,
         head: tuple[str, ...] | None = None,
     ):
@@ -197,20 +196,16 @@ class ViewTreeEngine(Backend):
         determined by the kept ones (FDs) or arrive prebound (CQAP
         inputs).
 
-        ``leaf_filter`` is an optional ``(relation_name, key) -> bool``
-        predicate; when given, leaves materialize only the base tuples it
-        accepts.  Combined with ``apply(update, update_base=False)`` this
-        lets several engines share one database, each maintaining a
-        disjoint hash shard of it.  Without one, a leaf whose atom is
-        its relation's only atom and uses its schema *is* the database
-        relation (see :meth:`_make_leaf`; :meth:`describe` marks each
-        leaf ``= base`` or ``copy``): writing that relation behind the
-        engine's back changes a leaf without maintaining the views.  So
-        an engine claims each base relation it writes, and one about to
-        write a relation another live engine writes raises
-        :class:`~repro.data.relation.SharedBaseError` before any write,
-        aliased leaf or not; queries that share relations are maintained
-        together by :class:`~repro.cascade.MultiQueryEngine`.
+        A leaf whose atom is its relation's only atom and uses its
+        schema *is* the database relation (see :meth:`_make_leaf`;
+        :meth:`describe` marks each leaf ``= base`` or ``copy``): writing
+        that relation behind the engine's back changes a leaf without
+        maintaining the views.  So an engine claims each base relation
+        it writes, and one about to write a relation another live engine
+        writes raises :class:`~repro.data.relation.SharedBaseError` before
+        any write, aliased leaf or not; queries that share relations are
+        maintained together by :class:`~repro.cascade.MultiQueryEngine`,
+        which writes the shared base itself (``update_base=False``).
 
         ``generated`` (the default) plans every (base relation, anchor)
         propagation path and the free-top enumeration walk
@@ -261,7 +256,6 @@ class ViewTreeEngine(Backend):
             raise ValueError(
                 f"relations {sorted(overlap)} appear both static and dynamic"
             )
-        self._leaf_filter = leaf_filter
 
         self.roots: list[ViewNode] = []
         #: relation name -> list of (atom, anchor ViewNode, leaf Relation)
@@ -475,8 +469,7 @@ class ViewTreeEngine(Backend):
         """The leaf of ``atom``: its base relation itself when it can be.
 
         A leaf *is* ``database[atom.relation]`` unless something makes
-        it differ, recorded per atom in ``_leaf_copies``: a
-        ``leaf_filter`` (the leaf holds one shard of the base), atom
+        it differ, recorded per atom in ``_leaf_copies``: atom
         variables other than the base schema (``renamed``), or a second
         atom over the same relation (``self-join``: an anchor's push must
         see the relation's later anchors in their pre-update state, see
@@ -489,9 +482,7 @@ class ViewTreeEngine(Backend):
                 f"atom {atom} arity does not match relation "
                 f"{base.schema.variables!r}"
             )
-        if self._leaf_filter is not None:
-            why = "filter"
-        elif atom.variables != base.schema.variables:
+        if atom.variables != base.schema.variables:
             why = "renamed"
         elif sum(a.relation == atom.relation for a in self.query.atoms) > 1:
             why = "self-join"
@@ -499,15 +490,7 @@ class ViewTreeEngine(Backend):
             return base
         self._leaf_copies[atom] = why
         leaf = Relation(f"leaf_{atom}", Schema(atom.variables), self.ring)
-        if self._leaf_filter is None:
-            leaf.data = dict(base.data)
-        else:
-            keep = self._leaf_filter
-            leaf.data = {
-                key: payload
-                for key, payload in base.data.items()
-                if keep(atom.relation, key)
-            }
+        leaf.data = dict(base.data)
         return leaf
 
     # ------------------------------------------------------------------
@@ -518,8 +501,9 @@ class ViewTreeEngine(Backend):
         """Process one single-tuple update.
 
         ``update_base`` also applies the update to the database relation;
-        pass ``False`` when a coordinator shares one database among
-        several engines and applies base updates itself.  ``False`` is a
+        pass ``False`` when the caller applies base updates itself, as
+        :class:`~repro.cascade.MultiQueryEngine` (its one caller) does for
+        the engines it runs over one database.  ``False`` is a
         per-update contract: the caller writes *this* update to the base
         immediately before this call and nothing else in between, since
         a leaf that is the base relation is then not written again (with
@@ -651,7 +635,7 @@ class ViewTreeEngine(Backend):
         has just written the base (see :meth:`apply`)."""
         if relation in self._aliased:
             return False, update_base
-        return update_base and relation in self.database, True
+        return update_base, True
 
     @observed
     def apply_batch(self, batch) -> None:
@@ -700,7 +684,8 @@ class ViewTreeEngine(Backend):
         engine writes is rejected before anything is written.
 
         ``update_base=False`` means the caller wrote the batch to the
-        base just before this call.  A leaf that is its base relation
+        base just before this call; :class:`~repro.cascade.MultiQueryEngine`
+        is its one caller.  A leaf that is its base relation
         (``= base`` in :meth:`describe`) then already holds the whole
         batch while other relations' deltas are still being pushed, and
         the pushes would join two deltas twice (``ΔR·ΔS`` once from each
@@ -834,9 +819,9 @@ class ViewTreeEngine(Backend):
 
     def _snapshot_relations(self) -> Iterator[Relation]:
         """Every relation a read path can touch — views, guards, leaves —
-        plus the base relations a commit writes, so that a rollback
-        restores them too.  A sharded engine's bases belong to its
-        coordinator (``leaf_filter``), which writes them."""
+        plus the base relations a commit writes (or, under ``update_base=False``,
+        :class:`~repro.cascade.MultiQueryEngine` wrote), so a rollback
+        restores them too."""
         for root in self.roots:
             for node in root.walk():
                 if not isinstance(node.view, DerivedView):
@@ -845,10 +830,8 @@ class ViewTreeEngine(Backend):
                     yield node.guard
                 for _, leaf in node.leaves:
                     yield leaf
-        if self._leaf_filter is None:
-            for name in self._anchors:
-                if name in self.database:
-                    yield self.database[name]
+        for name in self._anchors:
+            yield self.database[name]
 
     def publish_epoch(self, record: bool = True) -> EpochSnapshot:
         """Freeze the current committed state as the next readable epoch.
@@ -1340,8 +1323,8 @@ class ViewTreeEngine(Backend):
         """ASCII rendering of the view tree with sizes.
 
         Each leaf line says whether the leaf is its base relation
-        (``= base``) or a private copy, and why (``copy (filter)``,
-        ``copy (renamed)``, ``copy (self-join)``): how many copies of
+        (``= base``) or a private copy, and why (``copy (renamed)``,
+        ``copy (self-join)``): how many copies of
         each input tuple this engine holds.  A derived view names the
         index it is read from (``V_X*(Y) = index R(Y)``).  The last two
         lines are the enumeration walk (``enum: Y · X · Z (Z replayed per

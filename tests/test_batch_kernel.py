@@ -535,9 +535,10 @@ class TestShardedBatch:
 
 
 class TestSupportBatches:
-    """Supports, not sums, under batches: ``apply_batch`` and the
-    ``update_base=False`` callers — shard workers and a query set over
-    one database — agree exactly with the oracle on valid streams:
+    """Supports, not sums, under batches: ``apply_batch``, shard workers
+    over their slices and a query set over one database (the
+    ``update_base=False`` caller) agree exactly with the oracle on valid
+    streams:
     outputs, lookups, change-feed deltas, guard memberships and every
     node's view value."""
 

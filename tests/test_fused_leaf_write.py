@@ -451,16 +451,8 @@ def _bases(engine):
     return {rel.name: {k: _bits(p) for k, p in rel.data.items()} for rel in engine.database}
 
 
-#: The planner's ``ivm-eps-triangle`` rung counts in ``Z`` whatever the
-#: database's ring, with or without generated kernels.
-TRIANGLE_IN_Z = pytest.mark.xfail(
-    strict=True, reason="TriangleCounter counts in Z under a min-plus database"
-)
 SHAPE_RINGS = [
-    pytest.param(
-        *shape, ring, deletes, id=f"{shape_id}-{ring_id}",
-        marks=TRIANGLE_IN_Z if ring is MIN_PLUS and shape[0].startswith("Q() = R(A, B) * S(B, C) * T") else (),
-    )
+    pytest.param(*shape, ring, deletes, id=f"{shape_id}-{ring_id}")
     for shape, shape_id in zip(EVERY_SHAPE, EVERY_SHAPE_IDS)
     for (ring, deletes), ring_id in zip(SINGLE_RINGS, SINGLE_RING_IDS)
 ]
@@ -554,7 +546,8 @@ LEAF_ADD_COUNTS = {
 
 class TestUnwrittenBase:
     """``update_base=False``: the caller wrote the base, and a kernel
-    whose leaf is that base pushes without writing it again."""
+    whose leaf is that base pushes without writing it again.  Sharded
+    single tuples ride along: each shard writes its own slice."""
 
     def test_shard_workers_apply_single_tuples(self):
         text, schemas, _ = LIST

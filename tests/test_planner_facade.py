@@ -7,6 +7,7 @@ from repro.backend import NotSupported
 from repro.constraints import parse_fds
 from repro.data import Update, counting
 from repro.naive import evaluate, evaluate_scalar
+from repro.rings import MIN_PLUS, Z
 from repro.shard import ShardedEngine
 from repro.viewtree import ViewTreeEngine
 from tests.conftest import fd_satisfying_db, valid_stream
@@ -44,6 +45,22 @@ class TestPlannerLadder:
     def test_triangle(self):
         q = parse_query("Q() = R(A,B) * S(B,C) * T(C,A)")
         assert plan_maintenance(q).strategy == "ivm-eps-triangle"
+
+    def test_triangle_over_another_ring_takes_the_delta_rung(self):
+        # IVM^eps counts in Z: over any other ring the triangle is the
+        # delta rung's, and the facade's answer is repro.naive's.
+        q = parse_query("Q() = R(A,B) * S(B,C) * T(C,A)")
+        assert plan_maintenance(q, ring=Z).strategy == "ivm-eps-triangle"
+        assert plan_maintenance(q, ring=MIN_PLUS).strategy == "delta"
+        db = Database(ring=MIN_PLUS)
+        for name in ("R", "S", "T"):
+            db.create(name, ("X", "Y"))
+        engine = IVMEngine(q, db)
+        assert engine.plan.strategy == "delta"
+        for a, b, cost in ((1, 2, 1.0), (2, 3, 0.5), (3, 1, 1.5), (2, 1, 4.0)):
+            for name in ("R", "S", "T"):
+                engine.apply(Update(name, (a, b), cost))
+        assert engine.scalar() == evaluate_scalar(q, db) == 3.0
 
     def test_hierarchical_not_q(self):
         q = parse_query("Q(A) = R(A,B) * S(B)")

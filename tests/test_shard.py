@@ -14,13 +14,7 @@ from repro.naive import evaluate, evaluate_scalar
 from repro.query import parse_query
 from repro.query.variable_order import search_order
 from repro.rings import B, MIN_PLUS, PROVENANCE, R, Z, CovarianceRing, LiftingMap, moment_lifting
-from repro.shard import (
-    ShardLeafFilter,
-    ShardRouter,
-    ShardedEngine,
-    choose_shard_variable,
-    stable_hash,
-)
+from repro.shard import ShardRouter, ShardedEngine, choose_shard_variable, stable_hash
 from repro.viewtree import ViewTreeEngine
 from repro.viewtree import engine as engine_module
 from repro.viewtree.engine import StaticRelationUpdateError
@@ -74,10 +68,10 @@ class TestStableHash:
 
     def test_equal_values_of_other_types_hash_on_their_own(self):
         # 1 == 1.0 == True is one dict key, so a memo keyed by value
-        # would answer all three with whichever came first — and a fresh
-        # worker's leaf filter, asked in another order, would disagree.
-        # The fast paths are stateless and exact-type: every order of
-        # asking gives each value its own, repeatable hash.
+        # would answer all three with whichever came first — and a
+        # rebuild's slices, cut in another order, would disagree with the
+        # split.  The fast paths are stateless and exact-type: every order
+        # of asking gives each value its own, repeatable hash.
         values = [1, 1.0, True]
         forward = [stable_hash(value) for value in values]
         backward = [stable_hash(value) for value in reversed(values)][::-1]
@@ -85,11 +79,13 @@ class TestStableHash:
         assert len(set(forward)) == 3
         router = ShardRouter(QUERY, "B", 64)
         for value in values:
+            db = fresh_db()
+            db["S"].data[(value,)] = 1
             owner = router.shard_of_key("S", (value,))
-            assert all(
-                ShardLeafFilter(router, shard)("S", (value,)) == (shard == owner)
-                for shard in range(64)
-            )
+            slices = router.slices(db)
+            assert [len(part["S"]) for part in slices] == [
+                int(shard == owner) for shard in range(64)
+            ]
 
     def test_small_shard_counts_are_balanced(self):
         # The int mix keeps the product's high half: reduced modulo a
@@ -150,12 +146,29 @@ class TestShardRouter:
         with pytest.raises(ValueError):
             ShardRouter(QUERY, "B", 0)
 
-    def test_leaf_filter_selects_one_slice(self):
-        router = ShardRouter(QUERY, "B", 2)
-        filters = [ShardLeafFilter(router, i) for i in range(2)]
-        for value in range(20):
-            kept = [f("R", (value, 0)) for f in filters]
-            assert kept.count(True) == 1  # exactly one owner
+    def test_slices_partition_and_broadcast_in_fresh_relations(self):
+        query = parse_query("Q(B, C) = R(B, A) * S(B) * T(C)")
+        db = fresh_db(random.Random(6), rows=40)
+        db.create("T", ("C",))
+        for value in range(5):
+            db["T"].insert(value)
+        router = ShardRouter(query, "B", 3)
+        slices = router.slices(db)
+        assert len(slices) == 3
+        for name in ("R", "S"):
+            for key, payload in db[name].items():
+                owner = router.shard_of_key(name, key)
+                assert [part[name].data.get(key) for part in slices] == [
+                    payload if shard == owner else None for shard in range(3)
+                ]
+            assert sum(len(part[name]) for part in slices) == len(db[name])
+        for part in slices:
+            assert part["T"] == db["T"]
+            assert part.ring is db.ring
+            for name in ("R", "S", "T"):
+                assert part[name] is not db[name]
+                assert part[name].data is not db[name].data
+                assert part[name].schema == db[name].schema
 
 
 class TestSplitBatch:
@@ -291,9 +304,13 @@ class TestCoalescedBatchEntryPoint:
         )
 
     def test_update_base_false_leaves_the_database_alone(self):
-        # As a shard engine is built: a leaf filter keeps every leaf a
+        # Atom variables other than the base schemas keep every leaf a
         # private copy, so a multi-relation batch may skip the base.
-        engine = self.engine(Z, leaf_filter=lambda name, key: True)
+        db = Database()
+        for name, schema in (("R", "XY"), ("S", "YW"), ("T", "Y")):
+            db.create(name, tuple(schema))
+        engine = ViewTreeEngine(STAR_QUERY, db)
+        assert "= base" not in engine.describe()
         engine.apply_coalesced_batch(
             coalesce_columnar(star_stream(Z, True), Z), update_base=False
         )
@@ -612,9 +629,9 @@ LIST_QUERY = parse_query("Q(Y, X, Z) = R(Y, X) * S(Y, Z)")
 
 class TestClose:
     """``close()`` releases every shard: the worker processes, the
-    coordinator-hosted shard engines and the writer claims.  Later calls
-    raise instead of rebuilding, and ``merged_stats()`` keeps answering
-    from what ``close()`` pulled."""
+    coordinator-hosted shard engines and their slices, and the writer
+    claims.  Later calls raise instead of rebuilding, and
+    ``merged_stats()`` keeps answering from what ``close()`` pulled."""
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_close_releases_every_shard(self, executor):
@@ -630,6 +647,8 @@ class TestClose:
             engine.apply(update)
         key = next(iter(dict(engine.enumerate())))
         hosted = engine.engines
+        slices = [runtime.spec.database for runtime in engine._runtimes]
+        assert any(len(part) for part in slices)
         before = engine.merged_stats().to_dict()["shards"]
         bases = base_state(db)
 
@@ -655,7 +674,9 @@ class TestClose:
         assert after == before
         assert set(after) == {"shard0", "shard1"}
         assert all(cells["batches"] > 0 for cells in after.values()), after
-        # The bases keep their contents and take another writer.
+        # The hosted shards' slices are empty; the bases keep their
+        # contents and take another writer.
+        assert all(len(part) == 0 for part in slices)
         assert base_state(db) == bases
         fresh = ViewTreeEngine(LIST_QUERY, db)
         fresh.apply(Update("R", (0, 0), 1))

@@ -557,6 +557,33 @@ class TestWorkerCrash:
             assert engine.lookup((1, 2)) == 15
 
 
+class TestWorkerSlices:
+    """A worker is spawned with its slice of the base, never the base."""
+
+    def test_each_worker_is_pickled_its_slice_also_after_a_respawn(self):
+        db = fresh_db(random.Random(21), rows=4000, domain=10**6)
+        full = len(pickle.dumps(db))
+        stream = valid_stream(random.Random(22), {"R": 2, "S": 1}, 200)
+        with ShardedEngine(QUERY, db, shards=4, executor="process") as engine:
+            engine.apply_batch(stream[:100])
+            first = engine._pool
+            # Uniform keys: a slice is a quarter of the base.
+            assert first.size == 3
+            assert first.spawn_bytes <= 0.35 * full * first.size
+            first.workers[1].process.kill()
+            first.workers[1].process.join(5.0)
+            with pytest.raises(ShardWorkerError, match="shard worker 2"):
+                engine.output_relation()
+            engine.apply_batch(stream[100:])
+            pool = engine._pool
+            assert pool is not first and not pool.broken
+            assert pool.spawn_bytes <= 0.35 * full * pool.size
+            expected = evaluate(QUERY, db)
+            assert engine.output_relation() == expected
+            for key in list(expected.data)[:20]:
+                assert engine.lookup(key) == expected.data[key]
+
+
 # ----------------------------------------------------------------------
 # Owner routing: shard 0 never touches a pipe
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ class TestConstruction:
         text = engine.describe()
         assert "leaf R(Y, X) = base" in text and "copy" not in text
 
-        # ... and a private copy for a self-join ...
+        # ... a private copy for a self-join ...
         q = parse_query("Q(A, B, C) = E(A, B) * E(B, C)")
         db = seeded_db([("E", ("A", "B"))], rng, rows=30, domain=6)
         engine = ViewTreeEngine(q, db, search_order(q, require_free_top=True))
@@ -56,20 +56,12 @@ class TestConstruction:
         assert "leaf E(A, B) copy (self-join)" in text
         assert "leaf E(B, C) copy (renamed)" in text
 
-        # ... for atom variables other than the base schema ...
+        # ... and for atom variables other than the base schema.
         db = seeded_db([("R", ("A", "B")), ("S", ("Y", "Z"))], rng)
         engine = ViewTreeEngine(FIG3, db)
         leaves = leaves_of(engine)
         assert leaves["R(Y, X)"] is not db["R"] and leaves["S(Y, Z)"] is db["S"]
         assert "leaf R(Y, X) copy (renamed)" in engine.describe()
-
-        # ... and for a leaf filter (one shard of the base).
-        db = seeded_db([("R", ("Y", "X")), ("S", ("Y", "Z"))], rng)
-        engine = ViewTreeEngine(FIG3, db, leaf_filter=lambda name, key: key[0] % 2)
-        for leaf in leaves_of(engine).values():
-            assert leaf is not db["R"] and leaf is not db["S"]
-            assert all(key[0] % 2 for key in leaf.data)
-        assert engine.describe().count("copy (filter)") == 2
 
     def test_base_relations_are_written_once_through_the_engine(self, rng):
         from tests.conftest import applied_once, valid_stream
